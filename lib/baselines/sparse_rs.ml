@@ -48,10 +48,16 @@ exception Done of multi_result
    only — no RNG draw, no metering). *)
 let wd = Telemetry.Watchdog.loop "baseline.sparse_rs"
 
+(* One copy of the image with the k pixels written in order (a later
+   pair at the same location wins, as folding [Sketch.perturb] would). *)
 let perturb_set image pairs =
-  List.fold_left
-    (fun acc pair -> Oppsla.Sketch.perturb acc pair)
-    image pairs
+  let x = Tensor.copy image in
+  List.iter
+    (fun (pair : Oppsla.Pair.t) ->
+      Oppsla.Rgb.write_to_image x ~row:pair.loc.row ~col:pair.loc.col
+        (Oppsla.Pair.rgb pair))
+    pairs;
+  x
 
 (* The shared random-search engine: a state type with a cache key, a
    materializer, an initial sample and a proposal kernel.  Both the

@@ -16,6 +16,40 @@ let perturb x (pair : Pair.t) =
     (Pair.rgb pair);
   x'
 
+(* In-place candidate slots: at most [n] copies of the attacked image,
+   made on first use.  [slot_input] takes the next slot round-robin,
+   restores the pixel its previous candidate wrote and writes the new
+   pair, so a slot differs from the image in at most one pixel and
+   equals [perturb image pair] when handed out.  The batcher
+   materializes at most [n] inputs per chunk and the oracle consumes
+   them before the next chunk (it borrows its inputs), so no live input
+   is overwritten.  [rewind] restarts the cycle at slot 0 between
+   chunks, so a chunk of [k] candidates touches only the first [k]
+   slots and the arena grows only to the widest chunk. *)
+type slot = { x : Tensor.t; mutable at : Location.t }
+type arena = { base : Tensor.t; slots : slot option array; mutable next : int }
+
+let arena ~n base = { base; slots = Array.make n None; next = 0 }
+let rewind a = a.next <- 0
+
+let slot_input a (pair : Pair.t) =
+  let i = a.next in
+  a.next <- (if i + 1 = Array.length a.slots then 0 else i + 1);
+  let s =
+    match a.slots.(i) with
+    | Some s ->
+        let { Location.row; col } = s.at in
+        Rgb.write_to_image s.x ~row ~col (Rgb.of_image a.base ~row ~col);
+        s
+    | None ->
+        let s = { x = Tensor.copy a.base; at = pair.loc } in
+        a.slots.(i) <- Some s;
+        s
+  in
+  Rgb.write_to_image s.x ~row:pair.loc.row ~col:pair.loc.col (Pair.rgb pair);
+  s.at <- pair.loc;
+  s.x
+
 exception Found of Pair.t * Tensor.t
 exception Out_of_queries
 
@@ -80,8 +114,9 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
   in
   let spent = ref 0 in
   let batcher = Batcher.create ?cache ~width:batch oracle in
+  let slots = arena ~n:batch image in
   let candidate_of pair =
-    { Batcher.key = cache_key pair; input = (fun () -> perturb image pair) }
+    { Batcher.key = cache_key pair; input = (fun () -> slot_input slots pair) }
   in
   (* Query a candidate pair, possibly served from the batcher's
      speculative buffer.  Raises [Found] on success and [Out_of_queries]
@@ -90,6 +125,8 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
      success, for the result). *)
   let check ?speculate pair =
     if !spent >= limit then raise Out_of_queries;
+    (* A query builds at most one chunk, consumed before it returns. *)
+    rewind slots;
     (* [observe] is the threat-model boundary: the batcher resolves the
        raw score vector (cache and keys are mode-blind), and everything
        downstream of this point — conditions, [on_query], the success
@@ -218,9 +255,12 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
 
 let success_exists ?(goal = Untargeted) oracle ~image ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
+  (* One scratch copy, perturbed in place; each pair restores the pixel
+     the previous one wrote. *)
+  let scratch = arena ~n:1 image in
   let flips pair =
     goal_reached goal ~true_class
-      (Oracle.unmetered_classify oracle (perturb image pair))
+      (Oracle.unmetered_classify oracle (slot_input scratch pair))
   in
   List.exists
     (fun loc ->

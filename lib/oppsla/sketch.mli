@@ -86,7 +86,11 @@ val attack :
     main loop speculating that the queue's front entries come next.
     Results — success, query counts, condition decisions, [on_query]
     order — are bit-identical at every width (see {!Batcher}); only
-    wall-clock changes.  [batch:1] is the sequential path.
+    wall-clock changes.  [batch:1] is the sequential path.  Forwarded
+    candidates are written in place into at most [batch] copies of
+    [image], made lazily per attack, each restored one pixel at a time
+    before reuse; the adversarial image in the result is a fresh
+    {!perturb} copy.
 
     [on_query] is an instrumentation hook called after every metered
     query with the 1-based query index, the candidate pair, and the

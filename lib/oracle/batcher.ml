@@ -8,9 +8,11 @@
    candidates it WOULD pose next if nothing interesting happens, resolves
    the whole chunk in one unmetered batched forward pass, and buffers the
    results.  Subsequent queries are served from the buffer as long as the
-   requested key matches the buffered head; any deviation (the attacker
-   reacted to an answer) discards the buffer and rebuilds it from the
-   attacker's true state.
+   requested key matches the buffered head.  A deviation (the attacker
+   reacted to an answer) is answered from the cache when the cache holds
+   it — synthesis re-runs programs on the same images, so most queries
+   are re-posed — and only a cache miss discards the buffer and rebuilds
+   it from the attacker's true state.
 
    Accounting is exact by construction, not by rollback: the forward
    passes are speculative and unmetered ({!Oracle.eval_batch}), while the
@@ -175,31 +177,58 @@ let prepare t chunk =
 
 let no_speculation : int -> candidate option = fun _ -> None
 
-let query t ?(speculate = no_speculation) cand =
-  (match t.buf with
-  | { skey; _ } :: _ when skey = cand.key -> bump g_buffer_hits 1
-  | _ ->
-      drop_buffer t;
-      let chunk = ref [ cand ] and filled = ref 1 and stop = ref false in
-      while (not !stop) && !filled < t.width do
-        match speculate (!filled - 1) with
-        | None -> stop := true
-        | Some c ->
-            chunk := c :: !chunk;
-            incr filled
-      done;
-      prepare t (Array.of_list (List.rev !chunk)));
+(* Charge one served query.  Metering happens here — at consumption,
+   never at preparation — so the counter advances in the attacker's true
+   query order and Budget_exhausted fires at the sequential path's exact
+   index.  [hit] and [chunk] ride along as journal provenance. *)
+let charge t cand ~hit ~chunk =
+  Oracle.meter
+    ~kind:(Score_cache.key_kind cand.key)
+    ~ckey:cand.key ~hit ~chunk t.oracle;
+  bump g_queries 1
+
+let serve_head t cand =
   match t.buf with
   | [] -> assert false
   | { skey = _; score; shit; spos } :: rest ->
-      (* Metering happens here — at consumption, never at preparation —
-         so the counter advances in the attacker's true query order and
-         Budget_exhausted fires at the sequential path's exact index.
-         The slot's hit flag and chunk position ride along as journal
-         provenance. *)
-      Oracle.meter
-        ~kind:(Score_cache.key_kind cand.key)
-        ~ckey:cand.key ~hit:shit ~chunk:spos t.oracle;
-      bump g_queries 1;
+      charge t cand ~hit:shit ~chunk:spos;
       t.buf <- rest;
       score
+
+(* Cache-first: a re-posed candidate needs no forward pass, so it builds
+   no chunk and leaves the buffer alone (buffered slots stay valid
+   answers for their keys).  The probe is uncounted; the hit is counted
+   only after [charge] passed the budget check, keeping
+   {!Oracle.scores_memo}'s metering-above-cache order.  The charge is
+   journaled as a hit outside any chunk. *)
+let serve_cached t cand =
+  match t.cache with
+  | None -> None
+  | Some c -> (
+      match Score_cache.find c cand.key with
+      | None -> None
+      | Some _ as hit ->
+          charge t cand ~hit:true ~chunk:(-1);
+          Score_cache.count_hit c;
+          hit)
+
+let query t ?(speculate = no_speculation) cand =
+  match t.buf with
+  | { skey; _ } :: _ when skey = cand.key ->
+      bump g_buffer_hits 1;
+      serve_head t cand
+  | _ -> (
+      match serve_cached t cand with
+      | Some score -> score
+      | None ->
+          drop_buffer t;
+          let chunk = ref [ cand ] and filled = ref 1 and stop = ref false in
+          while (not !stop) && !filled < t.width do
+            match speculate (!filled - 1) with
+            | None -> stop := true
+            | Some c ->
+                chunk := c :: !chunk;
+                incr filled
+          done;
+          prepare t (Array.of_list (List.rev !chunk));
+          serve_head t cand)

@@ -9,9 +9,12 @@
     ({!Oracle.eval_batch}; cache hits are excluded from the batch first)
     and buffers the results; while subsequent queries match the buffered
     heads they are served — and metered — one at a time from the buffer.
-    A query whose key differs from the buffered head (the attacker
-    changed course after an answer) discards the buffer and rebuilds
-    from the true state.
+    A query whose key differs from the buffered head is first looked up
+    in the cache: a hit is answered (and metered) from the cache
+    directly, with no speculation, no chunk and the buffer kept, since
+    buffered slots stay valid answers for their keys.  Only a miss (the
+    attacker changed course after an answer onto a candidate nobody has
+    resolved) discards the buffer and rebuilds from the true state.
 
     {b The speculative-batching invariant.}  Forward passes are
     speculative and free of accounting; the query counter is charged
@@ -30,7 +33,11 @@
 
 type candidate = {
   key : Score_cache.key;  (** identity of the perturbed input *)
-  input : unit -> Tensor.t;  (** builds the input; called only on miss *)
+  input : unit -> Tensor.t;
+      (** builds the input; called only on miss.  A chunk calls at most
+          [width] inputs and hands them to the oracle, which borrows them
+          (see {!Oracle.of_fn}), before any further [input] is called —
+          so inputs may share storage round-robin across [width] slots. *)
 }
 
 type t
@@ -44,7 +51,10 @@ val create : ?cache:Score_cache.t -> width:int -> Oracle.t -> t
     [Invalid_argument] if [width < 1]. *)
 
 val query : t -> ?speculate:(int -> candidate option) -> candidate -> Tensor.t
-(** One metered query, answered from the buffer when possible.
+(** One metered query, answered from the buffer or the cache when
+    possible.  A cache answer meters before counting the hit, so a query
+    refused by the budget leaves the cache statistics untouched; it is
+    journaled with [hit = true] and [chunk = -1].
     [speculate i] (called only when a new chunk must be built) returns
     the [i]-th candidate the attacker would pose after this one under
     the assumption that no answer changes its course, or [None] to stop
@@ -62,7 +72,7 @@ val width : t -> int
 
 type stats = {
   queries : int;  (** metered queries served *)
-  batches : int;  (** chunks resolved (batched forward passes + probes) *)
+  batches : int;  (** chunks resolved (built only on a cache miss) *)
   prepared : int;  (** candidates resolved across all chunks *)
   buffer_hits : int;  (** queries served from an existing buffer *)
   discarded : int;  (** buffered results thrown away on mis-speculation *)

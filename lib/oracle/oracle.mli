@@ -53,7 +53,13 @@ val of_fn :
     function must return a score vector of length [num_classes].
     Without [batch_fn], batched queries fall back to mapping the
     single-image function — accounting semantics are identical either
-    way, only wall-clock differs. *)
+    way, only wall-clock differs.
+
+    The tensors passed to [fn] and [batch_fn] are borrowed: the caller
+    may reuse their storage for the next candidate as soon as the call
+    returns (the sketch perturbs a few image slots in place), so the
+    functions must neither keep nor mutate them.  Copy an input to
+    retain it. *)
 
 val scores : t -> Tensor.t -> Tensor.t
 (** One metered query.  Raises {!Budget_exhausted} if the budget is
@@ -128,7 +134,8 @@ val eval_batch : t -> Tensor.t array -> Tensor.t array
     batched query path.  Deliberately not a query: callers
     ({!scores_batch}, {!Batcher}) must meter each slot at consumption
     time, in submission order, so speculation can never perturb query
-    accounting.  Never call it from attack code directly. *)
+    accounting.  Never call it from attack code directly.  The inputs
+    are borrowed for the duration of the call (see {!of_fn}). *)
 
 val scores_batch :
   t ->

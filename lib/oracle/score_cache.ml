@@ -95,11 +95,14 @@ let find_or_add t key ~compute =
 
 let find t key = Hashtbl.find_opt t.table key
 
+let count_hit (t : t) =
+  t.hits <- t.hits + 1;
+  Telemetry.Counter.incr m_hits
+
 let find_counted t key =
   match Hashtbl.find_opt t.table key with
   | Some s ->
-      t.hits <- t.hits + 1;
-      Telemetry.Counter.incr m_hits;
+      count_hit t;
       Some s
   | None -> None
 

@@ -88,6 +88,11 @@ val find_counted : t -> key -> Tensor.t option
     this pair instead of {!find_or_add} because its lookups and fills are
     separated by one batched forward pass over all missing slots. *)
 
+val count_hit : t -> unit
+(** Count one hit without a lookup: the batcher's cache-first path
+    probes with {!find}, meters the query, and only then counts the hit,
+    so a query refused by the budget is never counted as a hit. *)
+
 val add : t -> key -> Tensor.t -> unit
 (** Store a computed vector, counted as a miss.  A no-op if [key] is
     already resident (the first stored vector wins, matching

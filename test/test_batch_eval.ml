@@ -300,6 +300,82 @@ let batcher_width_one_never_speculates () =
        false
      with Invalid_argument _ -> true)
 
+(* {1 Cache-first queries}
+
+   A candidate the cache already holds is answered from the cache: no
+   speculation, no chunk, no forward pass, and the buffer is kept. *)
+
+let prefilled keys =
+  let cache = Score_cache.create () in
+  List.iter
+    (fun v ->
+      Score_cache.add cache (cand v).Batcher.key
+        (Tensor.of_array [| 2 |] [| 0.5; float_of_int v |]))
+    keys;
+  cache
+
+let batcher_cache_first_hit () =
+  Batcher.reset_global_stats ();
+  let calls = ref 0 and speculated = ref 0 in
+  let oracle = counting_oracle calls in
+  let cache = prefilled [ 1 ] in
+  let t = Batcher.create ~cache ~width:4 oracle in
+  let speculate _ =
+    incr speculated;
+    Some (cand 2)
+  in
+  let s = Batcher.query t ~speculate (cand 1) in
+  Alcotest.(check (float 0.)) "cached answer" 1. (Tensor.get_flat s 1);
+  Alcotest.(check int) "speculate never called" 0 !speculated;
+  Alcotest.(check int) "nothing forwarded" 0 !calls;
+  Alcotest.(check int) "one metered query" 1 (Oracle.queries oracle);
+  Alcotest.(check int) "one hit counted" 1 (Score_cache.stats cache).hits;
+  let st = Batcher.global_stats () in
+  Alcotest.(check int) "no chunk" 0 st.Batcher.batches;
+  Alcotest.(check int) "nothing prepared" 0 st.Batcher.prepared;
+  Alcotest.(check int) "query counted" 1 st.Batcher.queries
+
+(* The budget is checked before the hit is counted: a cached key posed
+   past the budget raises at the sequential index and leaves the cache's
+   statistics alone. *)
+let batcher_cache_first_budget () =
+  let calls = ref 0 in
+  let oracle = counting_oracle ~budget:1 calls in
+  let cache = prefilled [ 1; 2 ] in
+  let t = Batcher.create ~cache ~width:4 oracle in
+  ignore (Batcher.query t (cand 1));
+  Alcotest.(check bool) "second query raises at index 1" true
+    (try
+       ignore (Batcher.query t (cand 2));
+       false
+     with Oracle.Budget_exhausted 1 -> true);
+  Alcotest.(check int) "meter stops at the budget" 1 (Oracle.queries oracle);
+  Alcotest.(check int) "no hit for the refused query" 1
+    (Score_cache.stats cache).hits;
+  Alcotest.(check int) "nothing forwarded" 0 !calls
+
+let batcher_cache_first_keeps_buffer () =
+  Batcher.reset_global_stats ();
+  let calls = ref 0 in
+  let oracle = counting_oracle calls in
+  let cache = prefilled [ 5 ] in
+  let t = Batcher.create ~cache ~width:4 oracle in
+  let plan = [| cand 1; cand 2; cand 3 |] in
+  let speculate i = if i < 2 then Some plan.(i + 1) else None in
+  ignore (Batcher.query t ~speculate plan.(0));
+  Alcotest.(check int) "one chunk of three" 3 !calls;
+  let s5 = Batcher.query t ~speculate (cand 5) in
+  Alcotest.(check (float 0.)) "cache-first answer" 5. (Tensor.get_flat s5 1);
+  let s2 = Batcher.query t ~speculate plan.(1) in
+  Alcotest.(check (float 0.)) "buffered slot served" 0.2
+    (Tensor.get_flat s2 1);
+  Alcotest.(check int) "no new forward" 3 !calls;
+  Alcotest.(check int) "three metered queries" 3 (Oracle.queries oracle);
+  let st = Batcher.global_stats () in
+  Alcotest.(check int) "one chunk" 1 st.Batcher.batches;
+  Alcotest.(check int) "one buffer hit" 1 st.Batcher.buffer_hits;
+  Alcotest.(check int) "nothing discarded" 0 st.Batcher.discarded
+
 (* {1 Attack-level width identity} *)
 
 let check_result name (seq : Sketch.result) (b : Sketch.result) =
@@ -432,4 +508,10 @@ let suite =
       sketch_width_identity_on_network;
     Alcotest.test_case "baselines: width 16 = width 1" `Quick
       baselines_width_identity;
+    Alcotest.test_case "batcher: cache-first hit skips speculation" `Quick
+      batcher_cache_first_hit;
+    Alcotest.test_case "batcher: cache-first keeps the buffer" `Quick
+      batcher_cache_first_keeps_buffer;
+    Alcotest.test_case "batcher: cache-first meters before counting the hit"
+      `Quick batcher_cache_first_budget;
   ]

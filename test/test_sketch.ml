@@ -222,6 +222,155 @@ let qcheck_needle_found_by_all_programs =
           && pair.Pair.corner = 7
       | None -> false)
 
+(* {1 Slot hygiene}
+
+   [attack] forwards candidates from in-place slots that are reused
+   across chunks.  A recording [batch_fn] snapshots every input it is
+   handed; each snapshot must differ from the image in exactly one pixel
+   and equal [perturb image pair] for the pair that pixel decodes to.
+   The scores carry a position-weighted checksum of the input, so every
+   answer the attack consumes must also equal the answer for its own
+   key's perturbed image. *)
+
+let checksum_scores x =
+  let m = Tensor.mean x and acc = ref 0. in
+  for i = 0 to Tensor.numel x - 1 do
+    acc := !acc +. (Tensor.get_flat x i /. (float_of_int i +. 1.37))
+  done;
+  Tensor.of_array [| 3 |] [| 1. -. m; m; 0.001 *. !acc |]
+
+exception Injected
+
+(* The first forward pass for which [fail ~call ~width] holds raises
+   [Injected]; later ones succeed. *)
+let recording_oracle ?(fail = fun ~call:_ ~width:_ -> false) seen =
+  let calls = ref 0 and failed = ref false in
+  let batch_fn xs =
+    incr calls;
+    Array.iter (fun x -> seen := Tensor.copy x :: !seen) xs;
+    if (not !failed) && fail ~call:!calls ~width:(Array.length xs) then begin
+      failed := true;
+      raise Injected
+    end;
+    Array.map checksum_scores xs
+  in
+  Oracle.of_fn ~batch_fn ~name:"recording" ~num_classes:3 checksum_scores
+
+(* The pair whose perturbation [x] is, if [x] differs from [image] in
+   exactly one pixel and that pixel holds a corner. *)
+let decode ~image x =
+  let moved = ref [] in
+  for row = 0 to size - 1 do
+    for col = 0 to size - 1 do
+      if
+        List.exists
+          (fun c ->
+            let at = [| c; row; col |] in
+            Tensor.get x at <> Tensor.get image at)
+          [ 0; 1; 2 ]
+      then moved := (row, col) :: !moved
+    done
+  done;
+  match !moved with
+  | [ (row, col) ] -> (
+      match Oppsla.Rgb.corner_index (Oppsla.Rgb.of_image x ~row ~col) with
+      | Some corner ->
+          Some (Pair.make ~loc:(Location.make ~row ~col) ~corner)
+      | None -> None)
+  | _ -> None
+
+let check_snapshots name ~image seen =
+  List.iter
+    (fun x ->
+      match decode ~image x with
+      | None ->
+          Alcotest.failf "%s: a forwarded input is no one-pixel candidate" name
+      | Some pair ->
+          if x.Tensor.data <> (Sketch.perturb image pair).Tensor.data then
+            Alcotest.failf "%s: forwarded input differs from perturb" name)
+    seen
+
+(* A hopeless image with distinct non-corner pixels: every attack walks
+   the whole space, and B1 (push back) plus B4 (eager check) fire on
+   every failed pair, so chunks are discarded and slots reused often. *)
+let hygiene_image () =
+  Tensor.rand_uniform (Prng.of_int 11) ~lo:0.2 ~hi:0.4 [| 3; size; size |]
+
+let hygiene_program =
+  C.program_of_array
+    [| C.Const true; C.Const false; C.Const false; C.Const true |]
+
+let slot_hygiene () =
+  let image = hygiene_image () in
+  List.iter
+    (fun (batch, cached) ->
+      let name = Printf.sprintf "batch %d, cache %b" batch cached in
+      let seen = ref [] in
+      let o = recording_oracle seen in
+      let cache = if cached then Some (Score_cache.create ()) else None in
+      let consumed_exact = ref true in
+      let on_query _ pair scores =
+        let expected = checksum_scores (Sketch.perturb image pair) in
+        if scores.Tensor.data <> expected.Tensor.data then
+          consumed_exact := false
+      in
+      (* With the cache on, a capped first attack leaves a prefix of the
+         space cached, so the full attack mixes cache-first answers with
+         forwarded chunks — the pattern of re-running programs during
+         synthesis. *)
+      if cached then
+        ignore
+          (Sketch.attack ?cache ~batch ~max_queries:40 o hygiene_program ~image
+             ~true_class:0);
+      let r =
+        Sketch.attack ?cache ~batch ~on_query o hygiene_program ~image
+          ~true_class:0
+      in
+      Alcotest.(check int) (name ^ ": full enumeration") full_space
+        r.Sketch.queries;
+      Alcotest.(check bool) (name ^ ": answers match their keys") true
+        !consumed_exact;
+      Alcotest.(check bool) (name ^ ": inputs were forwarded") true
+        (!seen <> []);
+      check_snapshots name ~image !seen)
+    [ (1, false); (1, true); (16, false); (16, true) ]
+
+(* A [batch_fn] that raises once, in the middle of the attack and (at
+   batch 16) on a chunk of several candidates, leaves the meter at the
+   queries consumed so far, and the next attack on the same oracle (and
+   cache) still forwards exact inputs. *)
+let slot_hygiene_after_failure () =
+  let image = hygiene_image () in
+  List.iter
+    (fun (batch, cached) ->
+      let name = Printf.sprintf "batch %d, cache %b" batch cached in
+      let seen = ref [] in
+      let fail ~call ~width = call >= 3 && (batch = 1 || width > 1) in
+      let o = recording_oracle ~fail seen in
+      let cache = if cached then Some (Score_cache.create ()) else None in
+      let consumed = ref 0 in
+      let on_query n _ _ = consumed := n in
+      (match
+         Sketch.attack ?cache ~batch ~on_query o hygiene_program ~image
+           ~true_class:0
+       with
+      | _ -> Alcotest.failf "%s: the injected failure did not surface" name
+      | exception Injected -> ());
+      Alcotest.(check int) (name ^ ": meter = queries consumed") !consumed
+        (Oracle.queries o);
+      check_snapshots name ~image !seen;
+      seen := [];
+      Oracle.reset o;
+      let r =
+        Sketch.attack ?cache ~batch o hygiene_program ~image ~true_class:0
+      in
+      Alcotest.(check int) (name ^ ": next attack complete") full_space
+        r.Sketch.queries;
+      Alcotest.(check int) (name ^ ": next attack metered") full_space
+        (Oracle.queries o);
+      check_snapshots (name ^ ", next attack") ~image !seen)
+    [ (1, false); (1, true); (16, false); (16, true) ]
+
 let suite =
   [
     Alcotest.test_case "perturb changes three values" `Quick
@@ -245,4 +394,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_exhaustive_for_all_programs;
     QCheck_alcotest.to_alcotest qcheck_success_program_independent;
     QCheck_alcotest.to_alcotest qcheck_needle_found_by_all_programs;
+    Alcotest.test_case "slot hygiene: forwarded inputs = perturb" `Quick
+      slot_hygiene;
+    Alcotest.test_case "slot hygiene: exact after a batch_fn failure" `Quick
+      slot_hygiene_after_failure;
   ]
