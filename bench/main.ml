@@ -160,7 +160,6 @@ let sweep_beta quick =
    the numbers in BENCH_parallel.json. *)
 
 let bench_parallel quick =
-  let module Parallel = Evalharness.Parallel in
   let module Score = Oppsla.Score in
   let config = experiment_config quick in
   let c = Workbench.load_classifier config Dataset.synth_cifar "vgg_tiny" in
@@ -226,15 +225,16 @@ let bench_parallel quick =
           Score.evaluate ~max_queries (oracle ()) program samples);
       List.iter
         (fun domains ->
-          Parallel.Pool.with_pool ~domains (fun pool ->
+          Domain_pool.Pool.with_pool ~domains (fun pool ->
               measure
                 (Printf.sprintf "pool-%d" domains)
                 (fun () ->
                   Score.evaluate_parallel ~max_queries ~pool (oracle ())
                     program samples);
               print_endline
-                (Report.render_telemetry ~pool:(Parallel.Pool.stats pool) ())))
-        [ 1; 2; 4; Parallel.domain_count () ])
+                (Report.render_telemetry
+                   ~pool:(Domain_pool.Pool.stats pool) ())))
+        [ 1; 2; 4; Domain_pool.domain_count () ])
     programs;
   (* Record the runs: speedup is relative to the same program's
      sequential time. *)
@@ -409,15 +409,14 @@ let bench_cache ?(smoke = false) quick =
 
 (* Batched-inference benchmark.
 
-   Pits the legacy per-candidate direct-convolution path
-   (Network.scores_direct, batch width 1) against the im2col+GEMM engine
+   Pits the per-candidate direct-convolution path (Network.scores, the
+   Layer.forward reference, batch width 1) against the compiled plan
    posing speculative candidate chunks (Batcher widths 1/4/16), with the
    score cache on and off, on a Sketch+False attack workload.  Every
    combination must produce bit-identical per-image query counts — the
    speculative-batching invariant — and the batched-uncached engine must
    beat the sequential-uncached baseline by at least 2x wall-clock.
-   Results, including a per-layer single-vs-batched forward breakdown,
-   go to BENCH_batch.json.
+   Results go to BENCH_batch.json.
 
    --smoke runs a seconds-scale version (tiny network, no file writes,
    no speedup assertion — timing is not trustworthy on loaded CI hosts)
@@ -498,10 +497,10 @@ let bench_batch ?(smoke = false) quick =
       samples
   in
   let direct_oracle () =
-    (* No batch_fn: the legacy engine, one direct-convolution forward per
-       candidate even when the batcher poses a chunk. *)
+    (* No batch_fn: one direct-convolution forward per candidate even
+       when the batcher poses a chunk. *)
     Oracle.of_fn ~name:"vgg_tiny-direct" ~num_classes (fun x ->
-        Nn.Network.scores_direct net x)
+        Nn.Network.scores net x)
   in
   let engine_oracle () = Oracle.of_network net in
   let measure name ~oracle ~batch ~cache =
@@ -559,57 +558,6 @@ let bench_batch ?(smoke = false) quick =
   Printf.printf "[batch] batched-uncached speedup vs sequential-uncached: \
                  %.2fx\n%!"
     speedup;
-  (* Per-layer forward breakdown: each layer timed on [bn] images one at
-     a time (the legacy path) vs one batched call, activations threaded
-     so each layer sees its real input shape. *)
-  let per_layer =
-    let bn = 16 in
-    let layer_reps = if smoke then 1 else 20 in
-    let xs =
-      Array.init bn (fun _ ->
-          Tensor.rand_uniform (Prng.split g) [| 3; image_size; image_size |])
-    in
-    let per_image = Tensor.numel xs.(0) in
-    let xb = Tensor.zeros [| bn; 3; image_size; image_size |] in
-    Array.iteri
-      (fun i x -> Array.blit x.Tensor.data 0 xb.Tensor.data (i * per_image)
-          per_image)
-      xs;
-    let xs = ref xs and xb = ref xb in
-    List.map
-      (fun layer ->
-        let (_ : Tensor.t array), single_dt =
-          time (fun () ->
-              let out = ref [||] in
-              for _ = 1 to layer_reps do
-                out := Array.map (Nn.Layer.forward ~train:false layer) !xs
-              done;
-              !out)
-        in
-        let batched, batched_dt =
-          time (fun () ->
-              let out = ref (Nn.Layer.forward_batch layer !xb) in
-              for _ = 2 to layer_reps do
-                out := Nn.Layer.forward_batch layer !xb
-              done;
-              !out)
-        in
-        xs := Array.map (Nn.Layer.forward ~train:false layer) !xs;
-        xb := batched;
-        let single_dt = single_dt /. float_of_int layer_reps
-        and batched_dt = batched_dt /. float_of_int layer_reps in
-        ( Nn.Layer.describe layer,
-          single_dt,
-          batched_dt,
-          if batched_dt > 0. then single_dt /. batched_dt else 1. ))
-      (Nn.Layer.children net.Nn.Network.stack)
-  in
-  List.iter
-    (fun (name, single_dt, batched_dt, sp) ->
-      Printf.printf "[batch]   layer %-28s %.2fms single, %.2fms batched \
-                     (%.2fx)\n%!"
-        name (1000. *. single_dt) (1000. *. batched_dt) sp)
-    per_layer;
   if smoke then
     print_endline
       "[batch] smoke: sequential/batched attacks bit-identical at widths \
@@ -630,11 +578,12 @@ let bench_batch ?(smoke = false) quick =
            VGG-style net (16/32/32 channels), %d %dx%d images, cap %d\",\n\
           \  \"query_counts_identical\": true,\n\
           \  \"speedup_batched_vs_sequential\": %.2f,\n\
-          \  \"note\": \"direct-sequential is the legacy per-candidate \
-           direct-convolution path; gemm-bN rows run the im2col+GEMM \
-           engine with speculative candidate chunks of width N.  Metering \
-           happens at consumption, so per-image query counts are asserted \
-           bit-identical across every row\",\n\
+          \  \"note\": \"direct-sequential is the per-candidate \
+           direct-convolution path (Network.scores); gemm-bN rows run the \
+           compiled boxed plan (im2col+GEMM) with speculative candidate \
+           chunks of width N.  Metering happens at consumption, so \
+           per-image query counts are asserted bit-identical across every \
+           row\",\n\
           \  \"runs\": [\n"
           n_images image_size image_size max_queries speedup;
         let n = List.length runs in
@@ -652,16 +601,6 @@ let bench_batch ?(smoke = false) quick =
               bstats.Batcher.buffer_hits bstats.Batcher.discarded
               (if i = n - 1 then "" else ","))
           runs;
-        Printf.fprintf oc "  ],\n  \"per_layer_16_images\": [\n";
-        let n = List.length per_layer in
-        List.iteri
-          (fun i (name, single_dt, batched_dt, sp) ->
-            Printf.fprintf oc
-              "    {\"layer\": %S, \"sequential_seconds\": %.6f, \
-               \"batched_seconds\": %.6f, \"speedup\": %.2f}%s\n"
-              name single_dt batched_dt sp
-              (if i = n - 1 then "" else ","))
-          per_layer;
         output_string oc "  ]\n}\n");
     print_endline "[batch] wrote BENCH_batch.json (query counts identical)"
   end
@@ -786,13 +725,13 @@ let bench_telemetry ?(smoke = false) quick =
                      scan 0
                    in
                    if found then Hashtbl.replace seen name ())
-                 [ "sketch.attack"; "batcher.prepare"; "network.forward_batch" ]
+                 [ "sketch.attack"; "batcher.prepare"; "backend.forward_batch" ]
              end
            done
          with End_of_file -> ());
         ( !events,
           List.for_all (Hashtbl.mem seen)
-            [ "sketch.attack"; "batcher.prepare"; "network.forward_batch" ] ))
+            [ "sketch.attack"; "batcher.prepare"; "backend.forward_batch" ] ))
   in
   if not has_spans then
     failwith
@@ -1571,7 +1510,7 @@ let bench_synth ?(smoke = false) quick =
   let es, es_dt = best_of (fun () -> run (Some pac)) in
   (* Replay determinism across domain widths, on the bench workload. *)
   let es_par =
-    Evalharness.Parallel.Pool.with_pool ~domains:4 (fun pool ->
+    Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
         run ~pool (Some pac))
   in
   if
@@ -1873,8 +1812,8 @@ let bench_scenarios ?(smoke = false) quick =
 
    Two kinds of measurement, both over the same deterministic corpus:
 
-   - raw forward throughput (images/s) of the production boxed arm
-     (Nn.Network.scores_batch) vs the f32 plan, at batch widths 1 and
+   - raw forward throughput (images/s) of the boxed plan
+     (Nn.Backend.Boxed_engine) vs the f32 plan, at batch widths 1 and
      16, domains 1 and 4 (f32 dispatches GEMM row panels on the pool;
      boxed ignores it) — the ≥1.5x acceptance gate lives here;
    - full attack sweeps through metered oracles on each backend,
@@ -1922,6 +1861,7 @@ let bench_backend ?(smoke = false) quick =
       ]
   in
   let plan = F32.compile net in
+  let boxed_plan = Backend.Boxed_engine.compile net in
   let clean =
     Array.init n_images (fun _ ->
         Tensor.rand_uniform (Prng.split g) [| 3; image_size; image_size |])
@@ -1960,7 +1900,7 @@ let bench_backend ?(smoke = false) quick =
          (Array.to_list clean))
   in
   let pb = pack probes in
-  let sb = Nn.Network.scores_batch net pb in
+  let sb = Backend.Boxed_engine.scores_batch boxed_plan pb in
   let sf = F32.scores_batch plan pb in
   let np = Tensor.dim sb 0 and classes = Tensor.dim sb 1 in
   let argmax t row =
@@ -2000,7 +1940,7 @@ let bench_backend ?(smoke = false) quick =
   (* Pool-dispatch determinism: the f32 engine's row panels accumulate
      in the same per-element order whatever the panelling, so pooled
      scores must be bit-identical to inline scores. *)
-  Evalharness.Parallel.Pool.with_pool ~domains:4 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
       let sp = F32.scores_batch ~pool plan pb in
       for i = 0 to Tensor.numel sf - 1 do
         if Tensor.get_flat sp i <> Tensor.get_flat sf i then
@@ -2101,7 +2041,7 @@ let bench_backend ?(smoke = false) quick =
         name ips batch;
       (name, batch, ips)
     in
-    let boxed_fn xb = Nn.Network.scores_batch net xb in
+    let boxed_fn xb = Backend.Boxed_engine.scores_batch boxed_plan xb in
     let f32_fn xb = F32.scores_batch plan xb in
     (* The pooled rows use a pool sized to the host.  On a single-core
        host the pool is width 1 and [try_map] hands every GEMM to the
@@ -2120,7 +2060,7 @@ let bench_backend ?(smoke = false) quick =
         forward "f32-d1-b1" ~batch:1 f32_fn;
         forward "f32-d1-b16" ~batch:16 f32_fn;
       ]
-      @ Evalharness.Parallel.Pool.with_pool ~domains:host_width (fun pool ->
+      @ Domain_pool.Pool.with_pool ~domains:host_width (fun pool ->
             let f32_pool_fn xb = F32.scores_batch ~pool plan xb in
             [
               forward pool_b1 ~batch:1 f32_pool_fn;
@@ -2167,7 +2107,7 @@ let bench_backend ?(smoke = false) quick =
       (fun () ->
         Printf.fprintf oc
           "{\n\
-          \  \"workload\": \"boxed (float64 layer engine) vs f32 (flat \
+          \  \"workload\": \"boxed (float64 plan) vs f32 (flat \
            float32 Bigarray plan, blocked GEMM, fused conv epilogues) on \
            a conv-dominated %d-channel net, %d %dx%d images, cap %d\",\n\
           \  \"queries_identical\": true,\n\
@@ -2408,9 +2348,10 @@ let micro () =
         (Staged.stage
            (let w =
               Tensor.randn (Prng.copy g) ~sigma:0.2 [| 8; 3; 3; 3 |]
-            in
+            and batch = Tensor.reshape image [| 1; 3; 16; 16 |] in
             fun () ->
-              ignore (Tensor.conv2d_gemm ~pad:1 image ~weight:w ~bias:None)));
+              ignore
+                (Tensor.conv2d_gemm_batch ~pad:1 batch ~weight:w ~bias:None)));
       Test.make ~name:"attack/sketch-false-cap256"
         (Staged.stage (fun () ->
              let oracle = Oracle.of_network net in

@@ -417,7 +417,7 @@ let synthesize_cmd =
             match domains_opt domains with
             | None -> synthesize None
             | Some domains ->
-                Evalharness.Parallel.Pool.with_pool ~domains (fun pool ->
+                Domain_pool.Pool.with_pool ~domains (fun pool ->
                     synthesize (Some pool))
           in
           Printf.printf "class %d (%s)\n%s\n" class_id

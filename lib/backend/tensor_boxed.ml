@@ -1,8 +1,9 @@
 (* The reference backend: activations are ordinary float64 [Tensor.t]s
-   and every kernel delegates to the exact [Tensor] function the layer
-   engine calls, in the same order.  A plan compiled against this
-   backend is therefore bit-identical to [Nn.Network.scores_batch] — the
-   property the backend differential tests pin. *)
+   and every kernel delegates to a [Tensor] batch kernel whose
+   per-element accumulation order matches the direct single-image
+   kernel [Layer.forward] runs.  A plan compiled against this backend is
+   therefore bit-identical to [Nn.Network.scores] — the property the
+   backend differential tests pin. *)
 
 type t = Tensor.t
 

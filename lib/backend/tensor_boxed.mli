@@ -1,6 +1,6 @@
-(** The reference tensor backend: float64 [Tensor.t] activations
-    delegating to the layer engine's own kernels, so compiled plans are
-    bit-identical to [Nn.Network.scores_batch].  [fuse] is off — every
-    step runs the exact kernel sequence the layer engine runs. *)
+(** The reference tensor backend: float64 [Tensor.t] activations over
+    the [Tensor] batch kernels, so compiled plans are bit-identical to
+    the direct single-image [Nn.Network.scores].  [fuse] is off — every
+    step runs the same kernel sequence as [Layer.forward]. *)
 
 include Tensor_sig.S with type t = Tensor.t

@@ -2,11 +2,13 @@
 
    A backend supplies batched (NCHW) inference kernels over an abstract
    activation type.  Two implementations exist: [Tensor_boxed] (the
-   reference — delegates to the [Tensor] kernels the layer engine runs
-   on, so a compiled boxed plan is bit-identical to the layer engine by
-   construction) and [Tensor_f32] (flat [Bigarray] float32 storage with
-   an explicit shape descriptor — the Manticore flat-data-plus-shape
-   idiom — a blocked register-tiled GEMM, and fused conv→norm→relu).
+   reference — delegates to the float64 [Tensor] batch kernels, whose
+   per-element accumulation order matches the direct single-image
+   kernels of [Layer.forward], so a compiled boxed plan is bit-identical
+   to [Network.scores]) and [Tensor_f32] (flat [Bigarray] float32
+   storage with an explicit shape descriptor — the Manticore
+   flat-data-plus-shape idiom — a blocked register-tiled GEMM, and fused
+   conv→norm→relu).
 
    Weights enter a plan as ordinary float64 [Tensor.t]s and are
    converted once at compile time via [of_tensor]; activations cross the

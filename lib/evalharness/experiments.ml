@@ -91,15 +91,15 @@ type fig3_row = {
    instead of paying a spawn per batch.  Pool stats go to the config log
    so a run's parallel footprint is visible next to its results. *)
 let with_experiment_pool scale (config : Workbench.config) name f =
-  Parallel.Pool.with_pool ?domains:scale.domains (fun pool ->
+  Domain_pool.Pool.with_pool ?domains:scale.domains (fun pool ->
       let result = f pool in
-      let s = Parallel.Pool.stats pool in
+      let s = Domain_pool.Pool.stats pool in
       config.Workbench.log
         (Printf.sprintf
            "[%s] pool: %d domains, %d jobs, %d tasks (%d stolen), %ss busy"
-           name s.Parallel.Pool.domains s.Parallel.Pool.jobs
-           s.Parallel.Pool.tasks s.Parallel.Pool.steals
-           (Telemetry.Fmt.f1 s.Parallel.Pool.busy_seconds));
+           name s.Domain_pool.Pool.domains s.Domain_pool.Pool.jobs
+           s.Domain_pool.Pool.tasks s.Domain_pool.Pool.steals
+           (Telemetry.Fmt.f1 s.Domain_pool.Pool.busy_seconds));
       result)
 
 (* [scale.batch] is the run's single batching knob: it overrides the

@@ -92,11 +92,12 @@ let render_fig4 (f : Experiments.fig4) =
      reference (0 synthesis queries): %.2f avg #queries"
     (table ~headers ~rows) f.baseline_avg_queries
 
-let render_pool_stats (s : Parallel.Pool.stats) =
+let render_pool_stats (s : Domain_pool.Pool.stats) =
   let throughput =
-    if s.Parallel.Pool.busy_seconds > 0. then
+    if s.Domain_pool.Pool.busy_seconds > 0. then
       Telemetry.Fmt.f1
-        (float_of_int s.Parallel.Pool.tasks /. s.Parallel.Pool.busy_seconds)
+        (float_of_int s.Domain_pool.Pool.tasks
+        /. s.Domain_pool.Pool.busy_seconds)
     else "-"
   in
   "Domain pool\n"
@@ -106,11 +107,11 @@ let render_pool_stats (s : Parallel.Pool.stats) =
       ~rows:
         [
           [
-            string_of_int s.Parallel.Pool.domains;
-            string_of_int s.Parallel.Pool.jobs;
-            string_of_int s.Parallel.Pool.tasks;
-            string_of_int s.Parallel.Pool.steals;
-            Telemetry.Fmt.f2 s.Parallel.Pool.busy_seconds;
+            string_of_int s.Domain_pool.Pool.domains;
+            string_of_int s.Domain_pool.Pool.jobs;
+            string_of_int s.Domain_pool.Pool.tasks;
+            string_of_int s.Domain_pool.Pool.steals;
+            Telemetry.Fmt.f2 s.Domain_pool.Pool.busy_seconds;
             throughput;
           ];
         ]

@@ -21,7 +21,7 @@ val render_targeted : Experiments.targeted_row list -> string
     byte-exact format is pinned by the golden file
     [test/report_targeted_golden_v1.txt]. *)
 
-val render_pool_stats : Parallel.Pool.stats -> string
+val render_pool_stats : Domain_pool.Pool.stats -> string
 (** One-row table of a domain pool's instrumentation: width, jobs served,
     items processed (and how many were stolen by worker domains), wall
     time inside map calls, and derived throughput. *)
@@ -55,7 +55,7 @@ val render_islands : Oppsla.Islands.outcome -> string
     restored from a checkpoint. *)
 
 val render_telemetry :
-  ?pool:Parallel.Pool.stats ->
+  ?pool:Domain_pool.Pool.stats ->
   ?cache:Score_cache.stats ->
   ?batch:Batcher.stats ->
   unit ->

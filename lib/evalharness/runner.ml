@@ -43,8 +43,8 @@ let run ?domains ?pool ?caches ?(batch = Oppsla.Sketch.default_batch)
   in
   Telemetry.Watchdog.with_loop wd @@ fun () ->
   match pool with
-  | Some pool -> Parallel.Pool.map pool attack_one indexed
-  | None -> Parallel.map ?domains attack_one indexed
+  | Some pool -> Domain_pool.Pool.map pool attack_one indexed
+  | None -> Domain_pool.map ?domains attack_one indexed
 
 let success_rate_at records budget =
   if Array.length records = 0 then 0.

@@ -16,7 +16,7 @@ type record = {
 
 val run :
   ?domains:int ->
-  ?pool:Parallel.Pool.t ->
+  ?pool:Domain_pool.Pool.t ->
   ?caches:Score_cache.store ->
   ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->

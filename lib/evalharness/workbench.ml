@@ -206,7 +206,7 @@ let parallel_evaluator ?domains ?pool ?caches ?max_queries ?batch c program
                (Array.length samples))
       | _ -> ());
       Oppsla.Score.of_results
-        (Parallel.map ?domains
+        (Domain_pool.map ?domains
            (fun (i, (image, true_class)) ->
              let oracle = Oracle.of_network c.net in
              let cache =
@@ -328,7 +328,7 @@ let with_program_cache config file num_classes compute =
 let with_synth_pool ?pool (params : synth_params) f =
   match pool with
   | Some pool -> f pool
-  | None -> Parallel.Pool.with_pool ?domains:params.domains f
+  | None -> Domain_pool.Pool.with_pool ?domains:params.domains f
 
 let synthesize_programs ?(params = default_synth_params) ?pool config c =
   let file =

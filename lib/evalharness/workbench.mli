@@ -61,7 +61,7 @@ val imagenet_suite : config -> classifier list
 
 val oracle_factory : classifier -> unit -> Oracle.t
 (** Fresh metered oracle per call (thread-safe usage pattern: one oracle
-    per image, see {!Parallel}), scoring through the classifier's
+    per image, see {!Domain_pool}), scoring through the classifier's
     [backend]. *)
 
 val targeted_samples : classifier -> target:int -> (Tensor.t * int) array
@@ -72,7 +72,7 @@ val targeted_samples : classifier -> target:int -> (Tensor.t * int) array
 
 val parallel_evaluator :
   ?domains:int ->
-  ?pool:Parallel.Pool.t ->
+  ?pool:Domain_pool.Pool.t ->
   ?caches:Score_cache.store ->
   ?max_queries:int ->
   ?batch:int ->
@@ -125,7 +125,7 @@ val log_batch_stats : config -> string -> Batcher.stats -> unit
 
 val synthesize_programs :
   ?params:synth_params ->
-  ?pool:Parallel.Pool.t ->
+  ?pool:Domain_pool.Pool.t ->
   config ->
   classifier ->
   Oppsla.Condition.program array
@@ -141,7 +141,7 @@ val sketch_random_programs :
   ?max_queries_per_image:int ->
   ?cache:bool ->
   ?batch:int ->
-  ?pool:Parallel.Pool.t ->
+  ?pool:Domain_pool.Pool.t ->
   config ->
   classifier ->
   Oppsla.Condition.program array

@@ -5,9 +5,12 @@
    has the adjacency — then run the plan on whole batches without
    touching the [Layer] representation again.
 
-   [Make (Tensor_boxed)] reproduces [Network.scores_batch] bit-for-bit
-   (same kernels, same order); [Make (Tensor_f32)] is the float32
-   Bigarray engine, equal under the tolerance policy ([score_tol]). *)
+   This is the one batched inference engine: every oracle forward pass
+   runs a plan.  [Make (Tensor_boxed)] is bit-identical to the direct
+   single-image [Network.scores] (float64 kernels whose per-element
+   accumulation order matches the direct loops); [Make (Tensor_f32)] is
+   the float32 Bigarray engine, equal under the tolerance policy
+   ([score_tol]). *)
 
 let score_tol = 1e-4
 
@@ -119,11 +122,35 @@ module Make (B : Tensor_sig.S) = struct
   let rec run ?pool steps x =
     List.fold_left (fun acc s -> run_step ?pool s acc) x steps
 
+  (* One span per conv and dense step: the per-layer breakdown the trace
+     viewer groups the hot path by.  The disabled path is one branch;
+     the args (shapes) are built lazily. *)
   and run_step ?pool s x =
     match s with
     | Conv { stride; pad; weight; bias; norm; relu } ->
-        B.conv2d_batch ?pool ~stride ~pad ~weight ~bias ?norm ~relu x
-    | Dense { weight; bias } -> B.dense_batch ~weight ~bias x
+        Telemetry.Trace.span "backend.conv" ~cat:"tensor"
+          ~args:(fun () ->
+            let w = B.shape weight in
+            [
+              ("n", Telemetry.Trace.Int (B.shape x).(0));
+              ("in_c", Telemetry.Trace.Int w.(1));
+              ("out_c", Telemetry.Trace.Int w.(0));
+              ("k", Telemetry.Trace.Int w.(2));
+              ("stride", Telemetry.Trace.Int stride);
+              ("pad", Telemetry.Trace.Int pad);
+            ])
+          (fun () ->
+            B.conv2d_batch ?pool ~stride ~pad ~weight ~bias ?norm ~relu x)
+    | Dense { weight; bias } ->
+        Telemetry.Trace.span "backend.dense" ~cat:"tensor"
+          ~args:(fun () ->
+            let w = B.shape weight in
+            [
+              ("n", Telemetry.Trace.Int (B.shape x).(0));
+              ("in_dim", Telemetry.Trace.Int w.(1));
+              ("out_dim", Telemetry.Trace.Int w.(0));
+            ])
+          (fun () -> B.dense_batch ~weight ~bias x)
     | Relu -> B.relu x
     | Max_pool { size; stride } -> B.max_pool2d_batch ~stride ~size x
     | Avg_pool { size; stride } -> B.avg_pool2d_batch ~stride ~size x

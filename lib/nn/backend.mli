@@ -3,10 +3,17 @@
     [Make (B)] translates a {!Network.t} once into a list of [B] kernel
     steps (weights converted to backend storage at compile time,
     conv→norm→relu fused into the conv epilogue when [B.fuse]) and runs
-    whole batches through it.  The boxed instance is bit-identical to
-    {!Network.scores_batch}; the f32 instance matches under the
-    tolerance policy: identical argmax, success and query counts, and
-    per-logit deviation at most {!score_tol}. *)
+    whole batches through it.  This is the one batched inference engine:
+    [Oracle.of_network] scores every query through a plan, whichever
+    backend kind it is given.  The boxed instance is bit-identical to
+    the direct single-image {!Network.scores} ([Layer.forward]), the
+    reference the plans are tested against; the f32 instance matches
+    under the tolerance policy: identical argmax, success and query
+    counts, and per-logit deviation at most {!score_tol}.
+
+    Each conv and dense step runs under a [backend.conv] /
+    [backend.dense] trace span, nested in one [backend.forward_batch]
+    span per batch. *)
 
 val score_tol : float
 (** Per-score absolute tolerance (1e-4) for cross-backend differentials

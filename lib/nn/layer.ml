@@ -196,87 +196,6 @@ and forward_norm ~train n x =
   if train then n.norm_cache <- Some (x, mu, inv_std);
   y
 
-(* Batched forward.
-
-   Inference over a whole candidate batch at once: NCHW in, and from the
-   first [Flatten] on, [|n; features|].  Each image's result is bit-equal
-   to [forward ~train:false] via the GEMM path — every kernel used below
-   accumulates per output element in an order independent of the batch
-   width.  This path NEVER touches the training caches, so attack
-   workloads retain no input tensors between queries. *)
-
-let rec forward_batch layer x =
-  match layer with
-  | Conv c ->
-      (* Per-layer conv timing: one span per batched GEMM forward, the
-         breakdown the trace viewer groups the hot path by.  Disabled
-         path is one branch; args (shapes) are built lazily. *)
-      Telemetry.Trace.span "conv2d_gemm_batch" ~cat:"tensor"
-        ~args:(fun () ->
-          let s = Tensor.shape c.cw.value in
-          [
-            ("n", Telemetry.Trace.Int (Tensor.dim x 0));
-            ("in_c", Telemetry.Trace.Int s.(1));
-            ("out_c", Telemetry.Trace.Int s.(0));
-            ("k", Telemetry.Trace.Int s.(2));
-            ("stride", Telemetry.Trace.Int c.stride);
-            ("pad", Telemetry.Trace.Int c.pad);
-          ])
-        (fun () ->
-          Tensor.conv2d_gemm_batch ~stride:c.stride ~pad:c.pad x
-            ~weight:c.cw.value ~bias:(Some c.cb.value))
-  | Dense d ->
-      Telemetry.Trace.span "dense_batch" ~cat:"tensor"
-        ~args:(fun () ->
-          [
-            ("n", Telemetry.Trace.Int (Tensor.dim x 0));
-            ("in_dim", Telemetry.Trace.Int (Tensor.dim d.dw.value 1));
-            ("out_dim", Telemetry.Trace.Int (Tensor.dim d.dw.value 0));
-          ])
-      @@ fun () -> Tensor.dense_batch x ~weight:d.dw.value ~bias:d.db.value
-  | Relu _ -> Tensor.relu x
-  | Max_pool p ->
-      check_nchw x;
-      Tensor.max_pool2d_batch ~stride:p.mstride ~size:p.msize x
-  | Avg_pool p ->
-      check_nchw x;
-      Tensor.avg_pool2d_batch ~stride:p.astride ~size:p.asize x
-  | Global_avg_pool _ ->
-      check_nchw x;
-      Tensor.global_avg_pool_batch x
-  | Flatten _ ->
-      let n = Tensor.dim x 0 in
-      Tensor.reshape x [| n; Tensor.numel x / n |]
-  | Norm n -> forward_norm_batch n x
-  | Residual { body; projection } ->
-      let skip =
-        match projection with None -> x | Some p -> forward_batch p x
-      in
-      Tensor.add (forward_batch body x) skip
-  | Inception i ->
-      Tensor.concat_channels_batch
-        (List.map (fun b -> forward_batch b x) i.branches)
-  | Seq layers -> List.fold_left (fun acc l -> forward_batch l acc) x layers
-  | Dense_block b ->
-      List.fold_left
-        (fun feat conv ->
-          let y = forward_batch conv feat in
-          Tensor.concat_channels_batch [ feat; y ])
-        x b.convs
-
-and check_nchw x =
-  if Tensor.ndim x <> 4 then
-    invalid_arg "Layer.forward_batch: expected an NCHW tensor"
-
-(* Same per-plane reductions as [forward_norm], plane by plane; the
-   kernel lives in {!Tensor.channel_norm_batch} so every tensor backend
-   normalizes with the identical arithmetic. *)
-and forward_norm_batch n x =
-  if Tensor.ndim x <> 4 then
-    invalid_arg "Layer.channel_norm: expected an NCHW tensor";
-  Tensor.channel_norm_batch ~gamma:n.gamma.value ~beta:n.beta.value
-    ~eps:norm_eps x
-
 (* Cache management *)
 
 let rec clear_caches = function
@@ -296,8 +215,6 @@ let rec clear_caches = function
       List.iter clear_caches i.branches
   | Seq layers -> List.iter clear_caches layers
   | Dense_block b -> List.iter clear_caches b.convs
-
-let children = function Seq layers -> layers | layer -> [ layer ]
 
 (* Structural view for plan compilers (see {!Backend}): exposes each
    layer's kind and current parameter tensors without the training

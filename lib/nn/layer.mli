@@ -60,26 +60,15 @@ val dense_block : Prng.t -> in_c:int -> growth:int -> layers:int -> unit -> t
 val forward : ?train:bool -> t -> Tensor.t -> Tensor.t
 (** [forward ~train layer x].  With [~train:true] (default [false]) the
     layer caches what [backward] needs; with [~train:false] the caches
-    are neither read nor written. *)
-
-val forward_batch : t -> Tensor.t -> Tensor.t
-(** Inference over a batch: NCHW in (then [|n; features|] from the first
-    {!flatten} on), one GEMM per convolution via
-    {!Tensor.conv2d_gemm_batch} with the im2col scratch matrix shared
-    across the batch.  Image [i] of the result is bit-equal to the
-    corresponding single-image GEMM forward regardless of the batch
-    width, and the training caches are never touched. *)
+    are neither read nor written.  The inference pass runs the direct
+    (non-GEMM) kernels one image at a time: it is the independent
+    reference the compiled plans of {!Backend} are tested against. *)
 
 val clear_caches : t -> unit
 (** Drop all cached forward-pass intermediates (recursively).  Training
     retains the last forward's inputs per layer; call this when switching
     a trained network to inference so attack workloads don't carry that
     dead weight. *)
-
-val children : t -> t list
-(** The top-level stages of a {!sequential} stack ([[layer]] for any
-    other layer) — lets benchmarks time a network layer by layer without
-    access to the representation. *)
 
 val norm_eps : float
 (** The variance floor used by {!channel_norm} (1e-5).  Exposed so plan

@@ -20,42 +20,11 @@ let create ~name ~input_shape ~num_classes layers =
          num_classes);
   { name; input_shape = Array.copy input_shape; num_classes; stack }
 
-(* Legacy single-image path: direct scalar convolution loops.  Kept as
-   the baseline the batched GEMM engine is benchmarked and differentially
-   tested against. *)
-let logits_direct t x = Layer.forward ~train:false t.stack x
-let scores_direct t x = Tensor.softmax (logits_direct t x)
-
-let logits_batch t xs =
-  if Tensor.ndim xs <> 4 then
-    invalid_arg "Network.logits_batch: expected an NCHW batch";
-  Telemetry.Trace.span "network.forward_batch" ~cat:"nn"
-    ~args:(fun () ->
-      [
-        ("net", Telemetry.Trace.Str t.name);
-        ("n", Telemetry.Trace.Int (Tensor.dim xs 0));
-      ])
-    (fun () -> Layer.forward_batch t.stack xs)
-
-(* Row-wise softmax with the exact operation order of [Tensor.softmax]
-   (max, exp-shift, sum, scale by 1/z) so each row is bit-equal to the
-   single-image score vector. *)
-let scores_batch t xs = Tensor.softmax_rows (logits_batch t xs)
-
-(* Single-image inference delegates to the batched engine at width 1, so
-   the whole system exercises one forward-pass implementation. *)
-let batch_of_one x =
-  if Tensor.ndim x <> 3 then
-    invalid_arg "Network: single-image inference expects a CHW image";
-  let s = Tensor.shape x in
-  Tensor.reshape x [| 1; s.(0); s.(1); s.(2) |]
-
-let logits t x =
-  Tensor.reshape (logits_batch t (batch_of_one x)) [| t.num_classes |]
-
-let scores t x =
-  Tensor.reshape (scores_batch t (batch_of_one x)) [| t.num_classes |]
-
+(* Single-image inference: the direct layer loops.  All oracle
+   inference runs through the compiled plans of [Backend] instead; this
+   path is the reference they are tested against. *)
+let logits t x = Layer.forward ~train:false t.stack x
+let scores t x = Tensor.softmax (logits t x)
 let classify t x = Tensor.argmax (logits t x)
 let clear_caches t = Layer.clear_caches t.stack
 let forward_train t x = Layer.forward ~train:true t.stack x

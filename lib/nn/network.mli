@@ -20,33 +20,16 @@ val create :
     [Invalid_argument] otherwise, naming the offending layer. *)
 
 val logits : t -> Tensor.t -> Tensor.t
-(** Inference-mode forward pass (no caches retained).  Delegates to
-    {!logits_batch} at width 1, so single-image and batched inference
-    share one engine. *)
+(** Inference-mode forward pass of one CHW image ([Layer.forward
+    ~train:false], no caches retained).  Oracles score through the
+    compiled plans of {!Backend} instead; this direct path is the
+    reference those plans are tested against. *)
 
 val scores : t -> Tensor.t -> Tensor.t
 (** [softmax (logits t x)]: the paper's score vector [N(x)]. *)
 
 val classify : t -> Tensor.t -> int
 (** [argmax (logits t x)]. *)
-
-val logits_batch : t -> Tensor.t -> Tensor.t
-(** [logits_batch t xs] for [xs : [|n; c; h; w|]] is [[|n; classes|]]:
-    one im2col+GEMM forward pass for the whole batch, sharing the patch
-    scratch matrix across images.  Row [i] is bit-equal to
-    [logits t] of image [i] for every batch width. *)
-
-val scores_batch : t -> Tensor.t -> Tensor.t
-(** [softmax] of each {!logits_batch} row ([[|n; classes|]]), row [i]
-    bit-equal to [scores t] of image [i]. *)
-
-val logits_direct : t -> Tensor.t -> Tensor.t
-(** Legacy single-image forward pass over the direct (non-GEMM)
-    convolution loops — the baseline the batched engine is benchmarked
-    and differentially tested against. *)
-
-val scores_direct : t -> Tensor.t -> Tensor.t
-(** [softmax (logits_direct t x)]. *)
 
 val clear_caches : t -> unit
 (** Drop every layer's cached training intermediates (see

@@ -60,15 +60,15 @@ let of_fn ?budget ?batch_fn ?(name = "fn") ~num_classes fn =
   }
 
 let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
-  (* Backend selection: [Boxed] keeps the layer engine's own batched
-     path (the reference — nothing new between the oracle and the
-     network); [F32] compiles the network once into a float32 Bigarray
-     plan and scores every batch through it.  Query accounting is
-     backend-independent by construction — the meter sits above this
-     function. *)
+  (* Every forward pass runs a plan compiled once here: [Boxed] over the
+     float64 kernels (bit-identical to [Nn.Network.scores]), [F32] over
+     float32 Bigarrays.  Query accounting is backend-independent by
+     construction — the meter sits above this function. *)
   let scores_nchw =
     match backend with
-    | Nn.Backend.Boxed -> fun batch -> Nn.Network.scores_batch net batch
+    | Nn.Backend.Boxed ->
+        let plan = Nn.Backend.Boxed_engine.compile net in
+        fun batch -> Nn.Backend.Boxed_engine.scores_batch ?pool plan batch
     | Nn.Backend.F32 ->
         let plan = Nn.Backend.F32_engine.compile net in
         fun batch -> Nn.Backend.F32_engine.scores_batch ?pool plan batch
@@ -95,13 +95,8 @@ let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
               Tensor.get_flat out ((i * classes) + j)))
     end
   in
-  let fn =
-    match backend with
-    | Nn.Backend.Boxed -> Nn.Network.scores net
-    | Nn.Backend.F32 -> fun x -> (fn_batch [| x |]).(0)
-  in
   {
-    fn;
+    fn = (fun x -> (fn_batch [| x |]).(0));
     fn_batch = Some fn_batch;
     oracle_name = net.Nn.Network.name;
     classes = net.Nn.Network.num_classes;

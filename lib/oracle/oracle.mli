@@ -34,11 +34,13 @@ val of_network :
   ?pool:Domain_pool.Pool.t ->
   Nn.Network.t ->
   t
-(** Network-backed oracle.  Batched queries ({!eval_batch},
-    {!scores_batch}, {!Batcher}) run through one im2col+GEMM forward
-    pass for the whole chunk.  [?backend] (default [Boxed]) selects the
-    tensor engine: [Boxed] is {!Nn.Network.scores_batch} itself, [F32]
-    compiles the network once into the float32 Bigarray plan
+(** Network-backed oracle.  The network is compiled once into a
+    {!Nn.Backend} plan and every forward pass runs it: batched queries
+    ({!eval_batch}, {!scores_batch}, {!Batcher}) as one forward over
+    the whole chunk, single queries as a batch of one.  [?backend]
+    (default [Boxed]) selects the tensor engine: [Boxed] is
+    {!Nn.Backend.Boxed_engine}, bit-identical to the direct
+    {!Nn.Network.scores}; [F32] is the float32 Bigarray plan
     ({!Nn.Backend.F32_engine}) — identical argmax/success/query
     behaviour within {!Nn.Backend.score_tol} per score.  [?pool] (f32
     only) lets the GEMM dispatch row panels onto an idle domain pool;

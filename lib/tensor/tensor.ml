@@ -362,10 +362,9 @@ let matmul_nt a b =
 
 (* Batched dense layer: rows of [x] are images, [weight] is
    [out_dim; in_dim], [bias] is added per output element AFTER the
-   matmul_nt reduction.  Hoisted out of the layer engine so every tensor
-   backend (boxed and unboxed alike) shares one definition of the
-   dense-layer arithmetic; row [i] is bit-equal to
-   [add (matvec weight x_i) bias]. *)
+   matmul_nt reduction.  Every tensor backend (boxed and unboxed alike)
+   shares this one definition of the dense-layer arithmetic; row [i] is
+   bit-equal to [add (matvec weight x_i) bias]. *)
 let dense_batch x ~weight ~bias =
   let y = matmul_nt x weight in
   let n = y.shape.(0) and out_dim = y.shape.(1) in
@@ -571,32 +570,6 @@ let im2col_batch ?(stride = 1) ?(pad = 0) ~kh ~kw x =
       ~total_cols:(n * cols) ~col_off:(img * cols) ~xoff:(img * image) x.data
       out.data
   done;
-  out
-
-let conv2d_gemm ?(stride = 1) ?(pad = 0) x ~weight ~bias =
-  check_rank "conv2d_gemm" x 3;
-  check_rank "conv2d_gemm" weight 4;
-  let in_c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  let out_c = weight.shape.(0)
-  and win_c = weight.shape.(1)
-  and kh = weight.shape.(2)
-  and kw = weight.shape.(3) in
-  if in_c <> win_c then fail_shape "conv2d_gemm" x.shape weight.shape;
-  let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
-  let patches = im2col ~stride ~pad ~kh ~kw x in
-  let kk = in_c * kh * kw and cols = oh * ow in
-  let out = zeros [| out_c; oh; ow |] in
-  (* Seed each output row with its bias BEFORE the GEMM so the per-element
-     accumulation order (bias first, then taps in ascending ic/ky/kx order)
-     matches [conv2d] exactly: the two formulations are bit-identical, not
-     merely close. *)
-  (match bias with
-  | None -> ()
-  | Some bt ->
-      for oc = 0 to out_c - 1 do
-        Array.fill out.data (oc * cols) cols bt.data.(oc)
-      done);
-  gemm_acc ~m:out_c ~k:kk ~n:cols weight.data patches.data out.data;
   out
 
 (* Per-domain scratch for the batched conv GEMM path.  The per-image
@@ -820,8 +793,8 @@ let global_avg_pool_backward ~x_shape dout =
 
 (* Batched (NCHW) pooling: pooling acts per channel plane, so an NCHW
    batch folds to [(n*c); h; w], runs the single-image kernel, and
-   unfolds.  Hoisted here from the layer engine so alternative tensor
-   backends compose the identical kernels. *)
+   unfolds.  Kept here so every tensor backend composes the identical
+   kernels. *)
 
 let nchw name x =
   check_rank name x 4;

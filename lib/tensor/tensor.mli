@@ -133,7 +133,7 @@ val dense_batch : t -> weight:t -> bias:t -> t
     [weight : (out_dim, in_dim)] and [bias : (out_dim)] is the batched
     dense layer [x weightᵀ + bias : (n, out_dim)].  Row [i] is bit-equal
     to [add (matvec weight x_i) bias]; the single definition is shared by
-    the layer engine and every pluggable tensor backend. *)
+    every pluggable tensor backend. *)
 
 val matvec : t -> t -> t
 (** [matvec a x] for [a : (m, k)] and [x : (k)] is [(m)]. *)
@@ -171,21 +171,17 @@ val im2col_batch : ?stride:int -> ?pad:int -> kh:int -> kw:int -> t -> t
     whole-batch expansion remains the reference formulation the tests
     check it against. *)
 
-val conv2d_gemm : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
-(** Convolution via {!im2col} + GEMM.  The output is seeded with the bias
-    before the GEMM accumulates taps in ascending ic/ky/kx order — the
-    same per-element summation order as {!conv2d}, so the two
-    formulations agree bit-for-bit on finite inputs.  Ablated against the
-    direct loop in the micro benchmark. *)
-
 val conv2d_gemm_batch :
   ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
-(** Batched {!conv2d_gemm} over NCHW input: per-image GEMMs over a
-    per-domain reusable patch panel, each accumulating straight into the
-    image's contiguous output block (small working set, no per-call
-    patch-matrix allocation).  Image [i] of the result is bit-equal to
-    [conv2d_gemm] of image [i] alone (the GEMM accumulation order is
-    batch-width independent). *)
+(** Convolution over an NCHW batch via im2col + GEMM: per-image GEMMs
+    over a per-domain reusable patch panel, each accumulating straight
+    into the image's contiguous output block (small working set, no
+    per-call patch-matrix allocation).  Each output is seeded with the
+    bias before the GEMM accumulates taps in ascending ic/ky/kx order —
+    the same per-element summation order as {!conv2d} — so image [i] of
+    the result is bit-equal to [conv2d] of image [i] alone on finite
+    inputs, whatever the batch width.  Ablated against the direct loop
+    in the micro benchmark. *)
 
 val conv2d_backward :
   ?stride:int ->

@@ -59,7 +59,6 @@
    the width-1 ground truth.  Exits non-zero (with a backtrace, courtesy
    of OCAMLRUNPARAM=b) on the first divergence. *)
 
-module Parallel = Evalharness.Parallel
 module Runner = Evalharness.Runner
 module Attackers = Evalharness.Attackers
 module Score = Oppsla.Score
@@ -830,7 +829,7 @@ let () =
     if cache then Some (Score_cache.store (Array.length samples)) else None
   in
   let gen_config = { Oppsla.Gen.d1 = size; d2 = size } in
-  Parallel.Pool.with_pool ~domains (fun pool ->
+  Domain_pool.Pool.with_pool ~domains (fun pool ->
       match !bknd with
       | Some backend ->
           (* Backend mode: one cross-backend cell at this invocation's

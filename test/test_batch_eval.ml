@@ -2,9 +2,10 @@
 
    Two contracts are enforced here.  First, the im2col+GEMM engine is a
    pure reformulation: matmul agrees with the naive triple loop exactly,
-   conv2d_gemm / conv2d_gemm_batch agree with the direct conv2d
-   bit-for-bit, and Network.scores_batch row [i] equals the single-image
-   Network.scores of image [i] element-for-element.  Second, speculative
+   conv2d_gemm_batch agrees with the direct conv2d bit-for-bit, and row
+   [i] of the compiled boxed plan equals the direct single-image
+   Network.scores of image [i] element-for-element, for every zoo
+   architecture.  Second, speculative
    candidate batching is invisible to accounting: forward passes are
    unmetered, queries are charged one at a time at consumption, and every
    attack observable — query counts, success flags, adversarial pairs,
@@ -142,9 +143,14 @@ let conv_gemm_agrees () =
               Tensor.get_flat batch ((img * image) + o))
         in
         let direct = Tensor.conv2d ~stride ~pad x ~weight ~bias in
-        let gemm = Tensor.conv2d_gemm ~stride ~pad x ~weight ~bias in
+        let one =
+          Tensor.conv2d_gemm_batch ~stride ~pad
+            (Tensor.reshape x [| 1; in_c; h; w |])
+            ~weight ~bias
+        in
         Alcotest.(check (array (float 0.)))
-          (name ^ ": gemm = direct") direct.Tensor.data gemm.Tensor.data;
+          (name ^ ": batch of one = direct") direct.Tensor.data
+          one.Tensor.data;
         Alcotest.(check (array (float 0.)))
           (Printf.sprintf "%s: batched image %d = direct" name img)
           direct.Tensor.data
@@ -161,34 +167,42 @@ let conv_gemm_agrees () =
 
 (* {1 Network engine} *)
 
-(* Property test: on a real (randomly initialised) conv net, row [i] of
-   scores_batch is element-for-element equal to the single-image scores
-   of image [i], for every batch width tried. *)
-let qcheck_scores_batch_matches_single =
-  QCheck.Test.make ~name:"Network.scores_batch = per-image scores" ~count:25
+(* Cross-engine property: the compiled boxed plan, the one batched
+   inference engine, is bit-identical to the direct layer loops.  For
+   every zoo architecture and batch widths 1-5, row [i] of
+   Boxed_engine.scores_batch equals Network.scores of image [i]; a
+   boxed network oracle's single-image scores (a batch of one through
+   the same plan) equal its batched row. *)
+let qcheck_boxed_plan_matches_direct =
+  QCheck.Test.make ~name:"Boxed plan rows = Network.scores (zoo)" ~count:8
     QCheck.(pair (int_range 0 9999) (int_range 1 5))
     (fun (seed, n) ->
       let g = Prng.of_int seed in
-      let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes:4 in
-      let image = 3 * 8 * 8 in
-      let batch = Tensor.rand_uniform g [| n; 3; 8; 8 |] in
-      let out = Nn.Network.scores_batch net batch in
-      let classes = Tensor.dim out 1 in
-      let ok = ref (classes = 4) in
-      for i = 0 to n - 1 do
-        let x =
-          Tensor.init [| 3; 8; 8 |] (fun o ->
-              Tensor.get_flat batch ((i * image) + o))
-        in
-        let single = Nn.Network.scores net x in
-        for j = 0 to classes - 1 do
-          if
-            Tensor.get_flat single j
-            <> Tensor.get_flat out ((i * classes) + j)
-          then ok := false
-        done
-      done;
-      !ok)
+      let classes = 4 and image = 3 * 8 * 8 in
+      List.for_all
+        (fun arch ->
+          let make = Option.get (Nn.Zoo.by_name arch) in
+          let net = make (Prng.split g) ~image_size:8 ~num_classes:classes in
+          let batch = Tensor.rand_uniform g [| n; 3; 8; 8 |] in
+          let xs =
+            Array.init n (fun i ->
+                Tensor.init [| 3; 8; 8 |] (fun o ->
+                    Tensor.get_flat batch ((i * image) + o)))
+          in
+          let plan = Nn.Backend.Boxed_engine.compile net in
+          let out = Nn.Backend.Boxed_engine.scores_batch plan batch in
+          let oracle = Oracle.of_network ~backend:Nn.Backend.Boxed net in
+          let rows = Oracle.eval_batch oracle xs in
+          Tensor.shape out = [| n; classes |]
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun i x ->
+                    let direct = (Nn.Network.scores net x).Tensor.data in
+                    direct = Array.sub out.Tensor.data (i * classes) classes
+                    && direct = (Oracle.scores oracle x).Tensor.data
+                    && direct = rows.(i).Tensor.data)
+                  xs))
+        Nn.Zoo.names)
 
 (* {1 Batcher mechanics} *)
 
@@ -491,9 +505,9 @@ let suite =
       matmul_nt_rows_are_matvec;
     Alcotest.test_case "im2col_batch column blocks = per-image im2col" `Quick
       im2col_batch_blocks;
-    Alcotest.test_case "conv2d_gemm/_batch = direct conv2d (exact)" `Quick
+    Alcotest.test_case "conv2d_gemm_batch = direct conv2d (exact)" `Quick
       conv_gemm_agrees;
-    QCheck_alcotest.to_alcotest qcheck_scores_batch_matches_single;
+    QCheck_alcotest.to_alcotest qcheck_boxed_plan_matches_direct;
     Alcotest.test_case "batcher: metering, speculation, mis-speculation"
       `Quick batcher_metering_and_speculation;
     Alcotest.test_case "batcher: cache hits leave the forward pass" `Quick

@@ -10,7 +10,6 @@
    clone-drops-cache rule, eviction accounting, and the aliasing
    guards. *)
 
-module Parallel = Evalharness.Parallel
 module Score = Oppsla.Score
 module Sketch = Oppsla.Sketch
 module Synthesizer = Oppsla.Synthesizer
@@ -272,7 +271,7 @@ let synthesizer_differential () =
   check "cached sequential" (run ~caches:(caches ()) ());
   List.iter
     (fun domains ->
-      Parallel.Pool.with_pool ~domains (fun pool ->
+      Domain_pool.Pool.with_pool ~domains (fun pool ->
           check
             (Printf.sprintf "uncached pool-%d" domains)
             (run ~pool ());
@@ -464,7 +463,7 @@ let evaluator_guards () =
        ignore (Score.evaluate oracle program samples);
        false
      with Invalid_argument _ -> true);
-  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
       Alcotest.(check bool) "attached cache rejected by evaluate_parallel"
         true
         (try

@@ -1,7 +1,6 @@
 (* Tests for the evaluation harness: parallel map, runner statistics,
    report rendering and attacker plumbing. *)
 
-module Parallel = Evalharness.Parallel
 module Runner = Evalharness.Runner
 module Report = Evalharness.Report
 module Attackers = Evalharness.Attackers
@@ -12,21 +11,23 @@ let parallel_matches_sequential () =
   let xs = Array.init 37 Fun.id in
   let f x = (x * x) + 1 in
   Alcotest.(check (array int)) "same results" (Array.map f xs)
-    (Parallel.map ~domains:4 f xs)
+    (Domain_pool.map ~domains:4 f xs)
 
 let parallel_sequential_fallback () =
   let xs = Array.init 5 Fun.id in
   Alcotest.(check (array int)) "domains=1" (Array.map succ xs)
-    (Parallel.map ~domains:1 succ xs)
+    (Domain_pool.map ~domains:1 succ xs)
 
 let parallel_empty () =
-  Alcotest.(check (array int)) "empty" [||] (Parallel.map ~domains:4 succ [||])
+  Alcotest.(check (array int))
+    "empty" [||]
+    (Domain_pool.map ~domains:4 succ [||])
 
 let parallel_propagates_exceptions () =
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (Parallel.map ~domains:2
+         (Domain_pool.map ~domains:2
             (fun x -> if x = 3 then failwith "boom" else x)
             (Array.init 8 Fun.id));
        false
@@ -43,7 +44,7 @@ let parallel_order_preserved () =
     done;
     (x, !acc)
   in
-  let results = Parallel.map ~domains:3 f xs in
+  let results = Domain_pool.map ~domains:3 f xs in
   Array.iteri
     (fun i (x, _) -> Alcotest.(check int) "index" i x)
     results

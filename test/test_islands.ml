@@ -9,7 +9,7 @@
 
 module C = Oppsla.Condition
 module Islands = Oppsla.Islands
-module Pool = Evalharness.Parallel.Pool
+module Pool = Domain_pool.Pool
 
 let size = 4
 

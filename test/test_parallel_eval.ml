@@ -4,11 +4,10 @@
    only admissible if it is *bit-identical* to the sequential one: same
    per-image query counts and success flags, same float average, at every
    domain count.  These tests lock that contract down, plus the
-   Parallel.Pool lifecycle/exception semantics the evaluator rests on.
+   Domain_pool.Pool lifecycle/exception semantics the evaluator rests on.
    The same differential check also runs as a standalone executable
    (diff_runner.ml) wired into the `runtest` alias with --domains 1/4. *)
 
-module Parallel = Evalharness.Parallel
 module Score = Oppsla.Score
 module Synthesizer = Oppsla.Synthesizer
 module C = Oppsla.Condition
@@ -51,7 +50,7 @@ let differential_evaluation () =
   let gen_config = Helpers.gen_config ~size in
   List.iter
     (fun domains ->
-      Parallel.Pool.with_pool ~domains (fun pool ->
+      Domain_pool.Pool.with_pool ~domains (fun pool ->
           for trial = 0 to 7 do
             let g = Prng.of_int ((domains * 1000) + trial) in
             let samples = training_set (Prng.split g) (1 + Prng.int g 9) in
@@ -79,7 +78,7 @@ let evaluate_parallel_clones_oracle () =
   (* The caller's oracle handle is never queried: each image attacks its
      own clone, so the shared counter cannot race. *)
   let oracle = Helpers.mean_threshold_oracle () in
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
       let e =
         Score.evaluate_parallel ~pool oracle C.const_false_program
           (training_set (Prng.of_int 1) 6)
@@ -105,7 +104,7 @@ let synthesizer_pool_matches_sequential () =
       ~training
   in
   let seq = run None in
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
       let par = run (Some pool) in
       Alcotest.(check int) "same trace length"
         (List.length seq.Synthesizer.trace)
@@ -148,7 +147,7 @@ let explicit_evaluator_beats_pool () =
       evaluator = Some evaluator;
     }
   in
-  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
       ignore
         (Synthesizer.synthesize ~config ~pool (Prng.of_int 3)
            (Helpers.mean_threshold_oracle ())
@@ -164,30 +163,30 @@ let qcheck_pool_map_matches_array_map =
     (fun (domains, items) ->
       let xs = Array.of_list items in
       let f x = (x * 31) + (x mod 7) in
-      Parallel.Pool.with_pool ~domains (fun pool ->
-          Parallel.Pool.map pool f xs = Array.map f xs))
+      Domain_pool.Pool.with_pool ~domains (fun pool ->
+          Domain_pool.Pool.map pool f xs = Array.map f xs))
 
 let pool_map_edge_sizes () =
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
       Alcotest.(check (array int)) "empty" [||]
-        (Parallel.Pool.map pool succ [||]);
+        (Domain_pool.Pool.map pool succ [||]);
       Alcotest.(check (array int)) "singleton" [| 8 |]
-        (Parallel.Pool.map pool succ [| 7 |]);
+        (Domain_pool.Pool.map pool succ [| 7 |]);
       (* The pool survives many batches (the persistent hot path). *)
       for i = 1 to 50 do
         let xs = Array.init i Fun.id in
         Alcotest.(check (array int))
           (Printf.sprintf "batch %d" i)
           (Array.map succ xs)
-          (Parallel.Pool.map pool succ xs)
+          (Domain_pool.Pool.map pool succ xs)
       done)
 
 let pool_reraises_worker_exception () =
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
       List.iter
         (fun bad ->
           match
-            Parallel.Pool.map pool
+            Domain_pool.Pool.map pool
               (fun x -> if x = bad then failwith "boom" else x)
               (Array.init 16 Fun.id)
           with
@@ -200,15 +199,15 @@ let pool_reraises_worker_exception () =
       (* The pool stays usable after a failed job. *)
       Alcotest.(check (array int)) "pool survives failure"
         (Array.init 8 succ)
-        (Parallel.Pool.map pool succ (Array.init 8 Fun.id)))
+        (Domain_pool.Pool.map pool succ (Array.init 8 Fun.id)))
 
 let pool_first_exception_wins () =
   (* All items raise; the caller must see exactly one of the original
      exceptions (the first one raised, in wall-clock order), never a
      wrapper or a "missing result" artifact. *)
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
+  Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
       match
-        Parallel.Pool.map pool
+        Domain_pool.Pool.map pool
           (fun x -> failwith (Printf.sprintf "item-%d" x))
           (Array.init 32 Fun.id)
       with
@@ -220,32 +219,32 @@ let pool_first_exception_wins () =
             (String.length msg > 5 && String.sub msg 0 5 = "item-"))
 
 let shutdown_rejects_new_work () =
-  let pool = Parallel.Pool.create ~domains:3 () in
+  let pool = Domain_pool.Pool.create ~domains:3 () in
   Alcotest.(check (array int)) "works before shutdown" [| 1; 2 |]
-    (Parallel.Pool.map pool succ [| 0; 1 |]);
-  Parallel.Pool.shutdown pool;
-  Parallel.Pool.shutdown pool;
+    (Domain_pool.Pool.map pool succ [| 0; 1 |]);
+  Domain_pool.Pool.shutdown pool;
+  Domain_pool.Pool.shutdown pool;
   (* idempotent *)
   Alcotest.(check bool) "rejects instead of hanging" true
     (try
-       ignore (Parallel.Pool.map pool succ [| 0; 1 |]);
+       ignore (Domain_pool.Pool.map pool succ [| 0; 1 |]);
        false
      with Invalid_argument _ -> true)
 
 let pool_stats_accounting () =
-  Parallel.Pool.with_pool ~domains:2 (fun pool ->
-      ignore (Parallel.Pool.map pool succ (Array.init 10 Fun.id));
-      ignore (Parallel.Pool.map pool succ (Array.init 5 Fun.id));
-      let s = Parallel.Pool.stats pool in
-      Alcotest.(check int) "jobs" 2 s.Parallel.Pool.jobs;
-      Alcotest.(check int) "tasks" 15 s.Parallel.Pool.tasks;
-      Alcotest.(check int) "domains" 2 s.Parallel.Pool.domains;
+  Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
+      ignore (Domain_pool.Pool.map pool succ (Array.init 10 Fun.id));
+      ignore (Domain_pool.Pool.map pool succ (Array.init 5 Fun.id));
+      let s = Domain_pool.Pool.stats pool in
+      Alcotest.(check int) "jobs" 2 s.Domain_pool.Pool.jobs;
+      Alcotest.(check int) "tasks" 15 s.Domain_pool.Pool.tasks;
+      Alcotest.(check int) "domains" 2 s.Domain_pool.Pool.domains;
       Alcotest.(check bool) "steals bounded by tasks" true
-        (s.Parallel.Pool.steals <= s.Parallel.Pool.tasks);
+        (s.Domain_pool.Pool.steals <= s.Domain_pool.Pool.tasks);
       Alcotest.(check bool) "busy time recorded" true
-        (s.Parallel.Pool.busy_seconds >= 0.))
+        (s.Domain_pool.Pool.busy_seconds >= 0.))
 
-(* The legacy one-shot Parallel.map: the exception contract that used to
+(* The one-shot Domain_pool.map: the exception contract that used to
    be maskable (a worker-domain exception surfaced as Fun.Finally_raised
    via Domain.join, or items silently missing) is now explicit. *)
 
@@ -253,7 +252,7 @@ let legacy_map_preserves_original_exception () =
   List.iter
     (fun domains ->
       match
-        Parallel.map ~domains
+        Domain_pool.map ~domains
           (fun x -> if x >= 6 then failwith "original" else x)
           (Array.init 8 Fun.id)
       with

@@ -238,10 +238,16 @@ let conv_gemm_matches_direct () =
       let x = Tensor.randn g [| 3; 6; 6 |] in
       let w = Tensor.randn g [| 4; 3; 3; 3 |] in
       let bias = Some (Tensor.randn g [| 4 |]) in
+      let direct = Tensor.conv2d ~stride ~pad x ~weight:w ~bias in
+      let gemm =
+        Tensor.conv2d_gemm_batch ~stride ~pad
+          (Tensor.reshape x [| 1; 3; 6; 6 |])
+          ~weight:w ~bias
+      in
       check_tensor ~eps:1e-9
         (Printf.sprintf "stride %d pad %d" stride pad)
-        (Tensor.conv2d ~stride ~pad x ~weight:w ~bias)
-        (Tensor.conv2d_gemm ~stride ~pad x ~weight:w ~bias))
+        direct
+        (Tensor.reshape gemm (Tensor.shape direct)))
     [ (1, 0); (1, 1); (2, 0); (2, 1); (3, 2) ]
 
 let max_pool_forward () =
