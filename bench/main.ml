@@ -605,408 +605,89 @@ let bench_batch ?(smoke = false) quick =
     print_endline "[batch] wrote BENCH_batch.json (query counts identical)"
   end
 
-(* Telemetry-overhead benchmark.
+(* Observer-overhead benchmark (the `overhead` mode).
 
-   Runs the batched Sketch+False attack workload with tracing disabled
-   (the default null sink: one atomic load per span site) and enabled
-   (Chrome trace events to a file), asserts the runs are observably
-   inert — bit-identical per-image query counts — and bounds the
-   enabled-path wall-clock overhead.  Also sanity-checks the artifacts:
-   the trace must contain the attack/batcher/forward spans and the
-   metrics registry must have metered the run.
+   The paper's cost model is queries per image, so every observer must
+   stay off the query-accounting path and its cost must be measured.
+   One workload — batched Sketch+False attacks on vgg_tiny, each image
+   labeled with the net's own prediction and attacked toward its least
+   likely class, so every attack streams queries to the cap — runs bare
+   and under each observer: the trace sink, the live observatory
+   (/metrics server + 20 Hz sampler with JSONL snapshots), the
+   query-provenance journal and the Runtime_events profiler.
 
-   --smoke is a seconds-scale version wired into `dune runtest`: it
-   asserts the identity invariant and only a deliberately generous
-   overhead bound (shared CI hosts make tight timing assertions flaky).
-   The full run writes BENCH_telemetry.json with the <3% target. *)
+   The arms alternate rep by rep, so scheduler and load drift hit all of
+   them alike; each timed region starts from a settled heap, since at
+   thousands of minor collections per second the timing otherwise
+   tracks where the incremental major cycle happens to be; one untimed
+   warm-up per arm pays compilation, page-cache and first-attach costs.
+   Overhead is an arm's summed process CPU over the bare arm's: an
+   observer's cost (trace and journal writes, sampler and profiler
+   systhreads) is all in-process CPU, which the host's other tenants
+   cannot perturb the way they swing wall time.  It is signed: an
+   observer measured cheaper than bare records a negative fraction.
 
-let bench_telemetry ?(smoke = false) quick =
-  ignore quick;
-  let g = Prng.of_int 17 in
-  let image_size, n_images, num_classes, max_queries, reps =
-    if smoke then (8, 2, 4, 48, 2) else (16, 4, 10, 640, 5)
-  in
-  let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size ~num_classes in
-  (* Same workload shape as bench_batch: images labeled with the net's
-     own prediction, attacked toward its least likely class, so every
-     attack streams queries to the cap — a sustained span-heavy load. *)
-  let samples =
-    Array.init n_images (fun _ ->
-        let image =
-          Tensor.rand_uniform (Prng.split g) [| 3; image_size; image_size |]
-        in
-        let scores = Nn.Network.scores net image in
-        let target = ref 0 in
-        for c = 1 to num_classes - 1 do
-          if Tensor.get_flat scores c < Tensor.get_flat scores !target then
-            target := c
-        done;
-        (image, Nn.Network.classify net image, !target))
-  in
-  let sweep () =
-    Array.map
-      (fun (image, true_class, target) ->
-        let r =
-          Oppsla.Sketch.attack ~max_queries
-            ~goal:(Oppsla.Sketch.Targeted target)
-            ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
-            Oppsla.Condition.const_false_program ~image ~true_class
-        in
-        r.Oppsla.Sketch.queries)
-      samples
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Best-of-[reps]: minimum is the noise-robust estimator for a
-     deterministic workload (anything slower is interference). *)
-  let best_of f =
-    let counts = ref [||] and dt = ref infinity in
-    for _ = 1 to reps do
-      let c, d = time f in
-      counts := c;
-      if d < !dt then dt := d
-    done;
-    (!counts, !dt)
-  in
-  let m_queries = Telemetry.Metrics.counter "oracle.queries.total" in
-  (* Disabled arm under [without], so the measurement is of the null
-     sink even when the harness itself was launched with --trace. *)
-  let off_counts, off_dt =
-    Telemetry.Trace.without (fun () -> best_of sweep)
-  in
-  let trace_file =
-    if smoke then Filename.temp_file "oppsla_telemetry_smoke" ".json"
-    else begin
-      (try
-         if not (Sys.file_exists "_artifacts") then
-           Sys.mkdir "_artifacts" 0o755
-       with Sys_error _ -> ());
-      Filename.concat "_artifacts" "bench_telemetry_trace.json"
-    end
-  in
-  let queries_before = Telemetry.Counter.get m_queries in
-  let ambient = Telemetry.Trace.enabled () in
-  if ambient then Telemetry.Trace.close ();
-  Telemetry.Trace.to_file trace_file;
-  let on_counts, on_dt =
-    Fun.protect ~finally:Telemetry.Trace.close (fun () -> best_of sweep)
-  in
-  if on_counts <> off_counts then
-    failwith
-      "bench_telemetry: tracing changed the per-image query counts \
-       (telemetry must be observation-only)";
-  let queries_metered = Telemetry.Counter.get m_queries - queries_before in
-  if queries_metered <= 0 then
-    failwith "bench_telemetry: the metrics registry saw no oracle queries";
-  (* The trace must actually cover the instrumented layers. *)
-  let events, has_spans =
-    let ic = open_in trace_file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let events = ref 0 in
-        let seen = Hashtbl.create 8 in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.length line > 2 && line.[0] = '{' && line <> "{}]" then begin
-               incr events;
-               List.iter
-                 (fun name ->
-                   let pat = Printf.sprintf "\"name\": \"%s\"" name in
-                   let found =
-                     let n = String.length line and m = String.length pat in
-                     let rec scan i =
-                       i + m <= n && (String.sub line i m = pat || scan (i + 1))
-                     in
-                     scan 0
-                   in
-                   if found then Hashtbl.replace seen name ())
-                 [ "sketch.attack"; "batcher.prepare"; "backend.forward_batch" ]
-             end
-           done
-         with End_of_file -> ());
-        ( !events,
-          List.for_all (Hashtbl.mem seen)
-            [ "sketch.attack"; "batcher.prepare"; "backend.forward_batch" ] ))
-  in
-  if not has_spans then
-    failwith
-      "bench_telemetry: trace is missing attack/batcher/forward spans";
-  if smoke then Sys.remove trace_file;
-  if ambient then
-    Printf.eprintf
-      "[telemetry] note: the harness --trace sink was closed to run the \
-       A/B measurement\n%!";
-  let overhead = if off_dt > 0. then (on_dt -. off_dt) /. off_dt else 0. in
-  Printf.printf
-    "[telemetry] %d images, cap %d, batch 16: %.3fs untraced, %.3fs traced \
-     (%+.2f%% overhead), %d trace events, %d queries metered\n%!"
-    n_images max_queries off_dt on_dt (100. *. overhead) events
-    queries_metered;
-  print_endline
-    "[telemetry] query counts bit-identical with tracing on and off";
-  if smoke then begin
-    (* Generous tripwire bound: smoke runs are sub-second on loaded CI
-       hosts, where a tight percentage would flake. *)
-    if overhead > 1.5 then
-      failwith
-        (Printf.sprintf
-           "bench_telemetry: smoke overhead %.0f%% exceeds the 150%% \
-            tripwire bound"
-           (100. *. overhead))
-  end
-  else begin
-    if overhead > 0.03 then
-      failwith
-        (Printf.sprintf
-           "bench_telemetry: overhead %.2f%% exceeds the 3%% target"
-           (100. *. overhead));
-    let oc = open_out "BENCH_telemetry.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
-           %d, batch 16, cache on\",\n\
-          \  \"query_counts_identical\": true,\n\
-          \  \"untraced_seconds\": %.4f,\n\
-          \  \"traced_seconds\": %.4f,\n\
-          \  \"overhead_fraction\": %.4f,\n\
-          \  \"overhead_target\": 0.03,\n\
-          \  \"trace_events\": %d,\n\
-          \  \"queries_metered\": %d,\n\
-          \  \"note\": \"best-of-%d sweeps per arm; the untraced arm pays \
-           one atomic load per span site (the null sink), the traced arm \
-           writes Chrome trace events for every oracle chunk, forward pass \
-           and attack.  Telemetry is observation-only: per-image query \
-           counts are asserted bit-identical across both arms\"\n\
-           }\n"
-          n_images image_size image_size max_queries off_dt on_dt
-          (Float.max 0. overhead) events queries_metered reps);
-    print_endline
-      "[telemetry] wrote BENCH_telemetry.json (trace kept at \
-       _artifacts/bench_telemetry_trace.json)"
-  end
+   Each arm keeps its observer's natural attach placement: the journal
+   opens and finalizes inside the timed region (a journaled run pays
+   both per sweep); the trace sink, the profiler and the server+sampler
+   attach and detach outside it (fixed per-run costs, not per-sweep
+   ones).  Every rep of every arm must return per-image (queries,
+   success) bit-identical to the bare arm, and each arm then checks the
+   artifact its observer produced.
 
-(* Live-observatory overhead benchmark.
+   --smoke (under `dune runtest`) runs a milliseconds-scale workload
+   with runaway tripwires, not overhead claims: fixed per-rep costs
+   dominate a 10 ms sweep.  The full run holds every arm to the 3%
+   target and writes BENCH_overhead.json. *)
 
-   Same workload shape as bench_telemetry, A/B'd against the full
-   observatory running: the /metrics HTTP server on an ephemeral port
-   plus the background sampler ticking fast (20 Hz — far hotter than
-   the 1 Hz production default, to make any interference measurable)
-   and appending JSONL snapshots.  Asserts the runs are observably
-   inert — bit-identical per-image query counts — then scrapes
-   /metrics and /healthz from the live server and sanity-checks the
-   exposition text and health verdict.
+type overhead_sample = {
+  results : (int * bool) array;  (** per-image (queries, success) *)
+  wall : float;
+  cpu : float;
+}
 
-   --smoke (under `dune runtest`) asserts identity + endpoints with a
-   generous overhead tripwire; the full run writes BENCH_observe.json
-   against the <3% target. *)
+type overhead_arm = {
+  name : string;
+  rep : unit -> overhead_sample;
+      (** one timed sweep with the observer attached *)
+  check : unit -> (string * string) list;
+      (** post-run check of the observer's artifact; returns the arm's
+          extra BENCH fields *)
+  tripwire : float;  (** smoke-mode overhead bound *)
+}
 
 let contains_sub ~sub s =
   let m = String.length sub and n = String.length s in
   let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
   scan 0
 
-let bench_observe ?(smoke = false) quick =
-  ignore quick;
-  let g = Prng.of_int 23 in
-  let image_size, n_images, num_classes, max_queries, reps =
-    if smoke then (8, 2, 4, 48, 2) else (16, 4, 10, 640, 5)
-  in
-  let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size ~num_classes in
-  let samples =
-    Array.init n_images (fun _ ->
-        let image =
-          Tensor.rand_uniform (Prng.split g) [| 3; image_size; image_size |]
-        in
-        let scores = Nn.Network.scores net image in
-        let target = ref 0 in
-        for c = 1 to num_classes - 1 do
-          if Tensor.get_flat scores c < Tensor.get_flat scores !target then
-            target := c
-        done;
-        (image, Nn.Network.classify net image, !target))
-  in
-  let sweep () =
-    Array.map
-      (fun (image, true_class, target) ->
-        let r =
-          Oppsla.Sketch.attack ~max_queries
-            ~goal:(Oppsla.Sketch.Targeted target)
-            ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
-            Oppsla.Condition.const_false_program ~image ~true_class
-        in
-        r.Oppsla.Sketch.queries)
-      samples
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let best_of f =
-    let counts = ref [||] and dt = ref infinity in
-    for _ = 1 to reps do
-      let c, d = time f in
-      counts := c;
-      if d < !dt then dt := d
-    done;
-    (!counts, !dt)
-  in
-  (* Plain arm: no server, no sampler. *)
-  let plain_counts, plain_dt = best_of sweep in
-  (* Observed arm: server + hot sampler for the whole measurement. *)
-  let snapshot_file = Filename.temp_file "oppsla_observe_snapshot" ".jsonl" in
-  let server = Telemetry.Http_server.start ~stall_after_s:60. ~port:0 () in
-  let sampler =
-    Telemetry.Sampler.start
-      {
-        Telemetry.Sampler.interval_s = 0.05;
-        snapshot_path = Some snapshot_file;
-        stall_after_s = 60.;
-        abort_on_stall = false;
-      }
-  in
-  let samples_before =
-    Telemetry.Counter.get (Telemetry.Metrics.counter "sampler.samples")
-  in
-  let observed_counts, observed_dt, metrics_body, healthz =
-    Fun.protect
-      ~finally:(fun () ->
-        Telemetry.Sampler.stop sampler;
-        Telemetry.Http_server.stop server)
-      (fun () ->
-        let counts, dt = best_of sweep in
-        (* Scrape while the server is live, the way an operator would. *)
-        let port = Telemetry.Http_server.port server in
-        let m_status, m_body = Telemetry.Http_server.fetch ~port "/metrics" in
-        if m_status <> 200 then
-          failwith
-            (Printf.sprintf "bench_observe: GET /metrics returned %d" m_status);
-        let h = Telemetry.Http_server.fetch ~port "/healthz" in
-        (counts, dt, m_body, h))
-  in
-  if observed_counts <> plain_counts then
+let read_lines path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | line -> go (line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+let bench_overhead ~smoke =
+  if
+    Telemetry.Trace.current_path () <> None
+    || Telemetry.Journal.enabled ()
+    || Telemetry.Profiler.running ()
+  then
     failwith
-      "bench_observe: the sampler/server changed the per-image query counts \
-       (the observatory must be observation-only)";
-  if not (contains_sub ~sub:"# TYPE oracle_queries_total counter" metrics_body)
-  then failwith "bench_observe: /metrics is missing oracle_queries_total";
-  if not (contains_sub ~sub:"attack_queries_to_success_bucket{le=\"+Inf\"}" metrics_body)
-  then failwith "bench_observe: /metrics is missing histogram +Inf buckets";
-  (match healthz with
-  | 200, body when contains_sub ~sub:"\"status\": \"ok\"" body -> ()
-  | status, body ->
-      failwith
-        (Printf.sprintf "bench_observe: /healthz said %d %s" status
-           (String.trim body)));
-  let sampler_samples =
-    Telemetry.Counter.get (Telemetry.Metrics.counter "sampler.samples")
-    - samples_before
+      "bench_overhead: an ambient --trace, --journal or --profile sink is \
+       active (drop it: each arm attaches its own observer)";
+  let fail fmt =
+    Printf.ksprintf (fun m -> failwith ("bench_overhead: " ^ m)) fmt
   in
-  if sampler_samples <= 0 then
-    failwith "bench_observe: the sampler never sampled";
-  let snapshot_lines =
-    let ic = open_in snapshot_file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = ref 0 in
-        (try
-           while true do
-             ignore (input_line ic);
-             incr n
-           done
-         with End_of_file -> ());
-        !n)
-  in
-  Sys.remove snapshot_file;
-  if snapshot_lines <= 0 then
-    failwith "bench_observe: --snapshot file got no JSONL lines";
-  let overhead =
-    if plain_dt > 0. then (observed_dt -. plain_dt) /. plain_dt else 0.
-  in
-  Printf.printf
-    "[observe] %d images, cap %d, batch 16: %.3fs plain, %.3fs observed \
-     (%+.2f%% overhead), %d sampler ticks, %d snapshot lines\n%!"
-    n_images max_queries plain_dt observed_dt (100. *. overhead)
-    sampler_samples snapshot_lines;
-  print_endline
-    "[observe] query counts bit-identical with the observatory on and off";
-  if smoke then begin
-    (* The smoke sweep is milliseconds, so the sampler's fixed per-tick
-       cost dominates on a shared 1-core host; this bound is a runaway
-       tripwire, not an overhead claim (the full run asserts <3%). *)
-    if overhead > 4.0 then
-      failwith
-        (Printf.sprintf
-           "bench_observe: smoke overhead %.0f%% exceeds the 400%% tripwire \
-            bound"
-           (100. *. overhead))
-  end
-  else begin
-    if overhead > 0.03 then
-      failwith
-        (Printf.sprintf "bench_observe: overhead %.2f%% exceeds the 3%% target"
-           (100. *. overhead));
-    let oc = open_out "BENCH_observe.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
-           %d, batch 16, cache on\",\n\
-          \  \"query_counts_identical\": true,\n\
-          \  \"plain_seconds\": %.4f,\n\
-          \  \"observed_seconds\": %.4f,\n\
-          \  \"overhead_fraction\": %.4f,\n\
-          \  \"overhead_target\": 0.03,\n\
-          \  \"sampler_interval_s\": 0.05,\n\
-          \  \"sampler_samples\": %d,\n\
-          \  \"snapshot_lines\": %d,\n\
-          \  \"note\": \"best-of-%d sweeps per arm; the observed arm runs \
-           the /metrics HTTP server plus the background sampler at 20 Hz \
-           (20x the production default) with JSONL snapshots.  The \
-           observatory is observation-only: per-image query counts are \
-           asserted bit-identical across both arms, and /metrics + \
-           /healthz are scraped live and validated\"\n\
-           }\n"
-          n_images image_size image_size max_queries plain_dt observed_dt
-          (Float.max 0. overhead) sampler_samples snapshot_lines reps);
-    print_endline "[observe] wrote BENCH_observe.json"
-  end
-
-(* Journal overhead benchmark (the `journal` mode).
-
-   Same workload shape as bench_observe, A/B'd against the
-   query-provenance journal: a bare sweep vs the same sweep with a
-   JSONL journal recording every charged oracle query.  Asserts the
-   journal is observation-only — bit-identical per-image query counts —
-   and *complete*: the finalized journal must load strictly (framing +
-   per-record checksums), carry exactly one record per charged query,
-   attribute every record to the "sketch" charge site, and cover every
-   image index.
-
-   --smoke (under `dune runtest`) asserts identity + completeness with
-   a generous overhead tripwire; the full run writes BENCH_journal.json
-   against the <3% target. *)
-
-let bench_journal ?(smoke = false) quick =
-  ignore quick;
-  if Telemetry.Journal.enabled () then
-    failwith
-      "bench_journal: a journal is already active (drop --journal when \
-       running the journal bench)";
-  let g = Prng.of_int 29 in
+  let g = Prng.of_int 17 in
   let image_size, n_images, num_classes, max_queries, reps =
-    if smoke then (8, 2, 4, 48, 2) else (16, 4, 10, 640, 5)
+    if smoke then (8, 2, 4, 48, 2) else (16, 4, 10, 640, 15)
   in
   let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size ~num_classes in
   let samples =
@@ -1032,329 +713,276 @@ let bench_journal ?(smoke = false) quick =
             ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
             Oppsla.Condition.const_false_program ~image ~true_class
         in
-        r.Oppsla.Sketch.queries)
-      samples
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Journaled arm: each rep writes (and finalizes) a fresh journal at
-     the same path, so the timing includes open/close and the last
-     rep's file is the one audited. *)
-  let journal_path = Filename.temp_file "oppsla_bench_journal" ".jsonl" in
-  let journaled_sweep () =
-    Telemetry.Journal.set_run_id "bench-journal";
-    Telemetry.Journal.to_file journal_path;
-    Fun.protect ~finally:Telemetry.Journal.close sweep
-  in
-  (* The two arms alternate rep by rep (bare, journaled, bare, ...)
-     rather than running as two back-to-back blocks: the journal's true
-     cost is on the order of single milliseconds per sweep, so minutes
-     of scheduler/load drift between blocks would otherwise dominate
-     the A/B.  Best-of per arm over interleaved reps samples both arms
-     under the same conditions; one untimed warmup rep pays the
-     compilation/page-cache costs for both. *)
-  ignore (sweep ());
-  let bare_counts = ref [||] and bare_dt = ref infinity in
-  let journaled_counts = ref [||] and journaled_dt = ref infinity in
-  for _ = 1 to reps do
-    let c, d = time sweep in
-    bare_counts := c;
-    if d < !bare_dt then bare_dt := d;
-    let c, d = time journaled_sweep in
-    journaled_counts := c;
-    if d < !journaled_dt then journaled_dt := d
-  done;
-  let bare_counts, bare_dt = (!bare_counts, !bare_dt) in
-  let journaled_counts, journaled_dt = (!journaled_counts, !journaled_dt) in
-  if journaled_counts <> bare_counts then
-    failwith
-      "bench_journal: the journal changed the per-image query counts (the \
-       journal must be observation-only)";
-  let total_queries = Array.fold_left ( + ) 0 bare_counts in
-  let j =
-    match Evalharness.Audit.load_strict journal_path with
-    | j -> j
-    | exception Evalharness.Audit.Invalid m ->
-        failwith ("bench_journal: finalized journal failed audit: " ^ m)
-  in
-  let records = j.Evalharness.Audit.records in
-  if List.length records <> total_queries then
-    failwith
-      (Printf.sprintf
-         "bench_journal: journal has %d records for %d charged queries \
-          (every charge must be journaled exactly once)"
-         (List.length records) total_queries);
-  List.iter
-    (fun r ->
-      if r.Evalharness.Audit.site <> "sketch" then
-        failwith
-          (Printf.sprintf "bench_journal: record charged to site %S, not sketch"
-             r.Evalharness.Audit.site);
-      if r.Evalharness.Audit.image < 0 || r.Evalharness.Audit.image >= n_images
-      then
-        failwith
-          (Printf.sprintf "bench_journal: record has image %d outside [0, %d)"
-             r.Evalharness.Audit.image n_images))
-    records;
-  let covered =
-    List.sort_uniq compare
-      (List.map (fun r -> r.Evalharness.Audit.image) records)
-  in
-  if List.length covered <> n_images then
-    failwith "bench_journal: journal does not cover every image index";
-  Sys.remove journal_path;
-  let overhead =
-    if bare_dt > 0. then (journaled_dt -. bare_dt) /. bare_dt else 0.
-  in
-  Printf.printf
-    "[journal] %d images, cap %d, batch 16: %.3fs bare, %.3fs journaled \
-     (%+.2f%% overhead), %d records for %d charges\n%!"
-    n_images max_queries bare_dt journaled_dt (100. *. overhead)
-    (List.length records) total_queries;
-  print_endline
-    "[journal] query counts bit-identical with the journal on and off; \
-     finalized journal passes strict audit";
-  if smoke then begin
-    (* Milliseconds-scale smoke sweeps make the fixed open/close cost
-       dominate; this bound is a runaway tripwire, not an overhead
-       claim (the full run asserts <3%). *)
-    if overhead > 4.0 then
-      failwith
-        (Printf.sprintf
-           "bench_journal: smoke overhead %.0f%% exceeds the 400%% tripwire \
-            bound"
-           (100. *. overhead))
-  end
-  else begin
-    if overhead > 0.03 then
-      failwith
-        (Printf.sprintf "bench_journal: overhead %.2f%% exceeds the 3%% target"
-           (100. *. overhead));
-    let oc = open_out "BENCH_journal.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
-           %d, batch 16, cache on\",\n\
-          \  \"query_counts_identical\": true,\n\
-          \  \"records_match_charges\": true,\n\
-          \  \"bare_seconds\": %.4f,\n\
-          \  \"journaled_seconds\": %.4f,\n\
-          \  \"overhead_fraction\": %.4f,\n\
-          \  \"overhead_target\": 0.03,\n\
-          \  \"journal_records\": %d,\n\
-          \  \"queries_metered\": %d,\n\
-          \  \"note\": \"best-of-%d sweeps per arm; the journaled arm opens, \
-           writes and finalizes a checksummed JSONL provenance journal (one \
-           record per charged oracle query) per sweep.  The journal is \
-           observation-only: per-image query counts are asserted \
-           bit-identical across both arms, and the finalized journal must \
-           pass a strict offline audit with exactly one record per charge\"\n\
-           }\n"
-          n_images image_size image_size max_queries bare_dt journaled_dt
-          (Float.max 0. overhead)
-          (List.length records) total_queries reps);
-    print_endline "[journal] wrote BENCH_journal.json"
-  end
-
-(* Runtime-profiler benchmark (the `profile` mode).
-
-   Measures the observation-only cost of attaching the Runtime_events
-   profiler: a bare attack sweep vs the same sweep bracketed by
-   Profiler.start/stop (cursor + observer systhread + per-poll clock
-   calibration).  Asserts the profiler is observation-only —
-   bit-identical per-image (queries, success) across both arms — then
-   runs a traced+profiled sweep under a root span and checks the
-   offline analyzer (Evalharness.Traceprof) attributes >= 95% of the
-   trace's wall-clock to spans.
-
-   --smoke (under `dune runtest`) asserts identity + attribution with
-   a generous overhead tripwire; the full run additionally requires at
-   least one observed minor pause and writes BENCH_profile.json
-   against the <3% target. *)
-
-let bench_profile ?(smoke = false) quick =
-  ignore quick;
-  if Telemetry.Profiler.running () then
-    failwith
-      "bench_profile: the profiler is already attached (drop --profile when \
-       running the profiler bench)";
-  if Telemetry.Trace.current_path () <> None then
-    failwith
-      "bench_profile: a trace sink is already open (drop --trace when \
-       running the profiler bench; it opens its own)";
-  let g = Prng.of_int 31 in
-  (* More reps than bench_journal: the profiled arm's true cost is a
-     steady ~1%, below this container's run-to-run noise, so best-of
-     needs more samples per arm to converge. *)
-  let image_size, n_images, num_classes, max_queries, reps =
-    if smoke then (8, 2, 4, 48, 2) else (16, 4, 10, 640, 15)
-  in
-  let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size ~num_classes in
-  let samples =
-    Array.init n_images (fun _ ->
-        let image =
-          Tensor.rand_uniform (Prng.split g) [| 3; image_size; image_size |]
-        in
-        let scores = Nn.Network.scores net image in
-        let target = ref 0 in
-        for c = 1 to num_classes - 1 do
-          if Tensor.get_flat scores c < Tensor.get_flat scores !target then
-            target := c
-        done;
-        (image, Nn.Network.classify net image, !target))
-  in
-  let sweep () =
-    Array.map
-      (fun (image, true_class, target) ->
-        let r =
-          Oppsla.Sketch.attack ~max_queries
-            ~goal:(Oppsla.Sketch.Targeted target)
-            ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
-            Oppsla.Condition.const_false_program ~image ~true_class
-        in
         (r.Oppsla.Sketch.queries, Option.is_some r.Oppsla.Sketch.adversarial))
       samples
   in
+  (* [Sys.time] is getrusage user+system over every thread of the
+     process, at microsecond resolution. *)
   let time f =
-    (* Start every timed region from a settled heap: at ~2500 minor
-       collections per second this workload's timing is dominated by
-       where the incremental major cycle happens to be, and that drift
-       between interleaved reps would swamp a ~1% overhead signal.
-       Wall time is reported; process CPU time is what the overhead
-       gate compares — the profiler's cost (ring writes in the
-       mutator, consumer callbacks on the observer systhread) is all
-       in-process CPU, and CPU time is blind to the other tenants of
-       this shared single-core host where wall time swings +-5%. *)
     Gc.full_major ();
-    let cpu () =
-      let t = Unix.times () in
-      t.Unix.tms_utime +. t.Unix.tms_stime
+    let c0 = Sys.time () and t0 = Unix.gettimeofday () in
+    let results = f () in
+    { results; wall = Unix.gettimeofday () -. t0; cpu = Sys.time () -. c0 }
+  in
+  (* The bare arm's untimed warm-up; every rep of every arm must match. *)
+  let reference = sweep () in
+  let total_queries = Array.fold_left (fun acc (q, _) -> acc + q) 0 reference in
+  let bare =
+    { name = "bare"; rep = (fun () -> time sweep); check = (fun () -> []);
+      tripwire = 0. }
+  in
+  let trace =
+    let path = Filename.temp_file "oppsla_bench_trace" ".json" in
+    let m_queries = Telemetry.Metrics.counter "oracle.queries.total" in
+    let metered = ref 0 in
+    let spans =
+      [ "sketch.attack"; "batcher.prepare"; "backend.forward_batch" ]
     in
-    let c0 = cpu () in
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0, cpu () -. c0)
+    {
+      name = "trace";
+      rep =
+        (fun () ->
+          let before = Telemetry.Counter.get m_queries in
+          Telemetry.Trace.to_file path;
+          let s =
+            Fun.protect ~finally:Telemetry.Trace.close (fun () -> time sweep)
+          in
+          metered := Telemetry.Counter.get m_queries - before;
+          s);
+      check =
+        (fun () ->
+          if !metered <= 0 then
+            fail "the metrics registry saw no oracle queries";
+          (* Each rep rewrites the file, so it holds the last rep's trace. *)
+          let events =
+            List.filter
+              (fun l -> String.length l > 2 && l.[0] = '{' && l <> "{}]")
+              (read_lines path)
+          in
+          List.iter
+            (fun name ->
+              let pat = Printf.sprintf "\"name\": \"%s\"" name in
+              if not (List.exists (contains_sub ~sub:pat) events) then
+                fail "the trace is missing %s spans (kept at %s)" name path)
+            spans;
+          Sys.remove path;
+          [
+            ("trace_events", string_of_int (List.length events));
+            ("queries_metered", string_of_int !metered);
+          ]);
+      tripwire = 1.5;
+    }
   in
-  (* Profiled arm: the timed region is the sweep with the observer
-     attached and consuming — the steady-state overhead a --profile run
-     pays for its whole duration.  Attach/detach (cursor mmap, ring
-     drain, observer thread spawn/join) is a fixed few-ms cost paid
-     once per run, not per half-second sweep, so it sits outside the
-     timer; charging it per sweep would measure the bench's bracketing,
-     not the profiler. *)
-  let profiled_sweep () =
-    let p = Telemetry.Profiler.start () in
-    Fun.protect
-      ~finally:(fun () -> Telemetry.Profiler.stop p)
-      (fun () -> time sweep)
+  let observe =
+    let snapshot = Filename.temp_file "oppsla_bench_snapshot" ".jsonl" in
+    let m_samples = Telemetry.Metrics.counter "sampler.samples" in
+    let samples_before = Telemetry.Counter.get m_samples in
+    let scrape = ref ((0, ""), (0, "")) in
+    {
+      name = "observe";
+      rep =
+        (fun () ->
+          let server =
+            Telemetry.Http_server.start ~stall_after_s:60. ~port:0 ()
+          in
+          let sampler =
+            Telemetry.Sampler.start
+              {
+                Telemetry.Sampler.interval_s = 0.05;
+                snapshot_path = Some snapshot;
+                stall_after_s = 60.;
+                abort_on_stall = false;
+              }
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              Telemetry.Sampler.stop sampler;
+              Telemetry.Http_server.stop server)
+            (fun () ->
+              let s = time sweep in
+              (* Scrape while the server is live, the way an operator would. *)
+              let port = Telemetry.Http_server.port server in
+              scrape :=
+                ( Telemetry.Http_server.fetch ~port "/metrics",
+                  Telemetry.Http_server.fetch ~port "/healthz" );
+              s));
+      check =
+        (fun () ->
+          let (m_status, metrics), healthz = !scrape in
+          if m_status <> 200 then fail "GET /metrics returned %d" m_status;
+          if
+            not
+              (contains_sub ~sub:"# TYPE oracle_queries_total counter" metrics)
+          then fail "/metrics is missing oracle_queries_total";
+          if
+            not
+              (contains_sub
+                 ~sub:"attack_queries_to_success_bucket{le=\"+Inf\"}" metrics)
+          then fail "/metrics is missing histogram +Inf buckets";
+          (match healthz with
+          | 200, body when contains_sub ~sub:"\"status\": \"ok\"" body -> ()
+          | status, body ->
+              fail "/healthz said %d %s" status (String.trim body));
+          let ticks = Telemetry.Counter.get m_samples - samples_before in
+          if ticks <= 0 then fail "the sampler never sampled";
+          let lines = List.length (read_lines snapshot) in
+          Sys.remove snapshot;
+          if lines <= 0 then fail "the snapshot file got no JSONL lines";
+          [
+            ("sampler_samples", string_of_int ticks);
+            ("snapshot_lines", string_of_int lines);
+          ]);
+      tripwire = 4.0;
+    }
   in
-  (* Arms alternate rep by rep for the same reason as bench_journal:
-     the true cost is percent-scale, so back-to-back blocks would
-     measure scheduler drift, not the profiler. *)
-  (* One untimed warmup per arm: the bare pass pays compilation and
-     page-cache costs, the profiled pass additionally warms the
-     consumer path (event registration, metric families, first
-     callback dispatches). *)
-  ignore (sweep ());
-  ignore (profiled_sweep ());
-  let bare_counts = ref [||] and bare_dt = ref infinity in
-  let profiled_counts = ref [||] and profiled_dt = ref infinity in
-  let bare_cpu = ref 0. and profiled_cpu = ref 0. in
+  let journal =
+    let path = Filename.temp_file "oppsla_bench_journal" ".jsonl" in
+    {
+      name = "journal";
+      rep =
+        (fun () ->
+          time (fun () ->
+              Telemetry.Journal.set_run_id "bench-overhead";
+              Telemetry.Journal.to_file path;
+              Fun.protect ~finally:Telemetry.Journal.close sweep));
+      check =
+        (fun () ->
+          (* Each rep finalizes a fresh journal at [path]: the last one
+             is audited. *)
+          let records =
+            match Evalharness.Audit.load_strict path with
+            | j -> j.Evalharness.Audit.records
+            | exception Evalharness.Audit.Invalid m ->
+                fail "finalized journal failed audit: %s" m
+          in
+          if List.length records <> total_queries then
+            fail
+              "journal has %d records for %d charged queries (every charge \
+               must be journaled exactly once)"
+              (List.length records) total_queries;
+          List.iter
+            (fun (r : Evalharness.Audit.record) ->
+              if r.site <> "sketch" then
+                fail "record charged to site %S, not sketch" r.site;
+              if r.image < 0 || r.image >= n_images then
+                fail "record has image %d outside [0, %d)" r.image n_images)
+            records;
+          let covered =
+            List.sort_uniq compare
+              (List.map (fun (r : Evalharness.Audit.record) -> r.image) records)
+          in
+          if List.length covered <> n_images then
+            fail "the journal does not cover every image index";
+          Sys.remove path;
+          [
+            ("journal_records", string_of_int (List.length records));
+            ("records_match_charges", "true");
+          ]);
+      tripwire = 4.0;
+    }
+  in
+  let profile =
+    {
+      name = "profile";
+      rep =
+        (fun () ->
+          let p = Telemetry.Profiler.start () in
+          Fun.protect
+            ~finally:(fun () -> Telemetry.Profiler.stop p)
+            (fun () -> time sweep));
+      check =
+        (fun () ->
+          let minor_pauses =
+            List.fold_left
+              (fun acc (s : Telemetry.Profiler.gc_stat) ->
+                if s.kind = "minor" then acc + s.pauses else acc)
+              0
+              (Telemetry.Profiler.summary ())
+          in
+          if (not smoke) && minor_pauses = 0 then
+            fail
+              "the profiled arm observed no minor GC pauses (the attack \
+               workload allocates heavily; zero pauses means the profiler \
+               lost its event stream)";
+          (* The same sweep traced AND profiled under a root span must let
+             the offline analyzer account for >= 95% of the trace's
+             wall-clock.  The profiler attaches inside the span so every
+             calibrated GC event nests under it. *)
+          let path = Filename.temp_file "oppsla_bench_profile" ".trace" in
+          Telemetry.Trace.to_file path;
+          let coverage =
+            Fun.protect ~finally:Telemetry.Trace.close (fun () ->
+                Telemetry.Trace.span "bench.profile_sweep" (fun () ->
+                    let p = Telemetry.Profiler.start () in
+                    Fun.protect
+                      ~finally:(fun () -> Telemetry.Profiler.stop p)
+                      (fun () -> ignore (sweep ())));
+                Telemetry.Trace.flush ();
+                (Evalharness.Traceprof.analyze
+                   (Evalharness.Traceprof.parse_file path))
+                  .Evalharness.Traceprof.coverage)
+          in
+          if coverage < 0.95 then
+            fail
+              "traceprof attributed only %.1f%% of wall-clock (>= 95%% \
+               required); trace kept at %s"
+              (100. *. coverage) path;
+          Sys.remove path;
+          [
+            ("minor_pauses_observed", string_of_int minor_pauses);
+            ("wall_clock_attributed", Printf.sprintf "%.4f" coverage);
+          ]);
+      tripwire = 4.0;
+    }
+  in
+  let observers = [ trace; observe; journal; profile ] in
+  let expect arm s =
+    if s.results <> reference then
+      fail
+        "the %s arm changed the per-image (queries, success) results \
+         (observers must be observation-only)"
+        arm.name
+  in
+  List.iter (fun arm -> expect arm (arm.rep ())) observers;
+  let arms = Array.of_list (bare :: observers) in
+  let cpu = Array.make (Array.length arms) 0.
+  and wall = Array.make (Array.length arms) infinity in
   for _ = 1 to reps do
-    let c, d, cpu = time sweep in
-    bare_counts := c;
-    if d < !bare_dt then bare_dt := d;
-    bare_cpu := !bare_cpu +. cpu;
-    let c, d, cpu = profiled_sweep () in
-    profiled_counts := c;
-    if d < !profiled_dt then profiled_dt := d;
-    profiled_cpu := !profiled_cpu +. cpu
+    Array.iteri
+      (fun i arm ->
+        let s = arm.rep () in
+        expect arm s;
+        cpu.(i) <- cpu.(i) +. s.cpu;
+        wall.(i) <- Float.min wall.(i) s.wall)
+      arms
   done;
-  let bare_counts, bare_dt = (!bare_counts, !bare_dt) in
-  let profiled_counts, profiled_dt = (!profiled_counts, !profiled_dt) in
-  if profiled_counts <> bare_counts then
-    failwith
-      "bench_profile: the profiler changed the per-image (queries, success) \
-       results (the profiler must be observation-only)";
-  let minor_pauses =
-    List.fold_left
-      (fun acc s ->
-        if s.Telemetry.Profiler.kind = "minor" then
-          acc + s.Telemetry.Profiler.pauses
-        else acc)
-      0
-      (Telemetry.Profiler.summary ())
-  in
-  (* CPU totals over all reps: summing amortizes the 10ms clock-tick
-     granularity of Unix.times to ~0.2% of the several-second totals. *)
-  let overhead =
-    if !bare_cpu > 0. then (!profiled_cpu -. !bare_cpu) /. !bare_cpu else 0.
-  in
-  (* Live-attribution check: the same sweep traced AND profiled under a
-     root span must let the offline analyzer account for >= 95% of the
-     trace's wall-clock.  The profiler attaches inside the span so every
-     calibrated GC event nests under it. *)
-  let trace_path = Filename.temp_file "oppsla_bench_profile" ".trace" in
-  Telemetry.Trace.to_file trace_path;
-  let coverage =
-    Fun.protect ~finally:Telemetry.Trace.close (fun () ->
-        Telemetry.Trace.span "bench.profile_sweep" (fun () ->
-            let p = Telemetry.Profiler.start () in
-            Fun.protect
-              ~finally:(fun () -> Telemetry.Profiler.stop p)
-              (fun () -> ignore (sweep ())));
-        Telemetry.Trace.flush ();
-        let a =
-          Evalharness.Traceprof.analyze
-            (Evalharness.Traceprof.parse_file trace_path)
+  let rows =
+    List.mapi
+      (fun i arm ->
+        let overhead = (cpu.(i) -. cpu.(0)) /. cpu.(0) in
+        let fields =
+          (if i = 0 then []
+           else [ ("overhead_fraction", Printf.sprintf "%.4f" overhead) ])
+          @ arm.check ()
         in
-        a.Evalharness.Traceprof.coverage)
+        Printf.printf
+          "[overhead] %-7s %.3fs CPU over %d reps, best wall %.3fs%s\n%!"
+          arm.name cpu.(i) reps wall.(i)
+          (String.concat ""
+             (List.map (fun (k, v) -> Printf.sprintf ", %s %s" k v) fields));
+        let bound = if smoke then arm.tripwire else 0.03 in
+        if i > 0 && overhead > bound then
+          fail "%s overhead %.2f%% exceeds the %.0f%% %s" arm.name
+            (100. *. overhead) (100. *. bound)
+            (if smoke then "smoke tripwire" else "target");
+        (arm, cpu.(i), wall.(i), fields))
+      (Array.to_list arms)
   in
-  Printf.printf
-    "[profile] %d images, cap %d, batch 16: %.3fs bare, %.3fs profiled \
-     (%+.2f%% CPU overhead over %.1fs+%.1fs CPU), %d minor pauses \
-     observed, %.1f%% of trace wall-clock attributed\n\
-     %!"
-    n_images max_queries bare_dt profiled_dt (100. *. overhead) !bare_cpu
-    !profiled_cpu minor_pauses (100. *. coverage);
   print_endline
-    "[profile] per-image (queries, success) bit-identical with the profiler \
-     attached and detached";
-  if coverage < 0.95 then
-    failwith
-      (Printf.sprintf
-         "bench_profile: traceprof attributed only %.1f%% of wall-clock \
-          (>= 95%% required); trace kept at %s"
-         (100. *. coverage) trace_path);
-  Sys.remove trace_path;
-  if smoke then begin
-    (* Milliseconds-scale smoke sweeps make the fixed attach/detach
-       cost dominate; this bound is a runaway tripwire, not an overhead
-       claim (the full run asserts <3%). *)
-    if overhead > 4.0 then
-      failwith
-        (Printf.sprintf
-           "bench_profile: smoke overhead %.0f%% exceeds the 400%% tripwire \
-            bound"
-           (100. *. overhead))
-  end
-  else begin
-    if minor_pauses = 0 then
-      failwith
-        "bench_profile: the profiled arm observed no minor GC pauses (the \
-         attack workload allocates heavily; zero pauses means the profiler \
-         lost its event stream)";
-    if overhead > 0.03 then
-      failwith
-        (Printf.sprintf "bench_profile: overhead %.2f%% exceeds the 3%% target"
-           (100. *. overhead));
-    let oc = open_out "BENCH_profile.json" in
+    "[overhead] per-image (queries, success) bit-identical under every \
+     observer";
+  if not smoke then begin
+    let oc = open_out "BENCH_overhead.json" in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
@@ -1362,32 +990,42 @@ let bench_profile ?(smoke = false) quick =
           "{\n\
           \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
            %d, batch 16, cache on\",\n\
+          \  \"nproc\": %d,\n\
+          \  \"reps\": %d,\n\
+          \  \"total_queries\": %d,\n\
           \  \"results_identical\": true,\n\
-          \  \"bare_seconds\": %.4f,\n\
-          \  \"profiled_seconds\": %.4f,\n\
-          \  \"bare_cpu_seconds\": %.4f,\n\
-          \  \"profiled_cpu_seconds\": %.4f,\n\
-          \  \"overhead_fraction\": %.4f,\n\
           \  \"overhead_target\": 0.03,\n\
-          \  \"minor_pauses_observed\": %d,\n\
-          \  \"wall_clock_attributed\": %.4f,\n\
-          \  \"note\": \"%d interleaved sweeps per arm; the profiled arm \
-           runs with a Runtime_events cursor attached (observer systhread \
-           + per-poll clock calibration; attach/detach excluded as a \
-           fixed per-run cost).  *_seconds are best-of wall times; \
-           overhead_fraction compares the arms' summed process-CPU times, \
-           which the host's other tenants cannot perturb.  The profiler \
-           is observation-only: per-image (queries, success) results are \
-           asserted bit-identical across both arms.  \
-           wall_clock_attributed is the fraction of a traced+profiled \
+          \  \"arms\": [\n"
+          n_images image_size image_size max_queries
+          (Domain.recommended_domain_count ())
+          reps total_queries;
+        List.iteri
+          (fun i (arm, cpu, wall, fields) ->
+            Printf.fprintf oc
+              "    {\"name\": %S, \"cpu_seconds\": %.4f, \
+               \"best_wall_seconds\": %.4f%s}%s\n"
+              arm.name cpu wall
+              (String.concat ""
+                 (List.map
+                    (fun (k, v) -> Printf.sprintf ", %S: %s" k v)
+                    fields))
+              (if i = List.length rows - 1 then "" else ","))
+          rows;
+        output_string oc
+          "  ],\n\
+          \  \"note\": \"arms interleaved rep by rep after one untimed \
+           warm-up each, every timed sweep started from a settled heap.  \
+           cpu_seconds sums process CPU (every thread) over the reps; \
+           overhead_fraction is signed and compares it with the bare arm; \
+           best_wall_seconds is context.  The journal opens and finalizes \
+           inside the timed region; the trace sink, the /metrics server + \
+           20 Hz sampler and the profiler attach outside it.  Every rep of \
+           every arm returns per-image (queries, success) bit-identical to \
+           bare.  wall_clock_attributed is the share of a traced+profiled \
            sweep's wall-clock that Evalharness.Traceprof attributes to \
-           spans (>= 0.95 asserted, not gated for regression)\"\n\
-           }\n"
-          n_images image_size image_size max_queries bare_dt profiled_dt
-          !bare_cpu !profiled_cpu
-          (Float.max 0. overhead)
-          minor_pauses coverage reps);
-    print_endline "[profile] wrote BENCH_profile.json"
+           spans (>= 0.95 asserted)\"\n\
+           }\n");
+    print_endline "[overhead] wrote BENCH_overhead.json"
   end
 
 (* Island-synthesis benchmark (the `synth` mode).
@@ -2157,18 +1795,14 @@ let bench_backend ?(smoke = false) quick =
 
 (* Bench regression gate (the `regress` mode).
 
-   --smoke: the gate gates itself against every committed BENCH_*.json —
-   self-comparison must pass and a synthetically degraded copy (every
-   gated metric pushed 20% the wrong way) must fail.  Wired into `dune
-   runtest` next to tools/regress --smoke.
+   Snapshot the committed BENCH file contents as baselines, re-run the
+   cheap benches (plus cache unless --quick, which is minutes-long),
+   then compare what they wrote against the snapshots and fail on any
+   regression past the gate's policy.  The gate's own self-test (every
+   baseline passes against itself and fails against a degraded copy)
+   is `tools/regress.exe --smoke`. *)
 
-   Full mode: snapshot the committed BENCH file contents as baselines,
-   re-run the cheap benches (batch, telemetry, observe — plus cache
-   unless --quick, which is minutes-long), then compare what they wrote
-   against the snapshots and fail on any regression past the noise
-   tolerance. *)
-
-let bench_regress ?(smoke = false) quick =
+let bench_regress quick =
   let module R = Evalharness.Regress in
   (* Resolve the registry, not a glob: every registered baseline must be
      committed, and a missing one is a named failure — a bench mode that
@@ -2182,80 +1816,55 @@ let bench_regress ?(smoke = false) quick =
           ("bench_regress: registered baselines not committed: "
           ^ String.concat ", " missing)
   in
-  if smoke then
-    List.iter
-      (fun file ->
-        let metrics = R.flatten (R.parse_file file) in
-        let self = R.compare_metrics ~baseline:metrics ~fresh:metrics () in
-        print_string (R.render ~label:(file ^ " vs self") self);
-        if not (R.passed self) then
-          failwith (Printf.sprintf "bench_regress: %s fails against itself" file);
-        let degraded =
-          R.compare_metrics ~baseline:metrics ~fresh:(R.degrade metrics) ()
-        in
-        print_string (R.render ~label:(file ^ " vs 20%-degraded copy") degraded);
-        if R.passed degraded then
+  (* Snapshot the committed baselines before the benches overwrite them
+     in place. *)
+  let read_all path =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  (* Key by basename: resolved paths may carry the "../" staging prefix,
+     and a key mismatch here used to skip the comparison silently. *)
+  let baselines =
+    List.map (fun f -> (Filename.basename f, read_all f)) committed
+  in
+  let rerun =
+    [
+      ("BENCH_batch.json", fun () -> bench_batch ~smoke:false quick);
+      ("BENCH_overhead.json", fun () -> bench_overhead ~smoke:false);
+      ("BENCH_synth.json", fun () -> bench_synth ~smoke:false quick);
+      ("BENCH_scenarios.json", fun () -> bench_scenarios ~smoke:false quick);
+      ("BENCH_backend.json", fun () -> bench_backend ~smoke:false quick);
+    ]
+    @ (if quick then []
+       else [ ("BENCH_cache.json", fun () -> bench_cache ~smoke:false quick) ])
+  in
+  let failures = ref [] in
+  List.iter
+    (fun (file, run) ->
+      match List.assoc_opt file baselines with
+      | None ->
+          (* Unreachable while [rerun] sticks to registered names —
+             [locate_baselines] already failed on anything missing — but
+             keep it loud rather than skipping. *)
           failwith
-            (Printf.sprintf
-               "bench_regress: a 20%% degradation of %s slipped past the gate"
-               file))
-      committed
-  else begin
-    (* Snapshot the committed baselines before the benches overwrite
-       them in place. *)
-    let read_all path =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    (* Key by basename: resolved paths may carry the "../" staging
-       prefix, and a key mismatch here used to skip the comparison
-       silently. *)
-    let baselines =
-      List.map (fun f -> (Filename.basename f, read_all f)) committed
-    in
-    let rerun =
-      [
-        ("BENCH_batch.json", fun () -> bench_batch ~smoke:false quick);
-        ("BENCH_telemetry.json", fun () -> bench_telemetry ~smoke:false quick);
-        ("BENCH_observe.json", fun () -> bench_observe ~smoke:false quick);
-        ("BENCH_journal.json", fun () -> bench_journal ~smoke:false quick);
-        ("BENCH_profile.json", fun () -> bench_profile ~smoke:false quick);
-        ("BENCH_synth.json", fun () -> bench_synth ~smoke:false quick);
-        ("BENCH_scenarios.json", fun () -> bench_scenarios ~smoke:false quick);
-        ("BENCH_backend.json", fun () -> bench_backend ~smoke:false quick);
-      ]
-      @ (if quick then []
-         else [ ("BENCH_cache.json", fun () -> bench_cache ~smoke:false quick) ])
-    in
-    let failures = ref [] in
-    List.iter
-      (fun (file, run) ->
-        match List.assoc_opt file baselines with
-        | None ->
-            (* Unreachable while [rerun] sticks to registered names —
-               [locate_baselines] already failed on anything missing —
-               but keep it loud rather than skipping. *)
-            failwith
-              (Printf.sprintf "bench_regress: %s has no committed baseline"
-                 file)
-        | Some baseline_text ->
-            run ();
-            let report =
-              R.compare_metrics
-                ~baseline:(R.flatten (R.parse_json baseline_text))
-                ~fresh:(R.flatten (R.parse_file file))
-                ()
-            in
-            print_string (R.render ~label:(file ^ " vs committed") report);
-            if not (R.passed report) then failures := file :: !failures)
-      rerun;
-    if !failures <> [] then
-      failwith
-        ("bench_regress: regression vs committed baselines in "
-        ^ String.concat ", " (List.rev !failures))
-  end
+            (Printf.sprintf "bench_regress: %s has no committed baseline" file)
+      | Some baseline_text ->
+          run ();
+          let report =
+            R.compare_metrics
+              ~baseline:(R.flatten (R.parse_json baseline_text))
+              ~fresh:(R.flatten (R.parse_file file))
+              ()
+          in
+          print_string (R.render ~label:(file ^ " vs committed") report);
+          if not (R.passed report) then failures := file :: !failures)
+    rerun;
+  if !failures <> [] then
+    failwith
+      ("bench_regress: regression vs committed baselines in "
+      ^ String.concat ", " (List.rev !failures))
 
 (* Microbenchmarks *)
 
@@ -2491,15 +2100,11 @@ let () =
           | "parallel" -> timed "parallel" (fun () -> bench_parallel quick)
           | "cache" -> timed "cache" (fun () -> bench_cache ~smoke quick)
           | "batch" -> timed "batch" (fun () -> bench_batch ~smoke quick)
-          | "telemetry" ->
-              timed "telemetry" (fun () -> bench_telemetry ~smoke quick)
-          | "observe" -> timed "observe" (fun () -> bench_observe ~smoke quick)
-          | "journal" -> timed "journal" (fun () -> bench_journal ~smoke quick)
-          | "profile" -> timed "profile" (fun () -> bench_profile ~smoke quick)
+          | "overhead" -> timed "overhead" (fun () -> bench_overhead ~smoke)
           | "synth" -> timed "synth" (fun () -> bench_synth ~smoke quick)
           | "scenarios" ->
               timed "scenarios" (fun () -> bench_scenarios ~smoke quick)
           | "backend" -> timed "backend" (fun () -> bench_backend ~smoke quick)
-          | "regress" -> timed "regress" (fun () -> bench_regress ~smoke quick)
+          | "regress" -> timed "regress" (fun () -> bench_regress quick)
           | _ -> run_experiment quick domains cache mode)
         modes)

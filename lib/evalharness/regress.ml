@@ -5,11 +5,12 @@
    known-friendly JSON subset (no exponent-less edge cases we do not
    emit, flat-ish objects) keeps the gate dependency-free.
 
-   The direction a metric is allowed to move comes from its leaf name:
-   anything measured in seconds (or an overhead fraction) must not grow,
-   anything measuring a rate/ratio win (speedup, images_per_sec,
-   hit_rate) must not shrink.  Everything else — counts, flags, notes —
-   is identity-free context and is not gated. *)
+   How a metric may move comes from its leaf name: query totals and
+   identity flags may not move at all, a signed observer overhead may
+   not grow by more than an absolute bound, anything measured in seconds
+   must not grow and anything measuring a rate/ratio win (speedup,
+   images_per_sec, hit_rate) must not shrink.  Everything else is
+   context and is not gated. *)
 
 type json =
   | Null
@@ -185,13 +186,10 @@ let registered_baselines =
     "BENCH_parallel.json";
     "BENCH_cache.json";
     "BENCH_batch.json";
-    "BENCH_telemetry.json";
-    "BENCH_observe.json";
+    "BENCH_overhead.json";
     "BENCH_synth.json";
     "BENCH_scenarios.json";
     "BENCH_backend.json";
-    "BENCH_journal.json";
-    "BENCH_profile.json";
   ]
 
 exception Missing_baseline of string list
@@ -213,12 +211,14 @@ let locate_baselines () =
   if missing <> [] then raise (Missing_baseline (List.rev missing));
   List.rev found
 
-(* Flattening: every numeric leaf becomes ("path.to[2].leaf", value). *)
+(* Flattening: every numeric or boolean leaf becomes
+   ("path.to[2].leaf", value), booleans as 1/0. *)
 
 let flatten (j : json) : (string * float) list =
   let acc = ref [] in
   let rec go prefix = function
     | Num v -> acc := (prefix, v) :: !acc
+    | Bool b -> acc := (prefix, if b then 1. else 0.) :: !acc
     | Obj fields ->
         List.iter
           (fun (k, v) ->
@@ -226,14 +226,14 @@ let flatten (j : json) : (string * float) list =
           fields
     | List items ->
         List.iteri (fun i v -> go (Printf.sprintf "%s[%d]" prefix i) v) items
-    | Null | Bool _ | Str _ -> ()
+    | Null | Str _ -> ()
   in
   go "" j;
   List.rev !acc
 
 (* Direction policy, keyed on the leaf field name. *)
 
-type direction = Lower_better | Higher_better | Ungated
+type direction = Exact | Overhead | Lower_better | Higher_better | Ungated
 
 let leaf_of path =
   match String.rindex_opt path '.' with
@@ -247,8 +247,16 @@ let contains ~sub s =
 
 let direction_of path =
   let leaf = leaf_of path in
-  if contains ~sub:"seconds" leaf || contains ~sub:"overhead_fraction" leaf
-  then Lower_better
+  let ends_with suffix = String.ends_with ~suffix leaf in
+  if
+    ends_with "_queries"
+    || leaf = "queries_metered"
+    || leaf = "journal_records"
+    || ends_with "_identical"
+    || leaf = "records_match_charges"
+  then Exact
+  else if contains ~sub:"overhead_fraction" leaf then Overhead
+  else if contains ~sub:"seconds" leaf then Lower_better
   else if
     contains ~sub:"speedup" leaf
     || contains ~sub:"images_per_sec" leaf
@@ -263,7 +271,9 @@ type finding = {
   metric : string;
   baseline : float;
   fresh : float;
-  change : float;  (* signed fractional change, + = grew *)
+  change : float;
+      (* signed, + = grew: fresh - baseline for exact and overhead
+         leaves, fractional for the rest *)
 }
 
 type report = {
@@ -275,9 +285,12 @@ type report = {
 
 let default_tolerance = 0.10
 
-(* Skip metrics whose baseline magnitude is below this: per-layer
+let overhead_bound = 0.03
+
+(* Skip noisy metrics whose baseline magnitude is below this: per-layer
    microsecond timings jitter by whole multiples run to run and would
-   make the gate cry wolf. *)
+   make the gate cry wolf.  Exact and overhead leaves are never skipped:
+   a zero count or a near-zero signed overhead is a real baseline. *)
 let default_min_magnitude = 0.01
 
 let compare_metrics ?(tolerance = default_tolerance)
@@ -290,25 +303,27 @@ let compare_metrics ?(tolerance = default_tolerance)
     (fun (metric, b) ->
       match direction_of metric with
       | Ungated -> ()
-      | _ when Float.abs b < min_magnitude -> ()
+      | (Lower_better | Higher_better) when Float.abs b < min_magnitude -> ()
       | dir -> (
           match Hashtbl.find_opt fresh_tbl metric with
           | None -> missing := metric :: !missing
           | Some f ->
               incr checked;
-              let change = (f -. b) /. Float.abs b in
-              let finding = { metric; baseline = b; fresh = f; change } in
-              let bad =
+              let change =
                 match dir with
-                | Lower_better -> change > tolerance
-                | Higher_better -> change < -.tolerance
-                | Ungated -> false
+                | Exact | Overhead -> f -. b
+                | Lower_better | Higher_better | Ungated ->
+                    (f -. b) /. Float.abs b
               in
-              let good =
+              let finding = { metric; baseline = b; fresh = f; change } in
+              let bad, good =
                 match dir with
-                | Lower_better -> change < -.tolerance
-                | Higher_better -> change > tolerance
-                | Ungated -> false
+                | Exact -> (f <> b, false)
+                | Overhead ->
+                    (change > overhead_bound, change < -.overhead_bound)
+                | Lower_better -> (change > tolerance, change < -.tolerance)
+                | Higher_better -> (change < -.tolerance, change > tolerance)
+                | Ungated -> (false, false)
               in
               if bad then regressions := finding :: !regressions
               else if good then improvements := finding :: !improvements))
@@ -329,8 +344,16 @@ let compare_files ?tolerance ?min_magnitude ~baseline ~fresh () =
 let passed r = r.regressions = [] && r.missing = []
 
 let render_finding f =
-  Printf.sprintf "%s: %g -> %g (%+.1f%%)" f.metric f.baseline f.fresh
-    (100. *. f.change)
+  match direction_of f.metric with
+  | Exact ->
+      Printf.sprintf "%s: %g -> %g (must not change)" f.metric f.baseline
+        f.fresh
+  | Overhead ->
+      Printf.sprintf "%s: %g -> %g (%+.1f points)" f.metric f.baseline f.fresh
+        (100. *. f.change)
+  | Lower_better | Higher_better | Ungated ->
+      Printf.sprintf "%s: %g -> %g (%+.1f%%)" f.metric f.baseline f.fresh
+        (100. *. f.change)
 
 let render ~label r =
   let b = Buffer.create 256 in
@@ -350,11 +373,13 @@ let render ~label r =
   Buffer.contents b
 
 (* Synthetic degradation for the gate's own smoke test: push every
-   gated metric [factor] past its baseline in the bad direction. *)
+   gated metric past its bound in the bad direction. *)
 let degrade ?(factor = 1.2) metrics =
   List.map
     (fun (k, v) ->
       match direction_of k with
+      | Exact -> (k, v -. 1.)
+      | Overhead -> (k, v +. (2. *. overhead_bound))
       | Lower_better -> (k, v *. factor)
       | Higher_better -> (k, v /. factor)
       | Ungated -> (k, v))

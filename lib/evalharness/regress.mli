@@ -1,14 +1,21 @@
 (** Bench regression gate.
 
     Compares freshly produced bench JSON against the committed
-    [BENCH_*.json] baselines and reports gated metrics that moved past a
-    noise tolerance in the bad direction.  Which direction is bad is
-    derived from the leaf field name: [*seconds*] and
-    [*overhead_fraction*] must not grow; [*speedup*], [*images_per_sec*],
-    [*hit_rate*] and [*per_s*] must not shrink; every other field
-    (counts, flags, notes) is context and is not gated.  Baselines with
-    magnitude under [min_magnitude] are skipped — sub-centisecond
-    per-layer timings jitter by whole multiples between runs.
+    [BENCH_*.json] baselines and reports gated metrics that moved the
+    wrong way.  The policy is derived from the leaf field name:
+    - {b exact}: query totals ([*_queries], [queries_metered],
+      [journal_records]) and identity flags ([*_identical],
+      [records_match_charges]) — any change fails;
+    - {b overhead}: [*overhead_fraction*] is a signed fraction near
+      zero, compared by absolute difference — fails when fresh exceeds
+      baseline by more than {!overhead_bound};
+    - {b noisy}: [*seconds*] must not grow and [*speedup*],
+      [*images_per_sec*], [*hit_rate*] and [*per_s*] must not shrink by
+      more than the relative tolerance; noisy baselines with magnitude
+      under [min_magnitude] are skipped — sub-centisecond per-layer
+      timings jitter by whole multiples between runs;
+    - every other field (other counts, notes) is context and is not
+      gated.
 
     Used by [bench regress] and the [tools/regress] CLI, both of which
     exit nonzero when {!passed} is false. *)
@@ -46,10 +53,15 @@ val locate_baselines : unit -> string list
     the absentees if any registered file is found in neither place. *)
 
 val flatten : json -> (string * float) list
-(** Every numeric leaf as a dotted/indexed path:
-    [{"runs": [{"s": 1.5}]}] yields [[("runs[0].s", 1.5)]]. *)
+(** Every numeric or boolean leaf (booleans as 1/0) as a dotted/indexed
+    path: [{"runs": [{"s": 1.5}]}] yields [[("runs[0].s", 1.5)]]. *)
 
-type direction = Lower_better | Higher_better | Ungated
+type direction =
+  | Exact  (** any change fails *)
+  | Overhead  (** may not grow by more than {!overhead_bound} *)
+  | Lower_better
+  | Higher_better
+  | Ungated
 
 val direction_of : string -> direction
 (** The gate policy for a flattened metric path (keyed on its leaf). *)
@@ -58,7 +70,9 @@ type finding = {
   metric : string;
   baseline : float;
   fresh : float;
-  change : float;  (** signed fractional change; positive = grew *)
+  change : float;
+      (** signed change, positive = grew: [fresh - baseline] for exact
+          and overhead leaves, fractional for noisy ones *)
 }
 
 type report = {
@@ -70,7 +84,11 @@ type report = {
 }
 
 val default_tolerance : float
-(** 0.10 — tolerates 10% run-to-run noise while catching a 20% slide. *)
+(** 0.10 — tolerates 10% run-to-run noise on noisy leaves while
+    catching a 20% slide. *)
+
+val overhead_bound : float
+(** 0.03 — the absolute growth an [overhead_fraction] leaf may show. *)
 
 val default_min_magnitude : float
 
@@ -97,6 +115,8 @@ val render : label:string -> report -> string
 (** Human-readable verdict block (one line per finding). *)
 
 val degrade : ?factor:float -> (string * float) list -> (string * float) list
-(** Push every gated metric [factor] (default 1.2) past its baseline in
-    the bad direction — the synthetic failure the gate's smoke test must
-    catch. *)
+(** Push every gated metric past its bound in the bad direction — the
+    synthetic failure the gate's smoke test must catch: noisy leaves by
+    [factor] (default 1.2), overhead leaves by twice
+    {!overhead_bound}, exact leaves down by one (a true flag flips to
+    false). *)

@@ -1,9 +1,10 @@
 (* Tests for the evaluation harness: parallel map, runner statistics,
-   report rendering and attacker plumbing. *)
+   report rendering, attacker plumbing and the bench regression gate. *)
 
 module Runner = Evalharness.Runner
 module Report = Evalharness.Report
 module Attackers = Evalharness.Attackers
+module Regress = Evalharness.Regress
 
 (* Parallel *)
 
@@ -157,6 +158,34 @@ let attacker_names () =
     Attackers.sparse_rs.Attackers.name;
   Alcotest.(check string) "suopa" "SuOPA" (Attackers.su_opa ()).Attackers.name
 
+(* Regression gate *)
+
+let gate_passes ~baseline ~fresh =
+  let metrics text = Regress.flatten (Regress.parse_json text) in
+  Regress.passed
+    (Regress.compare_metrics ~baseline:(metrics baseline)
+       ~fresh:(metrics fresh) ())
+
+let gate_exact_query_total () =
+  Alcotest.(check bool) "one more query fails" false
+    (gate_passes ~baseline:{|{"total_queries": 2560}|}
+       ~fresh:{|{"total_queries": 2561}|})
+
+let gate_exact_identity_flag () =
+  Alcotest.(check bool) "flipped flag fails" false
+    (gate_passes ~baseline:{|{"queries_identical": true}|}
+       ~fresh:{|{"queries_identical": false}|})
+
+let gate_overhead_growth () =
+  Alcotest.(check bool) "0.0 -> 0.05 fails" false
+    (gate_passes ~baseline:{|{"overhead_fraction": 0.0}|}
+       ~fresh:{|{"overhead_fraction": 0.05}|})
+
+let gate_overhead_sign_flip () =
+  Alcotest.(check bool) "-0.01 -> 0.01 passes" true
+    (gate_passes ~baseline:{|{"overhead_fraction": -0.01}|}
+       ~fresh:{|{"overhead_fraction": 0.01}|})
+
 let suite =
   [
     Alcotest.test_case "parallel matches sequential" `Quick
@@ -176,4 +205,9 @@ let suite =
     Alcotest.test_case "formatting helpers" `Quick formatting_helpers;
     Alcotest.test_case "oppsla routes by class" `Quick oppsla_routes_by_class;
     Alcotest.test_case "attacker names" `Quick attacker_names;
+    Alcotest.test_case "gate exact query total" `Quick gate_exact_query_total;
+    Alcotest.test_case "gate exact identity flag" `Quick
+      gate_exact_identity_flag;
+    Alcotest.test_case "gate overhead growth" `Quick gate_overhead_growth;
+    Alcotest.test_case "gate overhead sign flip" `Quick gate_overhead_sign_flip;
   ]

@@ -7,8 +7,9 @@
      regress --smoke FILE [FILE ...]
        gate self-test: each file must pass against itself, and must
        FAIL against a synthetically degraded copy (every gated metric
-       pushed 20% the wrong way).  Exits 1 if either direction is
-       wrong.  This is what dune runtest runs.
+       pushed past its bound the wrong way, see Regress.degrade).
+       Exits 1 if either direction is wrong.  This is what dune runtest
+       runs.
 
    Options: --tolerance T (fractional noise allowance, default 0.10). *)
 
@@ -77,7 +78,7 @@ let () =
         in
         print_string
           (Evalharness.Regress.render
-             ~label:(Filename.basename file ^ " vs 20%-degraded copy")
+             ~label:(Filename.basename file ^ " vs degraded copy")
              degraded);
         check
           (file ^ " degraded copy must regress")
