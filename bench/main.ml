@@ -106,16 +106,16 @@ let sweep_beta quick =
   let training = c.Workbench.synth_sets.(class_id) in
   let iters = if quick then 3 else 20 in
   let rows =
+    Domain_pool.Pool.with_pool @@ fun pool ->
     List.map
       (fun beta ->
         let synth_config =
           {
-            Oppsla.Synthesizer.default_config with
+            Oppsla.Islands.default_config with
+            islands = 1;
             beta;
-            max_iters = iters;
+            rounds = iters;
             max_queries_per_image = Some 1024;
-            evaluator =
-              Some (Workbench.parallel_evaluator ~max_queries:1024 c);
           }
         in
         let g =
@@ -124,21 +124,19 @@ let sweep_beta quick =
             (Printf.sprintf "sweep-beta/%g" beta)
         in
         let out =
-          Oppsla.Synthesizer.synthesize ~config:synth_config g
+          Oppsla.Islands.synthesize ~config:synth_config ~pool g
             (Workbench.oracle_factory c ())
             ~training
         in
-        let accepted =
-          List.length
-            (List.filter
-               (fun (it : Oppsla.Synthesizer.iteration) -> it.accepted)
-               out.Oppsla.Synthesizer.trace)
-        in
+        let chain = out.Oppsla.Islands.islands.(0) in
         [
           Printf.sprintf "%g" beta;
-          Printf.sprintf "%.1f" out.Oppsla.Synthesizer.final_avg_queries;
-          Printf.sprintf "%.1f" out.Oppsla.Synthesizer.best_avg_queries;
-          Printf.sprintf "%d/%d" accepted (iters + 1);
+          Printf.sprintf "%.1f" chain.Oppsla.Islands.final_avg_queries;
+          Printf.sprintf "%.1f" chain.Oppsla.Islands.best_avg_queries;
+          (* The seed program counts as accepted, as in the trace. *)
+          Printf.sprintf "%d/%d"
+            (chain.Oppsla.Islands.accepted + 1)
+            (iters + 1);
         ])
       [ 0.005; 0.02; 0.08; 0.32 ]
   in

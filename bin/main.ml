@@ -298,6 +298,19 @@ let train_cmd =
 
 (* synthesize *)
 
+(* [Score.default_pac] first checks its bound after 10 images, but a
+   workbench synthesis set holds at most [synth_per_class] (10) images,
+   so no check would land before the last image and nothing could ever
+   be pruned.  Check halfway through the training set instead. *)
+let cli_pac n =
+  let pac = Oppsla.Score.default_pac in
+  let half = max 1 (n / 2) in
+  {
+    pac with
+    Oppsla.Score.min_images = min half pac.Oppsla.Score.min_images;
+    stage = min half pac.Oppsla.Score.stage;
+  }
+
 let synthesize_cmd =
   let iters_arg =
     Arg.(
@@ -310,7 +323,8 @@ let synthesize_cmd =
       "Island-model synthesis: run $(docv) tempered MH chains in lockstep \
        rounds with periodic ring migration of elite programs.  The elite \
        trace is bit-identical for a fixed seed whatever --domains, \
-       --cache, --batch or kill/resume history."
+       --cache, --batch or kill/resume history.  At the default K = 1 the \
+       single chain is Algorithm 2."
     in
     Arg.(value & opt int 1 & info [ "islands" ] ~docv:"K" ~doc)
   in
@@ -342,7 +356,9 @@ let synthesize_cmd =
              Hoeffding-style certified lower bound on its average proves \
              it cannot beat the incumbent.  Kills bad candidates after a \
              handful of images instead of the full training set; prunes \
-             only candidates exact scoring would have rejected." )
+             only candidates exact scoring would have rejected.  Implies \
+             the island path (per-run, reported per island, not cached) \
+             even at --islands 1." )
     in
     let off =
       ( false,
@@ -374,10 +390,11 @@ let synthesize_cmd =
       @@ fun () ->
       let config = workbench_config ~backend artifacts seed in
       let c = Workbench.load_classifier config spec arch in
-      if islands > 1 || checkpoint <> "" then begin
+      if islands > 1 || checkpoint <> "" || early_stop then begin
         (* Island path: uncached (per-run) synthesis on the class's
            training set, reported per island.  Not persisted to the
-           artifact cache — checkpoints are the resumable artifact. *)
+           artifact cache — checkpoints are the resumable artifact, and
+           the cached programs are always exactly scored. *)
         let training = c.Workbench.synth_sets.(class_id) in
         if Array.length training = 0 then
           Printf.printf
@@ -396,7 +413,8 @@ let synthesize_cmd =
                     .Workbench.synth_max_queries_per_image;
               batch;
               early_stop =
-                (if early_stop then Some Oppsla.Score.default_pac else None);
+                (if early_stop then Some (cli_pac (Array.length training))
+                 else None);
               checkpoint = (if checkpoint = "" then None else Some checkpoint);
             }
           in

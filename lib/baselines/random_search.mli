@@ -27,9 +27,9 @@ val synthesize :
   training:(Tensor.t * int) array ->
   outcome
 (** [evaluator] substitutes {!Oppsla.Score.evaluate} (e.g. with a parallel
-    runner), exactly as in {!Oppsla.Synthesizer.config}.  [caches] (one
-    slot per training image, shared across all sampled programs) is
-    forwarded to the default evaluator and ignored when [evaluator] is
-    given — a custom evaluator owns its own caching.  [batch] (default
-    {!Oppsla.Sketch.default_batch}) is the speculative chunk width
-    forwarded the same way; outcomes are bit-identical at every width. *)
+    runner).  [caches] (one slot per training image, shared across all
+    sampled programs) is forwarded to the default evaluator and ignored
+    when [evaluator] is given — a custom evaluator owns its own caching.
+    [batch] (default {!Oppsla.Sketch.default_batch}) is the speculative
+    chunk width forwarded the same way; outcomes are bit-identical at
+    every width. *)

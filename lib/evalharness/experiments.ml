@@ -295,9 +295,10 @@ let fig4 ?(scale = default_scale) config =
   in
   let synth_config =
     {
-      Oppsla.Synthesizer.default_config with
+      Oppsla.Islands.default_config with
+      islands = 1;
       beta = scale.synth.Workbench.beta;
-      max_iters = scale.fig4_iters;
+      rounds = scale.fig4_iters;
       max_queries_per_image =
         Some scale.synth.Workbench.synth_max_queries_per_image;
       batch = scale.batch;
@@ -314,25 +315,24 @@ let fig4 ?(scale = default_scale) config =
   in
   Batcher.reset_global_stats ();
   let out =
-    Oppsla.Synthesizer.synthesize ~config:synth_config ~pool ?caches:synth_caches
-      g
+    Oppsla.Islands.synthesize ~config:synth_config ~pool ?caches:synth_caches g
       (Workbench.oracle_factory c ())
       ~training
   in
-  (* Every accepted iteration changes the chain position; evaluate each on
+  (* Every accepted round changes the chain position; evaluate each on
      the held-out set. *)
   let series =
     List.filter_map
-      (fun (it : Oppsla.Synthesizer.iteration) ->
-        if not it.accepted then None
+      (fun (e : Oppsla.Islands.entry) ->
+        if not e.accepted then None
         else
           Some
             {
-              iteration = it.index;
-              synth_queries = it.synth_queries_total;
-              test_avg_queries = evaluate_on_heldout it.program;
+              iteration = e.round;
+              synth_queries = e.queries_total;
+              test_avg_queries = evaluate_on_heldout e.program;
             })
-      out.Oppsla.Synthesizer.trace
+      out.Oppsla.Islands.trace
   in
   let result =
     {

@@ -190,31 +190,13 @@ let targeted_samples c ~target =
 
 let parallel_evaluator ?domains ?pool ?caches ?max_queries ?batch c program
     samples =
+  let evaluate pool =
+    Oppsla.Score.evaluate_parallel ?max_queries ?caches ?batch ~pool
+      (oracle_factory c ()) program samples
+  in
   match pool with
-  | Some pool ->
-      Oppsla.Score.evaluate_parallel ?max_queries ?caches ?batch ~pool
-        (Oracle.of_network c.net) program samples
-  | None ->
-      (match caches with
-      | Some store when Score_cache.store_size store <> Array.length samples
-        ->
-          invalid_arg
-            (Printf.sprintf
-               "Workbench.parallel_evaluator: cache store has %d slots for \
-                %d samples"
-               (Score_cache.store_size store)
-               (Array.length samples))
-      | _ -> ());
-      Oppsla.Score.of_results
-        (Domain_pool.map ?domains
-           (fun (i, (image, true_class)) ->
-             let oracle = Oracle.of_network c.net in
-             let cache =
-               Option.map (fun s -> Score_cache.image_cache s i) caches
-             in
-             Oppsla.Sketch.attack ?max_queries ?cache ?batch oracle program
-               ~image ~true_class)
-           (Array.mapi (fun i s -> (i, s)) samples))
+  | Some pool -> evaluate pool
+  | None -> Domain_pool.Pool.with_pool ?domains evaluate
 
 type synth_params = {
   iters : int;
@@ -332,7 +314,7 @@ let with_synth_pool ?pool (params : synth_params) f =
 
 let synthesize_programs ?(params = default_synth_params) ?pool config c =
   let file =
-    Printf.sprintf "%s_%s_s%d_oppsla_i%d_b%g_q%d_n%d_v2.programs" c.spec.name
+    Printf.sprintf "%s_%s_s%d_oppsla_i%d_b%g_q%d_n%d_v3.programs" c.spec.name
       c.arch config.seed params.iters params.beta
       params.synth_max_queries_per_image config.synth_per_class
   in
@@ -356,16 +338,17 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
             in
             let synth_config =
               {
-                Oppsla.Synthesizer.default_config with
+                Oppsla.Islands.default_config with
+                islands = 1;
                 beta = params.beta;
-                max_iters = params.iters;
+                rounds = params.iters;
                 max_queries_per_image =
                   Some params.synth_max_queries_per_image;
                 batch = params.batch;
               }
             in
-            (* The pool is the synthesizer's default evaluator: every MH
-               proposal fans its per-image attacks out over the resident
+            (* One island is Algorithm 2's single MH chain.  Every
+               proposal fans its per-image attacks out over the pool's
                domains (per-image oracle clones, image-order merge), so
                query accounting matches the sequential evaluator
                bit-for-bit.  The per-image score cache (shared across all
@@ -378,9 +361,10 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
             in
             Batcher.reset_global_stats ();
             let out =
-              Oppsla.Synthesizer.synthesize ~config:synth_config ~pool
-                ?caches g (oracle_factory c ()) ~training
+              Oppsla.Islands.synthesize ~config:synth_config ~pool ?caches g
+                (oracle_factory c ()) ~training
             in
+            let chain = out.Oppsla.Islands.islands.(0) in
             log_cache_stats config
               (Printf.sprintf "synth %s/%s class %d" c.spec.name c.arch
                  class_id)
@@ -394,7 +378,7 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
                random walk: its final program carries no signal, so fall
                back to the fixed prioritization rather than ship noise. *)
             if
-              out.Oppsla.Synthesizer.final_avg_queries
+              chain.Oppsla.Islands.final_avg_queries
               >= Oppsla.Score.no_success_penalty
             then begin
               config.log
@@ -410,9 +394,9 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
                    "[workbench] %s/%s class %d: avg %.1f queries after %d \
                     synthesis queries"
                    c.spec.name c.arch class_id
-                   out.Oppsla.Synthesizer.final_avg_queries
-                   out.Oppsla.Synthesizer.synth_queries);
-              out.Oppsla.Synthesizer.final
+                   chain.Oppsla.Islands.final_avg_queries
+                   out.Oppsla.Islands.synth_queries);
+              chain.Oppsla.Islands.final
             end
           end))
 

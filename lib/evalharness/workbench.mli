@@ -81,10 +81,12 @@ val parallel_evaluator :
   (Tensor.t * int) array ->
   Oppsla.Score.evaluation
 (** Drop-in for {!Oppsla.Score.evaluate} that fans the per-image attacks
-    out across domains: over [pool] when given (the hot path — no spawn
-    cost per call), otherwise over a transient [domains]-wide pool.
-    Every image gets its own metered oracle, and results merge in image
-    order, so query counts are independent of the parallelism.
+    out across domains with {!Oppsla.Score.evaluate_parallel}: over
+    [pool] when given (the hot path — no spawn cost per call), otherwise
+    over a transient [domains]-wide pool.  Every image gets its own
+    metered oracle scoring through the classifier's [backend] (see
+    {!oracle_factory}), and results merge in image order, so query
+    counts are independent of the parallelism.
 
     [caches] follows the {!Oppsla.Score.evaluate} contract — slot [i]
     memoizes sample [i], safe under parallelism because each image (and
@@ -129,12 +131,14 @@ val synthesize_programs :
   config ->
   classifier ->
   Oppsla.Condition.program array
-(** One program per class, via OPPSLA on each class's synthesis set;
-    cached under the artifacts directory.  Classes whose synthesis set is
-    empty (no correctly classified image) fall back to the Sketch+False
-    program.  MH proposal evaluation fans out over [pool] (or a
-    transient pool sized by [params.domains]); the accepted-program trace
-    is identical at every pool size. *)
+(** One program per class, via OPPSLA on each class's synthesis set: a
+    one-island {!Oppsla.Islands.synthesize} run (Algorithm 2's single MH
+    chain) whose final program is kept.  Cached under the artifacts
+    directory.  Classes whose synthesis set is empty (no correctly
+    classified image) fall back to the Sketch+False program.  MH proposal
+    evaluation fans out over [pool] (or a transient pool sized by
+    [params.domains]); the accepted-program trace is identical at every
+    pool size. *)
 
 val sketch_random_programs :
   ?samples:int ->

@@ -1,4 +1,6 @@
-(* Island-model distributed synthesis (ROADMAP item 3).
+(* OPPSLA's synthesizer: Metropolis-Hastings over the sketch's holes
+   (Algorithm 2), run as an island model.  One island with migration off
+   is Algorithm 2 itself.
 
    K Metropolis-Hastings chains run in lockstep rounds at different
    temperatures (beta_k = beta * ratio^k; island 0 is the coldest and
@@ -125,6 +127,21 @@ let m_accepted = Telemetry.Metrics.counter "islands.accepted"
 let m_pruned = Telemetry.Metrics.counter "islands.pruned"
 let m_migrations = Telemetry.Metrics.counter "islands.migrations"
 let m_checkpoints = Telemetry.Metrics.counter "islands.checkpoints"
+
+(* Per-node-class proposal counters.  The slot is the draw [Gen.mutate]
+   would make, pulled up into [step], so counting it costs no extra RNG
+   draw and the chain stream is the same with telemetry on or off. *)
+let m_prop_root = Telemetry.Metrics.counter "islands.proposals.root"
+let m_prop_condition = Telemetry.Metrics.counter "islands.proposals.condition"
+let m_prop_function = Telemetry.Metrics.counter "islands.proposals.function"
+let m_prop_constant = Telemetry.Metrics.counter "islands.proposals.constant"
+
+let proposal_counter = function
+  | "root" -> m_prop_root
+  | "condition" -> m_prop_condition
+  | "function" -> m_prop_function
+  | _ -> m_prop_constant
+
 let wd_run = Telemetry.Watchdog.loop "islands.run"
 
 (* Watchdog.loop is get-or-create, so fetching a chain's slot by name is
@@ -521,7 +538,7 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
   let root_id = Prng.save (Prng.named_stream g "islands/root-id") in
   let synth_queries = ref 0 and migrations = ref 0 in
   let trace_rev = ref [] in
-  let record ~round st program avg accepted pruned =
+  let record ~round ~kind st program avg accepted pruned =
     let e =
       {
         round;
@@ -546,6 +563,7 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
         [
           ("round", Telemetry.Trace.Int round);
           ("island", Telemetry.Trace.Int st.k);
+          ("kind", Telemetry.Trace.Str kind);
           ("avg_queries", Telemetry.Trace.Float avg);
           ("accepted", Telemetry.Trace.Bool accepted);
           ("pruned", Telemetry.Trace.Bool pruned);
@@ -616,12 +634,14 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
     st.current_avg <- e.Score.avg_queries;
     st.best <- st.current;
     st.best_avg <- e.Score.avg_queries;
-    record ~round:0 st st.current st.current_avg true false
+    record ~round:0 ~kind:"seed" st st.current st.current_avg true false
   in
   let step ~round st =
     chain_site st.k @@ fun () ->
     Telemetry.Watchdog.with_loop (wd_chain st.k) @@ fun () ->
     let slot = Prng.int st.rng 13 in
+    let kind = Gen.slot_kind slot in
+    Telemetry.Counter.incr (proposal_counter kind);
     let proposal = Gen.mutate_slot gen_config st.rng st.current ~slot in
     st.proposals <- st.proposals + 1;
     let verdict =
@@ -663,12 +683,12 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
           st.best <- proposal;
           st.best_avg <- avg
         end;
-        record ~round st proposal avg accepted false
+        record ~round ~kind st proposal avg accepted false
     | `Cut lower_bound ->
         (* Pruned proposals are rejected without an acceptance draw —
-           see Synthesizer.config.early_stop for the contract. *)
+           see [config.early_stop] in islands.mli for the contract. *)
         st.pruned <- st.pruned + 1;
-        record ~round st proposal lower_bound false true
+        record ~round ~kind st proposal lower_bound false true
   in
   let migrate ~round =
     let incoming = Array.map (fun st -> (st.best, st.best_avg)) states in

@@ -1,7 +1,16 @@
-(** Island-model distributed synthesis (ROADMAP item 3).
+(** OPPSLA's program synthesizer: Metropolis-Hastings over the sketch's
+    holes (Algorithm 2), run as an island model.
 
-    Runs [K] Metropolis-Hastings chains ({!Synthesizer}-style, Algorithm
-    2) in lockstep rounds at a ladder of temperatures
+    Each chain starts from a random instantiation of the sketch; every
+    round it mutates its current program's AST ({!Gen.mutate}), scores
+    the proposal's average query count on the training set, and accepts
+    it with probability [min 1 (S(P') / S(P))].  With [islands = 1] (and
+    so no migration) this is exactly Algorithm 2: the island's [final]
+    program is the paper's output, and [trace] holds every proposal
+    (the Figure 4 experiment evaluates its accepted programs).
+
+    With [K > 1] the chains run in lockstep rounds at a ladder of
+    temperatures
     [beta_k = beta * temperature_ratio^k] — island 0 is the coldest
     (most selective), hotter islands explore — and migrates elite
     programs around a ring on a fixed schedule: every
@@ -90,8 +99,16 @@ type config = {
   batch : int;  (** speculative batch width for every attack *)
   early_stop : Score.pac option;
       (** PAC candidate pruning per island, against that island's own
-          incumbent average; same contract as
-          {!Synthesizer.config.early_stop} *)
+          incumbent average.  Each proposal is scored with
+          {!Score.evaluate_pac} in a per-proposal permuted order drawn
+          from the island's ["islands/<k>/early-stop"] stream, and
+          abandoned once its early-stop lower bound exceeds the
+          incumbent's average.  A pruned proposal is rejected without an
+          acceptance draw, so the chain stream sees one fewer draw on
+          that round: early stopping trades exact MH semantics for
+          queries, and [None] (the default) scores every proposal on the
+          full training set.  Early-stopped synthesis is itself
+          deterministic for a given seed. *)
   checkpoint : string option;  (** checkpoint file path *)
   checkpoint_every : int;  (** rounds between writes; default 10 *)
   on_round : int -> unit;

@@ -49,7 +49,8 @@
    For randomized programs, images and training-set sizes it asserts that
    Score.evaluate_parallel over a pool of the requested width returns
    bit-identical query accounting to the sequential Score.evaluate, and
-   that the synthesizer's accepted-program trace is evaluator-independent.
+   that the synthesis trace (a --islands K run; K = 1 is Algorithm 2's
+   single chain) is independent of pool, cache and batch width.
    With --cache on, the uncached sequential evaluation stays the
    reference and the cached sequential (cold and warm store) and cached
    parallel evaluations are checked against it — the memo layer must be
@@ -63,7 +64,6 @@ module Runner = Evalharness.Runner
 module Attackers = Evalharness.Attackers
 module Score = Oppsla.Score
 module Space = Oppsla.Space
-module Synthesizer = Oppsla.Synthesizer
 
 let size = 4
 
@@ -901,98 +901,47 @@ let () =
         in
         check_identical (ctx "parallel") reference par
       done;
-      (* Synthesizer trace differential. *)
-      let training = training_set (Prng.of_int 42) 5 in
-      let config =
+      (* Synthesis differential: the island trace (at --islands 1, the
+         single MH chain of Algorithm 2) must be invariant under the
+         same axes.  The reference is the sequential batch-1 run (no
+         pool, no cache); the checked runs apply this grid point's pool,
+         cache and batch settings, plus a pool-less cached run when the
+         cache is on.  Early stopping stays off here — its determinism
+         has its own suite in test_islands.ml — so every proposal is
+         scored exactly on both arms. *)
+      let training = training_set (Prng.of_int 23) 5 in
+      let icfg =
         {
-          Synthesizer.default_config with
-          max_iters = 6;
+          Oppsla.Islands.default_config with
+          Oppsla.Islands.islands;
+          rounds = 4;
+          migration_period = 2;
           max_queries_per_image = Some 64;
         }
       in
-      let seq =
-        untraced (fun () ->
-            Synthesizer.synthesize
-              ~config:{ config with Synthesizer.batch = 1 }
-              (Prng.of_int 11) (mean_threshold_oracle ()) ~training)
+      let run ?pool ?caches cfg =
+        Oppsla.Islands.synthesize ~config:cfg ?pool ?caches (Prng.of_int 23)
+          (mean_threshold_oracle ()) ~training
       in
-      let config = { config with Synthesizer.batch } in
-      let par =
-        Synthesizer.synthesize ~config ~pool ?caches:(store_for training)
-          (Prng.of_int 11) (mean_threshold_oracle ()) ~training
+      let ref_out =
+        untraced (fun () -> run { icfg with Oppsla.Islands.batch = 1 })
       in
-      let check_traces a_name (a : Synthesizer.outcome)
-          (b : Synthesizer.outcome) =
-        if a.Synthesizer.synth_queries <> b.Synthesizer.synth_queries then
-          fail "synthesizer (%s): query spend diverged (%d <> %d)" a_name
-            a.Synthesizer.synth_queries b.Synthesizer.synth_queries;
-        List.iter2
-          (fun (x : Synthesizer.iteration) (y : Synthesizer.iteration) ->
-            if
-              x.Synthesizer.accepted <> y.Synthesizer.accepted
-              || x.Synthesizer.avg_queries <> y.Synthesizer.avg_queries
-              || not
-                   (Oppsla.Condition.equal_program x.Synthesizer.program
-                      y.Synthesizer.program)
-            then
-              fail "synthesizer (%s): trace diverged at iteration %d" a_name
-                x.Synthesizer.index)
-          a.Synthesizer.trace b.Synthesizer.trace
-      in
-      check_traces "parallel" seq par;
-      if cache then begin
-        let cached_seq =
-          Synthesizer.synthesize ~config ?caches:(store_for training)
-            (Prng.of_int 11) (mean_threshold_oracle ()) ~training
-        in
-        check_traces "cached sequential" seq cached_seq
-      end;
-      (* Island-model differential: with --islands K > 1, the whole
-         archipelago trace must be invariant under the same axes.  The
-         reference is the sequential batch-1 run (no pool, no cache);
-         the checked run applies this grid point's pool, cache and batch
-         settings.  Early stopping stays off here — its determinism has
-         its own suite in test_islands.ml — so every proposal is scored
-         exactly on both arms. *)
-      if islands > 1 then begin
-        let training = training_set (Prng.of_int 23) 5 in
-        let icfg =
-          {
-            Oppsla.Islands.default_config with
-            Oppsla.Islands.islands;
-            rounds = 4;
-            migration_period = 2;
-            max_queries_per_image = Some 64;
-          }
-        in
-        let run ~use_pool cfg =
-          Oppsla.Islands.synthesize ~config:cfg
-            ?pool:(if use_pool then Some pool else None)
-            ?caches:(if use_pool then store_for training else None)
-            (Prng.of_int 23) (mean_threshold_oracle ()) ~training
-        in
-        let ref_out =
-          untraced (fun () ->
-              run ~use_pool:false { icfg with Oppsla.Islands.batch = 1 })
-        in
-        let par_out = run ~use_pool:true { icfg with Oppsla.Islands.batch } in
-        if ref_out.Oppsla.Islands.synth_queries
-           <> par_out.Oppsla.Islands.synth_queries
-        then
-          fail "islands: query spend diverged (%d <> %d)"
-            ref_out.Oppsla.Islands.synth_queries
-            par_out.Oppsla.Islands.synth_queries;
+      let check_islands arm (out : Oppsla.Islands.outcome) =
+        let spent (o : Oppsla.Islands.outcome) = o.Oppsla.Islands.synth_queries in
+        if spent ref_out <> spent out then
+          fail "islands (%s): query spend diverged (%d <> %d)" arm
+            (spent ref_out) (spent out);
         if
           ref_out.Oppsla.Islands.best_avg_queries
-          <> par_out.Oppsla.Islands.best_avg_queries
+          <> out.Oppsla.Islands.best_avg_queries
           || not
                (Oppsla.Condition.equal_program ref_out.Oppsla.Islands.best
-                  par_out.Oppsla.Islands.best)
-        then fail "islands: best program diverged";
+                  out.Oppsla.Islands.best)
+        then fail "islands (%s): best program diverged" arm;
         if
           List.length ref_out.Oppsla.Islands.trace
-          <> List.length par_out.Oppsla.Islands.trace
-        then fail "islands: trace length diverged";
+          <> List.length out.Oppsla.Islands.trace
+        then fail "islands (%s): trace length diverged" arm;
         List.iter2
           (fun (x : Oppsla.Islands.entry) (y : Oppsla.Islands.entry) ->
             if
@@ -1006,10 +955,15 @@ let () =
                    (Oppsla.Condition.equal_program x.Oppsla.Islands.program
                       y.Oppsla.Islands.program)
             then
-              fail "islands: trace diverged at round %d island %d"
+              fail "islands (%s): trace diverged at round %d island %d" arm
                 x.Oppsla.Islands.round x.Oppsla.Islands.island)
-          ref_out.Oppsla.Islands.trace par_out.Oppsla.Islands.trace
-      end;
+          ref_out.Oppsla.Islands.trace out.Oppsla.Islands.trace
+      in
+      let icfg = { icfg with Oppsla.Islands.batch } in
+      check_islands "parallel" (run ~pool ?caches:(store_for training) icfg);
+      if cache then
+        check_islands "cached sequential"
+          (run ?caches:(store_for training) icfg);
       (match trace_file with
       | None -> ()
       | Some f ->
@@ -1064,12 +1018,11 @@ let () =
       Printf.printf
         "diff_runner: sequential and %d-domain evaluation bit-identical \
          with cache %s at batch width %d, trace %s, observe %s, islands \
-         %d (12 evaluation trials + synthesis trace%s)\n"
+         %d (12 evaluation trials + synthesis trace)\n"
         domains
         (if cache then "on" else "off")
         batch
         (if trace then "on" else "off")
         (if observe then "on" else "off")
         islands
-        (if islands > 1 then " + island-model trace" else "")
       end)

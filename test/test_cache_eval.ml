@@ -12,7 +12,7 @@
 
 module Score = Oppsla.Score
 module Sketch = Oppsla.Sketch
-module Synthesizer = Oppsla.Synthesizer
+module Islands = Oppsla.Islands
 module C = Oppsla.Condition
 
 let size = 4
@@ -236,36 +236,37 @@ let synthesizer_differential () =
   let training = training_set (Prng.of_int 42) 5 in
   let config =
     {
-      Synthesizer.default_config with
-      max_iters = 6;
+      Islands.default_config with
+      islands = 1;
+      rounds = 6;
       max_queries_per_image = Some 64;
     }
   in
   let run ?pool ?caches () =
-    Synthesizer.synthesize ~config ?pool ?caches (Prng.of_int 11)
+    Islands.synthesize ~config ?pool ?caches (Prng.of_int 11)
       (Helpers.mean_threshold_oracle ())
       ~training
   in
   let reference = run () in
-  let check name (out : Synthesizer.outcome) =
+  let check name (out : Islands.outcome) =
     Alcotest.(check int) (name ^ ": synthesis spend")
-      reference.Synthesizer.synth_queries out.Synthesizer.synth_queries;
+      reference.Islands.synth_queries out.Islands.synth_queries;
     Alcotest.(check bool) (name ^ ": final program") true
-      (C.equal_program reference.Synthesizer.final out.Synthesizer.final);
+      (C.equal_program reference.Islands.islands.(0).Islands.final
+         out.Islands.islands.(0).Islands.final);
     Alcotest.(check int) (name ^ ": trace length")
-      (List.length reference.Synthesizer.trace)
-      (List.length out.Synthesizer.trace);
+      (List.length reference.Islands.trace)
+      (List.length out.Islands.trace);
     List.iter2
-      (fun (a : Synthesizer.iteration) (b : Synthesizer.iteration) ->
+      (fun (a : Islands.entry) (b : Islands.entry) ->
         Alcotest.(check bool)
-          (Printf.sprintf "%s: iteration %d" name a.Synthesizer.index)
+          (Printf.sprintf "%s: round %d" name a.Islands.round)
           true
-          (a.Synthesizer.accepted = b.Synthesizer.accepted
-          && a.Synthesizer.avg_queries = b.Synthesizer.avg_queries
-          && a.Synthesizer.synth_queries_total
-             = b.Synthesizer.synth_queries_total
-          && C.equal_program a.Synthesizer.program b.Synthesizer.program))
-      reference.Synthesizer.trace out.Synthesizer.trace
+          (a.Islands.accepted = b.Islands.accepted
+          && a.Islands.avg_queries = b.Islands.avg_queries
+          && a.Islands.queries_total = b.Islands.queries_total
+          && C.equal_program a.Islands.program b.Islands.program))
+      reference.Islands.trace out.Islands.trace
   in
   let caches () = Score_cache.store (Array.length training) in
   check "cached sequential" (run ~caches:(caches ()) ());

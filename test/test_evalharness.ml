@@ -186,6 +186,43 @@ let gate_overhead_sign_flip () =
     (gate_passes ~baseline:{|{"overhead_fraction": -0.01}|}
        ~fresh:{|{"overhead_fraction": 0.01}|})
 
+(* Workbench.parallel_evaluator scores through the classifier's backend:
+   an F32 classifier's evaluation advances the f32 GEMM counters and
+   leaves the boxed ones untouched, with or without a caller's pool. *)
+let parallel_evaluator_uses_backend () =
+  let size = 8 in
+  let c =
+    {
+      Evalharness.Workbench.arch = "vgg_tiny";
+      net = Nn.Zoo.vgg_tiny (Prng.of_int 3) ~image_size:size ~num_classes:2;
+      spec = Dataset.synth_cifar;
+      test = [||];
+      test_accuracy = 1.;
+      synth_sets = [||];
+      backend = Nn.Backend.F32;
+    }
+  in
+  let samples =
+    [| (Helpers.flat_image ~size 0.4, 0); (Helpers.flat_image ~size 0.6, 1) |]
+  in
+  let flops backend =
+    Telemetry.Counter.get
+      (Telemetry.Metrics.counter ("backend." ^ backend ^ ".gemm_flops"))
+  in
+  let check name evaluate =
+    let f32 = flops "f32" and boxed = flops "boxed" in
+    let e = evaluate Oppsla.Condition.const_false_program samples in
+    Alcotest.(check bool) (name ^ ": queries were posed") true
+      (e.Oppsla.Score.total_queries > 0);
+    Alcotest.(check bool) (name ^ ": f32 GEMMs ran") true (flops "f32" > f32);
+    Alcotest.(check int) (name ^ ": no boxed GEMM") boxed (flops "boxed")
+  in
+  check "transient pool"
+    (Evalharness.Workbench.parallel_evaluator ~domains:2 ~max_queries:8 c);
+  Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
+      check "caller's pool"
+        (Evalharness.Workbench.parallel_evaluator ~pool ~max_queries:8 c))
+
 let suite =
   [
     Alcotest.test_case "parallel matches sequential" `Quick
@@ -210,4 +247,6 @@ let suite =
       gate_exact_identity_flag;
     Alcotest.test_case "gate overhead growth" `Quick gate_overhead_growth;
     Alcotest.test_case "gate overhead sign flip" `Quick gate_overhead_sign_flip;
+    Alcotest.test_case "parallel evaluator uses backend" `Quick
+      parallel_evaluator_uses_backend;
   ]

@@ -106,19 +106,20 @@ let targeted_score_evaluate () =
 let targeted_synthesis_runs () =
   let cfg =
     {
-      Oppsla.Synthesizer.default_config with
-      max_iters = 3;
+      Oppsla.Islands.default_config with
+      islands = 1;
+      rounds = 3;
       goal = Sketch.Targeted 2;
       max_queries_per_image = Some 16;
     }
   in
   let out =
-    Oppsla.Synthesizer.synthesize ~config:cfg (Prng.of_int 5)
+    Oppsla.Islands.synthesize ~config:cfg (Prng.of_int 5)
       (channel_oracle ())
       ~training:[| (reddish, 0) |]
   in
   Alcotest.(check bool) "finite avg" true
-    (out.Oppsla.Synthesizer.final_avg_queries < 1e6)
+    (out.Oppsla.Islands.islands.(0).Oppsla.Islands.final_avg_queries < 1e6)
 
 (* Few-pixel Sparse-RS *)
 

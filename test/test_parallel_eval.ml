@@ -9,7 +9,7 @@
    (diff_runner.ml) wired into the `runtest` alias with --domains 1/4. *)
 
 module Score = Oppsla.Score
-module Synthesizer = Oppsla.Synthesizer
+module Islands = Oppsla.Islands
 module C = Oppsla.Condition
 
 let size = 4
@@ -87,19 +87,20 @@ let evaluate_parallel_clones_oracle () =
       Alcotest.(check int) "caller handle unmetered" 0 (Oracle.queries oracle))
 
 (* Determinism regression: the synthesizer's accepted-program trace must
-   not depend on which evaluator backs it. *)
+   not depend on whether a pool backs its evaluations. *)
 
 let synthesizer_pool_matches_sequential () =
   let training = training_set (Prng.of_int 42) 5 in
   let config =
     {
-      Synthesizer.default_config with
-      max_iters = 8;
+      Islands.default_config with
+      islands = 1;
+      rounds = 8;
       max_queries_per_image = Some 64;
     }
   in
   let run pool =
-    Synthesizer.synthesize ~config ?pool (Prng.of_int 11)
+    Islands.synthesize ~config ?pool (Prng.of_int 11)
       (Helpers.mean_threshold_oracle ())
       ~training
   in
@@ -107,52 +108,25 @@ let synthesizer_pool_matches_sequential () =
   Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
       let par = run (Some pool) in
       Alcotest.(check int) "same trace length"
-        (List.length seq.Synthesizer.trace)
-        (List.length par.Synthesizer.trace);
+        (List.length seq.Islands.trace)
+        (List.length par.Islands.trace);
       List.iter2
-        (fun (a : Synthesizer.iteration) (b : Synthesizer.iteration) ->
-          Alcotest.(check int) "same index" a.Synthesizer.index
-            b.Synthesizer.index;
-          Alcotest.(check bool) "same acceptance" a.Synthesizer.accepted
-            b.Synthesizer.accepted;
-          Alcotest.(check (float 0.)) "same avg" a.Synthesizer.avg_queries
-            b.Synthesizer.avg_queries;
+        (fun (a : Islands.entry) (b : Islands.entry) ->
+          Alcotest.(check int) "same round" a.Islands.round b.Islands.round;
+          Alcotest.(check bool) "same acceptance" a.Islands.accepted
+            b.Islands.accepted;
+          Alcotest.(check (float 0.)) "same avg" a.Islands.avg_queries
+            b.Islands.avg_queries;
           Alcotest.(check int) "same cumulative queries"
-            a.Synthesizer.synth_queries_total b.Synthesizer.synth_queries_total;
+            a.Islands.queries_total b.Islands.queries_total;
           Alcotest.(check bool) "same program" true
-            (C.equal_program a.Synthesizer.program b.Synthesizer.program))
-        seq.Synthesizer.trace par.Synthesizer.trace;
+            (C.equal_program a.Islands.program b.Islands.program))
+        seq.Islands.trace par.Islands.trace;
       Alcotest.(check bool) "same final program" true
-        (C.equal_program seq.Synthesizer.final par.Synthesizer.final);
-      Alcotest.(check int) "same synthesis spend" seq.Synthesizer.synth_queries
-        par.Synthesizer.synth_queries)
-
-let explicit_evaluator_beats_pool () =
-  let calls = ref 0 in
-  let evaluator _program samples =
-    incr calls;
-    {
-      Score.avg_queries = 3.;
-      successes = 1;
-      attempts = Array.length samples;
-      total_queries = 3;
-      per_image =
-        Array.map (fun _ -> { Score.queries = 3; success = true }) samples;
-    }
-  in
-  let config =
-    {
-      Synthesizer.default_config with
-      max_iters = 2;
-      evaluator = Some evaluator;
-    }
-  in
-  Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
-      ignore
-        (Synthesizer.synthesize ~config ~pool (Prng.of_int 3)
-           (Helpers.mean_threshold_oracle ())
-           ~training:(training_set (Prng.of_int 2) 3)));
-  Alcotest.(check int) "custom evaluator used" 3 !calls
+        (C.equal_program seq.Islands.islands.(0).Islands.final
+           par.Islands.islands.(0).Islands.final);
+      Alcotest.(check int) "same synthesis spend" seq.Islands.synth_queries
+        par.Islands.synth_queries)
 
 (* Pool lifecycle and scheduling properties. *)
 
@@ -271,8 +245,6 @@ let suite =
       evaluate_parallel_clones_oracle;
     Alcotest.test_case "synthesizer: pool trace = sequential trace" `Quick
       synthesizer_pool_matches_sequential;
-    Alcotest.test_case "explicit evaluator beats pool" `Quick
-      explicit_evaluator_beats_pool;
     QCheck_alcotest.to_alcotest qcheck_pool_map_matches_array_map;
     Alcotest.test_case "pool map edge sizes" `Quick pool_map_edge_sizes;
     Alcotest.test_case "pool re-raises worker exception" `Quick

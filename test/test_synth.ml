@@ -1,9 +1,10 @@
 (* Tests for the score function and the Metropolis-Hastings synthesizer
-   (Algorithm 2), run against the exact mean-threshold toy classifier. *)
+   (Algorithm 2, a one-island {!Oppsla.Islands} run), against the exact
+   mean-threshold toy classifier. *)
 
 module C = Oppsla.Condition
 module Score = Oppsla.Score
-module Synthesizer = Oppsla.Synthesizer
+module Islands = Oppsla.Islands
 
 let size = 4
 let full_space = 8 * size * size
@@ -62,133 +63,131 @@ let evaluate_no_successes () =
   Alcotest.(check (float 0.)) "penalty" Score.no_success_penalty
     e.Score.avg_queries
 
-(* Synthesizer *)
+(* Synthesis: Algorithm 2 is a one-island Islands run. *)
 
 let config iters =
   {
-    Synthesizer.default_config with
-    max_iters = iters;
+    Islands.default_config with
+    islands = 1;
+    rounds = iters;
     max_queries_per_image = Some 64;
   }
 
+let chain (out : Islands.outcome) = out.Islands.islands.(0)
+
+let proposals_counted () =
+  List.fold_left
+    (fun acc kind ->
+      acc
+      + Telemetry.Counter.get
+          (Telemetry.Metrics.counter ("islands.proposals." ^ kind)))
+    0
+    [ "root"; "condition"; "function"; "constant" ]
+
 let trace_well_formed () =
+  let counted = proposals_counted () in
   let out =
-    Synthesizer.synthesize ~config:(config 10) (Prng.of_int 3) (oracle ())
+    Islands.synthesize ~config:(config 10) (Prng.of_int 3) (oracle ())
       ~training
   in
-  let trace = out.Synthesizer.trace in
-  Alcotest.(check int) "initial + iterations" 11 (List.length trace);
+  Alcotest.(check int) "one node-class count per proposal" 10
+    (proposals_counted () - counted);
+  let trace = out.Islands.trace in
+  Alcotest.(check int) "seed + rounds" 11 (List.length trace);
   List.iteri
-    (fun i (it : Synthesizer.iteration) ->
-      Alcotest.(check int) "indices in order" i it.Synthesizer.index)
+    (fun i (e : Islands.entry) ->
+      Alcotest.(check int) "rounds in order" i e.Islands.round;
+      Alcotest.(check int) "one island" 0 e.Islands.island)
     trace;
   (* Cumulative synthesis queries are non-decreasing and end at the
      reported total. *)
   let rec check_monotone = function
-    | (a : Synthesizer.iteration) :: (b : Synthesizer.iteration) :: rest ->
+    | (a : Islands.entry) :: (b : Islands.entry) :: rest ->
         Alcotest.(check bool) "monotone" true
-          (a.synth_queries_total <= b.synth_queries_total);
+          (a.queries_total <= b.queries_total);
         check_monotone (b :: rest)
     | _ -> ()
   in
   check_monotone trace;
   let last = List.nth trace (List.length trace - 1) in
-  Alcotest.(check int) "total matches" out.Synthesizer.synth_queries
-    last.Synthesizer.synth_queries_total
+  Alcotest.(check int) "total matches" out.Islands.synth_queries
+    last.Islands.queries_total;
+  Alcotest.(check int) "island spend is the total" out.Islands.synth_queries
+    (chain out).Islands.queries
 
 let initial_iteration_accepted () =
   let out =
-    Synthesizer.synthesize ~config:(config 3) (Prng.of_int 4) (oracle ())
+    Islands.synthesize ~config:(config 3) (Prng.of_int 4) (oracle ())
       ~training
   in
-  match out.Synthesizer.trace with
+  match out.Islands.trace with
   | first :: _ ->
-      Alcotest.(check bool) "iteration 0 accepted" true
-        first.Synthesizer.accepted
+      Alcotest.(check bool) "round 0 accepted" true first.Islands.accepted
   | [] -> Alcotest.fail "empty trace"
 
 let final_is_last_accepted () =
   let out =
-    Synthesizer.synthesize ~config:(config 15) (Prng.of_int 5) (oracle ())
+    Islands.synthesize ~config:(config 15) (Prng.of_int 5) (oracle ())
       ~training
   in
   let last_accepted =
     List.fold_left
-      (fun acc (it : Synthesizer.iteration) ->
-        if it.Synthesizer.accepted then Some it.Synthesizer.program else acc)
-      None out.Synthesizer.trace
+      (fun acc (e : Islands.entry) ->
+        if e.Islands.accepted then Some e.Islands.program else acc)
+      None out.Islands.trace
   in
   match last_accepted with
   | Some p ->
       Alcotest.(check bool) "chain position" true
-        (C.equal_program p out.Synthesizer.final)
-  | None -> Alcotest.fail "no accepted iteration"
+        (C.equal_program p (chain out).Islands.final)
+  | None -> Alcotest.fail "no accepted round"
 
 let best_not_worse_than_final () =
   let out =
-    Synthesizer.synthesize ~config:(config 15) (Prng.of_int 6) (oracle ())
+    Islands.synthesize ~config:(config 15) (Prng.of_int 6) (oracle ())
       ~training
   in
+  let c = chain out in
   Alcotest.(check bool) "best <= final" true
-    (out.Synthesizer.best_avg_queries <= out.Synthesizer.final_avg_queries)
+    (c.Islands.best_avg_queries <= c.Islands.final_avg_queries);
+  Alcotest.(check (float 0.)) "run best is the chain's best"
+    c.Islands.best_avg_queries out.Islands.best_avg_queries
 
 let deterministic_given_seed () =
   let run () =
-    Synthesizer.synthesize ~config:(config 8) (Prng.of_int 7) (oracle ())
+    Islands.synthesize ~config:(config 8) (Prng.of_int 7) (oracle ())
       ~training
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same final program" true
-    (C.equal_program a.Synthesizer.final b.Synthesizer.final);
-  Alcotest.(check int) "same query spend" a.Synthesizer.synth_queries
-    b.Synthesizer.synth_queries
+    (C.equal_program (chain a).Islands.final (chain b).Islands.final);
+  Alcotest.(check int) "same query spend" a.Islands.synth_queries
+    b.Islands.synth_queries
 
 let max_synth_queries_stops_early () =
   let cfg = { (config 1000) with max_synth_queries = Some 200 } in
   let out =
-    Synthesizer.synthesize ~config:cfg (Prng.of_int 8) (oracle ()) ~training
+    Islands.synthesize ~config:cfg (Prng.of_int 8) (oracle ()) ~training
   in
   Alcotest.(check bool) "stopped early" true
-    (List.length out.Synthesizer.trace < 1001);
+    (List.length out.Islands.trace < 1001);
   (* It overshoots by at most one evaluation. *)
   Alcotest.(check bool) "bounded overshoot" true
-    (out.Synthesizer.synth_queries <= 200 + ((2 * 64) + full_space))
-
-let custom_evaluator_used () =
-  let calls = ref 0 in
-  let evaluator _program samples =
-    incr calls;
-    {
-      Score.avg_queries = 5.;
-      successes = Array.length samples;
-      attempts = Array.length samples;
-      total_queries = 10;
-      per_image =
-        Array.map
-          (fun _ -> { Score.queries = 5; success = true })
-          samples;
-    }
-  in
-  let cfg = { (config 4) with evaluator = Some evaluator } in
-  let out =
-    Synthesizer.synthesize ~config:cfg (Prng.of_int 9) (oracle ()) ~training
-  in
-  Alcotest.(check int) "evaluator called per candidate" 5 !calls;
-  Alcotest.(check int) "queries from evaluations" 50
-    out.Synthesizer.synth_queries
+    (out.Islands.synth_queries <= 200 + ((2 * 64) + full_space))
 
 let empty_training_raises () =
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Synthesizer.synthesize (Prng.of_int 1) (oracle ()) ~training:[||]);
+       ignore (Islands.synthesize (Prng.of_int 1) (oracle ()) ~training:[||]);
        false
      with Invalid_argument _ -> true)
 
-let on_iteration_hook_called () =
-  let seen = ref 0 in
-  let cfg = { (config 5) with on_iteration = (fun _ -> incr seen) } in
-  ignore (Synthesizer.synthesize ~config:cfg (Prng.of_int 10) (oracle ()) ~training);
-  Alcotest.(check int) "hook fired" 6 !seen
+let on_round_hook_called () =
+  let seen = ref [] in
+  let cfg = { (config 5) with on_round = (fun r -> seen := r :: !seen) } in
+  ignore (Islands.synthesize ~config:cfg (Prng.of_int 10) (oracle ()) ~training);
+  Alcotest.(check (list int)) "hook fired once per round, in order"
+    [ 1; 2; 3; 4; 5 ] (List.rev !seen)
 
 (* --- PAC early stopping --- *)
 
@@ -284,92 +283,101 @@ let pac_rejects_bad_order () =
 
 (* The headline soundness property: on a seeded corpus, every proposal
    the synthesizer prunes is one the full evaluation would have scored
-   strictly worse than the incumbent of that iteration — early stopping
+   strictly worse than the incumbent of that round — early stopping
    only ever kills candidates exact scoring would not have kept. *)
 let pac_never_prunes_keepers () =
   let cfg =
     {
-      Synthesizer.default_config with
-      max_iters = 40;
+      Islands.default_config with
+      islands = 1;
+      rounds = 40;
       max_queries_per_image = Some 128;
       early_stop = Some aggressive_pac;
     }
   in
   let out =
-    Synthesizer.synthesize ~config:cfg (Prng.of_int 21) (oracle ())
+    Islands.synthesize ~config:cfg (Prng.of_int 21) (oracle ())
       ~training:pac_training
   in
   let pruned_total = ref 0 in
   let incumbent = ref nan in
   List.iter
-    (fun (it : Synthesizer.iteration) ->
-      if it.Synthesizer.index = 0 then incumbent := it.Synthesizer.avg_queries
-      else if it.Synthesizer.pruned then begin
+    (fun (e : Islands.entry) ->
+      if e.Islands.round = 0 then incumbent := e.Islands.avg_queries
+      else if e.Islands.pruned then begin
         incr pruned_total;
         Alcotest.(check bool) "pruned implies rejected" false
-          it.Synthesizer.accepted;
+          e.Islands.accepted;
         let full =
-          Score.evaluate ~max_queries:128 (oracle ()) it.Synthesizer.program
+          Score.evaluate ~max_queries:128 (oracle ()) e.Islands.program
             pac_training
         in
         Alcotest.(check bool)
           (Printf.sprintf
-             "iteration %d: full avg %.3f must beat incumbent %.3f to be \
+             "round %d: full avg %.3f must beat incumbent %.3f to be \
               wrongly pruned"
-             it.Synthesizer.index full.Score.avg_queries !incumbent)
+             e.Islands.round full.Score.avg_queries !incumbent)
           true
           (full.Score.avg_queries > !incumbent)
       end
-      else if it.Synthesizer.accepted then
-        incumbent := it.Synthesizer.avg_queries)
-    out.Synthesizer.trace;
+      else if e.Islands.accepted then incumbent := e.Islands.avg_queries)
+    out.Islands.trace;
   (* The property must not hold vacuously. *)
   Alcotest.(check bool) "at least one proposal was pruned" true
-    (!pruned_total > 0)
+    (!pruned_total > 0);
+  Alcotest.(check int) "report counts the pruned entries" !pruned_total
+    (chain out).Islands.pruned
 
-(* The --no-early-stop escape hatch: early_stop = None must reproduce
-   the scores this synthesizer produced before PAC pruning existed.
-   The golden numbers were recorded on the pre-PR code at this exact
-   configuration (seed 7, 8 iterations, cap 64, 3-image corpus). *)
-let no_early_stop_matches_pre_pac_golden () =
+(* With early stopping off every proposal is scored exactly: each trace
+   entry's average is what a fresh Score.evaluate of its program gives,
+   and the run's spend is the sum of those evaluations' totals. *)
+let exact_scoring_matches_evaluate () =
   let out =
-    Synthesizer.synthesize ~config:(config 8) (Prng.of_int 7) (oracle ())
+    Islands.synthesize ~config:(config 8) (Prng.of_int 7) (oracle ())
       ~training
   in
-  Alcotest.(check int) "pre-PR query spend" 594 out.Synthesizer.synth_queries;
-  Alcotest.(check (float 0.)) "pre-PR final average" 1.
-    out.Synthesizer.final_avg_queries;
-  Alcotest.(check string) "pre-PR final program"
-    "B1: max(pert) < 0.17598642404620646; B2: min(orig) > \
-     0.96032900810871424; B3: min(orig) < 0.41503141680443933; B4: \
-     min(orig) > 0.87961369762781705"
-    (Oppsla.Dsl.print_program out.Synthesizer.final);
-  List.iter
-    (fun (it : Synthesizer.iteration) ->
-      Alcotest.(check bool) "nothing pruned" false it.Synthesizer.pruned)
-    out.Synthesizer.trace
+  let spent =
+    List.fold_left
+      (fun spent (e : Islands.entry) ->
+        Alcotest.(check bool) "nothing pruned" false e.Islands.pruned;
+        let full =
+          Score.evaluate ~max_queries:64 (oracle ()) e.Islands.program training
+        in
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "round %d average" e.Islands.round)
+          full.Score.avg_queries e.Islands.avg_queries;
+        let spent = spent + full.Score.total_queries in
+        Alcotest.(check int)
+          (Printf.sprintf "round %d cumulative spend" e.Islands.round)
+          spent e.Islands.queries_total;
+        spent)
+      0 out.Islands.trace
+  in
+  Alcotest.(check int) "spend is the sum of evaluations" spent
+    out.Islands.synth_queries
 
 let early_stop_deterministic_and_cheaper () =
   let cfg early_stop =
     {
-      Synthesizer.default_config with
-      max_iters = 40;
+      Islands.default_config with
+      islands = 1;
+      rounds = 40;
       max_queries_per_image = Some 128;
       early_stop;
     }
   in
   let run es =
-    Synthesizer.synthesize ~config:(cfg es) (Prng.of_int 21) (oracle ())
+    Islands.synthesize ~config:(cfg es) (Prng.of_int 21) (oracle ())
       ~training:pac_training
   in
   let a = run (Some aggressive_pac) and b = run (Some aggressive_pac) in
-  Alcotest.(check int) "deterministic spend" a.Synthesizer.synth_queries
-    b.Synthesizer.synth_queries;
+  Alcotest.(check int) "deterministic spend" a.Islands.synth_queries
+    b.Islands.synth_queries;
   Alcotest.(check bool) "same final" true
-    (C.equal_program a.Synthesizer.final b.Synthesizer.final);
+    (C.equal_program (chain a).Islands.final (chain b).Islands.final);
   let exact = run None in
   Alcotest.(check bool) "early stopping saves queries" true
-    (a.Synthesizer.synth_queries < exact.Synthesizer.synth_queries)
+    (a.Islands.synth_queries < exact.Islands.synth_queries)
 
 let suite =
   [
@@ -385,17 +393,16 @@ let suite =
     Alcotest.test_case "best <= final" `Quick best_not_worse_than_final;
     Alcotest.test_case "deterministic" `Quick deterministic_given_seed;
     Alcotest.test_case "max synth queries" `Quick max_synth_queries_stops_early;
-    Alcotest.test_case "custom evaluator" `Quick custom_evaluator_used;
     Alcotest.test_case "empty training raises" `Quick empty_training_raises;
-    Alcotest.test_case "on_iteration hook" `Quick on_iteration_hook_called;
+    Alcotest.test_case "on_round hook" `Quick on_round_hook_called;
     QCheck_alcotest.to_alcotest qcheck_pac_complete_is_exact;
     Alcotest.test_case "pac prunes against low threshold" `Quick
       pac_prunes_against_low_threshold;
     Alcotest.test_case "pac rejects bad order" `Quick pac_rejects_bad_order;
     Alcotest.test_case "pac never prunes keepers" `Quick
       pac_never_prunes_keepers;
-    Alcotest.test_case "no-early-stop matches pre-PR golden" `Quick
-      no_early_stop_matches_pre_pac_golden;
+    Alcotest.test_case "exact scoring matches Score.evaluate" `Quick
+      exact_scoring_matches_evaluate;
     Alcotest.test_case "early stop deterministic and cheaper" `Quick
       early_stop_deterministic_and_cheaper;
   ]
