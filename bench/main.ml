@@ -227,8 +227,8 @@ let bench_parallel quick =
               measure
                 (Printf.sprintf "pool-%d" domains)
                 (fun () ->
-                  Score.evaluate_parallel ~max_queries ~pool (oracle ())
-                    program samples);
+                  Score.evaluate ~max_queries ~pool (oracle ()) program
+                    samples);
               print_endline
                 (Report.render_telemetry
                    ~pool:(Domain_pool.Pool.stats pool) ())))

@@ -38,7 +38,12 @@ let () =
   in
   let batch = Array.sub classifier.test 0 (min 40 (Array.length classifier.test)) in
   let evaluate name program =
-    let e = Workbench.parallel_evaluator classifier program batch in
+    let e =
+      Domain_pool.Pool.with_pool (fun pool ->
+          Oppsla.Score.evaluate ~pool
+            (Workbench.oracle_factory classifier ())
+            program batch)
+    in
     Printf.printf "%-13s %d/%d successes, avg %.1f queries\n" name
       e.Oppsla.Score.successes e.attempts e.avg_queries
   in

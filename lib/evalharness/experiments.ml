@@ -287,9 +287,9 @@ let fig4 ?(scale = default_scale) config =
   in
   let evaluate_on_heldout program =
     let e =
-      Workbench.parallel_evaluator ~pool ?caches:heldout_caches
-        ~max_queries:scale.max_queries_cifar ~batch:scale.batch c program
-        heldout
+      Oppsla.Score.evaluate ~max_queries:scale.max_queries_cifar
+        ?caches:heldout_caches ~batch:scale.batch ~pool
+        (Workbench.oracle_factory c ()) program heldout
     in
     e.Oppsla.Score.avg_queries
   in

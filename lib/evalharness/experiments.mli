@@ -10,7 +10,7 @@ type scale = {
       (** width of the per-experiment persistent domain pool; [None] =
           auto.  Parallelism never changes results: per-image oracles and
           image-order merging keep query counts bit-identical (see
-          {!Oppsla.Score.evaluate_parallel}). *)
+          {!Oppsla.Score.evaluate}). *)
   cache : bool;
       (** memoize perturbation scores during the attack phases (one
           {!Score_cache} store per classifier, shared across attackers so

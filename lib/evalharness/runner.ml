@@ -3,34 +3,15 @@ type record = { true_class : int; success : bool; queries : int }
 let run ?domains ?pool ?caches ?(batch = Oppsla.Sketch.default_batch)
     ?(goal = Oppsla.Sketch.Untargeted) ~seed ~max_queries
     (attacker : Attackers.t) ~oracle_factory samples =
-  (match caches with
-  | Some store when Score_cache.store_size store <> Array.length samples ->
-      invalid_arg
-        (Printf.sprintf "Runner.run: cache store has %d slots for %d samples"
-           (Score_cache.store_size store)
-           (Array.length samples))
-  | _ -> ());
-  let indexed = Array.mapi (fun i s -> (i, s)) samples in
-  (* Stamp the image index onto the harness heartbeat so /healthz shows
-     which sample a wedged run was on (the attackers themselves beat
-     per query under their own loop names). *)
-  let wd = Telemetry.Watchdog.loop "runner.attack" in
-  let attack_one (i, (image, true_class)) =
-    Telemetry.Watchdog.beat ~image:i wd;
-    Telemetry.Journal.with_image i @@ fun () ->
+  let attack i ~cache ~image ~true_class =
     let g =
       Prng.named_stream (Prng.of_int seed)
         (Printf.sprintf "run/%s/%d" attacker.Attackers.name i)
     in
+    (* The attacker signature takes only an oracle, so the image's own
+       cache slot travels attached to the image's own fresh oracle. *)
     let oracle = oracle_factory () in
-    (* Attach the image's own slot to the image's own fresh oracle: the
-       attacker signature takes only an oracle, so attachment is how the
-       cache travels.  Slot i is only ever touched by the one worker
-       attacking image i, so the ownership rule holds under the pool. *)
-    (match caches with
-    | Some store ->
-        Oracle.set_cache oracle (Some (Score_cache.image_cache store i))
-    | None -> ());
+    Option.iter (fun c -> Oracle.set_cache oracle (Some c)) cache;
     let r =
       attacker.Attackers.run g oracle ~goal ~max_queries ~batch ~image
         ~true_class
@@ -41,10 +22,20 @@ let run ?domains ?pool ?caches ?(batch = Oppsla.Sketch.default_batch)
       queries = r.Oppsla.Sketch.queries;
     }
   in
-  Telemetry.Watchdog.with_loop wd @@ fun () ->
+  let attack_each pool =
+    Oppsla.Score.attack_each ?pool ?caches attack samples
+  in
   match pool with
-  | Some pool -> Domain_pool.Pool.map pool attack_one indexed
-  | None -> Domain_pool.map ?domains attack_one indexed
+  | Some _ -> attack_each pool
+  | None ->
+      (* A transient pool, on the same terms as [Domain_pool.map]. *)
+      let domains =
+        Option.value domains ~default:(Domain_pool.domain_count ())
+      and n = Array.length samples in
+      if domains <= 1 || n < 2 then attack_each None
+      else
+        Domain_pool.Pool.with_pool ~domains:(min domains n) (fun pool ->
+            attack_each (Some pool))
 
 let success_rate_at records budget =
   if Array.length records = 0 then 0.

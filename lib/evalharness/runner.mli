@@ -26,13 +26,19 @@ val run :
   oracle_factory:(unit -> Oracle.t) ->
   (Tensor.t * int) array ->
   record array
-(** Attack every (image, class) pair — over the persistent [pool] when
-    given, else over a transient [domains]-wide pool.  Every image gets a
-    fresh oracle from [oracle_factory] (for a network-backed classifier,
-    pass {!Workbench.oracle_factory}; tests can hand the runner a toy
-    oracle the same way), and randomized attackers get a distinct,
-    reproducible RNG per image (derived from [seed] and the image's
-    index), so records do not depend on the parallelism.
+(** Attack every (image, class) pair through
+    {!Oppsla.Score.attack_each}, the per-image loop the score evaluators
+    use — over the persistent [pool] when given, else over a transient
+    [domains]-wide pool ([domains] defaults to
+    {!Domain_pool.domain_count}; at [domains <= 1] or on fewer than two
+    samples the attacks run inline and no pool is created).  Every
+    attack runs under the caller's journal charge site, pooled or not.
+    Every image gets a fresh oracle from [oracle_factory] (for a
+    network-backed classifier, pass {!Workbench.oracle_factory}; tests
+    can hand the runner a toy oracle the same way), and randomized
+    attackers get a distinct, reproducible RNG per image (derived from
+    [seed] and the image's index), so records do not depend on the
+    parallelism.
 
     [goal] (default [Untargeted]) is forwarded to every attack; targeted
     runs record success against the target class

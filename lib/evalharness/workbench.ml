@@ -188,16 +188,6 @@ let targeted_samples c ~target =
   Array.of_list
     (List.filter (fun (_, cl) -> cl <> target) (Array.to_list c.test))
 
-let parallel_evaluator ?domains ?pool ?caches ?max_queries ?batch c program
-    samples =
-  let evaluate pool =
-    Oppsla.Score.evaluate_parallel ?max_queries ?caches ?batch ~pool
-      (oracle_factory c ()) program samples
-  in
-  match pool with
-  | Some pool -> evaluate pool
-  | None -> Domain_pool.Pool.with_pool ?domains evaluate
-
 type synth_params = {
   iters : int;
   beta : float;
@@ -428,8 +418,8 @@ let sketch_random_programs ?(samples = 210) ?(max_queries_per_image = 1024)
             let out =
               Baselines.Random_search.synthesize ~samples
                 ~evaluator:
-                  (parallel_evaluator ~pool ?caches
-                     ~max_queries:max_queries_per_image ?batch c)
+                  (Oppsla.Score.evaluate ~max_queries:max_queries_per_image
+                     ?caches ?batch ~pool (oracle_factory c ()))
                 g (oracle_factory c ()) ~training
             in
             log_cache_stats config

@@ -70,30 +70,6 @@ val targeted_samples : classifier -> target:int -> (Tensor.t * int) array
     classified as the target would succeed in zero queries).  Raises
     [Invalid_argument] for an out-of-range class. *)
 
-val parallel_evaluator :
-  ?domains:int ->
-  ?pool:Domain_pool.Pool.t ->
-  ?caches:Score_cache.store ->
-  ?max_queries:int ->
-  ?batch:int ->
-  classifier ->
-  Oppsla.Condition.program ->
-  (Tensor.t * int) array ->
-  Oppsla.Score.evaluation
-(** Drop-in for {!Oppsla.Score.evaluate} that fans the per-image attacks
-    out across domains with {!Oppsla.Score.evaluate_parallel}: over
-    [pool] when given (the hot path — no spawn cost per call), otherwise
-    over a transient [domains]-wide pool.  Every image gets its own
-    metered oracle scoring through the classifier's [backend] (see
-    {!oracle_factory}), and results merge in image order, so query
-    counts are independent of the parallelism.
-
-    [caches] follows the {!Oppsla.Score.evaluate} contract — slot [i]
-    memoizes sample [i], safe under parallelism because each image (and
-    hence its slot) is held by one domain at a time.  [batch] is the
-    speculative chunk width of each per-image attack (default
-    {!Oppsla.Sketch.default_batch}); bit-identical at every width. *)
-
 type synth_params = {
   iters : int;
   beta : float;

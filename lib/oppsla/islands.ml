@@ -17,7 +17,7 @@
    (K, domain-width, migration-period) configuration replays
    bit-identically from the same seed: the domain pool only fans the
    per-image attacks of one evaluation, whose merge is order-preserving
-   (see Score.evaluate_parallel).  Islands are stepped sequentially
+   (see Score.evaluate).  Islands are stepped sequentially
    within a round, which also makes one shared Score_cache store safe —
    at any instant an image's cache slot is touched by one evaluation.
 
@@ -571,15 +571,8 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
         ])
   in
   let evaluate_full program =
-    match pool with
-    | Some pool ->
-        Score.evaluate_parallel ?max_queries:config.max_queries_per_image
-          ~goal:config.goal ?caches ~batch:config.batch ~pool oracle program
-          training
-    | None ->
-        Score.evaluate ?max_queries:config.max_queries_per_image
-          ~goal:config.goal ?caches ~batch:config.batch oracle program
-          training
+    Score.evaluate ?max_queries:config.max_queries_per_image ~goal:config.goal
+      ?caches ~batch:config.batch ?pool oracle program training
   in
   let fresh_island k =
     {

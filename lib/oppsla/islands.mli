@@ -134,7 +134,7 @@ val synthesize :
 
     Islands are stepped sequentially within a round; [pool] parallelizes
     each evaluation's per-image attacks (bit-identical at any width, see
-    {!Score.evaluate_parallel}).  [caches] is one shared per-image score
+    {!Score.evaluate}).  [caches] is one shared per-image score
     cache store for the whole archipelago: islands evaluate one at a
     time, so each image's slot is only ever touched by one attack at any
     instant, and cross-island cache hits are free wall-clock wins.

@@ -41,65 +41,96 @@ let of_results results =
     per_image;
   }
 
-(* Cache plumbing shared by both evaluators: a store is strictly
-   per-image (slot i memoizes sample i), and an oracle handle carrying an
-   *attached* per-image cache must not be fanned over a batch — that
-   would alias one image's table across every sample.  Fail loudly
-   instead of silently returning wrong scores. *)
-let check_caches name caches oracle samples =
-  (match caches with
-  | Some store when Score_cache.store_size store <> Array.length samples ->
-      invalid_arg
-        (Printf.sprintf "%s: cache store has %d slots for %d samples" name
-           (Score_cache.store_size store)
-           (Array.length samples))
-  | _ -> ());
+(* An oracle handle carrying an *attached* per-image cache must not be
+   fanned over a batch — that would alias one image's table across every
+   sample.  Fail loudly instead of silently returning wrong scores. *)
+let check_oracle name oracle =
   if Oracle.cache oracle <> None then
     invalid_arg
       (name
      ^ ": oracle has an attached per-image cache (Oracle.set_cache); pass \
         ~caches so each sample gets its own slot")
 
-let slot caches i = Option.map (fun s -> Score_cache.image_cache s i) caches
+(* Stamped with the image index on every attack so /healthz shows which
+   sample a wedged evaluation was working on (last-writer-wins across
+   domains).  The slot is never entered, so it never reports a stall:
+   the attackers enter their own slots and beat them per query. *)
+let wd_image = Telemetry.Watchdog.loop "eval.image"
 
-(* Same heartbeat slot Sketch.attack beats per query; the evaluators
-   stamp the image index onto it so /healthz shows which sample a
-   wedged evaluation was working on (last-writer-wins across domains). *)
-let wd_attack = Telemetry.Watchdog.loop "sketch.attack"
+(* The one per-image evaluation loop.  It attacks the images in [order]
+   in stages of [stage] — inline, or one [Pool.map] per stage over
+   [pool] — keeps the results at their image index and, after every
+   stage but the last, asks [check] (images done, results so far)
+   whether to stop.  A store is strictly per-image: slot i memoizes
+   sample i and is handed to the one attack on image i, so under a pool
+   a cache is only ever touched by the domain attacking its image.
+   Journal context is domain-local and a pool worker starts with an
+   empty one, so the caller's charge-site tag is captured here and
+   re-applied around every attack: pooled charges attribute exactly like
+   inline ones. *)
+let staged ?pool ?caches ~order ~stage ~check attack samples =
+  let n = Array.length samples in
+  (match caches with
+  | Some store when Score_cache.store_size store <> n ->
+      invalid_arg
+        (Printf.sprintf "Score: cache store has %d slots for %d samples"
+           (Score_cache.store_size store)
+           n)
+  | _ -> ());
+  let site = Telemetry.Journal.site () in
+  let attack_one i =
+    let image, true_class = samples.(i) in
+    let cache = Option.map (fun s -> Score_cache.image_cache s i) caches in
+    Telemetry.Watchdog.beat ~image:i wd_image;
+    Telemetry.Journal.with_site site @@ fun () ->
+    Telemetry.Journal.with_image i @@ fun () ->
+    attack i ~cache ~image ~true_class
+  in
+  let results = Array.make n None in
+  let rec from lo =
+    let hi = min n (lo + stage) in
+    let ids = Array.sub order lo (hi - lo) in
+    let rs =
+      match pool with
+      | None -> Array.map attack_one ids
+      | Some pool -> Domain_pool.Pool.map pool attack_one ids
+    in
+    Array.iteri (fun j r -> results.(ids.(j)) <- Some r) rs;
+    if hi = n then Ok (Array.map Option.get results)
+    else match check hi results with Some v -> Error v | None -> from hi
+  in
+  from 0
 
-let evaluate ?max_queries ?goal ?caches ?batch oracle program samples =
-  check_caches "Score.evaluate" caches oracle samples;
+let attack_each ?pool ?caches attack samples =
+  let n = Array.length samples in
+  match
+    staged ?pool ?caches ~order:(Array.init n Fun.id) ~stage:n
+      ~check:(fun _ _ -> None)
+      attack samples
+  with
+  | Ok results -> results
+  | Error () -> assert false (* one stage: [check] never runs *)
+
+(* Inline, every image is attacked against the caller's oracle; over a
+   pool each gets its own [Oracle.clone] so metering is race-free.  The
+   clone has no attached cache by construction: the image's own slot is
+   passed explicitly. *)
+let sketch_attack ?max_queries ?goal ?batch ?pool oracle program _i ~cache
+    ~image ~true_class =
+  let o = match pool with None -> oracle | Some _ -> Oracle.clone oracle in
+  Sketch.attack ?max_queries ?goal ?cache ?batch o program ~image ~true_class
+
+let evaluate ?max_queries ?goal ?caches ?batch ?pool oracle program samples =
+  check_oracle "Score.evaluate" oracle;
   of_results
-    (Array.mapi
-       (fun i (image, true_class) ->
-         Telemetry.Watchdog.beat ~image:i wd_attack;
-         Telemetry.Journal.with_image i @@ fun () ->
-         Sketch.attack ?max_queries ?goal ?cache:(slot caches i) ?batch oracle
-           program ~image ~true_class)
+    (attack_each ?pool ?caches
+       (sketch_attack ?max_queries ?goal ?batch ?pool oracle program)
        samples)
 
-let evaluate_parallel ?max_queries ?goal ?caches ?batch ~pool oracle program
-    samples =
-  check_caches "Score.evaluate_parallel" caches oracle samples;
-  (* Journal context is domain-local; a pool worker starts with an empty
-     one.  Capture the caller's charge-site tag here and re-apply it in
-     the worker so parallel charges attribute identically to sequential
-     ones. *)
-  let site = Telemetry.Journal.site () in
-  of_results
-    (Domain_pool.Pool.map pool
-       (fun (i, (image, true_class)) ->
-         (* The clone has no attached cache by construction; the image's
-            own slot is re-attached explicitly, so a cache is only ever
-            touched by the one domain attacking its image. *)
-         Telemetry.Watchdog.beat ~image:i wd_attack;
-         Telemetry.Journal.with_site site @@ fun () ->
-         Telemetry.Journal.with_image i @@ fun () ->
-         Sketch.attack ?max_queries ?goal ?cache:(slot caches i) ?batch
-           (Oracle.clone oracle) program ~image ~true_class)
-       (Array.mapi (fun i s -> (i, s)) samples))
+let evaluate_parallel ?max_queries ?goal ?caches ?batch ~pool =
+  evaluate ?max_queries ?goal ?caches ?batch ~pool
 
-(* PAC early stopping (ROADMAP item 3): evaluate a candidate on a
+(* PAC early stopping: evaluate a candidate on a
    permuted prefix of the training set and abandon it as soon as a lower
    bound on its final average exceeds the incumbent's.  Two bounds are
    combined; whichever is larger prunes:
@@ -132,7 +163,7 @@ type staged = Complete of evaluation | Pruned of pruned_stats
 
 let evaluate_pac ?max_queries ?goal ?caches ?batch ?pool ~pac ~threshold ~order
     oracle program samples =
-  check_caches "Score.evaluate_pac" caches oracle samples;
+  check_oracle "Score.evaluate_pac" oracle;
   let n = Array.length samples in
   if Array.length order <> n then
     invalid_arg
@@ -155,43 +186,11 @@ let evaluate_pac ?max_queries ?goal ?caches ?batch ?pool ~pac ~threshold ~order
            max_queries"
   in
   if pac.stage <= 0 then invalid_arg "Score.evaluate_pac: stage must be positive";
-  let results = Array.make n None in
-  (* Same capture as [evaluate_parallel]: [fill] may run in a pool
-     worker whose journal context is empty. *)
-  let site = Telemetry.Journal.site () in
-  let fill k =
-    let i = order.(k) in
-    let image, true_class = samples.(i) in
-    Telemetry.Watchdog.beat ~image:i wd_attack;
-    let o = match pool with None -> oracle | Some _ -> Oracle.clone oracle in
-    ( i,
-      Telemetry.Journal.with_site site @@ fun () ->
-      Telemetry.Journal.with_image i @@ fun () ->
-      Sketch.attack ?max_queries ?goal ?cache:(slot caches i) ?batch o program
-        ~image ~true_class )
-  in
-  let run_stage lo hi =
-    match pool with
-    | None ->
-        for k = lo to hi - 1 do
-          let i, r = fill k in
-          results.(i) <- Some r
-        done
-    | Some pool ->
-        Array.iter
-          (fun (i, r) -> results.(i) <- Some r)
-          (Domain_pool.Pool.map pool fill
-             (Array.init (hi - lo) (fun j -> lo + j)))
-  in
-  let evaluated = ref 0 in
-  let verdict = ref None in
-  while !verdict = None && !evaluated < n do
-    let hi = min n (!evaluated + pac.stage) in
-    run_stage !evaluated hi;
-    evaluated := hi;
-    if !evaluated < n && !evaluated >= pac.min_images then begin
+  let check evaluated results =
+    if evaluated < pac.min_images then None
+    else begin
       let succ = ref 0 and sq = ref 0 and spent = ref 0 in
-      for k = 0 to !evaluated - 1 do
+      for k = 0 to evaluated - 1 do
         match results.(order.(k)) with
         | Some (r : Sketch.result) ->
             spent := !spent + r.Sketch.queries;
@@ -201,7 +200,7 @@ let evaluate_pac ?max_queries ?goal ?caches ?batch ?pool ~pac ~threshold ~order
             end
         | None -> assert false
       done;
-      let n_rem = n - !evaluated in
+      let n_rem = n - evaluated in
       let certified =
         (* succ + n_rem > 0 here because n_rem >= 1. *)
         float_of_int (!sq + n_rem) /. float_of_int (!succ + n_rem)
@@ -215,24 +214,17 @@ let evaluate_pac ?max_queries ?goal ?caches ?batch ?pool ~pac ~threshold ~order
       in
       let lower_bound = Float.max certified statistical in
       if lower_bound > threshold then
-        verdict :=
-          Some
-            (Pruned
-               {
-                 lower_bound;
-                 images_seen = !evaluated;
-                 queries_spent = !spent;
-               })
+        Some { lower_bound; images_seen = evaluated; queries_spent = !spent }
+      else None
     end
-  done;
-  match !verdict with
-  | Some v -> v
-  | None ->
-      Complete
-        (of_results
-           (Array.map
-              (function Some r -> r | None -> assert false)
-              results))
+  in
+  match
+    staged ?pool ?caches ~order ~stage:pac.stage ~check
+      (sketch_attack ?max_queries ?goal ?batch ?pool oracle program)
+      samples
+  with
+  | Ok results -> Complete (of_results results)
+  | Error pruned -> Pruned pruned
 
 let score ~beta avg_queries = exp (-.beta *. avg_queries)
 

@@ -29,32 +29,78 @@ val no_success_penalty : float
 
 val of_results : Sketch.result array -> evaluation
 (** Merge per-image attack results (in input order) into an evaluation.
-    Shared by the sequential and parallel evaluators so both aggregate
-    with the identical integer sums and float division. *)
+    Every evaluator merges through it, inline or pooled, so all of them
+    aggregate with the identical integer sums and float division. *)
+
+val attack_each :
+  ?pool:Domain_pool.Pool.t ->
+  ?caches:Score_cache.store ->
+  (int ->
+  cache:Score_cache.t option ->
+  image:Tensor.t ->
+  true_class:int ->
+  'r) ->
+  (Tensor.t * int) array ->
+  'r array
+(** [attack_each ?pool ?caches attack samples] runs
+    [attack i ~cache ~image ~true_class] once per sample and returns the
+    results in sample order.  It is the per-image loop behind
+    {!evaluate}, {!evaluate_pac} and [Evalharness.Runner.run]:
+
+    - without [pool] the attacks run inline in the caller, in order;
+      with [pool] they run as one {!Domain_pool.Pool.map};
+    - [cache] is slot [i] of [caches] (or [None]) — each slot is handed
+      to the one attack on its image, so a cache is never shared across
+      domains;
+    - every attack runs under the caller's journal charge site (re-applied
+      in pool workers) and its own image index ({!Telemetry.Journal});
+    - the image index is stamped on the ["eval.image"] heartbeat slot,
+      which is never entered and so never reports a stall.
+
+    [attack] picks its own oracle; it must not share one metered handle
+    across images when [pool] is given.  Raises [Invalid_argument] if
+    the store size differs from the sample count. *)
 
 val evaluate :
   ?max_queries:int ->
   ?goal:Sketch.goal ->
   ?caches:Score_cache.store ->
   ?batch:int ->
+  ?pool:Domain_pool.Pool.t ->
   Oracle.t ->
   Condition.program ->
   (Tensor.t * int) array ->
   evaluation
-(** Run the program on every (image, true class) pair, sequentially,
-    against the one given oracle.  [max_queries] bounds each individual
-    attack (default: the full perturbation space); [goal] defaults to
-    untargeted.
+(** Run the program on every (image, true class) pair.  [max_queries]
+    bounds each individual attack (default: the full perturbation
+    space); [goal] defaults to untargeted.
+
+    Without [pool], the attacks run sequentially against the one given
+    oracle.  With [pool], they fan out over the pool as one map call:
+    each image is attacked against its own {!Oracle.clone} of [oracle],
+    so query metering is race-free, and results are merged in image
+    order.  The paper's cost model is oracle queries, so the pooled
+    evaluation is {e bit-identical} to the sequential one (same
+    [avg_queries], [per_image], flags) whenever the oracle is
+    unbudgeted, for any pool size.  (With an oracle-level budget the
+    sequential evaluation shares one budget across images while clones
+    meter independently; synthesis uses unbudgeted oracles and caps per
+    image via [max_queries].)
 
     [caches] memoizes perturbation scores per image: slot [i] of the
     store backs sample [i], and the same store handed to every call over
     the same samples (as the synthesizer does across MH proposals) makes
     repeated evaluation cost one forward pass per distinct perturbation
     instead of one per query.  Metering stays above the cache, so the
-    returned evaluation is bit-identical with and without [caches].
-    Raises [Invalid_argument] if the store size differs from the sample
-    count, or if [oracle] carries an {e attached} per-image cache (which
-    cannot be correct for a multi-image batch).
+    returned evaluation is bit-identical with and without [caches].  It
+    is safe under a pool by ownership rather than locking: clones drop
+    any attached cache ({!Oracle.clone}), each image's slot is handed
+    explicitly to that image's attack, at any instant an image — hence
+    its cache — is held by exactly one domain, and the pool's map
+    barrier orders hand-offs between evaluations.  Raises
+    [Invalid_argument] if the store size differs from the sample count,
+    or if [oracle] carries an {e attached} per-image cache (which cannot
+    be correct for a multi-image batch).
 
     [batch] (default {!Sketch.default_batch}) is the speculative chunk
     width forwarded to every per-image {!Sketch.attack}; the evaluation
@@ -70,28 +116,14 @@ val evaluate_parallel :
   Condition.program ->
   (Tensor.t * int) array ->
   evaluation
-(** [evaluate] fanned out over a domain pool.  Each image is attacked
-    against its own {!Oracle.clone} of [oracle], so query metering is
-    race-free, and results are merged in image order — the paper's cost
-    model is oracle queries, so this is {e bit-identical} to {!evaluate}
-    (same [avg_queries], [per_image], flags) whenever the oracle is
-    unbudgeted, for any pool size.  (With an oracle-level budget the
-    sequential evaluator shares one budget across images while clones
-    meter independently; synthesis uses unbudgeted oracles and caps per
-    image via [max_queries].)
-
-    [caches] follows the same per-image contract as {!evaluate}, and is
-    safe under parallelism by ownership rather than locking: clones drop
-    any attached cache ({!Oracle.clone}), each image's slot is re-attached
-    explicitly to that image's clone, and at any instant an image — hence
-    its cache — is held by exactly one domain; the pool's map barrier
-    orders hand-offs between evaluations.  [batch] is forwarded to each
-    image's attack exactly as in {!evaluate}. *)
+(** [evaluate ~pool], under its old name.  Deprecated: kept only for the
+    repository benchmark, which still calls it; the next change to that
+    benchmark moves it to [evaluate ~pool] and deletes this alias. *)
 
 (** {2 PAC early stopping}
 
-    Statistical candidate pruning for the synthesizer (ROADMAP item 3,
-    motivated by Bastani-style statistical sketching): a candidate is
+    Statistical candidate pruning for the synthesizer (motivated by
+    Bastani-style statistical sketching): a candidate is
     evaluated on a caller-permuted prefix of the training set, and
     abandoned once a lower bound on its final average query count
     provably (or with probability [1 - delta]) exceeds a threshold —
@@ -146,8 +178,8 @@ val evaluate_pac :
     [pac.min_images] images done, it prunes iff the combined lower bound
     exceeds [threshold].
 
-    [Complete e] is {e bit-identical} to {!evaluate} (and, given [pool],
-    to {!evaluate_parallel}) on the same arguments: every image is
+    [Complete e] is {e bit-identical} to {!evaluate} (with the same
+    [pool]) on the same arguments: every image is
     evaluated exactly once, per-image results are merged in input order,
     and with an unbudgeted oracle the visiting order cannot affect any
     per-image result.  [Pruned] reports the bound and the partial spend;

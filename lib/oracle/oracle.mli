@@ -191,11 +191,11 @@ val clone : t -> t
     oracle out across domains — the counter is plain mutable state, so
     domains must never share one handle, and a {!Score_cache.t} is plain
     mutable state too, so a clone deliberately {e drops} it rather than
-    aliasing one unsynchronized table across workers
-    ({!Oppsla.Score.evaluate_parallel} re-attaches the correct per-image
-    slot explicitly).  Clones meter their budgets independently; parallel
+    aliasing one unsynchronized table across workers (a pooled
+    {!Oppsla.Score.evaluate} hands each image's clone that image's own
+    slot explicitly).  Clones meter their budgets independently; pooled
     evaluation of budgeted oracles is therefore per-clone, not global
-    (see {!Oppsla.Score.evaluate_parallel}).
+    (see {!Oppsla.Score.evaluate}).
 
     The clone contract for the query {!mode} is the opposite of the
     cache's: the mode is {b preserved}.  A cache is per-image mutable

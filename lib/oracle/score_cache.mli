@@ -25,8 +25,8 @@
       silently returns wrong scores — use a {!store} (one cache per
       sample index) when evaluating a batch.
     - A cache is mutable and unsynchronized: at any instant at most one
-      domain may touch it.  Per-image caches under
-      {!Oppsla.Score.evaluate_parallel} satisfy this by construction
+      domain may touch it.  Per-image caches under a pooled
+      {!Oppsla.Score.attack_each} satisfy this by construction
       (each image is attacked by exactly one domain per map call, and the
       pool's map barrier orders the hand-off between calls); {!Oracle.clone}
       drops any attached cache so clones can never alias one table across
@@ -117,7 +117,7 @@ val hit_rate : stats -> float option
 (** {1 Stores: one cache per sample index}
 
     Batch evaluators ({!Oppsla.Score.evaluate},
-    {!Oppsla.Score.evaluate_parallel}, {!Evalharness.Runner.run}) take a
+    {!Oppsla.Score.evaluate_pac}, {!Evalharness.Runner.run}) take a
     [store] sized to their sample array: slot [i] memoizes image [i].
     The store is created eagerly (no lazy table mutation during a
     parallel phase), so the per-domain ownership rule above reduces to

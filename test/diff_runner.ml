@@ -47,8 +47,10 @@
    from its own server and asserts a valid, non-stalled response.
 
    For randomized programs, images and training-set sizes it asserts that
-   Score.evaluate_parallel over a pool of the requested width returns
-   bit-identical query accounting to the sequential Score.evaluate, and
+   Score.evaluate over a pool of the requested width, and a never-pruning
+   Score.evaluate_pac visiting the images in a random order in stages
+   over the same pool, return bit-identical query accounting to the
+   sequential Score.evaluate, and
    that the synthesis trace (a --islands K run; K = 1 is Algorithm 2's
    single chain) is independent of pool, cache and batch width.
    With --cache on, the uncached sequential evaluation stays the
@@ -194,7 +196,7 @@ let decision_evaluate_check ~pool ~batch =
     let warm = Score.evaluate ?caches ~batch (decision_oracle ()) program samples in
     check_identical (ctx "cached sequential, warm") reference warm;
     let par =
-      Score.evaluate_parallel ~batch ~pool (decision_oracle ()) program samples
+      Score.evaluate ~batch ~pool (decision_oracle ()) program samples
     in
     check_identical (ctx "parallel") reference par
   done
@@ -895,11 +897,31 @@ let () =
             check_identical (ctx "cached sequential, warm") reference warm
         | None -> ());
         let par =
-          Score.evaluate_parallel ?max_queries ~batch
-            ?caches:(store_for samples) ~pool (mean_threshold_oracle ())
-            program samples
+          Score.evaluate ?max_queries ~batch ?caches:(store_for samples) ~pool
+            (mean_threshold_oracle ()) program samples
         in
-        check_identical (ctx "parallel") reference par
+        check_identical (ctx "parallel") reference par;
+        (* The staged path: a PAC evaluation that can never prune visits
+           the images in a random order, one pool map per stage, and
+           must complete with the reference's accounting. *)
+        let order = Prng.permutation (Prng.split g) (Array.length samples) in
+        let pac =
+          {
+            Score.default_pac with
+            min_images = 1;
+            stage = 1 + Prng.int g 4;
+            range = Some 1.;
+          }
+        in
+        match
+          Score.evaluate_pac ?max_queries ~batch ?caches:(store_for samples)
+            ~pool ~pac ~threshold:infinity ~order (mean_threshold_oracle ())
+            program samples
+        with
+        | Score.Complete staged ->
+            check_identical (ctx "staged") reference staged
+        | Score.Pruned _ ->
+            fail "%s: pruned below an infinite threshold" (ctx "staged")
       done;
       (* Synthesis differential: the island trace (at --islands 1, the
          single MH chain of Algorithm 2) must be invariant under the

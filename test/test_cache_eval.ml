@@ -465,10 +465,10 @@ let evaluator_guards () =
        false
      with Invalid_argument _ -> true);
   Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.(check bool) "attached cache rejected by evaluate_parallel"
+      Alcotest.(check bool) "attached cache rejected by pooled evaluate"
         true
         (try
-           ignore (Score.evaluate_parallel ~pool oracle program samples);
+           ignore (Score.evaluate ~pool oracle program samples);
            false
          with Invalid_argument _ -> true))
 

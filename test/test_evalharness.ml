@@ -158,6 +158,35 @@ let attacker_names () =
     Attackers.sparse_rs.Attackers.name;
   Alcotest.(check string) "suopa" "SuOPA" (Attackers.su_opa ()).Attackers.name
 
+(* A long image attack must not look stalled: the runner stamps the
+   image index on the "eval.image" slot without entering it, so while an
+   attacker runs, only the attacker's own slot (beaten per query) can
+   flag a stall.  The probe attacker enters no slot and asks for the
+   stall list a minute into the future, as the --stall-timeout sampler
+   would see it after a minute-long attack. *)
+let runner_attack_never_stalls () =
+  let seen = ref [] in
+  let probe =
+    {
+      Attackers.name = "stall-probe";
+      run =
+        (fun _g _oracle ~goal:_ ~max_queries:_ ~batch:_ ~image:_
+             ~true_class:_ ->
+          let now_us = Telemetry.Clock.now_us () +. 60e6 in
+          seen :=
+            List.map
+              (fun (s : Telemetry.Watchdog.status) -> s.Telemetry.Watchdog.name)
+              (Telemetry.Watchdog.stalled ~now_us ~stall_after_s:30. ())
+            @ !seen;
+          { Oppsla.Sketch.adversarial = None; queries = 0 });
+    }
+  in
+  ignore
+    (Runner.run ~domains:1 ~seed:1 ~max_queries:1 probe
+       ~oracle_factory:(fun () -> Helpers.mean_threshold_oracle ())
+       [| (Helpers.flat_image ~size:4 0.5, 0) |]);
+  Alcotest.(check (list string)) "no loop stalled" [] !seen
+
 (* Regression gate *)
 
 let gate_passes ~baseline ~fresh =
@@ -186,9 +215,10 @@ let gate_overhead_sign_flip () =
     (gate_passes ~baseline:{|{"overhead_fraction": -0.01}|}
        ~fresh:{|{"overhead_fraction": 0.01}|})
 
-(* Workbench.parallel_evaluator scores through the classifier's backend:
-   an F32 classifier's evaluation advances the f32 GEMM counters and
-   leaves the boxed ones untouched, with or without a caller's pool. *)
+(* A pooled Score.evaluate over Workbench.oracle_factory scores through
+   the classifier's backend: an F32 classifier's evaluation advances the
+   f32 GEMM counters and leaves the boxed ones untouched, inline or over
+   a pool (where every image attacks an Oracle.clone). *)
 let parallel_evaluator_uses_backend () =
   let size = 8 in
   let c =
@@ -217,11 +247,11 @@ let parallel_evaluator_uses_backend () =
     Alcotest.(check bool) (name ^ ": f32 GEMMs ran") true (flops "f32" > f32);
     Alcotest.(check int) (name ^ ": no boxed GEMM") boxed (flops "boxed")
   in
-  check "transient pool"
-    (Evalharness.Workbench.parallel_evaluator ~domains:2 ~max_queries:8 c);
+  let oracle () = Evalharness.Workbench.oracle_factory c () in
+  check "inline" (Oppsla.Score.evaluate ~max_queries:8 (oracle ()));
   Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
       check "caller's pool"
-        (Evalharness.Workbench.parallel_evaluator ~pool ~max_queries:8 c))
+        (Oppsla.Score.evaluate ~max_queries:8 ~pool (oracle ())))
 
 let suite =
   [
@@ -242,6 +272,8 @@ let suite =
     Alcotest.test_case "formatting helpers" `Quick formatting_helpers;
     Alcotest.test_case "oppsla routes by class" `Quick oppsla_routes_by_class;
     Alcotest.test_case "attacker names" `Quick attacker_names;
+    Alcotest.test_case "runner attack never stalls" `Quick
+      runner_attack_never_stalls;
     Alcotest.test_case "gate exact query total" `Quick gate_exact_query_total;
     Alcotest.test_case "gate exact identity flag" `Quick
       gate_exact_identity_flag;

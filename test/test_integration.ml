@@ -115,8 +115,10 @@ let parallel_evaluator_agrees_with_sequential () =
       in
       let program = Oppsla.Condition.const_false_program in
       let par =
-        Workbench.parallel_evaluator ~domains:2 ~max_queries:256 c program
-          samples
+        Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
+            Oppsla.Score.evaluate ~max_queries:256 ~pool
+              (Workbench.oracle_factory c ())
+              program samples)
       in
       let seq =
         Oppsla.Score.evaluate ~max_queries:256

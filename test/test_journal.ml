@@ -245,6 +245,61 @@ let site_context () =
       Alcotest.(check int) "with_image sets" 9 (J.image ()));
   Alcotest.(check int) "image restored" (-1) (J.image ())
 
+(* {1 Pooled runs keep the caller's site}
+
+   Journal context is domain-local, so an attack a pool worker steals
+   starts with an empty one.  The per-image loop captures the caller's
+   site and re-applies it in the worker: every charge of a pooled
+   Runner.run under [with_site "outer"] is tagged "outer", not the
+   attacker's default site.  The attacks are slowed down so the worker
+   wakes up in time to steal some of them — without steals the check
+   would pass vacuously. *)
+
+let pooled_runner_keeps_site () =
+  let module Attackers = Evalharness.Attackers in
+  let images = 16 and max_queries = 8 in
+  let samples =
+    Array.init images (fun i ->
+        (Helpers.flat_image ~size:4 (0.2 +. (0.01 *. float_of_int i)), 0))
+  in
+  let slow =
+    {
+      Attackers.sparse_rs with
+      Attackers.run =
+        (fun g oracle ~goal ~max_queries ~batch ~image ~true_class ->
+          Unix.sleepf 0.002;
+          Attackers.sparse_rs.Attackers.run g oracle ~goal ~max_queries ~batch
+            ~image ~true_class);
+    }
+  in
+  let path = Filename.temp_file "oppsla_test_journal" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let steals =
+        Domain_pool.Pool.with_pool ~domains:2 (fun pool ->
+            J.set_run_id "pooled-runner";
+            J.to_file path;
+            Fun.protect ~finally:J.close (fun () ->
+                J.with_site "outer" (fun () ->
+                    ignore
+                      (Evalharness.Runner.run ~pool ~seed:1 ~max_queries slow
+                         ~oracle_factory:(fun () ->
+                           Helpers.mean_threshold_oracle ())
+                         samples)));
+            (Domain_pool.Pool.stats pool).Domain_pool.Pool.steals)
+      in
+      Alcotest.(check bool) "a worker stole some images" true (steals > 0);
+      let j = A.load_strict path in
+      Alcotest.(check int) "every attack spent its budget"
+        (images * max_queries) (List.length j.A.records);
+      List.iter
+        (fun r ->
+          Alcotest.(check string)
+            (Printf.sprintf "record %d site" r.A.seq)
+            "outer" r.A.site)
+        j.A.records)
+
 (* {1 Comparison semantics} *)
 
 let journal_of records =
@@ -320,6 +375,8 @@ let suite =
     Alcotest.test_case "truncated footer" `Quick truncated_footer;
     Alcotest.test_case "tampered file rejected" `Quick tampered_file_rejected;
     Alcotest.test_case "charge-site context" `Quick site_context;
+    Alcotest.test_case "pooled runner keeps the caller's site" `Quick
+      pooled_runner_keeps_site;
     Alcotest.test_case "comparison ignores metadata" `Quick
       comparison_ignores_metadata;
     Alcotest.test_case "comparison catches divergence" `Quick

@@ -64,7 +64,7 @@ let differential_evaluation () =
                 program samples
             in
             let par =
-              Score.evaluate_parallel ?max_queries ~pool
+              Score.evaluate ?max_queries ~pool
                 (Helpers.mean_threshold_oracle ())
                 program samples
             in
@@ -74,13 +74,50 @@ let differential_evaluation () =
           done))
     [ 1; 2; 4; 8 ]
 
+(* Runner.run and Score.evaluate share one per-image loop: attacking
+   with [Attackers.oppsla_single p] through the runner (a fresh oracle
+   per image, the cache slot attached to it) must give the records of
+   [Score.evaluate p], inline and pooled, with and without a store. *)
+let qcheck_runner_matches_score =
+  QCheck.Test.make ~name:"Runner.run oppsla_single = Score.evaluate"
+    ~count:20 QCheck.small_int (fun seed ->
+      let g = Prng.of_int (seed + 7001) in
+      let samples = training_set (Prng.split g) (1 + Prng.int g 9) in
+      let program = Oppsla.Gen.random_program (Helpers.gen_config ~size) g in
+      let max_queries = 1 + Prng.int g 100 in
+      let expected =
+        (Score.evaluate ~max_queries (Helpers.mean_threshold_oracle ()) program
+           samples)
+          .Score.per_image
+        |> Array.map (fun e -> (e.Score.queries, e.Score.success))
+      in
+      List.for_all
+        (fun (domains, cache) ->
+          Domain_pool.Pool.with_pool ~domains (fun pool ->
+              let caches =
+                if cache then Some (Score_cache.store (Array.length samples))
+                else None
+              in
+              let records =
+                Evalharness.Runner.run ~pool ?caches ~seed ~max_queries
+                  (Evalharness.Attackers.oppsla_single program)
+                  ~oracle_factory:(fun () -> Helpers.mean_threshold_oracle ())
+                  samples
+              in
+              Array.map
+                (fun (r : Evalharness.Runner.record) ->
+                  (r.Evalharness.Runner.queries, r.Evalharness.Runner.success))
+                records
+              = expected))
+        [ (1, false); (1, true); (2, false); (2, true) ])
+
 let evaluate_parallel_clones_oracle () =
   (* The caller's oracle handle is never queried: each image attacks its
      own clone, so the shared counter cannot race. *)
   let oracle = Helpers.mean_threshold_oracle () in
   Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
       let e =
-        Score.evaluate_parallel ~pool oracle C.const_false_program
+        Score.evaluate ~pool oracle C.const_false_program
           (training_set (Prng.of_int 1) 6)
       in
       Alcotest.(check bool) "queries were posed" true (e.Score.total_queries > 0);
@@ -243,6 +280,7 @@ let suite =
       differential_evaluation;
     Alcotest.test_case "evaluate_parallel clones the oracle" `Quick
       evaluate_parallel_clones_oracle;
+    QCheck_alcotest.to_alcotest qcheck_runner_matches_score;
     Alcotest.test_case "synthesizer: pool trace = sequential trace" `Quick
       synthesizer_pool_matches_sequential;
     QCheck_alcotest.to_alcotest qcheck_pool_map_matches_array_map;
