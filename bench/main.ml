@@ -1,12 +1,25 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation on the synthetic substrate, plus bechamel
-   microbenchmarks of the core operations.
+   microbenchmarks of the core operations and the BENCH_*.json benches.
 
    Usage:
-     dune exec bench/main.exe                  # everything, full scale
-     dune exec bench/main.exe fig3 table2      # selected experiments
-     dune exec bench/main.exe -- --quick       # smoke-test scale
+     dune exec bench/main.exe                      # default modes, full scale
+     dune exec bench/main.exe fig3cifar table2     # selected modes
+     dune exec bench/main.exe -- --quick           # smoke-test scale
+     dune exec bench/main.exe -- backend --smoke   # seconds-scale tripwire
      OPPSLA_BENCH_QUICK=1 dune exec bench/main.exe
+
+   Modes:
+     fig3 fig3cifar fig3imagenet table1 fig4 table2   paper experiments
+     micro        bechamel microbenchmarks
+     sweep-beta   MH-temperature sweep
+     overhead synth scenarios backend
+                  benches that write (or, with --smoke, only check)
+                  BENCH_<mode>.json
+     regress      rerun those four and gate them against the committed
+                  baselines
+   With no mode, runs fig3cifar table1 table2 fig4 fig3imagenet micro.
+   An unknown mode exits 2 before any mode runs.
 
    Expensive artifacts (trained weights, synthesized programs) are cached
    under _artifacts/, so re-runs only pay for the attack phases.  Paper
@@ -54,7 +67,31 @@ let experiment_config quick =
     { base with Workbench.test_per_class = 4; synth_per_class = 4 }
   else base
 
-let run_experiment quick domains cache name =
+(* The paper's experiments, by mode name: each renders one report from
+   a scale and a config. *)
+let experiments =
+  [
+    ( "fig3",
+      fun ~scale config ->
+        Report.render_fig3 (Experiments.fig3 ~scale config) );
+    ( "fig3cifar",
+      fun ~scale config ->
+        Report.render_fig3 (Experiments.fig3_cifar ~scale config) );
+    ( "fig3imagenet",
+      fun ~scale config ->
+        Report.render_fig3 (Experiments.fig3_imagenet ~scale config) );
+    ( "table1",
+      fun ~scale config ->
+        Report.render_table1 (Experiments.table1 ~scale config) );
+    ( "fig4",
+      fun ~scale config ->
+        Report.render_fig4 (Experiments.fig4 ~scale config) );
+    ( "table2",
+      fun ~scale config ->
+        Report.render_table2 (Experiments.table2 ~scale config) );
+  ]
+
+let run_experiment quick domains cache render =
   let config = experiment_config quick in
   let scale =
     if quick then Experiments.quick_scale else Experiments.default_scale
@@ -69,30 +106,7 @@ let run_experiment quick domains cache name =
         { scale.Experiments.imagenet_synth with Workbench.cache };
     }
   in
-  match name with
-  | "fig3" ->
-      timed "fig3" (fun () ->
-          print_endline (Report.render_fig3 (Experiments.fig3 ~scale config)))
-  | "fig3cifar" ->
-      timed "fig3cifar" (fun () ->
-          print_endline
-            (Report.render_fig3 (Experiments.fig3_cifar ~scale config)))
-  | "fig3imagenet" ->
-      timed "fig3imagenet" (fun () ->
-          print_endline
-            (Report.render_fig3 (Experiments.fig3_imagenet ~scale config)))
-  | "table1" ->
-      timed "table1" (fun () ->
-          print_endline
-            (Report.render_table1 (Experiments.table1 ~scale config)))
-  | "fig4" ->
-      timed "fig4" (fun () ->
-          print_endline (Report.render_fig4 (Experiments.fig4 ~scale config)))
-  | "table2" ->
-      timed "table2" (fun () ->
-          print_endline
-            (Report.render_table2 (Experiments.table2 ~scale config)))
-  | other -> failwith ("unknown experiment: " ^ other)
+  print_endline (render ~scale config)
 
 (* Beta sweep: how the MH temperature affects synthesis quality
    (DESIGN.md 5.3).  Run explicitly: `dune exec bench/main.exe sweep-beta`. *)
@@ -148,460 +162,6 @@ let sweep_beta quick =
     (Report.table
        ~headers:[ "beta"; "final avg #q"; "best avg #q"; "accepted" ]
        ~rows)
-
-(* Parallel-evaluation smoke benchmark.
-
-   Measures MH-evaluation throughput (images/sec while scoring a program
-   on a batch, the synthesis hot path) sequentially and over persistent
-   pools of 1/2/4/auto domains, asserts that every configuration returns
-   bit-identical query accounting (the paper's cost model), and records
-   the numbers in BENCH_parallel.json. *)
-
-let bench_parallel quick =
-  let module Score = Oppsla.Score in
-  let config = experiment_config quick in
-  let c = Workbench.load_classifier config Dataset.synth_cifar "vgg_tiny" in
-  let samples = c.Workbench.test in
-  if Array.length samples = 0 then failwith "bench_parallel: no test images";
-  let max_queries = if quick then 128 else 256 in
-  let reps = if quick then 2 else 3 in
-  let gen_config =
-    Oppsla.Gen.config_for_image (fst samples.(0))
-  in
-  (* One synthesized-shape program and the Sketch+False floor: together
-     they bracket the evaluator's per-image cost range. *)
-  let programs =
-    [
-      ("random", Oppsla.Gen.random_program gen_config (Prng.of_int 7));
-      ("sketch_false", Oppsla.Condition.const_false_program);
-    ]
-  in
-  let oracle () = Workbench.oracle_factory c () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let check_identical name (a : Score.evaluation) (b : Score.evaluation) =
-    if
-      a.Score.avg_queries <> b.Score.avg_queries
-      || a.Score.total_queries <> b.Score.total_queries
-      || a.Score.successes <> b.Score.successes
-      || a.Score.per_image <> b.Score.per_image
-    then
-      failwith
-        (Printf.sprintf
-           "bench_parallel: %s diverged from the sequential evaluator" name)
-  in
-  let results = ref [] in
-  List.iter
-    (fun (pname, program) ->
-      let reference = ref None in
-      let measure name f =
-        (* Warm run for caches, then the timed repetitions; every run's
-           evaluation is checked against the sequential reference. *)
-        let e0 = f () in
-        (match !reference with
-        | None -> reference := Some e0
-        | Some r -> check_identical name e0 r);
-        let (e, dt_total) =
-          time (fun () ->
-              let last = ref e0 in
-              for _ = 1 to reps do
-                last := f ()
-              done;
-              !last)
-        in
-        check_identical name e (Option.get !reference);
-        let dt = dt_total /. float_of_int reps in
-        let ips = float_of_int (Array.length samples) /. dt in
-        Printf.printf "[parallel] %-12s %-14s %6.2fs/eval  %7.1f images/s\n%!"
-          pname name dt ips;
-        results := (pname, name, dt, ips) :: !results
-      in
-      measure "sequential" (fun () ->
-          Score.evaluate ~max_queries (oracle ()) program samples);
-      List.iter
-        (fun domains ->
-          Domain_pool.Pool.with_pool ~domains (fun pool ->
-              measure
-                (Printf.sprintf "pool-%d" domains)
-                (fun () ->
-                  Score.evaluate ~max_queries ~pool (oracle ()) program
-                    samples);
-              print_endline
-                (Report.render_telemetry
-                   ~pool:(Domain_pool.Pool.stats pool) ())))
-        [ 1; 2; 4; Domain_pool.domain_count () ])
-    programs;
-  (* Record the runs: speedup is relative to the same program's
-     sequential time. *)
-  let results = List.rev !results in
-  let seq_time pname =
-    List.find_map
-      (fun (p, n, dt, _) -> if p = pname && n = "sequential" then Some dt else None)
-      results
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"workload\": \"Score.evaluate on vgg_tiny, %d images, cap \
-         %d\",\n  \"hardware_domains\": %d,\n  \"query_counts_identical\": \
-         true,\n  \"note\": \"pool-N wall-clock speedup is bounded by \
-         hardware_domains (on a 1-core host the pool can only add \
-         contention); the asserted invariant is that query accounting is \
-         bit-identical at every width\",\n  \"runs\": [\n"
-        (Array.length samples) max_queries
-        (Domain.recommended_domain_count ());
-      let n = List.length results in
-      List.iteri
-        (fun i (pname, name, dt, ips) ->
-          let speedup =
-            match seq_time pname with
-            | Some s when dt > 0. -> s /. dt
-            | _ -> 1.
-          in
-          Printf.fprintf oc
-            "    {\"program\": %S, \"evaluator\": %S, \"seconds_per_eval\": \
-             %.4f, \"images_per_sec\": %.1f, \"speedup_vs_sequential\": \
-             %.2f}%s\n"
-            pname name dt ips speedup
-            (if i = n - 1 then "" else ","))
-        results;
-      output_string oc "  ]\n}\n");
-  print_endline "[parallel] wrote BENCH_parallel.json (query counts identical)"
-
-(* Score-cache benchmark.
-
-   Replays a synthesis-shaped workload — a chain of mutated programs
-   evaluated on the same images — with and without the per-image score
-   cache, asserts the two runs are bit-identical (the cache's defining
-   invariant: metering sits above it), and records wall-clock plus cache
-   counters in BENCH_cache.json.  Unlike the domain-pool speedup this one
-   does not depend on core count: a hit skips a network forward pass
-   outright.
-
-   --smoke runs a seconds-scale version on a throwaway network (no
-   classifier training, no file writes) and is wired into `dune runtest`
-   as a regression tripwire for the identity invariant. *)
-
-let bench_cache ?(smoke = false) quick =
-  let module Score = Oppsla.Score in
-  let check_identical name (a : Score.evaluation) (b : Score.evaluation) =
-    if
-      a.Score.avg_queries <> b.Score.avg_queries
-      || a.Score.total_queries <> b.Score.total_queries
-      || a.Score.successes <> b.Score.successes
-      || a.Score.per_image <> b.Score.per_image
-    then
-      failwith
-        (Printf.sprintf "bench_cache: %s diverged between cache on and off"
-           name)
-  in
-  (* A synthesis-shaped program chain: each program is a mutation of the
-     previous one, so successive evaluations re-pose mostly the same
-     perturbation queries — the workload the cache exists for. *)
-  let program_chain gen_config g n =
-    let rec grow acc p i =
-      if i = n then List.rev acc
-      else
-        let p' = Oppsla.Gen.mutate gen_config g p in
-        grow (p' :: acc) p' (i + 1)
-    in
-    let p0 = Oppsla.Gen.random_program gen_config g in
-    grow [ p0 ] p0 1
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let run ~name ~max_queries ~programs ~samples oracle =
-    let n = Array.length samples in
-    let evaluate caches program =
-      Score.evaluate ~max_queries ?caches (oracle ()) program samples
-    in
-    let uncached, uncached_dt =
-      time (fun () -> List.map (evaluate None) programs)
-    in
-    let (store, cached), cached_dt =
-      time (fun () ->
-          let store = Score_cache.store n in
-          (store, List.map (evaluate (Some store)) programs))
-    in
-    List.iteri
-      (fun i (a, b) -> check_identical (Printf.sprintf "%s program %d" name i) a b)
-      (List.combine uncached cached);
-    let stats = Score_cache.store_stats store in
-    if stats.Score_cache.hits = 0 then
-      failwith "bench_cache: expected cache hits on a mutation chain";
-    let speedup = if cached_dt > 0. then uncached_dt /. cached_dt else 1. in
-    Printf.printf
-      "[cache] %-8s %d programs x %d images: %.2fs uncached, %.2fs cached \
-       (%.2fx)\n%!"
-      name (List.length programs) n uncached_dt cached_dt speedup;
-    print_endline (Report.render_telemetry ~cache:stats ());
-    (uncached_dt, cached_dt, speedup, stats)
-  in
-  if smoke then begin
-    (* Throwaway network, random images labeled with their own prediction
-       so every attack does real search work. *)
-    let g = Prng.of_int 11 in
-    let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes:4 in
-    let samples =
-      Array.init 3 (fun _ ->
-          let image = Tensor.rand_uniform (Prng.split g) [| 3; 8; 8 |] in
-          (image, Nn.Network.classify net image))
-    in
-    let gen_config = Oppsla.Gen.config_for_image (fst samples.(0)) in
-    let programs = program_chain gen_config (Prng.split g) 4 in
-    ignore
-      (run ~name:"smoke" ~max_queries:64 ~programs ~samples (fun () ->
-           Oracle.of_network net));
-    print_endline "[cache] smoke: cache on/off evaluations bit-identical"
-  end
-  else begin
-    let config = experiment_config quick in
-    let c = Workbench.load_classifier config Dataset.synth_cifar "vgg_tiny" in
-    let samples = c.Workbench.test in
-    if Array.length samples = 0 then failwith "bench_cache: no test images";
-    let max_queries = if quick then 128 else 256 in
-    let n_programs = if quick then 4 else 8 in
-    let gen_config = Oppsla.Gen.config_for_image (fst samples.(0)) in
-    let programs = program_chain gen_config (Prng.of_int 7) n_programs in
-    let uncached_dt, cached_dt, speedup, stats =
-      run ~name:"chain" ~max_queries ~programs ~samples (fun () ->
-          Workbench.oracle_factory c ())
-    in
-    let hit_rate =
-      Option.value ~default:0. (Score_cache.hit_rate stats)
-    in
-    let oc = open_out "BENCH_cache.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"workload\": \"%d-program mutation chain on vgg_tiny, %d \
-           images, cap %d\",\n\
-          \  \"query_counts_identical\": true,\n\
-          \  \"uncached_seconds\": %.4f,\n\
-          \  \"cached_seconds\": %.4f,\n\
-          \  \"speedup\": %.2f,\n\
-          \  \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f, \
-           \"entries\": %d, \"evictions\": %d, \"bytes\": %d},\n\
-          \  \"note\": \"a hit skips one network forward pass, so the \
-           speedup tracks the hit rate and is core-count independent; \
-           metering sits above the cache, so the asserted invariant is \
-           that evaluations are bit-identical with the cache on and \
-           off\"\n\
-           }\n"
-          n_programs (Array.length samples) max_queries uncached_dt cached_dt
-          speedup stats.Score_cache.hits stats.Score_cache.misses hit_rate
-          stats.Score_cache.entries stats.Score_cache.evictions
-          stats.Score_cache.bytes);
-    print_endline "[cache] wrote BENCH_cache.json (evaluations identical)"
-  end
-
-(* Batched-inference benchmark.
-
-   Pits the per-candidate direct-convolution path (Network.scores, the
-   Layer.forward reference, batch width 1) against the compiled plan
-   posing speculative candidate chunks (Batcher widths 1/4/16), with the
-   score cache on and off, on a Sketch+False attack workload.  Every
-   combination must produce bit-identical per-image query counts — the
-   speculative-batching invariant — and the batched-uncached engine must
-   beat the sequential-uncached baseline by at least 2x wall-clock.
-   Results go to BENCH_batch.json.
-
-   --smoke runs a seconds-scale version (tiny network, no file writes,
-   no speedup assertion — timing is not trustworthy on loaded CI hosts)
-   and is wired into `dune runtest` as a regression tripwire for the
-   identity invariant. *)
-
-let bench_batch ?(smoke = false) quick =
-  ignore quick;
-  let g = Prng.of_int 13 in
-  let image_size, n_images, num_classes, max_queries, reps =
-    if smoke then (8, 2, 4, 48, 1) else (16, 4, 10, 640, 5)
-  in
-  let net =
-    if smoke then Nn.Zoo.vgg_tiny (Prng.split g) ~image_size ~num_classes
-    else begin
-      (* Conv-dominated VGG-style stack (16/32/32 channels): the paper's
-         targets (VGG-16, ResNet-50) spend nearly all inference time in
-         convolutions, so the bench workload should too.  The zoo's tiny
-         nets are deliberately skinny for test speed, which makes their
-         per-plane norm/relu/pool overhead — identical under batching —
-         an outsized share of the forward. *)
-      let pg = Prng.split g in
-      Nn.Network.create ~name:"vgg_bench"
-        ~input_shape:[| 3; image_size; image_size |] ~num_classes
-        [
-          Nn.Layer.conv2d pg ~pad:1 ~in_c:3 ~out_c:16 ~k:3 ();
-          Nn.Layer.channel_norm ~channels:16;
-          Nn.Layer.relu ();
-          Nn.Layer.max_pool ~size:2 ();
-          Nn.Layer.conv2d pg ~pad:1 ~in_c:16 ~out_c:32 ~k:3 ();
-          Nn.Layer.channel_norm ~channels:32;
-          Nn.Layer.relu ();
-          Nn.Layer.max_pool ~size:2 ();
-          Nn.Layer.conv2d pg ~pad:1 ~in_c:32 ~out_c:32 ~k:3 ();
-          Nn.Layer.relu ();
-          Nn.Layer.flatten ();
-          Nn.Layer.dense pg
-            ~in_dim:(32 * (image_size / 4) * (image_size / 4))
-            ~out_dim:num_classes ();
-        ]
-    end
-  in
-  (* Random images labeled with the network's own prediction, attacked
-     toward the network's LEAST likely class: one-pixel targeted flips to
-     the bottom class essentially never exist, so every attack streams
-     queries up to the cap — a sustained, identical workload for every
-     engine configuration. *)
-  let samples =
-    Array.init n_images (fun _ ->
-        let image =
-          Tensor.rand_uniform (Prng.split g) [| 3; image_size; image_size |]
-        in
-        let scores = Nn.Network.scores net image in
-        let target = ref 0 in
-        for c = 1 to num_classes - 1 do
-          if Tensor.get_flat scores c < Tensor.get_flat scores !target then
-            target := c
-        done;
-        (image, Nn.Network.classify net image, !target))
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* One attack sweep over all images; returns per-image query counts —
-     the accounting that must not depend on the engine or the width. *)
-  let sweep ~oracle ~batch ~cache () =
-    Array.map
-      (fun (image, true_class, target) ->
-        let cache = if cache then Some (Score_cache.create ()) else None in
-        let r =
-          Oppsla.Sketch.attack ~max_queries ~goal:(Oppsla.Sketch.Targeted target)
-            ?cache ~batch (oracle ())
-            Oppsla.Condition.const_false_program ~image ~true_class
-        in
-        r.Oppsla.Sketch.queries)
-      samples
-  in
-  let direct_oracle () =
-    (* No batch_fn: one direct-convolution forward per candidate even
-       when the batcher poses a chunk. *)
-    Oracle.of_fn ~name:"vgg_tiny-direct" ~num_classes (fun x ->
-        Nn.Network.scores net x)
-  in
-  let engine_oracle () = Oracle.of_network net in
-  let measure name ~oracle ~batch ~cache =
-    let counts = sweep ~oracle ~batch ~cache () in
-    Batcher.reset_global_stats ();
-    (* Best-of-[reps]: the minimum is the standard noise-robust estimator
-       for a deterministic workload (anything slower is interference). *)
-    let dt = ref infinity in
-    for _ = 1 to reps do
-      let (_ : int array), dt_rep = time (sweep ~oracle ~batch ~cache) in
-      if dt_rep < !dt then dt := dt_rep
-    done;
-    let bstats = Batcher.global_stats () in
-    let dt = !dt in
-    Printf.printf
-      "[batch] %-24s %8.3fs/sweep  (queries: %s; %d chunks, %d prepared, \
-       %d hits, %d discarded)\n%!"
-      name dt
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int counts)))
-      bstats.Batcher.batches bstats.Batcher.prepared
-      bstats.Batcher.buffer_hits bstats.Batcher.discarded;
-    (name, counts, dt, bstats)
-  in
-  let runs =
-    measure "direct-sequential" ~oracle:direct_oracle ~batch:1 ~cache:false
-    :: List.concat_map
-         (fun batch ->
-           List.map
-             (fun cache ->
-               measure
-                 (Printf.sprintf "gemm-b%d-cache-%s" batch
-                    (if cache then "on" else "off"))
-                 ~oracle:engine_oracle ~batch ~cache)
-             [ false; true ])
-         [ 1; 4; 16 ]
-  in
-  let _, reference, _, _ = List.hd runs in
-  List.iter
-    (fun (name, counts, _, _) ->
-      if counts <> reference then
-        failwith
-          (Printf.sprintf
-             "bench_batch: %s changed the per-image query counts" name))
-    runs;
-  let seconds_of name =
-    let _, _, dt, _ = List.find (fun (n, _, _, _) -> n = name) runs in
-    dt
-  in
-  let seq_dt = seconds_of "direct-sequential" in
-  let batched_dt = seconds_of "gemm-b16-cache-off" in
-  let speedup = if batched_dt > 0. then seq_dt /. batched_dt else 1. in
-  Printf.printf
-    "[batch] query counts identical across engines, widths and caches\n";
-  Printf.printf "[batch] batched-uncached speedup vs sequential-uncached: \
-                 %.2fx\n%!"
-    speedup;
-  if smoke then
-    print_endline
-      "[batch] smoke: sequential/batched attacks bit-identical at widths \
-       1/4/16, cache on/off"
-  else begin
-    if speedup < 2. then
-      failwith
-        (Printf.sprintf
-           "bench_batch: expected >= 2x batched speedup, measured %.2fx"
-           speedup);
-    let oc = open_out "BENCH_batch.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"workload\": \"Sketch+False on a throwaway conv-dominated \
-           VGG-style net (16/32/32 channels), %d %dx%d images, cap %d\",\n\
-          \  \"query_counts_identical\": true,\n\
-          \  \"speedup_batched_vs_sequential\": %.2f,\n\
-          \  \"note\": \"direct-sequential is the per-candidate \
-           direct-convolution path (Network.scores); gemm-bN rows run the \
-           compiled boxed plan (im2col+GEMM) with speculative candidate \
-           chunks of width N.  Metering happens at consumption, so \
-           per-image query counts are asserted bit-identical across every \
-           row\",\n\
-          \  \"runs\": [\n"
-          n_images image_size image_size max_queries speedup;
-        let n = List.length runs in
-        List.iteri
-          (fun i (name, counts, dt, (bstats : Batcher.stats)) ->
-            Printf.fprintf oc
-              "    {\"name\": %S, \"seconds_per_sweep\": %.4f, \
-               \"speedup_vs_sequential\": %.2f, \"total_queries\": %d, \
-               \"chunks\": %d, \"prepared\": %d, \"buffer_hits\": %d, \
-               \"discarded\": %d}%s\n"
-              name dt
-              (if dt > 0. then seq_dt /. dt else 1.)
-              (Array.fold_left ( + ) 0 counts)
-              bstats.Batcher.batches bstats.Batcher.prepared
-              bstats.Batcher.buffer_hits bstats.Batcher.discarded
-              (if i = n - 1 then "" else ","))
-          runs;
-        output_string oc "  ]\n}\n");
-    print_endline "[batch] wrote BENCH_batch.json (query counts identical)"
-  end
 
 (* Observer-overhead benchmark (the `overhead` mode).
 
@@ -1794,11 +1354,10 @@ let bench_backend ?(smoke = false) quick =
 (* Bench regression gate (the `regress` mode).
 
    Snapshot the committed BENCH file contents as baselines, re-run the
-   cheap benches (plus cache unless --quick, which is minutes-long),
-   then compare what they wrote against the snapshots and fail on any
-   regression past the gate's policy.  The gate's own self-test (every
-   baseline passes against itself and fails against a degraded copy)
-   is `tools/regress.exe --smoke`. *)
+   benches that wrote them, then compare what they wrote against the
+   snapshots and fail on any regression past the gate's policy.  The
+   gate's own self-test (every baseline passes against itself and fails
+   against a degraded copy) is `tools/regress.exe --smoke`. *)
 
 let bench_regress quick =
   let module R = Evalharness.Regress in
@@ -1829,14 +1388,11 @@ let bench_regress quick =
   in
   let rerun =
     [
-      ("BENCH_batch.json", fun () -> bench_batch ~smoke:false quick);
       ("BENCH_overhead.json", fun () -> bench_overhead ~smoke:false);
       ("BENCH_synth.json", fun () -> bench_synth ~smoke:false quick);
       ("BENCH_scenarios.json", fun () -> bench_scenarios ~smoke:false quick);
       ("BENCH_backend.json", fun () -> bench_backend ~smoke:false quick);
     ]
-    @ (if quick then []
-       else [ ("BENCH_cache.json", fun () -> bench_cache ~smoke:false quick) ])
   in
   let failures = ref [] in
   List.iter
@@ -2088,21 +1644,29 @@ let () =
       [ "fig3cifar"; "table1"; "table2"; "fig4"; "fig3imagenet"; "micro" ]
     else modes
   in
-  Telemetry.Obs.with_observability ~log:progress obs
-    (fun () ->
-      List.iter
-        (fun mode ->
-          match mode with
-          | "micro" -> timed "micro" micro
-          | "sweep-beta" -> timed "sweep-beta" (fun () -> sweep_beta quick)
-          | "parallel" -> timed "parallel" (fun () -> bench_parallel quick)
-          | "cache" -> timed "cache" (fun () -> bench_cache ~smoke quick)
-          | "batch" -> timed "batch" (fun () -> bench_batch ~smoke quick)
-          | "overhead" -> timed "overhead" (fun () -> bench_overhead ~smoke)
-          | "synth" -> timed "synth" (fun () -> bench_synth ~smoke quick)
-          | "scenarios" ->
-              timed "scenarios" (fun () -> bench_scenarios ~smoke quick)
-          | "backend" -> timed "backend" (fun () -> bench_backend ~smoke quick)
-          | "regress" -> timed "regress" (fun () -> bench_regress quick)
-          | _ -> run_experiment quick domains cache mode)
-        modes)
+  let dispatch =
+    [
+      ("micro", micro);
+      ("sweep-beta", fun () -> sweep_beta quick);
+      ("overhead", fun () -> bench_overhead ~smoke);
+      ("synth", fun () -> bench_synth ~smoke quick);
+      ("scenarios", fun () -> bench_scenarios ~smoke quick);
+      ("backend", fun () -> bench_backend ~smoke quick);
+      ("regress", fun () -> bench_regress quick);
+    ]
+    @ List.map
+        (fun (name, render) ->
+          (name, fun () -> run_experiment quick domains cache render))
+        experiments
+  in
+  (* Validate every mode before running any: a typo after a
+     minutes-long experiment must not cost the experiment. *)
+  (match List.filter (fun m -> not (List.mem_assoc m dispatch)) modes with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown mode %s; valid modes: %s\n"
+        (String.concat ", " unknown)
+        (String.concat " " (List.map fst dispatch));
+      exit 2);
+  Telemetry.Obs.with_observability ~log:progress obs (fun () ->
+      List.iter (fun mode -> timed mode (List.assoc mode dispatch)) modes)

@@ -183,9 +183,6 @@ let parse_file path =
    silently gating over whatever files happen to exist. *)
 let registered_baselines =
   [
-    "BENCH_parallel.json";
-    "BENCH_cache.json";
-    "BENCH_batch.json";
     "BENCH_overhead.json";
     "BENCH_synth.json";
     "BENCH_scenarios.json";

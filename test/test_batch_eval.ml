@@ -450,24 +450,63 @@ let sketch_width_identity () =
       [ 2; 4; 16 ]
   done
 
-(* Sketch width identity on a real network oracle: the batched path runs
-   the im2col+GEMM engine while width 1 answers image by image, so this
-   closes the loop between the two halves of the suite. *)
+(* Sketch width identity on a real network oracle: the reference is
+   width 1 through the direct single-image loops ([Network.scores]); the
+   compiled plan must match it at widths 1/4/16, with the score cache
+   off and on, for an untargeted goal and for a targeted one.  The
+   target is the least likely class: a one-pixel flip to it almost never
+   exists, so that attack streams queries to the cap through every
+   chunk. *)
 let sketch_width_identity_on_network () =
   let g = Prng.of_int 77 in
-  let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes:3 in
+  let num_classes = 3 in
+  let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes in
   let image = Tensor.rand_uniform g [| 3; 8; 8 |] in
   let program = Oppsla.Gen.random_program (Helpers.gen_config ~size:8) g in
-  let run batch =
-    Sketch.attack ~batch ~max_queries:48
-      (Oracle.of_network net)
-      program ~image ~true_class:0
+  let true_class = Nn.Network.classify net image in
+  let scores = Nn.Network.scores net image in
+  let least = ref 0 in
+  for c = 1 to num_classes - 1 do
+    if Tensor.get_flat scores c < Tensor.get_flat scores !least then least := c
+  done;
+  let run ~goal ~cache ~batch oracle =
+    let log = ref [] in
+    let cache = if cache then Some (Score_cache.create ()) else None in
+    let r =
+      Sketch.attack ~goal ?cache ~batch ~max_queries:48
+        ~on_query:(fun i pair scores ->
+          log := (i, pair, Array.copy scores.Tensor.data) :: !log)
+        oracle program ~image ~true_class
+    in
+    (r, List.rev !log, Oracle.queries oracle)
   in
-  let seq = run 1 in
   List.iter
-    (fun batch ->
-      check_result (Printf.sprintf "network width %d" batch) seq (run batch))
-    [ 4; 16 ]
+    (fun (goal_name, goal) ->
+      let reference, reference_log, reference_metered =
+        run ~goal ~cache:false ~batch:1
+          (Oracle.of_fn ~num_classes (Nn.Network.scores net))
+      in
+      List.iter
+        (fun (cache, batch) ->
+          let r, log, metered =
+            run ~goal ~cache ~batch (Oracle.of_network net)
+          in
+          let name =
+            Printf.sprintf "network %s width %d cache %b" goal_name batch cache
+          in
+          check_result name reference r;
+          Alcotest.(check int) (name ^ ": metered queries") reference_metered
+            metered;
+          Alcotest.(check bool) (name ^ ": query trace") true
+            (List.length reference_log = List.length log
+            && List.for_all2
+               (fun (i, p, s) (i', p', s') ->
+                 i = i' && Oppsla.Pair.equal p p' && s = s')
+               reference_log log))
+        [
+          (false, 1); (false, 4); (false, 16); (true, 1); (true, 4); (true, 16);
+        ])
+    [ ("untargeted", Sketch.Untargeted); ("targeted", Sketch.Targeted !least) ]
 
 let baselines_width_identity () =
   let g = Prng.of_int 400 in

@@ -4,8 +4,9 @@
    table, every observable — query counts, success flags, adversarial
    pairs, score vectors, budget exhaustion points, synthesizer traces —
    is bit-identical with the cache on and off.  These tests drive the
-   sketch, all four baselines and a full synthesizer run (sequential and
-   over a 4-domain pool) both ways and compare, plus property tests of
+   sketch, all four baselines, a full synthesizer run (sequential and
+   over a 4-domain pool) and a program chain on a conv-net oracle both
+   ways and compare, plus property tests of
    Oracle.scores_memo against a fresh uncached oracle call-for-call, the
    clone-drops-cache rule, eviction accounting, and the aliasing
    guards. *)
@@ -281,6 +282,57 @@ let synthesizer_differential () =
             (run ~pool ~caches:(caches ()) ())))
     [ 1; 4 ]
 
+(* Score.evaluate over a synthesis-shaped workload on a real conv-net
+   oracle: a chain of mutated programs re-poses mostly the same
+   perturbations on the same images.  Cached and uncached evaluations
+   must be bit-identical, and the store's hit/miss split is pinned
+   exactly — a query charged on the hit path, or a hit counted twice,
+   moves one of the counts. *)
+
+let network_mutation_chain () =
+  let g = Prng.of_int 11 in
+  let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes:4 in
+  (* Random images labelled with the network's own prediction, so every
+     attack does real search work. *)
+  let samples =
+    Array.init 3 (fun _ ->
+        let image = Tensor.rand_uniform (Prng.split g) [| 3; 8; 8 |] in
+        (image, Nn.Network.classify net image))
+  in
+  let gen_config = Oppsla.Gen.config_for_image (fst samples.(0)) in
+  let chain_rng = Prng.split g in
+  let rec chain p n =
+    if n = 1 then [ p ]
+    else p :: chain (Oppsla.Gen.mutate gen_config chain_rng p) (n - 1)
+  in
+  let programs = chain (Oppsla.Gen.random_program gen_config chain_rng) 4 in
+  (* Inline evaluation attacks every image against the caller's oracle,
+     so its meter holds every query charged. *)
+  let evaluate caches program =
+    let oracle = Oracle.of_network net in
+    let e = Score.evaluate ~max_queries:64 ?caches oracle program samples in
+    (e, Oracle.queries oracle)
+  in
+  let store = Score_cache.store (Array.length samples) in
+  List.iteri
+    (fun i program ->
+      let off, off_metered = evaluate None program in
+      let on, on_metered = evaluate (Some store) program in
+      let name = Printf.sprintf "program %d" i in
+      Alcotest.(check int) (name ^ ": total queries") off.Score.total_queries
+        on.Score.total_queries;
+      Alcotest.(check int) (name ^ ": metered = total") off.Score.total_queries
+        off_metered;
+      Alcotest.(check int) (name ^ ": metered queries") off_metered on_metered;
+      Alcotest.(check int) (name ^ ": successes") off.Score.successes
+        on.Score.successes;
+      Alcotest.(check bool) (name ^ ": per-image records") true
+        (off.Score.per_image = on.Score.per_image))
+    programs;
+  let s = Score_cache.store_stats store in
+  Alcotest.(check int) "store hits" 542 s.Score_cache.hits;
+  Alcotest.(check int) "store misses" 283 s.Score_cache.misses
+
 (* Property test: scores_memo vs a fresh uncached oracle, call for call,
    over random pair sequences with repeats — same vectors, same counter,
    same Budget_exhausted index. *)
@@ -488,6 +540,8 @@ let suite =
       sparse_rs_differential;
     Alcotest.test_case "synthesizer differential (seq + pools 1/4)" `Quick
       synthesizer_differential;
+    Alcotest.test_case "network mutation chain: cache off = on, exact hits"
+      `Quick network_mutation_chain;
     QCheck_alcotest.to_alcotest qcheck_memo_matches_uncached;
     Alcotest.test_case "classify/score_of unaffected" `Quick
       classify_and_score_of_unaffected;
