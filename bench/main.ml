@@ -91,21 +91,12 @@ let experiments =
         Report.render_table2 (Experiments.table2 ~scale config) );
   ]
 
-let run_experiment quick domains cache render =
+let run_experiment quick domains render =
   let config = experiment_config quick in
   let scale =
     if quick then Experiments.quick_scale else Experiments.default_scale
   in
   let scale = match domains with None -> scale | Some _ -> { scale with Experiments.domains } in
-  let scale =
-    {
-      scale with
-      Experiments.cache;
-      synth = { scale.Experiments.synth with Workbench.cache };
-      imagenet_synth =
-        { scale.Experiments.imagenet_synth with Workbench.cache };
-    }
-  in
   print_endline (render ~scale config)
 
 (* Beta sweep: how the MH temperature affects synthesis quality
@@ -1579,9 +1570,6 @@ let () =
         | None -> None
         | Some n -> domains_of "OPPSLA_BENCH_DOMAINS" n)
   in
-  (* --no-cache: recompute every perturbation forward pass (results are
-     bit-identical either way; the flag exists for A/B timing). *)
-  let cache = not (List.mem "--no-cache" args) in
   let smoke = List.mem "--smoke" args in
   let float_flag name =
     Option.map
@@ -1634,8 +1622,7 @@ let () =
     Telemetry.Obs.strip_flags args ~flags:value_flags
     |> List.filter (fun a ->
            not
-             (a = "--quick" || a = "--" || a = "--cache" || a = "--no-cache"
-            || a = "--smoke" || a = "--profile"))
+             (a = "--quick" || a = "--" || a = "--smoke" || a = "--profile"))
   in
   let modes =
     (* CIFAR-regime experiments first: the ImageNet regime is the most
@@ -1656,7 +1643,7 @@ let () =
     ]
     @ List.map
         (fun (name, render) ->
-          (name, fun () -> run_experiment quick domains cache render))
+          (name, fun () -> run_experiment quick domains render))
         experiments
   in
   (* Validate every mode before running any: a typo after a

@@ -55,23 +55,6 @@ let domains_arg =
 
 let domains_opt d = if d <= 0 then None else Some d
 
-let cache_arg =
-  let cache =
-    ( true,
-      Arg.info [ "cache" ]
-        ~doc:
-          "Memoize perturbation forward passes (per-image score cache; the \
-           default).  Metering sits above the cache, so query counts and \
-           results are bit-identical either way." )
-  in
-  let no_cache =
-    ( false,
-      Arg.info [ "no-cache" ]
-        ~doc:"Disable the perturbation-score cache (recompute every forward \
-              pass)." )
-  in
-  Arg.(value & vflag true [ cache; no_cache ])
-
 let batch_arg =
   let doc =
     "Speculative candidate batch width: attacks pose up to this many \
@@ -211,7 +194,7 @@ let journal_arg =
      per charged oracle query: run id, charge site, image index, cache \
      key, oracle mode, cache hit, batcher chunk, backend) to $(docv).  \
      Audit offline with tools/audit.exe — two journals of the same \
-     attack under different --domains/--cache/--batch/--backend \
+     attack under different --domains/--batch/--backend \
      settings must carry bit-identical per-image charge sequences.  \
      Observation-only: results and query counts are unchanged."
   in
@@ -323,7 +306,7 @@ let synthesize_cmd =
       "Island-model synthesis: run $(docv) tempered MH chains in lockstep \
        rounds with periodic ring migration of elite programs.  The elite \
        trace is bit-identical for a fixed seed whatever --domains, \
-       --cache, --batch or kill/resume history.  At the default K = 1 the \
+       --batch or kill/resume history.  At the default K = 1 the \
        single chain is Algorithm 2."
     in
     Arg.(value & opt int 1 & info [ "islands" ] ~docv:"K" ~doc)
@@ -369,8 +352,7 @@ let synthesize_cmd =
     in
     Arg.(value & vflag false [ on; off ])
   in
-  let run dataset arch seed artifacts class_id iters domains cache batch
-      islands checkpoint resume early_stop trace metrics serve snapshot
+  let run dataset arch seed artifacts class_id iters domains batch islands checkpoint resume early_stop trace metrics serve snapshot
       snapshot_interval stall_timeout journal run_id profile backend =
     with_spec dataset @@ fun spec ->
     with_backend backend @@ fun backend ->
@@ -418,16 +400,13 @@ let synthesize_cmd =
               checkpoint = (if checkpoint = "" then None else Some checkpoint);
             }
           in
-          let caches =
-            if cache then Some (Score_cache.store (Array.length training))
-            else None
-          in
+          let caches = Score_cache.store (Array.length training) in
           let g =
             Prng.named_stream (Prng.of_int seed)
               (Printf.sprintf "islands-cli/class-%d" class_id)
           in
           let synthesize pool =
-            Oppsla.Islands.synthesize ~config:icfg ?pool ?caches ~resume g
+            Oppsla.Islands.synthesize ~config:icfg ?pool ~caches ~resume g
               (Workbench.oracle_factory c ())
               ~training
           in
@@ -461,7 +440,6 @@ let synthesize_cmd =
             Workbench.default_synth_params with
             iters;
             domains = domains_opt domains;
-            cache;
             batch;
           }
         in
@@ -477,7 +455,7 @@ let synthesize_cmd =
     Term.(
       ret
         (const run $ dataset_arg $ arch_arg $ seed_arg $ artifacts_arg
-       $ class_arg $ iters_arg $ domains_arg $ cache_arg $ batch_arg
+       $ class_arg $ iters_arg $ domains_arg $ batch_arg
        $ islands_arg $ checkpoint_arg $ resume_arg $ early_stop_arg
        $ trace_arg $ metrics_arg $ serve_metrics_arg $ snapshot_arg
        $ snapshot_interval_arg $ stall_timeout_arg $ journal_arg
@@ -678,7 +656,7 @@ let eval_cmd =
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run seed artifacts domains cache batch trace metrics serve snapshot
+  let run seed artifacts domains batch trace metrics serve snapshot
       snapshot_interval stall_timeout journal run_id profile backend
       experiment =
     check_batch batch @@ fun () ->
@@ -687,16 +665,11 @@ let eval_cmd =
       ~stall_timeout ~journal ~run_id ~profile ~backend
     @@ fun () ->
     let config = workbench_config ~backend artifacts seed in
-    let base = Experiments.default_scale in
     let scale =
       {
-        base with
+        Experiments.default_scale with
         Experiments.domains = domains_opt domains;
-        cache;
         batch;
-        synth = { base.Experiments.synth with Workbench.cache };
-        imagenet_synth =
-          { base.Experiments.imagenet_synth with Workbench.cache };
       }
     in
     let run_one = function
@@ -735,8 +708,7 @@ let eval_cmd =
   let term =
     Term.(
       ret
-        (const run $ seed_arg $ artifacts_arg $ domains_arg $ cache_arg
-       $ batch_arg $ trace_arg $ metrics_arg $ serve_metrics_arg
+        (const run $ seed_arg $ artifacts_arg $ domains_arg $ batch_arg $ trace_arg $ metrics_arg $ serve_metrics_arg
        $ snapshot_arg $ snapshot_interval_arg $ stall_timeout_arg
        $ journal_arg $ run_id_arg $ profile_arg $ backend_arg
        $ experiment_arg))

@@ -4,20 +4,12 @@ type outcome = {
   synth_queries : int;
 }
 
-let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?batch
-    ?evaluator g oracle ~training =
+let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?batch ?pool
+    g oracle ~training =
   if Array.length training = 0 then
     invalid_arg "Random_search.synthesize: empty training set";
   if samples <= 0 then invalid_arg "Random_search.synthesize: samples <= 0";
   let gen_config = Oppsla.Gen.config_for_image (fst training.(0)) in
-  let evaluate =
-    match evaluator with
-    | Some f -> f
-    | None ->
-        fun program samples ->
-          Oppsla.Score.evaluate ?max_queries:max_queries_per_image ?caches
-            ?batch oracle program samples
-  in
   let spent = ref 0 in
   let best = ref None in
   (* One heartbeat per sampled program: each draw evaluates the whole
@@ -28,7 +20,10 @@ let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?batch
   Telemetry.Watchdog.with_loop wd @@ fun () ->
   for i = 1 to samples do
     let program = Oppsla.Gen.random_program gen_config g in
-    let e = evaluate program training in
+    let e =
+      Oppsla.Score.evaluate ?max_queries:max_queries_per_image ?caches ?batch
+        ?pool oracle program training
+    in
     spent := !spent + e.Oppsla.Score.total_queries;
     Telemetry.Watchdog.beat ~iteration:i ~queries:!spent wd;
     match !best with

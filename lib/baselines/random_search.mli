@@ -18,18 +18,14 @@ val synthesize :
   ?max_queries_per_image:int ->
   ?caches:Score_cache.store ->
   ?batch:int ->
-  ?evaluator:
-    (Oppsla.Condition.program ->
-    (Tensor.t * int) array ->
-    Oppsla.Score.evaluation) ->
+  ?pool:Domain_pool.Pool.t ->
   Prng.t ->
   Oracle.t ->
   training:(Tensor.t * int) array ->
   outcome
-(** [evaluator] substitutes {!Oppsla.Score.evaluate} (e.g. with a parallel
-    runner).  [caches] (one slot per training image, shared across all
-    sampled programs) is forwarded to the default evaluator and ignored
-    when [evaluator] is given — a custom evaluator owns its own caching.
-    [batch] (default {!Oppsla.Sketch.default_batch}) is the speculative
-    chunk width forwarded the same way; outcomes are bit-identical at
-    every width. *)
+(** Each sampled program is scored by {!Oppsla.Score.evaluate}, which
+    receives [max_queries_per_image] (as [max_queries]), [caches] (one
+    slot per training image, shared across all sampled programs),
+    [batch] (default {!Oppsla.Sketch.default_batch}) and [pool] (the
+    per-image attacks fan out over it).  Outcomes are bit-identical with
+    and without a cache or a pool, and at every batch width. *)

@@ -1,6 +1,5 @@
 type scale = {
   domains : int option;
-  cache : bool;
   batch : int;
   budgets : int list;
   max_queries_cifar : int;
@@ -19,7 +18,6 @@ type scale = {
 let default_scale =
   {
     domains = None;
-    cache = true;
     batch = Oppsla.Sketch.default_batch;
     budgets = [ 50; 200 ];
     (* Full corner space for the CIFAR regime: below the full space the
@@ -47,7 +45,6 @@ let default_scale =
 let quick_scale =
   {
     domains = None;
-    cache = true;
     batch = Oppsla.Sketch.default_batch;
     budgets = [ 25; 50 ];
     max_queries_cifar = 256;
@@ -127,14 +124,12 @@ let imagenet_config scale (config : Workbench.config) =
    Sparse-RS (k = 1) and the sketch family key the same corner space, so
    later attackers hit scores earlier ones already paid a forward pass
    for. *)
-let attack_caches scale (c : Workbench.classifier) =
-  if scale.cache then
-    Some (Score_cache.store (Array.length c.Workbench.test))
-  else None
+let attack_caches (c : Workbench.classifier) =
+  Score_cache.store (Array.length c.Workbench.test)
 
 let fig3_for_classifier scale config synth_params max_queries pool
     (c : Workbench.classifier) =
-  let caches = attack_caches scale c in
+  let caches = attack_caches c in
   let attackers = attackers_for scale synth_params c config pool in
   Batcher.reset_global_stats ();
   let rows =
@@ -145,7 +140,7 @@ let fig3_for_classifier scale config synth_params max_queries pool
              attacker.Attackers.name c.Workbench.arch
              (Array.length c.Workbench.test));
         let records =
-          Runner.run ~pool ?caches ~batch:scale.batch ~seed:scale.attack_seed
+          Runner.run ~pool ~caches ~batch:scale.batch ~seed:scale.attack_seed
             ~max_queries attacker
             ~oracle_factory:(Workbench.oracle_factory c)
             c.Workbench.test
@@ -216,7 +211,7 @@ let table1 ?(scale = default_scale) config =
             (* One store per target classifier, shared across the source
                programs: every OPPSLA run explores the same corner space
                on the same images, so cross-source hit rates are high. *)
-            let caches = attack_caches scale suite.(target) in
+            let caches = attack_caches suite.(target) in
             Batcher.reset_global_stats ();
             let row =
               Array.init n (fun source ->
@@ -228,7 +223,7 @@ let table1 ?(scale = default_scale) config =
                     Attackers.oppsla ~programs:programs.(source)
                   in
                   let records =
-                    Runner.run ~pool ?caches ~batch:scale.batch
+                    Runner.run ~pool ~caches ~batch:scale.batch
                       ~seed:scale.attack_seed
                       ~max_queries:scale.max_queries_cifar attacker
                       ~oracle_factory:(Workbench.oracle_factory suite.(target))
@@ -281,14 +276,11 @@ let fig4 ?(scale = default_scale) config =
   (* Shared across every held-out evaluation: each accepted program (and
      the Sketch+False reference) re-walks the same corner space on the
      same images. *)
-  let heldout_caches =
-    if scale.cache then Some (Score_cache.store (Array.length heldout))
-    else None
-  in
+  let heldout_caches = Score_cache.store (Array.length heldout) in
   let evaluate_on_heldout program =
     let e =
       Oppsla.Score.evaluate ~max_queries:scale.max_queries_cifar
-        ?caches:heldout_caches ~batch:scale.batch ~pool
+        ~caches:heldout_caches ~batch:scale.batch ~pool
         (Workbench.oracle_factory c ()) program heldout
     in
     e.Oppsla.Score.avg_queries
@@ -309,13 +301,10 @@ let fig4 ?(scale = default_scale) config =
       (Prng.of_int config.Workbench.seed)
       (Printf.sprintf "fig4/%s/%d" c.Workbench.arch class_id)
   in
-  let synth_caches =
-    if scale.cache then Some (Score_cache.store (Array.length training))
-    else None
-  in
+  let synth_caches = Score_cache.store (Array.length training) in
   Batcher.reset_global_stats ();
   let out =
-    Oppsla.Islands.synthesize ~config:synth_config ~pool ?caches:synth_caches g
+    Oppsla.Islands.synthesize ~config:synth_config ~pool ~caches:synth_caches g
       (Workbench.oracle_factory c ())
       ~training
   in
@@ -363,12 +352,12 @@ let table2 ?(scale = default_scale) config =
     (fun (c : Workbench.classifier) ->
       (* Shared across the four approaches: OPPSLA, Sketch+False,
          Sketch+Random and Sparse-RS all key the same corner space. *)
-      let caches = attack_caches scale c in
+      let caches = attack_caches c in
       let run attacker =
         config.Workbench.log
           (Printf.sprintf "[table2] %s vs %s" attacker.Attackers.name
              c.Workbench.arch);
-        Runner.run ~pool ?caches ~batch:scale.batch ~seed:scale.attack_seed
+        Runner.run ~pool ~caches ~batch:scale.batch ~seed:scale.attack_seed
           ~max_queries:scale.max_queries_cifar attacker
           ~oracle_factory:(Workbench.oracle_factory c)
           c.Workbench.test
@@ -391,7 +380,7 @@ let table2 ?(scale = default_scale) config =
         Workbench.sketch_random_programs ~samples:scale.random_samples
           ~max_queries_per_image:
             scale.synth.Workbench.synth_max_queries_per_image
-          ~cache:scale.synth.Workbench.cache ~batch:scale.batch ~pool config c
+          ~batch:scale.batch ~pool config c
       in
       Batcher.reset_global_stats ();
       let rows =
@@ -440,10 +429,7 @@ let targeted ?(scale = default_scale) config =
       (* One store per target, shared across attackers: the perturbation
          key space is goal-independent, so Sparse-RS hits the scores
          Sketch+False already paid forward passes for. *)
-      let caches =
-        if scale.cache then Some (Score_cache.store (Array.length samples))
-        else None
-      in
+      let caches = Score_cache.store (Array.length samples) in
       Batcher.reset_global_stats ();
       let rows =
         List.map
@@ -452,7 +438,7 @@ let targeted ?(scale = default_scale) config =
               (Printf.sprintf "[targeted] %s -> class %d (%d images)"
                  attacker.Attackers.name target (Array.length samples));
             let records =
-              Runner.run ~pool ?caches ~batch:scale.batch
+              Runner.run ~pool ~caches ~batch:scale.batch
                 ~goal:(Oppsla.Sketch.Targeted target) ~seed:scale.attack_seed
                 ~max_queries attacker
                 ~oracle_factory:(Workbench.oracle_factory c)

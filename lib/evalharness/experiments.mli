@@ -11,18 +11,10 @@ type scale = {
           auto.  Parallelism never changes results: per-image oracles and
           image-order merging keep query counts bit-identical (see
           {!Oppsla.Score.evaluate}). *)
-  cache : bool;
-      (** memoize perturbation scores during the attack phases (one
-          {!Score_cache} store per classifier, shared across attackers so
-          later attackers hit scores earlier ones computed).  Like
-          [domains], this never changes results — metering sits above the
-          cache — it only cuts forward passes.  Synthesis-phase caching is
-          governed separately by [synth.cache] /
-          [imagenet_synth.cache]. *)
   batch : int;
       (** speculative candidate chunk width for every attack (synthesis
           and attack phases alike; overrides [synth.batch]).  Like
-          [domains] and [cache] this never changes results — the
+          [domains] this never changes results — the
           {!Batcher} meters at consumption — it only batches forward
           passes.  Default {!Oppsla.Sketch.default_batch}. *)
   budgets : int list;  (** reporting budgets for Figure 3 *)

@@ -126,7 +126,7 @@ let render_cache_stats (s : Score_cache.stats) =
   "Score cache\n"
   ^ table
       ~headers:
-        [ "lookups"; "hits"; "misses"; "hit rate"; "entries"; "evicted"; "MB" ]
+        [ "lookups"; "hits"; "misses"; "hit rate"; "entries"; "MB" ]
       ~rows:
         [
           [
@@ -135,7 +135,6 @@ let render_cache_stats (s : Score_cache.stats) =
             string_of_int s.Score_cache.misses;
             hit_rate;
             string_of_int s.Score_cache.entries;
-            string_of_int s.Score_cache.evictions;
             Telemetry.Fmt.mb s.Score_cache.bytes;
           ];
         ]

@@ -28,8 +28,8 @@ val render_pool_stats : Domain_pool.Pool.stats -> string
 
 val render_cache_stats : Score_cache.stats -> string
 (** One-row table of a score cache's counters: lookups split into hits
-    and misses, the hit rate, resident entries, FIFO evictions, and the
-    estimated tensor footprint in megabytes.  Works on a single cache's
+    and misses, the hit rate, resident entries, and the estimated tensor
+    footprint in megabytes.  Works on a single cache's
     {!Score_cache.stats} or a store-wide {!Score_cache.store_stats}
     aggregate. *)
 

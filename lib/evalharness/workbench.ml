@@ -193,7 +193,6 @@ type synth_params = {
   beta : float;
   synth_max_queries_per_image : int;
   domains : int option;
-  cache : bool;
   batch : int;
 }
 
@@ -203,25 +202,22 @@ let default_synth_params =
     beta = 0.02;
     synth_max_queries_per_image = 1024;
     domains = None;
-    cache = true;
     batch = Oppsla.Sketch.default_batch;
   }
 
 (* Workbench log lines render floats through [Telemetry.Fmt], the same
    formatters Report uses, so the two outputs can't drift in precision. *)
-let log_cache_stats config label = function
-  | None -> ()
-  | Some store ->
-      let s = Score_cache.store_stats store in
-      let hit_rate = Option.value ~default:0. (Score_cache.hit_rate s) in
-      config.log
-        (Printf.sprintf
-           "[workbench] %s cache: %d hits / %d misses (%s hit rate), %d \
-            entries, %s MB"
-           label s.Score_cache.hits s.Score_cache.misses
-           (Telemetry.Fmt.percent hit_rate)
-           s.Score_cache.entries
-           (Telemetry.Fmt.mb s.Score_cache.bytes))
+let log_cache_stats config label store =
+  let s = Score_cache.store_stats store in
+  let hit_rate = Option.value ~default:0. (Score_cache.hit_rate s) in
+  config.log
+    (Printf.sprintf
+       "[workbench] %s cache: %d hits / %d misses (%s hit rate), %d entries, \
+        %s MB"
+       label s.Score_cache.hits s.Score_cache.misses
+       (Telemetry.Fmt.percent hit_rate)
+       s.Score_cache.entries
+       (Telemetry.Fmt.mb s.Score_cache.bytes))
 
 (* The batcher's counters are global, so callers bracket the run:
    [Batcher.reset_global_stats] before, [log_batch_stats] after. *)
@@ -344,14 +340,10 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
                bit-for-bit.  The per-image score cache (shared across all
                proposals of this class's run) removes the repeated forward
                passes without touching that accounting. *)
-            let caches =
-              if params.cache then
-                Some (Score_cache.store (Array.length training))
-              else None
-            in
+            let caches = Score_cache.store (Array.length training) in
             Batcher.reset_global_stats ();
             let out =
-              Oppsla.Islands.synthesize ~config:synth_config ~pool ?caches g
+              Oppsla.Islands.synthesize ~config:synth_config ~pool ~caches g
                 (oracle_factory c ()) ~training
             in
             let chain = out.Oppsla.Islands.islands.(0) in
@@ -391,7 +383,7 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
           end))
 
 let sketch_random_programs ?(samples = 210) ?(max_queries_per_image = 1024)
-    ?(cache = true) ?batch ?pool config c =
+    ?batch ?pool config c =
   let file =
     Printf.sprintf "%s_%s_s%d_random_k%d_q%d_n%d.programs" c.spec.name c.arch
       config.seed samples max_queries_per_image config.synth_per_class
@@ -411,16 +403,11 @@ let sketch_random_programs ?(samples = 210) ?(max_queries_per_image = 1024)
             (* Same per-image store across all sampled programs — the
                random baseline revisits the same perturbation space 210
                times, so hit rates run even higher than MH synthesis. *)
-            let caches =
-              if cache then Some (Score_cache.store (Array.length training))
-              else None
-            in
+            let caches = Score_cache.store (Array.length training) in
             let out =
               Baselines.Random_search.synthesize ~samples
-                ~evaluator:
-                  (Oppsla.Score.evaluate ~max_queries:max_queries_per_image
-                     ?caches ?batch ~pool (oracle_factory c ()))
-                g (oracle_factory c ()) ~training
+                ~max_queries_per_image ~caches ?batch ~pool g
+                (oracle_factory c ()) ~training
             in
             log_cache_stats config
               (Printf.sprintf "random %s/%s class %d" c.spec.name c.arch

@@ -75,9 +75,6 @@ type synth_params = {
   beta : float;
   synth_max_queries_per_image : int;
   domains : int option;
-  cache : bool;
-      (** memoize perturbation scores per training image across MH
-          proposals; bit-identical results either way (default [true]) *)
   batch : int;
       (** speculative candidate chunk width of every synthesis attack
           (default {!Oppsla.Sketch.default_batch}); bit-identical traces
@@ -86,11 +83,11 @@ type synth_params = {
 
 val default_synth_params : synth_params
 (** 40 iterations, beta 0.02, 1024-query cap per synthesis attack,
-    cache on, batch {!Oppsla.Sketch.default_batch}. *)
+    batch {!Oppsla.Sketch.default_batch}. *)
 
-val log_cache_stats : config -> string -> Score_cache.store option -> unit
+val log_cache_stats : config -> string -> Score_cache.store -> unit
 (** [log_cache_stats config label store] writes the store's aggregated
-    hit/miss/footprint line to [config.log] ([None] logs nothing) — the
+    hit/miss/footprint line to [config.log] — the
     one-line form of {!Report.render_cache_stats}, used after each
     synthesis run and attack sweep. *)
 
@@ -119,13 +116,12 @@ val synthesize_programs :
 val sketch_random_programs :
   ?samples:int ->
   ?max_queries_per_image:int ->
-  ?cache:bool ->
   ?batch:int ->
   ?pool:Domain_pool.Pool.t ->
   config ->
   classifier ->
   Oppsla.Condition.program array
 (** Per-class programs chosen by the Sketch+Random ablation baseline;
-    cached like {!synthesize_programs}.  [cache] (default [true])
-    memoizes perturbation scores per training image across the sampled
-    programs, exactly as {!synth_params.cache} does for OPPSLA. *)
+    cached like {!synthesize_programs}.  Perturbation scores are
+    memoized per training image across the sampled programs, as OPPSLA
+    synthesis memoizes them across MH proposals. *)

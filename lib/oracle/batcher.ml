@@ -121,34 +121,51 @@ let drop_buffer t =
       Telemetry.Histogram.observe h_discarded (float_of_int n);
       t.buf <- []
 
-(* Resolve a chunk of candidates without metering: cache hits first, the
-   misses in one batched forward pass, results stored under their keys. *)
+(* Resolve a chunk of candidates without metering: cache hits first, then
+   one batched forward pass over the misses, results stored under their
+   keys.  A key identifies its input, so a key repeated inside the chunk
+   is forwarded once and its later slots share the answer.  Every slot
+   counts exactly one cache hit or miss, so misses are the forward
+   passes computed: a repeated slot costs none and counts as a hit (its
+   journal [hit] flag stays false — the cache did not hold it when the
+   chunk was resolved). *)
 let prepare t chunk =
+  let n = Array.length chunk in
   bump g_batches 1;
-  bump g_prepared (Array.length chunk);
-  Telemetry.Histogram.observe h_chunk_width
-    (float_of_int (Array.length chunk));
-  let resolved = Array.make (Array.length chunk) None in
-  let hits = Array.make (Array.length chunk) false in
-  (match t.cache with
-  | None -> ()
-  | Some c ->
-      Array.iteri
-        (fun i cand ->
-          resolved.(i) <- Score_cache.find_counted c cand.key;
-          hits.(i) <- resolved.(i) <> None)
-        chunk);
+  bump g_prepared n;
+  Telemetry.Histogram.observe h_chunk_width (float_of_int n);
+  let resolved = Array.make n None in
+  let hits = Array.make n false in
+  (* [repeat_of.(i)]: the earlier slot whose forward pass answers a
+     repeated slot [i], or -1. *)
+  let repeat_of = Array.make n (-1) in
   let missing = ref [] in
-  for i = Array.length chunk - 1 downto 0 do
-    if resolved.(i) = None then missing := i :: !missing
-  done;
-  let missing = Array.of_list !missing in
+  Array.iteri
+    (fun i cand ->
+      let cached =
+        match t.cache with
+        | None -> None
+        | Some c -> Score_cache.find c cand.key
+      in
+      match cached with
+      | Some _ ->
+          Option.iter Score_cache.count_hit t.cache;
+          resolved.(i) <- cached;
+          hits.(i) <- true
+      | None -> (
+          match List.find_opt (fun j -> chunk.(j).key = cand.key) !missing with
+          | Some j ->
+              Option.iter Score_cache.count_hit t.cache;
+              repeat_of.(i) <- j
+          | None -> missing := i :: !missing))
+    chunk;
+  let missing = Array.of_list (List.rev !missing) in
   if Array.length missing > 0 then begin
     let outs =
       Telemetry.Trace.span "batcher.prepare" ~cat:"oracle"
         ~args:(fun () ->
           [
-            ("chunk", Telemetry.Trace.Int (Array.length chunk));
+            ("chunk", Telemetry.Trace.Int n);
             ("forwarded", Telemetry.Trace.Int (Array.length missing));
           ])
         (fun () ->
@@ -158,22 +175,20 @@ let prepare t chunk =
     Array.iteri
       (fun j i ->
         resolved.(i) <- Some outs.(j);
-        match t.cache with
-        | Some c -> Score_cache.add c chunk.(i).key outs.(j)
-        | None -> ())
-      missing
+        Option.iter (fun c -> Score_cache.add c chunk.(i).key outs.(j)) t.cache)
+      missing;
+    Array.iteri
+      (fun i j -> if j >= 0 then resolved.(i) <- resolved.(j))
+      repeat_of
   end;
   t.buf <-
-    Array.to_list
-      (Array.mapi
-         (fun i cand ->
-           {
-             skey = cand.key;
-             score = Option.get resolved.(i);
-             shit = hits.(i);
-             spos = i;
-           })
-         chunk)
+    List.init n (fun i ->
+        {
+          skey = chunk.(i).key;
+          score = Option.get resolved.(i);
+          shit = hits.(i);
+          spos = i;
+        })
 
 let no_speculation : int -> candidate option = fun _ -> None
 
@@ -182,9 +197,7 @@ let no_speculation : int -> candidate option = fun _ -> None
    query order and Budget_exhausted fires at the sequential path's exact
    index.  [hit] and [chunk] ride along as journal provenance. *)
 let charge t cand ~hit ~chunk =
-  Oracle.meter
-    ~kind:(Score_cache.key_kind cand.key)
-    ~ckey:cand.key ~hit ~chunk t.oracle;
+  Oracle.meter ~ckey:cand.key ~hit ~chunk t.oracle;
   bump g_queries 1
 
 let serve_head t cand =
@@ -198,9 +211,8 @@ let serve_head t cand =
 (* Cache-first: a re-posed candidate needs no forward pass, so it builds
    no chunk and leaves the buffer alone (buffered slots stay valid
    answers for their keys).  The probe is uncounted; the hit is counted
-   only after [charge] passed the budget check, keeping
-   {!Oracle.scores_memo}'s metering-above-cache order.  The charge is
-   journaled as a hit outside any chunk. *)
+   only after [charge] passed the budget check: metering sits above the
+   cache.  The charge is journaled as a hit outside any chunk. *)
 let serve_cached t cand =
   match t.cache with
   | None -> None
@@ -212,6 +224,12 @@ let serve_cached t cand =
           Score_cache.count_hit c;
           hit)
 
+(* A miss the budget refuses is refused before anything is forwarded (the
+   charge raises), so it costs no forward pass and no cache miss; one
+   within the budget is charged once its chunk is resolved, so a failed
+   forward pass charges nothing.  The chunk never outgrows the remaining
+   budget: a slot past it could never be served.  None of this changes
+   what is charged, or when. *)
 let query t ?(speculate = no_speculation) cand =
   match t.buf with
   | { skey; _ } :: _ when skey = cand.key ->
@@ -222,8 +240,14 @@ let query t ?(speculate = no_speculation) cand =
       | Some score -> score
       | None ->
           drop_buffer t;
+          if Oracle.exhausted t.oracle then charge t cand ~hit:false ~chunk:0;
+          let width =
+            match Oracle.remaining t.oracle with
+            | Some r -> min t.width r
+            | None -> t.width
+          in
           let chunk = ref [ cand ] and filled = ref 1 and stop = ref false in
-          while (not !stop) && !filled < t.width do
+          while (not !stop) && !filled < width do
             match speculate (!filled - 1) with
             | None -> stop := true
             | Some c ->

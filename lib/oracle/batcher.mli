@@ -52,9 +52,14 @@ val create : ?cache:Score_cache.t -> width:int -> Oracle.t -> t
 
 val query : t -> ?speculate:(int -> candidate option) -> candidate -> Tensor.t
 (** One metered query, answered from the buffer or the cache when
-    possible.  A cache answer meters before counting the hit, so a query
-    refused by the budget leaves the cache statistics untouched; it is
-    journaled with [hit = true] and [chunk = -1].
+    possible.  This is the one cached query path, and every query is
+    metered before the cache answers it: a cache answer meters before
+    counting the hit (journaled with [hit = true] and [chunk = -1]), and
+    a miss is refused by a spent budget before its chunk is forwarded,
+    so a refused query costs no forward pass and leaves the cache
+    statistics untouched.  A miss within the budget is metered once its
+    chunk is resolved, so a forward pass that raises charges nothing.  A chunk never holds more candidates than the remaining
+    budget can serve, and forwards a key repeated inside it once.
     [speculate i] (called only when a new chunk must be built) returns
     the [i]-th candidate the attacker would pose after this one under
     the assumption that no answer changes its course, or [None] to stop

@@ -31,11 +31,11 @@ let m_q_unkeyed = Telemetry.Metrics.counter "oracle.queries.unkeyed"
 let m_q_decision = Telemetry.Metrics.counter "oracle.queries.decision"
 let m_batch_forwards = Telemetry.Metrics.counter "oracle.batch_forwards"
 
-let kind_counter = function
-  | Some "clean" -> m_q_clean
-  | Some "corner" -> m_q_corner
-  | Some "custom" -> m_q_custom
-  | Some _ | None -> m_q_unkeyed
+let kind_counter : Score_cache.key option -> _ = function
+  | Some Clean -> m_q_clean
+  | Some (Corner _) -> m_q_corner
+  | Some (Custom _) -> m_q_custom
+  | None -> m_q_unkeyed
 
 let mode_label = function Score -> "score" | Decision -> "decision"
 
@@ -108,30 +108,30 @@ let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
     m_by = by_counter ~backend:(Nn.Backend.kind_name backend) Score;
   }
 
-(* The single funnel every charged query passes through.  [kind] is the
-   per-key-kind counter split; [ckey]/[hit]/[chunk] are journal
-   provenance (the cache key, whether the score came from the memo
-   layer, the batcher slot position) — consulted only when the journal
-   sink is open, so the disabled path costs one extra atomic load. *)
-let meter ?kind ?ckey ?hit ?chunk t =
+(* The single funnel every charged query passes through.  [ckey] picks
+   the per-key-kind counter and, with [hit]/[chunk], is journal
+   provenance (the cache key, whether the score came from the cache,
+   the batcher slot position) — consulted only when the journal sink is
+   open, so the disabled path costs one extra atomic load. *)
+let meter ?ckey ?hit ?chunk t =
   (match t.limit with
   | Some b when t.count >= b -> raise (Budget_exhausted b)
   | _ -> ());
   t.count <- t.count + 1;
   Telemetry.Counter.incr m_q_total;
-  Telemetry.Counter.incr (kind_counter kind);
+  Telemetry.Counter.incr (kind_counter ckey);
   Telemetry.Counter.incr t.m_by;
   if t.qmode = Decision then Telemetry.Counter.incr m_q_decision;
-  if Telemetry.Journal.enabled () then
-    Telemetry.Journal.record
-      ~key:
-        (match ckey with
-        | Some k -> Score_cache.key_to_string k
-        | None -> "unkeyed")
-      ~kind:(Option.value kind ~default:"unkeyed")
-      ~mode:(mode_label t.qmode)
+  if Telemetry.Journal.enabled () then begin
+    let key, kind =
+      match ckey with
+      | Some k -> (Score_cache.key_to_string k, Score_cache.key_kind k)
+      | None -> ("unkeyed", "unkeyed")
+    in
+    Telemetry.Journal.record ~key ~kind ~mode:(mode_label t.qmode)
       ~hit:(Option.value hit ~default:false)
       ?chunk ~backend:t.backend_kind ()
+  end
 
 let validated t s =
   if Tensor.numel s <> t.classes then
@@ -143,18 +143,6 @@ let validated t s =
 let scores t x =
   meter t;
   validated t (t.fn x)
-
-(* The metering-above-cache invariant lives here: the query is charged
-   (and Budget_exhausted raised) before the cache is consulted, so hits
-   and misses are indistinguishable to the query accounting.  The
-   journal's hit flag comes from an uncounted membership probe, gated
-   on the sink being open — it never touches the hit/miss statistics
-   the cache reports. *)
-let scores_memo t cache ~key ~input =
-  let hit = Telemetry.Journal.enabled () && Score_cache.mem cache key in
-  meter ~kind:(Score_cache.key_kind key) ~ckey:key ~hit t;
-  Score_cache.find_or_add cache key ~compute:(fun () ->
-      validated t (t.fn (input ())))
 
 (* Unmetered batched forward pass: the speculative half of the batched
    query path.  Falls back to mapping [fn] when the scoring function has
@@ -168,58 +156,6 @@ let eval_batch t xs =
       match t.fn_batch with
       | Some fb -> Array.map (validated t) (fb xs)
       | None -> Array.map (fun x -> validated t (t.fn x)) xs)
-
-let scores_batch t ?cache ~keys ~inputs ~consume () =
-  let n = Array.length inputs in
-  if Array.length keys <> n then
-    invalid_arg "Oracle.scores_batch: keys and inputs must have equal length";
-  (* Speculative phase: resolve every slot's score vector without
-     touching the query counter.  Cache hits leave the batch before the
-     forward pass; misses are evaluated in one batched call and stored. *)
-  let resolved = Array.make n None in
-  let hits = Array.make n false in
-  (match cache with
-  | None -> ()
-  | Some c ->
-      Array.iteri
-        (fun i key ->
-          match key with
-          | None -> ()
-          | Some k ->
-              resolved.(i) <- Score_cache.find_counted c k;
-              hits.(i) <- resolved.(i) <> None)
-        keys);
-  let missing = ref [] in
-  for i = n - 1 downto 0 do
-    if resolved.(i) = None then missing := i :: !missing
-  done;
-  let missing = Array.of_list !missing in
-  if Array.length missing > 0 then begin
-    let outs = eval_batch t (Array.map (fun i -> inputs.(i) ()) missing) in
-    Array.iteri
-      (fun j i ->
-        resolved.(i) <- Some outs.(j);
-        match (cache, keys.(i)) with
-        | Some c, Some k -> Score_cache.add c k outs.(j)
-        | _ -> ())
-      missing
-  end;
-  (* Accounting phase: charge slots strictly in submission order.  A
-     budget exhausted at slot [j] raises after slots [0, j) were consumed
-     and charged — the same query index as the sequential path; results
-     for the remaining slots are discarded (speculation cost wall-clock,
-     never queries). *)
-  let consumed = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !consumed < n do
-    let i = !consumed in
-    meter
-      ?kind:(Option.map Score_cache.key_kind keys.(i))
-      ?ckey:keys.(i) ~hit:hits.(i) ~chunk:i t;
-    consumed := i + 1;
-    continue_ := consume i (Option.get resolved.(i))
-  done;
-  !consumed
 
 let classify t x = Tensor.argmax (scores t x)
 let score_of t x c = Tensor.get_flat (scores t x) c

@@ -12,9 +12,10 @@
     {b Caching.}  An oracle may carry an attached {!Score_cache.t}
     ({!set_cache}) memoizing the score vectors of one base image's
     perturbations.  The cache sits strictly {e under} the metering layer:
-    {!scores_memo} charges the counter and enforces the budget {e before}
-    the lookup, so query accounting is bit-identical with and without a
-    cache — caching trades forward passes, never queries. *)
+    {!Batcher.query}, the one cached query path, charges the counter and
+    enforces the budget {e before} the lookup, so query accounting is
+    bit-identical with and without a cache — caching trades forward
+    passes, never queries. *)
 
 type t
 
@@ -36,7 +37,7 @@ val of_network :
   t
 (** Network-backed oracle.  The network is compiled once into a
     {!Nn.Backend} plan and every forward pass runs it: batched queries
-    ({!eval_batch}, {!scores_batch}, {!Batcher}) as one forward over
+    ({!eval_batch}, {!Batcher}) as one forward over
     the whole chunk, single queries as a batch of one.  [?backend]
     (default [Boxed]) selects the tensor engine: [Boxed] is
     {!Nn.Backend.Boxed_engine}, bit-identical to the direct
@@ -100,65 +101,29 @@ val observe : t -> Tensor.t -> Tensor.t
 val score_of : t -> Tensor.t -> int -> float
 (** [score_of t x c] is [(scores t x).(c)] — one metered query. *)
 
-val meter :
-  ?kind:string -> ?ckey:Score_cache.key -> ?hit:bool -> ?chunk:int -> t -> unit
+val meter : ?ckey:Score_cache.key -> ?hit:bool -> ?chunk:int -> t -> unit
 (** The metering half of {!scores} on its own: raise {!Budget_exhausted}
     if the budget is spent, otherwise charge one query.  Exposed so
     caching layers can keep metering {e above} the cache; never call it
-    without answering the query it charges for.  [kind] (a
-    {!Score_cache.key_kind} label) only routes the telemetry per-kind
-    counter [oracle.queries.<kind>]; it never affects accounting.
+    without answering the query it charges for.  [ckey]'s
+    {!Score_cache.key_kind} routes the telemetry per-kind counter
+    [oracle.queries.<kind>] ([unkeyed] without a key); it never affects
+    accounting.
 
-    [ckey], [hit] and [chunk] are query-journal provenance — the cache
-    key behind the charge, whether the memo layer already held the
+    [ckey], [hit] and [chunk] are also query-journal provenance — the
+    cache key behind the charge, whether the cache already held the
     answer, and the batcher slot position.  They are only consulted
     when the journal sink is open and never affect accounting: a
     journaled run charges the same queries at the same indices as a
     bare one (the [journal] bench asserts this). *)
 
-val scores_memo :
-  t ->
-  Score_cache.t ->
-  key:Score_cache.key ->
-  input:(unit -> Tensor.t) ->
-  Tensor.t
-(** One metered query answered through a cache.  Meters exactly like
-    {!scores} — same counter increment, same {!Budget_exhausted} at the
-    same query index — then returns the cached score vector for [key],
-    calling [input] to construct the query tensor only on a miss.  The
-    caller owns the key discipline: [key] must uniquely identify the
-    perturbed input within the cache's base image (see
-    {!Score_cache.key}).  The returned tensor is shared with the cache;
-    treat it as immutable. *)
-
 val eval_batch : t -> Tensor.t array -> Tensor.t array
 (** Unmetered batched forward pass — the {e speculative} half of the
-    batched query path.  Deliberately not a query: callers
-    ({!scores_batch}, {!Batcher}) must meter each slot at consumption
-    time, in submission order, so speculation can never perturb query
-    accounting.  Never call it from attack code directly.  The inputs
-    are borrowed for the duration of the call (see {!of_fn}). *)
-
-val scores_batch :
-  t ->
-  ?cache:Score_cache.t ->
-  keys:Score_cache.key option array ->
-  inputs:(unit -> Tensor.t) array ->
-  consume:(int -> Tensor.t -> bool) ->
-  unit ->
-  int
-(** One speculative chunk of queries with sequential accounting.
-
-    First every slot's score vector is resolved without touching the
-    query counter: slots whose [key] is resident in [cache] leave the
-    batch (a counted hit), the rest are evaluated in one {!eval_batch}
-    call and stored under their keys ([None] keys bypass the cache).
-    Then slots are walked strictly in submission order: each is charged
-    one query — raising {!Budget_exhausted} at exactly the query index
-    the sequential path would — and handed to [consume], which returns
-    [false] to stop (e.g. on attack success).  Returns the number of
-    slots consumed; results past the stopping slot are discarded, so
-    only [stop + 1] queries are ever charged. *)
+    batched query path.  Deliberately not a query: its caller
+    ({!Batcher}) must meter each slot at consumption time, in submission
+    order, so speculation can never perturb query accounting.  Never
+    call it from attack code directly.  The inputs are borrowed for the
+    duration of the call (see {!of_fn}). *)
 
 val queries : t -> int
 (** Queries posed since creation or the last {!reset}. *)

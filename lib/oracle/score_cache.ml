@@ -26,106 +26,43 @@ let key_to_string = function
    hence registry counters. *)
 let m_hits = Telemetry.Metrics.counter "cache.hits"
 let m_misses = Telemetry.Metrics.counter "cache.misses"
-let m_evictions = Telemetry.Metrics.counter "cache.evictions"
 
 type t = {
   table : (key, Tensor.t) Hashtbl.t;
-  order : key Queue.t;  (* insertion order; head = eviction candidate *)
-  capacity : int option;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   mutable payload : int;  (* floats resident across all entries *)
 }
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  entries : int;
-  bytes : int;
-}
+type stats = { hits : int; misses : int; entries : int; bytes : int }
 
-let create ?capacity () =
-  (match capacity with
-  | Some c when c < 1 -> invalid_arg "Score_cache.create: capacity < 1"
-  | _ -> ());
-  {
-    table = Hashtbl.create 64;
-    order = Queue.create ();
-    capacity;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    payload = 0;
-  }
-
-let evict_overflow t =
-  match t.capacity with
-  | None -> ()
-  | Some cap ->
-      while Hashtbl.length t.table > cap do
-        match Queue.take_opt t.order with
-        | None -> assert false (* every resident entry is queued *)
-        | Some oldest -> (
-            match Hashtbl.find_opt t.table oldest with
-            | None -> () (* already displaced by a re-insert *)
-            | Some v ->
-                Hashtbl.remove t.table oldest;
-                t.payload <- t.payload - Tensor.numel v;
-                t.evictions <- t.evictions + 1;
-                Telemetry.Counter.incr m_evictions)
-      done
-
-let find_or_add t key ~compute =
-  match Hashtbl.find_opt t.table key with
-  | Some s ->
-      t.hits <- t.hits + 1;
-      Telemetry.Counter.incr m_hits;
-      s
-  | None ->
-      t.misses <- t.misses + 1;
-      Telemetry.Counter.incr m_misses;
-      let s = compute () in
-      Hashtbl.replace t.table key s;
-      Queue.add key t.order;
-      t.payload <- t.payload + Tensor.numel s;
-      evict_overflow t;
-      s
-
-let find t key = Hashtbl.find_opt t.table key
+let create () = { table = Hashtbl.create 64; hits = 0; misses = 0; payload = 0 }
 
 let count_hit (t : t) =
   t.hits <- t.hits + 1;
   Telemetry.Counter.incr m_hits
 
-let find_counted t key =
+let store_miss (t : t) key s =
+  t.misses <- t.misses + 1;
+  Telemetry.Counter.incr m_misses;
+  Hashtbl.replace t.table key s;
+  t.payload <- t.payload + Tensor.numel s
+
+let find_or_add t key ~compute =
   match Hashtbl.find_opt t.table key with
   | Some s ->
       count_hit t;
-      Some s
-  | None -> None
+      s
+  | None ->
+      let s = compute () in
+      store_miss t key s;
+      s
 
-let add t key s =
-  if not (Hashtbl.mem t.table key) then begin
-    t.misses <- t.misses + 1;
-    Telemetry.Counter.incr m_misses;
-    Hashtbl.replace t.table key s;
-    Queue.add key t.order;
-    t.payload <- t.payload + Tensor.numel s;
-    evict_overflow t
-  end
-
-let mem t key = Hashtbl.mem t.table key
-let length t = Hashtbl.length t.table
-
-let clear t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.payload <- 0
+let find t key = Hashtbl.find_opt t.table key
+let add t key s = if not (Hashtbl.mem t.table key) then store_miss t key s
 
 (* Payload floats are 8 bytes each; ~64 bytes/entry covers the boxed
-   tensor, hashtable bucket and order-queue cell.  An estimate is enough:
+   tensor and the hashtable bucket.  An estimate is enough:
    the number is observability, not an allocator contract. *)
 let entry_overhead = 64
 
@@ -133,18 +70,16 @@ let stats (t : t) =
   {
     hits = t.hits;
     misses = t.misses;
-    evictions = t.evictions;
     entries = Hashtbl.length t.table;
     bytes = (t.payload * 8) + (Hashtbl.length t.table * entry_overhead);
   }
 
-let zero_stats = { hits = 0; misses = 0; evictions = 0; entries = 0; bytes = 0 }
+let zero_stats = { hits = 0; misses = 0; entries = 0; bytes = 0 }
 
 let add_stats a b =
   {
     hits = a.hits + b.hits;
     misses = a.misses + b.misses;
-    evictions = a.evictions + b.evictions;
     entries = a.entries + b.entries;
     bytes = a.bytes + b.bytes;
   }
@@ -156,9 +91,9 @@ let hit_rate s =
 
 type store = t array
 
-let store ?capacity n =
+let store n =
   if n < 0 then invalid_arg "Score_cache.store: negative size";
-  Array.init n (fun _ -> create ?capacity ())
+  Array.init n (fun _ -> create ())
 
 let image_cache s i =
   if i < 0 || i >= Array.length s then

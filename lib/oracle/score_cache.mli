@@ -11,13 +11,18 @@
     pass per distinct perturbation instead of one per query.
 
     {b The metering-above-cache invariant.}  The cache sits {e under} the
-    metering layer, never above it: {!Oracle.scores_memo} charges the
-    query counter (and raises [Budget_exhausted]) {e before} the lookup,
-    on hits and misses alike.  Query counts, success flags, budget
-    exhaustion points and synthesizer traces are therefore bit-identical
-    whether a cache is used or not — the cache buys wall-clock, never
-    queries.  A differential suite ([test/test_cache_eval.ml] and
-    [test/diff_runner.ml --cache on|off]) enforces this.
+    metering layer, never above it: {!Batcher.query}, the one cached
+    query path, charges the query counter (and raises [Budget_exhausted])
+    {e before} it consults the cache, on hits and misses alike.  Query
+    counts, success flags, budget exhaustion points and synthesizer
+    traces are therefore bit-identical whether a cache is used or not —
+    the cache buys wall-clock, never queries.  A differential suite
+    ([test/test_cache_eval.ml] and [test/diff_runner.ml --cache on|off])
+    enforces this.
+
+    A cache is unbounded: a full 16x16 corner space is 2049 entries of
+    one score vector each, and a cache lives only as long as the one
+    base image it belongs to.
 
     {b Ownership rules.}
     - One cache belongs to one [(oracle function, base image)] pair.
@@ -62,16 +67,12 @@ type t
 type stats = {
   hits : int;
   misses : int;  (** each miss is one forward pass actually computed *)
-  evictions : int;  (** entries dropped by a bounded cache (0 if unbounded) *)
   entries : int;  (** resident entries *)
   bytes : int;  (** approximate resident size (payload + table overhead) *)
 }
 
-val create : ?capacity:int -> unit -> t
-(** An empty cache.  [capacity] bounds the number of resident entries
-    (oldest-inserted evicted first); omitted means unbounded, which is
-    the right default — a full 16x16 corner space is 2049 entries of one
-    score vector each.  Raises [Invalid_argument] if [capacity < 1]. *)
+val create : unit -> t
+(** An empty cache. *)
 
 val find_or_add : t -> key -> compute:(unit -> Tensor.t) -> Tensor.t
 (** [find_or_add t key ~compute] returns the cached vector for [key], or
@@ -80,30 +81,20 @@ val find_or_add : t -> key -> compute:(unit -> Tensor.t) -> Tensor.t
     input belongs inside it. *)
 
 val find : t -> key -> Tensor.t option
-(** Silent probe: no statistics are touched. *)
-
-val find_counted : t -> key -> Tensor.t option
-(** Probe counted as a hit when present (a miss is only counted when the
-    computed vector is stored with {!add}).  The batched oracle path uses
-    this pair instead of {!find_or_add} because its lookups and fills are
-    separated by one batched forward pass over all missing slots. *)
+(** Silent probe: no statistics are touched.  The batcher pairs it with
+    {!count_hit} and {!add} because its lookups and fills are separated
+    by one batched forward pass over all missing slots. *)
 
 val count_hit : t -> unit
-(** Count one hit without a lookup: the batcher's cache-first path
-    probes with {!find}, meters the query, and only then counts the hit,
-    so a query refused by the budget is never counted as a hit. *)
+(** Count one hit without a lookup: the batcher probes with {!find} and
+    counts the hit itself — on its cache-first path only after the query
+    was metered, so a query refused by the budget is never counted as a
+    hit. *)
 
 val add : t -> key -> Tensor.t -> unit
 (** Store a computed vector, counted as a miss.  A no-op if [key] is
     already resident (the first stored vector wins, matching
     {!find_or_add}). *)
-
-val mem : t -> key -> bool
-val length : t -> int
-
-val clear : t -> unit
-(** Drop every entry (not counted as evictions); statistics other than
-    [entries]/[bytes] are kept. *)
 
 val stats : t -> stats
 
@@ -125,9 +116,8 @@ val hit_rate : stats -> float option
 
 type store
 
-val store : ?capacity:int -> int -> store
-(** [store n]: [n] empty caches (optionally each bounded to [capacity]
-    entries).  Raises [Invalid_argument] if [n < 0]. *)
+val store : int -> store
+(** [store n]: [n] empty caches.  Raises [Invalid_argument] if [n < 0]. *)
 
 val image_cache : store -> int -> t
 (** The cache for sample index [i].  Raises [Invalid_argument] out of

@@ -145,33 +145,43 @@ let su_opa_minimum_queries_is_population () =
 
 (* Sketch+Random *)
 
+(* Sketch+Random keeps the sampled program with the lowest average and
+   charges the queries of every sample: replay its draws from the same
+   seed and score each program on its own oracle.  The special pixel
+   sits deep in the default search order, so programs differ. *)
 let random_search_picks_best () =
-  let evaluated = ref [] in
-  let evaluator program _samples =
-    let avg = 100. -. float_of_int (List.length !evaluated) in
-    evaluated := (program, avg) :: !evaluated;
-    {
-      Oppsla.Score.avg_queries = avg;
-      successes = 1;
-      attempts = 1;
-      total_queries = 7;
-      per_image = [| { Oppsla.Score.queries = 7; success = true } |];
-    }
+  let training =
+    [|
+      (Helpers.special_pixel_image ~size ~base:0.52 ~v:0.10 ~row:3 ~col:3, 0);
+      (Helpers.special_pixel_image ~size ~base:0.48 ~v:0.90 ~row:3 ~col:3, 1);
+      (Helpers.special_pixel_image ~size ~base:0.52 ~v:0.10 ~row:0 ~col:3, 0);
+    |]
   in
+  let samples = 10 and cap = 64 in
   let out =
-    Baselines.Random_search.synthesize ~samples:10 ~evaluator (Prng.of_int 6)
-      (oracle ())
-      ~training:[| (attackable, 0) |]
+    Baselines.Random_search.synthesize ~samples ~max_queries_per_image:cap
+      (Prng.of_int 6) (oracle ()) ~training
   in
-  (* The evaluator returns decreasing averages, so the last program wins. *)
-  Alcotest.(check (float 0.)) "lowest avg" 91. out.Baselines.Random_search.best_avg_queries;
-  Alcotest.(check int) "synth queries summed" 70
+  let g = Prng.of_int 6 in
+  let gen_config = Oppsla.Gen.config_for_image (fst training.(0)) in
+  let scored =
+    Array.init samples (fun _ ->
+        let program = Oppsla.Gen.random_program gen_config g in
+        (program, Oppsla.Score.evaluate ~max_queries:cap (oracle ()) program training))
+  in
+  let avg (_, e) = e.Oppsla.Score.avg_queries in
+  let best =
+    Array.fold_left (fun b s -> if avg s < avg b then s else b) scored.(0) scored
+  in
+  Alcotest.(check bool) "sampled programs differ" true
+    (Array.exists (fun s -> avg s <> avg best) scored);
+  Alcotest.(check (float 0.)) "lowest avg" (avg best)
+    out.Baselines.Random_search.best_avg_queries;
+  Alcotest.(check int) "synth queries summed"
+    (Array.fold_left (fun acc (_, e) -> acc + e.Oppsla.Score.total_queries) 0 scored)
     out.Baselines.Random_search.synth_queries;
-  match !evaluated with
-  | (last, _) :: _ ->
-      Alcotest.(check bool) "best is argmin" true
-        (C.equal_program last out.Baselines.Random_search.best)
-  | [] -> Alcotest.fail "no evaluations"
+  Alcotest.(check bool) "best is the first argmin" true
+    (C.equal_program (fst best) out.Baselines.Random_search.best)
 
 let random_search_validates () =
   Alcotest.(check bool) "empty training raises" true

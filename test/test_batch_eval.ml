@@ -272,21 +272,24 @@ let batcher_cache_excludes_hits () =
   Alcotest.(check int) "hits are still metered" 2 (Oracle.queries oracle);
   (* Newly computed slots were stored for later reuse. *)
   Alcotest.(check bool) "misses were cached" true
-    (Score_cache.mem cache (cand 1).Batcher.key
-    && Score_cache.mem cache (cand 3).Batcher.key)
+    (Score_cache.find cache (cand 1).Batcher.key <> None
+    && Score_cache.find cache (cand 3).Batcher.key <> None)
 
 (* Budget exhaustion fires at exactly the sequential query index even
    when the answer is already sitting in the buffer: the speculative
-   forward pass resolved candidate 3 for free, but consuming it is the
-   third query against a budget of 2. *)
+   forward pass resolved candidate 3 before the budget was lowered to 2,
+   but consuming it is the third query against a budget of 2.  With the
+   budget set up front, a chunk holds no more candidates than the budget
+   can serve, and a refused miss is never forwarded. *)
 let batcher_budget_exact_index () =
   let calls = ref 0 in
-  let oracle = counting_oracle ~budget:2 calls in
+  let oracle = counting_oracle calls in
   let t = Batcher.create ~width:4 oracle in
   let plan = [| cand 1; cand 2; cand 3; cand 4 |] in
   let speculate i = if i < 3 then Some plan.(i + 1) else None in
   ignore (Batcher.query t ~speculate plan.(0));
   Alcotest.(check int) "whole chunk resolved speculatively" 4 !calls;
+  Oracle.set_budget oracle (Some 2);
   ignore (Batcher.query t ~speculate plan.(1));
   Alcotest.(check int) "budget spent" 2 (Oracle.queries oracle);
   Alcotest.(check bool) "third consumption raises at index 2" true
@@ -294,7 +297,19 @@ let batcher_budget_exact_index () =
        ignore (Batcher.query t ~speculate plan.(2));
        false
      with Oracle.Budget_exhausted 2 -> true);
-  Alcotest.(check int) "no forward after exhaustion" 4 !calls
+  Alcotest.(check int) "no forward after exhaustion" 4 !calls;
+  let calls = ref 0 in
+  let oracle = counting_oracle ~budget:2 calls in
+  let t = Batcher.create ~width:4 oracle in
+  ignore (Batcher.query t ~speculate plan.(0));
+  Alcotest.(check int) "chunk capped at the budget" 2 !calls;
+  ignore (Batcher.query t ~speculate plan.(1));
+  Alcotest.(check bool) "budget-capped: third query raises at index 2" true
+    (try
+       ignore (Batcher.query t ~speculate plan.(2));
+       false
+     with Oracle.Budget_exhausted 2 -> true);
+  Alcotest.(check int) "refused miss is not forwarded" 2 !calls
 
 let batcher_width_one_never_speculates () =
   let calls = ref 0 in
@@ -534,6 +549,71 @@ let baselines_width_identity () =
   in
   check_result "sparse_rs" (sparse_rs 1) (sparse_rs 16)
 
+(* Each forward pass is one cache miss: the rows the oracle's batched
+   scoring function sees equal the cache's misses, less the [Clean]
+   entry (the sketch reads the clean scores through the single-image
+   function).  Sparse-RS speculates the same proposal more than once in
+   one chunk; such a key must be forwarded once.  The oracle never
+   flips, so every attack runs to its cap. *)
+let forwards_equal_cache_misses () =
+  let size = 8 in
+  let rows = ref 0 in
+  let never_flips () =
+    let s = Tensor.of_array [| 2 |] [| 1.; 0. |] in
+    Oracle.of_fn ~num_classes:2
+      ~batch_fn:(fun xs ->
+        rows := !rows + Array.length xs;
+        Array.map (fun _ -> s) xs)
+      (fun _ -> s)
+  in
+  let attackers =
+    [
+      ( "sketch",
+        fun ~batch oracle image ->
+          ignore
+            (Sketch.attack ~max_queries:256 ~batch oracle C.const_false_program
+               ~image ~true_class:0) );
+      ( "sparse_rs",
+        fun ~batch oracle image ->
+          let config =
+            { Baselines.Sparse_rs.max_queries = 256; min_explore = 0.1 }
+          in
+          ignore
+            (Baselines.Sparse_rs.attack ~config ~batch (Prng.of_int 3) oracle
+               ~image ~true_class:0) );
+      ( "su_opa",
+        fun ~batch oracle image ->
+          let config =
+            { Baselines.Su_opa.population = 10; f = 0.5; max_queries = 256 }
+          in
+          ignore
+            (Baselines.Su_opa.attack ~config ~batch (Prng.of_int 4) oracle
+               ~image ~true_class:0) );
+    ]
+  in
+  List.iter
+    (fun (name, attack) ->
+      List.iter
+        (fun batch ->
+          let image =
+            Tensor.rand_uniform (Prng.of_int batch) [| 3; size; size |]
+          in
+          let oracle = never_flips () in
+          let cache = Score_cache.create () in
+          Oracle.set_cache oracle (Some cache);
+          rows := 0;
+          attack ~batch oracle image;
+          let s = Score_cache.stats cache in
+          let clean =
+            if Score_cache.find cache Score_cache.Clean <> None then 1 else 0
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s width %d: rows forwarded = misses" name batch)
+            (s.Score_cache.misses - clean)
+            !rows)
+        [ 1; 16 ])
+    attackers
+
 let suite =
   [
     Alcotest.test_case "matmul golden values and shape guards" `Quick
@@ -567,4 +647,6 @@ let suite =
       batcher_cache_first_keeps_buffer;
     Alcotest.test_case "batcher: cache-first meters before counting the hit"
       `Quick batcher_cache_first_budget;
+    Alcotest.test_case "batcher: one forward pass per cache miss" `Quick
+      forwards_equal_cache_misses;
   ]

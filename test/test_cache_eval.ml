@@ -6,10 +6,10 @@
    is bit-identical with the cache on and off.  These tests drive the
    sketch, all four baselines, a full synthesizer run (sequential and
    over a 4-domain pool) and a program chain on a conv-net oracle both
-   ways and compare, plus property tests of
-   Oracle.scores_memo against a fresh uncached oracle call-for-call, the
-   clone-drops-cache rule, eviction accounting, and the aliasing
-   guards. *)
+   ways and compare, plus property tests of the cached query path
+   (Batcher.query at widths 1 and 16) against a fresh uncached oracle
+   call-for-call, the clone-drops-cache rule, cache statistics, and the
+   aliasing guards. *)
 
 module Score = Oppsla.Score
 module Sketch = Oppsla.Sketch
@@ -137,7 +137,7 @@ let fixed_differential () =
   in
   check_result "fixed" off on;
   Alcotest.(check bool) "fixed populated the cache" true
-    (Score_cache.length cache > 0)
+    ((Score_cache.stats cache).Score_cache.entries > 0)
 
 let random_search_differential () =
   let training = training_set (Prng.of_int 5) 4 in
@@ -333,12 +333,26 @@ let network_mutation_chain () =
   Alcotest.(check int) "store hits" 542 s.Score_cache.hits;
   Alcotest.(check int) "store misses" 283 s.Score_cache.misses
 
-(* Property test: scores_memo vs a fresh uncached oracle, call for call,
-   over random pair sequences with repeats — same vectors, same counter,
-   same Budget_exhausted index. *)
+(* The cached query path under test: [cands] posed in order through a
+   cached batcher of the given width whose speculation is the true
+   future of the sequence, so a width-16 chunk resolves up to 16
+   upcoming queries (repeats included) in one forward pass. *)
+let batched_asker ~width oracle cache cands =
+  let t = Batcher.create ~cache ~width oracle in
+  let n = Array.length cands in
+  fun p ->
+    Batcher.query t
+      ~speculate:(fun i -> if p + 1 + i < n then Some cands.(p + 1 + i) else None)
+      cands.(p)
 
-let qcheck_memo_matches_uncached =
-  QCheck.Test.make ~name:"scores_memo = scores call-for-call" ~count:60
+let widths = [ 1; 16 ]
+
+(* Property test: Batcher.query vs a fresh uncached oracle, call for
+   call, over random pair sequences with repeats — same vectors, same
+   counter, same Budget_exhausted index. *)
+
+let qcheck_batcher_matches_uncached =
+  QCheck.Test.make ~name:"Batcher.query = scores per call" ~count:60
     QCheck.(
       triple (int_range 0 9999)
         (small_list
@@ -352,38 +366,49 @@ let qcheck_memo_matches_uncached =
         Tensor.rand_uniform (Prng.of_int seed) ~lo:0.3 ~hi:0.7
           [| 3; size; size |]
       in
-      let cached = Helpers.mean_threshold_oracle ?budget () in
-      let uncached = Helpers.mean_threshold_oracle ?budget () in
-      let cache = Score_cache.create () in
-      let ok = ref true in
-      List.iter
-        (fun (row, col, corner) ->
-          let pair =
-            Oppsla.Pair.make ~loc:(Oppsla.Location.make ~row ~col) ~corner
-          in
-          let on =
-            try
-              Ok
-                (Oracle.scores_memo cached cache ~key:(Sketch.cache_key pair)
-                   ~input:(fun () -> Sketch.perturb image pair))
-            with Oracle.Budget_exhausted b -> Error b
-          in
-          let off =
-            try Ok (Oracle.scores uncached (Sketch.perturb image pair))
-            with Oracle.Budget_exhausted b -> Error b
-          in
-          (match (on, off) with
-          | Ok a, Ok b -> if a.Tensor.data <> b.Tensor.data then ok := false
-          | Error a, Error b -> if a <> b then ok := false
-          | Ok _, Error _ | Error _, Ok _ -> ok := false);
-          if Oracle.queries cached <> Oracle.queries uncached then ok := false)
-        seq;
-      let s = Score_cache.stats cache in
-      (* Every charged lookup is a hit or a miss; distinct keys bound the
-         misses. *)
-      !ok
-      && s.Score_cache.hits + s.Score_cache.misses = Oracle.queries cached
-      && s.Score_cache.misses = Score_cache.length cache)
+      let cands =
+        Array.of_list
+          (List.map
+             (fun (row, col, corner) ->
+               let pair =
+                 Oppsla.Pair.make ~loc:(Oppsla.Location.make ~row ~col) ~corner
+               in
+               {
+                 Batcher.key = Sketch.cache_key pair;
+                 input = (fun () -> Sketch.perturb image pair);
+               })
+             seq)
+      in
+      List.for_all
+        (fun width ->
+          let cached = Helpers.mean_threshold_oracle ?budget () in
+          let uncached = Helpers.mean_threshold_oracle ?budget () in
+          let cache = Score_cache.create () in
+          let ask = batched_asker ~width cached cache cands in
+          let ok = ref true in
+          Array.iteri
+            (fun p cand ->
+              let on =
+                try Ok (ask p) with Oracle.Budget_exhausted b -> Error b
+              in
+              let off =
+                try Ok (Oracle.scores uncached (cand.Batcher.input ()))
+                with Oracle.Budget_exhausted b -> Error b
+              in
+              (match (on, off) with
+              | Ok a, Ok b -> if a.Tensor.data <> b.Tensor.data then ok := false
+              | Error a, Error b -> if a <> b then ok := false
+              | Ok _, Error _ | Error _, Ok _ -> ok := false);
+              if Oracle.queries cached <> Oracle.queries uncached then
+                ok := false)
+            cands;
+          let s = Score_cache.stats cache in
+          (* Every charged lookup is a hit or a miss; distinct keys bound
+             the misses. *)
+          !ok
+          && s.Score_cache.hits + s.Score_cache.misses = Oracle.queries cached
+          && s.Score_cache.misses = s.Score_cache.entries)
+        widths)
 
 (* classify / score_of remain plain metered queries alongside a cache. *)
 
@@ -407,23 +432,33 @@ let budget_charged_on_hits () =
   let pair =
     Oppsla.Pair.make ~loc:(Oppsla.Location.make ~row:0 ~col:0) ~corner:0
   in
-  let oracle = Helpers.mean_threshold_oracle ~budget:3 () in
-  let cache = Score_cache.create () in
-  let ask () =
-    Oracle.scores_memo oracle cache ~key:(Sketch.cache_key pair)
-      ~input:(fun () -> Sketch.perturb image pair)
+  let cands =
+    Array.make 4
+      {
+        Batcher.key = Sketch.cache_key pair;
+        input = (fun () -> Sketch.perturb image pair);
+      }
   in
-  ignore (ask ());
-  ignore (ask ());
-  ignore (ask ());
-  Alcotest.(check int) "three charged queries, one forward pass" 3
-    (Oracle.queries oracle);
-  Alcotest.(check int) "single entry" 1 (Score_cache.length cache);
-  Alcotest.(check bool) "fourth query exhausts the budget" true
-    (try
-       ignore (ask ());
-       false
-     with Oracle.Budget_exhausted 3 -> true)
+  List.iter
+    (fun width ->
+      let name = Printf.sprintf "width %d: " width in
+      let oracle = Helpers.mean_threshold_oracle ~budget:3 () in
+      let cache = Score_cache.create () in
+      let ask = batched_asker ~width oracle cache cands in
+      ignore (ask 0);
+      ignore (ask 1);
+      ignore (ask 2);
+      Alcotest.(check int)
+        (name ^ "three charged queries, one forward pass")
+        3 (Oracle.queries oracle);
+      Alcotest.(check int) (name ^ "single entry") 1
+        (Score_cache.stats cache).Score_cache.entries;
+      Alcotest.(check bool) (name ^ "fourth query exhausts the budget") true
+        (try
+           ignore (ask 3);
+           false
+         with Oracle.Budget_exhausted 3 -> true))
+    widths
 
 let clone_drops_cache () =
   let oracle = Helpers.mean_threshold_oracle () in
@@ -434,11 +469,10 @@ let clone_drops_cache () =
   Alcotest.(check bool) "original keeps its cache" true
     (match Oracle.cache oracle with Some c' -> c' == cache | None -> false)
 
-(* Cache mechanics: capacity, FIFO eviction, stats and bytes
-   accounting. *)
+(* Cache mechanics: stats and bytes accounting. *)
 
-let eviction_and_stats () =
-  let cache = Score_cache.create ~capacity:2 () in
+let cache_stats () =
+  let cache = Score_cache.create () in
   let vec i = Tensor.of_array [| 2 |] [| float_of_int i; 0. |] in
   let key i = Score_cache.Corner { row = i; col = 0; corner = 0 } in
   ignore (Score_cache.find_or_add cache (key 0) ~compute:(fun () -> vec 0));
@@ -448,19 +482,10 @@ let eviction_and_stats () =
   let s = Score_cache.stats cache in
   Alcotest.(check int) "hits" 1 s.Score_cache.hits;
   Alcotest.(check int) "misses" 3 s.Score_cache.misses;
-  Alcotest.(check int) "evictions" 1 s.Score_cache.evictions;
-  Alcotest.(check int) "entries" 2 s.Score_cache.entries;
-  Alcotest.(check int) "length agrees" 2 (Score_cache.length cache);
-  (* FIFO: key 0 was inserted first, so it went first. *)
-  Alcotest.(check bool) "oldest evicted" false (Score_cache.mem cache (key 0));
-  Alcotest.(check bool) "newest resident" true (Score_cache.mem cache (key 2));
+  Alcotest.(check int) "entries" 3 s.Score_cache.entries;
   Alcotest.(check bool) "bytes accounted" true (s.Score_cache.bytes > 0);
   Alcotest.(check (option (float 0.01))) "hit rate" (Some 0.25)
     (Score_cache.hit_rate s);
-  Score_cache.clear cache;
-  let s = Score_cache.stats cache in
-  Alcotest.(check int) "clear empties" 0 s.Score_cache.entries;
-  Alcotest.(check int) "clear keeps counters" 1 s.Score_cache.hits;
   Alcotest.(check (option (float 0.))) "empty cache has no rate" None
     (Score_cache.hit_rate Score_cache.zero_stats)
 
@@ -542,12 +567,12 @@ let suite =
       synthesizer_differential;
     Alcotest.test_case "network mutation chain: cache off = on, exact hits"
       `Quick network_mutation_chain;
-    QCheck_alcotest.to_alcotest qcheck_memo_matches_uncached;
+    QCheck_alcotest.to_alcotest qcheck_batcher_matches_uncached;
     Alcotest.test_case "classify/score_of unaffected" `Quick
       classify_and_score_of_unaffected;
     Alcotest.test_case "budget charged on hits" `Quick budget_charged_on_hits;
     Alcotest.test_case "clone drops cache" `Quick clone_drops_cache;
-    Alcotest.test_case "eviction and stats" `Quick eviction_and_stats;
+    Alcotest.test_case "cache stats" `Quick cache_stats;
     Alcotest.test_case "store accounting" `Quick store_accounting;
     Alcotest.test_case "evaluator aliasing guards" `Quick evaluator_guards;
   ]

@@ -12,32 +12,42 @@ module Condition = Oppsla.Condition
 
 (* (1) Decision-oracle metering charges exactly one query per call —
    cache hits included — and the budget trips at exactly the query
-   index the score-mode path would trip at. *)
+   index the score-mode path would trip at, through the cached query
+   path at widths 1 and 16. *)
 let qcheck_decision_metering =
   QCheck.Test.make
     ~name:"decision metering: one query per call, cache hits included"
     ~count:200 QCheck.small_int (fun seed ->
       let g = Prng.of_int seed in
       let calls = 1 + Prng.int g 16 in
-      let o = Helpers.mean_threshold_oracle () in
-      Oracle.set_mode o Oracle.Decision;
-      let cache = Score_cache.create () in
       let image = Tensor.rand_uniform g ~lo:0.2 ~hi:0.8 [| 3; 4; 4 |] in
       (* The same key every time: every call after the first is a cache
-         hit, and each must still cost one query. *)
-      let key = Score_cache.Custom "pairs:3,7" in
-      for _ = 1 to calls do
-        ignore (Oracle.scores_memo o cache ~key ~input:(fun () -> image))
-      done;
-      let metered = Oracle.queries o = calls in
-      Oracle.set_budget o (Some calls);
-      let trips =
-        try
-          ignore (Oracle.scores_memo o cache ~key ~input:(fun () -> image));
-          false
-        with Oracle.Budget_exhausted b -> b = calls
+         hit (or a repeat inside one chunk), and each must still cost one
+         query. *)
+      let cand =
+        { Batcher.key = Score_cache.Custom "pairs:3,7"; input = (fun () -> image) }
       in
-      metered && trips)
+      List.for_all
+        (fun width ->
+          let o = Helpers.mean_threshold_oracle () in
+          Oracle.set_mode o Oracle.Decision;
+          let t = Batcher.create ~cache:(Score_cache.create ()) ~width o in
+          let ask () =
+            ignore (Batcher.query t ~speculate:(fun _ -> Some cand) cand)
+          in
+          for _ = 1 to calls do
+            ask ()
+          done;
+          let metered = Oracle.queries o = calls in
+          Oracle.set_budget o (Some calls);
+          let trips =
+            try
+              ask ();
+              false
+            with Oracle.Budget_exhausted b -> b = calls
+          in
+          metered && trips)
+        [ 1; 16 ])
 
 (* (2) k-pixel [pairs:] cache keys are a pure function of the set — any
    permutation of the same pixel set produces the identical key. *)
