@@ -76,10 +76,7 @@ let search (type s) ~config ~batch ~goal ~(key : s -> Score_cache.key)
     if !spent >= config.max_queries then
       raise (Done { adversarial = None; queries = !spent });
     let scores =
-      try
-        Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of state))
-      with Oracle.Budget_exhausted _ ->
-        raise (Done { adversarial = None; queries = !spent })
+      Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of state))
     in
     incr spent;
     Telemetry.Watchdog.beat ~queries:!spent wd;

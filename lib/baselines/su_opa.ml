@@ -74,8 +74,7 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
   let fitness ?speculate cand =
     if !spent >= config.max_queries then finish ();
     let scores =
-      try Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of cand))
-      with Oracle.Budget_exhausted _ -> finish ()
+      Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of cand))
     in
     incr spent;
     Telemetry.Watchdog.beat ~queries:!spent wd;

@@ -12,8 +12,9 @@
     generation at a time) and success is declared only when a batch
     completes, as in the published implementation; the minimum query
     count therefore equals [population] (the paper notes SuOPA's minimum
-    of 400 queries: its population size).  The attack fails when the
-    query budget runs out. *)
+    of 400 queries: its population size).  The attack fails when
+    [max_queries] queries are spent; the oracle itself never refuses a
+    query. *)
 
 type config = {
   population : int;  (** default 400, as in the original attack *)

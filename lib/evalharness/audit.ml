@@ -93,6 +93,13 @@ let parse_record line =
     backend = str_field line obj "backend";
   }
 
+(* A footer cut mid-line is as torn as a cut record line. *)
+let parse_footer line =
+  match Regress.parse_json line with
+  | obj -> int_field line obj "records"
+  | exception Regress.Parse_error m ->
+      invalid "unparseable footer (%s): %s" m line
+
 (* ----- file loading ----- *)
 
 let read_lines path =
@@ -130,16 +137,15 @@ let load path =
       let records = ref [] and footer_count = ref None in
       List.iteri
         (fun lineno line ->
+          let at_line f =
+            try f () with Invalid m -> invalid "%s:%d: %s" path (lineno + 2) m
+          in
           if line = "" then ()
           else if !footer_count <> None then
             invalid "%s:%d: content after footer" path (lineno + 2)
           else if starts_with ~prefix:"{\"journal_end\"" line then
-            footer_count :=
-              Some (int_field line (Regress.parse_json line) "records")
-          else
-            match parse_record line with
-            | r -> records := r :: !records
-            | exception Invalid m -> invalid "%s:%d: %s" path (lineno + 2) m)
+            footer_count := Some (at_line (fun () -> parse_footer line))
+          else records := at_line (fun () -> parse_record line) :: !records)
         rest;
       let records = List.rev !records in
       let complete =

@@ -37,8 +37,8 @@ type journal = {
 
 exception Invalid of string
 (** Raised by {!load} and {!parse_record} on malformed framing, an
-    unparseable record, or a checksum mismatch; the message names the
-    file/line. *)
+    unparseable record or footer (a file cut at any byte), or a checksum
+    mismatch; the message names the file/line. *)
 
 val verify_checksum : string -> bool
 (** Recompute the FNV-1a checksum over the line body and compare it to

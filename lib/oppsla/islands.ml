@@ -163,15 +163,6 @@ let chain_site k f = Telemetry.Journal.with_site (Printf.sprintf "islands/%d" k)
 
 (* ----- checkpoint serialization ----- *)
 
-let fnv1a64 s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
-  !h
-
 let ck_error fmt =
   Printf.ksprintf (fun m -> raise (Checkpoint_error ("checkpoint: " ^ m))) fmt
 
@@ -262,7 +253,7 @@ let write_checkpoint ~config ~root_id ~training_n ~rounds_done ~synth_queries
   let tmp = file ^ ".tmp" in
   let oc = open_out_bin tmp in
   output_string oc body;
-  Printf.fprintf oc "checksum %016Lx\n" (fnv1a64 body);
+  Printf.fprintf oc "checksum %s\n" (Telemetry.Journal.fnv64_hex body);
   close_out oc;
   Sys.rename tmp file;
   Telemetry.Postmortem.note_checkpoint
@@ -468,8 +459,7 @@ let load_checkpoint file =
       let body = String.concat "\n" body_lines ^ "\n" in
       (match String.split_on_char ' ' checksum_line with
       | [ "checksum"; hex ] ->
-          let expected = Printf.sprintf "%016Lx" (fnv1a64 body) in
-          if hex <> expected then
+          if hex <> Telemetry.Journal.fnv64_hex body then
             ck_error "checksum mismatch (file is corrupted or truncated)"
       | _ -> ck_error "missing checksum line (truncated file?)");
       parse_body (List.tl body_lines)

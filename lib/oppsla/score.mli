@@ -81,11 +81,9 @@ val evaluate :
     so query metering is race-free, and results are merged in image
     order.  The paper's cost model is oracle queries, so the pooled
     evaluation is {e bit-identical} to the sequential one (same
-    [avg_queries], [per_image], flags) whenever the oracle is
-    unbudgeted, for any pool size.  (With an oracle-level budget the
-    sequential evaluation shares one budget across images while clones
-    meter independently; synthesis uses unbudgeted oracles and caps per
-    image via [max_queries].)
+    [avg_queries], [per_image], flags) for every oracle and any pool
+    size: the oracle only meters, and each attack caps itself at
+    [max_queries].
 
     [caches] memoizes perturbation scores per image: slot [i] of the
     store backs sample [i], and the same store handed to every call over
@@ -181,9 +179,9 @@ val evaluate_pac :
     [Complete e] is {e bit-identical} to {!evaluate} (with the same
     [pool]) on the same arguments: every image is
     evaluated exactly once, per-image results are merged in input order,
-    and with an unbudgeted oracle the visiting order cannot affect any
-    per-image result.  [Pruned] reports the bound and the partial spend;
-    the caller treats the candidate as rejected.
+    and the visiting order cannot affect any per-image result.
+    [Pruned] reports the bound and the partial spend; the caller treats
+    the candidate as rejected.
 
     Raises [Invalid_argument] if [order] is not a permutation of the
     sample indices, if [pac.stage <= 0], or if neither [pac.range] nor

@@ -120,9 +120,9 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
   in
   (* Query a candidate pair, possibly served from the batcher's
      speculative buffer.  Raises [Found] on success and [Out_of_queries]
-     when either the local cap or the oracle budget is hit.  The
-     perturbed tensor is only materialized on a cache/buffer miss (or on
-     success, for the result). *)
+     when the [max_queries] cap is hit.  The perturbed tensor is only
+     materialized on a cache/buffer miss (or on success, for the
+     result). *)
   let check ?speculate pair =
     if !spent >= limit then raise Out_of_queries;
     (* A query builds at most one chunk, consumed before it returns. *)
@@ -135,10 +135,7 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
        mode-independent; [Score_diff] on one-hot contexts becomes the
        label-flip indicator. *)
     let scores =
-      try
-        Oracle.observe oracle
-          (Batcher.query batcher ?speculate (candidate_of pair))
-      with Oracle.Budget_exhausted _ -> raise Out_of_queries
+      Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of pair))
     in
     incr spent;
     Telemetry.Watchdog.beat ~queries:!spent wd_attack;

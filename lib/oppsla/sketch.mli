@@ -69,16 +69,16 @@ val attack :
   true_class:int ->
   result
 (** Run the sketch.  Stops with [adversarial = None] when the queue is
-    exhausted, when [max_queries] attack queries have been spent, or when
-    the oracle's own budget runs out.  [max_queries] defaults to the full
-    space size [8 * d1 * d2] (the attack never needs more).  [goal]
-    defaults to [Untargeted].
+    exhausted or when [max_queries] attack queries have been spent — the
+    one query cap; the oracle only meters.  [max_queries] defaults to
+    the full space size [8 * d1 * d2] (the attack never needs more).
+    [goal] defaults to [Untargeted].
 
     [cache] is this image's perturbation-score memo table (defaulting to
     the oracle's attached cache, {!Oracle.cache}); queries are answered
-    through the {!Batcher}, so metering — the query counter, the budget
-    exhaustion point, [queries] in the result — is bit-identical with and
-    without it, and so are the score vectors every condition sees.  The
+    through the {!Batcher}, so metering — the query counter and
+    [queries] in the result — is bit-identical with and without it, and
+    so are the score vectors every condition sees.  The
     cache must belong to [image] (see {!Score_cache}).
 
     [batch] (default {!default_batch}) is the speculative chunk width:

@@ -18,9 +18,9 @@
    passes are speculative and unmetered ({!Oracle.eval_batch}), while the
    query counter is charged at consumption time only, one query per
    served candidate, in the exact order the attacker poses them.  Query
-   counts, budget-exhaustion indices, success flags and synthesizer
-   traces are therefore bit-identical to the sequential path at every
-   batch width — mis-speculation costs wall-clock, never queries. *)
+   counts, success flags and synthesizer traces are therefore
+   bit-identical to the sequential path at every batch width —
+   mis-speculation costs wall-clock, never queries. *)
 
 type candidate = { key : Score_cache.key; input : unit -> Tensor.t }
 
@@ -194,8 +194,7 @@ let no_speculation : int -> candidate option = fun _ -> None
 
 (* Charge one served query.  Metering happens here — at consumption,
    never at preparation — so the counter advances in the attacker's true
-   query order and Budget_exhausted fires at the sequential path's exact
-   index.  [hit] and [chunk] ride along as journal provenance. *)
+   query order.  [hit] and [chunk] ride along as journal provenance. *)
 let charge t cand ~hit ~chunk =
   Oracle.meter ~ckey:cand.key ~hit ~chunk t.oracle;
   bump g_queries 1
@@ -211,8 +210,8 @@ let serve_head t cand =
 (* Cache-first: a re-posed candidate needs no forward pass, so it builds
    no chunk and leaves the buffer alone (buffered slots stay valid
    answers for their keys).  The probe is uncounted; the hit is counted
-   only after [charge] passed the budget check: metering sits above the
-   cache.  The charge is journaled as a hit outside any chunk. *)
+   after [charge]: metering sits above the cache.  The charge is
+   journaled as a hit outside any chunk. *)
 let serve_cached t cand =
   match t.cache with
   | None -> None
@@ -224,12 +223,8 @@ let serve_cached t cand =
           Score_cache.count_hit c;
           hit)
 
-(* A miss the budget refuses is refused before anything is forwarded (the
-   charge raises), so it costs no forward pass and no cache miss; one
-   within the budget is charged once its chunk is resolved, so a failed
-   forward pass charges nothing.  The chunk never outgrows the remaining
-   budget: a slot past it could never be served.  None of this changes
-   what is charged, or when. *)
+(* A miss is charged once its chunk is resolved, so a failed forward
+   pass charges nothing. *)
 let query t ?(speculate = no_speculation) cand =
   match t.buf with
   | { skey; _ } :: _ when skey = cand.key ->
@@ -240,14 +235,8 @@ let query t ?(speculate = no_speculation) cand =
       | Some score -> score
       | None ->
           drop_buffer t;
-          if Oracle.exhausted t.oracle then charge t cand ~hit:false ~chunk:0;
-          let width =
-            match Oracle.remaining t.oracle with
-            | Some r -> min t.width r
-            | None -> t.width
-          in
           let chunk = ref [ cand ] and filled = ref 1 and stop = ref false in
-          while (not !stop) && !filled < width do
+          while (not !stop) && !filled < t.width do
             match speculate (!filled - 1) with
             | None -> stop := true
             | Some c ->

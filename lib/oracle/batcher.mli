@@ -19,12 +19,12 @@
     {b The speculative-batching invariant.}  Forward passes are
     speculative and free of accounting; the query counter is charged
     only at consumption, one query per served candidate, in the exact
-    order posed.  If success or budget exhaustion lands at candidate [j]
-    of a chunk, results after [j] are discarded and exactly [j+1]
-    queries were charged — query counts, success flags,
-    [Budget_exhausted] indices and synthesizer traces are bit-identical
-    to the sequential path at every batch width.  Mis-speculation costs
-    wall-clock only.  [test/test_batch_eval.ml] and
+    order posed.  If success or the attacker's [max_queries] cap lands at
+    candidate [j] of a chunk, results after [j] are discarded and
+    exactly [j+1] queries were charged — query counts, success flags and
+    synthesizer traces are bit-identical to the sequential path at every
+    batch width.  Mis-speculation costs wall-clock only.
+    [test/test_batch_eval.ml] and
     [test/diff_runner.ml --batch 1|16] enforce this.
 
     Candidate keys must uniquely identify the perturbed input within the
@@ -55,17 +55,16 @@ val query : t -> ?speculate:(int -> candidate option) -> candidate -> Tensor.t
     possible.  This is the one cached query path, and every query is
     metered before the cache answers it: a cache answer meters before
     counting the hit (journaled with [hit = true] and [chunk = -1]), and
-    a miss is refused by a spent budget before its chunk is forwarded,
-    so a refused query costs no forward pass and leaves the cache
-    statistics untouched.  A miss within the budget is metered once its
-    chunk is resolved, so a forward pass that raises charges nothing.  A chunk never holds more candidates than the remaining
-    budget can serve, and forwards a key repeated inside it once.
+    a miss is metered once its chunk is resolved, so a forward pass that
+    raises charges nothing, stores nothing in the cache and leaves the
+    buffer empty.  A chunk forwards a key repeated inside it once.
     [speculate i] (called only when a new chunk must be built) returns
     the [i]-th candidate the attacker would pose after this one under
     the assumption that no answer changes its course, or [None] to stop
-    filling; it must not mutate attacker state.  Meters exactly like
-    {!Oracle.scores} — same counter increment, same {!Budget_exhausted}
-    at the same query index. *)
+    filling; it must not mutate attacker state.  Callers cap it at their
+    own [max_queries], since a slot past the cap is never served.  Meters
+    exactly like {!Oracle.scores}: one counter increment per query, in
+    the order posed. *)
 
 val width : t -> int
 

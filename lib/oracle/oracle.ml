@@ -7,7 +7,6 @@ type t = {
   classes : int;
   backend_kind : string;  (* "boxed" / "f32" / "fn" — journal provenance *)
   mutable count : int;
-  mutable limit : int option;
   mutable memo : Score_cache.t option;
   mutable qmode : mode;
   (* Cached handle on the dimensional series
@@ -15,8 +14,6 @@ type t = {
      [set_mode] so the hot metering path stays one atomic incr. *)
   mutable m_by : Telemetry.Counter.t;
 }
-
-exception Budget_exhausted of int
 
 (* Process-wide query metering: the total plus a per-key-kind split
    (clean/corner/custom for keyed queries through the cache/batcher
@@ -44,7 +41,7 @@ let by_counter ~backend qmode =
     ~labels:[ ("backend", backend); ("mode", mode_label qmode) ]
     "oracle.queries.by"
 
-let of_fn ?budget ?batch_fn ?(name = "fn") ~num_classes fn =
+let of_fn ?batch_fn ?(name = "fn") ~num_classes fn =
   if num_classes <= 0 then invalid_arg "Oracle.of_fn: num_classes <= 0";
   {
     fn;
@@ -53,13 +50,12 @@ let of_fn ?budget ?batch_fn ?(name = "fn") ~num_classes fn =
     classes = num_classes;
     backend_kind = "fn";
     count = 0;
-    limit = budget;
     memo = None;
     qmode = Score;
     m_by = by_counter ~backend:"fn" Score;
   }
 
-let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
+let of_network ?(backend = Nn.Backend.Boxed) ?pool net =
   (* Every forward pass runs a plan compiled once here: [Boxed] over the
      float64 kernels (bit-identical to [Nn.Network.scores]), [F32] over
      float32 Bigarrays.  Query accounting is backend-independent by
@@ -102,7 +98,6 @@ let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
     classes = net.Nn.Network.num_classes;
     backend_kind = Nn.Backend.kind_name backend;
     count = 0;
-    limit = budget;
     memo = None;
     qmode = Score;
     m_by = by_counter ~backend:(Nn.Backend.kind_name backend) Score;
@@ -114,9 +109,6 @@ let of_network ?budget ?(backend = Nn.Backend.Boxed) ?pool net =
    the batcher slot position) — consulted only when the journal sink is
    open, so the disabled path costs one extra atomic load. *)
 let meter ?ckey ?hit ?chunk t =
-  (match t.limit with
-  | Some b when t.count >= b -> raise (Budget_exhausted b)
-  | _ -> ());
   t.count <- t.count + 1;
   Telemetry.Counter.incr m_q_total;
   Telemetry.Counter.incr (kind_counter ckey);
@@ -157,22 +149,11 @@ let eval_batch t xs =
       | Some fb -> Array.map (validated t) (fb xs)
       | None -> Array.map (fun x -> validated t (t.fn x)) xs)
 
-let classify t x = Tensor.argmax (scores t x)
-let score_of t x c = Tensor.get_flat (scores t x) c
-
-(* Label-only (top-1) query: meters exactly like [scores] — same counter
-   increment, same [Budget_exhausted] at the same query index — but
-   reveals only the predicted label.  The threat-model switch for the
-   score-based attack stack is [observe] below; [decide] is the direct
-   decision-based query for code written against labels from the start. *)
-let decide t x = Tensor.argmax (scores t x)
 let mode t = t.qmode
 
 let set_mode t m =
   t.qmode <- m;
   t.m_by <- by_counter ~backend:t.backend_kind m
-
-let backend_name t = t.backend_kind
 
 let one_hot ~classes label =
   Tensor.init [| classes |] (fun j -> if j = label then 1.0 else 0.0)
@@ -191,16 +172,8 @@ let observe t s =
   match t.qmode with
   | Score -> s
   | Decision -> one_hot ~classes:t.classes (Tensor.argmax s)
+
 let queries t = t.count
-let reset t = t.count <- 0
-let budget t = t.limit
-let set_budget t b = t.limit <- b
-
-let remaining t =
-  Option.map (fun b -> max 0 (b - t.count)) t.limit
-
-let exhausted t =
-  match t.limit with Some b -> t.count >= b | None -> false
 
 let set_cache t c = t.memo <- c
 let cache t = t.memo

@@ -1,10 +1,13 @@
 (** Black-box, query-metered access to a classifier.
 
-    The paper's setting is black-box with a hard query budget (online
+    The paper's setting is black-box with a query budget (online
     classification APIs meter queries).  Attack and synthesis code may
-    only observe a classifier through this module: every call to
-    {!scores} / {!classify} increments the query counter and, when a
-    budget is set, raises {!Budget_exhausted} once the budget is spent.
+    only observe a classifier through this module: every metered query
+    ({!scores}, {!Batcher.query}) increments the query counter.  The
+    oracle only meters; the one query cap is the attacker's own
+    [max_queries] ({!Oppsla.Sketch.attack}, the baselines), and budget
+    thresholds such as the paper's ≤100/≤500/≤10000 are read off each
+    image's count after the fact.
 
     The oracle returns the full softmax score vector, matching the paper's
     [N(x) in R^c] (score-based black-box access).
@@ -12,8 +15,8 @@
     {b Caching.}  An oracle may carry an attached {!Score_cache.t}
     ({!set_cache}) memoizing the score vectors of one base image's
     perturbations.  The cache sits strictly {e under} the metering layer:
-    {!Batcher.query}, the one cached query path, charges the counter and
-    enforces the budget {e before} the lookup, so query accounting is
+    {!Batcher.query}, the one cached query path, charges one query for
+    every answer, cache hit or miss, so query accounting is
     bit-identical with and without a cache — caching trades forward
     passes, never queries. *)
 
@@ -23,14 +26,10 @@ type mode = Score | Decision
 (** The query threat model.  [Score] is the paper's setting: every query
     reveals the full score vector [N(x) in R^c].  [Decision] is the
     harder label-only (top-1) setting: a query still costs exactly one
-    unit of budget, but only the predicted label is observable.  The
+    query, but only the predicted label is observable.  The
     mode changes what {!observe} reveals, never what a query costs. *)
 
-exception Budget_exhausted of int
-(** Carries the budget that was exhausted. *)
-
 val of_network :
-  ?budget:int ->
   ?backend:Nn.Backend.kind ->
   ?pool:Domain_pool.Pool.t ->
   Nn.Network.t ->
@@ -48,7 +47,6 @@ val of_network :
     query accounting is independent of both knobs. *)
 
 val of_fn :
-  ?budget:int ->
   ?batch_fn:(Tensor.t array -> Tensor.t array) ->
   ?name:string -> num_classes:int ->
   (Tensor.t -> Tensor.t) -> t
@@ -65,19 +63,9 @@ val of_fn :
     retain it. *)
 
 val scores : t -> Tensor.t -> Tensor.t
-(** One metered query.  Raises {!Budget_exhausted} if the budget is
-    already spent (the query is not forwarded). *)
-
-val classify : t -> Tensor.t -> int
-(** [argmax (scores t x)] — also one metered query. *)
-
-val decide : t -> Tensor.t -> int
-(** Label-only (top-1) query: one metered query — same counter
-    increment, same {!Budget_exhausted} at the same query index as
-    {!scores} — that reveals only the predicted label.  Use this when
-    writing decision-based attack code directly; score-based attack code
-    is switched to the label-only threat model wholesale via {!set_mode}
-    [Decision] + {!observe} instead. *)
+(** One metered query: charges one query, then forwards [x].  The raw
+    score vector is returned whatever the {!mode}; attack code reads it
+    through {!observe}. *)
 
 val mode : t -> mode
 
@@ -98,12 +86,9 @@ val observe : t -> Tensor.t -> Tensor.t
     the batcher store raw score tensors internally in both modes — keys
     and accounting never depend on the mode. *)
 
-val score_of : t -> Tensor.t -> int -> float
-(** [score_of t x c] is [(scores t x).(c)] — one metered query. *)
-
 val meter : ?ckey:Score_cache.key -> ?hit:bool -> ?chunk:int -> t -> unit
-(** The metering half of {!scores} on its own: raise {!Budget_exhausted}
-    if the budget is spent, otherwise charge one query.  Exposed so
+(** The metering half of {!scores} on its own: charge one query.  It
+    never refuses a query; capping is the attacker's job.  Exposed so
     caching layers can keep metering {e above} the cache; never call it
     without answering the query it charges for.  [ckey]'s
     {!Score_cache.key_kind} routes the telemetry per-kind counter
@@ -126,17 +111,8 @@ val eval_batch : t -> Tensor.t array -> Tensor.t array
     duration of the call (see {!of_fn}). *)
 
 val queries : t -> int
-(** Queries posed since creation or the last {!reset}. *)
-
-val reset : t -> unit
-
-val budget : t -> int option
-val set_budget : t -> int option -> unit
-
-val remaining : t -> int option
-(** [None] when unlimited. *)
-
-val exhausted : t -> bool
+(** Queries posed since creation.  A fresh count is a fresh oracle or a
+    {!clone}. *)
 
 val set_cache : t -> Score_cache.t option -> unit
 (** Attach (or detach, with [None]) a per-image score cache.  The cache
@@ -151,16 +127,14 @@ val cache : t -> Score_cache.t option
 
 val clone : t -> t
 (** A fresh metered handle onto the same scoring function: same name,
-    classes and budget, but an independent query counter starting at 0
+    classes and mode, but an independent query counter starting at 0
     and {b no attached cache}.  This is the sanctioned way to fan an
     oracle out across domains — the counter is plain mutable state, so
     domains must never share one handle, and a {!Score_cache.t} is plain
     mutable state too, so a clone deliberately {e drops} it rather than
     aliasing one unsynchronized table across workers (a pooled
     {!Oppsla.Score.evaluate} hands each image's clone that image's own
-    slot explicitly).  Clones meter their budgets independently; pooled
-    evaluation of budgeted oracles is therefore per-clone, not global
-    (see {!Oppsla.Score.evaluate}).
+    slot explicitly).
 
     The clone contract for the query {!mode} is the opposite of the
     cache's: the mode is {b preserved}.  A cache is per-image mutable
@@ -171,13 +145,6 @@ val clone : t -> t
 
 val num_classes : t -> int
 val name : t -> string
-
-val backend_name : t -> string
-(** The scoring engine behind this oracle — ["boxed"] / ["f32"] for
-    network oracles, ["fn"] for closures — as recorded in journal
-    provenance and the [oracle.queries.by{backend=...,mode=...}]
-    dimensional series.  Metering is backend-independent; this is
-    observability only. *)
 
 val unmetered_classify : t -> Tensor.t -> int
 (** Classification that does NOT count as a query.  Reserved for

@@ -12,11 +12,10 @@
 
     {b The metering-above-cache invariant.}  The cache sits {e under} the
     metering layer, never above it: {!Batcher.query}, the one cached
-    query path, charges the query counter (and raises [Budget_exhausted])
-    {e before} it consults the cache, on hits and misses alike.  Query
-    counts, success flags, budget exhaustion points and synthesizer
-    traces are therefore bit-identical whether a cache is used or not —
-    the cache buys wall-clock, never queries.  A differential suite
+    query path, charges one query for every answer, cache hits and
+    misses alike.  Query counts, success flags and synthesizer traces
+    are therefore bit-identical whether a cache is used or not — the
+    cache buys wall-clock, never queries.  A differential suite
     ([test/test_cache_eval.ml] and [test/diff_runner.ml --cache on|off])
     enforces this.
 
@@ -88,8 +87,7 @@ val find : t -> key -> Tensor.t option
 val count_hit : t -> unit
 (** Count one hit without a lookup: the batcher probes with {!find} and
     counts the hit itself — on its cache-first path only after the query
-    was metered, so a query refused by the budget is never counted as a
-    hit. *)
+    was metered. *)
 
 val add : t -> key -> Tensor.t -> unit
 (** Store a computed vector, counted as a miss.  A no-op if [key] is

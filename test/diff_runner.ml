@@ -119,7 +119,7 @@ let scenario_samples () =
         | 1 -> Tensor.create [| 3; size; size |] 0.30
         | _ -> Tensor.rand_uniform g ~lo:0.35 ~hi:0.65 [| 3; size; size |]
       in
-      (x, Oracle.decide probe x))
+      (x, Oracle.unmetered_classify probe x))
 
 let mode_name = function
   | Oracle.Score -> "score"

@@ -9,13 +9,24 @@ let contains haystack needle =
   in
   nn = 0 || scan 0
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
 (* A deterministic toy "classifier" over [d x d] color images with two
    classes: class 1 iff the mean of all channel values exceeds the
    threshold.  The margin is linear in the mean, so one-pixel attacks have
    a simple, fully predictable geometry: flipping any pixel moves the mean
    by (delta_r + delta_g + delta_b) / (3 d^2). *)
-let mean_threshold_oracle ?budget ?(threshold = 0.5) ?(sharpness = 40.) () =
-  Oracle.of_fn ?budget ~name:"mean-threshold" ~num_classes:2 (fun x ->
+let mean_threshold_oracle ?(threshold = 0.5) ?(sharpness = 40.) () =
+  Oracle.of_fn ~name:"mean-threshold" ~num_classes:2 (fun x ->
       let m = Tensor.mean x in
       let z = sharpness *. (m -. threshold) in
       let p1 = 1. /. (1. +. exp (-.z)) in
@@ -23,8 +34,8 @@ let mean_threshold_oracle ?budget ?(threshold = 0.5) ?(sharpness = 40.) () =
 
 (* A constant oracle: never changes its mind, so no adversarial example
    exists. *)
-let constant_oracle ?budget ~num_classes ~winner () =
-  Oracle.of_fn ?budget ~name:"constant" ~num_classes (fun _ ->
+let constant_oracle ~num_classes ~winner () =
+  Oracle.of_fn ~name:"constant" ~num_classes (fun _ ->
       Tensor.init [| num_classes |] (fun c -> if c = winner then 1. else 0.))
 
 (* A uniform image of the given side and brightness. *)

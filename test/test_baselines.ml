@@ -55,13 +55,6 @@ let sparse_rs_respects_budget () =
   Alcotest.(check int) "stopped at cap" 9 r.Sketch.queries;
   Alcotest.(check bool) "failed" true (r.Sketch.adversarial = None)
 
-let sparse_rs_respects_oracle_budget () =
-  let o = Helpers.mean_threshold_oracle ~budget:5 () in
-  let r =
-    Baselines.Sparse_rs.attack (Prng.of_int 3) o ~image:hopeless ~true_class:0
-  in
-  Alcotest.(check int) "oracle budget" 5 r.Sketch.queries
-
 let sparse_rs_deterministic () =
   let run () =
     Baselines.Sparse_rs.attack (Prng.of_int 4) (oracle ()) ~image:attackable
@@ -218,8 +211,6 @@ let suite =
       sparse_rs_finds_easy_target;
     Alcotest.test_case "sparse-rs respects budget" `Quick
       sparse_rs_respects_budget;
-    Alcotest.test_case "sparse-rs respects oracle budget" `Quick
-      sparse_rs_respects_oracle_budget;
     Alcotest.test_case "sparse-rs deterministic" `Quick sparse_rs_deterministic;
     Alcotest.test_case "sparse-rs default cap" `Quick
       sparse_rs_never_exceeds_default;

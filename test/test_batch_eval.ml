@@ -9,8 +9,8 @@
    candidate batching is invisible to accounting: forward passes are
    unmetered, queries are charged one at a time at consumption, and every
    attack observable — query counts, success flags, adversarial pairs,
-   per-query traces, Budget_exhausted indices — is bit-identical at every
-   batch width. *)
+   per-query traces — is bit-identical at every batch width, and a
+   forward pass that raises charges nothing. *)
 
 module Sketch = Oppsla.Sketch
 module C = Oppsla.Condition
@@ -206,8 +206,8 @@ let qcheck_boxed_plan_matches_direct =
 
 (* {1 Batcher mechanics} *)
 
-let counting_oracle ?budget calls =
-  Oracle.of_fn ?budget ~name:"counting" ~num_classes:2 (fun x ->
+let counting_oracle calls =
+  Oracle.of_fn ~name:"counting" ~num_classes:2 (fun x ->
       incr calls;
       let m = Tensor.mean x in
       Tensor.of_array [| 2 |] [| 1. -. m; m |])
@@ -275,41 +275,68 @@ let batcher_cache_excludes_hits () =
     (Score_cache.find cache (cand 1).Batcher.key <> None
     && Score_cache.find cache (cand 3).Batcher.key <> None)
 
-(* Budget exhaustion fires at exactly the sequential query index even
-   when the answer is already sitting in the buffer: the speculative
-   forward pass resolved candidate 3 before the budget was lowered to 2,
-   but consuming it is the third query against a budget of 2.  With the
-   budget set up front, a chunk holds no more candidates than the budget
-   can serve, and a refused miss is never forwarded. *)
-let batcher_budget_exact_index () =
-  let calls = ref 0 in
-  let oracle = counting_oracle calls in
-  let t = Batcher.create ~width:4 oracle in
-  let plan = [| cand 1; cand 2; cand 3; cand 4 |] in
-  let speculate i = if i < 3 then Some plan.(i + 1) else None in
-  ignore (Batcher.query t ~speculate plan.(0));
-  Alcotest.(check int) "whole chunk resolved speculatively" 4 !calls;
-  Oracle.set_budget oracle (Some 2);
-  ignore (Batcher.query t ~speculate plan.(1));
-  Alcotest.(check int) "budget spent" 2 (Oracle.queries oracle);
-  Alcotest.(check bool) "third consumption raises at index 2" true
-    (try
-       ignore (Batcher.query t ~speculate plan.(2));
-       false
-     with Oracle.Budget_exhausted 2 -> true);
-  Alcotest.(check int) "no forward after exhaustion" 4 !calls;
-  let calls = ref 0 in
-  let oracle = counting_oracle ~budget:2 calls in
-  let t = Batcher.create ~width:4 oracle in
-  ignore (Batcher.query t ~speculate plan.(0));
-  Alcotest.(check int) "chunk capped at the budget" 2 !calls;
-  ignore (Batcher.query t ~speculate plan.(1));
-  Alcotest.(check bool) "budget-capped: third query raises at index 2" true
-    (try
-       ignore (Batcher.query t ~speculate plan.(2));
-       false
-     with Oracle.Budget_exhausted 2 -> true);
-  Alcotest.(check int) "refused miss is not forwarded" 2 !calls
+exception Injected
+
+(* A forward pass that raises charges nothing.  Batcher half: a width-4
+   cached batcher serves a full chunk, then the next chunk's forward
+   pass raises — the exception reaches the caller, the meter stays at
+   the four slots served and the cache gains nothing from the failed
+   chunk; the same query posed again builds a fresh chunk and is
+   charged as query 5.  Attack half: an [on_query] hook raising at
+   query 5 of a width-16 sketch leaves exactly five queries charged
+   against one forwarded chunk. *)
+let batcher_failing_forward () =
+  let chunks = ref 0 in
+  let batch_fn xs =
+    incr chunks;
+    if !chunks = 2 then raise Injected;
+    Array.map (fun x -> Tensor.of_array [| 2 |] [| 0.5; Tensor.mean x |]) xs
+  in
+  let oracle =
+    Oracle.of_fn ~batch_fn ~name:"faulty" ~num_classes:2 (fun _ ->
+        Alcotest.fail "single-image path used")
+  in
+  let cache = Score_cache.create () in
+  let t = Batcher.create ~cache ~width:4 oracle in
+  let plan = Array.init 8 (fun v -> cand (v + 1)) in
+  let speculate p i = if p + 1 + i < 8 then Some plan.(p + 1 + i) else None in
+  for p = 0 to 3 do
+    ignore (Batcher.query t ~speculate:(speculate p) plan.(p))
+  done;
+  Alcotest.(check int) "four slots served" 4 (Oracle.queries oracle);
+  Alcotest.(check int) "four entries" 4 (Score_cache.stats cache).entries;
+  (match Batcher.query t ~speculate:(speculate 4) plan.(4) with
+  | _ -> Alcotest.fail "the failing forward pass did not surface"
+  | exception Injected -> ());
+  Alcotest.(check int) "failed chunk charges nothing" 4 (Oracle.queries oracle);
+  Alcotest.(check int) "failed chunk stores nothing" 4
+    (Score_cache.stats cache).entries;
+  let s5 = Batcher.query t ~speculate:(speculate 4) plan.(4) in
+  Alcotest.(check int) "a fresh chunk was forwarded" 3 !chunks;
+  Alcotest.(check (float 0.)) "answer for candidate 5" 0.5
+    (Tensor.get_flat s5 1);
+  Alcotest.(check int) "charged as query 5" 5 (Oracle.queries oracle);
+  let chunks = ref 0 in
+  let mean_scores x =
+    let m = Tensor.mean x in
+    Tensor.of_array [| 2 |] [| 1. -. m; m |]
+  in
+  let batch_fn xs =
+    incr chunks;
+    Array.map mean_scores xs
+  in
+  let oracle =
+    Oracle.of_fn ~batch_fn ~name:"counting" ~num_classes:2 mean_scores
+  in
+  let on_query n _ _ = if n = 5 then raise Injected in
+  (match
+     Sketch.attack ~batch:16 ~on_query oracle C.const_false_program
+       ~image:(Helpers.flat_image ~size 0.30) ~true_class:0
+   with
+  | _ -> Alcotest.fail "the raising hook did not surface"
+  | exception Injected -> ());
+  Alcotest.(check int) "attack charged five queries" 5 (Oracle.queries oracle);
+  Alcotest.(check int) "one chunk forwarded" 1 !chunks
 
 let batcher_width_one_never_speculates () =
   let calls = ref 0 in
@@ -364,24 +391,30 @@ let batcher_cache_first_hit () =
   Alcotest.(check int) "nothing prepared" 0 st.Batcher.prepared;
   Alcotest.(check int) "query counted" 1 st.Batcher.queries
 
-(* The budget is checked before the hit is counted: a cached key posed
-   past the budget raises at the sequential index and leaves the cache's
-   statistics alone. *)
-let batcher_cache_first_budget () =
+(* Each cache-first answer is metered and counted as one hit, and its
+   charge is journaled as a hit outside any chunk. *)
+let batcher_cache_first_meters () =
   let calls = ref 0 in
-  let oracle = counting_oracle ~budget:1 calls in
+  let oracle = counting_oracle calls in
   let cache = prefilled [ 1; 2 ] in
   let t = Batcher.create ~cache ~width:4 oracle in
-  ignore (Batcher.query t (cand 1));
-  Alcotest.(check bool) "second query raises at index 1" true
-    (try
-       ignore (Batcher.query t (cand 2));
-       false
-     with Oracle.Budget_exhausted 1 -> true);
-  Alcotest.(check int) "meter stops at the budget" 1 (Oracle.queries oracle);
-  Alcotest.(check int) "no hit for the refused query" 1
+  let path = Filename.temp_file "oppsla_batch_journal" ".jsonl" in
+  Telemetry.Journal.to_file path;
+  Fun.protect ~finally:Telemetry.Journal.close (fun () ->
+      ignore (Batcher.query t (cand 1));
+      ignore (Batcher.query t (cand 2)));
+  let records = (Evalharness.Audit.load_strict path).records in
+  Sys.remove path;
+  Alcotest.(check int) "both answers metered" 2 (Oracle.queries oracle);
+  Alcotest.(check int) "both answers counted as hits" 2
     (Score_cache.stats cache).hits;
-  Alcotest.(check int) "nothing forwarded" 0 !calls
+  Alcotest.(check int) "nothing forwarded" 0 !calls;
+  Alcotest.(check int) "two charges journaled" 2 (List.length records);
+  List.iter
+    (fun (r : Evalharness.Audit.record) ->
+      Alcotest.(check bool) "journaled as a hit" true r.hit;
+      Alcotest.(check int) "outside any chunk" (-1) r.chunk)
+    records
 
 let batcher_cache_first_keeps_buffer () =
   Batcher.reset_global_stats ();
@@ -422,9 +455,8 @@ let check_result name (seq : Sketch.result) (b : Sketch.result) =
   | _ -> Alcotest.fail (name ^ ": success flag diverged")
 
 (* Sketch at widths 2/4/16 vs the sequential width 1: result AND the
-   full per-query (index, pair, scores) trace, across random programs,
-   random caps and a tight oracle budget (so exhaustion points are
-   exercised too). *)
+   full per-query (index, pair, scores) trace, across random programs
+   and random caps (so cap points inside a chunk are exercised too). *)
 let sketch_width_identity () =
   let gen_config = Helpers.gen_config ~size in
   for trial = 0 to 7 do
@@ -434,14 +466,13 @@ let sketch_width_identity () =
     in
     let program = Oppsla.Gen.random_program gen_config g in
     let max_queries = if Prng.bool g then None else Some (1 + Prng.int g 40) in
-    let budget = if trial mod 3 = 0 then Some (1 + Prng.int g 20) else None in
     let trace batch =
       let log = ref [] in
       let r =
         Sketch.attack ?max_queries ~batch
           ~on_query:(fun i pair scores ->
             log := (i, pair, Array.copy scores.Tensor.data) :: !log)
-          (Helpers.mean_threshold_oracle ?budget ())
+          (Helpers.mean_threshold_oracle ())
           program ~image ~true_class:0
       in
       (r, List.rev !log)
@@ -631,8 +662,8 @@ let suite =
       `Quick batcher_metering_and_speculation;
     Alcotest.test_case "batcher: cache hits leave the forward pass" `Quick
       batcher_cache_excludes_hits;
-    Alcotest.test_case "batcher: Budget_exhausted at the exact index" `Quick
-      batcher_budget_exact_index;
+    Alcotest.test_case "batcher: a failing forward pass charges nothing"
+      `Quick batcher_failing_forward;
     Alcotest.test_case "batcher: width 1 degenerates to sequential" `Quick
       batcher_width_one_never_speculates;
     Alcotest.test_case "sketch: widths 2/4/16 = width 1 (results + traces)"
@@ -646,7 +677,7 @@ let suite =
     Alcotest.test_case "batcher: cache-first keeps the buffer" `Quick
       batcher_cache_first_keeps_buffer;
     Alcotest.test_case "batcher: cache-first meters before counting the hit"
-      `Quick batcher_cache_first_budget;
+      `Quick batcher_cache_first_meters;
     Alcotest.test_case "batcher: one forward pass per cache miss" `Quick
       forwards_equal_cache_misses;
   ]

@@ -193,16 +193,8 @@ let roundtrip_info () =
   Alcotest.(check int) "trace length" (List.length out.Islands.trace)
     info.Islands.info_trace_length
 
-let read_file file =
-  let ic = open_in_bin file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let write_file file s =
-  let oc = open_out_bin file in
-  output_string oc s;
-  close_out oc
+let read_file = Helpers.read_file
+let write_file = Helpers.write_file
 
 let corrupted_rejected () =
   with_tmp @@ fun file ->

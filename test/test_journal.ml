@@ -4,9 +4,8 @@
    file framing (header/footer/atomic finalize), the domain-local
    charge-site context, and journal comparison semantics.
 
-   The journal sink is process-global, so every test that opens one
-   closes it before returning (Fun.protect) — no other suite in this
-   binary journals. *)
+   The journal sink is process-global, so every test in this binary
+   that opens one closes it before returning (Fun.protect). *)
 
 module J = Telemetry.Journal
 module A = Evalharness.Audit
@@ -16,16 +15,8 @@ let contains_sub ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
+let read_file = Helpers.read_file
+let write_file = Helpers.write_file
 
 (* {1 FNV-1a goldens}
 

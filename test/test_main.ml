@@ -23,6 +23,7 @@ let () =
       ("scenarios", Test_scenarios.suite);
       ("evalharness", Test_evalharness.suite);
       ("traceprof", Test_traceprof.suite);
+      ("truncation", Test_truncation.suite);
       ("parallel_eval", Test_parallel_eval.suite);
       ("cache_eval", Test_cache_eval.suite);
       ("batch_eval", Test_batch_eval.suite);

@@ -6,54 +6,22 @@ let counting () =
   let o = Helpers.mean_threshold_oracle () in
   Alcotest.(check int) "starts at 0" 0 (Oracle.queries o);
   ignore (Oracle.scores o image);
-  ignore (Oracle.classify o image);
-  ignore (Oracle.score_of o image 0);
+  ignore (Oracle.scores o image);
+  ignore (Oracle.scores o image);
   Alcotest.(check int) "three queries" 3 (Oracle.queries o)
 
 let classify_bright_dark () =
   let o = Helpers.mean_threshold_oracle () in
+  let classify x = Tensor.argmax (Oracle.scores o x) in
   Alcotest.(check int) "bright is class 1" 1
-    (Oracle.classify o (Helpers.flat_image ~size:4 0.9));
+    (classify (Helpers.flat_image ~size:4 0.9));
   Alcotest.(check int) "dark is class 0" 0
-    (Oracle.classify o (Helpers.flat_image ~size:4 0.1))
-
-let budget_enforced () =
-  let o = Helpers.mean_threshold_oracle ~budget:2 () in
-  ignore (Oracle.scores o image);
-  ignore (Oracle.scores o image);
-  Alcotest.(check bool) "exhausted" true (Oracle.exhausted o);
-  Alcotest.check_raises "third query raises" (Oracle.Budget_exhausted 2)
-    (fun () -> ignore (Oracle.scores o image))
-
-let remaining_budget () =
-  let o = Helpers.mean_threshold_oracle ~budget:5 () in
-  Alcotest.(check (option int)) "full budget" (Some 5) (Oracle.remaining o);
-  ignore (Oracle.scores o image);
-  Alcotest.(check (option int)) "one spent" (Some 4) (Oracle.remaining o);
-  let unlimited = Helpers.mean_threshold_oracle () in
-  Alcotest.(check (option int)) "unlimited" None (Oracle.remaining unlimited)
-
-let reset_counter () =
-  let o = Helpers.mean_threshold_oracle ~budget:2 () in
-  ignore (Oracle.scores o image);
-  ignore (Oracle.scores o image);
-  Oracle.reset o;
-  Alcotest.(check int) "counter reset" 0 (Oracle.queries o);
-  ignore (Oracle.scores o image);
-  Alcotest.(check int) "usable again" 1 (Oracle.queries o)
-
-let set_budget_dynamic () =
-  let o = Helpers.mean_threshold_oracle () in
-  Oracle.set_budget o (Some 1);
-  ignore (Oracle.scores o image);
-  Alcotest.check_raises "budget applies" (Oracle.Budget_exhausted 1)
-    (fun () -> ignore (Oracle.scores o image));
-  Oracle.set_budget o None;
-  ignore (Oracle.scores o image);
-  Alcotest.(check int) "lifted" 2 (Oracle.queries o)
+    (classify (Helpers.flat_image ~size:4 0.1));
+  Alcotest.(check int) "unmetered agrees" 1
+    (Oracle.unmetered_classify o (Helpers.flat_image ~size:4 0.9))
 
 let unmetered_does_not_count () =
-  let o = Helpers.mean_threshold_oracle ~budget:1 () in
+  let o = Helpers.mean_threshold_oracle () in
   ignore (Oracle.unmetered_classify o image);
   ignore (Oracle.unmetered_scores o image);
   Alcotest.(check int) "not counted" 0 (Oracle.queries o)
@@ -74,13 +42,15 @@ let of_fn_validates_classes () =
      with Invalid_argument _ -> true)
 
 let clone_independent_and_cacheless () =
-  let o = Helpers.mean_threshold_oracle ~budget:5 () in
+  let o = Helpers.mean_threshold_oracle () in
   ignore (Oracle.scores o image);
   Oracle.set_cache o (Some (Score_cache.create ()));
   let c = Oracle.clone o in
   Alcotest.(check int) "clone counter starts at 0" 0 (Oracle.queries c);
-  Alcotest.(check (option int)) "clone inherits the budget" (Some 5)
-    (Oracle.budget c);
+  Alcotest.(check string) "clone keeps the name" (Oracle.name o)
+    (Oracle.name c);
+  Alcotest.(check int) "clone keeps the classes" (Oracle.num_classes o)
+    (Oracle.num_classes c);
   (* A clone is meant to cross a domain boundary, so it must not alias
      the parent's unsynchronized memo table. *)
   Alcotest.(check bool) "clone drops the cache" true (Oracle.cache c = None);
@@ -92,8 +62,6 @@ let clone_independent_and_cacheless () =
 let decision_mode_observe () =
   let o = Helpers.mean_threshold_oracle () in
   let bright = Helpers.flat_image ~size:4 0.9 in
-  Alcotest.(check int) "decide = argmax" 1 (Oracle.decide o bright);
-  Alcotest.(check int) "decide is metered" 1 (Oracle.queries o);
   let s = Oracle.scores o bright in
   Alcotest.(check bool) "score-mode observe is the identity" true
     (Oracle.observe o s == s);
@@ -102,14 +70,18 @@ let decision_mode_observe () =
   Alcotest.(check (float 1e-9)) "winner collapses to 1" 1.0
     (Tensor.get_flat h 1);
   Alcotest.(check (float 1e-9)) "loser collapses to 0" 0.0
-    (Tensor.get_flat h 0)
+    (Tensor.get_flat h 0);
+  (* A label-only decision is a metered query read through [observe]. *)
+  let decide x = Tensor.argmax (Oracle.observe o (Oracle.scores o x)) in
+  Alcotest.(check int) "decision = argmax" 1 (decide bright);
+  Alcotest.(check int) "each decision is metered" 2 (Oracle.queries o)
 
 (* The clone contract for decision mode, pinned: the cache (per-image
-   mutable working state) is dropped, the counter restarts, the budget
-   is kept — and the mode (the threat-model identity of the oracle) is
-   PRESERVED, as an independent copy. *)
+   mutable working state) is dropped, the counter restarts — and the
+   mode (the threat-model identity of the oracle) is PRESERVED, as an
+   independent copy. *)
 let clone_mode_contract () =
-  let o = Helpers.mean_threshold_oracle ~budget:5 () in
+  let o = Helpers.mean_threshold_oracle () in
   Oracle.set_mode o Oracle.Decision;
   Oracle.set_cache o (Some (Score_cache.create ()));
   ignore (Oracle.scores o image);
@@ -119,8 +91,6 @@ let clone_mode_contract () =
   Alcotest.(check bool) "clone still drops the cache" true
     (Oracle.cache c = None);
   Alcotest.(check int) "clone still resets the counter" 0 (Oracle.queries c);
-  Alcotest.(check (option int)) "clone still keeps the budget" (Some 5)
-    (Oracle.budget c);
   (* The copy is independent in both directions. *)
   Oracle.set_mode c Oracle.Score;
   Alcotest.(check bool) "flipping the clone leaves the parent" true
@@ -144,10 +114,6 @@ let suite =
   [
     Alcotest.test_case "query counting" `Quick counting;
     Alcotest.test_case "classify bright/dark" `Quick classify_bright_dark;
-    Alcotest.test_case "budget enforced" `Quick budget_enforced;
-    Alcotest.test_case "remaining budget" `Quick remaining_budget;
-    Alcotest.test_case "reset" `Quick reset_counter;
-    Alcotest.test_case "set_budget" `Quick set_budget_dynamic;
     Alcotest.test_case "unmetered calls" `Quick unmetered_does_not_count;
     Alcotest.test_case "of_fn validation" `Quick of_fn_validates_classes;
     Alcotest.test_case "clone: fresh counter, no cache" `Quick

@@ -7,7 +7,8 @@
                                     the Journal API must load, self-compare
                                     identical, diverge against a differing
                                     journal, and FAIL to load after a
-                                    single-byte corruption
+                                    single-byte corruption or a cut
+                                    inside its footer
 
    The comparison is the offline form of the metering invariant: two
    runs of the same attack under different optimization configurations
@@ -121,9 +122,22 @@ let smoke () =
   (match Evalharness.Audit.load_strict a with
   | _ -> fail "corrupted journal loaded cleanly (checksum not enforced)"
   | exception Evalharness.Audit.Invalid _ -> ());
+  (* A journal cut inside its footer line is torn like a cut record:
+     the strict load (the --verify path) must report it INVALID. *)
+  let body = read_file b in
+  let footer =
+    match String.rindex_from_opt body (String.length body - 2) '\n' with
+    | Some i -> i + 1
+    | None -> fail "smoke journal has no footer line"
+  in
+  write_file b (String.sub body 0 (footer + 20));
+  (match Evalharness.Audit.load_strict b with
+  | _ -> fail "journal cut inside its footer loaded cleanly"
+  | exception Evalharness.Audit.Invalid _ -> ());
   List.iter Sys.remove [ a; b; c ];
   Unix.rmdir dir;
-  print_endline "audit --smoke: OK (round-trip, divergence, corruption)";
+  print_endline
+    "audit --smoke: OK (round-trip, divergence, corruption, torn footer)";
   0
 
 let () =
