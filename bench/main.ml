@@ -1207,17 +1207,25 @@ let bench_backend ?(smoke = false) quick =
        argmax agreement 100%"
   else begin
     (* Raw forward throughput: best-of-reps over a fixed batch, the
-       production boxed arm vs the f32 plan, inline and pool-dispatched. *)
+       production boxed arm vs the f32 plan, inline and pool-dispatched.
+       The batch-1 rows rotate through the clean images, so consecutive
+       forwards differ everywhere and time a cold input conv rather than
+       the f32 plan's incremental no-change copy; the batch-16 rows
+       already alternate images within the batch. *)
     let forward name ~batch scores_fn =
-      let xb = pack (Array.init batch (fun i -> clean.(i mod n_images))) in
-      ignore (scores_fn xb);
+      let xbs =
+        if batch = 1 then Array.map (fun x -> pack [| x |]) clean
+        else [| pack (Array.init batch (fun i -> clean.(i mod n_images))) |]
+      in
+      let xb rep = xbs.(rep mod Array.length xbs) in
+      ignore (scores_fn (xb 0));
       let dt = ref infinity in
       for _ = 1 to reps do
         let (_ : Tensor.t), d =
           time (fun () ->
-              let r = ref (scores_fn xb) in
-              for _ = 2 to fwd_reps do
-                r := scores_fn xb
+              let r = ref (scores_fn (xb 1)) in
+              for rep = 2 to fwd_reps do
+                r := scores_fn (xb rep)
               done;
               !r)
         in
@@ -1442,6 +1450,43 @@ let micro () =
       perturbed_scores = Nn.Network.scores net image;
     }
   in
+  let input_candidate pixels =
+    let y = Tensor.copy image in
+    for i = 0 to pixels - 1 do
+      Tensor.set y [| 0; 1 + (3 * (i / 5)); 1 + (3 * (i mod 5)) |] 0.
+    done;
+    y
+  in
+  let input_conv_case =
+    let weight =
+      Tensor_f32.of_tensor
+        (Tensor.randn (Prng.copy g) ~sigma:0.2 [| 8; 3; 3; 3 |])
+    and bias = Tensor_f32.of_tensor (Tensor.create [| 8 |] 0.1)
+    and gamma = Tensor_f32.of_tensor (Tensor.create [| 8 |] 1.)
+    and beta = Tensor_f32.of_tensor (Tensor.create [| 8 |] 0.) in
+    let conv ?memo x =
+      Tensor_f32.conv2d_batch ?memo ~stride:1 ~pad:1 ~weight ~bias
+        ~norm:(gamma, beta, 1e-5) ~relu:true x
+    in
+    let batch x = Tensor_f32.of_tensor (Tensor.reshape x [| 1; 3; 16; 16 |]) in
+    (* Each call takes the next of [inputs].  With [~memo] the
+       per-domain reference is set to the clean image right before the
+       row runs, so the rows cannot disturb each other's reference. *)
+    fun name ~memo inputs ->
+      let xs = Array.of_list (List.map batch inputs) in
+      let i = ref 0 in
+      let next () =
+        incr i;
+        xs.(!i mod Array.length xs)
+      in
+      if memo then
+        let memo = Tensor_f32.conv_memo () in
+        Test.make_with_resource ~name Test.uniq
+          ~allocate:(fun () -> ignore (conv ~memo (batch image)))
+          ~free:ignore
+          (Staged.stage (fun () -> ignore (conv ~memo (next ()))))
+      else Test.make ~name (Staged.stage (fun () -> ignore (conv (next ()))))
+  in
   let tests =
     [
       Test.make ~name:"queue/full_space-init+drain"
@@ -1506,6 +1551,21 @@ let micro () =
             fun () ->
               ignore
                 (Tensor.conv2d_gemm_batch ~pad:1 batch ~weight:w ~bias:None)));
+      (* The incremental input conv's cost bound: vgg_tiny's 3->8 input
+         conv with fused norm/relu, in full and after the memo holds the
+         clean image, for a one-pixel candidate (9 columns) and a
+         candidate at the bound (7 spaced pixels, 63 of 256 columns).
+         The -full-memo row alternates two unrelated images under the
+         memo: each runs in full and becomes the new reference, so it
+         times what the memo adds to the full path. *)
+      input_conv_case "conv/f32-input-full" ~memo:false [ image ];
+      input_conv_case "conv/f32-input-full-memo" ~memo:true
+        [
+          Tensor.rand_uniform (Prng.split g) [| 3; 16; 16 |];
+          Tensor.rand_uniform (Prng.split g) [| 3; 16; 16 |];
+        ];
+      input_conv_case "conv/f32-input-1px" ~memo:true [ input_candidate 1 ];
+      input_conv_case "conv/f32-input-63cols" ~memo:true [ input_candidate 7 ];
       Test.make ~name:"attack/sketch-false-cap256"
         (Staged.stage (fun () ->
              let oracle = Oracle.of_network net in

@@ -21,8 +21,16 @@ let add = Tensor.add
 let channel_norm_batch ~gamma ~beta ~eps x =
   Tensor.channel_norm_batch ~gamma ~beta ~eps x
 
-let conv2d_batch ?pool ~stride ~pad ~weight ~bias ?norm ?(relu = false) x =
+(* No incremental path: the reference runs every conv in full. *)
+type conv_memo = unit
+
+let conv_memo () = ()
+let recomputed_cols () = 0
+
+let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
+    x =
   ignore pool;
+  ignore memo;
   let t0 = Unix.gettimeofday () in
   let y = Tensor.conv2d_gemm_batch ~stride ~pad x ~weight ~bias:(Some bias) in
   let s = Tensor.shape y and ws = Tensor.shape weight in

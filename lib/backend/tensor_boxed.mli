@@ -3,4 +3,4 @@
     the direct single-image [Nn.Network.scores].  [fuse] is off — every
     step runs the same kernel sequence as [Layer.forward]. *)
 
-include Tensor_sig.S with type t = Tensor.t
+include Tensor_sig.S with type t = Tensor.t and type conv_memo = unit

@@ -1,8 +1,11 @@
 (** Float32 [Bigarray] backend: flat unboxed storage + shape descriptor,
     blocked register-tiled GEMM (float64 accumulation, float32 rounding
     only at the store), im2col into a reused per-domain panel buffer,
-    fused conv→norm→relu, and opportunistic row-panel dispatch on a
-    domain pool.  Not bit-identical to the boxed reference ([exact =
+    fused conv→norm→relu, an incremental conv under a {!conv_memo}
+    (an image that differs from its domain's reference in a few pixels
+    recomputes only the output columns they reach, bit-identical to the
+    full conv), and opportunistic row-panel dispatch on a domain pool.
+    Not bit-identical to the boxed reference ([exact =
     false]); differentials use the tolerance policy instead. *)
 
 include Tensor_sig.S

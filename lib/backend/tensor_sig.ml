@@ -42,8 +42,24 @@ module type S = sig
   val relu : t -> t
   val add : t -> t -> t
 
+  type conv_memo
+  (** A token that turns on a backend's incremental convolution: the
+      plan compiler makes one for its input conv and passes it on every
+      run.  The backend keeps one reference image per domain, keyed on
+      the conv's operands, so a plan shared across domains stays
+      correct. *)
+
+  val conv_memo : unit -> conv_memo
+
+  val recomputed_cols : conv_memo -> int
+  (** Output columns the last {!conv2d_batch} call with a memo on the
+      calling domain computed incrementally, summed over its batch (0
+      when every image ran the full conv, always 0 on backends without
+      an incremental path).  For trace span args. *)
+
   val conv2d_batch :
     ?pool:Domain_pool.Pool.t ->
+    ?memo:conv_memo ->
     stride:int ->
     pad:int ->
     weight:t ->
@@ -61,7 +77,9 @@ module type S = sig
       [?pool] lets the backend dispatch GEMM row panels as work items on
       an idle domain pool ({!Domain_pool.Pool.try_map}); backends fall
       back to the single-domain kernel when the pool is absent, busy or
-      width 1. *)
+      width 1.  [?memo] lets the backend reuse the previous image's
+      output where the input is unchanged; the result must be
+      bit-identical to the call without it. *)
 
   val dense_batch : weight:t -> bias:t -> t -> t
   val max_pool2d_batch : stride:int -> size:int -> t -> t
@@ -77,8 +95,10 @@ end
    MFLOP/s = gemm_flops / gemm_seconds.sum. *)
 module Stats = struct
   type t = {
-    flops : Telemetry.Counter.t;  (* nominal 2*m*k*n multiply-adds *)
-    panels : Telemetry.Counter.t;  (* im2col panel fills (one per image) *)
+    flops : Telemetry.Counter.t;
+        (* 2 flops per multiply-add actually executed: 2*m*k*n per GEMM,
+           2*out_c*k per column an incremental conv recomputes *)
+    panels : Telemetry.Counter.t;  (* im2col panel fills (one per full conv) *)
     fusion_hits : Telemetry.Counter.t;  (* fused conv epilogues executed *)
     seconds : Telemetry.Histogram.t;  (* wall seconds per conv/dense call *)
   }

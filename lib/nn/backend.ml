@@ -34,6 +34,7 @@ module Make (B : Tensor_sig.S) = struct
         bias : B.t;
         norm : (B.t * B.t * float) option;
         relu : bool;
+        memo : B.conv_memo option;
       }
     | Dense of { weight : B.t; bias : B.t }
     | Relu
@@ -64,6 +65,7 @@ module Make (B : Tensor_sig.S) = struct
               bias = B.of_tensor bias;
               norm = None;
               relu = false;
+              memo = None;
             };
         ]
     | Layer.V_dense { weight; bias } ->
@@ -114,20 +116,40 @@ module Make (B : Tensor_sig.S) = struct
     | Dense_block convs -> Dense_block (List.map fuse_list convs)
     | s -> s
 
+  (* The plan's input conv gets the one incremental-conv memo: a query
+     is a clean image with a pixel or a few changed, and only the first
+     step sees that sparse difference — every later activation differs
+     over the whole receptive-field cone. *)
   let compile (net : Network.t) =
     let steps = steps_of_layer net.Network.stack in
     let steps = if B.fuse then fuse_list steps else steps in
+    let steps =
+      match steps with
+      | Conv c :: tl -> Conv { c with memo = Some (B.conv_memo ()) } :: tl
+      | steps -> steps
+    in
     { net_name = net.Network.name; steps }
+
+  let pool_span kind x f =
+    Telemetry.Trace.span "backend.pool" ~cat:"tensor"
+      ~args:(fun () ->
+        [
+          ("kind", Telemetry.Trace.Str kind);
+          ("n", Telemetry.Trace.Int (B.shape x).(0));
+        ])
+      f
 
   let rec run ?pool steps x =
     List.fold_left (fun acc s -> run_step ?pool s acc) x steps
 
-  (* One span per conv and dense step: the per-layer breakdown the trace
-     viewer groups the hot path by.  The disabled path is one branch;
-     the args (shapes) are built lazily. *)
+  (* One span per conv, dense, norm and pool step: the per-layer
+     breakdown the trace viewer groups the hot path by.  The disabled
+     path is one branch; the args (shapes, and the input conv's
+     incrementally recomputed columns) are built lazily, after the
+     step ran. *)
   and run_step ?pool s x =
     match s with
-    | Conv { stride; pad; weight; bias; norm; relu } ->
+    | Conv { stride; pad; weight; bias; norm; relu; memo } ->
         Telemetry.Trace.span "backend.conv" ~cat:"tensor"
           ~args:(fun () ->
             let w = B.shape weight in
@@ -138,9 +160,17 @@ module Make (B : Tensor_sig.S) = struct
               ("k", Telemetry.Trace.Int w.(2));
               ("stride", Telemetry.Trace.Int stride);
               ("pad", Telemetry.Trace.Int pad);
-            ])
+            ]
+            @
+            match memo with
+            | Some m ->
+                [
+                  ( "recomputed_cols",
+                    Telemetry.Trace.Int (B.recomputed_cols m) );
+                ]
+            | None -> [])
           (fun () ->
-            B.conv2d_batch ?pool ~stride ~pad ~weight ~bias ?norm ~relu x)
+            B.conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ~relu x)
     | Dense { weight; bias } ->
         Telemetry.Trace.span "backend.dense" ~cat:"tensor"
           ~args:(fun () ->
@@ -152,15 +182,20 @@ module Make (B : Tensor_sig.S) = struct
             ])
           (fun () -> B.dense_batch ~weight ~bias x)
     | Relu -> B.relu x
-    | Max_pool { size; stride } -> B.max_pool2d_batch ~stride ~size x
-    | Avg_pool { size; stride } -> B.avg_pool2d_batch ~stride ~size x
-    | Global_avg_pool -> B.global_avg_pool_batch x
+    | Max_pool { size; stride } ->
+        pool_span "max" x (fun () -> B.max_pool2d_batch ~stride ~size x)
+    | Avg_pool { size; stride } ->
+        pool_span "avg" x (fun () -> B.avg_pool2d_batch ~stride ~size x)
+    | Global_avg_pool ->
+        pool_span "global_avg" x (fun () -> B.global_avg_pool_batch x)
     | Flatten ->
         let s = B.shape x in
         let n = s.(0) and total = Array.fold_left ( * ) 1 s in
         B.reshape x [| n; total / n |]
     | Norm { gamma; beta } ->
-        B.channel_norm_batch ~gamma ~beta ~eps:Layer.norm_eps x
+        Telemetry.Trace.span "backend.norm" ~cat:"tensor"
+          ~args:(fun () -> [ ("n", Telemetry.Trace.Int (B.shape x).(0)) ])
+          (fun () -> B.channel_norm_batch ~gamma ~beta ~eps:Layer.norm_eps x)
     | Residual { body; projection } ->
         let skip =
           match projection with None -> x | Some p -> run ?pool p x
@@ -187,7 +222,10 @@ module Make (B : Tensor_sig.S) = struct
     B.to_tensor (forward ?pool plan (B.of_tensor xs))
 
   let scores_batch ?pool plan xs =
-    B.to_tensor (B.softmax_rows (forward ?pool plan (B.of_tensor xs)))
+    let logits = forward ?pool plan (B.of_tensor xs) in
+    B.to_tensor
+      (Telemetry.Trace.span "backend.softmax" ~cat:"tensor" (fun () ->
+           B.softmax_rows logits))
 end
 
 module Boxed_engine = Make (Tensor_boxed)

@@ -11,9 +11,17 @@
     under the tolerance policy: identical argmax, success and query
     counts, and per-logit deviation at most {!score_tol}.
 
-    Each conv and dense step runs under a [backend.conv] /
-    [backend.dense] trace span, nested in one [backend.forward_batch]
-    span per batch. *)
+    The plan's input conv (its first step, when that is a conv) carries
+    an incremental-conv memo ({!Tensor_sig.S.conv_memo}): on the f32
+    backend an image that differs from the domain's last fully computed
+    image in a few pixels recomputes only the output columns those
+    pixels reach, bit-identical to the full conv.
+
+    Each conv, dense, norm and pool step runs under a [backend.conv] /
+    [backend.dense] / [backend.norm] / [backend.pool] trace span (the
+    input conv's span carries a [recomputed_cols] arg), nested in one
+    [backend.forward_batch] span per batch; {!Make.scores_batch}'s
+    softmax follows under a [backend.softmax] span. *)
 
 val score_tol : float
 (** Per-score absolute tolerance (1e-4) for cross-backend differentials

@@ -15,6 +15,20 @@
 (* Round to the nearest float32, as [of_tensor] does on the f32 path. *)
 let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
+(* Bitwise tensor equality: float [<>] would equate -0.0 with +0.0 and
+   fail on equal NaNs. *)
+let same_bits a b =
+  Tensor.shape a = Tensor.shape b
+  &&
+  let ok = ref true in
+  for i = 0 to Tensor.numel a - 1 do
+    if
+      Int64.bits_of_float (Tensor.get_flat a i)
+      <> Int64.bits_of_float (Tensor.get_flat b i)
+    then ok := false
+  done;
+  !ok
+
 let argmax_row t ~row ~classes =
   let best = ref 0 in
   for j = 1 to classes - 1 do
@@ -169,14 +183,7 @@ let fusion_case (type b) (module B : Tensor_sig.S with type t = b)
       (B.channel_norm_batch ~gamma:gm ~beta:bt ~eps
          (B.conv2d_batch ~stride:1 ~pad:1 ~weight:w ~bias:bs x))
   in
-  let ft = B.to_tensor fused and ut = B.to_tensor unfused in
-  Tensor.shape ft = Tensor.shape ut
-  &&
-  let ok = ref true in
-  for i = 0 to Tensor.numel ft - 1 do
-    if Tensor.get_flat ft i <> Tensor.get_flat ut i then ok := false
-  done;
-  !ok
+  same_bits (B.to_tensor fused) (B.to_tensor unfused)
 
 let qcheck_fusion name case =
   QCheck.Test.make
@@ -191,6 +198,224 @@ let qcheck_fusion name case =
 
 let qcheck_fusion_f32 = qcheck_fusion "f32" (fusion_case (module Tensor_f32))
 let qcheck_fusion_boxed = qcheck_fusion "boxed" (fusion_case (module Tensor_boxed))
+
+(* {1 Incremental input conv = cold conv, bit for bit} *)
+
+let pack xs =
+  let per = Tensor.numel (List.hd xs) in
+  let b =
+    Tensor.zeros
+      (Array.append [| List.length xs |] (Tensor.shape (List.hd xs)))
+  in
+  List.iteri
+    (fun i x -> Array.blit x.Tensor.data 0 b.Tensor.data (i * per) per)
+    xs;
+  b
+
+(* [k] pixels of a CHW image set to RGB corners, drawn from the four
+   corners, the border and the interior alike so that receptive fields
+   clipped by padding are covered.  Pixels may repeat; k = 0 is the
+   clean image itself. *)
+let candidate g clean k =
+  let c = Tensor.dim clean 0
+  and h = Tensor.dim clean 1
+  and w = Tensor.dim clean 2 in
+  let y = Tensor.copy clean in
+  for _ = 1 to k do
+    let row, col =
+      match Prng.int g 3 with
+      | 0 -> ((h - 1) * Prng.int g 2, (w - 1) * Prng.int g 2)
+      | 1 ->
+          if Prng.bool g then (Prng.int g h, (w - 1) * Prng.int g 2)
+          else ((h - 1) * Prng.int g 2, Prng.int g w)
+      | _ -> (Prng.int g h, Prng.int g w)
+    in
+    let corner = Prng.int g 8 in
+    for ch = 0 to c - 1 do
+      Tensor.set y [| ch; row; col |]
+        (if corner land (1 lsl (ch mod 3)) <> 0 then 1. else 0.)
+    done
+  done;
+  y
+
+(* A batch mixing clean images, 0..4-pixel candidates of them and
+   unrelated images, in random order. *)
+let mixed_batch g ~len cleans =
+  let shape = Tensor.shape cleans.(0) in
+  List.init len (fun _ ->
+      match Prng.int g 4 with
+      | 0 -> Prng.choice g cleans
+      | 1 -> Tensor.rand_uniform (Prng.split g) shape
+      | _ -> candidate g (Prng.choice g cleans) (Prng.int g 5))
+
+let zoo_net ~arch ~size seed =
+  (Option.get (Nn.Zoo.by_name (List.nth Nn.Zoo.names arch)))
+    (Prng.of_int seed) ~image_size:size ~num_classes:4
+
+module F32_plan = Nn.Backend.F32_engine
+
+(* The cold reference: a freshly compiled plan per image, so its input
+   conv has no reference image and runs in full. *)
+let cold_rows net rows =
+  List.map
+    (fun x -> F32_plan.scores_batch (F32_plan.compile net) (pack [ x ]))
+    rows
+
+(* Each row of [warm] (a batch score) against its cold single-image
+   score. *)
+let rows_match warm cold =
+  let classes = Tensor.dim warm 1 in
+  List.for_all Fun.id
+    (List.mapi
+       (fun i c ->
+         same_bits c
+           (Tensor.init [| 1; classes |] (fun j ->
+                Tensor.get_flat warm ((i * classes) + j))))
+       cold)
+
+(* One stream round on a shared warm plan: score a clean image, then a
+   mixed batch.  Returns each call's rows with its scores. *)
+let warm_round ?pool plan g ~size ~len =
+  let clean = Tensor.rand_uniform (Prng.split g) [| 3; size; size |] in
+  let other = Tensor.rand_uniform (Prng.split g) [| 3; size; size |] in
+  let rows = mixed_batch g ~len [| clean; clean; other |] in
+  List.map
+    (fun xs -> (xs, F32_plan.scores_batch ?pool plan (pack xs)))
+    [ [ clean ]; rows ]
+
+(* Every row of every call against its cold single-image score. *)
+let all_match net calls =
+  List.for_all (fun (xs, warm) -> rows_match warm (cold_rows net xs)) calls
+
+let incremental_gen =
+  QCheck.(
+    quad (int_range 0 99999) (int_range 0 4) (int_range 0 2) (int_range 1 8))
+
+let qcheck_incremental_zoo =
+  QCheck.Test.make
+    ~name:"f32 zoo plans: warm incremental input conv = cold plan, bitwise"
+    ~count:25 incremental_gen
+    (fun (seed, arch, size_i, len) ->
+      let size = [| 8; 12; 16 |].(size_i) in
+      let net = zoo_net ~arch ~size seed in
+      let plan = F32_plan.compile net in
+      let g = Prng.of_int (seed + 1) in
+      (* The cold plans of the first check replace this domain's state,
+         so the last round on the warm plan starts it afresh. *)
+      all_match net
+        (warm_round plan g ~size ~len @ warm_round plan g ~size ~len)
+      && all_match net (warm_round plan g ~size ~len))
+
+(* Four streams of sixteen rounds share one plan through a pool: at
+   width 2 they run concurrently on two domains, each holding its own
+   reference image; the scoring calls also get the pool for GEMM row
+   panels.  The cold scores are computed after the pool, so the streams
+   spend their time on the shared plan. *)
+let qcheck_incremental_pool width =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf
+         "f32 pool %d: warm incremental input conv = cold plan, bitwise"
+         width)
+    ~count:8 incremental_gen
+    (fun (seed, arch, size_i, len) ->
+      let size = [| 8; 12; 16 |].(size_i) in
+      let net = zoo_net ~arch ~size seed in
+      let plan = F32_plan.compile net in
+      let streams =
+        Domain_pool.Pool.with_pool ~domains:width (fun pool ->
+            Domain_pool.Pool.map pool
+              (fun k ->
+                let g = Prng.of_int ((seed * 4) + k) in
+                List.concat_map
+                  (fun _ -> warm_round ~pool plan g ~size ~len)
+                  (List.init 16 Fun.id))
+              (Array.init 4 Fun.id))
+      in
+      Array.for_all (all_match net) streams)
+
+(* The kernel itself: random kernel size, stride, pad and epilogue, a
+   bias holding -0.0 and +0.0, and a memoized call sequence (clean, then
+   mixed batches) against the same calls without a memo. *)
+let qcheck_incremental_conv =
+  QCheck.Test.make
+    ~name:"f32 memo conv2d_batch = no memo, bitwise" ~count:60
+    QCheck.(
+      quad (int_range 0 99999)
+        (pair (int_range 1 3) (int_range 1 4))
+        (pair (int_range 3 10) (pair (int_range 1 3) (int_range 1 3)))
+        (triple (int_range 1 2) (int_range 0 2) (int_range 0 2)))
+    (fun (seed, (in_c, out_c), (size, (kh, kw)), (stride, pad, epilogue)) ->
+      let oh = ((size + (2 * pad) - kh) / stride) + 1
+      and ow = ((size + (2 * pad) - kw) / stride) + 1 in
+      QCheck.assume (oh >= 1 && ow >= 1);
+      let g = Prng.of_int seed in
+      let weight =
+        Tensor_f32.of_tensor
+          (Tensor.randn (Prng.split g) ~sigma:0.5 [| out_c; in_c; kh; kw |])
+      in
+      let bias =
+        Tensor_f32.of_tensor
+          (Tensor.init [| out_c |] (fun i ->
+               match i mod 3 with 0 -> -0. | 1 -> 0. | _ -> Prng.normal g ()))
+      in
+      let norm =
+        if epilogue = 2 then
+          Some
+            ( Tensor_f32.of_tensor (Tensor.create [| out_c |] 1.1),
+              Tensor_f32.of_tensor (Tensor.create [| out_c |] (-0.1)),
+              1e-5 )
+        else None
+      in
+      let relu = epilogue >= 1 in
+      let conv ?memo xs =
+        Tensor_f32.to_tensor
+          (Tensor_f32.conv2d_batch ?memo ~stride ~pad ~weight ~bias ?norm
+             ~relu (Tensor_f32.of_tensor (pack xs)))
+      in
+      let memo = Tensor_f32.conv_memo () in
+      let clean = Tensor.rand_uniform (Prng.split g) [| in_c; size; size |] in
+      let agree xs = same_bits (conv ~memo xs) (conv xs) in
+      agree [ clean ]
+      && agree (mixed_batch g ~len:(1 + Prng.int g 6) [| clean |])
+      && agree (mixed_batch g ~len:(1 + Prng.int g 6) [| clean |]))
+
+(* The executed-FLOP ledger on vgg_tiny at 16x16 (256 input-conv
+   columns, 2*8*27 flops each): after the clean forward, a candidate
+   costs the cold forward minus the input conv's columns it did not
+   recompute. *)
+let incremental_flops () =
+  let flops () =
+    Telemetry.Counter.get
+      (Telemetry.Metrics.counter "backend.f32.gemm_flops")
+  in
+  let net = Nn.Zoo.vgg_tiny (Prng.of_int 5) ~image_size:16 ~num_classes:10 in
+  let plan = F32_plan.compile net in
+  let clean = Tensor.rand_uniform (Prng.of_int 6) [| 3; 16; 16 |] in
+  let cost x =
+    let before = flops () in
+    ignore (F32_plan.scores_batch plan (pack [ x ]));
+    flops () - before
+  in
+  let cold = cost clean in
+  let per_col = 2 * 8 * 27 in
+  let pixel row col =
+    let y = Tensor.copy clean in
+    for c = 0 to 2 do
+      Tensor.set y [| c; row; col |] (float_of_int (c land 1))
+    done;
+    y
+  in
+  let rest = cold - (per_col * 256) in
+  Alcotest.(check int) "clean again: no input-conv column" rest (cost clean);
+  Alcotest.(check int) "interior pixel: 9 columns" (rest + (per_col * 9))
+    (cost (pixel 7 9));
+  Alcotest.(check int) "border pixel: 6 columns" (rest + (per_col * 6))
+    (cost (pixel 0 5));
+  Alcotest.(check int) "corner pixel: 4 columns" (rest + (per_col * 4))
+    (cost (pixel 15 15));
+  Alcotest.(check int) "unrelated image: full input conv" cold
+    (cost (Tensor.rand_uniform (Prng.of_int 8) [| 3; 16; 16 |]))
 
 (* {1 Serialize golden: one weight file, every engine} *)
 
@@ -268,4 +493,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_f32_reshape_preserves_flat;
     QCheck_alcotest.to_alcotest qcheck_fusion_f32;
     QCheck_alcotest.to_alcotest qcheck_fusion_boxed;
+    QCheck_alcotest.to_alcotest qcheck_incremental_conv;
+    QCheck_alcotest.to_alcotest qcheck_incremental_zoo;
+    QCheck_alcotest.to_alcotest (qcheck_incremental_pool 1);
+    QCheck_alcotest.to_alcotest (qcheck_incremental_pool 2);
+    Alcotest.test_case "f32 input-conv FLOP ledger on vgg_tiny" `Quick
+      incremental_flops;
   ]
