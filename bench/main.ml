@@ -1489,6 +1489,9 @@ let micro () =
   in
   let tests =
     [
+      Test.make ~name:"queue/full_space-init"
+        (Staged.stage (fun () ->
+             ignore (Oppsla.Pair_queue.full_space ~d1:16 ~d2:16 ~image)));
       Test.make ~name:"queue/full_space-init+drain"
         (Staged.stage (fun () ->
              let q = Oppsla.Pair_queue.full_space ~d1:16 ~d2:16 ~image in

@@ -29,15 +29,39 @@ let all ~d1 ~d2 =
   List.concat
     (List.init d1 (fun row -> List.init d2 (fun col -> { row; col })))
 
+let index ~d2 l = (l.row * d2) + l.col
+let of_index ~d2 i = { row = i / d2; col = i mod d2 }
+
+(* Twice [center_distance], an integer in [0, max d1 d2): the sort key
+   of the center order.  A stable counting sort over row-major indices
+   on it is exactly the comparison sort by ([center_distance], index). *)
+let center_order ~d1 ~d2 =
+  let key row col =
+    let a = abs ((2 * row) - (d1 - 1)) and b = abs ((2 * col) - (d2 - 1)) in
+    if a > b then a else b
+  in
+  let start = Array.make ((if d1 > d2 then d1 else d2) + 1) 0 in
+  for row = 0 to d1 - 1 do
+    for col = 0 to d2 - 1 do
+      let k = key row col + 1 in
+      start.(k) <- start.(k) + 1
+    done
+  done;
+  for k = 1 to Array.length start - 1 do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let order = Array.make (d1 * d2) 0 in
+  for row = 0 to d1 - 1 do
+    for col = 0 to d2 - 1 do
+      let k = key row col in
+      order.(start.(k)) <- (row * d2) + col;
+      start.(k) <- start.(k) + 1
+    done
+  done;
+  order
+
 let by_center_distance ~d1 ~d2 =
-  let locs = Array.of_list (all ~d1 ~d2) in
-  let dist = Array.map (center_distance ~d1 ~d2) locs in
-  let idx = Array.init (Array.length locs) (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      match compare dist.(a) dist.(b) with 0 -> compare a b | c -> c)
-    idx;
-  Array.map (fun i -> locs.(i)) idx
+  Array.map (of_index ~d2) (center_order ~d1 ~d2)
 
 let patch_cells ~anchor ~h ~w =
   List.concat
@@ -53,8 +77,6 @@ let patch_anchors ~d1 ~d2 ~h ~w =
          (d1 - h + 1)
          (fun row -> List.init (d2 - w + 1) (fun col -> { row; col })))
 
-let index ~d2 l = (l.row * d2) + l.col
-let of_index ~d2 i = { row = i / d2; col = i mod d2 }
 let equal a b = a.row = b.row && a.col = b.col
 let pp fmt l = Format.fprintf fmt "(%d, %d)" l.row l.col
 let to_string l = Format.asprintf "%a" pp l

@@ -23,6 +23,10 @@ val neighbors : d1:int -> d2:int -> t -> t list
 val all : d1:int -> d2:int -> t list
 (** All locations in row-major order. *)
 
+val center_order : d1:int -> d2:int -> int array
+(** The row-major {!index} of every location, in {!by_center_distance}
+    order.  A counting sort: O(d1 * d2) integer work, no comparisons. *)
+
 val by_center_distance : d1:int -> d2:int -> t array
 (** All locations sorted by {!center_distance} ascending (center of the
     image first), ties broken row-major — the sketch's secondary

@@ -3,89 +3,114 @@ type t = {
   d2 : int;
   next : int array; (* -1 = none *)
   prev : int array;
-  present : bool array;
   seq : int array;
   mutable next_seq : int;
   mutable head : int; (* -1 = empty *)
   mutable tail : int;
   mutable size : int;
-  loc_corners : int array; (* per-location bitmask of enqueued corners *)
+  loc_corners : int array;
+      (* per-location bitmask of enqueued corners: pair [id] is queued iff
+         bit [id mod 8] of [loc_corners.(id / 8)] is set *)
 }
 
 let nil = -1
+let queued q id = q.loc_corners.(id / 8) land (1 lsl (id mod 8)) <> 0
+
+let create ~d1 ~d2 ~mask =
+  let capacity = Pair.count ~d1 ~d2 in
+  {
+    d1;
+    d2;
+    next = Array.make capacity nil;
+    prev = Array.make capacity nil;
+    seq = Array.make capacity 0;
+    next_seq = 0;
+    head = nil;
+    tail = nil;
+    size = 0;
+    loc_corners = Array.make (d1 * d2) mask;
+  }
+
+(* The one construction path.  On entry [q.prev.(pos)] is the id at
+   position [pos] for [pos < len], [q.seq] maps each of those ids to its
+   position, [loc_corners] is set and [next] is all [nil].
+   Links [next] from the position table, then overwrites [prev] by
+   walking the finished list. *)
+let link q len =
+  for pos = 0 to len - 2 do
+    q.next.(q.prev.(pos)) <- q.prev.(pos + 1)
+  done;
+  if len > 0 then begin
+    q.head <- q.prev.(0);
+    q.tail <- q.prev.(len - 1)
+  end;
+  let rec walk before id =
+    if id <> nil then begin
+      q.prev.(id) <- before;
+      walk id q.next.(id)
+    end
+  in
+  walk nil q.head;
+  q.size <- len;
+  q.next_seq <- len;
+  q
 
 let init ~d1 ~d2 order =
   if d1 <= 0 || d2 <= 0 then invalid_arg "Pair_queue.init: empty image";
-  let capacity = Pair.count ~d1 ~d2 in
-  let q =
-    {
-      d1;
-      d2;
-      next = Array.make capacity nil;
-      prev = Array.make capacity nil;
-      present = Array.make capacity false;
-      seq = Array.make capacity 0;
-      next_seq = 0;
-      head = nil;
-      tail = nil;
-      size = 0;
-      loc_corners = Array.make (d1 * d2) 0;
-    }
+  let q = create ~d1 ~d2 ~mask:0 in
+  let len =
+    List.fold_left
+      (fun pos (p : Pair.t) ->
+        if not (Location.in_bounds ~d1 ~d2 p.loc) then
+          invalid_arg
+            (Printf.sprintf "Pair_queue.init: location %s out of bounds"
+               (Location.to_string p.loc));
+        let id = Pair.id ~d2 p in
+        if queued q id then
+          invalid_arg
+            (Printf.sprintf "Pair_queue.init: duplicate pair %s"
+               (Pair.to_string p));
+        q.seq.(id) <- pos;
+        q.prev.(pos) <- id;
+        let li = Location.index ~d2 p.loc in
+        q.loc_corners.(li) <- q.loc_corners.(li) lor (1 lsl p.corner);
+        pos + 1)
+      0 order
   in
-  List.iter
-    (fun (p : Pair.t) ->
-      if not (Location.in_bounds ~d1 ~d2 p.loc) then
-        invalid_arg
-          (Printf.sprintf "Pair_queue.init: location %s out of bounds"
-             (Location.to_string p.loc));
-      let id = Pair.id ~d2 p in
-      if q.present.(id) then
-        invalid_arg
-          (Printf.sprintf "Pair_queue.init: duplicate pair %s"
-             (Pair.to_string p));
-      q.present.(id) <- true;
-      q.seq.(id) <- q.next_seq;
-      q.next_seq <- q.next_seq + 1;
-      q.prev.(id) <- q.tail;
-      q.next.(id) <- nil;
-      if q.tail = nil then q.head <- id else q.next.(q.tail) <- id;
-      q.tail <- id;
-      q.size <- q.size + 1;
-      let li = Location.index ~d2 p.loc in
-      q.loc_corners.(li) <- q.loc_corners.(li) lor (1 lsl p.corner))
-    order;
-  q
+  link q len
 
+(* Position [k * n + j] holds the [k]-th farthest corner of the [j]-th
+   location in center order, so one pass over the locations fills the
+   position table: 8 corners ranked into a scratch, 8 table writes. *)
 let full_space ~d1 ~d2 ~image =
-  let locs_by_center = Location.by_center_distance ~d1 ~d2 in
-  (* rank.(loc).(k) = the location's k-th farthest corner from the
-     original pixel. *)
-  let rank =
-    Array.map
-      (fun (loc : Location.t) ->
-        Rgb.corners_by_distance (Rgb.of_image image ~row:loc.row ~col:loc.col))
-      locs_by_center
-  in
-  let order = ref [] in
-  for k = 7 downto 0 do
-    for li = Array.length locs_by_center - 1 downto 0 do
-      order :=
-        Pair.make ~loc:locs_by_center.(li) ~corner:rank.(li).(k) :: !order
+  if d1 <= 0 || d2 <= 0 then invalid_arg "Pair_queue.full_space: empty image";
+  let s = image.Tensor.shape in
+  if Array.length s <> 3 || s.(0) <> 3 || s.(1) <> d1 || s.(2) <> d2 then
+    invalid_arg
+      (Printf.sprintf "Pair_queue.full_space: image is not 3x%dx%d" d1 d2);
+  let q = create ~d1 ~d2 ~mask:0xff in
+  let n = d1 * d2 and rank = Array.make 8 0 in
+  let center = Location.center_order ~d1 ~d2 in
+  for j = 0 to n - 1 do
+    let li = center.(j) in
+    Rgb.rank_corners image ~row:(li / d2) ~col:(li mod d2) rank;
+    for k = 0 to 7 do
+      let id = (li * 8) + rank.(k) and pos = (k * n) + j in
+      q.seq.(id) <- pos;
+      q.prev.(pos) <- id
     done
   done;
-  init ~d1 ~d2 !order
+  link q (8 * n)
 
 let detach q id =
   let p = q.prev.(id) and n = q.next.(id) in
   if p = nil then q.head <- n else q.next.(p) <- n;
   if n = nil then q.tail <- p else q.prev.(n) <- p;
-  q.present.(id) <- false;
   q.size <- q.size - 1;
   let li = id / 8 and corner = id mod 8 in
   q.loc_corners.(li) <- q.loc_corners.(li) land lnot (1 lsl corner)
 
 let attach_back q id =
-  q.present.(id) <- true;
   q.seq.(id) <- q.next_seq;
   q.next_seq <- q.next_seq + 1;
   q.prev.(id) <- q.tail;
@@ -106,7 +131,7 @@ let pop q =
 
 let require_member q (p : Pair.t) op =
   let id = Pair.id ~d2:q.d2 p in
-  if not q.present.(id) then
+  if not (queued q id) then
     invalid_arg
       (Printf.sprintf "Pair_queue.%s: pair %s not in queue" op
          (Pair.to_string p));
@@ -121,7 +146,7 @@ let remove q p =
   let id = require_member q p "remove" in
   detach q id
 
-let mem q p = q.present.(Pair.id ~d2:q.d2 p)
+let mem q p = queued q (Pair.id ~d2:q.d2 p)
 
 let first_with_location q (loc : Location.t) =
   if not (Location.in_bounds ~d1:q.d1 ~d2:q.d2 loc) then None

@@ -25,7 +25,9 @@ val full_space : d1:int -> d2:int -> image:Tensor.t -> t
     primary order by L1 pixel distance between the corner and the image's
     pixel at that location, farthest first (block k holds every location's
     k-th farthest corner); secondary order by distance to the image
-    center, ascending. *)
+    center, ascending, then row-major.  Built in one pass of flat array
+    writes (no per-pair allocation).  Raises [Invalid_argument] unless
+    [image] has shape [[|3; d1; d2|]]. *)
 
 val pop : t -> Pair.t option
 (** Remove and return the front pair. *)

@@ -21,10 +21,19 @@ val l1_distance : t -> t -> float
 (** [|r1-r2| + |g1-g2| + |b1-b2|] — the paper's pixel distance. *)
 
 val of_image : Tensor.t -> row:int -> col:int -> t
-(** Read the pixel at (row, col) of a CHW image. *)
+(** Read the pixel at (row, col) of a CHW image.  Raises
+    [Invalid_argument] unless the image has rank 3, at least 3 channels
+    and (row, col) inside its plane. *)
 
 val write_to_image : Tensor.t -> row:int -> col:int -> t -> unit
-(** Overwrite the pixel at (row, col) of a CHW image in place. *)
+(** Overwrite the pixel at (row, col) of a CHW image in place; no
+    allocation.  Raises [Invalid_argument] like {!of_image}. *)
+
+val rank_corners : Tensor.t -> row:int -> col:int -> int array -> unit
+(** [rank_corners img ~row ~col dst] writes {!corners_by_distance} of
+    the pixel at (row, col) into [dst.(0) .. dst.(7)] without
+    allocating.  Raises [Invalid_argument] like {!of_image}, or when
+    [dst] is shorter than 8. *)
 
 val corners_by_distance : t -> int array
 (** Corner indices sorted by L1 distance from the given pixel, farthest

@@ -147,7 +147,10 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
   let ctx_of pair perturbed_scores : Condition.ctx =
     { d1; d2; image; true_class; clean_scores; pair; perturbed_scores }
   in
-  let queue = Pair_queue.full_space ~d1 ~d2 ~image in
+  let queue =
+    Telemetry.Trace.span "sketch.queue_init" ~cat:"attack" (fun () ->
+        Pair_queue.full_space ~d1 ~d2 ~image)
+  in
   let b1, b2, b3, b4 = Condition.conditions program in
   (* Speculation for the main loop: if no condition fires on this pair
      (the common case — and the only case for the Sketch+False baseline),

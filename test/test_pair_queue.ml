@@ -127,6 +127,245 @@ let full_space_center_first () =
         (Location.equal first.Pair.loc (Location.make ~row:2 ~col:2))
   | [] -> Alcotest.fail "empty queue"
 
+(* Appendix-A reference: the list-and-comparison-sort construction of
+   the initial order, written out literally.  [full_space] must equal it
+   position for position. *)
+
+let reference_center ~d1 ~d2 =
+  let locs = Array.of_list (Location.all ~d1 ~d2) in
+  let dist = Array.map (Location.center_distance ~d1 ~d2) locs in
+  let idx = Array.init (Array.length locs) (fun i -> i) in
+  Array.sort
+    (fun a b ->
+      match compare dist.(a) dist.(b) with 0 -> compare a b | c -> c)
+    idx;
+  Array.map (fun i -> locs.(i)) idx
+
+let reference_corners (p : Rgb.t) =
+  let idx = Array.init 8 (fun k -> k) in
+  let dist = Array.map (fun c -> Rgb.l1_distance p c) Rgb.corners in
+  Array.sort
+    (fun a b ->
+      match compare dist.(b) dist.(a) with 0 -> compare a b | c -> c)
+    idx;
+  idx
+
+let reference_order ~d1 ~d2 ~image =
+  let locs_by_center = reference_center ~d1 ~d2 in
+  let rank =
+    Array.map
+      (fun (loc : Location.t) ->
+        let px c = Tensor.get image [| c; loc.row; loc.col |] in
+        reference_corners { Rgb.r = px 0; g = px 1; b = px 2 })
+      locs_by_center
+  in
+  let order = ref [] in
+  for k = 7 downto 0 do
+    for li = Array.length locs_by_center - 1 downto 0 do
+      order :=
+        Pair.make ~loc:locs_by_center.(li) ~corner:rank.(li).(k) :: !order
+    done
+  done;
+  !order
+
+let by_center_distance_exact () =
+  for d1 = 1 to 20 do
+    for d2 = 1 to 20 do
+      let got = Location.by_center_distance ~d1 ~d2
+      and want = reference_center ~d1 ~d2 in
+      if got <> want then Alcotest.failf "center order differs at %dx%d" d1 d2
+    done
+  done
+
+type pixels = Uniform | Quarters | Special
+
+type qop =
+  | QPop
+  | QPush_back of int
+  | QRemove of int
+  | QFirst_with_loc of int
+  | QFront_nth of int
+
+let image_of ~d1 ~d2 ~seed pixels =
+  let rng = Prng.of_int seed in
+  let image = Tensor.rand_uniform rng [| 3; d1; d2 |] in
+  match pixels with
+  | Uniform -> image
+  | Quarters -> Tensor.map (fun x -> Float.round (x *. 4.) /. 4.) image
+  | Special ->
+      let set ~row ~col (r, g, b) =
+        Rgb.write_to_image image ~row ~col { Rgb.r; g; b }
+      in
+      set ~row:(Prng.int rng d1) ~col:(Prng.int rng d2)
+        (Float.nan, Float.infinity, Float.neg_infinity);
+      set ~row:(Prng.int rng d1) ~col:(Prng.int rng d2) (0.25, Float.nan, 1.);
+      set ~row:(Prng.int rng d1) ~col:(Prng.int rng d2)
+        (0.5, 0.5, Float.infinity);
+      image
+
+let pixels_name = function
+  | Uniform -> "uniform"
+  | Quarters -> "quarters"
+  | Special -> "special"
+
+let qop_print = function
+  | QPop -> "Pop"
+  | QPush_back i -> Printf.sprintf "Push_back %d" i
+  | QRemove i -> Printf.sprintf "Remove %d" i
+  | QFirst_with_loc i -> Printf.sprintf "First_with_loc %d" i
+  | QFront_nth i -> Printf.sprintf "Front_nth %d" i
+
+(* Pair and location operands are drawn large and reduced modulo the
+   image's capacity, so every op names a real pair; location indices may
+   exceed the image to probe the out-of-bounds answer. *)
+let arbitrary_full_space =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, return QPop);
+        (3, map (fun i -> QPush_back i) (int_bound 1_000_000));
+        (2, map (fun i -> QRemove i) (int_bound 1_000_000));
+        (2, map (fun i -> QFirst_with_loc i) (int_bound 1_000_000));
+        (1, map (fun i -> QFront_nth i) (int_bound 40));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (d1, d2, pixels, seed, ops) ->
+      Printf.sprintf "%dx%d %s seed %d: %s" d1 d2 (pixels_name pixels) seed
+        (String.concat "; " (List.map qop_print ops)))
+    (tup5 (int_range 1 20) (int_range 1 20)
+       (oneofl [ Uniform; Quarters; Special ])
+       (int_bound 10_000)
+       (list_size (int_range 0 80) op))
+
+module Naive = Oppsla.Pair_queue_naive
+
+let same_pair a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> Pair.equal a b
+  | _ -> false
+
+(* [q] and the list model [m] answer every op alike. *)
+let agrees_with_model ~d1 ~d2 q m ops =
+  let cap = Pair.count ~d1 ~d2 in
+  let member i =
+    let p = Pair.of_id ~d2 (i mod cap) in
+    if Naive.mem m p then Some p else None
+  in
+  List.for_all
+    (fun op ->
+      let same =
+        match op with
+        | QPop -> same_pair (Pair_queue.pop q) (Naive.pop m)
+        | QPush_back i -> (
+            match member i with
+            | Some p ->
+                Pair_queue.push_back q p;
+                Naive.push_back m p;
+                true
+            | None -> not (Pair_queue.mem q (Pair.of_id ~d2 (i mod cap))))
+        | QRemove i -> (
+            match member i with
+            | Some p ->
+                Pair_queue.remove q p;
+                Naive.remove m p;
+                true
+            | None -> not (Pair_queue.mem q (Pair.of_id ~d2 (i mod cap))))
+        | QFirst_with_loc i ->
+            let loc = Location.of_index ~d2 (i mod (d1 * d2 + 3)) in
+            same_pair
+              (Pair_queue.first_with_location q loc)
+              (Naive.first_with_location m loc)
+        | QFront_nth i ->
+            same_pair (Pair_queue.front_nth q i)
+              (List.nth_opt (Naive.to_list m) i)
+      in
+      same
+      && Pair_queue.length q = Naive.length m
+      && List.equal Pair.equal (Pair_queue.to_list q) (Naive.to_list m))
+    ops
+
+let full_space_matches_reference (d1, d2, pixels, seed, ops) =
+  let image = image_of ~d1 ~d2 ~seed pixels in
+  let reference = reference_order ~d1 ~d2 ~image in
+  let q = Pair_queue.full_space ~d1 ~d2 ~image in
+  List.equal Pair.equal (Pair_queue.to_list q) reference
+  && agrees_with_model ~d1 ~d2 q (Naive.init ~d1 ~d2 reference) ops
+  && agrees_with_model ~d1 ~d2
+       (Pair_queue.init ~d1 ~d2 reference)
+       (Naive.init ~d1 ~d2 reference)
+       ops
+
+let qcheck_full_space_reference =
+  QCheck.Test.make ~name:"full_space equals the Appendix-A reference"
+    ~count:200 arbitrary_full_space full_space_matches_reference
+
+let full_space_rejects_shape () =
+  let image = Tensor.zeros [| 3; 4; 5 |] in
+  List.iter
+    (fun (d1, d2) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d raises" d1 d2)
+        true
+        (try
+           ignore (Pair_queue.full_space ~d1 ~d2 ~image);
+           false
+         with Invalid_argument _ -> true))
+    [ (5, 4); (4, 4); (0, 5) ];
+  Alcotest.(check bool) "4-channel image raises" true
+    (try
+       ignore
+         (Pair_queue.full_space ~d1:4 ~d2:5 ~image:(Tensor.zeros [| 4; 4; 5 |]));
+       false
+     with Invalid_argument _ -> true)
+
+(* Allocation pins.  [full_space] allocates its queue's arrays plus a
+   constant (the center order, its counting array, an 8-slot rank
+   scratch): per-pair records or list cells would add at least 3 words
+   per pair, 48 KiB at 16x16. *)
+let allocated f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.allocated_bytes () -. before
+
+let full_space_allocation () =
+  let d1 = 16 and d2 = 16 in
+  let image = Tensor.rand_uniform (Prng.of_int 7) [| 3; d1; d2 |] in
+  let build () = ignore (Pair_queue.full_space ~d1 ~d2 ~image) in
+  build ();
+  let word = float_of_int (Sys.word_size / 8) in
+  let cap = Pair.count ~d1 ~d2 in
+  (* next, prev, seq (cap words each), loc_corners, the 10-field record:
+     each block plus its header. *)
+  let queue_words = (3 * (cap + 1)) + (d1 * d2 + 1) + 11 in
+  let slack = 4096. in
+  let bytes = allocated build in
+  if bytes > (float_of_int queue_words *. word) +. slack then
+    Alcotest.failf "full_space 16x16 allocated %.0f bytes, bound %.0f + %.0f"
+      bytes
+      (float_of_int queue_words *. word)
+      slack
+
+let pixel_access_allocation () =
+  let image = Tensor.rand_uniform (Prng.of_int 8) [| 3; 16; 16 |] in
+  let p = { Rgb.r = 0.25; g = 0.5; b = 0.75 } and rank = Array.make 8 0 in
+  let empty = allocated ignore in
+  let writes =
+    allocated (fun () ->
+        for i = 0 to 255 do
+          Rgb.write_to_image image ~row:(i / 16) ~col:(i mod 16) p
+        done)
+  and ranks =
+    allocated (fun () ->
+        for i = 0 to 255 do
+          Rgb.rank_corners image ~row:(i / 16) ~col:(i mod 16) rank
+        done)
+  in
+  Alcotest.(check (float 0.)) "write_to_image allocates nothing" empty writes;
+  Alcotest.(check (float 0.)) "rank_corners allocates nothing" empty ranks
+
 (* Model-based property test: a random sequence of operations behaves
    like a reference list implementation. *)
 
@@ -222,4 +461,13 @@ let suite =
       full_space_block_structure;
     Alcotest.test_case "full_space center first" `Quick full_space_center_first;
     QCheck_alcotest.to_alcotest qcheck_model;
+    Alcotest.test_case "by_center_distance equals comparison sort" `Quick
+      by_center_distance_exact;
+    QCheck_alcotest.to_alcotest qcheck_full_space_reference;
+    Alcotest.test_case "full_space rejects a mismatched image" `Quick
+      full_space_rejects_shape;
+    Alcotest.test_case "full_space allocation bound" `Quick
+      full_space_allocation;
+    Alcotest.test_case "pixel access allocates nothing" `Quick
+      pixel_access_allocation;
   ]

@@ -566,6 +566,32 @@ let qcheck_histogram_conservation =
       && bucket_total = s.Telemetry.Histogram.count
       && s.Telemetry.Histogram.sum = List.fold_left ( +. ) 0. values)
 
+(* The initial queue build is its own span inside each attack's span,
+   so a trace splits it out of the sketch's self time. *)
+let queue_init_span_nests () =
+  let image = Tensor.rand_uniform (Prng.of_int 3) [| 3; 4; 4 |] in
+  let oracle =
+    Oracle.of_fn ~num_classes:2 (fun _ -> Tensor.of_array [| 2 |] [| 1.; 0. |])
+  in
+  let lines =
+    with_trace_file (fun () ->
+        ignore
+          (Oppsla.Sketch.attack oracle Oppsla.Condition.const_false_program
+             ~image ~true_class:0))
+  in
+  let named name =
+    match List.find_opt (fun l -> field_string l "name" = Some name) lines with
+    | Some l -> l
+    | None -> Alcotest.failf "no %S event in trace" name
+  in
+  let extent l =
+    let ts = Option.get (field_float l "ts") in
+    (ts, ts +. Option.get (field_float l "dur"))
+  in
+  let a0, a1 = extent (named "sketch.attack")
+  and q0, q1 = extent (named "sketch.queue_init") in
+  Alcotest.(check bool) "queue_init inside attack" true (a0 <= q0 && q1 <= a1)
+
 let suite =
   [
     Alcotest.test_case "counter semantics" `Quick counter_semantics;
@@ -608,4 +634,6 @@ let suite =
       sampler_ticks_and_snapshots;
     Alcotest.test_case "obs flag parsing" `Quick obs_flag_parsing;
     QCheck_alcotest.to_alcotest qcheck_histogram_conservation;
+    Alcotest.test_case "sketch.queue_init nests in sketch.attack" `Quick
+      queue_init_span_nests;
   ]
