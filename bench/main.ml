@@ -1487,6 +1487,28 @@ let micro () =
           (Staged.stage (fun () -> ignore (conv ~memo (next ()))))
       else Test.make ~name (Staged.stage (fun () -> ignore (conv (next ()))))
   in
+  (* A conv on the full path (no memo) with vgg_tiny's shapes: 3x3,
+     pad 1, a fused relu and optionally the fused norm. *)
+  let layer_conv_case name ~in_c ~size ~out_c ~norm =
+    let f32 t = Tensor_f32.of_tensor t in
+    let weight =
+      f32 (Tensor.randn (Prng.of_int 7) ~sigma:0.2 [| out_c; in_c; 3; 3 |])
+    and bias = f32 (Tensor.create [| out_c |] 0.1)
+    and x = f32 (Tensor.rand_uniform (Prng.of_int 8) [| 1; in_c; size; size |]) in
+    let norm =
+      if norm then
+        Some
+          ( f32 (Tensor.create [| out_c |] 1.),
+            f32 (Tensor.create [| out_c |] 0.),
+            1e-5 )
+      else None
+    in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore
+             (Tensor_f32.conv2d_batch ~stride:1 ~pad:1 ~weight ~bias ?norm
+                ~relu:true x)))
+  in
   let tests =
     [
       Test.make ~name:"queue/full_space-init"
@@ -1569,6 +1591,12 @@ let micro () =
         ];
       input_conv_case "conv/f32-input-1px" ~memo:true [ input_candidate 1 ];
       input_conv_case "conv/f32-input-63cols" ~memo:true [ input_candidate 7 ];
+      (* vgg_tiny's second conv (8->16 channels at 8x8, fused norm and
+         relu) and third (16->16 at 4x4, fused relu): the gather+GEMM
+         layers every forward runs in full. *)
+      layer_conv_case "conv/f32-8x8x8-16" ~in_c:8 ~size:8 ~out_c:16 ~norm:true;
+      layer_conv_case "conv/f32-16x4x4-16" ~in_c:16 ~size:4 ~out_c:16
+        ~norm:false;
       Test.make ~name:"attack/sketch-false-cap256"
         (Staged.stage (fun () ->
              let oracle = Oracle.of_network net in

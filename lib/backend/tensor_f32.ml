@@ -14,10 +14,12 @@
    bit-equality.
 
    The GEMM keeps the boxed kernel's proven shape — 4x4 register
-   tiling, ascending-k accumulation, L2 column blocking — but packs the
-   active operand panels into float64 scratch first and unrolls the
-   k-loop by four, so the widening conversion runs once per element
-   instead of once per use and the inner loop is pure float64 ALU work.
+   tiling, ascending-k accumulation, L2 column blocking — but runs on
+   float64 operands and unrolls the k-loop by four, so the widening
+   conversion runs once per element instead of once per use and the
+   inner loop is pure float64 ALU work.  A conv gathers its input
+   straight into the GEMM's per-domain float64 B panel through a
+   per-geometry index table.
    The row range is a first-class parameter so row panels can be
    dispatched as work items on an idle domain pool
    ([Domain_pool.Pool.try_map]; inline fallback when the pool is absent,
@@ -87,21 +89,26 @@ let add a b =
   done;
   out
 
-(* GEMM: [od](ooff + i*n + j) += Σ_p ad(i*k + p) * bd(p*n + j) for rows
-   i in [i0, i1).  Float32 operands, float64 accumulation in sixteen
-   register-resident refs, ascending-p order per output element — the
-   same per-element order whatever the row panelling, so pooled and
+(* GEMM: [od](ooff + i*n + j) += Σ_p ad(i*k + p) * b64(p*n + j) for
+   rows i in [i0, i1).  A float32 weight operand, a float64 [(k, n)]
+   row-major B panel, float64 accumulation in sixteen register-resident
+   refs, ascending-p order per output element — the same per-element
+   order whatever the row panelling or column blocking, so pooled and
    inline runs agree bitwise.
 
-   The float32→float64 widening is hoisted out of the inner loop: the
-   active rows of [ad] and the current column panel of [bd] are packed
-   once into per-domain float64 scratch (the conversion is exact, so
-   packing never changes a bit of the result), because on x86 the
-   convert instruction shares ports with the multiply/add units — left
-   inline it caps the kernel well below the scalar FP peak.  Each packed
-   B element is then reused by every row block, and the inner loop runs
-   pure float64 with the k-loop unrolled by four. *)
+   The inner loop runs pure float64 with the k-loop unrolled by four,
+   because on x86 the float32→float64 convert shares ports with the
+   multiply/add units — left inline it caps the kernel well below the
+   scalar FP peak.  So both operands arrive widened: the caller builds
+   B in float64 (a conv gathers its input straight into the panel, see
+   [gather_into]; [matmul] widens its operand), and the active rows of
+   [ad] are packed once per call into per-domain float64 scratch.  The
+   conversion is exact, so neither changes a bit of the result.  Pool
+   workers read the caller's B panel and never write it. *)
 
+(* The B panel of this domain's current GEMM: [(k, n)] float64,
+   row-major.  A conv gathers into it, [matmul] widens into it, and pool
+   workers only read it while the caller waits in [gemm_dispatch]. *)
 let panel_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
@@ -113,9 +120,10 @@ let f64_scratch key len =
 let arow_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
-  (* Column blocking: a [k * jb] float64 panel of [bd] targets ~1.5 MB
-     so it stays L2-resident while every row block passes over it.
+let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (b64 : float array)
+    (od : ba) =
+  (* Column blocking: a [k * jb] slice of the panel targets ~1.5 MB so
+     it stays L2-resident while every row block passes over it.
      Multiple of 4 so only the final block leaves a column remainder. *)
   let jb = max 16 (196608 / max 1 k land lnot 3) in
   let rows = i1 - i0 in
@@ -125,20 +133,10 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
     for i = 0 to (rows * k) - 1 do
       Array.unsafe_set a64 i (Bigarray.Array1.unsafe_get ad ((i0 * k) + i))
     done;
-    let b64 = f64_scratch panel_scratch (k * min jb n) in
     let k4 = k / 4 * 4 in
     let jlo = ref 0 in
     while !jlo < n do
       let jhi = min n (!jlo + jb) in
-      let jw = jhi - !jlo in
-      let jbase = !jlo in
-      for p = 0 to k - 1 do
-        let src = (p * n) + jbase and dst = p * jw in
-        for jj = 0 to jw - 1 do
-          Array.unsafe_set b64 (dst + jj)
-            (Bigarray.Array1.unsafe_get bd (src + jj))
-        done
-      done;
       let i = ref i0 in
       while !i + 4 <= i1 do
         let r0 = !i in
@@ -151,7 +149,6 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
         let j = ref !jlo in
         while !j + 4 <= jhi do
           let j0 = !j in
-          let jp = j0 - jbase in
           let c00 = ref (Bigarray.Array1.unsafe_get od (o0 + j0))
           and c01 = ref (Bigarray.Array1.unsafe_get od (o0 + j0 + 1))
           and c02 = ref (Bigarray.Array1.unsafe_get od (o0 + j0 + 2))
@@ -175,7 +172,7 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
             and v1 = Array.unsafe_get a64 (a1 + pp)
             and v2 = Array.unsafe_get a64 (a2 + pp)
             and v3 = Array.unsafe_get a64 (a3 + pp)
-            and boff = (pp * jw) + jp in
+            and boff = (pp * n) + j0 in
             let b0 = Array.unsafe_get b64 boff
             and b1 = Array.unsafe_get b64 (boff + 1)
             and b2 = Array.unsafe_get b64 (boff + 2)
@@ -184,7 +181,7 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
             and w1 = Array.unsafe_get a64 (a1 + pp + 1)
             and w2 = Array.unsafe_get a64 (a2 + pp + 1)
             and w3 = Array.unsafe_get a64 (a3 + pp + 1)
-            and coff = boff + jw in
+            and coff = boff + n in
             let d0 = Array.unsafe_get b64 coff
             and d1 = Array.unsafe_get b64 (coff + 1)
             and d2 = Array.unsafe_get b64 (coff + 2)
@@ -210,7 +207,7 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
             and v1 = Array.unsafe_get a64 (a1 + pq)
             and v2 = Array.unsafe_get a64 (a2 + pq)
             and v3 = Array.unsafe_get a64 (a3 + pq)
-            and boff = (pq * jw) + jp in
+            and boff = (pq * n) + j0 in
             let b0 = Array.unsafe_get b64 boff
             and b1 = Array.unsafe_get b64 (boff + 1)
             and b2 = Array.unsafe_get b64 (boff + 2)
@@ -219,7 +216,7 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
             and w1 = Array.unsafe_get a64 (a1 + pq + 1)
             and w2 = Array.unsafe_get a64 (a2 + pq + 1)
             and w3 = Array.unsafe_get a64 (a3 + pq + 1)
-            and coff = boff + jw in
+            and coff = boff + n in
             let d0 = Array.unsafe_get b64 coff
             and d1 = Array.unsafe_get b64 (coff + 1)
             and d2 = Array.unsafe_get b64 (coff + 2)
@@ -248,7 +245,7 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
             and v1 = Array.unsafe_get a64 (a1 + pp)
             and v2 = Array.unsafe_get a64 (a2 + pp)
             and v3 = Array.unsafe_get a64 (a3 + pp)
-            and boff = (pp * jw) + jp in
+            and boff = (pp * n) + j0 in
             let b0 = Array.unsafe_get b64 boff
             and b1 = Array.unsafe_get b64 (boff + 1)
             and b2 = Array.unsafe_get b64 (boff + 2)
@@ -291,13 +288,12 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
         done;
         while !j < jhi do
           let j0 = !j in
-          let jp = j0 - jbase in
           let c0 = ref (Bigarray.Array1.unsafe_get od (o0 + j0))
           and c1 = ref (Bigarray.Array1.unsafe_get od (o1 + j0))
           and c2 = ref (Bigarray.Array1.unsafe_get od (o2 + j0))
           and c3 = ref (Bigarray.Array1.unsafe_get od (o3 + j0)) in
           for p = 0 to k - 1 do
-            let bv = Array.unsafe_get b64 ((p * jw) + jp) in
+            let bv = Array.unsafe_get b64 ((p * n) + j0) in
             c0 := !c0 +. (Array.unsafe_get a64 (a0 + p) *. bv);
             c1 := !c1 +. (Array.unsafe_get a64 (a1 + p) *. bv);
             c2 := !c2 +. (Array.unsafe_get a64 (a2 + p) *. bv);
@@ -314,13 +310,12 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
       for r = !i to i1 - 1 do
         let aoff = (r - i0) * k and orow = ooff + (r * n) in
         for j = !jlo to jhi - 1 do
-          let jp = j - jbase in
           let acc = ref (Bigarray.Array1.unsafe_get od (orow + j)) in
           for p = 0 to k - 1 do
             acc :=
               !acc
               +. (Array.unsafe_get a64 (aoff + p)
-                 *. Array.unsafe_get b64 ((p * jw) + jp))
+                 *. Array.unsafe_get b64 ((p * n) + j))
           done;
           Bigarray.Array1.unsafe_set od (orow + j) !acc
         done
@@ -333,8 +328,9 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (bd : ba) (od : ba) =
    Work items write disjoint output row ranges, and per-element
    accumulation order does not depend on the panelling, so both paths
    produce bit-identical output. *)
-let gemm_dispatch ?pool ~ooff ~m ~k ~n (ad : ba) (bd : ba) (od : ba) =
-  let inline () = gemm_rows ~ooff ~i0:0 ~i1:m ~k ~n ad bd od in
+let gemm_dispatch ?pool ~ooff ~m ~k ~n (ad : ba) (b64 : float array)
+    (od : ba) =
+  let inline () = gemm_rows ~ooff ~i0:0 ~i1:m ~k ~n ad b64 od in
   match pool with
   | Some p when Domain_pool.Pool.size p > 1 && m >= 8 ->
       let width = Domain_pool.Pool.size p in
@@ -349,7 +345,7 @@ let gemm_dispatch ?pool ~ooff ~m ~k ~n (ad : ba) (bd : ba) (od : ba) =
       in
       (match
          Domain_pool.Pool.try_map p
-           (fun (i0, i1) -> gemm_rows ~ooff ~i0 ~i1 ~k ~n ad bd od)
+           (fun (i0, i1) -> gemm_rows ~ooff ~i0 ~i1 ~k ~n ad b64 od)
            panels
        with
       | Some _ -> ()
@@ -364,69 +360,118 @@ let matmul a b =
   let m = a.shape.(0) and k = a.shape.(1) in
   let k' = b.shape.(0) and n = b.shape.(1) in
   if k <> k' then invalid_arg "Tensor_f32.matmul: inner dimension mismatch";
+  let b64 = f64_scratch panel_scratch (k * n) in
+  for i = 0 to (k * n) - 1 do
+    Array.unsafe_set b64 i (Bigarray.Array1.unsafe_get b.data i)
+  done;
   let out = create [| m; n |] in
   Bigarray.Array1.fill out.data 0.;
-  gemm_rows ~i0:0 ~i1:m ~k ~n a.data b.data out.data;
+  gemm_rows ~i0:0 ~i1:m ~k ~n a.data b64 out.data;
   out
 
-(* im2col writing straight into the (reused) panel buffer: same
-   per-tap precomputed in-bounds ranges as the boxed kernel, padding
-   stored as explicit zeros so the panel never needs a re-zeroing
-   pass. *)
+(* {1 Gather: a conv's input straight into the float64 B panel}
+
+   A full conv's B operand is the im2col matrix of its input: panel
+   element [p * cols + j], for tap [p = (ic*kh + ky)*kw + kx] and output
+   position [j = oy*ow + ox], holds input pixel
+   [(ic, oy*stride - pad + ky, ox*stride - pad + kx)], or +0.0 where
+   that falls in the padding.  One table per conv geometry maps every
+   panel element to its offset in the CHW input, -1 for padding, so the
+   gather is one flat loop with no per-row range arithmetic (vgg_tiny's
+   inner output rows hold 4 or 8 elements).  Widening float32 to
+   float64 is exact, so the GEMM sums the input's own values.
+
+   Tables are built once, on first use of a geometry, and only read
+   after that.  All domains share them through one atomic list (a
+   domain that loses a publishing race retries and finds the winner's
+   table), and they live off the OCaml heap as int Bigarrays. *)
 
 let conv_out_dim size k stride pad = ((size + (2 * pad) - k) / stride) + 1
 let div_floor a b = if a >= 0 then a / b else -((-a + b - 1) / b)
 let div_ceil a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
 
-let fill_range (od : ba) pos len =
-  for i = pos to pos + len - 1 do
-    Bigarray.Array1.unsafe_set od i 0.
-  done
+type table = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let im2col_into ~stride ~pad ~kh ~kw ~in_c ~h ~w ~oh ~ow ~xoff (xd : ba)
-    (od : ba) =
+type gather = {
+  g_stride : int;
+  g_pad : int;
+  g_kh : int;
+  g_kw : int;
+  g_in_c : int;
+  g_h : int;
+  g_w : int;
+  src : table;
+}
+
+let gathers : gather list Atomic.t = Atomic.make []
+
+(* Raises [Not_found] rather than returning an option: the lookup runs
+   on every conv call and allocates nothing. *)
+let rec find_gather ~stride ~pad ~kh ~kw ~in_c ~h ~w = function
+  | [] -> raise_notrace Not_found
+  | g :: tl ->
+      if
+        g.g_stride = stride && g.g_pad = pad && g.g_kh = kh && g.g_kw = kw
+        && g.g_in_c = in_c && g.g_h = h && g.g_w = w
+      then g.src
+      else find_gather ~stride ~pad ~kh ~kw ~in_c ~h ~w tl
+
+let build_gather ~stride ~pad ~kh ~kw ~in_c ~h ~w =
+  let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
+  let cols = oh * ow in
+  let src =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout
+      (in_c * kh * kw * cols)
+  in
   for ic = 0 to in_c - 1 do
     for ky = 0 to kh - 1 do
-      let oy_lo = max 0 (div_ceil (pad - ky) stride)
-      and oy_hi = min (oh - 1) (div_floor (h - 1 + pad - ky) stride) in
       for kx = 0 to kw - 1 do
-        let row = (((ic * kh) + ky) * kw) + kx in
-        let ox_lo = max 0 (div_ceil (pad - kx) stride)
-        and ox_hi = min (ow - 1) (div_floor (w - 1 + pad - kx) stride) in
-        let rbase = row * (oh * ow) in
-        if oy_lo > oy_hi || ox_lo > ox_hi then
-          fill_range od rbase (oh * ow)
-        else begin
-          for oy = 0 to oy_lo - 1 do
-            fill_range od (rbase + (oy * ow)) ow
-          done;
-          for oy = oy_hi + 1 to oh - 1 do
-            fill_range od (rbase + (oy * ow)) ow
-          done;
-          for oy = oy_lo to oy_hi do
-            let iy = (oy * stride) - pad + ky in
-            let orow = rbase + (oy * ow)
-            and xrow = xoff + (((ic * h) + iy) * w) - pad + kx in
-            fill_range od orow ox_lo;
-            fill_range od (orow + ox_hi + 1) (ow - ox_hi - 1);
-            if stride = 1 then
-              for ox = ox_lo to ox_hi do
-                Bigarray.Array1.unsafe_set od (orow + ox)
-                  (Bigarray.Array1.unsafe_get xd (xrow + ox))
-              done
-            else
-              for ox = ox_lo to ox_hi do
-                Bigarray.Array1.unsafe_set od (orow + ox)
-                  (Bigarray.Array1.unsafe_get xd (xrow + (ox * stride)))
-              done
+        let row = ((((ic * kh) + ky) * kw) + kx) * cols in
+        for oy = 0 to oh - 1 do
+          let iy = (oy * stride) - pad + ky in
+          for ox = 0 to ow - 1 do
+            let ix = (ox * stride) - pad + kx in
+            Bigarray.Array1.unsafe_set src
+              (row + (oy * ow) + ox)
+              (if iy >= 0 && iy < h && ix >= 0 && ix < w then
+                 (((ic * h) + iy) * w) + ix
+               else -1)
           done
-        end
+        done
       done
     done
+  done;
+  {
+    g_stride = stride;
+    g_pad = pad;
+    g_kh = kh;
+    g_kw = kw;
+    g_in_c = in_c;
+    g_h = h;
+    g_w = w;
+    src;
+  }
+
+let rec gather_table ~stride ~pad ~kh ~kw ~in_c ~h ~w =
+  let known = Atomic.get gathers in
+  match find_gather ~stride ~pad ~kh ~kw ~in_c ~h ~w known with
+  | src -> src
+  | exception Not_found ->
+      let g = build_gather ~stride ~pad ~kh ~kw ~in_c ~h ~w in
+      if Atomic.compare_and_set gathers known (g :: known) then g.src
+      else gather_table ~stride ~pad ~kh ~kw ~in_c ~h ~w
+
+(* Fill [b64]'s first [len] elements from the image at [xoff]. *)
+let gather_into (src : table) (xd : ba) xoff (b64 : float array) len =
+  for q = 0 to len - 1 do
+    let i = Bigarray.Array1.unsafe_get src q in
+    Array.unsafe_set b64 q
+      (if i < 0 then 0. else Bigarray.Array1.unsafe_get xd (xoff + i))
   done
 
-(* Single-image im2col to a fresh panel — the qcheck layout-test
-   surface. *)
+(* Single-image im2col to a fresh float32 panel, through the conv's own
+   gather — the qcheck layout-test surface.  Narrowing the gathered
+   float64 values back to float32 is exact. *)
 let im2col ~stride ~pad ~kh ~kw x =
   if Array.length x.shape <> 3 then
     invalid_arg "Tensor_f32.im2col: expected a CHW tensor";
@@ -434,18 +479,16 @@ let im2col ~stride ~pad ~kh ~kw x =
   let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
   if oh <= 0 || ow <= 0 then
     invalid_arg "Tensor_f32.im2col: kernel larger than padded input";
+  let len = in_c * kh * kw * oh * ow in
+  let b64 = f64_scratch panel_scratch len in
+  gather_into
+    (gather_table ~stride ~pad ~kh ~kw ~in_c ~h ~w)
+    x.data 0 b64 len;
   let out = create [| in_c * kh * kw; oh * ow |] in
-  im2col_into ~stride ~pad ~kh ~kw ~in_c ~h ~w ~oh ~ow ~xoff:0 x.data out.data;
+  for i = 0 to len - 1 do
+    Bigarray.Array1.unsafe_set out.data i (Array.unsafe_get b64 i)
+  done;
   out
-
-(* Per-domain reusable panel scratch, mirroring the boxed engine's. *)
-let col_scratch : ba ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (alloc 0))
-
-let scratch len =
-  let r = Domain.DLS.get col_scratch in
-  if Bigarray.Array1.dim !r < len then r := alloc len;
-  !r
 
 (* The shared normalization kernel: per-(image, channel)-plane mean and
    1/sqrt(var + eps) in float64, then scale/shift (and optionally the
@@ -454,7 +497,8 @@ let scratch len =
    produce exactly the bits of the out-of-place unfused call: rounding
    happens at the same single store either way, and
    [round(max 0 v) = max 0 (round v)] for round-to-nearest, so folding
-   the clamp before the store changes nothing either. *)
+   the clamp before the store changes nothing either.  The clamp maps
+   NaN to +0.0, like [relu]. *)
 let norm_planes ~relu ~c ~plane (gd : ba) (bd : ba) ~eps ~nplanes (src : ba)
     (dst : ba) =
   let m = float_of_int plane in
@@ -477,7 +521,7 @@ let norm_planes ~relu ~c ~plane (gd : ba) (bd : ba) ~eps ~nplanes (src : ba)
       let xhat = (Bigarray.Array1.unsafe_get src (off + i) -. mean) *. istd in
       let v = (gam *. xhat) +. bet in
       Bigarray.Array1.unsafe_set dst (off + i)
-        (if relu && v <= 0. then 0. else v)
+        (if relu && not (v > 0.) then 0. else v)
     done
   done
 
@@ -493,10 +537,12 @@ let channel_norm_batch ~gamma ~beta ~eps x =
     ~nplanes:(nb * c) x.data out.data;
   out
 
+(* The clamp is [not (v > 0.)], not [v <= 0.], so NaN maps to +0.0 as
+   in [relu] and the boxed engine. *)
 let relu_inplace (d : ba) n =
   for i = 0 to n - 1 do
     let v = Bigarray.Array1.unsafe_get d i in
-    if v <= 0. then Bigarray.Array1.unsafe_set d i 0.
+    if not (v > 0.) then Bigarray.Array1.unsafe_set d i 0.
   done
 
 (* The value every conv output element starts from before its dot
@@ -516,8 +562,8 @@ let[@inline] seed_bias (bd : ba) oc =
    conv output (before the fused epilogue) of the last image whose conv
    ran in full.  An image whose bitwise differences from that reference
    touch at most [oh*ow/4] output columns copies the reference's raw
-   output and recomputes only those columns; any other image runs
-   im2col+GEMM and becomes the new reference.
+   output and recomputes only those columns; any other image runs the
+   gather+GEMM and becomes the new reference.
 
    A recomputed column is bit-identical to the GEMM's: the GEMM computes
    every output element as the f32 rounding of [seed_bias] plus the
@@ -687,7 +733,8 @@ let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
   let kk = in_c * kh * kw and cols = oh * ow in
   let image = in_c * h * w in
   let t0 = Unix.gettimeofday () in
-  let patches = scratch (kk * cols) in
+  let src = gather_table ~stride ~pad ~kh ~kw ~in_c ~h ~w in
+  let b64 = f64_scratch panel_scratch (kk * cols) in
   let out = create [| n; out_c; oh; ow |] in
   let od = out.data and bd = bias.data and wd = weight.data and xd = x.data in
   let ostride = out_c * cols in
@@ -717,7 +764,7 @@ let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
           xd xoff od obase;
         recomputed := !recomputed + touched
     | _ ->
-        im2col_into ~stride ~pad ~kh ~kw ~in_c ~h ~w ~oh ~ow ~xoff xd patches;
+        gather_into src xd xoff b64 (kk * cols);
         (* Seed output rows with the bias so the GEMM accumulates on top —
            one store per element instead of a zero pass plus an add pass. *)
         for oc = 0 to out_c - 1 do
@@ -726,7 +773,7 @@ let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
             Bigarray.Array1.unsafe_set od i b
           done
         done;
-        gemm_dispatch ?pool ~ooff:obase ~m:out_c ~k:kk ~n:cols wd patches od;
+        gemm_dispatch ?pool ~ooff:obase ~m:out_c ~k:kk ~n:cols wd b64 od;
         incr full;
         (match st with
         | Some st ->

@@ -1,12 +1,14 @@
 (** Float32 [Bigarray] backend: flat unboxed storage + shape descriptor,
     blocked register-tiled GEMM (float64 accumulation, float32 rounding
-    only at the store), im2col into a reused per-domain panel buffer,
-    fused conv→norm→relu, an incremental conv under a {!conv_memo}
-    (an image that differs from its domain's reference in a few pixels
-    recomputes only the output columns they reach, bit-identical to the
-    full conv), and opportunistic row-panel dispatch on a domain pool.
-    Not bit-identical to the boxed reference ([exact =
-    false]); differentials use the tolerance policy instead. *)
+    only at the store), each conv's input gathered straight into a
+    reused per-domain float64 GEMM panel through a per-geometry index
+    table, fused conv→norm→relu, an incremental conv under a
+    {!conv_memo} (an image that differs from its domain's reference in a
+    few pixels recomputes only the output columns they reach,
+    bit-identical to the full conv), and opportunistic row-panel
+    dispatch on a domain pool.  Not bit-identical to the boxed reference
+    ([exact = false]); differentials use the tolerance policy
+    instead. *)
 
 include Tensor_sig.S
 
@@ -18,8 +20,9 @@ val matmul : t -> t -> t
 val im2col :
   stride:int -> pad:int -> kh:int -> kw:int -> t -> t
 (** Single-image im2col of a CHW tensor to a fresh
-    [(in_c*kh*kw, oh*ow)] panel — the property-test surface for the
-    block layout (padding positions must read back as explicit 0s). *)
+    [(in_c*kh*kw, oh*ow)] panel, through the same gather a full conv
+    uses for its GEMM operand — the property-test surface for the block
+    layout (padding positions must read back as explicit 0s). *)
 
 val get_flat : t -> int -> float
 (** Row-major flat read, for tests. *)

@@ -98,7 +98,9 @@ module Stats = struct
     flops : Telemetry.Counter.t;
         (* 2 flops per multiply-add actually executed: 2*m*k*n per GEMM,
            2*out_c*k per column an incremental conv recomputes *)
-    panels : Telemetry.Counter.t;  (* im2col panel fills (one per full conv) *)
+    panels : Telemetry.Counter.t;
+        (* GEMM B-panel fills (one per full conv; f32 gathers its input
+           straight into a float64 panel, boxed runs im2col) *)
     fusion_hits : Telemetry.Counter.t;  (* fused conv epilogues executed *)
     seconds : Telemetry.Histogram.t;  (* wall seconds per conv/dense call *)
   }

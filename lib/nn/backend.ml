@@ -142,7 +142,7 @@ module Make (B : Tensor_sig.S) = struct
   let rec run ?pool steps x =
     List.fold_left (fun acc s -> run_step ?pool s acc) x steps
 
-  (* One span per conv, dense, norm and pool step: the per-layer
+  (* One span per conv, dense, relu, norm and pool step: the per-layer
      breakdown the trace viewer groups the hot path by.  The disabled
      path is one branch; the args (shapes, and the input conv's
      incrementally recomputed columns) are built lazily, after the
@@ -181,7 +181,10 @@ module Make (B : Tensor_sig.S) = struct
               ("out_dim", Telemetry.Trace.Int w.(0));
             ])
           (fun () -> B.dense_batch ~weight ~bias x)
-    | Relu -> B.relu x
+    | Relu ->
+        Telemetry.Trace.span "backend.relu" ~cat:"tensor"
+          ~args:(fun () -> [ ("n", Telemetry.Trace.Int (B.shape x).(0)) ])
+          (fun () -> B.relu x)
     | Max_pool { size; stride } ->
         pool_span "max" x (fun () -> B.max_pool2d_batch ~stride ~size x)
     | Avg_pool { size; stride } ->

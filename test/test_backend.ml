@@ -1,16 +1,19 @@
 (* Property and golden tests for the pluggable tensor backends.
 
-   The f32 kernels are checked three ways: the blocked GEMM against a
+   The f32 kernels are checked four ways: the blocked GEMM against a
    naive float64 reference on the same float32-rounded operands (the
    kernel accumulates in float64 and rounds once at the store, so a
-   tight tolerance holds at any size); the im2col panel against the
-   patch layout computed by direct indexing (padding positions must
-   read back as explicit zeros); and the fused conv→norm→relu epilogue
-   against the unfused composition, which must be bit-identical — the
-   fusion saves passes, never rounding.  The shape-descriptor
-   round-trip and the serialize golden run over both backends: weights
-   written by one network load into another and must produce the same
-   argmax through the layer engine, the boxed plan and the f32 plan. *)
+   tight tolerance holds at any size); the gathered im2col panel against
+   the patch layout computed by direct indexing (padding positions must
+   read back as explicit zeros); the full conv against a plain
+   ascending-p float64 loop and, inside whole zoo plans, against the
+   float32 im2col panel path, both bit for bit; and the fused
+   conv→norm→relu epilogue against the unfused composition, which must
+   be bit-identical — the fusion saves passes, never rounding.  The
+   shape-descriptor round-trip and the serialize golden run over both
+   backends: weights written by one network load into another and must
+   produce the same argmax through the layer engine, the boxed plan and
+   the f32 plan. *)
 
 (* Round to the nearest float32, as [of_tensor] does on the f32 path. *)
 let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
@@ -482,6 +485,278 @@ let serialize_cross_backend () =
     done
   done
 
+(* {1 Full conv = naive ascending-p float64 loop, bitwise} *)
+
+(* Exact float32 values, kept in float64. *)
+let as_f32 t = Tensor_f32.to_tensor (Tensor_f32.of_tensor t)
+
+(* A plain loop, no im2col and no GEMM: every output element is the
+   float32 rounding of its bias seed (-0.0 seeds +0.0) plus the tap
+   products in ascending tap order [(ic*kh + ky)*kw + kx], a padding tap
+   adding [w * +0.0]. *)
+let naive_conv ~stride ~pad weight bias x =
+  let n = Tensor.dim x 0 and in_c = Tensor.dim x 1
+  and h = Tensor.dim x 2 and w = Tensor.dim x 3 in
+  let out_c = Tensor.dim weight 0
+  and kh = Tensor.dim weight 2 and kw = Tensor.dim weight 3 in
+  let oh = ((h + (2 * pad) - kh) / stride) + 1
+  and ow = ((w + (2 * pad) - kw) / stride) + 1 in
+  let out = Tensor.zeros [| n; out_c; oh; ow |] in
+  for img = 0 to n - 1 do
+    for oc = 0 to out_c - 1 do
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let b = Tensor.get bias [| oc |] in
+          let acc = ref (if b <> 0. then b else 0.) in
+          for ic = 0 to in_c - 1 do
+            for ky = 0 to kh - 1 do
+              for kx = 0 to kw - 1 do
+                let iy = (oy * stride) - pad + ky
+                and ix = (ox * stride) - pad + kx in
+                let v =
+                  if iy >= 0 && iy < h && ix >= 0 && ix < w then
+                    Tensor.get x [| img; ic; iy; ix |]
+                  else 0.
+                in
+                acc := !acc +. (Tensor.get weight [| oc; ic; ky; kx |] *. v)
+              done
+            done
+          done;
+          Tensor.set out [| img; oc; oy; ox |] (round32 !acc)
+        done
+      done
+    done
+  done;
+  out
+
+(* Output channels reach 12 so that a width-2 pool really splits the
+   GEMM into row panels ([gemm_dispatch] panels only from 8 rows). *)
+let qcheck_conv_naive width =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf
+         "f32 pool %d: conv2d_batch = naive ascending-p f64 loop, bitwise"
+         width)
+    ~count:40
+    QCheck.(
+      quad (int_range 0 99999)
+        (triple (int_range 1 4) (int_range 1 12) (int_range 1 4))
+        (pair (pair (int_range 1 9) (int_range 1 9))
+           (pair (int_range 1 5) (int_range 1 5)))
+        (pair (int_range 1 2) (int_range 0 2)))
+    (fun (seed, (in_c, out_c, batch), ((h, w), (kh, kw)), (stride, pad)) ->
+      QCheck.assume (kh <= h + (2 * pad) && kw <= w + (2 * pad));
+      let g = Prng.of_int seed in
+      let weight =
+        as_f32
+          (Tensor.randn (Prng.split g) ~sigma:0.5 [| out_c; in_c; kh; kw |])
+      in
+      let bias =
+        as_f32
+          (Tensor.init [| out_c |] (fun i ->
+               match i mod 3 with 0 -> -0. | 1 -> 0. | _ -> Prng.normal g ()))
+      in
+      let x =
+        as_f32
+          (Tensor.rand_uniform (Prng.split g) ~lo:(-1.) ~hi:1.
+             [| batch; in_c; h; w |])
+      in
+      let conv ?pool () =
+        Tensor_f32.to_tensor
+          (Tensor_f32.conv2d_batch ?pool ~stride ~pad
+             ~weight:(Tensor_f32.of_tensor weight)
+             ~bias:(Tensor_f32.of_tensor bias) (Tensor_f32.of_tensor x))
+      in
+      let got =
+        if width = 1 then conv ()
+        else
+          Domain_pool.Pool.with_pool ~domains:width (fun pool -> conv ~pool ())
+      in
+      same_bits got (naive_conv ~stride ~pad weight bias x))
+
+(* {1 Zoo plans = the float32 im2col panel path, bitwise} *)
+
+(* The full conv as it ran before the gather: im2col into a float32
+   panel (per-tap in-bounds ranges, padding stored as zeros), a second
+   pass widening that panel to float64, then the ascending-p GEMM sum
+   from the bias seed, rounded once.  The epilogue is the unfused
+   composition, which the fusion properties pin to the fused one. *)
+module Panel_f32 = struct
+  include Tensor_f32
+
+  type ba = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  let div_floor a b = if a >= 0 then a / b else -((-a + b - 1) / b)
+  let div_ceil a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
+
+  let fill_range (od : ba) pos len = Bigarray.Array1.(fill (sub od pos len) 0.)
+
+  let im2col_into ~stride ~pad ~kh ~kw ~in_c ~h ~w ~oh ~ow ~xoff (xd : ba)
+      (od : ba) =
+    for ic = 0 to in_c - 1 do
+      for ky = 0 to kh - 1 do
+        let oy_lo = max 0 (div_ceil (pad - ky) stride)
+        and oy_hi = min (oh - 1) (div_floor (h - 1 + pad - ky) stride) in
+        for kx = 0 to kw - 1 do
+          let row = (((ic * kh) + ky) * kw) + kx in
+          let ox_lo = max 0 (div_ceil (pad - kx) stride)
+          and ox_hi = min (ow - 1) (div_floor (w - 1 + pad - kx) stride) in
+          let rbase = row * (oh * ow) in
+          if oy_lo > oy_hi || ox_lo > ox_hi then fill_range od rbase (oh * ow)
+          else begin
+            for oy = 0 to oy_lo - 1 do
+              fill_range od (rbase + (oy * ow)) ow
+            done;
+            for oy = oy_hi + 1 to oh - 1 do
+              fill_range od (rbase + (oy * ow)) ow
+            done;
+            for oy = oy_lo to oy_hi do
+              let iy = (oy * stride) - pad + ky in
+              let orow = rbase + (oy * ow)
+              and xrow = xoff + (((ic * h) + iy) * w) - pad + kx in
+              fill_range od orow ox_lo;
+              fill_range od (orow + ox_hi + 1) (ow - ox_hi - 1);
+              for ox = ox_lo to ox_hi do
+                Bigarray.Array1.set od (orow + ox)
+                  (Bigarray.Array1.get xd (xrow + (ox * stride)))
+              done
+            done
+          end
+        done
+      done
+    done
+
+  let conv2d_batch ?pool:_ ?memo:_ ~stride ~pad ~weight ~bias ?norm
+      ?(relu = false) x =
+    let xt = to_tensor x and wt = to_tensor weight and bt = to_tensor bias in
+    let n = Tensor.dim xt 0 and in_c = Tensor.dim xt 1
+    and h = Tensor.dim xt 2 and w = Tensor.dim xt 3 in
+    let out_c = Tensor.dim wt 0
+    and kh = Tensor.dim wt 2 and kw = Tensor.dim wt 3 in
+    let oh = ((h + (2 * pad) - kh) / stride) + 1
+    and ow = ((w + (2 * pad) - kw) / stride) + 1 in
+    let kk = in_c * kh * kw and cols = oh * ow and image = in_c * h * w in
+    let xd = Bigarray.(Array1.of_array float32 c_layout xt.Tensor.data) in
+    let patches = Bigarray.(Array1.create float32 c_layout (kk * cols)) in
+    let b64 = Array.make (kk * cols) 0. in
+    let out = Tensor.zeros [| n; out_c; oh; ow |] in
+    for img = 0 to n - 1 do
+      im2col_into ~stride ~pad ~kh ~kw ~in_c ~h ~w ~oh ~ow ~xoff:(img * image)
+        xd patches;
+      for i = 0 to (kk * cols) - 1 do
+        b64.(i) <- Bigarray.Array1.get patches i
+      done;
+      for oc = 0 to out_c - 1 do
+        for j = 0 to cols - 1 do
+          let b = Tensor.get_flat bt oc in
+          let acc = ref (if b <> 0. then b else 0.) in
+          for p = 0 to kk - 1 do
+            acc :=
+              !acc
+              +. (Tensor.get_flat wt ((oc * kk) + p) *. b64.((p * cols) + j))
+          done;
+          Tensor.set_flat out ((((img * out_c) + oc) * cols) + j) (round32 !acc)
+        done
+      done
+    done;
+    let y = of_tensor out in
+    let y =
+      match norm with
+      | Some (gamma, beta, eps) -> channel_norm_batch ~gamma ~beta ~eps y
+      | None -> y
+    in
+    if relu then Tensor_f32.relu y else y
+end
+
+module Panel_plan = Nn.Backend.Make (Panel_f32)
+
+(* All five zoo nets, one warm plan each, a clean image then mixed
+   batches (so the input conv also runs incrementally), at pool width
+   1 and 2. *)
+let qcheck_zoo_panel width =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf
+         "f32 pool %d: zoo plans = float32 im2col panel path, bitwise" width)
+    ~count:4
+    QCheck.(pair (int_range 0 99999) (int_range 0 2))
+    (fun (seed, size_i) ->
+      let size = [| 8; 12; 16 |].(size_i) in
+      Domain_pool.Pool.with_pool ~domains:width (fun pool ->
+          List.for_all
+            (fun arch ->
+              let net = zoo_net ~arch ~size (seed + arch) in
+              let plan = F32_plan.compile net
+              and reference = Panel_plan.compile net in
+              let g = Prng.of_int (seed + 1) in
+              let image () =
+                Tensor.rand_uniform (Prng.split g) [| 3; size; size |]
+              in
+              let clean = image () in
+              let other = image () in
+              List.for_all
+                (fun xs ->
+                  let batch = pack xs in
+                  same_bits
+                    (F32_plan.scores_batch ~pool plan batch)
+                    (Panel_plan.scores_batch reference batch))
+                ([ clean ]
+                :: List.init 4 (fun _ ->
+                       mixed_batch g ~len:(1 + Prng.int g 8)
+                         [| clean; clean; other |])))
+            (List.init (List.length Nn.Zoo.names) Fun.id)))
+
+(* {1 Fused relu on NaN and signed zeros} *)
+
+(* A 1x1 conv over a 3x3 plane holding NaN, both zeros and both signs of
+   finite values, into a +1 and a -1 channel.  The fused clamp must map
+   NaN to +0.0 like [relu] and the boxed engine, with the norm (whose
+   plane statistics the NaN poisons: every output is 0) and without. *)
+let fusion_nan_zeros () =
+  let pixels = [| Float.nan; -0.; 0.; 1.5; -1.5; 0.25; -0.; 2.; -3. |] in
+  let x = Tensor.of_array [| 1; 1; 3; 3 |] pixels in
+  let weight = Tensor.of_array [| 2; 1; 1; 1 |] [| 1.; -1. |] in
+  let bias = Tensor.of_array [| 2 |] [| 0.; -0. |] in
+  let gamma = Tensor.of_array [| 2 |] [| 1.; 1. |] in
+  let beta = Tensor.of_array [| 2 |] [| 0.; 0. |] in
+  let run (type b) (module B : Tensor_sig.S with type t = b) ~fused ~norm =
+    let w = B.of_tensor weight and bs = B.of_tensor bias in
+    let nb =
+      if norm then Some (B.of_tensor gamma, B.of_tensor beta, 1e-5) else None
+    in
+    let x = B.of_tensor x in
+    B.to_tensor
+      (if fused then
+         B.conv2d_batch ~stride:1 ~pad:0 ~weight:w ~bias:bs ?norm:nb
+           ~relu:true x
+       else
+         let y = B.conv2d_batch ~stride:1 ~pad:0 ~weight:w ~bias:bs x in
+         B.relu
+           (match nb with
+           | Some (gamma, beta, eps) -> B.channel_norm_batch ~gamma ~beta ~eps y
+           | None -> y))
+  in
+  let clamp v = if v > 0. then v else 0. in
+  let plain =
+    Tensor.of_array [| 1; 2; 3; 3 |]
+      (Array.append (Array.map clamp pixels)
+         (Array.map (fun v -> clamp (-.v)) pixels))
+  in
+  List.iter
+    (fun norm ->
+      let expect = if norm then Tensor.zeros [| 1; 2; 3; 3 |] else plain in
+      List.iter
+        (fun (name, got) ->
+          if not (same_bits got expect) then
+            Alcotest.failf "%s (norm %b): not the relu of the conv" name norm)
+        [
+          ("f32 fused", run (module Tensor_f32) ~fused:true ~norm);
+          ("f32 unfused", run (module Tensor_f32) ~fused:false ~norm);
+          ("boxed fused", run (module Tensor_boxed) ~fused:true ~norm);
+          ("boxed unfused", run (module Tensor_boxed) ~fused:false ~norm);
+        ])
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "boxed descriptor round-trip" `Quick boxed_roundtrip;
@@ -499,4 +774,10 @@ let suite =
     QCheck_alcotest.to_alcotest (qcheck_incremental_pool 2);
     Alcotest.test_case "f32 input-conv FLOP ledger on vgg_tiny" `Quick
       incremental_flops;
+    QCheck_alcotest.to_alcotest (qcheck_conv_naive 1);
+    QCheck_alcotest.to_alcotest (qcheck_conv_naive 2);
+    QCheck_alcotest.to_alcotest (qcheck_zoo_panel 1);
+    QCheck_alcotest.to_alcotest (qcheck_zoo_panel 2);
+    Alcotest.test_case "fused relu maps NaN and -0.0 to +0.0" `Quick
+      fusion_nan_zeros;
   ]
