@@ -161,9 +161,9 @@ let sweep_beta quick =
    One workload — batched Sketch+False attacks on vgg_tiny, each image
    labeled with the net's own prediction and attacked toward its least
    likely class, so every attack streams queries to the cap — runs bare
-   and under each observer: the trace sink, the live observatory
-   (/metrics server + 20 Hz sampler with JSONL snapshots), the
-   query-provenance journal and the Runtime_events profiler.
+   and under each observer: the trace sink, the 20 Hz sampler with
+   JSONL snapshots, the query-provenance journal and the Runtime_events
+   profiler.
 
    The arms alternate rep by rep, so scheduler and load drift hit all of
    them alike; each timed region starts from a settled heap, since at
@@ -178,7 +178,7 @@ let sweep_beta quick =
 
    Each arm keeps its observer's natural attach placement: the journal
    opens and finalizes inside the timed region (a journaled run pays
-   both per sweep); the trace sink, the profiler and the server+sampler
+   both per sweep); the trace sink, the profiler and the sampler
    attach and detach outside it (fixed per-run costs, not per-sweep
    ones).  Every rep of every arm must return per-image (queries,
    success) bit-identical to the bare arm, and each arm then checks the
@@ -326,14 +326,10 @@ let bench_overhead ~smoke =
     let snapshot = Filename.temp_file "oppsla_bench_snapshot" ".jsonl" in
     let m_samples = Telemetry.Metrics.counter "sampler.samples" in
     let samples_before = Telemetry.Counter.get m_samples in
-    let scrape = ref ((0, ""), (0, "")) in
     {
       name = "observe";
       rep =
         (fun () ->
-          let server =
-            Telemetry.Http_server.start ~stall_after_s:60. ~port:0 ()
-          in
           let sampler =
             Telemetry.Sampler.start
               {
@@ -344,42 +340,33 @@ let bench_overhead ~smoke =
               }
           in
           Fun.protect
-            ~finally:(fun () ->
-              Telemetry.Sampler.stop sampler;
-              Telemetry.Http_server.stop server)
-            (fun () ->
-              let s = time sweep in
-              (* Scrape while the server is live, the way an operator would. *)
-              let port = Telemetry.Http_server.port server in
-              scrape :=
-                ( Telemetry.Http_server.fetch ~port "/metrics",
-                  Telemetry.Http_server.fetch ~port "/healthz" );
-              s));
+            ~finally:(fun () -> Telemetry.Sampler.stop sampler)
+            (fun () -> time sweep));
       check =
         (fun () ->
-          let (m_status, metrics), healthz = !scrape in
-          if m_status <> 200 then fail "GET /metrics returned %d" m_status;
-          if
-            not
-              (contains_sub ~sub:"# TYPE oracle_queries_total counter" metrics)
-          then fail "/metrics is missing oracle_queries_total";
-          if
-            not
-              (contains_sub
-                 ~sub:"attack_queries_to_success_bucket{le=\"+Inf\"}" metrics)
-          then fail "/metrics is missing histogram +Inf buckets";
-          (match healthz with
-          | 200, body when contains_sub ~sub:"\"status\": \"ok\"" body -> ()
-          | status, body ->
-              fail "/healthz said %d %s" status (String.trim body));
           let ticks = Telemetry.Counter.get m_samples - samples_before in
           if ticks <= 0 then fail "the sampler never sampled";
-          let lines = List.length (read_lines snapshot) in
+          let lines = read_lines snapshot in
           Sys.remove snapshot;
-          if lines <= 0 then fail "the snapshot file got no JSONL lines";
+          (* The sampler's final tick closes each rep's snapshot run: the
+             file's last line is the registry at the end of the last rep. *)
+          (match List.rev lines with
+          | [] -> fail "the snapshot file got no JSONL lines"
+          | last :: _ ->
+              List.iter
+                (fun name ->
+                  if not (contains_sub ~sub:(Printf.sprintf "%S" name) last)
+                  then fail "the last snapshot line is missing %s" name)
+                [ "oracle.queries.total"; "attack.queries_to_success" ]);
+          (match Telemetry.Watchdog.stalled ~stall_after_s:60. () with
+          | [] -> ()
+          | stalled ->
+              fail "the watchdog reports stalled loops: %s"
+                (String.concat ", "
+                   (List.map (fun s -> s.Telemetry.Watchdog.name) stalled)));
           [
             ("sampler_samples", string_of_int ticks);
-            ("snapshot_lines", string_of_int lines);
+            ("snapshot_lines", string_of_int (List.length lines));
           ]);
       tripwire = 4.0;
     }
@@ -567,8 +554,8 @@ let bench_overhead ~smoke =
            cpu_seconds sums process CPU (every thread) over the reps; \
            overhead_fraction is signed and compares it with the bare arm; \
            best_wall_seconds is context.  The journal opens and finalizes \
-           inside the timed region; the trace sink, the /metrics server + \
-           20 Hz sampler and the profiler attach outside it.  Every rep of \
+           inside the timed region; the trace sink, the 20 Hz sampler and \
+           the profiler attach outside it.  Every rep of \
            every arm returns per-image (queries, success) bit-identical to \
            bare.  wall_clock_attributed is the share of a traced+profiled \
            sweep's wall-clock that Evalharness.Traceprof attributes to \
@@ -1673,25 +1660,14 @@ let () =
             exit 2)
       (flag name)
   in
-  let int_flag name =
-    Option.map
-      (fun v ->
-        match int_of_string_opt v with
-        | Some i when i >= 0 -> i
-        | _ ->
-            Printf.eprintf "bench: %s expects a port number, got %S\n" name v;
-            exit 2)
-      (flag name)
-  in
   (* Observability sinks, same flags as the CLI (bin/main.ml): --trace /
-     --metrics file sinks, --serve-metrics PORT for live /metrics +
-     /healthz, --snapshot FILE [--snapshot-interval SEC] for periodic
-     JSONL registry dumps, --stall-timeout SEC to abort wedged runs. *)
+     --metrics file sinks, --snapshot FILE [--snapshot-interval SEC]
+     for periodic JSONL registry dumps, --stall-timeout SEC to abort
+     wedged runs. *)
   let obs =
     {
       Telemetry.Obs.trace = flag "--trace";
       metrics = flag "--metrics";
-      serve_port = int_flag "--serve-metrics";
       snapshot = flag "--snapshot";
       snapshot_interval_s =
         Option.value (float_flag "--snapshot-interval")
@@ -1700,13 +1676,12 @@ let () =
       journal = flag "--journal";
       run_id = flag "--run-id";
       profile = List.mem "--profile" args;
-      backend_label = Telemetry.Obs.default.Telemetry.Obs.backend_label;
     }
   in
   let value_flags =
     [
-      "--domains"; "--trace"; "--metrics"; "--serve-metrics"; "--snapshot";
-      "--snapshot-interval"; "--stall-timeout"; "--journal"; "--run-id";
+      "--domains"; "--trace"; "--metrics"; "--snapshot"; "--snapshot-interval";
+      "--stall-timeout"; "--journal"; "--run-id";
     ]
   in
   let modes =
@@ -1746,5 +1721,5 @@ let () =
         (String.concat ", " unknown)
         (String.concat " " (List.map fst dispatch));
       exit 2);
-  Telemetry.Obs.with_observability ~log:progress obs (fun () ->
+  Telemetry.Obs.with_observability obs (fun () ->
       List.iter (fun mode -> timed mode (List.assoc mode dispatch)) modes)

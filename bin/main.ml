@@ -154,18 +154,6 @@ let metrics_arg =
   in
   Arg.(value & opt string "" & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-let serve_metrics_arg =
-  let doc =
-    "Serve the live observatory on 127.0.0.1:$(docv) for the duration of \
-     the command: GET /metrics (Prometheus text exposition of the \
-     registry), /healthz (ok/stalled from the heartbeat watchdog) and \
-     /snapshot.json (the registry as JSON).  Port 0 picks an ephemeral \
-     port (logged to stderr).  Also starts the background runtime \
-     sampler.  Observation-only: results and query counts are \
-     bit-identical with the observatory on or off."
-  in
-  Arg.(value & opt (some int) None & info [ "serve-metrics" ] ~docv:"PORT" ~doc)
-
 let snapshot_arg =
   let doc =
     "Append one JSONL snapshot of the metrics registry to $(docv) per \
@@ -182,8 +170,8 @@ let stall_timeout_arg =
   let doc =
     "Abort the run (exit 3) when an instrumented loop (sketch attack, \
      baseline search, synthesizer MH chain) is active but records no \
-     heartbeat progress for $(docv) seconds.  Also sets the /healthz \
-     stall threshold."
+     heartbeat progress for $(docv) seconds, after writing the post-mortem \
+     bundle."
   in
   Arg.(
     value & opt (some float) None & info [ "stall-timeout" ] ~docv:"SEC" ~doc)
@@ -222,23 +210,21 @@ let profile_arg =
 
 (* Bracket a command with the observability stack (shared with the bench
    via Telemetry.Obs): open the trace file before any instrumented code
-   runs, serve /metrics and run the sampler while the command does, and
-   flush trace + metrics even when the command raises. *)
-let with_telemetry ~trace ~metrics ~serve ~snapshot ~snapshot_interval
-    ~stall_timeout ~journal ~run_id ~profile ~backend f =
+   runs, run the sampler while the command does, and flush trace +
+   metrics even when the command raises. *)
+let with_telemetry ~trace ~metrics ~snapshot ~snapshot_interval
+    ~stall_timeout ~journal ~run_id ~profile f =
   let nonempty s = if s = "" then None else Some s in
-  Telemetry.Obs.with_observability ~log:log_stderr
+  Telemetry.Obs.with_observability
     {
       Telemetry.Obs.trace = nonempty trace;
       metrics = nonempty metrics;
-      serve_port = serve;
       snapshot = nonempty snapshot;
       snapshot_interval_s = snapshot_interval;
       stall_timeout_s = stall_timeout;
       journal = nonempty journal;
       run_id = nonempty run_id;
       profile;
-      backend_label = Nn.Backend.kind_name backend;
     }
     f
 
@@ -352,7 +338,7 @@ let synthesize_cmd =
     in
     Arg.(value & vflag false [ on; off ])
   in
-  let run dataset arch seed artifacts class_id iters domains batch islands checkpoint resume early_stop trace metrics serve snapshot
+  let run dataset arch seed artifacts class_id iters domains batch islands checkpoint resume early_stop trace metrics snapshot
       snapshot_interval stall_timeout journal run_id profile backend =
     with_spec dataset @@ fun spec ->
     with_backend backend @@ fun backend ->
@@ -367,8 +353,8 @@ let synthesize_cmd =
     else if resume && checkpoint = "" then
       `Error (false, "--resume requires --checkpoint FILE")
     else begin
-      with_telemetry ~trace ~metrics ~serve ~snapshot ~snapshot_interval
-        ~stall_timeout ~journal ~run_id ~profile ~backend
+      with_telemetry ~trace ~metrics ~snapshot ~snapshot_interval
+        ~stall_timeout ~journal ~run_id ~profile
       @@ fun () ->
       let config = workbench_config ~backend artifacts seed in
       let c = Workbench.load_classifier config spec arch in
@@ -457,7 +443,7 @@ let synthesize_cmd =
         (const run $ dataset_arg $ arch_arg $ seed_arg $ artifacts_arg
        $ class_arg $ iters_arg $ domains_arg $ batch_arg
        $ islands_arg $ checkpoint_arg $ resume_arg $ early_stop_arg
-       $ trace_arg $ metrics_arg $ serve_metrics_arg $ snapshot_arg
+       $ trace_arg $ metrics_arg $ snapshot_arg
        $ snapshot_interval_arg $ stall_timeout_arg $ journal_arg
        $ run_id_arg $ profile_arg $ backend_arg))
   in
@@ -502,7 +488,7 @@ let attack_cmd =
              file on success.")
   in
   let run dataset arch seed artifacts class_id index program_text target
-      save_ppm batch oracle_mode space trace metrics serve snapshot
+      save_ppm batch oracle_mode space trace metrics snapshot
       snapshot_interval stall_timeout journal run_id profile backend =
     with_spec dataset @@ fun spec ->
     with_oracle_mode oracle_mode @@ fun oracle_mode ->
@@ -528,8 +514,8 @@ let attack_cmd =
               Printf.sprintf "index %d out of range [0, %d)" index
                 (Array.length candidates) )
         else begin
-          with_telemetry ~trace ~metrics ~serve ~snapshot ~snapshot_interval
-            ~stall_timeout ~journal ~run_id ~profile ~backend
+          with_telemetry ~trace ~metrics ~snapshot ~snapshot_interval
+            ~stall_timeout ~journal ~run_id ~profile
           @@ fun () ->
           let image, true_class = candidates.(index) in
           let oracle = Workbench.oracle_factory c () in
@@ -613,7 +599,7 @@ let attack_cmd =
         (const run $ dataset_arg $ arch_arg $ seed_arg $ artifacts_arg
        $ class_arg $ index_arg $ program_arg $ target_arg $ save_ppm_arg
        $ batch_arg $ oracle_arg $ space_arg $ trace_arg $ metrics_arg
-       $ serve_metrics_arg $ snapshot_arg $ snapshot_interval_arg
+       $ snapshot_arg $ snapshot_interval_arg
        $ stall_timeout_arg $ journal_arg $ run_id_arg $ profile_arg
        $ backend_arg))
   in
@@ -656,13 +642,13 @@ let eval_cmd =
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run seed artifacts domains batch trace metrics serve snapshot
+  let run seed artifacts domains batch trace metrics snapshot
       snapshot_interval stall_timeout journal run_id profile backend
       experiment =
     check_batch batch @@ fun () ->
     with_backend backend @@ fun backend ->
-    with_telemetry ~trace ~metrics ~serve ~snapshot ~snapshot_interval
-      ~stall_timeout ~journal ~run_id ~profile ~backend
+    with_telemetry ~trace ~metrics ~snapshot ~snapshot_interval
+      ~stall_timeout ~journal ~run_id ~profile
     @@ fun () ->
     let config = workbench_config ~backend artifacts seed in
     let scale =
@@ -708,7 +694,7 @@ let eval_cmd =
   let term =
     Term.(
       ret
-        (const run $ seed_arg $ artifacts_arg $ domains_arg $ batch_arg $ trace_arg $ metrics_arg $ serve_metrics_arg
+        (const run $ seed_arg $ artifacts_arg $ domains_arg $ batch_arg $ trace_arg $ metrics_arg
        $ snapshot_arg $ snapshot_interval_arg $ stall_timeout_arg
        $ journal_arg $ run_id_arg $ profile_arg $ backend_arg
        $ experiment_arg))
@@ -717,9 +703,11 @@ let eval_cmd =
     (Cmd.info "eval" ~doc:"Run the paper's experiments and print reports.")
     term
 
+let version = "1.0.0"
+
 let () =
   let info =
-    Cmd.info "oppsla" ~version:Telemetry.Exporter.build_version
+    Cmd.info "oppsla" ~version
       ~doc:"One pixel adversarial attacks via sketched programs"
   in
   exit (Cmd.eval (Cmd.group info [ train_cmd; synthesize_cmd; attack_cmd; analyze_cmd; eval_cmd ]))

@@ -148,8 +148,8 @@ let wd_run = Telemetry.Watchdog.loop "islands.run"
    idempotent across resumes and repeated runs in one process. *)
 let wd_chain k = Telemetry.Watchdog.loop (Printf.sprintf "islands.chain%d" k)
 
-(* Dimensional step counter: one series per island, so the Prometheus
-   exporter can show per-chain progress.  Low cardinality by
+(* Dimensional step counter: one series per island, so the --metrics
+   dump and the snapshots show per-chain progress.  Low cardinality by
    construction — one label value per configured island. *)
 let m_steps_by k =
   Telemetry.Metrics.counter

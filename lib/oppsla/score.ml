@@ -51,8 +51,9 @@ let check_oracle name oracle =
      ^ ": oracle has an attached per-image cache (Oracle.set_cache); pass \
         ~caches so each sample gets its own slot")
 
-(* Stamped with the image index on every attack so /healthz shows which
-   sample a wedged evaluation was working on (last-writer-wins across
+(* Stamped with the image index on every attack so the watchdog
+   snapshot (and a stall's post-mortem bundle) shows which sample a
+   wedged evaluation was working on (last-writer-wins across
    domains).  The slot is never entered, so it never reports a stall:
    the attackers enter their own slots and beat them per query. *)
 let wd_image = Telemetry.Watchdog.loop "eval.image"

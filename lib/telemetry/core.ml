@@ -175,9 +175,9 @@ let register name wanted make =
           h)
 
 module Metrics = struct
-  (* Prometheus label-value escaping: backslash, double quote and
-     newline are the three characters the text exposition format
-     escapes inside label values. *)
+  (* Label-value escaping: backslash, double quote and newline, the
+     three characters that would otherwise end or split a value inside
+     the key's [{k="v"}] block. *)
   let label_escape v =
     let b = Buffer.create (String.length v + 4) in
     String.iter
@@ -190,10 +190,9 @@ module Metrics = struct
       v;
     Buffer.contents b
 
-  (* A labeled series' registry key IS its exposition form —
-     [name{k="v",k2="v2"}] with keys sorted and values escaped — so the
-     same (name, labels) pair always resolves to the same handle and
-     the exporter can render the key's label block verbatim. *)
+  (* A labeled series' registry key is [name{k="v",k2="v2"}] with keys
+     sorted and values escaped, so the same (name, labels) pair always
+     resolves to the same handle and one entry of the JSON dump. *)
   let labeled_name name labels =
     match labels with
     | [] -> name
@@ -408,43 +407,40 @@ module Trace = struct
 
   let enabled () = Atomic.get active
 
+  (* Every critical section below holds [sink_mutex] through
+     [Mutex.protect], so a raising open, write or close (a bad path, a
+     full disk) releases the lock instead of wedging every later trace
+     call. *)
   let to_file path =
-    Mutex.lock sink_mutex;
-    match !sink with
-    | Some _ ->
-        Mutex.unlock sink_mutex;
-        invalid_arg "Telemetry.Trace.to_file: tracing already active"
-    | None ->
-        let oc = open_out path in
-        output_string oc "[\n";
-        sink := Some oc;
-        sink_path := Some path;
-        Atomic.set active true;
-        Mutex.unlock sink_mutex
+    Mutex.protect sink_mutex (fun () ->
+        match !sink with
+        | Some _ -> invalid_arg "Telemetry.Trace.to_file: tracing already active"
+        | None ->
+            let oc = open_out path in
+            output_string oc "[\n";
+            sink := Some oc;
+            sink_path := Some path;
+            Atomic.set active true)
 
   (* Path of the open sink, if any: the post-mortem writer reads the
      tail of the live trace file through this. *)
-  let current_path () =
-    Mutex.lock sink_mutex;
-    let p = !sink_path in
-    Mutex.unlock sink_mutex;
-    p
+  let current_path () = Mutex.protect sink_mutex (fun () -> !sink_path)
 
   let close () =
-    Mutex.lock sink_mutex;
-    Atomic.set active false;
-    (match !sink with
-    | None -> ()
-    | Some oc ->
-        (* The body emits every event as [{...},\n]; the closing empty
-           object absorbs the trailing comma so the whole file is one
-           valid JSON array (both chrome://tracing and Perfetto also
-           accept truncated traces, so a crashed run still loads). *)
-        output_string oc "{}]\n";
-        close_out oc;
-        sink := None;
-        sink_path := None);
-    Mutex.unlock sink_mutex
+    Mutex.protect sink_mutex (fun () ->
+        Atomic.set active false;
+        match !sink with
+        | None -> ()
+        | Some oc ->
+            sink := None;
+            sink_path := None;
+            (* The body emits every event as [{...},\n]; the closing
+               empty object absorbs the trailing comma so the whole file
+               is one valid JSON array (both chrome://tracing and
+               Perfetto also accept truncated traces, so a crashed run
+               still loads). *)
+            output_string oc "{}]\n";
+            close_out oc)
 
   let render_arg = function
     | Int i -> string_of_int i
@@ -493,21 +489,19 @@ module Trace = struct
   let emit ~name ~cat ~ph ~ts ?dur ?scope ?tid args =
     let line = render_event ~name ~cat ~ph ~ts ?dur ?scope ?tid args in
     Ring.record line;
-    Mutex.lock sink_mutex;
-    (match !sink with
-    | None -> ()
-    | Some oc ->
-        output_string oc line;
-        output_string oc ",\n");
-    Mutex.unlock sink_mutex
+    Mutex.protect sink_mutex (fun () ->
+        match !sink with
+        | None -> ()
+        | Some oc ->
+            output_string oc line;
+            output_string oc ",\n")
 
   (* Flush the sink channel without closing it: the stall/crash paths
      call this so a process that dies right after never leaves a
      half-buffered trace behind. *)
   let flush () =
-    Mutex.lock sink_mutex;
-    (match !sink with None -> () | Some oc -> Stdlib.flush oc);
-    Mutex.unlock sink_mutex
+    Mutex.protect sink_mutex (fun () ->
+        match !sink with None -> () | Some oc -> Stdlib.flush oc)
 
   let span ?(cat = "oppsla") ?args name f =
     if not (Atomic.get active || Ring.enabled ()) then f ()

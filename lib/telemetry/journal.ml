@@ -163,70 +163,63 @@ let tail_lines = Array.make tail_cap ""
 let tail_cursor = ref 0 (* under sink_mutex *)
 
 let tail () =
-  Mutex.lock sink_mutex;
-  let c = !tail_cursor in
-  let out = ref [] in
-  for i = c - 1 downto max 0 (c - tail_cap) do
-    out := tail_lines.(i mod tail_cap) :: !out
-  done;
-  Mutex.unlock sink_mutex;
-  !out
+  Mutex.protect sink_mutex (fun () ->
+      let c = !tail_cursor in
+      let out = ref [] in
+      for i = c - 1 downto max 0 (c - tail_cap) do
+        out := tail_lines.(i mod tail_cap) :: !out
+      done;
+      !out)
 
 let header () =
   Printf.sprintf "{\"journal\": \"%s\", \"version\": %d, \"run_id\": \"%s\"}"
     format_name format_version
     (Core.Metrics.json_escape !run_id_ref)
 
+(* Every critical section holds [sink_mutex] through [Mutex.protect],
+   so a raising open, write, close or rename (a bad path, a full disk)
+   releases the lock instead of wedging every later journal call. *)
 let to_file path =
-  Mutex.lock sink_mutex;
-  match !sink with
-  | Some _ ->
-      Mutex.unlock sink_mutex;
-      invalid_arg "Telemetry.Journal.to_file: journal already active"
-  | None ->
-      let oc = open_out (tmp_path path) in
-      output_string oc (header ());
-      output_char oc '\n';
-      sink := Some oc;
-      final_path := Some path;
-      records_written := 0;
-      tail_cursor := 0;
-      Array.fill tail_lines 0 tail_cap "";
-      Atomic.set seq 0;
-      Atomic.set active true;
-      Mutex.unlock sink_mutex
+  Mutex.protect sink_mutex (fun () ->
+      match !sink with
+      | Some _ -> invalid_arg "Telemetry.Journal.to_file: journal already active"
+      | None ->
+          let oc = open_out (tmp_path path) in
+          output_string oc (header ());
+          output_char oc '\n';
+          sink := Some oc;
+          final_path := Some path;
+          records_written := 0;
+          tail_cursor := 0;
+          Array.fill tail_lines 0 tail_cap "";
+          Atomic.set seq 0;
+          Atomic.set active true)
 
 let close () =
-  Mutex.lock sink_mutex;
-  Atomic.set active false;
-  (match (!sink, !final_path) with
-  | Some oc, Some path ->
-      output_string oc
-        (Printf.sprintf "{\"journal_end\": true, \"records\": %d}\n"
-           !records_written);
-      close_out oc;
-      sink := None;
-      final_path := None;
-      Sys.rename (tmp_path path) path
-  | _ -> ());
-  Mutex.unlock sink_mutex
+  Mutex.protect sink_mutex (fun () ->
+      Atomic.set active false;
+      match (!sink, !final_path) with
+      | Some oc, Some path ->
+          sink := None;
+          final_path := None;
+          output_string oc
+            (Printf.sprintf "{\"journal_end\": true, \"records\": %d}\n"
+               !records_written);
+          close_out oc;
+          Sys.rename (tmp_path path) path
+      | _ -> ())
 
 let flush () =
-  Mutex.lock sink_mutex;
-  (match !sink with None -> () | Some oc -> Stdlib.flush oc);
-  Mutex.unlock sink_mutex
+  Mutex.protect sink_mutex (fun () ->
+      match !sink with None -> () | Some oc -> Stdlib.flush oc)
 
 (* The path where journal bytes currently live: the .tmp file while the
    sink is open (post-mortem diagnostics), the final path after close. *)
 let current_path () =
-  Mutex.lock sink_mutex;
-  let p =
-    match (!sink, !final_path) with
-    | Some _, Some path -> Some (tmp_path path)
-    | _ -> None
-  in
-  Mutex.unlock sink_mutex;
-  p
+  Mutex.protect sink_mutex (fun () ->
+      match (!sink, !final_path) with
+      | Some _, Some path -> Some (tmp_path path)
+      | _ -> None)
 
 let record ~key ~kind ~mode ~hit ?(chunk = -1) ~backend () =
   if Atomic.get active then begin
@@ -235,14 +228,13 @@ let record ~key ~kind ~mode ~hit ?(chunk = -1) ~backend () =
       render_record ~seq:n ~site:(site ()) ~image:(image ()) ~key ~kind ~mode
         ~hit ~chunk ~backend
     in
-    Mutex.lock sink_mutex;
-    (match !sink with
-    | None -> ()
-    | Some oc ->
-        output_string oc line;
-        output_char oc '\n';
-        incr records_written;
-        tail_lines.(!tail_cursor mod tail_cap) <- line;
-        incr tail_cursor);
-    Mutex.unlock sink_mutex
+    Mutex.protect sink_mutex (fun () ->
+        match !sink with
+        | None -> ()
+        | Some oc ->
+            output_string oc line;
+            output_char oc '\n';
+            incr records_written;
+            tail_lines.(!tail_cursor mod tail_cap) <- line;
+            incr tail_cursor)
   end

@@ -1,6 +1,6 @@
 (* Shared observability bracket and flag plumbing for bin/main.ml and
-   bench/main.ml: one place that knows how to open the trace sink,
-   start the metrics HTTP server and the background sampler, and tear
+   bench/main.ml: one place that knows how to open the trace and journal
+   sinks, start the background sampler and the profiler, and tear
    everything down (flushing --metrics) even when the wrapped command
    raises.  Keeping it here means the CLI and the bench cannot drift
    apart in flag spelling or shutdown order. *)
@@ -8,44 +8,37 @@
 type config = {
   trace : string option;  (* --trace FILE: Chrome trace-event JSONL *)
   metrics : string option;  (* --metrics FILE: registry JSON at exit *)
-  serve_port : int option;  (* --serve-metrics PORT: /metrics endpoint *)
   snapshot : string option;  (* --snapshot FILE: JSONL registry ticks *)
   snapshot_interval_s : float;  (* --snapshot-interval SEC *)
   stall_timeout_s : float option;  (* --stall-timeout SEC: abort stalls *)
   journal : string option;  (* --journal FILE: query-provenance JSONL *)
   run_id : string option;  (* --run-id ID: journal/post-mortem identity *)
   profile : bool;  (* --profile: attach the runtime-events profiler *)
-  backend_label : string;  (* oppsla_build_info's backend label *)
 }
 
 let default =
   {
     trace = None;
     metrics = None;
-    serve_port = None;
     snapshot = None;
     snapshot_interval_s = 1.0;
     stall_timeout_s = None;
     journal = None;
     run_id = None;
     profile = false;
-    backend_label = "boxed";
   }
 
 let active c =
-  c.trace <> None || c.metrics <> None || c.serve_port <> None
-  || c.snapshot <> None || c.stall_timeout_s <> None || c.journal <> None
-  || c.profile
+  c.trace <> None || c.metrics <> None || c.snapshot <> None
+  || c.stall_timeout_s <> None || c.journal <> None || c.profile
 
-(* Stall threshold for /healthz and the sampler: --stall-timeout when
-   given (which also makes a stall fatal), a permissive default
-   otherwise. *)
+(* The sampler's stall threshold: --stall-timeout when given (which
+   also makes a stall fatal), a permissive default otherwise. *)
 let stall_after_s c = Option.value c.stall_timeout_s ~default:30.
 
-(* The sampler only runs when something consumes its output: a scrape
-   endpoint, a snapshot file, or a fatal stall timeout. *)
-let wants_sampler c =
-  c.serve_port <> None || c.snapshot <> None || c.stall_timeout_s <> None
+(* The sampler only runs when something consumes its output: a
+   snapshot file or a fatal stall timeout. *)
+let wants_sampler c = c.snapshot <> None || c.stall_timeout_s <> None
 
 (* Argv-scanning helpers for the bench's hand-rolled flag parsing
    (cmdliner handles both spellings natively on the bin side).  Both
@@ -76,7 +69,6 @@ let strip_flags args ~flags =
   go args
 
 type t = {
-  server : Http_server.t option;
   sampler : Sampler.t option;
   profiler : Profiler.t option;
   config : config;
@@ -109,26 +101,13 @@ let install_crash_handler () =
    the last few attack iterations without measurable footprint. *)
 let ring_size = 512
 
-let start ?(log = ignore) config =
+let start config =
   Journal.set_run_id
     (match config.run_id with Some id -> id | None -> generate_run_id ());
   Core.Ring.configure ring_size;
   install_crash_handler ();
-  Exporter.set_build_info ~backend:config.backend_label ();
   (match config.journal with Some f -> Journal.to_file f | None -> ());
   (match config.trace with Some f -> Core.Trace.to_file f | None -> ());
-  let server =
-    Option.map
-      (fun port ->
-        let s =
-          Http_server.start ~stall_after_s:(stall_after_s config) ~port ()
-        in
-        log
-          (Printf.sprintf "serving metrics on http://127.0.0.1:%d/metrics"
-             (Http_server.port s));
-        s)
-      config.serve_port
-  in
   let sampler =
     if wants_sampler config then
       Some
@@ -142,14 +121,13 @@ let start ?(log = ignore) config =
     else None
   in
   let profiler = if config.profile then Some (Profiler.start ()) else None in
-  { server; sampler; profiler; config }
+  { sampler; profiler; config }
 
 let stop t =
   (* Sampler first (it reads the registry and watchdog), then the
-     server, then the profiler (it emits into the trace stream, which
-     must still be open for its final drain), then the file sinks. *)
+     profiler (it emits into the trace stream, which must still be open
+     for its final drain), then the file sinks. *)
   (match t.sampler with Some s -> Sampler.stop s | None -> ());
-  (match t.server with Some s -> Http_server.stop s | None -> ());
   (match t.profiler with Some p -> Profiler.stop p | None -> ());
   Core.Trace.close ();
   Journal.close ();
@@ -158,9 +136,9 @@ let stop t =
   | Some f -> Core.Metrics.write_json f
   | None -> ()
 
-let with_observability ?log config f =
+let with_observability config f =
   if not (active config) then f ()
   else begin
-    let t = start ?log config in
+    let t = start config in
     Fun.protect ~finally:(fun () -> stop t) f
   end

@@ -5,10 +5,8 @@
 
 include Core
 module Watchdog = Watchdog
-module Exporter = Exporter
 module Sampler = Sampler
 module Profiler = Profiler
-module Http_server = Http_server
 module Journal = Journal
 module Postmortem = Postmortem
 module Obs = Obs

@@ -97,12 +97,12 @@ module Metrics : sig
       different metric kind.
 
       [labels] attaches low-cardinality dimensions (backend, oracle
-      mode, space, island): the registry key becomes the Prometheus
-      series identity [name{k="v",...}] with keys sorted and values
-      escaped, so the same (name, labels) pair always resolves to the
-      same handle and the exporter renders one dimensional series per
-      label combination.  Callers on hot paths must cache the handle —
-      registration takes the registry mutex. *)
+      mode, space, island): the registry key becomes
+      [name{k="v",...}] with keys sorted and values escaped (backslash,
+      double quote and newline), so the same (name, labels) pair always
+      resolves to the same handle and each label combination is its own
+      entry in {!dump_json}.  Callers on hot paths must cache the
+      handle — registration takes the registry mutex. *)
 
   val gauge : ?labels:(string * string) list -> string -> Gauge.t
 
@@ -231,8 +231,9 @@ end
 
     Long-running loops (the attack sketch, the baselines' searches, the
     synthesizer's MH chain) register a named heartbeat slot and [beat]
-    it as they make progress.  The {!Sampler} and the [/healthz]
-    endpoint flag loops that are active but have stopped beating.
+    it as they make progress.  The {!Sampler} flags loops that are
+    active but have stopped beating (and, under [--stall-timeout],
+    aborts the run with a post-mortem bundle).
     Beats are a few atomic stores — observation-only by construction. *)
 
 module Watchdog : sig
@@ -276,47 +277,6 @@ module Watchdog : sig
 
   val reset : unit -> unit
   (** Forget every slot (tests only). *)
-end
-
-(** {1 Prometheus exporter} *)
-
-module Exporter : sig
-  type metric =
-    | Counter of string * int
-    | Gauge of string * float
-    | Histogram of string * Histogram.snapshot
-
-  val sanitize_name : string -> string
-  (** Map a registry name onto the Prometheus name charset
-      ([[a-zA-Z0-9_:]], no leading digit): dots and other illegal
-      characters become underscores. *)
-
-  val escape_label_value : string -> string
-  (** Prometheus label-value escaping: backslash, double quote and
-      newline.  Applied by the registry when a labeled series' key is
-      built, so rendered label blocks are already exposition-ready. *)
-
-  val of_registry : unit -> metric list
-  (** Snapshot the registry (name-sorted, atomic loads only). *)
-
-  val render : metric list -> string
-  (** Prometheus text exposition format 0.0.4: [# TYPE] comment per
-      metric; histograms as cumulative [_bucket{le="..."}] lines ending
-      with [le="+Inf"] (= total count) plus [_sum] and [_count]. *)
-
-  val prometheus : unit -> string
-  (** [render (of_registry ())]. *)
-
-  val build_version : string
-  (** The version label {!set_build_info} exposes (kept in lock-step
-      with the CLI's [--version]). *)
-
-  val set_build_info : ?backend:string -> unit -> unit
-  (** Register the standard-idiom [oppsla_build_info] gauge: constant
-      value 1 with [version], [backend] and [ocaml] labels, so scrapes
-      can join performance series against the build that produced
-      them.  Idempotent per label combination; called by the {!Obs}
-      bracket with the active backend. *)
 end
 
 (** {1 Runtime-events profiler}
@@ -414,33 +374,6 @@ module Sampler : sig
   val stop : t -> unit
   (** Interrupt the sleep, join the thread, take a final tick and close
       the snapshot file.  Idempotent. *)
-end
-
-(** {1 Metrics HTTP endpoint} *)
-
-module Http_server : sig
-  type t
-
-  val start : ?stall_after_s:float -> port:int -> unit -> t
-  (** Bind 127.0.0.1:[port] ([port = 0] picks an ephemeral port — see
-      {!port}) and serve, from one dedicated accept thread (a systhread
-      of the calling domain — never a pool worker, never a separate
-      domain): [GET /metrics] (Prometheus text, format 0.0.4),
-      [GET /healthz] (200 [{"status": "ok"}] or 503
-      [{"status": "stalled", "stalled": [...]}] from the watchdog, with
-      [stall_after_s] defaulting to 30), and [GET /snapshot.json] (the
-      registry as JSON).  Read-only against the registry. *)
-
-  val port : t -> int
-  (** The bound port (resolves [port = 0]). *)
-
-  val stop : t -> unit
-  (** Close the listener and join the serving thread.  Idempotent. *)
-
-  val fetch : port:int -> string -> int * string
-  (** Blocking [GET] of [path] against [127.0.0.1:port]; returns
-      (status code, body).  The one HTTP client shared by the tests,
-      the observe bench and the differential runner. *)
 end
 
 (** {1 Query-provenance journal}
@@ -542,14 +475,12 @@ module Obs : sig
   type config = {
     trace : string option;  (** [--trace FILE] *)
     metrics : string option;  (** [--metrics FILE] *)
-    serve_port : int option;  (** [--serve-metrics PORT] *)
     snapshot : string option;  (** [--snapshot FILE] *)
     snapshot_interval_s : float;  (** [--snapshot-interval SEC] *)
     stall_timeout_s : float option;  (** [--stall-timeout SEC] *)
     journal : string option;  (** [--journal FILE] *)
     run_id : string option;  (** [--run-id ID] *)
     profile : bool;  (** [--profile]: attach the runtime profiler *)
-    backend_label : string;  (** [oppsla_build_info]'s backend label *)
   }
 
   val default : config
@@ -566,21 +497,19 @@ module Obs : sig
 
   type t
 
-  val start : ?log:(string -> unit) -> config -> t
+  val start : config -> t
   (** Set the run id, enable the flight-recorder ring, install the
       crash handler (post-mortem bundle on uncaught exception), open
-      the journal and trace sinks, register the build-info gauge,
-      start the HTTP server ([serve_port]), the sampler (when a scrape
-      endpoint, snapshot file or stall timeout asks for one;
-      [stall_timeout_s] makes stalls abort the process with exit 3
-      after dumping the bundle), and the runtime profiler
-      ([profile]). *)
+      the journal and trace sinks, start the sampler (when a snapshot
+      file or stall timeout asks for one; [stall_timeout_s] makes
+      stalls abort the process with exit 3 after dumping the bundle),
+      and the runtime profiler ([profile]). *)
 
   val stop : t -> unit
-  (** Stop sampler then server then profiler, close the trace and
-      journal (atomic finalize), stop the ring, write [--metrics]. *)
+  (** Stop sampler then profiler, close the trace and journal (atomic
+      finalize), stop the ring, write [--metrics]. *)
 
-  val with_observability : ?log:(string -> unit) -> config -> (unit -> 'a) -> 'a
+  val with_observability : config -> (unit -> 'a) -> 'a
   (** [start]/[stop] bracket, exception-safe; a no-op (beyond calling
       the function) when {!active} is false. *)
 end

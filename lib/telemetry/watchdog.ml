@@ -1,15 +1,15 @@
 (* Heartbeat registry for the long-running loops: the attack sketch, the
    baselines' search loops and the synthesizer's Metropolis-Hastings
    chain each own a named slot and bump it as they make progress.  The
-   sampler (and the /healthz endpoint) read the slots to flag loops that
-   are nominally active but have stopped progressing.
+   sampler reads the slots to flag loops that are nominally active but
+   have stopped progressing.
 
    Observation-only by construction: a beat is a handful of atomic
    stores plus one clock read — no RNG, no metering, no cache state.
    Slots are shared across domains (parallel evaluation runs many
    attacks against one slot); [active] counts concurrent entries and
    the detail fields are last-writer-wins, which is exactly the "what
-   is the loop doing right now" semantics a health probe wants. *)
+   is the loop doing right now" semantics a stall verdict wants. *)
 
 type t = {
   name : string;

@@ -39,12 +39,12 @@
    attached, asserting bit-identical per-image (queries, success)
    records and that the observer actually polled the event ring.
 
-   --observe on additionally runs the full live observatory around the
-   whole grid: an HTTP metrics server on an ephemeral port plus the
-   background runtime sampler ticking every 20 ms.  Both only read the
-   registry, so every differential below must still hold bit-identically
-   while they run; at the end the runner fetches /metrics and /healthz
-   from its own server and asserts a valid, non-stalled response.
+   --observe on additionally runs the background runtime sampler
+   (ticking every 20 ms, with its stall watchdog) around the whole grid.
+   It only reads the registry, so every differential below must still
+   hold bit-identically while it runs; at the end the runner checks that
+   the registry metered oracle queries, that the watchdog reports no
+   stalled loop and that the sampler ticked.
 
    For randomized programs, images and training-set sizes it asserts that
    Score.evaluate over a pool of the requested width, and a never-pruning
@@ -796,23 +796,19 @@ let () =
   let scenario_mode =
     !grid > 0 || !omode <> Oracle.Score || !space <> Space.Pixel
   in
-  (* With --observe on, the metrics server and runtime sampler run live
-     around the whole grid.  Both are read-only consumers of the
-     registry; the differentials below verify they stay that way. *)
-  let observatory =
-    if observe then begin
-      let server = Telemetry.Http_server.start ~stall_after_s:60. ~port:0 () in
-      let sampler =
-        Telemetry.Sampler.start
-          {
-            Telemetry.Sampler.interval_s = 0.02;
-            snapshot_path = None;
-            stall_after_s = 60.;
-            abort_on_stall = false;
-          }
-      in
-      Some (server, sampler)
-    end
+  (* With --observe on, the runtime sampler runs live around the whole
+     grid.  It is a read-only consumer of the registry; the
+     differentials below verify it stays that way. *)
+  let sampler =
+    if observe then
+      Some
+        (Telemetry.Sampler.start
+           {
+             Telemetry.Sampler.interval_s = 0.02;
+             snapshot_path = None;
+             stall_after_s = 60.;
+             abort_on_stall = false;
+           })
     else None
   in
   (* With --trace on, checked runs emit real trace events while every
@@ -1004,34 +1000,24 @@ let () =
             fail "diff_runner: --trace on produced an empty trace (%d lines)"
               !lines;
           Sys.remove f);
-      (match observatory with
+      (match sampler with
       | None -> ()
-      | Some (server, sampler) ->
-          (* The observed arm must have actually been observable: a valid
-             Prometheus exposition and a non-stalled health verdict from
-             the live server, and at least one sampler tick. *)
-          let port = Telemetry.Http_server.port server in
-          let status, body = Telemetry.Http_server.fetch ~port "/metrics" in
-          if status <> 200 then
-            fail "diff_runner: GET /metrics returned %d" status;
-          if String.length body = 0 then
-            fail "diff_runner: GET /metrics returned an empty body";
-          let contains_sub ~sub s =
-            let n = String.length sub and m = String.length s in
-            let rec go i =
-              i + n <= m && (String.sub s i n = sub || go (i + 1))
-            in
-            n = 0 || go 0
-          in
-          if not (contains_sub ~sub:"# TYPE" body) then
-            fail "diff_runner: /metrics body is not a Prometheus exposition";
-          let hstatus, hbody = Telemetry.Http_server.fetch ~port "/healthz" in
-          if hstatus <> 200 then
-            fail "diff_runner: GET /healthz returned %d (%s)" hstatus hbody;
-          if not (contains_sub ~sub:{|"status": "ok"|} hbody) then
-            fail "diff_runner: /healthz did not report ok: %s" hbody;
+      | Some sampler ->
+          (* The observed arm must have actually been observable: the
+             registry metered the grid's queries, the watchdog saw no
+             stalled loop, and the sampler ticked. *)
+          if
+            Telemetry.Counter.get
+              (Telemetry.Metrics.counter "oracle.queries.total")
+            = 0
+          then fail "diff_runner: the registry metered no oracle queries";
+          (match Telemetry.Watchdog.stalled ~stall_after_s:60. () with
+          | [] -> ()
+          | stalled ->
+              fail "diff_runner: the watchdog reports stalled loops: %s"
+                (String.concat ", "
+                   (List.map (fun s -> s.Telemetry.Watchdog.name) stalled)));
           Telemetry.Sampler.stop sampler;
-          Telemetry.Http_server.stop server;
           if
             Telemetry.Counter.get
               (Telemetry.Metrics.counter "sampler.samples")

@@ -5,7 +5,6 @@ let () =
     [
       ("prng", Test_prng.suite);
       ("telemetry", Test_telemetry.suite);
-      ("exporter", Test_exporter.suite);
       ("journal", Test_journal.suite);
       ("tensor", Test_tensor.suite);
       ("backend", Test_backend.suite);
@@ -28,7 +27,6 @@ let () =
       ("cache_eval", Test_cache_eval.suite);
       ("batch_eval", Test_batch_eval.suite);
       ("stats", Test_stats.suite);
-      ("curves", Test_curves.suite);
       ("report", Test_report.suite);
       ("image", Test_image.suite);
       ("augment_metrics", Test_augment_metrics.suite);

@@ -12,6 +12,11 @@ let fresh =
     incr n;
     Printf.sprintf "test.%s.%d" prefix !n
 
+let contains_in json sub =
+  let n = String.length json and m = String.length sub in
+  let rec scan i = i + m <= n && (String.sub json i m = sub || scan (i + 1)) in
+  scan 0
+
 (* {1 Registry} *)
 
 let counter_semantics () =
@@ -82,20 +87,78 @@ let dump_json_contains_registered () =
   let hname = fresh "json_hist" in
   let h = Telemetry.Metrics.histogram ~buckets:[| 1.; 2. |] hname in
   Telemetry.Histogram.observe h 1.5;
-  let json = Telemetry.Metrics.dump_json () in
-  let contains sub =
-    let n = String.length json and m = String.length sub in
-    let rec scan i =
-      i + m <= n && (String.sub json i m = sub || scan (i + 1))
-    in
-    scan 0
-  in
+  let contains = contains_in (Telemetry.Metrics.dump_json ()) in
   Alcotest.(check bool) "counter dumped" true
     (contains (Printf.sprintf "%S: 7" cname));
   Alcotest.(check bool) "histogram dumped" true
     (contains (Printf.sprintf "%S: {\"count\": 1" hname));
   Alcotest.(check bool) "bucket bound dumped" true
     (contains "{\"le\": 1, \"count\": 0}")
+
+(* Labeled keys: the same labels in any order resolve to one handle
+   (keys are sorted when the registry key is built), and the dump
+   carries each label combination as its own entry. *)
+let registry_labels_round_trip () =
+  let base = fresh "dim" in
+  let c1 =
+    Telemetry.Metrics.counter ~labels:[ ("mode", "score"); ("backend", "f32") ]
+      base
+  in
+  let c1' =
+    Telemetry.Metrics.counter ~labels:[ ("backend", "f32"); ("mode", "score") ]
+      base
+  in
+  Alcotest.(check bool) "label order is canonicalized" true (c1 == c1');
+  let c2 =
+    Telemetry.Metrics.counter
+      ~labels:[ ("backend", "boxed"); ("mode", "score") ]
+      base
+  in
+  Telemetry.Counter.add c1 7;
+  Telemetry.Counter.add c2 2;
+  let contains = contains_in (Telemetry.Metrics.dump_json ()) in
+  let key labels = Printf.sprintf "%s{%s}" base labels in
+  List.iter
+    (fun (what, k, v) ->
+      Alcotest.(check bool) what true (contains (Printf.sprintf "%S: %d" k v)))
+    [
+      ("f32 series dumped", key {|backend="f32",mode="score"|}, 7);
+      ("boxed series dumped", key {|backend="boxed",mode="score"|}, 2);
+    ]
+
+(* Label values escape backslash, double quote and newline inside the
+   registry key, and the escaped key reaches the dump. *)
+let registry_label_values_escaped () =
+  let base = fresh "esc" in
+  let c = Telemetry.Metrics.counter ~labels:[ ("path", "a\\b\"c\nd") ] base in
+  Telemetry.Counter.incr c;
+  let key = Printf.sprintf "%s{%s}" base {|path="a\\b\"c\nd"|} in
+  Alcotest.(check bool) "escaped label value dumped" true
+    (contains_in (Telemetry.Metrics.dump_json ()) (Printf.sprintf "%S: 1" key))
+
+(* A sink whose open fails must leave its lock free: a later open and
+   close of a good path succeed, for the trace and the journal alike. *)
+let failed_sink_open_releases_lock () =
+  let not_a_dir = Filename.temp_file "oppsla_test_sink" ".file" in
+  let bad = Filename.concat not_a_dir "sink.json" in
+  let good = Filename.temp_file "oppsla_test_sink" ".json" in
+  let raises_sys_error what f =
+    match f () with
+    | () -> Alcotest.failf "%s: opening %s did not fail" what bad
+    | exception Sys_error _ -> ()
+  in
+  raises_sys_error "trace" (fun () -> Telemetry.Trace.to_file bad);
+  Telemetry.Trace.to_file good;
+  Telemetry.Trace.flush ();
+  Telemetry.Trace.close ();
+  Alcotest.(check bool) "trace closed" false (Telemetry.Trace.enabled ());
+  raises_sys_error "journal" (fun () -> Telemetry.Journal.to_file bad);
+  Telemetry.Journal.to_file good;
+  Telemetry.Journal.flush ();
+  Telemetry.Journal.close ();
+  Alcotest.(check bool) "journal finalized" true
+    (Sys.file_exists good && not (Sys.file_exists (good ^ ".tmp")));
+  List.iter Sys.remove [ not_a_dir; good ]
 
 (* {1 Domain-safety} *)
 
@@ -636,4 +699,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_histogram_conservation;
     Alcotest.test_case "sketch.queue_init nests in sketch.attack" `Quick
       queue_init_span_nests;
+    Alcotest.test_case "registry labels round-trip" `Quick
+      registry_labels_round_trip;
+    Alcotest.test_case "registry label values escaped" `Quick
+      registry_label_values_escaped;
+    Alcotest.test_case "failed sink open releases lock" `Quick
+      failed_sink_open_releases_lock;
   ]
