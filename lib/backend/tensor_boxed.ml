@@ -28,7 +28,7 @@ let conv_memo () = ()
 let recomputed_cols () = 0
 
 let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
-    x =
+    ?max_pool x =
   ignore pool;
   ignore memo;
   let t0 = Unix.gettimeofday () in
@@ -48,7 +48,10 @@ let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
     | None -> y
     | Some (gamma, beta, eps) -> channel_norm_batch ~gamma ~beta ~eps y
   in
-  if relu then Tensor.relu y else y
+  let y = if relu then Tensor.relu y else y in
+  match max_pool with
+  | None -> y
+  | Some (size, stride) -> Tensor.max_pool2d_batch ~stride ~size y
 
 let dense_batch ~weight ~bias x =
   let t0 = Unix.gettimeofday () in

@@ -490,39 +490,142 @@ let im2col ~stride ~pad ~kh ~kw x =
   done;
   out
 
+(* Pooling over NCHW: plane-by-plane scans (the plane of index [p]
+   belongs to image [p / c]); windows are fully in-bounds by the
+   [conv_out_dim] contract. *)
+
+let pool_dims name ~stride ~size x =
+  if Array.length x.shape <> 4 then
+    invalid_arg ("Tensor_f32." ^ name ^ ": expected an NCHW tensor");
+  let h = x.shape.(2) and w = x.shape.(3) in
+  let oh = conv_out_dim h size stride 0 and ow = conv_out_dim w size stride 0 in
+  if oh <= 0 || ow <= 0 then
+    invalid_arg ("Tensor_f32." ^ name ^ ": window too large");
+  (x.shape.(0), x.shape.(1), h, w, oh, ow)
+
+let max_pool2d_batch ~stride ~size x =
+  let n, c, h, w, oh, ow = pool_dims "max_pool2d_batch" ~stride ~size x in
+  let out = create [| n; c; oh; ow |] in
+  let xd = x.data and od = out.data in
+  for p = 0 to (n * c) - 1 do
+    let xbase = p * h * w and obase = p * oh * ow in
+    for oy = 0 to oh - 1 do
+      for ox = 0 to ow - 1 do
+        let best = ref neg_infinity in
+        let base = xbase + ((oy * stride) * w) + (ox * stride) in
+        for ky = 0 to size - 1 do
+          let rowb = base + (ky * w) in
+          for kx = 0 to size - 1 do
+            let v = Bigarray.Array1.unsafe_get xd (rowb + kx) in
+            if v > !best then best := v
+          done
+        done;
+        Bigarray.Array1.unsafe_set od (obase + (oy * ow) + ox) !best
+      done
+    done
+  done;
+  out
+
+(* One plane of an epilogue, or one image's dense input row, widened to
+   float64: the norm and pool passes below and [dense_batch] read it
+   instead of re-reading float32.  Widening is exact, so every sum and
+   comparison sees the same values. *)
+let vec_scratch : float array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+(* A fused max-pool's geometry: [size]x[size] windows at [stride] over
+   planes [w] wide, [oh]x[ow] pooled outputs per plane. *)
+type window = { size : int; stride : int; w : int; oh : int; ow : int }
+
+(* Max-pool one normalized float64 plane into [dst] at [obase], with
+   the relu folded in: each window's max starts from +0.0, and
+   [v > best] skips NaN, so the result is the max of the clamped values.
+   Only ever called after a relu, where every clamped value is +0.0 or
+   positive: there float32 rounding is monotone and blind to zero signs,
+   so the one rounding at the store equals the max of the unfused path's
+   rounded values, bit for bit.  2x2 windows, every zoo net's, run
+   unrolled (2.7x the generic loop on vgg_tiny's planes, EXPERIMENTS.md
+   "Fused pool and float64 epilogue"). *)
+let pool_plane win (s64 : float array) (dst : ba) obase =
+  let { size; stride; w; oh; ow } = win in
+  for oy = 0 to oh - 1 do
+    let rowb = oy * stride * w and orow = obase + (oy * ow) in
+    for ox = 0 to ow - 1 do
+      let base = rowb + (ox * stride) in
+      let best =
+        if size = 2 then begin
+          let v = Array.unsafe_get s64 base in
+          let best = if v > 0. then v else 0. in
+          let v = Array.unsafe_get s64 (base + 1) in
+          let best = if v > best then v else best in
+          let v = Array.unsafe_get s64 (base + w) in
+          let best = if v > best then v else best in
+          let v = Array.unsafe_get s64 (base + w + 1) in
+          if v > best then v else best
+        end
+        else begin
+          let best = ref 0. in
+          for ky = 0 to size - 1 do
+            for kx = 0 to size - 1 do
+              let v = Array.unsafe_get s64 (base + (ky * w) + kx) in
+              if v > !best then best := v
+            done
+          done;
+          !best
+        end
+      in
+      Bigarray.Array1.unsafe_set dst (orow + ox) best
+    done
+  done
+
 (* The shared normalization kernel: per-(image, channel)-plane mean and
    1/sqrt(var + eps) in float64, then scale/shift (and optionally the
-   relu clamp) on the store.  Reading [src] and writing [dst] plane by
-   plane makes in-place use ([src == dst], the fused conv epilogue)
-   produce exactly the bits of the out-of-place unfused call: rounding
-   happens at the same single store either way, and
+   relu clamp) on the store.  The sum pass widens the plane once into
+   float64 scratch, and the variance and scale/shift passes read that
+   copy; the sums keep their ascending order.  Reading [src] and writing
+   [dst] plane by plane makes in-place use ([src == dst], the fused conv
+   epilogue) produce exactly the bits of the out-of-place unfused call:
+   rounding happens at the same single store either way, and
    [round(max 0 v) = max 0 (round v)] for round-to-nearest, so folding
    the clamp before the store changes nothing either.  The clamp maps
-   NaN to +0.0, like [relu]. *)
-let norm_planes ~relu ~c ~plane (gd : ba) (bd : ba) ~eps ~nplanes (src : ba)
-    (dst : ba) =
+   NaN to +0.0, like [relu].  Under [?window] (only with [relu]) the
+   normalized plane stays in the scratch and [pool_plane] stores one
+   float32 per pooled output instead. *)
+let norm_planes ~relu ?window ~c ~plane (gd : ba) (bd : ba) ~eps ~nplanes
+    (src : ba) (dst : ba) =
   let m = float_of_int plane in
+  let s64 = f64_scratch vec_scratch plane in
   for p = 0 to nplanes - 1 do
     let off = p * plane and ch = p mod c in
     let acc = ref 0. in
     for i = 0 to plane - 1 do
-      acc := !acc +. Bigarray.Array1.unsafe_get src (off + i)
+      let v = Bigarray.Array1.unsafe_get src (off + i) in
+      Array.unsafe_set s64 i v;
+      acc := !acc +. v
     done;
     let mean = !acc /. m in
     let vacc = ref 0. in
     for i = 0 to plane - 1 do
-      let d = Bigarray.Array1.unsafe_get src (off + i) -. mean in
+      let d = Array.unsafe_get s64 i -. mean in
       vacc := !vacc +. (d *. d)
     done;
     let istd = 1. /. sqrt ((!vacc /. m) +. eps) in
     let gam = Bigarray.Array1.unsafe_get gd ch
     and bet = Bigarray.Array1.unsafe_get bd ch in
-    for i = 0 to plane - 1 do
-      let xhat = (Bigarray.Array1.unsafe_get src (off + i) -. mean) *. istd in
-      let v = (gam *. xhat) +. bet in
-      Bigarray.Array1.unsafe_set dst (off + i)
-        (if relu && not (v > 0.) then 0. else v)
-    done
+    match window with
+    | None ->
+        for i = 0 to plane - 1 do
+          let xhat = (Array.unsafe_get s64 i -. mean) *. istd in
+          let v = (gam *. xhat) +. bet in
+          Bigarray.Array1.unsafe_set dst (off + i)
+            (if relu && not (v > 0.) then 0. else v)
+        done
+    | Some win ->
+        for i = 0 to plane - 1 do
+          let xhat = (Array.unsafe_get s64 i -. mean) *. istd in
+          Array.unsafe_set s64 i ((gam *. xhat) +. bet)
+        done;
+        pool_plane win s64 dst (p * win.oh * win.ow)
   done
 
 let channel_norm_batch ~gamma ~beta ~eps x =
@@ -714,7 +817,7 @@ let recompute_cols st ~n ~stride ~pad ~kh ~kw ~ow ~out_c ~cols (bd : ba)
   done
 
 let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
-    x =
+    ?max_pool x =
   if Array.length x.shape <> 4 || Array.length weight.shape <> 4 then
     invalid_arg "Tensor_f32.conv2d_batch: expected NCHW input and OIHW weight";
   let n = x.shape.(0)
@@ -788,12 +891,32 @@ let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
   Telemetry.Counter.add stats.Tensor_sig.Stats.flops
     (2 * out_c * kk * ((!full * cols) + !recomputed));
   (* Fused epilogue: normalize and clamp in place on the cache-hot conv
-     output — no intermediate tensors, one pass instead of three. *)
+     output — no intermediate tensors, one pass instead of three.  A
+     max-pool after a norm and relu fuses too: the normalized plane is
+     pooled from float64 scratch straight into the pooled output.
+     Without a relu, or without a norm (whose float64 plane the pool
+     would otherwise have to widen for itself), it runs unfused, on the
+     epilogue's result. *)
+  let window =
+    match (max_pool, norm) with
+    | Some (size, stride), Some _ when relu ->
+        let ph = conv_out_dim oh size stride 0
+        and pw = conv_out_dim ow size stride 0 in
+        if ph <= 0 || pw <= 0 then
+          invalid_arg "Tensor_f32.conv2d_batch: pool window too large";
+        Some { size; stride; w = ow; oh = ph; ow = pw }
+    | _ -> None
+  in
+  let result =
+    match window with
+    | Some win -> create [| n; out_c; win.oh; win.ow |]
+    | None -> out
+  in
   (match norm with
   | Some (gamma, beta, eps) ->
       Telemetry.Counter.incr stats.Tensor_sig.Stats.fusion_hits;
-      norm_planes ~relu ~c:out_c ~plane:cols gamma.data beta.data ~eps
-        ~nplanes:(n * out_c) od od
+      norm_planes ~relu ?window ~c:out_c ~plane:cols gamma.data beta.data ~eps
+        ~nplanes:(n * out_c) od result.data
   | None ->
       if relu then begin
         Telemetry.Counter.incr stats.Tensor_sig.Stats.fusion_hits;
@@ -801,7 +924,41 @@ let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
       end);
   Telemetry.Histogram.observe stats.Tensor_sig.Stats.seconds
     (Unix.gettimeofday () -. t0);
-  out
+  match max_pool with
+  | Some (size, stride) when Option.is_none window ->
+      max_pool2d_batch ~stride ~size result
+  | _ -> result
+
+(* {1 Dense: float64 weights, one slot per domain}
+
+   Each domain keeps a float64 copy of the last weight matrix it ran, in
+   one slot keyed on the weight's physical identity (the pattern of the
+   input-conv memo: a plan converts its weights once, so a new matrix is
+   a new Bigarray).  Each image's input row is widened once, and four
+   output rows accumulate per pass over it, each in its own ascending-p
+   order from +0.0 with the bias added last — the same sum as a plain
+   loop, so the same bits.  Four independent sums hide the add latency
+   that one running sum waits on (1.4x the one-row loop at 256x10,
+   EXPERIMENTS.md "Fused pool and float64 epilogue"). *)
+
+type dense_slot = { mutable d_weight : ba; mutable d_w64 : float array }
+
+let dense_slot : dense_slot Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { d_weight = alloc 0; d_w64 = [||] })
+
+(* A new matrix of the slot's size (the harness compiles a plan per
+   attacked image) is widened into the same array. *)
+let dense_weights (wd : ba) =
+  let slot = Domain.DLS.get dense_slot in
+  if slot.d_weight != wd then begin
+    let len = Bigarray.Array1.dim wd in
+    if Array.length slot.d_w64 <> len then slot.d_w64 <- Array.make len 0.;
+    for i = 0 to len - 1 do
+      Array.unsafe_set slot.d_w64 i (Bigarray.Array1.unsafe_get wd i)
+    done;
+    slot.d_weight <- wd
+  end;
+  slot.d_w64
 
 let dense_batch ~weight ~bias x =
   if Array.length x.shape <> 2 || Array.length weight.shape <> 2 then
@@ -812,17 +969,46 @@ let dense_batch ~weight ~bias x =
     invalid_arg "Tensor_f32.dense_batch: dimension mismatch";
   let t0 = Unix.gettimeofday () in
   let out = create [| n; out_dim |] in
-  let xd = x.data and wd = weight.data and bd = bias.data and od = out.data in
+  let xd = x.data and bd = bias.data and od = out.data in
+  let w64 = dense_weights weight.data in
+  let x64 = f64_scratch vec_scratch k in
+  let j4 = out_dim / 4 * 4 in
   for img = 0 to n - 1 do
     let xoff = img * k and ooff = img * out_dim in
-    for j = 0 to out_dim - 1 do
+    for p = 0 to k - 1 do
+      Array.unsafe_set x64 p (Bigarray.Array1.unsafe_get xd (xoff + p))
+    done;
+    let j = ref 0 in
+    while !j < j4 do
+      let j0 = !j in
+      let w0 = j0 * k in
+      let w1 = w0 + k in
+      let w2 = w1 + k in
+      let w3 = w2 + k in
+      let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+      for p = 0 to k - 1 do
+        let xv = Array.unsafe_get x64 p in
+        a0 := !a0 +. (Array.unsafe_get w64 (w0 + p) *. xv);
+        a1 := !a1 +. (Array.unsafe_get w64 (w1 + p) *. xv);
+        a2 := !a2 +. (Array.unsafe_get w64 (w2 + p) *. xv);
+        a3 := !a3 +. (Array.unsafe_get w64 (w3 + p) *. xv)
+      done;
+      let o = ooff + j0 in
+      Bigarray.Array1.unsafe_set od o (!a0 +. Bigarray.Array1.unsafe_get bd j0);
+      Bigarray.Array1.unsafe_set od (o + 1)
+        (!a1 +. Bigarray.Array1.unsafe_get bd (j0 + 1));
+      Bigarray.Array1.unsafe_set od (o + 2)
+        (!a2 +. Bigarray.Array1.unsafe_get bd (j0 + 2));
+      Bigarray.Array1.unsafe_set od (o + 3)
+        (!a3 +. Bigarray.Array1.unsafe_get bd (j0 + 3));
+      j := j0 + 4
+    done;
+    for j = j4 to out_dim - 1 do
       let woff = j * k in
       let acc = ref 0. in
       for p = 0 to k - 1 do
         acc :=
-          !acc
-          +. (Bigarray.Array1.unsafe_get wd (woff + p)
-             *. Bigarray.Array1.unsafe_get xd (xoff + p))
+          !acc +. (Array.unsafe_get w64 (woff + p) *. Array.unsafe_get x64 p)
       done;
       Bigarray.Array1.unsafe_set od (ooff + j)
         (!acc +. Bigarray.Array1.unsafe_get bd j)
@@ -831,42 +1017,6 @@ let dense_batch ~weight ~bias x =
   Telemetry.Counter.add stats.Tensor_sig.Stats.flops (2 * n * out_dim * k);
   Telemetry.Histogram.observe stats.Tensor_sig.Stats.seconds
     (Unix.gettimeofday () -. t0);
-  out
-
-(* Pooling over NCHW: plane-by-plane scans (the plane of index [p]
-   belongs to image [p / c]); windows are fully in-bounds by the
-   [conv_out_dim] contract. *)
-
-let pool_dims name ~stride ~size x =
-  if Array.length x.shape <> 4 then
-    invalid_arg ("Tensor_f32." ^ name ^ ": expected an NCHW tensor");
-  let h = x.shape.(2) and w = x.shape.(3) in
-  let oh = conv_out_dim h size stride 0 and ow = conv_out_dim w size stride 0 in
-  if oh <= 0 || ow <= 0 then
-    invalid_arg ("Tensor_f32." ^ name ^ ": window too large");
-  (x.shape.(0), x.shape.(1), h, w, oh, ow)
-
-let max_pool2d_batch ~stride ~size x =
-  let n, c, h, w, oh, ow = pool_dims "max_pool2d_batch" ~stride ~size x in
-  let out = create [| n; c; oh; ow |] in
-  let xd = x.data and od = out.data in
-  for p = 0 to (n * c) - 1 do
-    let xbase = p * h * w and obase = p * oh * ow in
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        let best = ref neg_infinity in
-        let base = xbase + ((oy * stride) * w) + (ox * stride) in
-        for ky = 0 to size - 1 do
-          let rowb = base + (ky * w) in
-          for kx = 0 to size - 1 do
-            let v = Bigarray.Array1.unsafe_get xd (rowb + kx) in
-            if v > !best then best := v
-          done
-        done;
-        Bigarray.Array1.unsafe_set od (obase + (oy * ow) + ox) !best
-      done
-    done
-  done;
   out
 
 let avg_pool2d_batch ~stride ~size x =

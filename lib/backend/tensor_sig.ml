@@ -8,7 +8,7 @@
    to [Network.scores]) and [Tensor_f32] (flat [Bigarray] float32
    storage with an explicit shape descriptor — the Manticore
    flat-data-plus-shape idiom — a blocked register-tiled GEMM, and fused
-   conv→norm→relu).
+   conv→norm→relu→max-pool).
 
    Weights enter a plan as ordinary float64 [Tensor.t]s and are
    converted once at compile time via [of_tensor]; activations cross the
@@ -29,10 +29,10 @@ module type S = sig
       tolerance policy (argmax/success/query identity + |Δ| ≤ tol). *)
 
   val fuse : bool
-  (** True when the plan compiler may fuse conv→norm→relu into the
-      [conv2d_batch] call.  Backends where fusion is off still accept
-      the [?norm]/[?relu] arguments (they compose the unfused kernels),
-      so the signature stays total. *)
+  (** True when the plan compiler may fuse conv→norm→relu→max-pool into
+      the [conv2d_batch] call.  Backends where fusion is off still
+      accept the [?norm]/[?relu]/[?max_pool] arguments (they compose the
+      unfused kernels), so the signature stays total. *)
 
   val of_tensor : Tensor.t -> t
   val to_tensor : t -> Tensor.t
@@ -66,6 +66,7 @@ module type S = sig
     bias:t ->
     ?norm:t * t * float ->
     ?relu:bool ->
+    ?max_pool:int * int ->
     t ->
     t
   (** Batched convolution over NCHW input; [weight] is
@@ -79,7 +80,11 @@ module type S = sig
       back to the single-domain kernel when the pool is absent, busy or
       width 1.  [?memo] lets the backend reuse the previous image's
       output where the input is unchanged; the result must be
-      bit-identical to the call without it. *)
+      bit-identical to the call without it.  [?max_pool:(size, stride)]
+      appends a max-pool to the epilogue; the result must equal
+      [max_pool2d_batch ~stride ~size] of the unpooled result exactly.
+      The plan compiler asks for it only after a fused relu (DESIGN.md
+      section 5 has why rounding then commutes with the window max). *)
 
   val dense_batch : weight:t -> bias:t -> t -> t
   val max_pool2d_batch : stride:int -> size:int -> t -> t

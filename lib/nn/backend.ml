@@ -1,7 +1,7 @@
 (* Plan compiler: translate a trained [Network.t] once into a flat list
    of backend kernel steps — weights converted to backend storage up
-   front via [B.of_tensor], conv→norm→relu collapsed into the fused
-   conv epilogue where the backend allows ([B.fuse]) and the layer graph
+   front via [B.of_tensor], conv→norm→relu→max-pool collapsed into the
+   fused conv epilogue where the backend allows ([B.fuse]) and the layer graph
    has the adjacency — then run the plan on whole batches without
    touching the [Layer] representation again.
 
@@ -34,6 +34,7 @@ module Make (B : Tensor_sig.S) = struct
         bias : B.t;
         norm : (B.t * B.t * float) option;
         relu : bool;
+        max_pool : (int * int) option;  (* (size, stride), after the relu *)
         memo : B.conv_memo option;
       }
     | Dense of { weight : B.t; bias : B.t }
@@ -65,6 +66,7 @@ module Make (B : Tensor_sig.S) = struct
               bias = B.of_tensor bias;
               norm = None;
               relu = false;
+              max_pool = None;
               memo = None;
             };
         ]
@@ -91,20 +93,29 @@ module Make (B : Tensor_sig.S) = struct
         [ Dense_block (List.map steps_of_layer convs) ]
 
   (* Fusion: conv;norm;relu / conv;norm / conv;relu collapse into the
-     conv step's epilogue.  Only when the backend opts in — the result
-     must equal the unfused composition exactly, a property
-     [test_backend] pins per backend. *)
+     conv step's epilogue, and a max-pool right after a fused relu joins
+     it.  Never a max-pool without the relu: there the window max could
+     have to choose between -0.0 and +0.0, and rounding once after the
+     max no longer provably matches (DESIGN.md section 5).  Only when the
+     backend opts in — the result must equal the unfused composition
+     exactly, a property [test_backend] pins per backend. *)
   let rec fuse_list = function
     | Conv ({ norm = None; relu = false; _ } as c)
       :: Norm { gamma; beta }
       :: Relu :: tl ->
-        Conv { c with norm = Some (gamma, beta, Layer.norm_eps); relu = true }
-        :: fuse_list tl
+        fuse_list
+          (Conv
+             { c with norm = Some (gamma, beta, Layer.norm_eps); relu = true }
+          :: tl)
     | Conv ({ norm = None; relu = false; _ } as c) :: Norm { gamma; beta } :: tl
       ->
         Conv { c with norm = Some (gamma, beta, Layer.norm_eps) } :: fuse_list tl
     | Conv ({ relu = false; _ } as c) :: Relu :: tl ->
-        Conv { c with relu = true } :: fuse_list tl
+        fuse_list (Conv { c with relu = true } :: tl)
+    | Conv ({ relu = true; max_pool = None; _ } as c)
+      :: Max_pool { size; stride }
+      :: tl ->
+        Conv { c with max_pool = Some (size, stride) } :: fuse_list tl
     | s :: tl -> fuse_step s :: fuse_list tl
     | [] -> []
 
@@ -144,12 +155,12 @@ module Make (B : Tensor_sig.S) = struct
 
   (* One span per conv, dense, relu, norm and pool step: the per-layer
      breakdown the trace viewer groups the hot path by.  The disabled
-     path is one branch; the args (shapes, and the input conv's
-     incrementally recomputed columns) are built lazily, after the
-     step ran. *)
+     path is one branch; the args (shapes, a fused max-pool's window,
+     and the input conv's incrementally recomputed columns) are built
+     lazily, after the step ran. *)
   and run_step ?pool s x =
     match s with
-    | Conv { stride; pad; weight; bias; norm; relu; memo } ->
+    | Conv { stride; pad; weight; bias; norm; relu; max_pool; memo } ->
         Telemetry.Trace.span "backend.conv" ~cat:"tensor"
           ~args:(fun () ->
             let w = B.shape weight in
@@ -161,6 +172,14 @@ module Make (B : Tensor_sig.S) = struct
               ("stride", Telemetry.Trace.Int stride);
               ("pad", Telemetry.Trace.Int pad);
             ]
+            @ (match max_pool with
+              | Some (size, pstride) ->
+                  [
+                    ( "max_pool",
+                      Telemetry.Trace.Str
+                        (Printf.sprintf "%dx%d/%d" size size pstride) );
+                  ]
+              | None -> [])
             @
             match memo with
             | Some m ->
@@ -170,7 +189,8 @@ module Make (B : Tensor_sig.S) = struct
                 ]
             | None -> [])
           (fun () ->
-            B.conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ~relu x)
+            B.conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ~relu
+              ?max_pool x)
     | Dense { weight; bias } ->
         Telemetry.Trace.span "backend.dense" ~cat:"tensor"
           ~args:(fun () ->

@@ -2,7 +2,8 @@
 
     [Make (B)] translates a {!Network.t} once into a list of [B] kernel
     steps (weights converted to backend storage at compile time,
-    conv→norm→relu fused into the conv epilogue when [B.fuse]) and runs
+    conv→norm→relu→max-pool fused into the conv epilogue when [B.fuse],
+    the max-pool only after a relu) and runs
     whole batches through it.  This is the one batched inference engine:
     [Oracle.of_network] scores every query through a plan, whichever
     backend kind it is given.  The boxed instance is bit-identical to
@@ -19,7 +20,8 @@
 
     Each conv, dense, norm and pool step runs under a [backend.conv] /
     [backend.dense] / [backend.norm] / [backend.pool] trace span (the
-    input conv's span carries a [recomputed_cols] arg), nested in one
+    input conv's span carries a [recomputed_cols] arg, and a conv with a
+    fused max-pool a [max_pool] arg such as ["2x2/2"]), nested in one
     [backend.forward_batch] span per batch; {!Make.scores_batch}'s
     softmax follows under a [backend.softmax] span. *)
 

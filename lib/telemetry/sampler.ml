@@ -158,6 +158,31 @@ let sample_now t =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> sample_locked t)
 
+(* Scheduled-vs-actual tick skew: how late past its deadline each
+   timed tick actually fired.  GC pauses and scheduler pressure stretch
+   the select sleep, which silently distorts every per-tick rate the
+   sampler derives — so the distortion itself is recorded.  The
+   start-up sample, stop-wakeups (they fire early by design) and
+   [stop]'s final tick are excluded, so its count is the number of
+   ticks that woke on their deadline. *)
+let jitter () =
+  Core.Metrics.histogram ~buckets:Core.Metrics.time_buckets
+    "sampler.tick_jitter_seconds"
+
+let timed_ticks () = (Core.Histogram.snapshot (jitter ())).Core.Histogram.count
+
+let await_timed_tick ~after ~timeout_s =
+  let give_up = Unix.gettimeofday () +. timeout_s in
+  let rec poll () =
+    if timed_ticks () > after then true
+    else if Unix.gettimeofday () >= give_up then false
+    else begin
+      Unix.sleepf 0.005;
+      poll ()
+    end
+  in
+  poll ()
+
 let run t =
   (* Sleep until [deadline] (a Clock.now_us value) or until [stop]
      writes to the wake pipe.  The select must be re-armed with the
@@ -175,15 +200,7 @@ let run t =
       | _ -> `Woken  (* woken by [stop]; return and observe the flag *)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait deadline_us
   in
-  (* Scheduled-vs-actual tick skew: how late past its deadline each
-     timed tick actually fired.  GC pauses and scheduler pressure
-     stretch the select sleep, which silently distorts every per-tick
-     rate the sampler derives — so the distortion itself is recorded.
-     Stop-wakeups are excluded (they fire early by design). *)
-  let jitter =
-    Core.Metrics.histogram ~buckets:Core.Metrics.time_buckets
-      "sampler.tick_jitter_seconds"
-  in
+  let jitter = jitter () in
   let rec loop () =
     let stop =
       Mutex.lock t.mutex;

@@ -371,6 +371,18 @@ module Sampler : sig
   val sample_now : t -> unit
   (** Take one tick synchronously (deterministic tests). *)
 
+  val timed_ticks : unit -> int
+  (** Ticks, over every sampler this process ran, that woke on their
+      deadline: the count of the [sampler.tick_jitter_seconds]
+      histogram.  Unlike [sampler.samples] it excludes the start-up
+      sample, {!sample_now} and {!stop}'s final tick, so it grows only
+      when the periodic loop runs. *)
+
+  val await_timed_tick : after:int -> timeout_s:float -> bool
+  (** Poll every 5 ms until {!timed_ticks} exceeds [after]; [false] if
+      [timeout_s] seconds pass first.  Lets a run shorter than one
+      interval wait for the loop's first deadline before {!stop}. *)
+
   val stop : t -> unit
   (** Interrupt the sleep, join the thread, take a final tick and close
       the snapshot file.  Idempotent. *)

@@ -799,6 +799,7 @@ let () =
   (* With --observe on, the runtime sampler runs live around the whole
      grid.  It is a read-only consumer of the registry; the
      differentials below verify it stays that way. *)
+  let ticks_before = Telemetry.Sampler.timed_ticks () in
   let sampler =
     if observe then
       Some
@@ -1005,7 +1006,8 @@ let () =
       | Some sampler ->
           (* The observed arm must have actually been observable: the
              registry metered the grid's queries, the watchdog saw no
-             stalled loop, and the sampler ticked. *)
+             stalled loop, and the sampler's periodic loop woke on its
+             deadline at least once. *)
           if
             Telemetry.Counter.get
               (Telemetry.Metrics.counter "oracle.queries.total")
@@ -1017,12 +1019,15 @@ let () =
               fail "diff_runner: the watchdog reports stalled loops: %s"
                 (String.concat ", "
                    (List.map (fun s -> s.Telemetry.Watchdog.name) stalled)));
+          (* The grid can finish inside one sampler interval: give the
+             loop up to 2 s past it to reach its first deadline. *)
+          let ticked =
+            Telemetry.Sampler.await_timed_tick ~after:ticks_before
+              ~timeout_s:2.
+          in
           Telemetry.Sampler.stop sampler;
-          if
-            Telemetry.Counter.get
-              (Telemetry.Metrics.counter "sampler.samples")
-            = 0
-          then fail "diff_runner: sampler never ticked");
+          if not ticked then
+            fail "diff_runner: the sampler loop never reached a deadline");
       Printf.printf
         "diff_runner: sequential and %d-domain evaluation bit-identical \
          with cache %s at batch width %d, trace %s, observe %s, islands \

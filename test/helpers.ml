@@ -20,6 +20,28 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+(* Run [f] with tracing to a temporary file; returns the file's lines. *)
+let with_trace_file f =
+  let path = Filename.temp_file "oppsla_test_trace" ".json" in
+  Telemetry.Trace.to_file path;
+  let finish () =
+    Telemetry.Trace.close ();
+    let ic = open_in path in
+    let lines = ref [] in
+    (try
+       while true do
+         lines := input_line ic :: !lines
+       done
+     with End_of_file -> close_in ic);
+    Sys.remove path;
+    List.rev !lines
+  in
+  match f () with
+  | () -> finish ()
+  | exception e ->
+      ignore (finish ());
+      raise e
+
 (* A deterministic toy "classifier" over [d x d] color images with two
    classes: class 1 iff the mean of all channel values exceeds the
    threshold.  The margin is linear in the mean, so one-pixel attacks have

@@ -579,8 +579,9 @@ let qcheck_conv_naive width =
 (* The full conv as it ran before the gather: im2col into a float32
    panel (per-tap in-bounds ranges, padding stored as zeros), a second
    pass widening that panel to float64, then the ascending-p GEMM sum
-   from the bias seed, rounded once.  The epilogue is the unfused
-   composition, which the fusion properties pin to the fused one. *)
+   from the bias seed, rounded once.  The epilogue, max-pool included,
+   is the unfused composition, which the fusion properties pin to the
+   fused one. *)
 module Panel_f32 = struct
   include Tensor_f32
 
@@ -627,7 +628,7 @@ module Panel_f32 = struct
     done
 
   let conv2d_batch ?pool:_ ?memo:_ ~stride ~pad ~weight ~bias ?norm
-      ?(relu = false) x =
+      ?(relu = false) ?max_pool x =
     let xt = to_tensor x and wt = to_tensor weight and bt = to_tensor bias in
     let n = Tensor.dim xt 0 and in_c = Tensor.dim xt 1
     and h = Tensor.dim xt 2 and w = Tensor.dim xt 3 in
@@ -665,7 +666,10 @@ module Panel_f32 = struct
       | Some (gamma, beta, eps) -> channel_norm_batch ~gamma ~beta ~eps y
       | None -> y
     in
-    if relu then Tensor_f32.relu y else y
+    let y = if relu then Tensor_f32.relu y else y in
+    match max_pool with
+    | Some (size, stride) -> max_pool2d_batch ~stride ~size y
+    | None -> y
 end
 
 module Panel_plan = Nn.Backend.Make (Panel_f32)
@@ -757,6 +761,194 @@ let fusion_nan_zeros () =
         ])
     [ false; true ]
 
+(* {1 Fused max-pool = max-pool of the epilogue, bitwise} *)
+
+(* Up to three pixels of a CHW image set to NaN, +-0.0 or +-inf. *)
+let sprinkle g x =
+  let c = Tensor.dim x 0 and h = Tensor.dim x 1 and w = Tensor.dim x 2 in
+  let y = Tensor.copy x in
+  for _ = 1 to Prng.int g 4 do
+    Tensor.set y
+      [| Prng.int g c; Prng.int g h; Prng.int g w |]
+      [| Float.nan; 0.; -0.; Float.infinity; Float.neg_infinity |].(Prng.int g 5)
+  done;
+  y
+
+(* Windows 2/2, 3/2, 2/1 and 3/3 over a 3x3 pad-1 conv, with and
+   without the norm (whose beta holds -0.0, so unclamped outputs can be
+   -0.0), with and without the relu (the kernel then pools unfused), on
+   inputs seeded with NaN, signed zeros and infinities.  With [memo] a
+   clean image and then mixed batches of its candidates run through the
+   incremental conv.  Output channels reach 12 so a width-2 pool splits
+   the GEMM into row panels. *)
+let qcheck_pool_fusion width =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf
+         "f32 pool %d: conv2d_batch ~max_pool = max_pool2d_batch of the \
+          epilogue, bitwise"
+         width)
+    ~count:40
+    QCheck.(
+      quad (int_range 0 99999) (int_range 0 3)
+        (triple bool bool bool)
+        (pair (int_range 1 12) (int_range 0 6)))
+    (fun (seed, wi, (norm, relu, memo), (out_c, extra)) ->
+      let size, stride = [| (2, 2); (3, 2); (2, 1); (3, 3) |].(wi) in
+      let g = Prng.of_int seed in
+      let in_c = 1 + Prng.int g 3 and side = size + extra in
+      let f32 = Tensor_f32.of_tensor in
+      let weight =
+        f32 (Tensor.randn (Prng.split g) ~sigma:0.5 [| out_c; in_c; 3; 3 |])
+      and bias =
+        f32
+          (Tensor.init [| out_c |] (fun i ->
+               match i mod 3 with 0 -> -0. | 1 -> 0. | _ -> Prng.normal g ()))
+      in
+      let norm =
+        if norm then
+          Some
+            ( f32 (Tensor.rand_uniform (Prng.split g) ~lo:0.5 ~hi:1.5 [| out_c |]),
+              f32
+                (Tensor.init [| out_c |] (fun i ->
+                     if i mod 2 = 0 then -0. else Prng.normal g ~sigma:0.2 ())),
+              1e-5 )
+        else None
+      in
+      let check ?pool ~memo xs =
+        let x = f32 (pack xs) in
+        let fused =
+          Tensor_f32.conv2d_batch ?pool ?memo ~stride:1 ~pad:1 ~weight ~bias
+            ?norm ~relu ~max_pool:(size, stride) x
+        in
+        let y = Tensor_f32.conv2d_batch ~stride:1 ~pad:1 ~weight ~bias x in
+        let y =
+          match norm with
+          | Some (gamma, beta, eps) ->
+              Tensor_f32.channel_norm_batch ~gamma ~beta ~eps y
+          | None -> y
+        in
+        let y = if relu then Tensor_f32.relu y else y in
+        same_bits (Tensor_f32.to_tensor fused)
+          (Tensor_f32.to_tensor (Tensor_f32.max_pool2d_batch ~stride ~size y))
+      in
+      let run ?pool () =
+        let clean =
+          sprinkle g
+            (Tensor.rand_uniform (Prng.split g) ~lo:(-1.) ~hi:1.
+               [| in_c; side; side |])
+        in
+        let memo = if memo then Some (Tensor_f32.conv_memo ()) else None in
+        List.for_all
+          (fun xs -> check ?pool ~memo xs)
+          ([ clean ]
+          :: List.init 3 (fun _ ->
+                 List.map (sprinkle g)
+                   (mixed_batch g ~len:(1 + Prng.int g 4) [| clean |])))
+      in
+      if width = 1 then run ()
+      else Domain_pool.Pool.with_pool ~domains:width (fun pool -> run ~pool ()))
+
+(* {1 Plan shape: where the max-pools went} *)
+
+(* The per-step spans of one forward, in order: each [backend.*] step
+   span's name without the prefix, marked when a conv carries the zoo's
+   fused 2x2/2 max-pool. *)
+let step_spans scores x =
+  let has line sub = Helpers.contains line sub in
+  List.filter_map
+    (fun line ->
+      List.find_map
+        (fun step ->
+          if has line (Printf.sprintf "\"name\": \"backend.%s\"" step) then
+            Some
+              (if has line "\"max_pool\": \"2x2/2\"" then
+                 step ^ "+max_pool 2x2/2"
+               else step)
+          else None)
+        [ "conv"; "norm"; "relu"; "pool"; "dense" ])
+    (Helpers.with_trace_file (fun () -> ignore (scores x)))
+
+(* The f32 plan folds each max-pool that follows a relu'd conv into that
+   conv's epilogue, so an f32 vgg_tiny forward emits no [backend.pool]
+   span; the boxed plan ([fuse = false]) keeps every layer a step of its
+   own.  No zoo net's f32 forward runs a pool step straight after a
+   conv (every zoo conv before a pool has a relu). *)
+let plan_shape () =
+  let x16 = pack [ Tensor.rand_uniform (Prng.of_int 4) [| 3; 16; 16 |] ] in
+  let net = Nn.Zoo.vgg_tiny (Prng.of_int 3) ~image_size:16 ~num_classes:10 in
+  let boxed = Nn.Backend.Boxed_engine.compile net in
+  Alcotest.(check (list string))
+    "f32 vgg_tiny steps"
+    [ "conv+max_pool 2x2/2"; "conv+max_pool 2x2/2"; "conv"; "dense" ]
+    (step_spans (F32_plan.scores_batch (F32_plan.compile net)) x16);
+  Alcotest.(check (list string))
+    "boxed vgg_tiny steps"
+    [
+      "conv"; "norm"; "relu"; "pool"; "conv"; "norm"; "relu"; "pool"; "conv";
+      "relu"; "dense";
+    ]
+    (step_spans (Nn.Backend.Boxed_engine.scores_batch boxed) x16);
+  let x8 = pack [ Tensor.rand_uniform (Prng.of_int 4) [| 3; 8; 8 |] ] in
+  List.iteri
+    (fun arch name ->
+      let spans =
+        step_spans
+          (F32_plan.scores_batch (F32_plan.compile (zoo_net ~arch ~size:8 1)))
+          x8
+      in
+      List.iteri
+        (fun i s ->
+          if s = "pool" && i > 0 && List.nth spans (i - 1) = "conv" then
+            Alcotest.failf "%s: a pool step right after a conv" name)
+        spans)
+    Nn.Zoo.names
+
+(* {1 Dense = naive ascending-p float64 loop, bitwise} *)
+
+(* Two weight matrices of one shape run in turn on this domain: the
+   per-domain float64 copy must follow the weight, not the shape. *)
+let qcheck_dense_naive =
+  QCheck.Test.make
+    ~name:"f32 dense_batch = naive ascending-p f64 loop, across weight swaps"
+    ~count:40
+    QCheck.(
+      quad (int_range 0 99999) (int_range 1 4) (int_range 1 40)
+        (int_range 1 11))
+    (fun (seed, n, k, out_dim) ->
+      let g = Prng.of_int seed in
+      let matrix () =
+        as_f32 (Tensor.randn (Prng.split g) ~sigma:0.5 [| out_dim; k |])
+      in
+      let w1 = matrix () and w2 = matrix () in
+      let bias =
+        as_f32
+          (Tensor.init [| out_dim |] (fun i ->
+               match i mod 3 with 0 -> -0. | 1 -> 0. | _ -> Prng.normal g ()))
+      in
+      let x =
+        as_f32 (Tensor.rand_uniform (Prng.split g) ~lo:(-1.) ~hi:1. [| n; k |])
+      in
+      let naive w =
+        Tensor.init [| n; out_dim |] (fun o ->
+            let img = o / out_dim and j = o mod out_dim in
+            let acc = ref 0. in
+            for p = 0 to k - 1 do
+              acc :=
+                !acc
+                +. (Tensor.get w [| j; p |] *. Tensor.get x [| img; p |])
+            done;
+            round32 (!acc +. Tensor.get bias [| j |]))
+      in
+      let fw1 = Tensor_f32.of_tensor w1 and fw2 = Tensor_f32.of_tensor w2 in
+      let fb = Tensor_f32.of_tensor bias and fx = Tensor_f32.of_tensor x in
+      let dense w =
+        Tensor_f32.to_tensor (Tensor_f32.dense_batch ~weight:w ~bias:fb fx)
+      in
+      same_bits (dense fw1) (naive w1)
+      && same_bits (dense fw2) (naive w2)
+      && same_bits (dense fw1) (naive w1))
+
 let suite =
   [
     Alcotest.test_case "boxed descriptor round-trip" `Quick boxed_roundtrip;
@@ -780,4 +972,9 @@ let suite =
     QCheck_alcotest.to_alcotest (qcheck_zoo_panel 2);
     Alcotest.test_case "fused relu maps NaN and -0.0 to +0.0" `Quick
       fusion_nan_zeros;
+    QCheck_alcotest.to_alcotest (qcheck_pool_fusion 1);
+    QCheck_alcotest.to_alcotest (qcheck_pool_fusion 2);
+    Alcotest.test_case "f32 plans fuse max-pool, no backend.pool span"
+      `Quick plan_shape;
+    QCheck_alcotest.to_alcotest qcheck_dense_naive;
   ]

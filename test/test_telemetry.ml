@@ -223,26 +223,7 @@ let field_float line key =
       float_of_string (String.sub line start (!stop - start)))
     (scan 0)
 
-let with_trace_file f =
-  let path = Filename.temp_file "oppsla_test_trace" ".json" in
-  Telemetry.Trace.to_file path;
-  let finish () =
-    Telemetry.Trace.close ();
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> close_in ic);
-    Sys.remove path;
-    List.rev !lines
-  in
-  match f () with
-  | () -> finish ()
-  | exception e ->
-      ignore (finish ());
-      raise e
+let with_trace_file = Helpers.with_trace_file
 
 let span_nesting_and_ordering () =
   let lines =
@@ -583,6 +564,36 @@ let sampler_ticks_and_snapshots () =
         && l.[String.length l - 1] = '}'))
     !lines
 
+(* Only a tick that woke on its deadline counts: a sampler whose
+   interval outlasts the test takes its start-up sample, a [sample_now]
+   and [stop]'s final tick and adds no timed tick; one with a 10 ms
+   interval adds one within 2 s. *)
+let sampler_timed_ticks () =
+  let config interval_s =
+    {
+      Telemetry.Sampler.interval_s;
+      snapshot_path = None;
+      stall_after_s = 60.;
+      abort_on_stall = false;
+    }
+  in
+  let before = Telemetry.Sampler.timed_ticks () in
+  let s = Telemetry.Sampler.start (config 3600.) in
+  Telemetry.Sampler.sample_now s;
+  Telemetry.Sampler.stop s;
+  Alcotest.(check int) "no deadline reached" before
+    (Telemetry.Sampler.timed_ticks ());
+  Alcotest.(check bool) "await gives up without a loop" false
+    (Telemetry.Sampler.await_timed_tick ~after:before ~timeout_s:0.02);
+  let s = Telemetry.Sampler.start (config 0.01) in
+  let ticked =
+    Telemetry.Sampler.await_timed_tick ~after:before ~timeout_s:2.
+  in
+  Telemetry.Sampler.stop s;
+  Alcotest.(check bool) "a 10 ms loop ticks on its deadline" true ticked;
+  Alcotest.(check bool) "timed_ticks grew" true
+    (Telemetry.Sampler.timed_ticks () > before)
+
 (* {1 Obs flag parsing} *)
 
 let obs_flag_parsing () =
@@ -705,4 +716,5 @@ let suite =
       registry_label_values_escaped;
     Alcotest.test_case "failed sink open releases lock" `Quick
       failed_sink_open_releases_lock;
+    Alcotest.test_case "sampler timed ticks" `Quick sampler_timed_ticks;
   ]
