@@ -6,17 +6,17 @@
      dune exec bench/main.exe                      # default modes, full scale
      dune exec bench/main.exe fig3cifar table2     # selected modes
      dune exec bench/main.exe -- --quick           # smoke-test scale
-     dune exec bench/main.exe -- backend --smoke   # seconds-scale tripwire
+     dune exec bench/main.exe -- synth --smoke     # seconds-scale tripwire
      OPPSLA_BENCH_QUICK=1 dune exec bench/main.exe
 
    Modes:
      fig3 fig3cifar fig3imagenet table1 fig4 table2   paper experiments
      micro        bechamel microbenchmarks
      sweep-beta   MH-temperature sweep
-     overhead synth scenarios backend
+     overhead synth
                   benches that write (or, with --smoke, only check)
                   BENCH_<mode>.json
-     regress      rerun those four and gate them against the committed
+     regress      rerun those two and gate them against the committed
                   baselines
    With no mode, runs fig3cifar table1 table2 fig4 fig3imagenet micro.
    An unknown mode exits 2 before any mode runs.
@@ -784,569 +784,6 @@ let bench_synth ?(smoke = false) quick =
     print_endline "[synth] wrote BENCH_synth.json"
   end
 
-(* Scenario benchmark (the `scenarios` mode).
-
-   Decision-based (label-only) oracles and the k-pixel / patch
-   perturbation spaces, on a deterministic mean-threshold corpus built
-   so exactly one of the eight RGB corners (all-ones) flips any single
-   pixel: every location is equally good and only the corner choice
-   matters, which isolates the one structural edge a decision-based
-   Sparse-RS keeps over blind sampling — its exploit step resamples the
-   current pixel's corner {e without repeating it} (7 candidates, one a
-   winner) where the uniform baseline redraws from all 8.  Attacks are
-   driven through named per-image PRNG streams, so every number here is
-   deterministic.
-
-   --smoke (under `dune runtest`) asserts that the decision-mode
-   Sparse-RS attack beats the uniform random baseline's total query
-   count over the corpus, and that every space x oracle-mode sweep
-   produces bit-identical per-image (queries, success) records at batch
-   widths 1 and 16.  The full run measures the same on a larger corpus
-   and writes BENCH_scenarios.json: decision vs score query counts for
-   Sparse-RS (the measured decision-mode overhead), k = 1/2 pixel and
-   2x2 patch sweeps, and the random-baseline comparison. *)
-
-let bench_scenarios ?(smoke = false) quick =
-  ignore quick;
-  let module Sparse_rs = Baselines.Sparse_rs in
-  let module Space = Oppsla.Space in
-  let size, n_images, sweep_images, cap =
-    if smoke then (8, 8000, 12, 64) else (16, 8000, 24, 128)
-  in
-  let num_classes = 2 in
-  let oracle () =
-    Oracle.of_fn ~name:"mean-threshold" ~num_classes (fun x ->
-        let m = Tensor.mean x in
-        let p1 = 1. /. (1. +. exp (-.(40. *. (m -. 0.5)))) in
-        Tensor.of_array [| 2 |] [| 1. -. p1; p1 |])
-  in
-  (* v = 0.5 - 0.3/d^2: setting one pixel to the all-ones corner moves
-     the mean by 0.5/d^2 (a flip), to any other corner by at most
-     0.167/d^2 (no flip). *)
-  let v = 0.5 -. (0.3 /. float_of_int (size * size)) in
-  let image = Tensor.create [| 3; size; size |] v in
-  let true_class = 0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let g0 = Prng.of_int 41 in
-  (* The decision-based floor: redraw a (location, corner) pair
-     uniformly with replacement until the label flips.  Label-only by
-     construction — it consults nothing but the observed one-hot. *)
-  let random_baseline g o =
-    Oracle.set_mode o Oracle.Decision;
-    let config = Oppsla.Gen.config_for_image image in
-    let rec go q =
-      if q >= cap then (false, q)
-      else
-        let pair = Oppsla.Gen.random_pair config g in
-        let s =
-          Oracle.observe o (Oracle.scores o (Oppsla.Sketch.perturb image pair))
-        in
-        if Tensor.argmax s <> true_class then (true, q + 1) else go (q + 1)
-    in
-    go 0
-  in
-  let decision_attack g o =
-    Oracle.set_mode o Oracle.Decision;
-    let config =
-      {
-        (Sparse_rs.default_config ~max_queries:cap) with
-        Sparse_rs.min_explore = 0.0;
-      }
-    in
-    let r = Sparse_rs.attack ~config g o ~image ~true_class in
-    (r.Oppsla.Sketch.adversarial <> None, r.Oppsla.Sketch.queries)
-  in
-  let total name f =
-    let succ = ref 0 and queries = ref 0 in
-    let (), dt =
-      time (fun () ->
-          for i = 0 to n_images - 1 do
-            let g =
-              Prng.named_stream (Prng.copy g0)
-                (Printf.sprintf "%s/%d" name i)
-            in
-            let ok, q = f g (oracle ()) in
-            if ok then incr succ;
-            queries := !queries + q
-          done)
-    in
-    (!succ, !queries, dt)
-  in
-  let rnd_succ, rnd_q, rnd_dt = total "scenarios/random" random_baseline in
-  let srs_succ, srs_q, srs_dt = total "scenarios/sparse-rs" decision_attack in
-  Printf.printf
-    "[scenarios] label-only, %d flat %dx%d images, cap %d: uniform random \
-     %d queries (%d/%d flipped, %.3fs), decision Sparse-RS %d queries \
-     (%d/%d flipped, %.3fs)\n%!"
-    n_images size size cap rnd_q rnd_succ n_images rnd_dt srs_q srs_succ
-    n_images srs_dt;
-  if srs_q >= rnd_q then
-    failwith
-      (Printf.sprintf
-         "bench_scenarios: decision Sparse-RS (%d queries) did not beat the \
-          uniform random baseline (%d queries)"
-         srs_q rnd_q);
-  (* Space x oracle-mode sweeps: per-image (queries, success) records
-     must be bit-identical at batch widths 1 and 16 — the
-     speculative-batching invariant, per scenario cell. *)
-  let spaces = [ Space.Pixel; Space.Kpixel 2; Space.Patch { h = 2; w = 2 } ] in
-  let modes = [ (Oracle.Score, "score"); (Oracle.Decision, "decision") ] in
-  let sweep_results =
-    List.concat_map
-      (fun space ->
-        List.map
-          (fun (mode, mode_name) ->
-            let run batch =
-              Array.init sweep_images (fun i ->
-                  let o = oracle () in
-                  Oracle.set_mode o mode;
-                  let g =
-                    Prng.named_stream (Prng.copy g0)
-                      (Printf.sprintf "scenarios/sweep/%s/%s/%d"
-                         (Space.to_string space) mode_name i)
-                  in
-                  let r =
-                    Sparse_rs.attack_space
-                      ~config:(Sparse_rs.default_config ~max_queries:cap)
-                      ~batch ~space g o ~image ~true_class
-                  in
-                  (r.Sparse_rs.queries, r.Sparse_rs.adversarial <> None))
-            in
-            let r1, dt = time (fun () -> run 1) in
-            if r1 <> run 16 then
-              failwith
-                (Printf.sprintf
-                   "bench_scenarios: %s/%s diverged between batch widths 1 \
-                    and 16"
-                   (Space.to_string space) mode_name);
-            let queries = Array.fold_left (fun a (q, _) -> a + q) 0 r1 in
-            let succ =
-              Array.fold_left (fun a (_, ok) -> a + Bool.to_int ok) 0 r1
-            in
-            (Space.to_string space, mode_name, queries, succ, dt))
-          modes)
-      spaces
-  in
-  List.iter
-    (fun (s, m, q, ok, dt) ->
-      Printf.printf
-        "[scenarios] %-9s %-8s %6d queries, %2d/%d flipped (%.3fs)\n%!" s m q
-        ok sweep_images dt)
-    sweep_results;
-  print_endline
-    "[scenarios] per-image query counts bit-identical at batch widths 1/16 \
-     for every space x oracle cell";
-  if smoke then
-    print_endline
-      "[scenarios] smoke: decision Sparse-RS beat the uniform random \
-       baseline"
-  else begin
-    let ips = if srs_dt > 0. then float_of_int n_images /. srs_dt else 0. in
-    let oc = open_out "BENCH_scenarios.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"workload\": \"Sparse-RS scenario matrix on the \
-           mean-threshold corpus, %d flat %dx%d images (only the all-ones \
-           corner flips), cap %d\",\n\
-          \  \"query_counts_identical\": true,\n\
-          \  \"random_baseline_queries\": %d,\n\
-          \  \"decision_sparse_rs_queries\": %d,\n\
-          \  \"decision_beats_random\": true,\n\
-          \  \"random_baseline_seconds\": %.4f,\n\
-          \  \"decision_sparse_rs_seconds\": %.4f,\n\
-          \  \"decision_images_per_sec\": %.1f,\n\
-          \  \"sweeps\": [\n"
-          n_images size size cap rnd_q srs_q rnd_dt srs_dt ips;
-        let n = List.length sweep_results in
-        List.iteri
-          (fun i (s, m, q, ok, dt) ->
-            Printf.fprintf oc
-              "    {\"space\": %S, \"oracle\": %S, \"total_queries\": %d, \
-               \"successes\": %d, \"sweep_seconds\": %.4f}%s\n"
-              s m q ok dt
-              (if i = n - 1 then "" else ","))
-          sweep_results;
-        output_string oc
-          "  ],\n\
-          \  \"note\": \"all attacks run through named per-image PRNG \
-           streams, so query counts are deterministic; per-image records \
-           are asserted bit-identical at batch widths 1 and 16 for every \
-           space x oracle cell.  Decision mode collapses observations to \
-           one-hot labels without touching metering, so the decision vs \
-           score query gap measures what the richer observation buys the \
-           search, not a different accounting\"\n\
-           }\n");
-    print_endline "[scenarios] wrote BENCH_scenarios.json"
-  end
-
-(* Tensor-backend benchmark (the `backend` mode).
-
-   Boxed (float64 layer-engine) vs f32 (flat float32 Bigarray plan with
-   blocked GEMM, fused conv epilogues and pool row-panel dispatch) on a
-   conv-dominated workload shaped to be memory-bound: at 32x32 with
-   32-channel convs the im2col patch matrix is 2.25 MB in float64 —
-   past this host's L2 — and 1.1 MB in float32.
-
-   Two kinds of measurement, both over the same deterministic corpus:
-
-   - raw forward throughput (images/s) of the boxed plan
-     (Nn.Backend.Boxed_engine) vs the f32 plan, at batch widths 1 and
-     16, domains 1 and 4 (f32 dispatches GEMM row panels on the pool;
-     boxed ignores it) — the ≥1.5x acceptance gate lives here;
-   - full attack sweeps through metered oracles on each backend,
-     asserting the invariant that makes the backend swappable: per-image
-     query counts and success flags are bit-identical across backends at
-     every batch width, argmax agrees on 100% of a probe batch, and
-     per-score deviation stays within Nn.Backend.score_tol.
-
-   Also asserted: the f32 engine's pool-dispatched scores are
-   bit-identical to its inline scores (per-element accumulation order is
-   panelling-independent), and the compiled plan actually fused conv
-   epilogues (fusion_hits > 0).
-
-   --smoke (under `dune runtest`) runs the identity assertions on a
-   seconds-scale workload and skips the timing gate (shared CI hosts);
-   full mode writes BENCH_backend.json for the regression gate. *)
-
-let bench_backend ?(smoke = false) quick =
-  ignore quick;
-  let module Backend = Nn.Backend in
-  let module F32 = Nn.Backend.F32_engine in
-  let g = Prng.of_int 23 in
-  let image_size, width, n_images, num_classes, max_queries, reps, fwd_reps =
-    if smoke then (8, 8, 2, 4, 48, 1, 2) else (32, 32, 4, 10, 640, 5, 30)
-  in
-  let net =
-    let pg = Prng.split g in
-    Nn.Network.create ~name:"backend_bench"
-      ~input_shape:[| 3; image_size; image_size |] ~num_classes
-      [
-        Nn.Layer.conv2d pg ~pad:1 ~in_c:3 ~out_c:width ~k:3 ();
-        Nn.Layer.channel_norm ~channels:width;
-        Nn.Layer.relu ();
-        Nn.Layer.conv2d pg ~pad:1 ~in_c:width ~out_c:width ~k:3 ();
-        Nn.Layer.channel_norm ~channels:width;
-        Nn.Layer.relu ();
-        Nn.Layer.max_pool ~size:2 ();
-        Nn.Layer.conv2d pg ~pad:1 ~in_c:width ~out_c:width ~k:3 ();
-        Nn.Layer.relu ();
-        Nn.Layer.max_pool ~size:2 ();
-        Nn.Layer.flatten ();
-        Nn.Layer.dense pg
-          ~in_dim:(width * (image_size / 4) * (image_size / 4))
-          ~out_dim:num_classes ();
-      ]
-  in
-  let plan = F32.compile net in
-  let boxed_plan = Backend.Boxed_engine.compile net in
-  let clean =
-    Array.init n_images (fun _ ->
-        Tensor.rand_uniform (Prng.split g) [| 3; image_size; image_size |])
-  in
-  let pack xs =
-    let n = Array.length xs in
-    let per = Tensor.numel xs.(0) in
-    let xb = Tensor.zeros [| n; 3; image_size; image_size |] in
-    Array.iteri
-      (fun i x -> Array.blit x.Tensor.data 0 xb.Tensor.data (i * per) per)
-      xs;
-    xb
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Probe batch: every clean image plus four one-pixel corner
-     perturbations of each — the kind of input attack queries pose. *)
-  let probes =
-    Array.concat
-      (List.map
-         (fun x ->
-           Array.append [| x |]
-             (Array.init 4 (fun j ->
-                  let y = Tensor.init (Tensor.shape x) (Tensor.get_flat x) in
-                  let plane = image_size * image_size in
-                  let pos = (j * 131) mod plane in
-                  for c = 0 to 2 do
-                    Tensor.set_flat y ((c * plane) + pos)
-                      (if (j + c) land 1 = 0 then 1. else 0.)
-                  done;
-                  y))
-         )
-         (Array.to_list clean))
-  in
-  let pb = pack probes in
-  let sb = Backend.Boxed_engine.scores_batch boxed_plan pb in
-  let sf = F32.scores_batch plan pb in
-  let np = Tensor.dim sb 0 and classes = Tensor.dim sb 1 in
-  let argmax t row =
-    let best = ref 0 in
-    for c = 1 to classes - 1 do
-      if
-        Tensor.get_flat t ((row * classes) + c)
-        > Tensor.get_flat t ((row * classes) + !best)
-      then best := c
-    done;
-    !best
-  in
-  let agree = ref 0 and max_delta = ref 0. in
-  for i = 0 to np - 1 do
-    if argmax sb i = argmax sf i then incr agree;
-    for c = 0 to classes - 1 do
-      let d =
-        abs_float
-          (Tensor.get_flat sb ((i * classes) + c)
-          -. Tensor.get_flat sf ((i * classes) + c))
-      in
-      if d > !max_delta then max_delta := d
-    done
-  done;
-  let agreement = float_of_int !agree /. float_of_int np in
-  Printf.printf
-    "[backend] probe argmax agreement %.0f%% (%d images), max |score \
-     delta| %.2e (tol %.0e)\n%!"
-    (100. *. agreement) np !max_delta Backend.score_tol;
-  if agreement < 1. then
-    failwith "bench_backend: boxed and f32 disagree on a probe argmax";
-  if !max_delta > Backend.score_tol then
-    failwith
-      (Printf.sprintf
-         "bench_backend: score delta %.2e exceeds tolerance %.0e" !max_delta
-         Backend.score_tol);
-  (* Pool-dispatch determinism: the f32 engine's row panels accumulate
-     in the same per-element order whatever the panelling, so pooled
-     scores must be bit-identical to inline scores. *)
-  Domain_pool.Pool.with_pool ~domains:4 (fun pool ->
-      let sp = F32.scores_batch ~pool plan pb in
-      for i = 0 to Tensor.numel sf - 1 do
-        if Tensor.get_flat sp i <> Tensor.get_flat sf i then
-          failwith
-            "bench_backend: pool-dispatched f32 scores differ from inline"
-      done);
-  print_endline
-    "[backend] f32 pool-dispatched scores bit-identical to inline";
-  let fusion_hits =
-    Telemetry.Counter.get
-      (Telemetry.Metrics.counter "backend.f32.fusion_hits")
-  in
-  if fusion_hits = 0 then
-    failwith "bench_backend: the f32 plan never ran a fused conv epilogue";
-  (* Attack sweeps: same corpus, metered oracle per image, targeted at
-     the network's least likely class (streams to the cap — a sustained
-     identical workload) plus untargeted (succeeds sometimes — exercises
-     the success flag).  (queries, success) per image must be
-     bit-identical across backends and batch widths. *)
-  let samples =
-    Array.map
-      (fun image ->
-        let scores = Nn.Network.scores net image in
-        let target = ref 0 in
-        for c = 1 to num_classes - 1 do
-          if Tensor.get_flat scores c < Tensor.get_flat scores !target then
-            target := c
-        done;
-        (image, Nn.Network.classify net image, !target))
-      clean
-  in
-  let oracle_of = function
-    | Backend.Boxed -> fun () -> Oracle.of_network net
-    | Backend.F32 -> fun () -> Oracle.of_network ~backend:Backend.F32 net
-  in
-  let sweep ~backend ~batch ~targeted () =
-    Array.map
-      (fun (image, true_class, target) ->
-        let goal =
-          if targeted then Oppsla.Sketch.Targeted target
-          else Oppsla.Sketch.Untargeted
-        in
-        let r =
-          Oppsla.Sketch.attack ~max_queries ~goal ~batch
-            (oracle_of backend ())
-            Oppsla.Condition.const_false_program ~image ~true_class
-        in
-        (r.Oppsla.Sketch.queries, r.Oppsla.Sketch.adversarial <> None))
-      samples
-  in
-  let cells =
-    List.concat_map
-      (fun backend ->
-        List.map (fun batch -> (backend, batch)) [ 1; 16 ])
-      [ Backend.Boxed; Backend.F32 ]
-  in
-  List.iter
-    (fun targeted ->
-      let reference = sweep ~backend:Backend.Boxed ~batch:1 ~targeted () in
-      List.iter
-        (fun (backend, batch) ->
-          if sweep ~backend ~batch ~targeted () <> reference then
-            failwith
-              (Printf.sprintf
-                 "bench_backend: %s b%d changed the per-image \
-                  (queries, success) records (%s)"
-                 (Backend.kind_name backend) batch
-                 (if targeted then "targeted" else "untargeted")))
-        cells)
-    [ true; false ];
-  print_endline
-    "[backend] per-image (queries, success) records bit-identical across \
-     backends at batch widths 1/16, targeted and untargeted";
-  if smoke then
-    print_endline
-      "[backend] smoke: boxed/f32 success and query counts identical; \
-       argmax agreement 100%"
-  else begin
-    (* Raw forward throughput: best-of-reps over a fixed batch, the
-       production boxed arm vs the f32 plan, inline and pool-dispatched.
-       The batch-1 rows rotate through the clean images, so consecutive
-       forwards differ everywhere and time a cold input conv rather than
-       the f32 plan's incremental no-change copy; the batch-16 rows
-       already alternate images within the batch. *)
-    let forward name ~batch scores_fn =
-      let xbs =
-        if batch = 1 then Array.map (fun x -> pack [| x |]) clean
-        else [| pack (Array.init batch (fun i -> clean.(i mod n_images))) |]
-      in
-      let xb rep = xbs.(rep mod Array.length xbs) in
-      ignore (scores_fn (xb 0));
-      let dt = ref infinity in
-      for _ = 1 to reps do
-        let (_ : Tensor.t), d =
-          time (fun () ->
-              let r = ref (scores_fn (xb 1)) in
-              for rep = 2 to fwd_reps do
-                r := scores_fn (xb rep)
-              done;
-              !r)
-        in
-        if d < !dt then dt := d
-      done;
-      let ips = float_of_int (batch * fwd_reps) /. !dt in
-      Printf.printf "[backend] forward %-14s %8.1f images/s (batch %d)\n%!"
-        name ips batch;
-      (name, batch, ips)
-    in
-    let boxed_fn xb = Backend.Boxed_engine.scores_batch boxed_plan xb in
-    let f32_fn xb = F32.scores_batch plan xb in
-    (* The pooled rows use a pool sized to the host.  On a single-core
-       host the pool is width 1 and [try_map] hands every GEMM to the
-       inline fast path — dispatching to phantom domains would only
-       measure scheduler overhead — so the speedup gate scales with what
-       the host can actually deliver: >= 1.5x when worker domains exist
-       to spread row panels over, >= 1.15x (the pure kernel + fusion
-       win) when they do not. *)
-    let host_width = Domain.recommended_domain_count () in
-    let pool_b1 = Printf.sprintf "f32-pool%d-b1" host_width
-    and pool_b16 = Printf.sprintf "f32-pool%d-b16" host_width in
-    let forwards =
-      [
-        forward "boxed-b1" ~batch:1 boxed_fn;
-        forward "boxed-b16" ~batch:16 boxed_fn;
-        forward "f32-d1-b1" ~batch:1 f32_fn;
-        forward "f32-d1-b16" ~batch:16 f32_fn;
-      ]
-      @ Domain_pool.Pool.with_pool ~domains:host_width (fun pool ->
-            let f32_pool_fn xb = F32.scores_batch ~pool plan xb in
-            [
-              forward pool_b1 ~batch:1 f32_pool_fn;
-              forward pool_b16 ~batch:16 f32_pool_fn;
-            ])
-    in
-    let ips_of name =
-      let _, _, ips = List.find (fun (n, _, _) -> n = name) forwards in
-      ips
-    in
-    let speedup = ips_of pool_b16 /. ips_of "boxed-b16" in
-    let threshold = if host_width >= 2 then 1.5 else 1.15 in
-    Printf.printf
-      "[backend] f32+pool forward speedup vs boxed at batch 16: %.2fx \
-       (gate %.2fx at pool width %d)\n%!"
-      speedup threshold host_width;
-    if speedup < threshold then
-      failwith
-        (Printf.sprintf
-           "bench_backend: expected >= %.2fx f32+pool speedup at batch 16 \
-            (pool width %d), measured %.2fx"
-           threshold host_width speedup);
-    (* Attack-sweep wall clock per backend (batch 16, targeted — the
-       sustained full-cap workload). *)
-    let attack_row backend =
-      let dt = ref infinity in
-      for _ = 1 to reps do
-        let (_ : (int * bool) array), d =
-          time (sweep ~backend ~batch:16 ~targeted:true)
-        in
-        if d < !dt then dt := d
-      done;
-      Printf.printf "[backend] attack sweep %-6s %8.3fs\n%!"
-        (Backend.kind_name backend) !dt;
-      (Backend.kind_name backend, !dt)
-    in
-    let attacks = [ attack_row Backend.Boxed; attack_row Backend.F32 ] in
-    (match Evalharness.Report.render_backend () with
-    | Some s -> print_endline s
-    | None -> ());
-    let oc = open_out "BENCH_backend.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\n\
-          \  \"workload\": \"boxed (float64 plan) vs f32 (flat \
-           float32 Bigarray plan, blocked GEMM, fused conv epilogues) on \
-           a conv-dominated %d-channel net, %d %dx%d images, cap %d\",\n\
-          \  \"queries_identical\": true,\n\
-          \  \"success_identical\": true,\n\
-          \  \"argmax_agreement\": %.2f,\n\
-          \  \"max_abs_score_delta\": %.3e,\n\
-          \  \"score_tolerance\": %.0e,\n\
-          \  \"pool_width\": %d,\n\
-          \  \"f32_pool_vs_boxed_b16_speedup\": %.2f,\n\
-          \  \"speedup_gate\": %.2f,\n\
-          \  \"forward\": [\n"
-          width n_images image_size image_size max_queries agreement
-          !max_delta Backend.score_tol host_width speedup threshold;
-        let n = List.length forwards in
-        List.iteri
-          (fun i (name, batch, ips) ->
-            Printf.fprintf oc
-              "    {\"name\": %S, \"batch\": %d, \"images_per_sec\": \
-               %.1f}%s\n"
-              name batch ips
-              (if i = n - 1 then "" else ","))
-          forwards;
-        Printf.fprintf oc "  ],\n  \"attack_sweeps_b16\": [\n";
-        let n = List.length attacks in
-        List.iteri
-          (fun i (name, dt) ->
-            Printf.fprintf oc
-              "    {\"backend\": %S, \"seconds_per_sweep\": %.4f}%s\n" name
-              dt
-              (if i = n - 1 then "" else ","))
-          attacks;
-        output_string oc
-          "  ],\n\
-          \  \"note\": \"query metering sits above the backend, so \
-           per-image (queries, success) records are asserted \
-           bit-identical across backends and batch widths; f32 \
-           pool-dispatched scores are asserted bit-identical to inline \
-           f32 (per-element accumulation order is panelling-independent); \
-           cross-backend scores agree on argmax and stay within \
-           score_tolerance per class; the pooled rows use a pool sized \
-           to the host, and the speedup gate scales with it — 1.5x when \
-           worker domains can spread row panels, 1.15x (pure kernel + \
-           fusion win) on a single-core host\"\n\
-           }\n");
-    print_endline "[backend] wrote BENCH_backend.json"
-  end
-
 (* Bench regression gate (the `regress` mode).
 
    Snapshot the committed BENCH file contents as baselines, re-run the
@@ -1386,8 +823,6 @@ let bench_regress quick =
     [
       ("BENCH_overhead.json", fun () -> bench_overhead ~smoke:false);
       ("BENCH_synth.json", fun () -> bench_synth ~smoke:false quick);
-      ("BENCH_scenarios.json", fun () -> bench_scenarios ~smoke:false quick);
-      ("BENCH_backend.json", fun () -> bench_backend ~smoke:false quick);
     ]
   in
   let failures = ref [] in
@@ -1453,6 +888,20 @@ let micro () =
       Tensor.set y [| 0; 1 + (3 * (i / 5)); 1 + (3 * (i mod 5)) |] 0.
     done;
     y
+  in
+  (* The forward rows' inputs: sixteen one-pixel RGB-corner candidates
+     of [image] at spread-out pixels.  Each row scores [image] once
+     first, so its plan's input conv holds the clean image as its
+     reference and recomputes only the columns a candidate's pixel
+     reaches, as it does during an attack. *)
+  let pixel_candidates =
+    Array.init 16 (fun i ->
+        let y = Tensor.copy image in
+        for c = 0 to 2 do
+          Tensor.set y [| c; i * 5 mod 16; i * 11 mod 16 |]
+            (float_of_int ((i lsr c) land 1))
+        done;
+        y)
   in
   let input_conv_case =
     let weight =
@@ -1619,9 +1068,21 @@ let micro () =
     ]
     @ List.map
         (fun (arch, n) ->
-          Test.make
+          let plan = Nn.Backend.F32_engine.compile n in
+          let forward x =
+            ignore
+              (Nn.Backend.F32_engine.scores_batch plan
+                 (Tensor.reshape x [| 1; 3; 16; 16 |]))
+          in
+          let i = ref 0 in
+          Test.make_with_resource
             ~name:(Printf.sprintf "forward/%s-16x16" arch)
-            (Staged.stage (fun () -> ignore (Nn.Network.scores n image))))
+            Test.uniq
+            ~allocate:(fun () -> forward image)
+            ~free:ignore
+            (Staged.stage (fun () ->
+                 incr i;
+                 forward pixel_candidates.(!i mod 16))))
         nets
   in
   let grouped = Test.make_grouped ~name:"oppsla" tests in
@@ -1729,8 +1190,6 @@ let () =
       ("sweep-beta", fun () -> sweep_beta quick);
       ("overhead", fun () -> bench_overhead ~smoke);
       ("synth", fun () -> bench_synth ~smoke quick);
-      ("scenarios", fun () -> bench_scenarios ~smoke quick);
-      ("backend", fun () -> bench_backend ~smoke quick);
       ("regress", fun () -> bench_regress quick);
     ]
     @ List.map

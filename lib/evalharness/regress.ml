@@ -181,13 +181,7 @@ let parse_file path =
    added here — the gates ([bench regress] and [tools/regress --smoke])
    resolve THIS list and fail by name on anything missing, instead of
    silently gating over whatever files happen to exist. *)
-let registered_baselines =
-  [
-    "BENCH_overhead.json";
-    "BENCH_synth.json";
-    "BENCH_scenarios.json";
-    "BENCH_backend.json";
-  ]
+let registered_baselines = [ "BENCH_overhead.json"; "BENCH_synth.json" ]
 
 exception Missing_baseline of string list
 

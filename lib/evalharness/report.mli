@@ -39,14 +39,6 @@ val render_batch_stats : Batcher.stats -> string
     discarded speculations, and the resulting speculation accuracy.
     Rendered next to the cache and pool statistics in run reports. *)
 
-val render_backend : unit -> string option
-(** "Tensor backends" table from the registry counters every backend
-    engine maintains ([backend.<name>.*]): one row per backend that ran
-    a GEMM this process — nominal GEMM MFLOP/s, im2col panel fills,
-    fused conv epilogues executed, and kernel wall seconds.  [None]
-    until some backend kernel has run.  Included in
-    {!render_telemetry}. *)
-
 val render_islands : Oppsla.Islands.outcome -> string
 (** Per-island table of an archipelago run — temperature, final and best
     averages, proposal/acceptance/pruning counters, elite adoptions and
@@ -63,7 +55,10 @@ val render_telemetry :
 (** One consolidated "Telemetry" section stacking whichever sub-tables
     were passed plus registry-derived summaries, always in pool → cache
     → batch → backend → attack quantiles → watchdog → sampler order so reports
-    diff cleanly across runs.  The attack-quantile line
+    diff cleanly across runs.  The backend table ("Tensor backends")
+    has one row per backend that ran a GEMM this process: nominal GEMM
+    MFLOP/s, im2col panel fills, fused conv epilogues executed and
+    kernel wall seconds.  The attack-quantile line
     (bucket-interpolated p50/p90/p99 queries-to-success) appears once
     an attack has succeeded, the watchdog table once an instrumented
     loop has beaten, and the sampler table once a background sampler

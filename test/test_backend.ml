@@ -13,7 +13,9 @@
    shape-descriptor round-trip and the serialize golden run over both
    backends: weights written by one network load into another and must
    produce the same argmax through the layer engine, the boxed plan and
-   the f32 plan. *)
+   the f32 plan, and the two plans must agree on a batch of one-pixel
+   candidates.  Above the kernels, Sketch attacks must charge the same
+   queries and succeed alike on either plan at batch widths 1 and 16. *)
 
 (* Round to the nearest float32, as [of_tensor] does on the f32 path. *)
 let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
@@ -449,9 +451,13 @@ let serialize_cross_backend () =
   let boxed = Nn.Backend.Boxed_engine.compile target in
   let f32 = Nn.Backend.F32_engine.compile target in
   let g = ref (Prng.of_int 515) in
+  let images =
+    Array.init 10 (fun _ ->
+        g := Prng.split !g;
+        Tensor.rand_uniform !g [| 3; 8; 8 |])
+  in
   for i = 0 to 9 do
-    g := Prng.split !g;
-    let x = Tensor.rand_uniform !g [| 3; 8; 8 |] in
+    let x = images.(i) in
     let batch =
       Tensor.init [| 1; 3; 8; 8 |] (fun o -> Tensor.get_flat x o)
     in
@@ -482,6 +488,41 @@ let serialize_cross_backend () =
       if d > Nn.Backend.score_tol then
         Alcotest.failf "image %d class %d: f32 delta %.3e above tolerance %.0e"
           i c d Nn.Backend.score_tol
+    done
+  done;
+  (* The probe batch attack queries pose: each image, then four
+     one-pixel RGB-corner candidates of it, in one batch (so the f32
+     input conv also runs incrementally).  The two plans must agree on
+     every row's argmax and stay within the tolerance per class. *)
+  let probes =
+    List.concat_map
+      (fun x ->
+        x
+        :: List.init 4 (fun j ->
+               let y = Tensor.copy x in
+               let pos = j * 131 mod 64 in
+               for c = 0 to 2 do
+                 Tensor.set_flat y ((c * 64) + pos)
+                   (if (j + c) land 1 = 0 then 1. else 0.)
+               done;
+               y))
+      (Array.to_list images)
+  in
+  let batch = pack probes in
+  let bscores = Nn.Backend.Boxed_engine.scores_batch boxed batch in
+  let fscores = Nn.Backend.F32_engine.scores_batch f32 batch in
+  for row = 0 to List.length probes - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "probe %d: f32 argmax = boxed argmax" row)
+      (argmax_row bscores ~row ~classes:4)
+      (argmax_row fscores ~row ~classes:4);
+    for c = row * 4 to (row * 4) + 3 do
+      let d =
+        Float.abs (Tensor.get_flat fscores c -. Tensor.get_flat bscores c)
+      in
+      if d > Nn.Backend.score_tol then
+        Alcotest.failf "probe %d: f32 delta %.3e above tolerance %.0e" row d
+          Nn.Backend.score_tol
     done
   done
 
@@ -949,6 +990,88 @@ let qcheck_dense_naive =
       && same_bits (dense fw2) (naive w2)
       && same_bits (dense fw1) (naive w1))
 
+(* {1 Attack records: boxed = f32 at batch widths 1 and 16} *)
+
+(* Query metering sits above the backend, so a Sketch+False attack's
+   per-image (queries, success) record must not depend on the plan that
+   scored its queries nor on the batch width.  The net has two
+   max-pools, one after a conv;norm;relu and one after a conv;relu, so
+   the f32 plan fuses both kinds of epilogue and both pools.  The
+   targeted attacks aim at the least likely class.  Every attack here
+   runs to the cap without success, so a record changes only when a
+   plan lets an attack succeed or stop early.  The f32 sweeps must also
+   have run fused epilogues ([backend.f32.fusion_hits] grows). *)
+let attack_records_across_backends () =
+  let g = Prng.of_int 23 in
+  let size = 8 and width = 8 and classes = 4 and max_queries = 48 in
+  let net =
+    let pg = Prng.split g in
+    Nn.Network.create ~name:"backend_records" ~input_shape:[| 3; size; size |]
+      ~num_classes:classes
+      [
+        Nn.Layer.conv2d pg ~pad:1 ~in_c:3 ~out_c:width ~k:3 ();
+        Nn.Layer.channel_norm ~channels:width;
+        Nn.Layer.relu ();
+        Nn.Layer.conv2d pg ~pad:1 ~in_c:width ~out_c:width ~k:3 ();
+        Nn.Layer.channel_norm ~channels:width;
+        Nn.Layer.relu ();
+        Nn.Layer.max_pool ~size:2 ();
+        Nn.Layer.conv2d pg ~pad:1 ~in_c:width ~out_c:width ~k:3 ();
+        Nn.Layer.relu ();
+        Nn.Layer.max_pool ~size:2 ();
+        Nn.Layer.flatten ();
+        Nn.Layer.dense pg
+          ~in_dim:(width * (size / 4) * (size / 4))
+          ~out_dim:classes ();
+      ]
+  in
+  let samples =
+    List.init 2 (fun _ ->
+        let image = Tensor.rand_uniform (Prng.split g) [| 3; size; size |] in
+        let scores = Nn.Network.scores net image in
+        let target = ref 0 in
+        for c = 1 to classes - 1 do
+          if Tensor.get_flat scores c < Tensor.get_flat scores !target then
+            target := c
+        done;
+        (image, Nn.Network.classify net image, !target))
+  in
+  let sweep ~backend ~batch ~targeted =
+    List.map
+      (fun (image, true_class, target) ->
+        let goal =
+          if targeted then Oppsla.Sketch.Targeted target
+          else Oppsla.Sketch.Untargeted
+        in
+        let r =
+          Oppsla.Sketch.attack ~max_queries ~goal ~batch
+            (Oracle.of_network ~backend net)
+            Oppsla.Condition.const_false_program ~image ~true_class
+        in
+        (r.Oppsla.Sketch.queries, r.Oppsla.Sketch.adversarial <> None))
+      samples
+  in
+  let fusion_hits () =
+    Telemetry.Counter.get
+      (Telemetry.Metrics.counter "backend.f32.fusion_hits")
+  in
+  let hits = fusion_hits () in
+  List.iter
+    (fun targeted ->
+      let goal = if targeted then "targeted" else "untargeted" in
+      let reference = sweep ~backend:Nn.Backend.Boxed ~batch:1 ~targeted in
+      List.iter
+        (fun (backend, batch) ->
+          Alcotest.(check (list (pair int bool)))
+            (Printf.sprintf "%s b%d = boxed b1 (%s)"
+               (Nn.Backend.kind_name backend) batch goal)
+            reference
+            (sweep ~backend ~batch ~targeted))
+        [ (Nn.Backend.Boxed, 16); (Nn.Backend.F32, 1); (Nn.Backend.F32, 16) ])
+    [ true; false ];
+  Alcotest.(check bool) "f32 sweeps ran fused conv epilogues" true
+    (fusion_hits () > hits)
+
 let suite =
   [
     Alcotest.test_case "boxed descriptor round-trip" `Quick boxed_roundtrip;
@@ -977,4 +1100,6 @@ let suite =
     Alcotest.test_case "f32 plans fuse max-pool, no backend.pool span"
       `Quick plan_shape;
     QCheck_alcotest.to_alcotest qcheck_dense_naive;
+    Alcotest.test_case "attack records: boxed b1 = boxed/f32 b1/b16" `Quick
+      attack_records_across_backends;
   ]

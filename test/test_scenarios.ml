@@ -3,7 +3,8 @@
    invariants the scenario-differential grid in diff_runner relies on:
    mode-blind metering, order-insensitive set keys, in-bounds patch
    candidates and the degradation of score-based conditions to
-   label-flip predicates. *)
+   label-flip predicates.  A last table pins the label-only
+   decision-vs-random query totals on two fixed corpora. *)
 
 module Space = Oppsla.Space
 module Location = Oppsla.Location
@@ -132,6 +133,130 @@ let qcheck_label_flip_agrees_with_argmax =
       flip_predicate = flipped
       && Tensor.argmax (Oracle.observe o pert_raw) = Tensor.argmax pert_raw)
 
+(* (5) The label-only comparison on a corpus where only the corner
+   choice matters: flat images at v = 0.5 - 0.3/d^2 against the
+   mean-threshold oracle, so exactly one of the eight RGB corners
+   (all-ones) flips any single pixel.  A decision-mode Sparse-RS keeps
+   one structural edge over blind sampling — its exploit step redraws
+   the current pixel's corner without repeating it (7 candidates, one a
+   winner) where the uniform baseline redraws from all 8 — so over a
+   large corpus it must spend fewer queries.  Each attack runs on its
+   own named PRNG stream, so every total is pinned exactly, and each
+   space x oracle-mode sweep is run at batch widths 1 and 16 with
+   per-image (queries, success) records required equal. *)
+type corpus = {
+  size : int;
+  sweep_images : int;
+  cap : int;
+  random_queries : int;
+  sparse_rs_queries : int;
+  sweep_queries : int list;
+      (* pixel, kpixel:2, patch:2x2, each score then decision *)
+}
+
+let corpora =
+  [
+    ( "8x8 corpus",
+      {
+        size = 8;
+        sweep_images = 12;
+        cap = 64;
+        random_queries = 63494;
+        sparse_rs_queries = 61357;
+        sweep_queries = [ 105; 74; 41; 57; 27; 33 ];
+      } );
+    ( "16x16 corpus",
+      {
+        size = 16;
+        sweep_images = 24;
+        cap = 128;
+        random_queries = 63516;
+        sparse_rs_queries = 63100;
+        sweep_queries = [ 257; 168; 72; 76; 57; 49 ];
+      } );
+  ]
+
+let decision_beats_random c () =
+  let module Sparse_rs = Baselines.Sparse_rs in
+  let n_images = 8000 and true_class = 0 in
+  let v = 0.5 -. (0.3 /. float_of_int (c.size * c.size)) in
+  let image = Helpers.flat_image ~size:c.size v in
+  let g0 = Prng.of_int 41 in
+  let stream name = Prng.named_stream (Prng.copy g0) name in
+  let decision_oracle () =
+    let o = Helpers.mean_threshold_oracle () in
+    Oracle.set_mode o Oracle.Decision;
+    o
+  in
+  (* The label-only floor: redraw a (location, corner) pair uniformly
+     with replacement until the observed label flips. *)
+  let random_baseline g =
+    let o = decision_oracle () in
+    let config = Gen.config_for_image image in
+    let rec go q =
+      if q >= c.cap then q
+      else
+        let pair = Gen.random_pair config g in
+        let s =
+          Oracle.observe o (Oracle.scores o (Oppsla.Sketch.perturb image pair))
+        in
+        if Tensor.argmax s <> true_class then q + 1 else go (q + 1)
+    in
+    go 0
+  in
+  let sparse_rs g =
+    let config =
+      { (Sparse_rs.default_config ~max_queries:c.cap) with min_explore = 0.0 }
+    in
+    (Sparse_rs.attack ~config g (decision_oracle ()) ~image ~true_class)
+      .Oppsla.Sketch.queries
+  in
+  let total name attack =
+    let q = ref 0 in
+    for i = 0 to n_images - 1 do
+      q := !q + attack (stream (Printf.sprintf "%s/%d" name i))
+    done;
+    !q
+  in
+  let random_q = total "scenarios/random" random_baseline in
+  let sparse_rs_q = total "scenarios/sparse-rs" sparse_rs in
+  Alcotest.(check int) "uniform random total queries" c.random_queries random_q;
+  Alcotest.(check int) "decision Sparse-RS total queries" c.sparse_rs_queries
+    sparse_rs_q;
+  Alcotest.(check bool) "decision Sparse-RS beats uniform random" true
+    (sparse_rs_q < random_q);
+  let cells =
+    List.concat_map
+      (fun space ->
+        List.map
+          (fun mode -> (space, mode))
+          [ (Oracle.Score, "score"); (Oracle.Decision, "decision") ])
+      [ Space.Pixel; Space.Kpixel 2; Space.Patch { h = 2; w = 2 } ]
+  in
+  List.iter2
+    (fun (space, (mode, mode_name)) expected ->
+      let cell = Printf.sprintf "%s/%s" (Space.to_string space) mode_name in
+      let run batch =
+        Array.init c.sweep_images (fun i ->
+            let o = Helpers.mean_threshold_oracle () in
+            Oracle.set_mode o mode;
+            let g = stream (Printf.sprintf "scenarios/sweep/%s/%d" cell i) in
+            let r =
+              Sparse_rs.attack_space
+                ~config:(Sparse_rs.default_config ~max_queries:c.cap)
+                ~batch ~space g o ~image ~true_class
+            in
+            (r.Sparse_rs.queries, r.Sparse_rs.adversarial <> None))
+      in
+      let r1 = run 1 in
+      Alcotest.(check (array (pair int bool)))
+        (cell ^ ": batch 16 = batch 1") r1 (run 16);
+      Alcotest.(check int) (cell ^ ": total queries") expected
+        (Array.fold_left (fun a (q, _) -> a + q) 0 r1);
+      Alcotest.(check int) (cell ^ ": flipped") c.sweep_images
+        (Array.fold_left (fun a (_, ok) -> a + Bool.to_int ok) 0 r1))
+    cells c.sweep_queries
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_decision_metering;
@@ -139,3 +264,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_patch_candidates_in_bounds;
     QCheck_alcotest.to_alcotest qcheck_label_flip_agrees_with_argmax;
   ]
+  @ List.map
+      (fun (name, c) ->
+        Alcotest.test_case
+          (name ^ ": decision Sparse-RS beats uniform random")
+          `Quick (decision_beats_random c))
+      corpora
