@@ -1,158 +1,25 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation on the synthetic substrate, plus bechamel
-   microbenchmarks of the core operations and the BENCH_*.json benches.
+(* The benchmark harness: bechamel microbenchmarks of the core
+   operations and the BENCH_*.json benches.  The paper's experiments run
+   through `oppsla eval` (bin/main.ml).
 
    Usage:
-     dune exec bench/main.exe                      # default modes, full scale
-     dune exec bench/main.exe fig3cifar table2     # selected modes
-     dune exec bench/main.exe -- --quick           # smoke-test scale
-     dune exec bench/main.exe -- synth --smoke     # seconds-scale tripwire
-     OPPSLA_BENCH_QUICK=1 dune exec bench/main.exe
+     dune exec bench/main.exe -- MODE [MODE ...] [--smoke]
 
    Modes:
-     fig3 fig3cifar fig3imagenet table1 fig4 table2   paper experiments
      micro        bechamel microbenchmarks
-     sweep-beta   MH-temperature sweep
      overhead synth
                   benches that write (or, with --smoke, only check)
                   BENCH_<mode>.json
      regress      rerun those two and gate them against the committed
                   baselines
-   With no mode, runs fig3cifar table1 table2 fig4 fig3imagenet micro.
-   An unknown mode exits 2 before any mode runs.
-
-   Expensive artifacts (trained weights, synthesized programs) are cached
-   under _artifacts/, so re-runs only pay for the attack phases.  Paper
-   vs. measured numbers are recorded in EXPERIMENTS.md. *)
-
-module Workbench = Evalharness.Workbench
-module Experiments = Evalharness.Experiments
-module Report = Evalharness.Report
-
-(* Progress lines (training/synthesis chatter) go to stderr as before
-   and are mirrored to _artifacts/bench_progress.log for post-hoc
-   inspection — never to the repo root.  The sink is opened lazily so
-   modes that log nothing create no file, and a read-only tree only
-   loses the mirror, not the run. *)
-let progress_sink =
-  lazy
-    (try
-       if not (Sys.file_exists "_artifacts") then Sys.mkdir "_artifacts" 0o755;
-       Some
-         (open_out_gen
-            [ Open_wronly; Open_append; Open_creat ]
-            0o644
-            (Filename.concat "_artifacts" "bench_progress.log"))
-     with Sys_error _ -> None)
-
-let progress msg =
-  Printf.eprintf "%s\n%!" msg;
-  match Lazy.force progress_sink with
-  | None -> ()
-  | Some oc ->
-      output_string oc msg;
-      output_char oc '\n';
-      flush oc
+   --smoke runs the seconds-scale tripwire of overhead and synth.  With
+   no mode, or with any other argument, the bench lists the valid modes
+   and exits 2 before any mode runs. *)
 
 let timed name f =
   let t0 = Unix.gettimeofday () in
   f ();
   Printf.printf "[%s finished in %.1fs]\n\n%!" name (Unix.gettimeofday () -. t0)
-
-(* Experiments *)
-
-let experiment_config quick =
-  let base = { Workbench.default_config with log = progress } in
-  if quick then
-    { base with Workbench.test_per_class = 4; synth_per_class = 4 }
-  else base
-
-(* The paper's experiments, by mode name: each renders one report from
-   a scale and a config. *)
-let experiments =
-  [
-    ( "fig3",
-      fun ~scale config ->
-        Report.render_fig3 (Experiments.fig3 ~scale config) );
-    ( "fig3cifar",
-      fun ~scale config ->
-        Report.render_fig3 (Experiments.fig3_cifar ~scale config) );
-    ( "fig3imagenet",
-      fun ~scale config ->
-        Report.render_fig3 (Experiments.fig3_imagenet ~scale config) );
-    ( "table1",
-      fun ~scale config ->
-        Report.render_table1 (Experiments.table1 ~scale config) );
-    ( "fig4",
-      fun ~scale config ->
-        Report.render_fig4 (Experiments.fig4 ~scale config) );
-    ( "table2",
-      fun ~scale config ->
-        Report.render_table2 (Experiments.table2 ~scale config) );
-  ]
-
-let run_experiment quick domains render =
-  let config = experiment_config quick in
-  let scale =
-    if quick then Experiments.quick_scale else Experiments.default_scale
-  in
-  let scale = match domains with None -> scale | Some _ -> { scale with Experiments.domains } in
-  print_endline (render ~scale config)
-
-(* Beta sweep: how the MH temperature affects synthesis quality
-   (DESIGN.md 5.3).  Run explicitly: `dune exec bench/main.exe sweep-beta`. *)
-
-let sweep_beta quick =
-  let config = experiment_config quick in
-  let c =
-    Workbench.load_classifier config Dataset.synth_cifar "vgg_tiny"
-  in
-  let class_id = 0 in
-  let training = c.Workbench.synth_sets.(class_id) in
-  let iters = if quick then 3 else 20 in
-  let rows =
-    Domain_pool.Pool.with_pool @@ fun pool ->
-    List.map
-      (fun beta ->
-        let synth_config =
-          {
-            Oppsla.Islands.default_config with
-            islands = 1;
-            beta;
-            rounds = iters;
-            max_queries_per_image = Some 1024;
-          }
-        in
-        let g =
-          Prng.named_stream
-            (Prng.of_int config.Workbench.seed)
-            (Printf.sprintf "sweep-beta/%g" beta)
-        in
-        let out =
-          Oppsla.Islands.synthesize ~config:synth_config ~pool g
-            (Workbench.oracle_factory c ())
-            ~training
-        in
-        let chain = out.Oppsla.Islands.islands.(0) in
-        [
-          Printf.sprintf "%g" beta;
-          Printf.sprintf "%.1f" chain.Oppsla.Islands.final_avg_queries;
-          Printf.sprintf "%.1f" chain.Oppsla.Islands.best_avg_queries;
-          (* The seed program counts as accepted, as in the trace. *)
-          Printf.sprintf "%d/%d"
-            (chain.Oppsla.Islands.accepted + 1)
-            (iters + 1);
-        ])
-      [ 0.005; 0.02; 0.08; 0.32 ]
-  in
-  print_endline
-    (Printf.sprintf
-       "Beta sweep - MH temperature (vgg_tiny, class %d, %d iterations)"
-       class_id iters);
-  print_endline
-    (Report.table
-       ~headers:[ "beta"; "final avg #q"; "best avg #q"; "accepted" ]
-       ~rows)
 
 (* Observer-overhead benchmark (the `overhead` mode).
 
@@ -223,14 +90,6 @@ let read_lines path =
       go [])
 
 let bench_overhead ~smoke =
-  if
-    Telemetry.Trace.current_path () <> None
-    || Telemetry.Journal.enabled ()
-    || Telemetry.Profiler.running ()
-  then
-    failwith
-      "bench_overhead: an ambient --trace, --journal or --profile sink is \
-       active (drop it: each arm attaches its own observer)";
   let fail fmt =
     Printf.ksprintf (fun m -> failwith ("bench_overhead: " ^ m)) fmt
   in
@@ -591,8 +450,7 @@ let bench_overhead ~smoke =
    requires the >= 2x wall-clock improvement and writes
    BENCH_synth.json. *)
 
-let bench_synth ?(smoke = false) quick =
-  ignore quick;
+let bench_synth ~smoke =
   let module Islands = Oppsla.Islands in
   let image_size, n_images, rounds, islands, reps =
     if smoke then (8, 6, 3, 2, 1) else (16, 16, 16, 4, 3)
@@ -792,7 +650,7 @@ let bench_synth ?(smoke = false) quick =
    gate's own self-test (every baseline passes against itself and fails
    against a degraded copy) is `tools/regress.exe --smoke`. *)
 
-let bench_regress quick =
+let bench_regress () =
   let module R = Evalharness.Regress in
   (* Resolve the registry, not a glob: every registered baseline must be
      committed, and a missing one is a named failure — a bench mode that
@@ -822,7 +680,7 @@ let bench_regress quick =
   let rerun =
     [
       ("BENCH_overhead.json", fun () -> bench_overhead ~smoke:false);
-      ("BENCH_synth.json", fun () -> bench_synth ~smoke:false quick);
+      ("BENCH_synth.json", fun () -> bench_synth ~smoke:false);
     ]
   in
   let failures = ref [] in
@@ -1108,103 +966,29 @@ let micro () =
     |> List.sort compare
   in
   print_endline "Microbenchmarks (monotonic clock)";
-  print_endline (Report.table ~headers:[ "operation"; "ns/run" ] ~rows)
+  print_endline
+    (Evalharness.Report.table ~headers:[ "operation"; "ns/run" ] ~rows)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let quick =
-    List.mem "--quick" args || Sys.getenv_opt "OPPSLA_BENCH_QUICK" <> None
-  in
-  (* Value-taking flags go through the shared Telemetry.Obs scanner, so
-     the bench accepts both "--flag VALUE" and "--flag=VALUE" with the
-     same spelling rules as the cmdliner CLI in bin/main.ml. *)
-  let flag name = Telemetry.Obs.find_flag args ~flag:name in
-  (* --domains N: width of the per-experiment domain pools. *)
-  let domains_of src n =
-    match int_of_string_opt n with
-    | Some d when d >= 1 -> Some d
-    | _ ->
-        Printf.eprintf "bench: %s expects a positive integer, got %S\n" src n;
-        exit 2
-  in
-  let domains =
-    match flag "--domains" with
-    | Some n -> domains_of "--domains" n
-    | None -> (
-        match Sys.getenv_opt "OPPSLA_BENCH_DOMAINS" with
-        | None -> None
-        | Some n -> domains_of "OPPSLA_BENCH_DOMAINS" n)
-  in
   let smoke = List.mem "--smoke" args in
-  let float_flag name =
-    Option.map
-      (fun v ->
-        match float_of_string_opt v with
-        | Some f when f > 0. -> f
-        | _ ->
-            Printf.eprintf "bench: %s expects a positive number, got %S\n" name
-              v;
-            exit 2)
-      (flag name)
-  in
-  (* Observability sinks, same flags as the CLI (bin/main.ml): --trace /
-     --metrics file sinks, --snapshot FILE [--snapshot-interval SEC]
-     for periodic JSONL registry dumps, --stall-timeout SEC to abort
-     wedged runs. *)
-  let obs =
-    {
-      Telemetry.Obs.trace = flag "--trace";
-      metrics = flag "--metrics";
-      snapshot = flag "--snapshot";
-      snapshot_interval_s =
-        Option.value (float_flag "--snapshot-interval")
-          ~default:Telemetry.Obs.default.Telemetry.Obs.snapshot_interval_s;
-      stall_timeout_s = float_flag "--stall-timeout";
-      journal = flag "--journal";
-      run_id = flag "--run-id";
-      profile = List.mem "--profile" args;
-    }
-  in
-  let value_flags =
-    [
-      "--domains"; "--trace"; "--metrics"; "--snapshot"; "--snapshot-interval";
-      "--stall-timeout"; "--journal"; "--run-id";
-    ]
-  in
-  let modes =
-    Telemetry.Obs.strip_flags args ~flags:value_flags
-    |> List.filter (fun a ->
-           not
-             (a = "--quick" || a = "--" || a = "--smoke" || a = "--profile"))
-  in
-  let modes =
-    (* CIFAR-regime experiments first: the ImageNet regime is the most
-       expensive and depends on nothing else. *)
-    if modes = [] then
-      [ "fig3cifar"; "table1"; "table2"; "fig4"; "fig3imagenet"; "micro" ]
-    else modes
-  in
   let dispatch =
     [
       ("micro", micro);
-      ("sweep-beta", fun () -> sweep_beta quick);
       ("overhead", fun () -> bench_overhead ~smoke);
-      ("synth", fun () -> bench_synth ~smoke quick);
-      ("regress", fun () -> bench_regress quick);
+      ("synth", fun () -> bench_synth ~smoke);
+      ("regress", bench_regress);
     ]
-    @ List.map
-        (fun (name, render) ->
-          (name, fun () -> run_experiment quick domains render))
-        experiments
   in
+  let modes = List.filter (fun a -> a <> "--smoke") args in
   (* Validate every mode before running any: a typo after a
-     minutes-long experiment must not cost the experiment. *)
-  (match List.filter (fun m -> not (List.mem_assoc m dispatch)) modes with
-  | [] -> ()
-  | unknown ->
-      Printf.eprintf "bench: unknown mode %s; valid modes: %s\n"
-        (String.concat ", " unknown)
-        (String.concat " " (List.map fst dispatch));
-      exit 2);
-  Telemetry.Obs.with_observability obs (fun () ->
-      List.iter (fun mode -> timed mode (List.assoc mode dispatch)) modes)
+     minutes-long bench must not cost the bench. *)
+  let unknown = List.filter (fun m -> not (List.mem_assoc m dispatch)) modes in
+  if modes = [] || unknown <> [] then begin
+    if unknown <> [] then
+      Printf.eprintf "bench: unknown mode %s\n" (String.concat ", " unknown);
+    Printf.eprintf "usage: bench MODE [MODE ...] [--smoke]; valid modes: %s\n"
+      (String.concat " " (List.map fst dispatch));
+    exit 2
+  end;
+  List.iter (fun mode -> timed mode (List.assoc mode dispatch)) modes

@@ -637,67 +637,93 @@ let analyze_cmd =
 let eval_cmd =
   let experiment_arg =
     let doc =
-      "Experiment to run: fig3, table1, fig4, table2, targeted or all \
-       (targeted is not part of all)."
+      "Experiment to run: fig3 (or one half, fig3cifar / fig3imagenet), \
+       table1, fig4, table2, targeted, sweep-beta or all (all runs fig3, \
+       table1, fig4 and table2)."
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run seed artifacts domains batch trace metrics snapshot
+  let quick_arg =
+    let doc =
+      "Smoke-test scale: tiny budgets and iteration counts, 4 test and 4 \
+       synthesis images per class.  Runs in minutes; the numbers are not \
+       meaningful."
+    in
+    Arg.(value & flag & info [ "quick" ] ~doc)
+  in
+  let experiments =
+    [
+      ( "fig3",
+        fun ~scale config ->
+          Report.render_fig3 (Experiments.fig3 ~scale config) );
+      ( "fig3cifar",
+        fun ~scale config ->
+          Report.render_fig3 (Experiments.fig3_cifar ~scale config) );
+      ( "fig3imagenet",
+        fun ~scale config ->
+          Report.render_fig3 (Experiments.fig3_imagenet ~scale config) );
+      ( "table1",
+        fun ~scale config ->
+          Report.render_table1 (Experiments.table1 ~scale config) );
+      ( "fig4",
+        fun ~scale config ->
+          Report.render_fig4 (Experiments.fig4 ~scale config) );
+      ( "table2",
+        fun ~scale config ->
+          Report.render_table2 (Experiments.table2 ~scale config) );
+      ( "targeted",
+        fun ~scale config ->
+          Report.render_targeted (Experiments.targeted ~scale config) );
+      ( "sweep-beta",
+        fun ~scale config ->
+          Report.render_beta_sweep (Experiments.beta_sweep ~scale config) );
+    ]
+  in
+  let run seed artifacts domains batch quick trace metrics snapshot
       snapshot_interval stall_timeout journal run_id profile backend
       experiment =
-    check_batch batch @@ fun () ->
-    with_backend backend @@ fun backend ->
-    with_telemetry ~trace ~metrics ~snapshot ~snapshot_interval
-      ~stall_timeout ~journal ~run_id ~profile
-    @@ fun () ->
-    let config = workbench_config ~backend artifacts seed in
-    let scale =
-      {
-        Experiments.default_scale with
-        Experiments.domains = domains_opt domains;
-        batch;
-      }
+    let selected =
+      match experiment with
+      | "all" -> Some [ "fig3"; "table1"; "fig4"; "table2" ]
+      | e when List.mem_assoc e experiments -> Some [ e ]
+      | _ -> None
     in
-    let run_one = function
-      | "fig3" ->
-          print_endline (Report.render_fig3 (Experiments.fig3 ~scale config))
-      | "table1" ->
-          print_endline
-            (Report.render_table1 (Experiments.table1 ~scale config))
-      | "fig4" ->
-          print_endline (Report.render_fig4 (Experiments.fig4 ~scale config))
-      | "table2" ->
-          print_endline
-            (Report.render_table2 (Experiments.table2 ~scale config))
-      | "targeted" ->
-          print_endline
-            (Report.render_targeted (Experiments.targeted ~scale config))
-      | other -> failwith other
-    in
-    match experiment with
-    | "all" ->
-        List.iter
-          (fun e ->
-            run_one e;
-            print_newline ())
-          [ "fig3"; "table1"; "fig4"; "table2" ];
-        print_telemetry_report ();
-        `Ok ()
-    | ("fig3" | "table1" | "fig4" | "table2" | "targeted") as e ->
-        run_one e;
-        print_telemetry_report ();
-        `Ok ()
-    | other ->
+    match selected with
+    | None ->
         `Error
-          (false, Printf.sprintf "unknown experiment %S (try --help)" other)
+          ( false,
+            Printf.sprintf "unknown experiment %S (try --help)" experiment )
+    | Some names ->
+        check_batch batch @@ fun () ->
+        with_backend backend @@ fun backend ->
+        with_telemetry ~trace ~metrics ~snapshot ~snapshot_interval
+          ~stall_timeout ~journal ~run_id ~profile
+        @@ fun () ->
+        let config = workbench_config ~backend artifacts seed in
+        let config, scale =
+          if quick then
+            ( { config with Workbench.test_per_class = 4; synth_per_class = 4 },
+              Experiments.quick_scale )
+          else (config, Experiments.default_scale)
+        in
+        let scale =
+          { scale with Experiments.domains = domains_opt domains; batch }
+        in
+        List.iter
+          (fun name ->
+            print_endline ((List.assoc name experiments) ~scale config);
+            if experiment = "all" then print_newline ())
+          names;
+        print_telemetry_report ();
+        `Ok ()
   in
   let term =
     Term.(
       ret
-        (const run $ seed_arg $ artifacts_arg $ domains_arg $ batch_arg $ trace_arg $ metrics_arg
-       $ snapshot_arg $ snapshot_interval_arg $ stall_timeout_arg
-       $ journal_arg $ run_id_arg $ profile_arg $ backend_arg
-       $ experiment_arg))
+        (const run $ seed_arg $ artifacts_arg $ domains_arg $ batch_arg
+       $ quick_arg $ trace_arg $ metrics_arg $ snapshot_arg
+       $ snapshot_interval_arg $ stall_timeout_arg $ journal_arg $ run_id_arg
+       $ profile_arg $ backend_arg $ experiment_arg))
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Run the paper's experiments and print reports.")

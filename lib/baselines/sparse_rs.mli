@@ -93,27 +93,6 @@ val attack_multi :
 (** [attack_multi ~k] perturbs exactly [k] distinct pixels.  Raises
     [Invalid_argument] if [k < 1] or [k > d1 * d2]. *)
 
-val attack_patch :
-  ?config:config ->
-  ?batch:int ->
-  ?goal:Oppsla.Sketch.goal ->
-  h:int ->
-  w:int ->
-  Prng.t ->
-  Oracle.t ->
-  image:Tensor.t ->
-  true_class:int ->
-  multi_result
-(** Random search over anchored [h x w] rectangles filled with one
-    corner color ({!Oppsla.Space.Patch}).  The state is (anchor, fill
-    corner): exploration re-anchors the patch globally, exploitation
-    keeps the anchor and resamples the corner, under the same decaying
-    schedule.  [config] defaults to [max_queries = 8 * #anchors].  The
-    result's pair list is the patch expanded cell-by-cell (every cell
-    carries the fill corner).  Cache keys live in the ["patch:"]
-    namespace ({!Oppsla.Space.patch_key}).  Raises [Invalid_argument]
-    when the patch does not fit the image. *)
-
 val attack_space :
   ?config:config ->
   ?batch:int ->
@@ -125,5 +104,13 @@ val attack_space :
   true_class:int ->
   multi_result
 (** Dispatch on the perturbation space: [Pixel] is {!attack_multi}
-    [~k:1], [Kpixel k] is {!attack_multi} [~k], [Patch] is
-    {!attack_patch}. *)
+    [~k:1], [Kpixel k] is {!attack_multi} [~k].  [Patch] is random
+    search over anchored [h x w] rectangles filled with one corner
+    color: the state is (anchor, fill corner), exploration re-anchors
+    the patch globally, exploitation keeps the anchor and resamples the
+    corner, under the same decaying schedule.  [config] then defaults to
+    [max_queries = 8 * #anchors]; the result's pair list is the patch
+    expanded cell-by-cell (every cell carries the fill corner), and
+    cache keys live in the ["patch:"] namespace
+    ({!Oppsla.Space.patch_key}).  Raises [Invalid_argument] when a patch
+    does not fit the image. *)

@@ -99,9 +99,3 @@ let decision t =
         Oracle.set_mode oracle Oracle.Decision;
         t.run g oracle ~goal ~max_queries ~batch ~image ~true_class);
   }
-
-let run_one ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) t ~seed ~oracle_factory ~max_queries
-    ~image ~true_class =
-  let g = Prng.named_stream (Prng.of_int seed) ("attack/" ^ t.name) in
-  t.run g (oracle_factory ()) ~goal ~max_queries ~batch ~image ~true_class

@@ -50,17 +50,3 @@ val decision : t -> t
     attack, so every observed score vector collapses to the one-hot of
     its label.  Named ["<name>/decision"].  Query accounting is
     unchanged by construction — only what the attack can see. *)
-
-val run_one :
-  ?batch:int ->
-  ?goal:Oppsla.Sketch.goal ->
-  t ->
-  seed:int ->
-  oracle_factory:(unit -> Oracle.t) ->
-  max_queries:int ->
-  image:Tensor.t ->
-  true_class:int ->
-  Oppsla.Sketch.result
-(** Run an attacker on one image with a seed derived from [seed] (so
-    randomized attacks are reproducible image-by-image).  [batch]
-    defaults to {!Oppsla.Sketch.default_batch}; [goal] to [Untargeted]. *)

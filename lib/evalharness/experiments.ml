@@ -471,3 +471,61 @@ let targeted ?(scale = default_scale) config =
         (Batcher.global_stats ());
       rows)
     (List.init classes Fun.id)
+
+(* Beta sweep *)
+
+type beta_row = {
+  beta : float;
+  final_avg_queries : float;
+  best_avg_queries : float;
+  accepted : int;
+}
+
+type beta_sweep = {
+  arch : string;
+  class_id : int;
+  rounds : int;
+  rows : beta_row list;
+}
+
+let beta_sweep ?(scale = default_scale) config =
+  with_experiment_pool scale config "sweep-beta" @@ fun pool ->
+  let c = Workbench.load_classifier config Dataset.synth_cifar "vgg_tiny" in
+  let class_id = 0 in
+  let training = c.Workbench.synth_sets.(class_id) in
+  let rounds = scale.synth.Workbench.iters in
+  let rows =
+    List.map
+      (fun beta ->
+        let synth_config =
+          {
+            Oppsla.Islands.default_config with
+            islands = 1;
+            beta;
+            rounds;
+            max_queries_per_image =
+              Some scale.synth.Workbench.synth_max_queries_per_image;
+            batch = scale.batch;
+          }
+        in
+        let g =
+          Prng.named_stream
+            (Prng.of_int config.Workbench.seed)
+            (Printf.sprintf "sweep-beta/%g" beta)
+        in
+        let out =
+          Oppsla.Islands.synthesize ~config:synth_config ~pool g
+            (Workbench.oracle_factory c ())
+            ~training
+        in
+        let chain = out.Oppsla.Islands.islands.(0) in
+        {
+          beta;
+          final_avg_queries = chain.Oppsla.Islands.final_avg_queries;
+          best_avg_queries = chain.Oppsla.Islands.best_avg_queries;
+          (* The seed program counts as accepted, as in the trace. *)
+          accepted = chain.Oppsla.Islands.accepted + 1;
+        })
+      [ 0.005; 0.02; 0.08; 0.32 ]
+  in
+  { arch = c.Workbench.arch; class_id; rounds; rows }

@@ -130,3 +130,28 @@ type targeted_row = {
 val targeted : ?scale:scale -> Workbench.config -> targeted_row list
 (** Sketch+False and Sparse-RS against vgg_tiny, one row per
     (attacker, target class). *)
+
+(** {1 MH temperature sweep}
+
+    How the Metropolis-Hastings temperature β affects synthesis quality
+    (DESIGN.md §3): one single-island synthesis per β on vgg_tiny's
+    class-0 synthesis set, [scale.synth.iters] rounds at
+    [scale.synth.synth_max_queries_per_image] queries per image, each β
+    on its own ["sweep-beta/<β>"] PRNG stream.  Not part of the paper's
+    evaluation. *)
+
+type beta_row = {
+  beta : float;
+  final_avg_queries : float;  (** the chain's last program *)
+  best_avg_queries : float;  (** the best program the chain visited *)
+  accepted : int;  (** accepted programs, the seed program included *)
+}
+
+type beta_sweep = {
+  arch : string;
+  class_id : int;
+  rounds : int;
+  rows : beta_row list;  (** β = 0.005, 0.02, 0.08, 0.32 *)
+}
+
+val beta_sweep : ?scale:scale -> Workbench.config -> beta_sweep

@@ -477,3 +477,19 @@ let render_table2 (rows : Experiments.table2_row list) =
   in
   "Table 2 - ablation (synthesized conditions & stochastic search)\n"
   ^ table ~headers ~rows:body
+
+let render_beta_sweep (s : Experiments.beta_sweep) =
+  let rows =
+    List.map
+      (fun (r : Experiments.beta_row) ->
+        [
+          Printf.sprintf "%g" r.beta;
+          Printf.sprintf "%.1f" r.final_avg_queries;
+          Printf.sprintf "%.1f" r.best_avg_queries;
+          Printf.sprintf "%d/%d" r.accepted (s.rounds + 1);
+        ])
+      s.rows
+  in
+  Printf.sprintf "Beta sweep - MH temperature (%s, class %d, %d iterations)\n%s"
+    s.arch s.class_id s.rounds
+    (table ~headers:[ "beta"; "final avg #q"; "best avg #q"; "accepted" ] ~rows)

@@ -21,30 +21,17 @@ val render_targeted : Experiments.targeted_row list -> string
     byte-exact format is pinned by the golden file
     [test/report_targeted_golden_v1.txt]. *)
 
-val render_pool_stats : Domain_pool.Pool.stats -> string
-(** One-row table of a domain pool's instrumentation: width, jobs served,
-    items processed (and how many were stolen by worker domains), wall
-    time inside map calls, and derived throughput. *)
-
-val render_cache_stats : Score_cache.stats -> string
-(** One-row table of a score cache's counters: lookups split into hits
-    and misses, the hit rate, resident entries, and the estimated tensor
-    footprint in megabytes.  Works on a single cache's
-    {!Score_cache.stats} or a store-wide {!Score_cache.store_stats}
-    aggregate. *)
-
-val render_batch_stats : Batcher.stats -> string
-(** One-row table of the speculative batcher's counters: metered queries,
-    chunks resolved, candidates prepared per chunk, buffer hits vs
-    discarded speculations, and the resulting speculation accuracy.
-    Rendered next to the cache and pool statistics in run reports. *)
-
 val render_islands : Oppsla.Islands.outcome -> string
 (** Per-island table of an archipelago run — temperature, final and best
     averages, proposal/acceptance/pruning counters, elite adoptions and
     query spend per island — headed by the run totals and followed by
     the overall best program.  Notes the resume round when the run was
     restored from a checkpoint. *)
+
+val render_beta_sweep : Experiments.beta_sweep -> string
+(** The MH temperature sweep: one row per β with the chain's final and
+    best average queries and its accepted programs out of [rounds + 1]
+    (the seed program counts as accepted). *)
 
 val render_telemetry :
   ?pool:Domain_pool.Pool.stats ->

@@ -41,8 +41,6 @@ type span = {
   children : span list;  (** start-ordered *)
 }
 
-val span_end : span -> float
-
 type track = {
   tid : int;
   roots : span list;  (** start-ordered top-level spans *)

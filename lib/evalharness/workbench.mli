@@ -41,15 +41,9 @@ type config = {
 }
 
 val default_config : config
-(** artifacts in ["_artifacts"], seed 42, 60/16 train/test per class,
+(** artifacts in ["_artifacts"], seed 42, 60/8 train/test per class,
     10 synthesis images per class, 8 epochs, silent log, boxed
     backend. *)
-
-val cifar_architectures : string list
-(** [vgg_tiny; resnet_tiny; googlenet_tiny] — the CIFAR-regime trio. *)
-
-val imagenet_architectures : string list
-(** [densenet_tiny; resnet50_tiny] — the ImageNet-regime pair. *)
 
 val load_classifier : config -> Dataset.spec -> string -> classifier
 (** Train (or load cached weights for) one architecture on one dataset
@@ -86,10 +80,10 @@ val default_synth_params : synth_params
     batch {!Oppsla.Sketch.default_batch}. *)
 
 val log_cache_stats : config -> string -> Score_cache.store -> unit
-(** [log_cache_stats config label store] writes the store's aggregated
-    hit/miss/footprint line to [config.log] — the
-    one-line form of {!Report.render_cache_stats}, used after each
-    synthesis run and attack sweep. *)
+(** [log_cache_stats config label store] writes one line of the store's
+    aggregated counters to [config.log]: hits, misses, hit rate, resident
+    entries and their estimated footprint in MB.  Used after each synthesis
+    run and attack sweep. *)
 
 val log_batch_stats : config -> string -> Batcher.stats -> unit
 (** One-line speculative-batching summary (chunks, buffer hits,

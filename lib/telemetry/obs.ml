@@ -1,9 +1,8 @@
-(* Shared observability bracket and flag plumbing for bin/main.ml and
-   bench/main.ml: one place that knows how to open the trace and journal
-   sinks, start the background sampler and the profiler, and tear
-   everything down (flushing --metrics) even when the wrapped command
-   raises.  Keeping it here means the CLI and the bench cannot drift
-   apart in flag spelling or shutdown order. *)
+(* The observability bracket behind bin/main.ml's --trace, --metrics,
+   --snapshot, --stall-timeout, --journal and --profile flags: one place
+   that knows how to open the trace and journal sinks, start the
+   background sampler and the profiler, and tear everything down
+   (flushing --metrics) even when the wrapped command raises. *)
 
 type config = {
   trace : string option;  (* --trace FILE: Chrome trace-event JSONL *)
@@ -39,34 +38,6 @@ let stall_after_s c = Option.value c.stall_timeout_s ~default:30.
 (* The sampler only runs when something consumes its output: a
    snapshot file or a fatal stall timeout. *)
 let wants_sampler c = c.snapshot <> None || c.stall_timeout_s <> None
-
-(* Argv-scanning helpers for the bench's hand-rolled flag parsing
-   (cmdliner handles both spellings natively on the bin side).  Both
-   "--flag VALUE" and "--flag=VALUE" are accepted. *)
-let split_eq flag a =
-  let prefix = flag ^ "=" in
-  let n = String.length prefix in
-  if String.length a > n && String.sub a 0 n = prefix then
-    Some (String.sub a n (String.length a - n))
-  else None
-
-let find_flag args ~flag =
-  let rec go = function
-    | a :: v :: _ when a = flag -> Some v
-    | a :: rest -> ( match split_eq flag a with Some v -> Some v | None -> go rest)
-    | [] -> None
-  in
-  go args
-
-(* Drop [flags] (value-taking, either spelling) from an argv list. *)
-let strip_flags args ~flags =
-  let rec go = function
-    | a :: _ :: rest when List.mem a flags -> go rest
-    | a :: rest when List.exists (fun f -> split_eq f a <> None) flags -> go rest
-    | a :: rest -> a :: go rest
-    | [] -> []
-  in
-  go args
 
 type t = {
   sampler : Sampler.t option;

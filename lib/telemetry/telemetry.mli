@@ -498,15 +498,6 @@ module Obs : sig
   val default : config
   val active : config -> bool
 
-  val find_flag : string list -> flag:string -> string option
-  (** Scan an argv list for [--flag VALUE] or [--flag=VALUE] — the
-      shared parser behind the bench's hand-rolled flags (cmdliner
-      accepts both spellings natively on the bin side). *)
-
-  val strip_flags : string list -> flags:string list -> string list
-  (** Remove the given value-taking flags (either spelling) from an
-      argv list. *)
-
   type t
 
   val start : config -> t

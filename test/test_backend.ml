@@ -997,10 +997,14 @@ let qcheck_dense_naive =
    scored its queries nor on the batch width.  The net has two
    max-pools, one after a conv;norm;relu and one after a conv;relu, so
    the f32 plan fuses both kinds of epilogue and both pools.  The
-   targeted attacks aim at the least likely class.  Every attack here
-   runs to the cap without success, so a record changes only when a
-   plan lets an attack succeed or stop early.  The f32 sweeps must also
-   have run fused epilogues ([backend.f32.fusion_hits] grows). *)
+   targeted attacks aim at the least likely class.  At the 48-query cap
+   every attack runs out without success, so those records change only
+   when a plan lets an attack succeed or stop early.  A second,
+   untargeted sweep caps each attack at the whole pair space on images
+   where a flipping pair exists, so its attacks succeed and a wrong
+   score shows as a changed query count or success flag.  The f32
+   sweeps must also have run fused epilogues
+   ([backend.f32.fusion_hits] grows). *)
 let attack_records_across_backends () =
   let g = Prng.of_int 23 in
   let size = 8 and width = 8 and classes = 4 and max_queries = 48 in
@@ -1036,6 +1040,14 @@ let attack_records_across_backends () =
         done;
         (image, Nn.Network.classify net image, !target))
   in
+  let attack ~backend ~batch ~max_queries ~goal (image, true_class) =
+    let r =
+      Oppsla.Sketch.attack ~max_queries ~goal ~batch
+        (Oracle.of_network ~backend net)
+        Oppsla.Condition.const_false_program ~image ~true_class
+    in
+    (r.Oppsla.Sketch.queries, r.Oppsla.Sketch.adversarial <> None)
+  in
   let sweep ~backend ~batch ~targeted =
     List.map
       (fun (image, true_class, target) ->
@@ -1043,32 +1055,65 @@ let attack_records_across_backends () =
           if targeted then Oppsla.Sketch.Targeted target
           else Oppsla.Sketch.Untargeted
         in
-        let r =
-          Oppsla.Sketch.attack ~max_queries ~goal ~batch
-            (Oracle.of_network ~backend net)
-            Oppsla.Condition.const_false_program ~image ~true_class
-        in
-        (r.Oppsla.Sketch.queries, r.Oppsla.Sketch.adversarial <> None))
+        attack ~backend ~batch ~max_queries ~goal (image, true_class))
       samples
+  in
+  (* Two images the boxed net can flip with one corner pixel, drawn
+     after [samples] from the same stream.  Every random image lands in
+     one class and the black image in another, so each image is the
+     near side of an 8-step bisection between a random image and black:
+     within 1/256 of the segment from the decision boundary, not on
+     it. *)
+  let flippable =
+    let oracle = Oracle.of_network net in
+    let black = Tensor.zeros [| 3; size; size |] in
+    List.init 2 (fun _ ->
+        let a = Tensor.rand_uniform (Prng.split g) [| 3; size; size |] in
+        let true_class = Nn.Network.classify net a in
+        if Nn.Network.classify net black = true_class then
+          Alcotest.fail "random and black images share a class";
+        let mix t = Tensor.map2 (fun x y -> x +. (t *. (y -. x))) a black in
+        let lo = ref 0. and hi = ref 1. in
+        for _ = 1 to 8 do
+          let mid = (!lo +. !hi) /. 2. in
+          if Nn.Network.classify net (mix mid) = true_class then lo := mid
+          else hi := mid
+        done;
+        let image = mix !lo in
+        if not (Oppsla.Sketch.success_exists oracle ~image ~true_class) then
+          Alcotest.fail "no flipping pair next to the boundary";
+        (image, true_class))
+  in
+  let full_sweep ~backend ~batch =
+    List.map
+      (attack ~backend ~batch ~max_queries:(8 * size * size)
+         ~goal:Oppsla.Sketch.Untargeted)
+      flippable
   in
   let fusion_hits () =
     Telemetry.Counter.get
       (Telemetry.Metrics.counter "backend.f32.fusion_hits")
   in
   let hits = fusion_hits () in
+  (* Every sweep must match its boxed batch-1 run; returns that run. *)
+  let check_sweep label run =
+    let reference = run ~backend:Nn.Backend.Boxed ~batch:1 in
+    List.iter
+      (fun (backend, batch) ->
+        Alcotest.(check (list (pair int bool)))
+          (Printf.sprintf "%s b%d = boxed b1 (%s)"
+             (Nn.Backend.kind_name backend) batch label)
+          reference (run ~backend ~batch))
+      [ (Nn.Backend.Boxed, 16); (Nn.Backend.F32, 1); (Nn.Backend.F32, 16) ];
+    reference
+  in
   List.iter
     (fun targeted ->
-      let goal = if targeted then "targeted" else "untargeted" in
-      let reference = sweep ~backend:Nn.Backend.Boxed ~batch:1 ~targeted in
-      List.iter
-        (fun (backend, batch) ->
-          Alcotest.(check (list (pair int bool)))
-            (Printf.sprintf "%s b%d = boxed b1 (%s)"
-               (Nn.Backend.kind_name backend) batch goal)
-            reference
-            (sweep ~backend ~batch ~targeted))
-        [ (Nn.Backend.Boxed, 16); (Nn.Backend.F32, 1); (Nn.Backend.F32, 16) ])
+      let label = if targeted then "targeted" else "untargeted" in
+      ignore (check_sweep label (sweep ~targeted)))
     [ true; false ];
+  Alcotest.(check bool) "a full-space attack succeeds" true
+    (List.exists snd (check_sweep "untargeted, full space" full_sweep));
   Alcotest.(check bool) "f32 sweeps ran fused conv epilogues" true
     (fusion_hits () > hits)
 

@@ -190,6 +190,41 @@ let render_targeted_empty () =
   Alcotest.(check string) "placeholder" "(no data)"
     (Report.render_targeted [])
 
+(* The β-sweep table, byte for byte: [%g] betas, one-decimal averages
+   and accepted programs out of rounds + 1 (the seed program counts). *)
+let render_beta_sweep_exact () =
+  let sweep =
+    {
+      Experiments.arch = "vgg_tiny";
+      class_id = 0;
+      rounds = 25;
+      rows =
+        [
+          {
+            Experiments.beta = 0.005;
+            final_avg_queries = 81.25;
+            best_avg_queries = 40.04;
+            accepted = 3;
+          };
+          {
+            Experiments.beta = 0.32;
+            final_avg_queries = 1024.;
+            best_avg_queries = 212.5;
+            accepted = 26;
+          };
+        ];
+    }
+  in
+  Alcotest.(check string) "byte-exact"
+    "Beta sweep - MH temperature (vgg_tiny, class 0, 25 iterations)\n\
+     +-------+--------------+-------------+----------+\n\
+     | beta  | final avg #q | best avg #q | accepted |\n\
+     +-------+--------------+-------------+----------+\n\
+     | 0.005 | 81.2         | 40.0        | 3/26     |\n\
+     | 0.32  | 1024.0       | 212.5       | 26/26    |\n\
+     +-------+--------------+-------------+----------+"
+    (Report.render_beta_sweep sweep)
+
 let suite =
   [
     Alcotest.test_case "render fig3" `Quick render_fig3_contents;
@@ -201,4 +236,5 @@ let suite =
     Alcotest.test_case "render targeted (golden)" `Quick
       render_targeted_golden;
     Alcotest.test_case "render targeted empty" `Quick render_targeted_empty;
+    Alcotest.test_case "render beta sweep" `Quick render_beta_sweep_exact;
   ]

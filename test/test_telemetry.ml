@@ -594,23 +594,6 @@ let sampler_timed_ticks () =
   Alcotest.(check bool) "timed_ticks grew" true
     (Telemetry.Sampler.timed_ticks () > before)
 
-(* {1 Obs flag parsing} *)
-
-let obs_flag_parsing () =
-  let args = [ "--trace"; "t.json"; "--metrics=m.json"; "positional" ] in
-  Alcotest.(check (option string)) "space-separated spelling"
-    (Some "t.json")
-    (Telemetry.Obs.find_flag args ~flag:"--trace");
-  Alcotest.(check (option string)) "equals spelling" (Some "m.json")
-    (Telemetry.Obs.find_flag args ~flag:"--metrics");
-  Alcotest.(check (option string)) "absent flag" None
-    (Telemetry.Obs.find_flag args ~flag:"--snapshot");
-  Alcotest.(check (list string)) "strip removes both spellings"
-    [ "positional" ]
-    (Telemetry.Obs.strip_flags args ~flags:[ "--trace"; "--metrics" ]);
-  Alcotest.(check (list string)) "strip leaves unrelated flags" args
-    (Telemetry.Obs.strip_flags args ~flags:[ "--snapshot" ])
-
 (* {1 Properties} *)
 
 (* Whatever is observed, bucket counts (including overflow) always sum to
@@ -706,7 +689,6 @@ let suite =
       watchdog_with_loop_is_exception_safe;
     Alcotest.test_case "sampler ticks and snapshots" `Quick
       sampler_ticks_and_snapshots;
-    Alcotest.test_case "obs flag parsing" `Quick obs_flag_parsing;
     QCheck_alcotest.to_alcotest qcheck_histogram_conservation;
     Alcotest.test_case "sketch.queue_init nests in sketch.attack" `Quick
       queue_init_span_nests;

@@ -10,15 +10,9 @@
    runtest: a hand-built trace with a pool fan-out and a truncated
    tail must parse tolerantly, attribute self times exactly, produce a
    critical path that sums to the root span, and emit well-formed
-   folded stacks.  Exit 1 on any violation, 2 on usage errors. *)
+   folded stacks.  Exit 1 on any violation, 124 on usage errors. *)
 
 module T = Evalharness.Traceprof
-
-let usage () =
-  prerr_endline
-    "usage: traceprof TRACE.json [--top N] [--folded FILE]\n\
-    \       traceprof --smoke";
-  exit 2
 
 let fail fmt =
   Printf.ksprintf
@@ -127,46 +121,65 @@ let smoke () =
 
 (* ------------------------------------------------------------------ *)
 
+let profile path top folded_out =
+  let a = T.analyze (T.parse_file path) in
+  print_endline (T.render_summary a);
+  print_newline ();
+  print_endline (T.render_stats ~top a);
+  (match T.critical_path a with
+  | Some c -> print_endline (T.render_critical c)
+  | None -> print_endline "no complete spans: no critical path");
+  match folded_out with
+  | None -> ()
+  | Some out ->
+      let oc = open_out out in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () ->
+          List.iter
+            (fun l ->
+              output_string oc l;
+              output_char oc '\n')
+            (T.folded_lines a));
+      Printf.printf "wrote %d folded stacks to %s\n" (List.length a.T.folded)
+        out
+
+let run smoke_mode top folded_out path =
+  match (smoke_mode, path) with
+  | true, _ ->
+      smoke ();
+      `Ok ()
+  | false, Some path when top > 0 ->
+      profile path top folded_out;
+      `Ok ()
+  | false, Some _ -> `Error (true, "--top must be positive")
+  | false, None -> `Error (true, "no TRACE given")
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--smoke" args then smoke ()
-  else begin
-    let top =
-      match Telemetry.Obs.find_flag args ~flag:"--top" with
-      | None -> 20
-      | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n > 0 -> n
-          | _ -> usage ())
-    in
-    let folded_out = Telemetry.Obs.find_flag args ~flag:"--folded" in
-    let rest =
-      Telemetry.Obs.strip_flags args ~flags:[ "--top"; "--folded" ]
-    in
-    match rest with
-    | [ path ] ->
-        if not (Sys.file_exists path) then fail "no such file: %s" path;
-        let parsed = T.parse_file path in
-        let a = T.analyze parsed in
-        print_endline (T.render_summary a);
-        print_newline ();
-        print_endline (T.render_stats ~top a);
-        (match T.critical_path a with
-        | Some c -> print_endline (T.render_critical c)
-        | None -> print_endline "no complete spans: no critical path");
-        (match folded_out with
-        | None -> ()
-        | Some out ->
-            let oc = open_out out in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                List.iter
-                  (fun l ->
-                    output_string oc l;
-                    output_char oc '\n')
-                  (T.folded_lines a));
-            Printf.printf "wrote %d folded stacks to %s\n"
-              (List.length a.T.folded) out)
-    | _ -> usage ()
-  end
+  let open Cmdliner in
+  let smoke_mode =
+    Arg.(
+      value & flag
+      & info [ "smoke" ] ~doc:"Run the self-check on a synthetic trace.")
+  in
+  let top =
+    Arg.(
+      value & opt int 20
+      & info [ "top" ] ~docv:"N" ~doc:"Rows of the self-time table.")
+  in
+  let folded_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "folded" ] ~docv:"FILE"
+          ~doc:"Write folded stacks (flamegraph.pl, speedscope) to FILE.")
+  in
+  let path =
+    Arg.(value & pos 0 (some file) None & info [] ~docv:"TRACE")
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "traceprof" ~doc:"Profile a --trace artifact offline.")
+      Term.(ret (const run $ smoke_mode $ top $ folded_out $ path))
+  in
+  exit (Cmd.eval cmd)
