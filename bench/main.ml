@@ -875,14 +875,6 @@ let micro () =
       Test.make ~name:"dsl/parse-program"
         (Staged.stage (fun () ->
              ignore (Oppsla.Dsl.parse_program_exn program_text)));
-      (* Ablation: direct convolution loop vs im2col + GEMM. *)
-      Test.make ~name:"conv/direct-3x16x16"
-        (Staged.stage
-           (let w =
-              Tensor.randn (Prng.copy g) ~sigma:0.2 [| 8; 3; 3; 3 |]
-            in
-            fun () ->
-              ignore (Tensor.conv2d ~pad:1 image ~weight:w ~bias:None)));
       Test.make ~name:"conv/gemm-3x16x16"
         (Staged.stage
            (let w =

@@ -1,9 +1,9 @@
 (* The reference backend: activations are ordinary float64 [Tensor.t]s
-   and every kernel delegates to a [Tensor] batch kernel whose
-   per-element accumulation order matches the direct single-image
-   kernel [Layer.forward] runs.  A plan compiled against this backend is
-   therefore bit-identical to [Nn.Network.scores] — the property the
-   backend differential tests pin. *)
+   and every kernel delegates to the [Tensor] batch kernel that
+   [Layer.forward] also runs, on a one-image view.  A plan compiled
+   against this backend is therefore bit-identical to
+   [Nn.Network.scores]; the backend differential tests pinning that
+   property check the plan compiler (layer walk, fusion, batching). *)
 
 type t = Tensor.t
 
@@ -64,7 +64,5 @@ let dense_batch ~weight ~bias x =
   y
 
 let max_pool2d_batch ~stride ~size x = Tensor.max_pool2d_batch ~stride ~size x
-let avg_pool2d_batch ~stride ~size x = Tensor.avg_pool2d_batch ~stride ~size x
-let global_avg_pool_batch = Tensor.global_avg_pool_batch
 let concat_channels_batch = Tensor.concat_channels_batch
 let softmax_rows = Tensor.softmax_rows

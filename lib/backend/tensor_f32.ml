@@ -1019,47 +1019,6 @@ let dense_batch ~weight ~bias x =
     (Unix.gettimeofday () -. t0);
   out
 
-let avg_pool2d_batch ~stride ~size x =
-  let n, c, h, w, oh, ow = pool_dims "avg_pool2d_batch" ~stride ~size x in
-  let out = create [| n; c; oh; ow |] in
-  let inv = 1. /. float_of_int (size * size) in
-  let xd = x.data and od = out.data in
-  for p = 0 to (n * c) - 1 do
-    let xbase = p * h * w and obase = p * oh * ow in
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        let acc = ref 0. in
-        let base = xbase + ((oy * stride) * w) + (ox * stride) in
-        for ky = 0 to size - 1 do
-          let rowb = base + (ky * w) in
-          for kx = 0 to size - 1 do
-            acc := !acc +. Bigarray.Array1.unsafe_get xd (rowb + kx)
-          done
-        done;
-        Bigarray.Array1.unsafe_set od (obase + (oy * ow) + ox) (!acc *. inv)
-      done
-    done
-  done;
-  out
-
-let global_avg_pool_batch x =
-  if Array.length x.shape <> 4 then
-    invalid_arg "Tensor_f32.global_avg_pool_batch: expected an NCHW tensor";
-  let n = x.shape.(0) and c = x.shape.(1) in
-  let plane = x.shape.(2) * x.shape.(3) in
-  let inv = 1. /. float_of_int plane in
-  let out = create [| n; c |] in
-  let xd = x.data and od = out.data in
-  for p = 0 to (n * c) - 1 do
-    let off = p * plane in
-    let acc = ref 0. in
-    for i = 0 to plane - 1 do
-      acc := !acc +. Bigarray.Array1.unsafe_get xd (off + i)
-    done;
-    Bigarray.Array1.unsafe_set od p (!acc *. inv)
-  done;
-  out
-
 let concat_channels_batch ts =
   match ts with
   | [] -> invalid_arg "Tensor_f32.concat_channels_batch: empty list"

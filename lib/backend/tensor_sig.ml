@@ -1,11 +1,11 @@
 (* The TENSOR signature the nn plan compiler is functorized over.
 
    A backend supplies batched (NCHW) inference kernels over an abstract
-   activation type.  Two implementations exist: [Tensor_boxed] (the
-   reference — delegates to the float64 [Tensor] batch kernels, whose
-   per-element accumulation order matches the direct single-image
-   kernels of [Layer.forward], so a compiled boxed plan is bit-identical
-   to [Network.scores]) and [Tensor_f32] (flat [Bigarray] float32
+   activation type, one per layer kind the zoo nets build.  Two
+   implementations exist: [Tensor_boxed] (the reference — delegates to
+   the float64 [Tensor] batch kernels, the same ones [Layer.forward] runs
+   on one image, so a compiled boxed plan is bit-identical to
+   [Network.scores]) and [Tensor_f32] (flat [Bigarray] float32
    storage with an explicit shape descriptor — the Manticore
    flat-data-plus-shape idiom — a blocked register-tiled GEMM, and fused
    conv→norm→relu→max-pool).
@@ -88,8 +88,6 @@ module type S = sig
 
   val dense_batch : weight:t -> bias:t -> t -> t
   val max_pool2d_batch : stride:int -> size:int -> t -> t
-  val avg_pool2d_batch : stride:int -> size:int -> t -> t
-  val global_avg_pool_batch : t -> t
   val channel_norm_batch : gamma:t -> beta:t -> eps:float -> t -> t
   val concat_channels_batch : t list -> t
   val softmax_rows : t -> t

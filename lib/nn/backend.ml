@@ -6,11 +6,11 @@
    touching the [Layer] representation again.
 
    This is the one batched inference engine: every oracle forward pass
-   runs a plan.  [Make (Tensor_boxed)] is bit-identical to the direct
-   single-image [Network.scores] (float64 kernels whose per-element
-   accumulation order matches the direct loops); [Make (Tensor_f32)] is
-   the float32 Bigarray engine, equal under the tolerance policy
-   ([score_tol]). *)
+   runs a plan.  [Make (Tensor_boxed)] runs the float64 [Tensor] batch
+   kernels that [Layer.forward] runs on one image, so it is bit-identical
+   to [Network.scores] and a differential between the two checks this
+   compiler; [Make (Tensor_f32)] is the float32 Bigarray engine, equal
+   under the tolerance policy ([score_tol]). *)
 
 let score_tol = 1e-4
 
@@ -40,8 +40,6 @@ module Make (B : Tensor_sig.S) = struct
     | Dense of { weight : B.t; bias : B.t }
     | Relu
     | Max_pool of { size : int; stride : int }
-    | Avg_pool of { size : int; stride : int }
-    | Global_avg_pool
     | Flatten
     | Norm of { gamma : B.t; beta : B.t }
     | Residual of { body : step list; projection : step list option }
@@ -74,8 +72,6 @@ module Make (B : Tensor_sig.S) = struct
         [ Dense { weight = B.of_tensor weight; bias = B.of_tensor bias } ]
     | Layer.V_relu -> [ Relu ]
     | Layer.V_max_pool { size; stride } -> [ Max_pool { size; stride } ]
-    | Layer.V_avg_pool { size; stride } -> [ Avg_pool { size; stride } ]
-    | Layer.V_global_avg_pool -> [ Global_avg_pool ]
     | Layer.V_flatten -> [ Flatten ]
     | Layer.V_norm { gamma; beta } ->
         [ Norm { gamma = B.of_tensor gamma; beta = B.of_tensor beta } ]
@@ -141,15 +137,6 @@ module Make (B : Tensor_sig.S) = struct
     in
     { net_name = net.Network.name; steps }
 
-  let pool_span kind x f =
-    Telemetry.Trace.span "backend.pool" ~cat:"tensor"
-      ~args:(fun () ->
-        [
-          ("kind", Telemetry.Trace.Str kind);
-          ("n", Telemetry.Trace.Int (B.shape x).(0));
-        ])
-      f
-
   let rec run ?pool steps x =
     List.fold_left (fun acc s -> run_step ?pool s acc) x steps
 
@@ -206,11 +193,13 @@ module Make (B : Tensor_sig.S) = struct
           ~args:(fun () -> [ ("n", Telemetry.Trace.Int (B.shape x).(0)) ])
           (fun () -> B.relu x)
     | Max_pool { size; stride } ->
-        pool_span "max" x (fun () -> B.max_pool2d_batch ~stride ~size x)
-    | Avg_pool { size; stride } ->
-        pool_span "avg" x (fun () -> B.avg_pool2d_batch ~stride ~size x)
-    | Global_avg_pool ->
-        pool_span "global_avg" x (fun () -> B.global_avg_pool_batch x)
+        Telemetry.Trace.span "backend.pool" ~cat:"tensor"
+          ~args:(fun () ->
+            [
+              ("kind", Telemetry.Trace.Str "max");
+              ("n", Telemetry.Trace.Int (B.shape x).(0));
+            ])
+          (fun () -> B.max_pool2d_batch ~stride ~size x)
     | Flatten ->
         let s = B.shape x in
         let n = s.(0) and total = Array.fold_left ( * ) 1 s in

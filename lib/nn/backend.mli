@@ -6,11 +6,13 @@
     the max-pool only after a relu) and runs
     whole batches through it.  This is the one batched inference engine:
     [Oracle.of_network] scores every query through a plan, whichever
-    backend kind it is given.  The boxed instance is bit-identical to
-    the direct single-image {!Network.scores} ([Layer.forward]), the
-    reference the plans are tested against; the f32 instance matches
-    under the tolerance policy: identical argmax, success and query
-    counts, and per-logit deviation at most {!score_tol}.
+    backend kind it is given.  The boxed instance runs the float64
+    {!Tensor} kernels [Layer.forward] runs on one image, so it is
+    bit-identical to {!Network.scores} and a differential between the
+    two checks the compiler (layer walk, fusion, batching); the f32
+    instance matches under the tolerance policy: identical argmax,
+    success and query counts, and per-logit deviation at most
+    {!score_tol}.
 
     The plan's input conv (its first step, when that is a conv) carries
     an incremental-conv memo ({!Tensor_sig.S.conv_memo}): on the f32

@@ -20,8 +20,7 @@ type dense_rec = {
 type norm = {
   gamma : Param.t;
   beta : Param.t;
-  mutable norm_cache : (Tensor.t * float array * float array) option;
-      (* input, per-channel mean, per-channel 1/sqrt(var+eps) *)
+  mutable norm_x : Tensor.t option;
 }
 
 type t =
@@ -33,12 +32,6 @@ type t =
       mstride : int;
       mutable mcache : (int array * int array) option; (* x shape, switches *)
     }
-  | Avg_pool of {
-      asize : int;
-      astride : int;
-      mutable acache : int array option; (* x shape *)
-    }
-  | Global_avg_pool of { mutable gcache : int array option }
   | Flatten of { mutable fcache : int array option }
   | Norm of norm
   | Residual of { body : t; projection : t option }
@@ -83,11 +76,6 @@ let max_pool ?stride ~size () =
   let stride = match stride with None -> size | Some s -> s in
   Max_pool { msize = size; mstride = stride; mcache = None }
 
-let avg_pool ?stride ~size () =
-  let stride = match stride with None -> size | Some s -> s in
-  Avg_pool { asize = size; astride = stride; acache = None }
-
-let global_avg_pool () = Global_avg_pool { gcache = None }
 let flatten () = Flatten { fcache = None }
 
 let channel_norm ~channels =
@@ -95,7 +83,7 @@ let channel_norm ~channels =
     {
       gamma = Param.create "norm.gamma" (Tensor.ones [| channels |]);
       beta = Param.create "norm.beta" (Tensor.zeros [| channels |]);
-      norm_cache = None;
+      norm_x = None;
     }
 
 let sequential layers = Seq layers
@@ -116,18 +104,26 @@ let need name = function
   | Some v -> v
   | None -> failwith ("Layer.backward(" ^ name ^ "): no cached forward pass")
 
-(* Forward *)
+(* Forward: each parametric op runs the float64 batch kernel the boxed
+   plan runs, on a one-image view ([Tensor.reshape] shares storage). *)
+
+let batch1 x = Tensor.reshape x (Array.append [| 1 |] (Tensor.shape x))
+
+let unbatch1 y =
+  let s = Tensor.shape y in
+  Tensor.reshape y (Array.sub s 1 (Array.length s - 1))
 
 let rec forward ?(train = false) layer x =
   match layer with
   | Conv c ->
       if train then c.conv_x <- Some x;
-      Tensor.conv2d ~stride:c.stride ~pad:c.pad x ~weight:c.cw.value
-        ~bias:(Some c.cb.value)
+      unbatch1
+        (Tensor.conv2d_gemm_batch ~stride:c.stride ~pad:c.pad (batch1 x)
+           ~weight:c.cw.value ~bias:(Some c.cb.value))
   | Dense d ->
       if train then d.dense_x <- Some x;
-      let y = Tensor.matvec d.dw.value x in
-      Tensor.add y d.db.value
+      unbatch1
+        (Tensor.dense_batch (batch1 x) ~weight:d.dw.value ~bias:d.db.value)
   | Relu r ->
       if train then r.relu_x <- Some x;
       Tensor.relu x
@@ -135,16 +131,14 @@ let rec forward ?(train = false) layer x =
       let y, switches = Tensor.max_pool2d ~stride:p.mstride ~size:p.msize x in
       if train then p.mcache <- Some (Tensor.shape x, switches);
       y
-  | Avg_pool p ->
-      if train then p.acache <- Some (Tensor.shape x);
-      Tensor.avg_pool2d ~stride:p.astride ~size:p.asize x
-  | Global_avg_pool p ->
-      if train then p.gcache <- Some (Tensor.shape x);
-      Tensor.global_avg_pool x
   | Flatten f ->
       if train then f.fcache <- Some (Tensor.shape x);
       Tensor.flatten x
-  | Norm n -> forward_norm ~train n x
+  | Norm n ->
+      if train then n.norm_x <- Some x;
+      unbatch1
+        (Tensor.channel_norm_batch ~gamma:n.gamma.value ~beta:n.beta.value
+           ~eps:norm_eps (batch1 x))
   | Residual { body; projection } ->
       let skip =
         match projection with None -> x | Some p -> forward ~train p x
@@ -153,48 +147,14 @@ let rec forward ?(train = false) layer x =
   | Inception i ->
       let outs = List.map (fun b -> forward ~train b x) i.branches in
       if train then i.icache <- Some (List.map (fun o -> Tensor.dim o 0) outs);
-      Tensor.concat_channels outs
+      unbatch1 (Tensor.concat_channels_batch (List.map batch1 outs))
   | Seq layers -> List.fold_left (fun acc l -> forward ~train l acc) x layers
   | Dense_block b ->
       List.fold_left
         (fun feat conv ->
           let y = forward ~train conv feat in
-          Tensor.concat_channels [ feat; y ])
+          unbatch1 (Tensor.concat_channels_batch [ batch1 feat; batch1 y ]))
         x b.convs
-
-and forward_norm ~train n x =
-  if Tensor.ndim x <> 3 then
-    invalid_arg "Layer.channel_norm: expected a CHW tensor";
-  let c = Tensor.dim x 0 and h = Tensor.dim x 1 and w = Tensor.dim x 2 in
-  let m = float_of_int (h * w) in
-  let mu = Array.make c 0. and inv_std = Array.make c 0. in
-  let y = Tensor.zeros [| c; h; w |] in
-  (* Hot inference path: offsets are in bounds by construction. *)
-  let xd = x.Tensor.data and yd = y.Tensor.data in
-  for ch = 0 to c - 1 do
-    let off = ch * h * w in
-    let acc = ref 0. in
-    for i = 0 to (h * w) - 1 do
-      acc := !acc +. Array.unsafe_get xd (off + i)
-    done;
-    let mean = !acc /. m in
-    let vacc = ref 0. in
-    for i = 0 to (h * w) - 1 do
-      let d = Array.unsafe_get xd (off + i) -. mean in
-      vacc := !vacc +. (d *. d)
-    done;
-    let istd = 1. /. sqrt ((!vacc /. m) +. norm_eps) in
-    mu.(ch) <- mean;
-    inv_std.(ch) <- istd;
-    let gam = Tensor.get_flat n.gamma.value ch
-    and bet = Tensor.get_flat n.beta.value ch in
-    for i = 0 to (h * w) - 1 do
-      let xhat = (Array.unsafe_get xd (off + i) -. mean) *. istd in
-      Array.unsafe_set yd (off + i) ((gam *. xhat) +. bet)
-    done
-  done;
-  if train then n.norm_cache <- Some (x, mu, inv_std);
-  y
 
 (* Cache management *)
 
@@ -203,10 +163,8 @@ let rec clear_caches = function
   | Dense d -> d.dense_x <- None
   | Relu r -> r.relu_x <- None
   | Max_pool p -> p.mcache <- None
-  | Avg_pool p -> p.acache <- None
-  | Global_avg_pool p -> p.gcache <- None
   | Flatten f -> f.fcache <- None
-  | Norm n -> n.norm_cache <- None
+  | Norm n -> n.norm_x <- None
   | Residual { body; projection } ->
       clear_caches body;
       Option.iter clear_caches projection
@@ -225,8 +183,6 @@ type view =
   | V_dense of { weight : Tensor.t; bias : Tensor.t }
   | V_relu
   | V_max_pool of { size : int; stride : int }
-  | V_avg_pool of { size : int; stride : int }
-  | V_global_avg_pool
   | V_flatten
   | V_norm of { gamma : Tensor.t; beta : Tensor.t }
   | V_residual of { body : t; projection : t option }
@@ -241,8 +197,6 @@ let view = function
   | Dense d -> V_dense { weight = d.dw.value; bias = d.db.value }
   | Relu _ -> V_relu
   | Max_pool p -> V_max_pool { size = p.msize; stride = p.mstride }
-  | Avg_pool p -> V_avg_pool { size = p.asize; stride = p.astride }
-  | Global_avg_pool _ -> V_global_avg_pool
   | Flatten _ -> V_flatten
   | Norm n -> V_norm { gamma = n.gamma.value; beta = n.beta.value }
   | Residual { body; projection } -> V_residual { body; projection }
@@ -274,12 +228,6 @@ let rec backward layer dout =
   | Max_pool p ->
       let x_shape, switches = need "max_pool" p.mcache in
       Tensor.max_pool2d_backward ~x_shape ~switches dout
-  | Avg_pool p ->
-      let x_shape = need "avg_pool" p.acache in
-      Tensor.avg_pool2d_backward ~stride:p.astride ~size:p.asize ~x_shape dout
-  | Global_avg_pool p ->
-      let x_shape = need "global_avg_pool" p.gcache in
-      Tensor.global_avg_pool_backward ~x_shape dout
   | Flatten f ->
       let x_shape = need "flatten" f.fcache in
       Tensor.reshape dout x_shape
@@ -315,11 +263,8 @@ let rec backward layer dout =
       !dfeat
 
 and backward_norm n dout =
-  let x, mu, inv_std =
-    match n.norm_cache with
-    | Some v -> v
-    | None -> failwith "Layer.backward(channel_norm): no cached forward pass"
-  in
+  let x = need "channel_norm" n.norm_x in
+  let mu, inv_std = Tensor.channel_stats ~eps:norm_eps (batch1 x) in
   let c = Tensor.dim x 0 and h = Tensor.dim x 1 and w = Tensor.dim x 2 in
   let m = float_of_int (h * w) in
   let dx = Tensor.zeros [| c; h; w |] in
@@ -359,7 +304,7 @@ let rec params = function
   | Conv c -> [ c.cw; c.cb ]
   | Dense d -> [ d.dw; d.db ]
   | Norm n -> [ n.gamma; n.beta ]
-  | Relu _ | Max_pool _ | Avg_pool _ | Global_avg_pool _ | Flatten _ -> []
+  | Relu _ | Max_pool _ | Flatten _ -> []
   | Residual { body; projection } ->
       params body
       @ (match projection with None -> [] | Some p -> params p)
@@ -379,8 +324,6 @@ let rec describe = function
       Printf.sprintf "dense(%d->%d)" s.(1) s.(0)
   | Relu _ -> "relu"
   | Max_pool p -> Printf.sprintf "max_pool(%d,s%d)" p.msize p.mstride
-  | Avg_pool p -> Printf.sprintf "avg_pool(%d,s%d)" p.asize p.astride
-  | Global_avg_pool _ -> "global_avg_pool"
   | Flatten _ -> "flatten"
   | Norm n -> Printf.sprintf "channel_norm(%d)" (Tensor.numel n.gamma.value)
   | Residual { body; projection } ->
@@ -429,13 +372,6 @@ let rec output_shape layer in_shape =
         conv_out_dim in_shape.(1) p.msize p.mstride 0;
         conv_out_dim in_shape.(2) p.msize p.mstride 0;
       |]
-  | Avg_pool p ->
-      [|
-        in_shape.(0);
-        conv_out_dim in_shape.(1) p.asize p.astride 0;
-        conv_out_dim in_shape.(2) p.asize p.astride 0;
-      |]
-  | Global_avg_pool _ -> [| in_shape.(0) |]
   | Flatten _ -> [| Array.fold_left ( * ) 1 in_shape |]
   | Norm _ -> Array.copy in_shape
   | Residual { body; projection } ->

@@ -1,10 +1,10 @@
 (** Neural-network layers with explicit forward and backward passes.
 
     Each layer is a mutable value: [forward] caches whatever the matching
-    [backward] call needs (inputs, pooling switches, normalization
-    statistics), and [backward] both returns the gradient with respect to
-    the layer input and accumulates parameter gradients into the layer's
-    {!Param.t} records.
+    [backward] call needs (inputs, pooling switches), and [backward]
+    both returns the gradient with respect to the layer input and
+    accumulates parameter gradients into the layer's {!Param.t}
+    records.
 
     The composite layers ({!residual}, {!inception}) embed sub-layer
     stacks, which is how the ResNet-, GoogLeNet- and DenseNet-style
@@ -29,8 +29,6 @@ val dense : Prng.t -> in_dim:int -> out_dim:int -> unit -> t
 
 val relu : unit -> t
 val max_pool : ?stride:int -> size:int -> unit -> t
-val avg_pool : ?stride:int -> size:int -> unit -> t
-val global_avg_pool : unit -> t
 val flatten : unit -> t
 
 val channel_norm : channels:int -> t
@@ -60,9 +58,10 @@ val dense_block : Prng.t -> in_c:int -> growth:int -> layers:int -> unit -> t
 val forward : ?train:bool -> t -> Tensor.t -> Tensor.t
 (** [forward ~train layer x].  With [~train:true] (default [false]) the
     layer caches what [backward] needs; with [~train:false] the caches
-    are neither read nor written.  The inference pass runs the direct
-    (non-GEMM) kernels one image at a time: it is the independent
-    reference the compiled plans of {!Backend} are tested against. *)
+    are neither read nor written.  Conv, dense, channel norm and concat
+    run the float64 batch kernels of {!Tensor} (the ones the boxed plan
+    of {!Backend} runs) on a one-image view, so a single-image forward
+    and a boxed-plan row are the same arithmetic. *)
 
 val clear_caches : t -> unit
 (** Drop all cached forward-pass intermediates (recursively).  Training
@@ -84,8 +83,6 @@ type view =
   | V_dense of { weight : Tensor.t; bias : Tensor.t }
   | V_relu
   | V_max_pool of { size : int; stride : int }
-  | V_avg_pool of { size : int; stride : int }
-  | V_global_avg_pool
   | V_flatten
   | V_norm of { gamma : Tensor.t; beta : Tensor.t }
   | V_residual of { body : t; projection : t option }

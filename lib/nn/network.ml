@@ -20,9 +20,10 @@ let create ~name ~input_shape ~num_classes layers =
          num_classes);
   { name; input_shape = Array.copy input_shape; num_classes; stack }
 
-(* Single-image inference: the direct layer loops.  All oracle
-   inference runs through the compiled plans of [Backend] instead; this
-   path is the reference they are tested against. *)
+(* Single-image inference on the boxed plan's float64 kernels.  All
+   oracle inference runs through the compiled plans of [Backend]
+   instead; a boxed plan checked against this path checks the plan
+   compiler. *)
 let logits t x = Layer.forward ~train:false t.stack x
 let scores t x = Tensor.softmax (logits t x)
 let classify t x = Tensor.argmax (logits t x)

@@ -22,11 +22,13 @@ val create :
 val logits : t -> Tensor.t -> Tensor.t
 (** Inference-mode forward pass of one CHW image ([Layer.forward
     ~train:false], no caches retained).  Oracles score through the
-    compiled plans of {!Backend} instead; this direct path is the
-    reference those plans are tested against. *)
+    compiled plans of {!Backend} instead.  This path runs the boxed
+    plan's float64 kernels on one image, so checking a boxed plan against
+    it checks the plan compiler: layer walk, fusion and batching. *)
 
 val scores : t -> Tensor.t -> Tensor.t
-(** [softmax (logits t x)]: the paper's score vector [N(x)]. *)
+(** [Tensor.softmax (logits t x)] (the plans' {!Tensor.softmax_rows} on
+    one row): the paper's score vector [N(x)]. *)
 
 val classify : t -> Tensor.t -> int
 (** [argmax (logits t x)]. *)

@@ -1,70 +1,32 @@
-type state = {
-  mutable m : Tensor.t; (* momentum / first moment *)
-  mutable v : Tensor.t; (* second moment (adam only) *)
-}
-
-type kind =
-  | Sgd of { momentum : float }
-  | Adam of { beta1 : float; beta2 : float; eps : float; mutable steps : int }
-
 type t = {
-  kind : kind;
+  momentum : float;
   weight_decay : float;
   mutable rate : float;
-  (* Keyed by physical identity of the parameter's value tensor. *)
-  mutable slots : (Param.t * state) list;
+  (* Momentum buffers, keyed by physical identity of the parameter. *)
+  mutable slots : (Param.t * Tensor.t) list;
 }
 
 let sgd ?(momentum = 0.9) ?(weight_decay = 0.) ~lr () =
-  { kind = Sgd { momentum }; weight_decay; rate = lr; slots = [] }
-
-let adam ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) ?(weight_decay = 0.)
-    ~lr () =
-  { kind = Adam { beta1; beta2; eps; steps = 0 }; weight_decay; rate = lr;
-    slots = [] }
+  { momentum; weight_decay; rate = lr; slots = [] }
 
 let slot t (p : Param.t) =
   match List.find_opt (fun (q, _) -> q == p) t.slots with
-  | Some (_, s) -> s
+  | Some (_, m) -> m
   | None ->
-      let s =
-        {
-          m = Tensor.zeros (Tensor.shape p.value);
-          v = Tensor.zeros (Tensor.shape p.value);
-        }
-      in
-      t.slots <- (p, s) :: t.slots;
-      s
+      let m = Tensor.zeros (Tensor.shape p.value) in
+      t.slots <- (p, m) :: t.slots;
+      m
 
 let step t params =
-  (match t.kind with Adam a -> a.steps <- a.steps + 1 | Sgd _ -> ());
   List.iter
     (fun (p : Param.t) ->
       if t.weight_decay > 0. then
         Tensor.axpy ~alpha:t.weight_decay p.value p.grad;
-      let s = slot t p in
-      match t.kind with
-      | Sgd { momentum } ->
-          (* m <- momentum*m + grad; value <- value - lr*m *)
-          Tensor.scale_inplace momentum s.m;
-          Tensor.add_inplace s.m p.grad;
-          Tensor.axpy ~alpha:(-.t.rate) s.m p.value
-      | Adam { beta1; beta2; eps; steps } ->
-          Tensor.scale_inplace beta1 s.m;
-          Tensor.axpy ~alpha:(1. -. beta1) p.grad s.m;
-          Tensor.scale_inplace beta2 s.v;
-          let g2 = Tensor.mul p.grad p.grad in
-          Tensor.axpy ~alpha:(1. -. beta2) g2 s.v;
-          let bc1 = 1. -. (beta1 ** float_of_int steps)
-          and bc2 = 1. -. (beta2 ** float_of_int steps) in
-          let n = Tensor.numel p.value in
-          for i = 0 to n - 1 do
-            let mhat = Tensor.get_flat s.m i /. bc1 in
-            let vhat = Tensor.get_flat s.v i /. bc2 in
-            Tensor.set_flat p.value i
-              (Tensor.get_flat p.value i
-              -. (t.rate *. mhat /. (sqrt vhat +. eps)))
-          done)
+      (* m <- momentum*m + grad; value <- value - lr*m *)
+      let m = slot t p in
+      Tensor.scale_inplace t.momentum m;
+      Tensor.add_inplace m p.grad;
+      Tensor.axpy ~alpha:(-.t.rate) m p.value)
     params
 
 let set_lr t lr = t.rate <- lr

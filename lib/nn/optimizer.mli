@@ -1,4 +1,4 @@
-(** First-order optimizers over {!Param.t} lists.
+(** Stochastic gradient descent over {!Param.t} lists.
 
     The usual protocol per minibatch: zero all gradients, accumulate
     per-sample gradients via the layers' backward passes, then call
@@ -7,18 +7,13 @@
 type t
 
 val sgd : ?momentum:float -> ?weight_decay:float -> lr:float -> unit -> t
-(** Stochastic gradient descent with classical momentum and decoupled L2
-    weight decay.  Defaults: [momentum = 0.9], [weight_decay = 0.]. *)
-
-val adam :
-  ?beta1:float -> ?beta2:float -> ?eps:float -> ?weight_decay:float ->
-  lr:float -> unit -> t
-(** Adam (Kingma & Ba, 2015) with bias correction.  Defaults:
-    [beta1 = 0.9], [beta2 = 0.999], [eps = 1e-8], [weight_decay = 0.]. *)
+(** Stochastic gradient descent with classical momentum and L2 weight
+    decay (added to the gradient before the momentum update).
+    Defaults: [momentum = 0.9], [weight_decay = 0.]. *)
 
 val step : t -> Param.t list -> unit
 (** Apply one update using the gradients currently stored in each param.
-    Optimizer state (momentum / moment estimates) is keyed by the physical
+    Optimizer state (the momentum buffers) is keyed by the physical
     identity of each parameter, so the same optimizer value must be reused
     across steps. *)
 

@@ -1,40 +1,23 @@
-type report = {
-  epoch : int;
-  train_loss : float;
-  train_acc : float;
-  test_acc : float option;
-}
+type report = { epoch : int; train_loss : float; train_acc : float }
 
 type config = {
   epochs : int;
   batch_size : int;
   optimizer : Optimizer.t;
-  lr_decay : float;
   augment : Augment.policy;
-  log : report -> unit;
 }
 
-let default_config ?(log = fun _ -> ()) () =
+let default_config () =
   {
     epochs = 8;
     batch_size = 16;
     optimizer = Optimizer.sgd ~momentum:0.9 ~weight_decay:1e-4 ~lr:0.05 ();
-    lr_decay = 0.85;
     augment = Augment.none;
-    log;
   }
 
-let evaluate_loss net samples =
-  if Array.length samples = 0 then invalid_arg "Train.evaluate_loss: no samples";
-  let total =
-    Array.fold_left
-      (fun acc (x, label) ->
-        acc +. Tensor.cross_entropy (Network.logits net x) label)
-      0. samples
-  in
-  total /. float_of_int (Array.length samples)
+let lr_decay = 0.85
 
-let fit ?config ?test g net train =
+let fit ?config g net train =
   let config = match config with Some c -> c | None -> default_config () in
   if Array.length train = 0 then invalid_arg "Train.fit: empty training set";
   let params = Network.params net in
@@ -67,21 +50,17 @@ let fit ?config ?test g net train =
       Optimizer.step config.optimizer params;
       i := batch_end
     done;
-    Optimizer.set_lr config.optimizer
-      (Optimizer.lr config.optimizer *. config.lr_decay);
-    let report =
+    Optimizer.set_lr config.optimizer (Optimizer.lr config.optimizer *. lr_decay);
+    reports :=
       {
         epoch;
         train_loss = !loss_sum /. float_of_int n;
         train_acc = float_of_int !correct /. float_of_int n;
-        test_acc = Option.map (Network.accuracy net) test;
       }
-    in
-    config.log report;
-    reports := report :: !reports
+      :: !reports
   done;
   (* Training leaves each layer's last forward-pass intermediates cached
-     (inputs, switches, norm stats) — dead weight for the inference-only
+     (inputs, switches, norm inputs) — dead weight for the inference-only
      attack workloads that follow. *)
   Network.clear_caches net;
   List.rev !reports

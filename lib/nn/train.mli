@@ -1,35 +1,21 @@
 (** Cross-entropy training loop. *)
 
-type report = {
-  epoch : int;
-  train_loss : float;
-  train_acc : float;
-  test_acc : float option;
-}
+type report = { epoch : int; train_loss : float; train_acc : float }
 
 type config = {
   epochs : int;
   batch_size : int;
   optimizer : Optimizer.t;
-  lr_decay : float;  (** multiply the learning rate by this after each epoch *)
   augment : Augment.policy;  (** per-sample training augmentation *)
-  log : report -> unit;  (** called once per epoch *)
 }
 
-val default_config : ?log:(report -> unit) -> unit -> config
+val default_config : unit -> config
 (** 8 epochs, batch 16, SGD momentum 0.9 / lr 0.05 / weight decay 1e-4,
-    decay 0.85, no augmentation, silent log. *)
+    no augmentation.  A fresh optimizer per call: its state is mutable. *)
 
 val fit :
-  ?config:config ->
-  ?test:(Tensor.t * int) array ->
-  Prng.t ->
-  Network.t ->
-  (Tensor.t * int) array ->
-  report list
+  ?config:config -> Prng.t -> Network.t -> (Tensor.t * int) array -> report list
 (** [fit g net train] trains in place and returns the per-epoch reports in
-    chronological order.  Shuffling uses [g]; with equal seeds the run is
+    chronological order.  The learning rate decays by a factor 0.85
+    after each epoch.  Shuffling uses [g]; with equal seeds the run is
     fully deterministic. *)
-
-val evaluate_loss : Network.t -> (Tensor.t * int) array -> float
-(** Mean cross-entropy over a sample set (inference mode). *)

@@ -39,10 +39,11 @@ val of_network :
     ({!eval_batch}, {!Batcher}) as one forward over
     the whole chunk, single queries as a batch of one.  [?backend]
     (default [Boxed]) selects the tensor engine: [Boxed] is
-    {!Nn.Backend.Boxed_engine}, bit-identical to the direct
-    {!Nn.Network.scores}; [F32] is the float32 Bigarray plan
-    ({!Nn.Backend.F32_engine}) — identical argmax/success/query
-    behaviour within {!Nn.Backend.score_tol} per score.  [?pool] (f32
+    {!Nn.Backend.Boxed_engine}, bit-identical to the single-image
+    {!Nn.Network.scores} (the same float64 kernels); [F32] is the
+    float32 Bigarray plan ({!Nn.Backend.F32_engine}) — identical
+    argmax/success/query behaviour within {!Nn.Backend.score_tol} per
+    score.  [?pool] (f32
     only) lets the GEMM dispatch row panels onto an idle domain pool;
     query accounting is independent of both knobs. *)
 

@@ -29,7 +29,6 @@ let of_array shape data =
             (shape_to_string shape) (product shape) (Array.length data)));
   { shape = Array.copy shape; data }
 
-let scalar v = { shape = [||]; data = [| v |] }
 let copy t = { shape = Array.copy t.shape; data = Array.copy t.data }
 
 let randn g ?(mu = 0.) ?(sigma = 1.) shape =
@@ -95,12 +94,8 @@ let map2 f a b =
   { shape = Array.copy a.shape; data = Array.map2 f a.data b.data }
 
 let add a b = map2 ( +. ) a b
-let sub a b = map2 ( -. ) a b
-let mul a b = map2 ( *. ) a b
-let div a b = map2 ( /. ) a b
 let scale k t = map (fun v -> k *. v) t
 let add_scalar k t = map (fun v -> k +. v) t
-let neg t = map (fun v -> -.v) t
 (* Specialized (not [map]-based): polymorphic [Array.map] boxes every
    float on its way through the closure, which makes relu a measurable
    slice of inference.  [Array.make] zero-fills, so only positive
@@ -114,9 +109,6 @@ let relu t =
     if v > 0. then Array.unsafe_set out i v
   done;
   { shape = Array.copy t.shape; data = out }
-
-let clip ~lo ~hi t =
-  map (fun v -> if v < lo then lo else if v > hi then hi else v) t
 
 let add_inplace dst src =
   if not (same_shape dst src) then fail_shape "add_inplace" dst.shape src.shape;
@@ -178,11 +170,6 @@ let dot a b =
   !acc
 
 let sq_norm t = dot t t
-let l1_norm t = Array.fold_left (fun acc v -> acc +. Float.abs v) 0. t.data
-
-let linf_norm t =
-  Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. t.data
-
 (* Linear algebra *)
 
 let check_rank name t r =
@@ -343,8 +330,8 @@ let matmul_nt a b =
   let out = zeros [| m; n |] in
   let ad = a.data and bd = b.data and od = out.data in
   (* Dot-product formulation: out[i, j] = Σ_p b[j, p] * a[i, p], with the
-     reduction in ascending-[p] order so a row of the result is bit-equal
-     to [matvec b a_row] (multiplication commutes bitwise in IEEE754). *)
+     reduction in ascending-[p] order, so a row of the result does not
+     depend on how many rows [a] has. *)
   for i = 0 to m - 1 do
     let aoff = i * k and ooff = i * n in
     for j = 0 to n - 1 do
@@ -363,8 +350,8 @@ let matmul_nt a b =
 (* Batched dense layer: rows of [x] are images, [weight] is
    [out_dim; in_dim], [bias] is added per output element AFTER the
    matmul_nt reduction.  Every tensor backend (boxed and unboxed alike)
-   shares this one definition of the dense-layer arithmetic; row [i] is
-   bit-equal to [add (matvec weight x_i) bias]. *)
+   shares this one definition of the dense-layer arithmetic, and
+   [Layer.forward] runs it on a batch of one. *)
 let dense_batch x ~weight ~bias =
   let y = matmul_nt x weight in
   let n = y.shape.(0) and out_dim = y.shape.(1) in
@@ -377,22 +364,6 @@ let dense_batch x ~weight ~bias =
     done
   done;
   y
-
-let matvec a x =
-  check_rank "matvec" a 2;
-  check_rank "matvec" x 1;
-  let m = a.shape.(0) and k = a.shape.(1) in
-  if k <> x.shape.(0) then fail_shape "matvec" a.shape x.shape;
-  let out = zeros [| m |] in
-  let ad = a.data and xd = x.data and od = out.data in
-  for i = 0 to m - 1 do
-    let acc = ref 0. and off = i * k in
-    for p = 0 to k - 1 do
-      acc := !acc +. (Array.unsafe_get ad (off + p) *. Array.unsafe_get xd p)
-    done;
-    od.(i) <- !acc
-  done;
-  out
 
 let matvec_t a y =
   check_rank "matvec_t" a 2;
@@ -431,56 +402,9 @@ let transpose a =
       let r = i / m and c = i mod m in
       a.data.((c * n) + r))
 
-(* Convolution: direct cross-correlation on CHW tensors. *)
+(* Convolution: cross-correlation via im2col + GEMM. *)
 
 let conv_out_dim size k stride pad = ((size + (2 * pad) - k) / stride) + 1
-
-let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
-  check_rank "conv2d" x 3;
-  check_rank "conv2d" weight 4;
-  let in_c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  let out_c = weight.shape.(0)
-  and win_c = weight.shape.(1)
-  and kh = weight.shape.(2)
-  and kw = weight.shape.(3) in
-  if in_c <> win_c then fail_shape "conv2d" x.shape weight.shape;
-  let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
-  if oh <= 0 || ow <= 0 then
-    invalid_arg "Tensor.conv2d: kernel larger than padded input";
-  let out = zeros [| out_c; oh; ow |] in
-  let xd = x.data and wd = weight.data and od = out.data in
-  (* Hot path: indices below are in bounds by the loop structure (every
-     access is guarded by the iy/ix range checks), so unsafe accesses are
-     used to keep inference fast — this loop dominates attack runtime. *)
-  for oc = 0 to out_c - 1 do
-    let b = match bias with None -> 0. | Some bt -> bt.data.(oc) in
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        let acc = ref b in
-        let iy0 = (oy * stride) - pad and ix0 = (ox * stride) - pad in
-        for ic = 0 to in_c - 1 do
-          let xoff = ic * h * w
-          and woff = (((oc * in_c) + ic) * kh) * kw in
-          for ky = 0 to kh - 1 do
-            let iy = iy0 + ky in
-            if iy >= 0 && iy < h then begin
-              let xrow = xoff + (iy * w) and wrow = woff + (ky * kw) in
-              let kx0 = if ix0 < 0 then -ix0 else 0 in
-              let kx1 = if ix0 + kw > w then w - ix0 - 1 else kw - 1 in
-              for kx = kx0 to kx1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get xd (xrow + ix0 + kx)
-                     *. Array.unsafe_get wd (wrow + kx))
-              done
-            end
-          done
-        done;
-        Array.unsafe_set od ((((oc * oh) + oy) * ow) + ox) !acc
-      done
-    done
-  done;
-  out
 
 (* Truncating integer division rounds toward zero; these round toward
    -inf / +inf for the (possibly negative) padded-coordinate algebra. *)
@@ -551,27 +475,6 @@ let im2col ?(stride = 1) ?(pad = 0) ~kh ~kw x =
     ~col_off:0 ~xoff:0 x.data out.data;
   out
 
-let im2col_batch ?(stride = 1) ?(pad = 0) ~kh ~kw x =
-  check_rank "im2col_batch" x 4;
-  let n = x.shape.(0)
-  and in_c = x.shape.(1)
-  and h = x.shape.(2)
-  and w = x.shape.(3) in
-  let oh = conv_out_dim h kh stride pad and ow = conv_out_dim w kw stride pad in
-  if oh <= 0 || ow <= 0 then
-    invalid_arg "Tensor.im2col_batch: kernel larger than padded input";
-  let rows = in_c * kh * kw and cols = oh * ow in
-  let out = zeros [| rows; n * cols |] in
-  (* One shared patch matrix for the whole batch: image [img] owns the
-     column block [img*oh*ow, (img+1)*oh*ow). *)
-  let image = in_c * h * w in
-  for img = 0 to n - 1 do
-    im2col_into ~stride ~pad ~kh ~kw ~in_c ~h ~w ~oh ~ow
-      ~total_cols:(n * cols) ~col_off:(img * cols) ~xoff:(img * image) x.data
-      out.data
-  done;
-  out
-
 (* Per-domain scratch for the batched conv GEMM path.  The per-image
    patch matrix is short-lived but sizable (tens of KB per conv call),
    so allocating it fresh per call hammers the major heap — it exceeds
@@ -609,11 +512,10 @@ let conv2d_gemm_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
      straight into the output tensor (no flat buffer, no scatter pass),
      and the panel plus the weights stay cache-resident across the
      back-to-back per-image GEMMs instead of streaming megabytes per
-     chunk.  Per-element accumulation is still bias-seeded then
-     ascending-[p], so results are bit-identical to [conv2d] and
-     independent of the batch width.  im2col writes every panel position
-     (padding as explicit zeros), so the reused scratch needs no
-     re-zeroing pass. *)
+     chunk.  Per-element accumulation is bias-seeded then ascending-[p],
+     so results are independent of the batch width.  im2col writes every
+     panel position (padding as explicit zeros), so the reused scratch
+     needs no re-zeroing pass. *)
   let patches = scratch col_scratch (kk * cols) in
   let out = zeros [| n; out_c; oh; ow |] in
   let ostride = out_c * cols in
@@ -725,72 +627,6 @@ let max_pool2d_backward ~x_shape ~switches dout =
   done;
   dx
 
-let avg_pool2d ?stride ~size x =
-  check_rank "avg_pool2d" x 3;
-  let stride = match stride with None -> size | Some s -> s in
-  let c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  let oh = conv_out_dim h size stride 0 and ow = conv_out_dim w size stride 0 in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.avg_pool2d: window too large";
-  let out = zeros [| c; oh; ow |] in
-  let inv = 1. /. float_of_int (size * size) in
-  let xd = x.data and od = out.data in
-  for ch = 0 to c - 1 do
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        let acc = ref 0. in
-        for ky = 0 to size - 1 do
-          for kx = 0 to size - 1 do
-            let iy = (oy * stride) + ky and ix = (ox * stride) + kx in
-            if iy < h && ix < w then acc := !acc +. xd.((((ch * h) + iy) * w) + ix)
-          done
-        done;
-        od.((((ch * oh) + oy) * ow) + ox) <- !acc *. inv
-      done
-    done
-  done;
-  out
-
-let avg_pool2d_backward ?stride ~size ~x_shape dout =
-  let stride = match stride with None -> size | Some s -> s in
-  let c = x_shape.(0) and h = x_shape.(1) and w = x_shape.(2) in
-  let oh = dout.shape.(1) and ow = dout.shape.(2) in
-  let dx = zeros x_shape in
-  let inv = 1. /. float_of_int (size * size) in
-  let dod = dout.data and dxd = dx.data in
-  for ch = 0 to c - 1 do
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        let g = dod.((((ch * oh) + oy) * ow) + ox) *. inv in
-        for ky = 0 to size - 1 do
-          for kx = 0 to size - 1 do
-            let iy = (oy * stride) + ky and ix = (ox * stride) + kx in
-            if iy < h && ix < w then begin
-              let idx = (((ch * h) + iy) * w) + ix in
-              dxd.(idx) <- dxd.(idx) +. g
-            end
-          done
-        done
-      done
-    done
-  done;
-  dx
-
-let global_avg_pool x =
-  check_rank "global_avg_pool" x 3;
-  let c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  let inv = 1. /. float_of_int (h * w) in
-  init [| c |] (fun ch ->
-      let acc = ref 0. and off = ch * h * w in
-      for i = 0 to (h * w) - 1 do
-        acc := !acc +. x.data.(off + i)
-      done;
-      !acc *. inv)
-
-let global_avg_pool_backward ~x_shape dout =
-  let h = x_shape.(1) and w = x_shape.(2) in
-  let inv = 1. /. float_of_int (h * w) in
-  init x_shape (fun i -> dout.data.(i / (h * w)) *. inv)
-
 (* Batched (NCHW) pooling: pooling acts per channel plane, so an NCHW
    batch folds to [(n*c); h; w], runs the single-image kernel, and
    unfolds.  Kept here so every tensor backend composes the identical
@@ -809,43 +645,50 @@ let max_pool2d_batch ?stride ~size x =
   let y, _ = max_pool2d ?stride ~size folded in
   reshape y [| n; c; y.shape.(1); y.shape.(2) |]
 
-let avg_pool2d_batch ?stride ~size x =
-  let n, c, folded = fold_nc "avg_pool2d_batch" x in
-  let y = avg_pool2d ?stride ~size folded in
-  reshape y [| n; c; y.shape.(1); y.shape.(2) |]
-
-let global_avg_pool_batch x =
-  let n, c, folded = fold_nc "global_avg_pool_batch" x in
-  reshape (global_avg_pool folded) [| n; c |]
-
-(* Batched per-channel normalization over an NCHW tensor: each (image,
-   channel) plane is standardized by its own mean and variance, then
-   scaled/shifted by the per-channel [gamma]/[beta].  The plane of index
-   [p] belongs to channel [p mod c].  Reductions run in ascending index
-   order, so each image's planes are bit-equal to the single-image
-   normalization. *)
-let channel_norm_batch ~gamma ~beta ~eps x =
-  let nb, c, h, w = nchw "channel_norm_batch" x in
-  if gamma.shape.(0) <> c || beta.shape.(0) <> c then
-    fail_shape "channel_norm_batch" x.shape gamma.shape;
-  let m = float_of_int (h * w) in
-  let y = zeros [| nb; c; h; w |] in
-  let xd = x.data and yd = y.data in
+(* Per-plane statistics of an NCHW tensor: plane [p] (image [p / c],
+   channel [p mod c]) gets its mean and [1/sqrt(var + eps)].  Reductions
+   run in ascending index order, so an image's statistics do not depend
+   on the rest of the batch.  The one copy of this loop: the forward
+   normalization and [Layer]'s backward pass both read it. *)
+let channel_stats ~eps x =
+  let nb, c, h, w = nchw "channel_stats" x in
+  let hw = h * w in
+  let m = float_of_int hw in
+  let mu = Array.make (nb * c) 0. and inv_std = Array.make (nb * c) 0. in
+  let xd = x.data in
   for plane = 0 to (nb * c) - 1 do
-    let off = plane * h * w and ch = plane mod c in
+    let off = plane * hw in
     let acc = ref 0. in
-    for i = 0 to (h * w) - 1 do
+    for i = 0 to hw - 1 do
       acc := !acc +. Array.unsafe_get xd (off + i)
     done;
     let mean = !acc /. m in
     let vacc = ref 0. in
-    for i = 0 to (h * w) - 1 do
+    for i = 0 to hw - 1 do
       let d = Array.unsafe_get xd (off + i) -. mean in
       vacc := !vacc +. (d *. d)
     done;
-    let istd = 1. /. sqrt ((!vacc /. m) +. eps) in
+    mu.(plane) <- mean;
+    inv_std.(plane) <- 1. /. sqrt ((!vacc /. m) +. eps)
+  done;
+  (mu, inv_std)
+
+(* Batched per-channel normalization: each (image, channel) plane is
+   standardized by its own [channel_stats], then scaled/shifted by the
+   per-channel [gamma]/[beta]. *)
+let channel_norm_batch ~gamma ~beta ~eps x =
+  let nb, c, h, w = nchw "channel_norm_batch" x in
+  if gamma.shape.(0) <> c || beta.shape.(0) <> c then
+    fail_shape "channel_norm_batch" x.shape gamma.shape;
+  let mu, inv_std = channel_stats ~eps x in
+  let hw = h * w in
+  let y = zeros [| nb; c; h; w |] in
+  let xd = x.data and yd = y.data in
+  for plane = 0 to (nb * c) - 1 do
+    let off = plane * hw and ch = plane mod c in
+    let mean = mu.(plane) and istd = inv_std.(plane) in
     let gam = gamma.data.(ch) and bet = beta.data.(ch) in
-    for i = 0 to (h * w) - 1 do
+    for i = 0 to hw - 1 do
       let xhat = (Array.unsafe_get xd (off + i) -. mean) *. istd in
       Array.unsafe_set yd (off + i) ((gam *. xhat) +. bet)
     done
@@ -854,16 +697,9 @@ let channel_norm_batch ~gamma ~beta ~eps x =
 
 (* Softmax and losses *)
 
-let softmax t =
-  check_rank "softmax" t 1;
-  let m = max_val t in
-  let exps = map (fun v -> exp (v -. m)) t in
-  let z = sum exps in
-  scale (1. /. z) exps
-
-(* Row-wise softmax over an [n; classes] matrix with the exact operation
-   order of [softmax] (max, exp-shift, sum, scale by 1/z) so each row is
-   bit-equal to the single-vector score computation. *)
+(* Row-wise softmax over an [n; classes] matrix: max, exp-shift, sum,
+   scale by 1/z, each row on its own.  The one softmax loop: the plans'
+   scores, [Network.scores] and the loss gradient all run it. *)
 let softmax_rows l =
   check_rank "softmax_rows" l 2;
   let n = l.shape.(0) and classes = l.shape.(1) in
@@ -888,6 +724,11 @@ let softmax_rows l =
   done;
   out
 
+let softmax t =
+  check_rank "softmax" t 1;
+  let n = numel t in
+  reshape (softmax_rows (reshape t [| 1; n |])) [| n |]
+
 let log_softmax t =
   check_rank "log_softmax" t 1;
   let m = max_val t in
@@ -908,27 +749,6 @@ let cross_entropy_grad logits label =
   p
 
 (* Misc *)
-
-let concat_channels ts =
-  match ts with
-  | [] -> invalid_arg "Tensor.concat_channels: empty list"
-  | first :: _ ->
-      List.iter (fun t -> check_rank "concat_channels" t 3) ts;
-      let h = first.shape.(1) and w = first.shape.(2) in
-      List.iter
-        (fun t ->
-          if t.shape.(1) <> h || t.shape.(2) <> w then
-            fail_shape "concat_channels" first.shape t.shape)
-        ts;
-      let total_c = List.fold_left (fun acc t -> acc + t.shape.(0)) 0 ts in
-      let out = zeros [| total_c; h; w |] in
-      let off = ref 0 in
-      List.iter
-        (fun t ->
-          Array.blit t.data 0 out.data !off (numel t);
-          off := !off + numel t)
-        ts;
-      out
 
 let concat_channels_batch ts =
   match ts with
@@ -982,15 +802,3 @@ let equal ?(eps = 1e-9) a b =
       done;
       !ok)
 
-let pp fmt t =
-  let n = numel t in
-  let max_show = 16 in
-  Format.fprintf fmt "Tensor%s [" (shape_to_string t.shape);
-  for i = 0 to min n max_show - 1 do
-    if i > 0 then Format.fprintf fmt "; ";
-    Format.fprintf fmt "%g" t.data.(i)
-  done;
-  if n > max_show then Format.fprintf fmt "; ...(%d more)" (n - max_show);
-  Format.fprintf fmt "]"
-
-let to_string t = Format.asprintf "%a" pp t

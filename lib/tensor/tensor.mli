@@ -1,10 +1,12 @@
 (** Dense float tensors.
 
-    A small, dependency-free tensor library sufficient to implement and
-    train the convolutional networks used by the OPPSLA experiments.
-    Tensors are immutable in shape but carry a mutable flat [float array]
-    payload (OCaml unboxes float arrays, so this is as fast as it gets
-    without C stubs).  Layout is row-major; images are stored CHW. *)
+    A small, dependency-free tensor library holding what training and
+    scoring the zoo networks use: one float64 kernel per forward op,
+    shared by [Layer.forward] (on a batch of one) and the boxed plan,
+    plus the backward passes.  Tensors are immutable in shape but carry
+    a mutable flat [float array] payload (OCaml unboxes float arrays, so
+    this is as fast as it gets without C stubs).  Layout is row-major;
+    images are stored CHW. *)
 
 type t = private { shape : int array; data : float array }
 (** [shape] is the dimension list; [data] has [numel] elements laid out
@@ -31,9 +33,6 @@ val of_array : int array -> float array -> t
 (** [of_array shape data] wraps [data] (no copy).  Raises
     {!Shape_mismatch} if sizes disagree. *)
 
-val scalar : float -> t
-(** A rank-0 tensor. *)
-
 val copy : t -> t
 
 val randn : Prng.t -> ?mu:float -> ?sigma:float -> int array -> t
@@ -51,8 +50,6 @@ val dim : t -> int -> int
 (** [dim t i] is the size of axis [i].  Raises [Invalid_argument] if out of
     range. *)
 
-val same_shape : t -> t -> bool
-
 val reshape : t -> int array -> t
 (** [reshape t shape] shares [t]'s data under a new shape.  Raises
     {!Shape_mismatch} if element counts differ. *)
@@ -67,9 +64,6 @@ val set : t -> int array -> float -> unit
 val get_flat : t -> int -> float
 val set_flat : t -> int -> float -> unit
 
-val flat_index : t -> int array -> int
-(** Row-major flat index of a multi-index; bounds-checked. *)
-
 (** {1 Elementwise operations}
 
     Binary operations raise {!Shape_mismatch} unless shapes are equal. *)
@@ -77,14 +71,9 @@ val flat_index : t -> int array -> int
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
-val mul : t -> t -> t
-val div : t -> t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
-val neg : t -> t
 val relu : t -> t
-val clip : lo:float -> hi:float -> t -> t
 
 val add_inplace : t -> t -> unit
 (** [add_inplace dst src] accumulates [src] into [dst]. *)
@@ -111,32 +100,27 @@ val dot : t -> t -> float
 val sq_norm : t -> float
 (** Sum of squares. *)
 
-val l1_norm : t -> float
-val linf_norm : t -> float
-
 (** {1 Linear algebra} *)
 
 val matmul : t -> t -> t
-(** [matmul a b] for [a : (m, k)] and [b : (k, n)] is [(m, n)].  Shapes
-    are validated once up front; the kernel then runs unsafe, 4-way
-    row-unrolled loops.  Every output element is accumulated in
-    ascending-[k] order independent of the operand widths, so results do
-    not depend on how callers batch their columns. *)
+(** [matmul a b] for [a : (m, k)] and [b : (k, n)] is [(m, n)], on the
+    register-tiled GEMM kernel {!conv2d_gemm_batch} runs.  Every output
+    element is accumulated in ascending-[k] order independent of the
+    operand widths, so results do not depend on how callers batch their
+    columns. *)
 
 val matmul_nt : t -> t -> t
-(** [matmul_nt a b] for [a : (m, k)] and [b : (n, k)] is [a bᵀ : (m, n)].
-    Row [i] of the result is bit-equal to [matvec b a_i] — used by the
-    batched dense layer so batching cannot perturb single-image scores. *)
+(** [matmul_nt a b] for [a : (m, k)] and [b : (n, k)] is [a bᵀ : (m, n)],
+    each element a dot product reduced in ascending-[k] order — the
+    dense layer's kernel, so batching cannot perturb single-image
+    scores. *)
 
 val dense_batch : t -> weight:t -> bias:t -> t
 (** [dense_batch x ~weight ~bias] for [x : (n, in_dim)],
     [weight : (out_dim, in_dim)] and [bias : (out_dim)] is the batched
-    dense layer [x weightᵀ + bias : (n, out_dim)].  Row [i] is bit-equal
-    to [add (matvec weight x_i) bias]; the single definition is shared by
-    every pluggable tensor backend. *)
-
-val matvec : t -> t -> t
-(** [matvec a x] for [a : (m, k)] and [x : (k)] is [(m)]. *)
+    dense layer [x weightᵀ + bias : (n, out_dim)], the bias added after
+    the {!matmul_nt} reduction.  [Layer.forward] runs it on a batch of
+    one and the boxed plan on whole batches. *)
 
 val matvec_t : t -> t -> t
 (** [matvec_t a y] for [a : (m, k)] and [y : (m)] is [aᵀ y : (k)]. *)
@@ -152,24 +136,13 @@ val transpose : t -> t
     Images and feature maps are CHW ([|channels; height; width|]).
     Convolution weights are [|out_c; in_c; kh; kw|]. *)
 
-val conv2d : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
-(** [conv2d x ~weight ~bias] is a direct 2-D cross-correlation. *)
-
 val im2col : ?stride:int -> ?pad:int -> kh:int -> kw:int -> t -> t
 (** Patch-matrix expansion of a CHW tensor:
     [(in_c * kh * kw, oh * ow)], column [o] holding the receptive field
-    of output position [o] (zero-padded outside the image).  Valid output
-    ranges are precomputed per kernel tap, so the copy loops carry no
-    per-element bounds branches. *)
-
-val im2col_batch : ?stride:int -> ?pad:int -> kh:int -> kw:int -> t -> t
-(** Batched {!im2col} over an NCHW tensor, producing one shared patch
-    matrix [(in_c * kh * kw, n * oh * ow)] in which image [i] owns the
-    column block [i*oh*ow, (i+1)*oh*ow) (memory cost: [kh*kw] copies of
-    the input batch).  {!conv2d_gemm_batch} instead walks the batch with
-    a reusable per-image panel to keep its working set cache-sized; this
-    whole-batch expansion remains the reference formulation the tests
-    check it against. *)
+    of output position [o] (zero-padded outside the image): the panel
+    {!conv2d_gemm_batch} fills per image.  Valid output ranges are
+    precomputed per kernel tap, so the copy loops carry no per-element
+    bounds branches. *)
 
 val conv2d_gemm_batch :
   ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
@@ -177,11 +150,11 @@ val conv2d_gemm_batch :
     over a per-domain reusable patch panel, each accumulating straight
     into the image's contiguous output block (small working set, no
     per-call patch-matrix allocation).  Each output is seeded with the
-    bias before the GEMM accumulates taps in ascending ic/ky/kx order —
-    the same per-element summation order as {!conv2d} — so image [i] of
-    the result is bit-equal to [conv2d] of image [i] alone on finite
-    inputs, whatever the batch width.  Ablated against the direct loop
-    in the micro benchmark. *)
+    bias before the GEMM accumulates taps in ascending ic/ky/kx order (a
+    padding tap adds [w *. 0.]), so image [i] of the result does not
+    depend on the rest of the batch.  The one float64 convolution:
+    [Layer.forward] runs it on a batch of one, the boxed plan on whole
+    batches. *)
 
 val conv2d_backward :
   ?stride:int ->
@@ -200,41 +173,30 @@ val max_pool2d_backward : x_shape:int array -> switches:int array -> t -> t
 (** [max_pool2d_backward ~x_shape ~switches dout] scatters [dout] back
     through the recorded switches. *)
 
-val avg_pool2d : ?stride:int -> size:int -> t -> t
-val avg_pool2d_backward : ?stride:int -> size:int -> x_shape:int array -> t -> t
-
-val global_avg_pool : t -> t
-(** CHW -> C means. *)
-
-val global_avg_pool_backward : x_shape:int array -> t -> t
-
 val max_pool2d_batch : ?stride:int -> size:int -> t -> t
 (** Batched (NCHW) {!max_pool2d} without switches: pooling acts per
     channel plane, so the batch folds to [(n*c); h; w], runs the
     single-image kernel and unfolds. *)
 
-val avg_pool2d_batch : ?stride:int -> size:int -> t -> t
-(** Batched (NCHW) {!avg_pool2d}. *)
-
-val global_avg_pool_batch : t -> t
-(** Batched (NCHW) {!global_avg_pool}, producing [|n; c|]. *)
+val channel_stats : eps:float -> t -> float array * float array
+(** Per-plane mean and [1/sqrt(var + eps)] of an NCHW tensor, plane [p]
+    being image [p / c]'s channel [p mod c].  Image [i]'s entries do not
+    depend on the rest of the batch. *)
 
 val channel_norm_batch : gamma:t -> beta:t -> eps:float -> t -> t
 (** Per-plane standardization of an NCHW tensor: each (image, channel)
-    plane is normalized by its own mean and [1/sqrt(var + eps)], then
-    scaled and shifted by the per-channel [gamma]/[beta].  Image [i] of
-    the result is bit-equal to normalizing image [i] alone. *)
+    plane is normalized by its {!channel_stats}, then scaled and shifted
+    by the per-channel [gamma]/[beta]. *)
 
 (** {1 Softmax and losses} *)
 
-val softmax : t -> t
-(** Numerically stable softmax over a rank-1 tensor. *)
-
 val softmax_rows : t -> t
-(** Row-wise {!softmax} over an [(n, classes)] matrix; each row is
-    bit-equal to [softmax row]. *)
+(** Numerically stable softmax of each row of an [(n, classes)] matrix
+    (max, exp-shift, sum, scale by 1/z); a row does not depend on the
+    others. *)
 
-val log_softmax : t -> t
+val softmax : t -> t
+(** {!softmax_rows} over a rank-1 tensor viewed as one row. *)
 
 val cross_entropy : t -> int -> float
 (** [cross_entropy logits label] is the negative log-likelihood of [label]
@@ -246,21 +208,14 @@ val cross_entropy_grad : t -> int -> t
 
 (** {1 Misc} *)
 
-val concat_channels : t list -> t
-(** Concatenate CHW tensors with equal H and W along the channel axis. *)
-
 val concat_channels_batch : t list -> t
-(** Batched {!concat_channels}: NCHW tensors with equal N, H and W are
-    concatenated along the channel axis, image by image. *)
+(** NCHW tensors with equal N, H and W concatenated along the channel
+    axis, image by image. *)
 
 val split_channels : t -> int list -> t list
-(** Inverse of {!concat_channels} given the channel counts. *)
+(** Split a CHW tensor along the channel axis into pieces of the given
+    channel counts (the backward pass of a one-image concat). *)
 
 val equal : ?eps:float -> t -> t -> bool
 (** Shape equality plus elementwise comparison within [eps]
     (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit
-(** Shape plus (truncated) contents, for debugging. *)
-
-val to_string : t -> string

@@ -42,9 +42,11 @@
    --observe on additionally runs the background runtime sampler
    (ticking every 20 ms, with its stall watchdog) around the whole grid.
    It only reads the registry, so every differential below must still
-   hold bit-identically while it runs; at the end the runner checks that
-   the registry metered oracle queries, that the watchdog reports no
-   stalled loop and that the sampler ticked.
+   hold bit-identically while it runs.  The grid repeats, checked on
+   every pass, until a pass returns after the sampler's loop reached a
+   deadline (failing after 2 s), so a timed tick lands while attacks
+   run; at the end the runner checks that the registry metered oracle
+   queries and that the watchdog reports no stalled loop.
 
    For randomized programs, images and training-set sizes it asserts that
    Score.evaluate over a pool of the requested width, and a never-pruning
@@ -858,131 +860,155 @@ let () =
             batch
         end
       else begin
-      (* Evaluation differential.  The uncached sequential run is always
-         the reference. *)
-      for trial = 0 to 11 do
-        let g = Prng.of_int ((domains * 7919) + trial) in
-        let samples = training_set (Prng.split g) (1 + Prng.int g 8) in
-        let program = Oppsla.Gen.random_program gen_config g in
-        let max_queries =
-          if Prng.bool g then None else Some (1 + Prng.int g 80)
-        in
-        let ctx kind =
-          Printf.sprintf "trial %d (domains %d, cache %b, batch %d, %s)"
-            trial domains cache batch kind
-        in
-        (* The reference is always the uncached sequential path at batch
-           width 1: every other configuration must reproduce it. *)
-        let reference =
-          untraced (fun () ->
-              Score.evaluate ?max_queries ~batch:1 (mean_threshold_oracle ())
-                program samples)
-        in
-        (match store_for samples with
-        | Some _ as caches ->
-            (* Cold store, then the same store warm (every lookup hits),
-               then a parallel run on a fresh store. *)
-            let cold =
-              Score.evaluate ?max_queries ?caches ~batch
-                (mean_threshold_oracle ()) program samples
-            in
-            check_identical (ctx "cached sequential, cold") reference cold;
-            let warm =
-              Score.evaluate ?max_queries ?caches ~batch
-                (mean_threshold_oracle ()) program samples
-            in
-            check_identical (ctx "cached sequential, warm") reference warm
-        | None -> ());
-        let par =
-          Score.evaluate ?max_queries ~batch ?caches:(store_for samples) ~pool
-            (mean_threshold_oracle ()) program samples
-        in
-        check_identical (ctx "parallel") reference par;
-        (* The staged path: a PAC evaluation that can never prune visits
-           the images in a random order, one pool map per stage, and
-           must complete with the reference's accounting. *)
-        let order = Prng.permutation (Prng.split g) (Array.length samples) in
-        let pac =
+      (* One pass of the grid: the evaluation and synthesis
+         differentials. *)
+      let grid_pass () =
+        (* Evaluation differential.  The uncached sequential run is always
+           the reference. *)
+        for trial = 0 to 11 do
+          let g = Prng.of_int ((domains * 7919) + trial) in
+          let samples = training_set (Prng.split g) (1 + Prng.int g 8) in
+          let program = Oppsla.Gen.random_program gen_config g in
+          let max_queries =
+            if Prng.bool g then None else Some (1 + Prng.int g 80)
+          in
+          let ctx kind =
+            Printf.sprintf "trial %d (domains %d, cache %b, batch %d, %s)"
+              trial domains cache batch kind
+          in
+          (* The reference is always the uncached sequential path at batch
+             width 1: every other configuration must reproduce it. *)
+          let reference =
+            untraced (fun () ->
+                Score.evaluate ?max_queries ~batch:1 (mean_threshold_oracle ())
+                  program samples)
+          in
+          (match store_for samples with
+          | Some _ as caches ->
+              (* Cold store, then the same store warm (every lookup hits),
+                 then a parallel run on a fresh store. *)
+              let cold =
+                Score.evaluate ?max_queries ?caches ~batch
+                  (mean_threshold_oracle ()) program samples
+              in
+              check_identical (ctx "cached sequential, cold") reference cold;
+              let warm =
+                Score.evaluate ?max_queries ?caches ~batch
+                  (mean_threshold_oracle ()) program samples
+              in
+              check_identical (ctx "cached sequential, warm") reference warm
+          | None -> ());
+          let par =
+            Score.evaluate ?max_queries ~batch ?caches:(store_for samples) ~pool
+              (mean_threshold_oracle ()) program samples
+          in
+          check_identical (ctx "parallel") reference par;
+          (* The staged path: a PAC evaluation that can never prune visits
+             the images in a random order, one pool map per stage, and
+             must complete with the reference's accounting. *)
+          let order = Prng.permutation (Prng.split g) (Array.length samples) in
+          let pac =
+            {
+              Score.default_pac with
+              min_images = 1;
+              stage = 1 + Prng.int g 4;
+              range = Some 1.;
+            }
+          in
+          match
+            Score.evaluate_pac ?max_queries ~batch ?caches:(store_for samples)
+              ~pool ~pac ~threshold:infinity ~order (mean_threshold_oracle ())
+              program samples
+          with
+          | Score.Complete staged ->
+              check_identical (ctx "staged") reference staged
+          | Score.Pruned _ ->
+              fail "%s: pruned below an infinite threshold" (ctx "staged")
+        done;
+        (* Synthesis differential: the island trace (at --islands 1, the
+           single MH chain of Algorithm 2) must be invariant under the
+           same axes.  The reference is the sequential batch-1 run (no
+           pool, no cache); the checked runs apply this grid point's pool,
+           cache and batch settings, plus a pool-less cached run when the
+           cache is on.  Early stopping stays off here — its determinism
+           has its own suite in test_islands.ml — so every proposal is
+           scored exactly on both arms. *)
+        let training = training_set (Prng.of_int 23) 5 in
+        let icfg =
           {
-            Score.default_pac with
-            min_images = 1;
-            stage = 1 + Prng.int g 4;
-            range = Some 1.;
+            Oppsla.Islands.default_config with
+            Oppsla.Islands.islands;
+            rounds = 4;
+            migration_period = 2;
+            max_queries_per_image = Some 64;
           }
         in
-        match
-          Score.evaluate_pac ?max_queries ~batch ?caches:(store_for samples)
-            ~pool ~pac ~threshold:infinity ~order (mean_threshold_oracle ())
-            program samples
-        with
-        | Score.Complete staged ->
-            check_identical (ctx "staged") reference staged
-        | Score.Pruned _ ->
-            fail "%s: pruned below an infinite threshold" (ctx "staged")
-      done;
-      (* Synthesis differential: the island trace (at --islands 1, the
-         single MH chain of Algorithm 2) must be invariant under the
-         same axes.  The reference is the sequential batch-1 run (no
-         pool, no cache); the checked runs apply this grid point's pool,
-         cache and batch settings, plus a pool-less cached run when the
-         cache is on.  Early stopping stays off here — its determinism
-         has its own suite in test_islands.ml — so every proposal is
-         scored exactly on both arms. *)
-      let training = training_set (Prng.of_int 23) 5 in
-      let icfg =
-        {
-          Oppsla.Islands.default_config with
-          Oppsla.Islands.islands;
-          rounds = 4;
-          migration_period = 2;
-          max_queries_per_image = Some 64;
-        }
+        let run ?pool ?caches cfg =
+          Oppsla.Islands.synthesize ~config:cfg ?pool ?caches (Prng.of_int 23)
+            (mean_threshold_oracle ()) ~training
+        in
+        let ref_out =
+          untraced (fun () -> run { icfg with Oppsla.Islands.batch = 1 })
+        in
+        let check_islands arm (out : Oppsla.Islands.outcome) =
+          let spent (o : Oppsla.Islands.outcome) = o.Oppsla.Islands.synth_queries in
+          if spent ref_out <> spent out then
+            fail "islands (%s): query spend diverged (%d <> %d)" arm
+              (spent ref_out) (spent out);
+          if
+            ref_out.Oppsla.Islands.best_avg_queries
+            <> out.Oppsla.Islands.best_avg_queries
+            || not
+                 (Oppsla.Condition.equal_program ref_out.Oppsla.Islands.best
+                    out.Oppsla.Islands.best)
+          then fail "islands (%s): best program diverged" arm;
+          if
+            List.length ref_out.Oppsla.Islands.trace
+            <> List.length out.Oppsla.Islands.trace
+          then fail "islands (%s): trace length diverged" arm;
+          List.iter2
+            (fun (x : Oppsla.Islands.entry) (y : Oppsla.Islands.entry) ->
+              if
+                x.Oppsla.Islands.round <> y.Oppsla.Islands.round
+                || x.Oppsla.Islands.island <> y.Oppsla.Islands.island
+                || x.Oppsla.Islands.accepted <> y.Oppsla.Islands.accepted
+                || x.Oppsla.Islands.avg_queries <> y.Oppsla.Islands.avg_queries
+                || x.Oppsla.Islands.queries_total
+                   <> y.Oppsla.Islands.queries_total
+                || not
+                     (Oppsla.Condition.equal_program x.Oppsla.Islands.program
+                        y.Oppsla.Islands.program)
+              then
+                fail "islands (%s): trace diverged at round %d island %d" arm
+                  x.Oppsla.Islands.round x.Oppsla.Islands.island)
+            ref_out.Oppsla.Islands.trace out.Oppsla.Islands.trace
+        in
+        let icfg = { icfg with Oppsla.Islands.batch } in
+        check_islands "parallel" (run ~pool ?caches:(store_for training) icfg);
+        if cache then
+          check_islands "cached sequential"
+            (run ?caches:(store_for training) icfg)
       in
-      let run ?pool ?caches cfg =
-        Oppsla.Islands.synthesize ~config:cfg ?pool ?caches (Prng.of_int 23)
-          (mean_threshold_oracle ()) ~training
-      in
-      let ref_out =
-        untraced (fun () -> run { icfg with Oppsla.Islands.batch = 1 })
-      in
-      let check_islands arm (out : Oppsla.Islands.outcome) =
-        let spent (o : Oppsla.Islands.outcome) = o.Oppsla.Islands.synth_queries in
-        if spent ref_out <> spent out then
-          fail "islands (%s): query spend diverged (%d <> %d)" arm
-            (spent ref_out) (spent out);
-        if
-          ref_out.Oppsla.Islands.best_avg_queries
-          <> out.Oppsla.Islands.best_avg_queries
-          || not
-               (Oppsla.Condition.equal_program ref_out.Oppsla.Islands.best
-                  out.Oppsla.Islands.best)
-        then fail "islands (%s): best program diverged" arm;
-        if
-          List.length ref_out.Oppsla.Islands.trace
-          <> List.length out.Oppsla.Islands.trace
-        then fail "islands (%s): trace length diverged" arm;
-        List.iter2
-          (fun (x : Oppsla.Islands.entry) (y : Oppsla.Islands.entry) ->
-            if
-              x.Oppsla.Islands.round <> y.Oppsla.Islands.round
-              || x.Oppsla.Islands.island <> y.Oppsla.Islands.island
-              || x.Oppsla.Islands.accepted <> y.Oppsla.Islands.accepted
-              || x.Oppsla.Islands.avg_queries <> y.Oppsla.Islands.avg_queries
-              || x.Oppsla.Islands.queries_total
-                 <> y.Oppsla.Islands.queries_total
-              || not
-                   (Oppsla.Condition.equal_program x.Oppsla.Islands.program
-                      y.Oppsla.Islands.program)
-            then
-              fail "islands (%s): trace diverged at round %d island %d" arm
-                x.Oppsla.Islands.round x.Oppsla.Islands.island)
-          ref_out.Oppsla.Islands.trace out.Oppsla.Islands.trace
-      in
-      let icfg = { icfg with Oppsla.Islands.batch } in
-      check_islands "parallel" (run ~pool ?caches:(store_for training) icfg);
-      if cache then
-        check_islands "cached sequential"
-          (run ?caches:(store_for training) icfg);
+      (* Under --observe on the grid must run while the sampler ticks,
+         and one pass can finish inside a single 20 ms interval.  So
+         repeat the whole grid, every differential checked on each pass,
+         until a pass returns after the sampler's loop reached a
+         deadline; give up after 2 s. *)
+      (match sampler with
+      | None -> grid_pass ()
+      | Some _ ->
+          let give_up = Unix.gettimeofday () +. 2. in
+          let rec repeat passes =
+            grid_pass ();
+            if Telemetry.Sampler.timed_ticks () > ticks_before then ()
+            else if Unix.gettimeofday () >= give_up then
+              fail
+                "diff_runner: the sampler loop reached no deadline in %d \
+                 grid passes (2 s)"
+                passes
+            else repeat (passes + 1)
+          in
+          repeat 1);
       (match trace_file with
       | None -> ()
       | Some f ->
@@ -1005,9 +1031,9 @@ let () =
       | None -> ()
       | Some sampler ->
           (* The observed arm must have actually been observable: the
-             registry metered the grid's queries, the watchdog saw no
-             stalled loop, and the sampler's periodic loop woke on its
-             deadline at least once. *)
+             registry metered the grid's queries and the watchdog saw no
+             stalled loop (the sampler's deadline tick was checked while
+             the grid ran). *)
           if
             Telemetry.Counter.get
               (Telemetry.Metrics.counter "oracle.queries.total")
@@ -1019,15 +1045,7 @@ let () =
               fail "diff_runner: the watchdog reports stalled loops: %s"
                 (String.concat ", "
                    (List.map (fun s -> s.Telemetry.Watchdog.name) stalled)));
-          (* The grid can finish inside one sampler interval: give the
-             loop up to 2 s past it to reach its first deadline. *)
-          let ticked =
-            Telemetry.Sampler.await_timed_tick ~after:ticks_before
-              ~timeout_s:2.
-          in
-          Telemetry.Sampler.stop sampler;
-          if not ticked then
-            fail "diff_runner: the sampler loop never reached a deadline");
+          Telemetry.Sampler.stop sampler);
       Printf.printf
         "diff_runner: sequential and %d-domain evaluation bit-identical \
          with cache %s at batch width %d, trace %s, observe %s, islands \

@@ -81,3 +81,64 @@ let special_pixel_image ~size ~base ~v ~row ~col =
 (* Count how many corner pairs flip the mean-threshold oracle for a flat
    image: used to cross-check attack success sets. *)
 let gen_config ~size = { Oppsla.Gen.d1 = size; d2 = size }
+
+(* {1 Independent float64 kernel references}
+
+   Plain loops, no im2col and no GEMM, for checking the surviving
+   [Tensor] kernels and the f32 backend ([finish] rounds each finished
+   element for the latter). *)
+
+(* The direct convolution loop over an NCHW batch: every output element
+   is its bias seed ([0.] without a bias) plus the tap products in
+   ascending tap order [(ic*kh + ky)*kw + kx], a padding tap adding
+   [w *. 0.]. *)
+let naive_conv ?(finish = Fun.id) ~stride ~pad weight bias x =
+  let n = Tensor.dim x 0 and in_c = Tensor.dim x 1
+  and h = Tensor.dim x 2 and w = Tensor.dim x 3 in
+  let out_c = Tensor.dim weight 0
+  and kh = Tensor.dim weight 2 and kw = Tensor.dim weight 3 in
+  let oh = ((h + (2 * pad) - kh) / stride) + 1
+  and ow = ((w + (2 * pad) - kw) / stride) + 1 in
+  let out = Tensor.zeros [| n; out_c; oh; ow |] in
+  for img = 0 to n - 1 do
+    for oc = 0 to out_c - 1 do
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let acc =
+            ref (match bias with Some b -> Tensor.get b [| oc |] | None -> 0.)
+          in
+          for ic = 0 to in_c - 1 do
+            for ky = 0 to kh - 1 do
+              for kx = 0 to kw - 1 do
+                let iy = (oy * stride) - pad + ky
+                and ix = (ox * stride) - pad + kx in
+                let v =
+                  if iy >= 0 && iy < h && ix >= 0 && ix < w then
+                    Tensor.get x [| img; ic; iy; ix |]
+                  else 0.
+                in
+                acc := !acc +. (Tensor.get weight [| oc; ic; ky; kx |] *. v)
+              done
+            done
+          done;
+          Tensor.set out [| img; oc; oy; ox |] (finish !acc)
+        done
+      done
+    done
+  done;
+  out
+
+(* The direct dense loop over [(n, in_dim)] rows: element [(i, j)] is
+   [Σ_p weight[j, p] *. x[i, p]] reduced in ascending [p] — a matvec per
+   row — plus [bias.(j)] after the reduction when a bias is given. *)
+let naive_dense ?(finish = Fun.id) ?bias ~weight x =
+  let n = Tensor.dim x 0 and k = Tensor.dim x 1 in
+  let out_dim = Tensor.dim weight 0 in
+  Tensor.init [| n; out_dim |] (fun o ->
+      let i = o / out_dim and j = o mod out_dim in
+      let acc = ref 0. in
+      for p = 0 to k - 1 do
+        acc := !acc +. (Tensor.get weight [| j; p |] *. Tensor.get x [| i; p |])
+      done;
+      finish
+        (match bias with Some b -> !acc +. Tensor.get b [| j |] | None -> !acc))

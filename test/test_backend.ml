@@ -531,44 +531,13 @@ let serialize_cross_backend () =
 (* Exact float32 values, kept in float64. *)
 let as_f32 t = Tensor_f32.to_tensor (Tensor_f32.of_tensor t)
 
-(* A plain loop, no im2col and no GEMM: every output element is the
-   float32 rounding of its bias seed (-0.0 seeds +0.0) plus the tap
-   products in ascending tap order [(ic*kh + ky)*kw + kx], a padding tap
+(* The direct loop of [Helpers.naive_conv] rounded to float32: every
+   output element is the float32 rounding of its bias seed (-0.0 seeds
+   +0.0) plus the tap products in ascending tap order, a padding tap
    adding [w * +0.0]. *)
 let naive_conv ~stride ~pad weight bias x =
-  let n = Tensor.dim x 0 and in_c = Tensor.dim x 1
-  and h = Tensor.dim x 2 and w = Tensor.dim x 3 in
-  let out_c = Tensor.dim weight 0
-  and kh = Tensor.dim weight 2 and kw = Tensor.dim weight 3 in
-  let oh = ((h + (2 * pad) - kh) / stride) + 1
-  and ow = ((w + (2 * pad) - kw) / stride) + 1 in
-  let out = Tensor.zeros [| n; out_c; oh; ow |] in
-  for img = 0 to n - 1 do
-    for oc = 0 to out_c - 1 do
-      for oy = 0 to oh - 1 do
-        for ox = 0 to ow - 1 do
-          let b = Tensor.get bias [| oc |] in
-          let acc = ref (if b <> 0. then b else 0.) in
-          for ic = 0 to in_c - 1 do
-            for ky = 0 to kh - 1 do
-              for kx = 0 to kw - 1 do
-                let iy = (oy * stride) - pad + ky
-                and ix = (ox * stride) - pad + kx in
-                let v =
-                  if iy >= 0 && iy < h && ix >= 0 && ix < w then
-                    Tensor.get x [| img; ic; iy; ix |]
-                  else 0.
-                in
-                acc := !acc +. (Tensor.get weight [| oc; ic; ky; kx |] *. v)
-              done
-            done
-          done;
-          Tensor.set out [| img; oc; oy; ox |] (round32 !acc)
-        done
-      done
-    done
-  done;
-  out
+  let seed = Tensor.map (fun b -> if b <> 0. then b else 0.) bias in
+  Helpers.naive_conv ~finish:round32 ~stride ~pad weight (Some seed) x
 
 (* Output channels reach 12 so that a width-2 pool really splits the
    GEMM into row panels ([gemm_dispatch] panels only from 8 rows). *)
@@ -970,17 +939,7 @@ let qcheck_dense_naive =
       let x =
         as_f32 (Tensor.rand_uniform (Prng.split g) ~lo:(-1.) ~hi:1. [| n; k |])
       in
-      let naive w =
-        Tensor.init [| n; out_dim |] (fun o ->
-            let img = o / out_dim and j = o mod out_dim in
-            let acc = ref 0. in
-            for p = 0 to k - 1 do
-              acc :=
-                !acc
-                +. (Tensor.get w [| j; p |] *. Tensor.get x [| img; p |])
-            done;
-            round32 (!acc +. Tensor.get bias [| j |]))
-      in
+      let naive weight = Helpers.naive_dense ~finish:round32 ~bias ~weight x in
       let fw1 = Tensor_f32.of_tensor w1 and fw2 = Tensor_f32.of_tensor w2 in
       let fb = Tensor_f32.of_tensor bias and fx = Tensor_f32.of_tensor x in
       let dense w =
