@@ -832,24 +832,18 @@ let micro () =
       Test.make ~name:"queue/full_space-init+drain"
         (Staged.stage (fun () ->
              let q = Oppsla.Pair_queue.full_space ~d1:16 ~d2:16 ~image in
-             let rec drain () =
-               match Oppsla.Pair_queue.pop q with
-               | Some _ -> drain ()
-               | None -> ()
-             in
-             drain ()));
+             while Oppsla.Pair_queue.pop q >= 0 do
+               ()
+             done));
       (* Ablation (DESIGN.md 5.1): the indexed queue vs the naive list
          reference under the sketch's reordering workload. *)
       Test.make ~name:"queue/indexed-reorder-storm"
         (Staged.stage (fun () ->
              let q = Oppsla.Pair_queue.full_space ~d1:16 ~d2:16 ~image in
              for i = 0 to 499 do
-               let loc =
-                 Oppsla.Location.make ~row:(i mod 16) ~col:(i * 7 mod 16)
-               in
-               match Oppsla.Pair_queue.first_with_location q loc with
-               | Some p -> Oppsla.Pair_queue.push_back q p
-               | None -> ()
+               let li = ((i mod 16) * 16) + (i * 7 mod 16) in
+               let id = Oppsla.Pair_queue.first_with_location q li in
+               if id >= 0 then Oppsla.Pair_queue.push_back q id
              done));
       Test.make ~name:"queue/naive-reorder-storm"
         (Staged.stage (fun () ->
@@ -915,6 +909,30 @@ let micro () =
              ignore
                (Oppsla.Sketch.attack ~max_queries:256 oracle
                   Oppsla.Condition.const_false_program ~image ~true_class:0)));
+      (* One attack of [program] over the whole 16x16 space whose every
+         key is already in its cache: the attack run when the row is
+         built warms it, and the closed-form oracle (class 1 iff the
+         image mean exceeds 1/2) cannot be flipped by one pixel of a
+         dark image, so every run poses all 2048 queries through the
+         interpreter, the batcher's cache path and the metering. *)
+      Test.make ~name:"attack/sketch-warm"
+        (Staged.stage
+           (let oracle =
+              Oracle.of_fn ~name:"mean-threshold" ~num_classes:2 (fun x ->
+                  let m = Tensor.mean x in
+                  Tensor.of_array [| 2 |] [| 1. -. m; m |])
+            and cache = Score_cache.create ()
+            and dark =
+              Tensor.rand_uniform (Prng.of_int 13) ~lo:0.2 ~hi:0.4
+                [| 3; 16; 16 |]
+            in
+            let attack () =
+              ignore
+                (Oppsla.Sketch.attack ~cache oracle program ~image:dark
+                   ~true_class:0)
+            in
+            attack ();
+            attack));
     ]
     @ List.map
         (fun (arch, n) ->

@@ -72,14 +72,17 @@ let search (type s) ~config ~batch ~goal ~(key : s -> Score_cache.key)
   let candidate_of state =
     { Batcher.key = key state; input = (fun () -> materialize state) }
   in
-  let query ?speculate state =
+  let query ?(speculate = Batcher.no_speculation) state =
     if !spent >= config.max_queries then
       raise (Done { adversarial = None; queries = !spent });
     let scores =
-      Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of state))
+      Oracle.observe oracle
+        (Batcher.query batcher ~speculate
+           ~input:(fun () -> materialize state)
+           (key state))
     in
     incr spent;
-    Telemetry.Watchdog.beat ~queries:!spent wd;
+    Telemetry.Watchdog.beat_queries wd !spent;
     if Oppsla.Sketch.goal_reached goal ~true_class (Tensor.argmax scores) then
       raise
         (Done

@@ -71,13 +71,14 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
      label-only oracle the fitness degenerates to the flip indicator and
      DE selection stops discriminating — the honest decision-based
      degradation (success detection is argmax-based, hence unchanged). *)
-  let fitness ?speculate cand =
+  let fitness ?(speculate = Batcher.no_speculation) cand =
     if !spent >= config.max_queries then finish ();
+    let { Batcher.key; input } = candidate_of cand in
     let scores =
-      Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of cand))
+      Oracle.observe oracle (Batcher.query batcher ~speculate ~input key)
     in
     incr spent;
-    Telemetry.Watchdog.beat ~queries:!spent wd;
+    Telemetry.Watchdog.beat_queries wd !spent;
     if
       !found = None
       && Oppsla.Sketch.goal_reached goal ~true_class (Tensor.argmax scores)

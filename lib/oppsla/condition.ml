@@ -51,6 +51,93 @@ let eval c ctx =
       let v = eval_func func ctx in
       match cmp with Lt -> v < threshold | Gt -> v > threshold)
 
+(* Compiled holes.  A hole's value on a pair depends on the pair's
+   location ([orig], [center]), its corner ([pert]) or the queried score
+   vector ([score_diff]) alone, so all but [score_diff] become a lookup
+   table filled once per attack.  Tables hold ['\001'] where the
+   condition holds. *)
+type compiled =
+  | Fixed of bool
+  | By_corner of Bytes.t  (* indexed by corner: [pert] *)
+  | By_location of Bytes.t  (* indexed by location index: [orig], [center] *)
+  | By_score of {
+      cmp : cmp;
+      threshold : float;
+      clean : float;  (* the clean true-class score *)
+      true_class : int;
+    }
+
+let[@inline] passes cmp (v : float) threshold =
+  match cmp with Lt -> v < threshold | Gt -> v > threshold
+
+(* [Rgb.max_val]/[min_val]/[avg_val] and [Location.center_distance],
+   the same expressions written out here: a call into another module
+   boxes its float arguments and result (libraries are compiled
+   without cross-module inlining in the default build), while these
+   stay in registers, so filling a table allocates only the table. *)
+let[@inline] pixel_passes func cmp threshold r g b =
+  match func with
+  | Max _ -> passes cmp (Float.max r (Float.max g b)) threshold
+  | Min _ -> passes cmp (Float.min r (Float.min g b)) threshold
+  | Avg _ | Score_diff | Center -> passes cmp ((r +. g +. b) /. 3.) threshold
+
+let[@inline] center_passes ~d1 ~d2 cmp threshold ~row ~col =
+  let cr = float_of_int (d1 - 1) /. 2. and cc = float_of_int (d2 - 1) /. 2. in
+  passes cmp
+    (Float.max
+       (Float.abs (float_of_int row -. cr))
+       (Float.abs (float_of_int col -. cc)))
+    threshold
+
+let flag b = if b then '\001' else '\000'
+
+let compile c ~image ~true_class ~clean_scores =
+  match c with
+  | Const b -> Fixed b
+  | Cmp { func = Score_diff; cmp; threshold } ->
+      By_score
+        {
+          cmp;
+          threshold;
+          clean = clean_scores.Tensor.data.(true_class);
+          true_class;
+        }
+  | Cmp { func = (Max Pert | Min Pert | Avg Pert) as func; cmp; threshold } ->
+      let t = Bytes.create 8 in
+      for k = 0 to 7 do
+        let p = Rgb.corners.(k) in
+        Bytes.set t k (flag (pixel_passes func cmp threshold p.r p.g p.b))
+      done;
+      By_corner t
+  | Cmp { func = (Max Orig | Min Orig | Avg Orig) as func; cmp; threshold } ->
+      (* [Rgb.of_image]'s layout: channel [c] of location [li] at
+         [li + c * n]. *)
+      let n = Tensor.dim image 1 * Tensor.dim image 2 in
+      let d = image.Tensor.data and t = Bytes.create n in
+      for li = 0 to n - 1 do
+        let r = d.(li) and g = d.(li + n) and b = d.(li + (2 * n)) in
+        Bytes.set t li (flag (pixel_passes func cmp threshold r g b))
+      done;
+      By_location t
+  | Cmp { func = Center; cmp; threshold } ->
+      let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
+      let t = Bytes.create (d1 * d2) in
+      for row = 0 to d1 - 1 do
+        for col = 0 to d2 - 1 do
+          Bytes.set t ((row * d2) + col)
+            (flag (center_passes ~d1 ~d2 cmp threshold ~row ~col))
+        done
+      done;
+      By_location t
+
+let holds c ~id ~scores =
+  match c with
+  | Fixed b -> b
+  | By_corner t -> Bytes.unsafe_get t (id land 7) = '\001'
+  | By_location t -> Bytes.get t (id lsr 3) = '\001'
+  | By_score { cmp; threshold; clean; true_class } ->
+      passes cmp (clean -. scores.Tensor.data.(true_class)) threshold
+
 let conditions p = (p.b1, p.b2, p.b3, p.b4)
 
 let program_of_array = function

@@ -52,6 +52,30 @@ type ctx = {
 val eval_func : func -> ctx -> float
 val eval : t -> ctx -> bool
 
+(** {1 Compiled holes}
+
+    The sketch evaluates every hole on every queried pair, so it
+    compiles each hole once per attack into a per-pair predicate.  A
+    pixel function of [orig] becomes a [d1 * d2]-entry table indexed by
+    location, one of [pert] an 8-entry table indexed by corner, [center]
+    a [d1 * d2]-entry table; [score_diff] keeps the clean true-class
+    score and reads one float of the queried vector.  {!eval} stays the
+    specification: [holds (compile c ...) ~id ~scores] equals
+    [eval c ctx] for the context of pair [Pair.of_id ~d2 id] with
+    [perturbed_scores = scores] (a property test holds them equal). *)
+
+type compiled
+
+val compile :
+  t -> image:Tensor.t -> true_class:int -> clean_scores:Tensor.t -> compiled
+(** Compile one hole for attacking [image] (shape [[|3; d1; d2|]]) of
+    class [true_class] whose clean score vector is [clean_scores]. *)
+
+val holds : compiled -> id:int -> scores:Tensor.t -> bool
+(** [holds c ~id ~scores]: the hole's value on pair id [id] (see
+    {!Pair.id}) whose queried score vector is [scores].  No
+    allocation. *)
+
 val conditions : program -> t * t * t * t
 (** [(b1, b2, b3, b4)]. *)
 

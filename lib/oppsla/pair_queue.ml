@@ -122,61 +122,59 @@ let attach_back q id =
   q.loc_corners.(li) <- q.loc_corners.(li) lor (1 lsl corner)
 
 let pop q =
-  if q.head = nil then None
-  else begin
-    let id = q.head in
-    detach q id;
-    Some (Pair.of_id ~d2:q.d2 id)
-  end
-
-let require_member q (p : Pair.t) op =
-  let id = Pair.id ~d2:q.d2 p in
-  if not (queued q id) then
-    invalid_arg
-      (Printf.sprintf "Pair_queue.%s: pair %s not in queue" op
-         (Pair.to_string p));
+  let id = q.head in
+  if id <> nil then detach q id;
   id
 
-let push_back q p =
-  let id = require_member q p "push_back" in
+let require_member q id op =
+  if id < 0 || id >= Array.length q.next || not (queued q id) then
+    invalid_arg
+      (Printf.sprintf "Pair_queue.%s: pair id %d not in queue" op id)
+
+let push_back q id =
+  require_member q id "push_back";
   detach q id;
   attach_back q id
 
-let remove q p =
-  let id = require_member q p "remove" in
+let remove q id =
+  require_member q id "remove";
   detach q id
 
-let mem q p = queued q (Pair.id ~d2:q.d2 p)
+let mem q id = id >= 0 && id < Array.length q.next && queued q id
 
-let first_with_location q (loc : Location.t) =
-  if not (Location.in_bounds ~d1:q.d1 ~d2:q.d2 loc) then None
+let first_with_location q li =
+  if li < 0 || li >= q.d1 * q.d2 then nil
   else begin
-    let li = Location.index ~d2:q.d2 loc in
     let mask = q.loc_corners.(li) in
-    if mask = 0 then None
-    else begin
-      (* The queue order equals ascending [seq] order (see the interface
-         comment), so the front-most member corner minimizes [seq]. *)
-      let best = ref nil in
-      for corner = 0 to 7 do
-        if mask land (1 lsl corner) <> 0 then begin
-          let id = (li * 8) + corner in
-          if !best = nil || q.seq.(id) < q.seq.(!best) then best := id
-        end
-      done;
-      Some (Pair.of_id ~d2:q.d2 !best)
-    end
+    (* The queue order equals ascending [seq] order (see the interface
+       comment), so the front-most member corner minimizes [seq]. *)
+    let best = ref nil in
+    for corner = 0 to 7 do
+      if mask land (1 lsl corner) <> 0 then begin
+        let id = (li * 8) + corner in
+        if !best = nil || q.seq.(id) < q.seq.(!best) then best := id
+      end
+    done;
+    !best
   end
 
-let front_nth q n =
-  if n < 0 then invalid_arg "Pair_queue.front_nth: negative index";
-  let rec walk id k =
-    if id = nil then None
-    else if k = 0 then Some (Pair.of_id ~d2:q.d2 id)
-    else walk q.next.(id) (k - 1)
-  in
-  walk q.head n
+(* Row-major over the 3x3 block around the location, centre skipped:
+   the order of [Location.neighbors]. *)
+let iter_neighbors q id f =
+  let li = id / 8 and corner = id mod 8 in
+  let row = li / q.d2 and col = li mod q.d2 in
+  for r = row - 1 to row + 1 do
+    if r >= 0 && r < q.d1 then
+      for c = col - 1 to col + 1 do
+        if c >= 0 && c < q.d2 && (r <> row || c <> col) then begin
+          let n = (((r * q.d2) + c) * 8) + corner in
+          if queued q n then f n
+        end
+      done
+  done
 
+let front q = q.head
+let next q id = q.next.(id)
 let length q = q.size
 let is_empty q = q.size = 0
 

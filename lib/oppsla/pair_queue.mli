@@ -1,9 +1,10 @@
 (** The sketch's priority queue [L] of location-perturbation pairs.
 
     Operations used by Algorithm 1: initialize with a fixed order, pop the
-    front, push *member* pairs to the back, remove arbitrary members, and
-    find the first member with a given location ([closest_pert]).  All are
-    O(1) except [first_with_location], which is O(8).
+    front, push *member* pairs to the back, remove arbitrary members,
+    visit a pair's in-queue neighbours ([closest_loc]) and find the first
+    member with a given location ([closest_pert]).  All are O(1) except
+    [iter_neighbors] and [first_with_location], which are O(8).
 
     Implementation: an intrusive doubly-linked list over dense pair ids,
     plus a per-location bitmask of the corners still enqueued and a
@@ -29,27 +30,48 @@ val full_space : d1:int -> d2:int -> image:Tensor.t -> t
     writes (no per-pair allocation).  Raises [Invalid_argument] unless
     [image] has shape [[|3; d1; d2|]]. *)
 
-val pop : t -> Pair.t option
-(** Remove and return the front pair. *)
+(** {1 Operations on pair ids}
 
-val push_back : t -> Pair.t -> unit
+    Every operation below names a pair by its {!Pair.id}
+    ([(row * d2 + col) * 8 + corner]) and a location by its
+    {!Location.index}, and answers [-1] for "none", so the sketch's
+    query loop edits the queue without building a {!Pair.t}, an option
+    or a list. *)
+
+val pop : t -> int
+(** Remove and return the front pair's id; [-1] when empty. *)
+
+val push_back : t -> int -> unit
 (** Move a member pair to the back.  Raises [Invalid_argument] if the pair
     is not currently in the queue. *)
 
-val remove : t -> Pair.t -> unit
+val remove : t -> int -> unit
 (** Remove a member pair.  Raises [Invalid_argument] if absent. *)
 
-val mem : t -> Pair.t -> bool
+val mem : t -> int -> bool
+(** Whether the id is a member ([false] for ids outside the space). *)
 
-val first_with_location : t -> Location.t -> Pair.t option
-(** The member pair with this location that is closest to the front —
-    the paper's "closest pair with respect to the perturbation". *)
+val first_with_location : t -> int -> int
+(** [first_with_location q li]: the member pair at location index [li]
+    that is closest to the front — the paper's "closest pair with
+    respect to the perturbation" — or [-1] when there is none or [li]
+    lies outside the image. *)
 
-val front_nth : t -> int -> Pair.t option
-(** [front_nth q n] is the [n]-th pair from the front without removing
-    it ([front_nth q 0] is what {!pop} would return).  O(n) walk; used
-    by the sketch to speculate its next candidates for batched
-    evaluation. *)
+val iter_neighbors : t -> int -> (int -> unit) -> unit
+(** [iter_neighbors q id f] calls [f] on each member pair with [id]'s
+    corner at a location at L-infinity distance 1 from [id]'s — the
+    paper's "closest pairs with respect to the location" — in
+    {!Location.neighbors} order, found by index arithmetic.  Membership
+    is tested just before each call, so [f] may push back or remove the
+    pair it is given. *)
+
+val front : t -> int
+(** The front pair's id without removing it ([-1] when empty). *)
+
+val next : t -> int -> int
+(** [next q id]: the id behind member [id], or [-1] at the back.  With
+    {!front} it walks the queue one link per step, as the sketch's
+    speculation does; [id] must be a member. *)
 
 val length : t -> int
 val is_empty : t -> bool

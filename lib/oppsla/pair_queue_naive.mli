@@ -1,6 +1,8 @@
 (** Reference implementation of the pair queue, backed by a plain list.
 
-    Same contract as {!Pair_queue} with O(n) operations.  It exists for
+    Same contract as {!Pair_queue} with O(n) operations, stated on
+    {!Pair.t} values and options where {!Pair_queue} takes and answers
+    pair ids and [-1].  It exists for
     two reasons: the property-based tests check the indexed queue against
     it, and the microbenchmark ablates the indexed design against it
     (DESIGN.md §5.1). *)

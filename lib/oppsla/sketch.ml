@@ -19,47 +19,49 @@ let perturb x (pair : Pair.t) =
 (* In-place candidate slots: at most [n] copies of the attacked image,
    made on first use.  [slot_input] takes the next slot round-robin,
    restores the pixel its previous candidate wrote and writes the new
-   pair, so a slot differs from the image in at most one pixel and
-   equals [perturb image pair] when handed out.  The batcher
-   materializes at most [n] inputs per chunk and the oracle consumes
-   them before the next chunk (it borrows its inputs), so no live input
-   is overwritten.  [rewind] restarts the cycle at slot 0 between
-   chunks, so a chunk of [k] candidates touches only the first [k]
-   slots and the arena grows only to the widest chunk. *)
-type slot = { x : Tensor.t; mutable at : Location.t }
-type arena = { base : Tensor.t; slots : slot option array; mutable next : int }
+   pair (named by its id), so a slot differs from the image in at most
+   one pixel and equals [perturb image pair] when handed out.  The
+   batcher materializes at most [n] inputs per chunk and the oracle
+   consumes them before the next chunk (it borrows its inputs), so no
+   live input is overwritten.  [rewind] restarts the cycle at slot 0
+   between chunks, so a chunk of [k] candidates touches only the first
+   [k] slots and the arena grows only to the widest chunk. *)
+type slot = { x : Tensor.t; mutable at : int (* location index *) }
 
-let arena ~n base = { base; slots = Array.make n None; next = 0 }
+type arena = {
+  base : Tensor.t;
+  d2 : int;
+  slots : slot option array;
+  mutable next : int;
+}
+
+let arena ~n base =
+  { base; d2 = Tensor.dim base 2; slots = Array.make n None; next = 0 }
+
 let rewind a = a.next <- 0
 
-let slot_input a (pair : Pair.t) =
+let slot_input a id =
   let i = a.next in
   a.next <- (if i + 1 = Array.length a.slots then 0 else i + 1);
+  let li = id / 8 in
   let s =
     match a.slots.(i) with
     | Some s ->
-        let { Location.row; col } = s.at in
+        let row = s.at / a.d2 and col = s.at mod a.d2 in
         Rgb.write_to_image s.x ~row ~col (Rgb.of_image a.base ~row ~col);
         s
     | None ->
-        let s = { x = Tensor.copy a.base; at = pair.loc } in
+        let s = { x = Tensor.copy a.base; at = li } in
         a.slots.(i) <- Some s;
         s
   in
-  Rgb.write_to_image s.x ~row:pair.loc.row ~col:pair.loc.col (Pair.rgb pair);
-  s.at <- pair.loc;
+  Rgb.write_to_image s.x ~row:(li / a.d2) ~col:(li mod a.d2)
+    Rgb.corners.(id mod 8);
+  s.at <- li;
   s.x
 
-exception Found of Pair.t * Tensor.t
+exception Found of int
 exception Out_of_queries
-
-(* The in-queue neighbours of [pair] with the same corner — the paper's
-   "closest pairs with respect to the location". *)
-let closest_loc queue ~d1 ~d2 (pair : Pair.t) =
-  Location.neighbors ~d1 ~d2 pair.loc
-  |> List.filter_map (fun loc ->
-         let candidate = Pair.make ~loc ~corner:pair.corner in
-         if Pair_queue.mem queue candidate then Some candidate else None)
 
 let cache_key (pair : Pair.t) =
   Score_cache.Corner
@@ -68,6 +70,26 @@ let cache_key (pair : Pair.t) =
       col = pair.loc.Location.col;
       corner = pair.corner;
     }
+
+(* One immutable key table per image geometry, shared by every attack
+   (and domain) on that geometry, so a query names its key by a table
+   read instead of building it. *)
+let key_tables : (int * int, Score_cache.key array) Hashtbl.t =
+  Hashtbl.create 4
+
+let key_tables_mutex = Mutex.create ()
+
+let corner_keys ~d1 ~d2 =
+  Mutex.protect key_tables_mutex (fun () ->
+      match Hashtbl.find_opt key_tables (d1, d2) with
+      | Some keys -> keys
+      | None ->
+          let keys =
+            Array.init (Pair.count ~d1 ~d2) (fun id ->
+                cache_key (Pair.of_id ~d2 id))
+          in
+          Hashtbl.replace key_tables (d1, d2) keys;
+          keys)
 
 let default_batch = 16
 
@@ -89,7 +111,7 @@ let h_queries_to_failure =
 let wd_attack = Telemetry.Watchdog.loop "sketch.attack"
 
 let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
-    ?(on_query = fun _ _ _ -> ()) oracle program ~image ~true_class =
+    ?on_query oracle program ~image ~true_class =
   let run () =
   let cache =
     match cache with Some _ as c -> c | None -> Oracle.cache oracle
@@ -115,18 +137,22 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
   let spent = ref 0 in
   let batcher = Batcher.create ?cache ~width:batch oracle in
   let slots = arena ~n:batch image in
-  let candidate_of pair =
-    { Batcher.key = cache_key pair; input = (fun () -> slot_input slots pair) }
-  in
-  (* Query a candidate pair, possibly served from the batcher's
-     speculative buffer.  Raises [Found] on success and [Out_of_queries]
-     when the [max_queries] cap is hit.  The perturbed tensor is only
+  let keys = corner_keys ~d1 ~d2 in
+  (* The pair id [check] is posing: the one [input] closure of this
+     attack materializes it (on a miss only). *)
+  let pending = ref (-1) in
+  let input () = slot_input slots !pending in
+  (* Query pair [id], possibly served from the batcher's speculative
+     buffer.  Raises [Found] on success and [Out_of_queries] when the
+     [max_queries] cap is hit.  The perturbed tensor is only
      materialized on a cache/buffer miss (or on success, for the
-     result). *)
-  let check ?speculate pair =
+     result); a query answered from the buffer or the cache allocates
+     nothing here. *)
+  let check ~speculate id =
     if !spent >= limit then raise Out_of_queries;
     (* A query builds at most one chunk, consumed before it returns. *)
     rewind slots;
+    pending := id;
     (* [observe] is the threat-model boundary: the batcher resolves the
        raw score vector (cache and keys are mode-blind), and everything
        downstream of this point — conditions, [on_query], the success
@@ -135,23 +161,26 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
        mode-independent; [Score_diff] on one-hot contexts becomes the
        label-flip indicator. *)
     let scores =
-      Oracle.observe oracle (Batcher.query batcher ?speculate (candidate_of pair))
+      Oracle.observe oracle (Batcher.query batcher ~speculate ~input keys.(id))
     in
     incr spent;
-    Telemetry.Watchdog.beat ~queries:!spent wd_attack;
-    on_query !spent pair scores;
+    Telemetry.Watchdog.beat_queries wd_attack !spent;
+    (match on_query with
+    | None -> ()
+    | Some f -> f !spent (Pair.of_id ~d2 id) scores);
     if goal_reached goal ~true_class (Tensor.argmax scores) then
-      raise (Found (pair, perturb image pair));
+      raise (Found id);
     scores
-  in
-  let ctx_of pair perturbed_scores : Condition.ctx =
-    { d1; d2; image; true_class; clean_scores; pair; perturbed_scores }
   in
   let queue =
     Telemetry.Trace.span "sketch.queue_init" ~cat:"attack" (fun () ->
         Pair_queue.full_space ~d1 ~d2 ~image)
   in
-  let b1, b2, b3, b4 = Condition.conditions program in
+  let compile c = Condition.compile c ~image ~true_class ~clean_scores in
+  let b1, b2, b3, b4 =
+    let b1, b2, b3, b4 = Condition.conditions program in
+    (compile b1, compile b2, compile b3, compile b4)
+  in
   (* Speculation for the main loop: if no condition fires on this pair
      (the common case — and the only case for the Sketch+False baseline),
      the next candidates are exactly the queue's front entries.  Any
@@ -159,67 +188,97 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
      eager phase, which changes the next key and makes the batcher
      discard its buffer — accounting stays exact either way.  Filling is
      capped by the local query budget so the tail of an attack never
-     over-prepares. *)
-  let speculate_from_queue i =
+     over-prepares.  The batcher asks for slots 0, 1, 2, ... in order,
+     so a cursor walks the queue one link per slot. *)
+  let cursor = ref (-1) in
+  let speculate i =
     if i >= limit - !spent - 1 then None
-    else Option.map candidate_of (Pair_queue.front_nth queue i)
+    else begin
+      let id =
+        if i = 0 then Pair_queue.front queue
+        else Pair_queue.next queue !cursor
+      in
+      cursor := id;
+      if id < 0 then None
+      else
+        let input () = slot_input slots id in
+        Some { Batcher.key = keys.(id); input }
+    end
   in
+  (* Eager checking (lines 7-24): pairs pulled out of the queue and
+     queried immediately, breadth-first through both closeness
+     relations.  The algorithm's two FIFO queues receive every checked
+     pair, in the same order, so one buffer of (id, scores) entries with
+     a read cursor per relation holds both.  It is made the first time
+     B3 or B4 fires and reused for the rest of the attack. *)
+  let eager_ids = ref [||] and eager_scores = ref [||] and eager_len = ref 0 in
+  let eager_push id scores =
+    let n = !eager_len in
+    if n = Array.length !eager_ids then begin
+      let cap = max 64 (2 * n) in
+      let ids = Array.make cap 0 and ss = Array.make cap scores in
+      Array.blit !eager_ids 0 ids 0 n;
+      Array.blit !eager_scores 0 ss 0 n;
+      eager_ids := ids;
+      eager_scores := ss
+    end;
+    !eager_ids.(n) <- id;
+    !eager_scores.(n) <- scores;
+    eager_len := n + 1
+  in
+  let eager_check id =
+    Pair_queue.remove queue id;
+    eager_push id (check ~speculate:Batcher.no_speculation id)
+  in
+  let eager_phase seed seed_scores =
+    eager_len := 0;
+    eager_push seed seed_scores;
+    let loc_next = ref 0 and pert_next = ref 0 in
+    while !loc_next < !eager_len || !pert_next < !eager_len do
+      while !loc_next < !eager_len do
+        let i = !loc_next in
+        loc_next := i + 1;
+        let id = !eager_ids.(i) in
+        if Condition.holds b3 ~id ~scores:!eager_scores.(i) then
+          Pair_queue.iter_neighbors queue id eager_check
+      done;
+      while !pert_next < !eager_len do
+        let i = !pert_next in
+        pert_next := i + 1;
+        let id = !eager_ids.(i) in
+        if Condition.holds b4 ~id ~scores:!eager_scores.(i) then begin
+          let next = Pair_queue.first_with_location queue (id / 8) in
+          if next >= 0 then eager_check next
+        end
+      done
+    done
+  in
+  let push_back id = Pair_queue.push_back queue id in
   try
     let rec main_loop () =
-      match Pair_queue.pop queue with
-      | None -> { adversarial = None; queries = !spent }
-      | Some pair ->
-          let ctx = ctx_of pair (check ~speculate:speculate_from_queue pair) in
-          if Condition.eval b1 ctx then
-            List.iter (Pair_queue.push_back queue)
-              (closest_loc queue ~d1 ~d2 pair);
-          if Condition.eval b2 ctx then begin
-            match Pair_queue.first_with_location queue pair.loc with
-            | Some next_pair -> Pair_queue.push_back queue next_pair
-            | None -> ()
-          end;
-          eager_phase ctx;
-          main_loop ()
-    (* Eager checking (lines 7-24): pairs pulled out of the queue and
-       queried immediately, breadth-first through both closeness
-       relations. *)
-    and eager_phase seed_ctx =
-      let loc_q = Queue.create () and pert_q = Queue.create () in
-      Queue.add seed_ctx loc_q;
-      Queue.add seed_ctx pert_q;
-      let expand_into ctx'' =
-        Queue.add ctx'' loc_q;
-        Queue.add ctx'' pert_q
-      in
-      while not (Queue.is_empty loc_q && Queue.is_empty pert_q) do
-        while not (Queue.is_empty loc_q) do
-          let ctx' = Queue.pop loc_q in
-          if Condition.eval b3 ctx' then
-            List.iter
-              (fun pair'' ->
-                Pair_queue.remove queue pair'';
-                expand_into (ctx_of pair'' (check pair'')))
-              (closest_loc queue ~d1 ~d2 ctx'.Condition.pair)
-        done;
-        while not (Queue.is_empty pert_q) do
-          let ctx' = Queue.pop pert_q in
-          if Condition.eval b4 ctx' then begin
-            match
-              Pair_queue.first_with_location queue
-                ctx'.Condition.pair.Pair.loc
-            with
-            | None -> ()
-            | Some pair'' ->
-                Pair_queue.remove queue pair'';
-                expand_into (ctx_of pair'' (check pair''))
-          end
-        done
-      done
+      let id = Pair_queue.pop queue in
+      if id < 0 then { adversarial = None; queries = !spent }
+      else begin
+        let scores = check ~speculate id in
+        if Condition.holds b1 ~id ~scores then
+          Pair_queue.iter_neighbors queue id push_back;
+        if Condition.holds b2 ~id ~scores then begin
+          let next = Pair_queue.first_with_location queue (id / 8) in
+          if next >= 0 then push_back next
+        end;
+        (* Conditions are pure, so testing B3 and B4 on the seed before
+           entering changes nothing: the phase does no work unless one
+           of them holds there. *)
+        if Condition.holds b3 ~id ~scores || Condition.holds b4 ~id ~scores
+        then eager_phase id scores;
+        main_loop ()
+      end
     in
     main_loop ()
   with
-  | Found (pair, candidate) ->
-      { adversarial = Some (pair, candidate); queries = !spent }
+  | Found id ->
+      let pair = Pair.of_id ~d2 id in
+      { adversarial = Some (pair, perturb image pair); queries = !spent }
   | Out_of_queries -> { adversarial = None; queries = !spent }
   in
   Telemetry.Counter.incr m_attacks;
@@ -256,16 +315,13 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
 let success_exists ?(goal = Untargeted) oracle ~image ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
   (* One scratch copy, perturbed in place; each pair restores the pixel
-     the previous one wrote. *)
+     the previous one wrote.  Ids ascend row-major by location, corners
+     0..7 within one. *)
   let scratch = arena ~n:1 image in
-  let flips pair =
-    goal_reached goal ~true_class
-      (Oracle.unmetered_classify oracle (slot_input scratch pair))
+  let rec any id =
+    id < Pair.count ~d1 ~d2
+    && (goal_reached goal ~true_class
+          (Oracle.unmetered_classify oracle (slot_input scratch id))
+       || any (id + 1))
   in
-  List.exists
-    (fun loc ->
-      let rec any corner =
-        corner < 8 && (flips (Pair.make ~loc ~corner) || any (corner + 1))
-      in
-      any 0)
-    (Location.all ~d1 ~d2)
+  any 0

@@ -54,6 +54,12 @@ val cache_key : Pair.t -> Score_cache.key
     same finite space (Sparse-RS at [k = 1]), so their caches interoperate
     with the sketch's. *)
 
+val corner_keys : d1:int -> d2:int -> Score_cache.key array
+(** The shared, immutable table of corner keys for a [d1 x d2] image:
+    entry [id] is [cache_key (Pair.of_id ~d2 id)].  Built once per
+    geometry (domain-safe) and never mutated, so the attack names each
+    query's key by an array read.  Do not mutate it. *)
+
 val default_batch : int
 (** Default candidate batch width (16). *)
 
@@ -96,7 +102,12 @@ val attack :
     query with the 1-based query index, the candidate pair, and the
     returned score vector (used by {!Analysis.traced_attack}); with a
     cache the vector may be shared with the memo table, so hooks must not
-    mutate it. *)
+    mutate it.  Without it the attack builds no {!Pair.t} per query.
+
+    The interpreter runs on pair ids ({!Pair_queue}'s id operations,
+    {!Condition.compile}d holes, {!corner_keys}), so a query answered
+    from the batcher's buffer or the cache allocates nothing in the
+    sketch itself. *)
 
 val success_exists :
   ?goal:goal -> Oracle.t -> image:Tensor.t -> true_class:int -> bool

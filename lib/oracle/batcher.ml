@@ -145,7 +145,10 @@ let prepare t chunk =
       let cached =
         match t.cache with
         | None -> None
-        | Some c -> Score_cache.find c cand.key
+        | Some c -> (
+            match Score_cache.find c cand.key with
+            | s -> Some s
+            | exception Not_found -> None)
       in
       match cached with
       | Some _ ->
@@ -153,7 +156,11 @@ let prepare t chunk =
           resolved.(i) <- cached;
           hits.(i) <- true
       | None -> (
-          match List.find_opt (fun j -> chunk.(j).key = cand.key) !missing with
+          match
+            List.find_opt
+              (fun j -> Score_cache.equal_key chunk.(j).key cand.key)
+              !missing
+          with
           | Some j ->
               Option.iter Score_cache.count_hit t.cache;
               repeat_of.(i) <- j
@@ -195,15 +202,15 @@ let no_speculation : int -> candidate option = fun _ -> None
 (* Charge one served query.  Metering happens here — at consumption,
    never at preparation — so the counter advances in the attacker's true
    query order.  [hit] and [chunk] ride along as journal provenance. *)
-let charge t cand ~hit ~chunk =
-  Oracle.meter ~ckey:cand.key ~hit ~chunk t.oracle;
+let charge t key ~hit ~chunk =
+  Oracle.charge t.oracle key ~hit ~chunk;
   bump g_queries 1
 
-let serve_head t cand =
+let serve_head t key =
   match t.buf with
   | [] -> assert false
   | { skey = _; score; shit; spos } :: rest ->
-      charge t cand ~hit:shit ~chunk:spos;
+      charge t key ~hit:shit ~chunk:spos;
       t.buf <- rest;
       score
 
@@ -211,31 +218,32 @@ let serve_head t cand =
    no chunk and leaves the buffer alone (buffered slots stay valid
    answers for their keys).  The probe is uncounted; the hit is counted
    after [charge]: metering sits above the cache.  The charge is
-   journaled as a hit outside any chunk. *)
-let serve_cached t cand =
+   journaled as a hit outside any chunk.  Raises [Not_found] on a miss,
+   so a hit allocates nothing. *)
+let serve_cached t key =
   match t.cache with
-  | None -> None
-  | Some c -> (
-      match Score_cache.find c cand.key with
-      | None -> None
-      | Some _ as hit ->
-          charge t cand ~hit:true ~chunk:(-1);
-          Score_cache.count_hit c;
-          hit)
+  | None -> raise Not_found
+  | Some c ->
+      let score = Score_cache.find c key in
+      charge t key ~hit:true ~chunk:(-1);
+      Score_cache.count_hit c;
+      score
 
 (* A miss is charged once its chunk is resolved, so a failed forward
    pass charges nothing. *)
-let query t ?(speculate = no_speculation) cand =
+let query t ~speculate ~input key =
   match t.buf with
-  | { skey; _ } :: _ when skey = cand.key ->
+  | { skey; _ } :: _ when Score_cache.equal_key skey key ->
       bump g_buffer_hits 1;
-      serve_head t cand
+      serve_head t key
   | _ -> (
-      match serve_cached t cand with
-      | Some score -> score
-      | None ->
+      match serve_cached t key with
+      | score -> score
+      | exception Not_found ->
           drop_buffer t;
-          let chunk = ref [ cand ] and filled = ref 1 and stop = ref false in
+          let chunk = ref [ { key; input } ]
+          and filled = ref 1
+          and stop = ref false in
           while (not !stop) && !filled < t.width do
             match speculate (!filled - 1) with
             | None -> stop := true
@@ -244,4 +252,4 @@ let query t ?(speculate = no_speculation) cand =
                 incr filled
           done;
           prepare t (Array.of_list (List.rev !chunk));
-          serve_head t cand)
+          serve_head t key)

@@ -50,21 +50,39 @@ val create : ?cache:Score_cache.t -> width:int -> Oracle.t -> t
     to the sequential path ([speculate] is never called).  Raises
     [Invalid_argument] if [width < 1]. *)
 
-val query : t -> ?speculate:(int -> candidate option) -> candidate -> Tensor.t
-(** One metered query, answered from the buffer or the cache when
-    possible.  This is the one cached query path, and every query is
+val query :
+  t ->
+  speculate:(int -> candidate option) ->
+  input:(unit -> Tensor.t) ->
+  Score_cache.key ->
+  Tensor.t
+(** [query t ~speculate ~input key]: one metered query for the candidate
+    [key], answered from the buffer or the cache when possible; [input]
+    builds that candidate's input (see {!candidate}) and is called only
+    on a miss.  The candidate arrives as a key plus a closure rather
+    than a {!candidate} record so that an attacker can make its [input]
+    once per attack (reading which candidate is pending from its own
+    state): a query answered from the buffer or the cache then
+    allocates nothing.
+
+    This is the one cached query path, and every query is
     metered before the cache answers it: a cache answer meters before
     counting the hit (journaled with [hit = true] and [chunk = -1]), and
     a miss is metered once its chunk is resolved, so a forward pass that
     raises charges nothing, stores nothing in the cache and leaves the
     buffer empty.  A chunk forwards a key repeated inside it once.
-    [speculate i] (called only when a new chunk must be built) returns
-    the [i]-th candidate the attacker would pose after this one under
-    the assumption that no answer changes its course, or [None] to stop
-    filling; it must not mutate attacker state.  Callers cap it at their
-    own [max_queries], since a slot past the cap is never served.  Meters
-    exactly like {!Oracle.scores}: one counter increment per query, in
-    the order posed. *)
+    [speculate i] (called only when a new chunk must be built, with
+    [i = 0, 1, 2, ...] in order until it returns [None] or the chunk is
+    full) returns the [i]-th candidate the attacker would pose after
+    this one under the assumption that no answer changes its course,
+    or [None] to stop filling; it must not mutate attacker state.  Pass
+    {!no_speculation} to pose the candidate alone.  Callers cap it at
+    their own [max_queries], since a slot past the cap is never served.
+    Meters exactly like {!Oracle.scores}: one counter increment per
+    query, in the order posed. *)
+
+val no_speculation : int -> candidate option
+(** Always [None]: the chunk is the queried candidate alone. *)
 
 val width : t -> int
 

@@ -28,11 +28,10 @@ let m_q_unkeyed = Telemetry.Metrics.counter "oracle.queries.unkeyed"
 let m_q_decision = Telemetry.Metrics.counter "oracle.queries.decision"
 let m_batch_forwards = Telemetry.Metrics.counter "oracle.batch_forwards"
 
-let kind_counter : Score_cache.key option -> _ = function
-  | Some Clean -> m_q_clean
-  | Some (Corner _) -> m_q_corner
-  | Some (Custom _) -> m_q_custom
-  | None -> m_q_unkeyed
+let kind_counter : Score_cache.key -> _ = function
+  | Clean -> m_q_clean
+  | Corner _ -> m_q_corner
+  | Custom _ -> m_q_custom
 
 let mode_label = function Score -> "score" | Decision -> "decision"
 
@@ -103,27 +102,31 @@ let of_network ?(backend = Nn.Backend.Boxed) ?pool net =
     m_by = by_counter ~backend:(Nn.Backend.kind_name backend) Score;
   }
 
-(* The single funnel every charged query passes through.  [ckey] picks
-   the per-key-kind counter and, with [hit]/[chunk], is journal
-   provenance (the cache key, whether the score came from the cache,
-   the batcher slot position) — consulted only when the journal sink is
-   open, so the disabled path costs one extra atomic load. *)
-let meter ?ckey ?hit ?chunk t =
+(* The single funnel every charged query passes through: the counters
+   here, the journal record in its two callers below (consulted only
+   when the journal sink is open, so the disabled path costs one atomic
+   load). *)
+let count t kind =
   t.count <- t.count + 1;
   Telemetry.Counter.incr m_q_total;
-  Telemetry.Counter.incr (kind_counter ckey);
+  Telemetry.Counter.incr kind;
   Telemetry.Counter.incr t.m_by;
-  if t.qmode = Decision then Telemetry.Counter.incr m_q_decision;
-  if Telemetry.Journal.enabled () then begin
-    let key, kind =
-      match ckey with
-      | Some k -> (Score_cache.key_to_string k, Score_cache.key_kind k)
-      | None -> ("unkeyed", "unkeyed")
-    in
-    Telemetry.Journal.record ~key ~kind ~mode:(mode_label t.qmode)
-      ~hit:(Option.value hit ~default:false)
-      ?chunk ~backend:t.backend_kind ()
-  end
+  match t.qmode with
+  | Decision -> Telemetry.Counter.incr m_q_decision
+  | Score -> ()
+
+let journal t ~key ~kind ~hit ~chunk =
+  Telemetry.Journal.record ~key ~kind ~mode:(mode_label t.qmode) ~hit ~chunk
+    ~backend:t.backend_kind ()
+
+(* [key]'s kind picks the per-kind counter; with [hit] and [chunk] it is
+   journal provenance (the cache key, whether the score came from the
+   cache, the batcher slot position). *)
+let charge t key ~hit ~chunk =
+  count t (kind_counter key);
+  if Telemetry.Journal.enabled () then
+    journal t ~key:(Score_cache.key_to_string key)
+      ~kind:(Score_cache.key_kind key) ~hit ~chunk
 
 let validated t s =
   if Tensor.numel s <> t.classes then
@@ -133,7 +136,9 @@ let validated t s =
   s
 
 let scores t x =
-  meter t;
+  count t m_q_unkeyed;
+  if Telemetry.Journal.enabled () then
+    journal t ~key:"unkeyed" ~kind:"unkeyed" ~hit:false ~chunk:(-1);
   validated t (t.fn x)
 
 (* Unmetered batched forward pass: the speculative half of the batched

@@ -87,21 +87,23 @@ val observe : t -> Tensor.t -> Tensor.t
     the batcher store raw score tensors internally in both modes — keys
     and accounting never depend on the mode. *)
 
-val meter : ?ckey:Score_cache.key -> ?hit:bool -> ?chunk:int -> t -> unit
-(** The metering half of {!scores} on its own: charge one query.  It
-    never refuses a query; capping is the attacker's job.  Exposed so
-    caching layers can keep metering {e above} the cache; never call it
-    without answering the query it charges for.  [ckey]'s
+val charge : t -> Score_cache.key -> hit:bool -> chunk:int -> unit
+(** The metering half of {!scores} on its own, for a keyed query:
+    charge one query.  It never refuses a query; capping is the
+    attacker's job.  Exposed so caching layers can keep metering
+    {e above} the cache ({!Batcher} is its one caller); never call it
+    without answering the query it charges for.  The key's
     {!Score_cache.key_kind} routes the telemetry per-kind counter
-    [oracle.queries.<kind>] ([unkeyed] without a key); it never affects
-    accounting.
+    [oracle.queries.<kind>] ({!scores} counts under [unkeyed]); it never
+    affects accounting.  No optional arguments, so a charge with the
+    journal closed allocates nothing.
 
-    [ckey], [hit] and [chunk] are also query-journal provenance — the
+    The key, [hit] and [chunk] are also query-journal provenance — the
     cache key behind the charge, whether the cache already held the
-    answer, and the batcher slot position.  They are only consulted
-    when the journal sink is open and never affect accounting: a
-    journaled run charges the same queries at the same indices as a
-    bare one (the [journal] bench asserts this). *)
+    answer, and the batcher slot position ([-1] outside any chunk).
+    They are only consulted when the journal sink is open and never
+    affect accounting: a journaled run charges the same queries at the
+    same indices as a bare one (the [journal] bench asserts this). *)
 
 val eval_batch : t -> Tensor.t array -> Tensor.t array
 (** Unmetered batched forward pass — the {e speculative} half of the

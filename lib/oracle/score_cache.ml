@@ -20,6 +20,34 @@ let key_to_string = function
       ^ string_of_int corner
   | Custom s -> s
 
+let equal_key a b =
+  a == b
+  ||
+  match (a, b) with
+  | Clean, Clean -> true
+  | Corner a, Corner b -> a.row = b.row && a.col = b.col && a.corner = b.corner
+  | Custom a, Custom b -> String.equal a b
+  | (Clean | Corner _ | Custom _), _ -> false
+
+(* The table's hash, with no polymorphic hash on the query path: for
+   [Corner] keys the fields packed into one int, then multiplied by a
+   large odd constant whose high bits are folded down, so the low bits
+   the table indexes by depend on every field. *)
+let hash_key = function
+  | Clean -> 0
+  | Corner { row; col; corner } ->
+      let packed = (((row lsl 20) lxor col) lsl 3) lxor corner in
+      let h = packed * 0x1e3779b97f4a7c15 in
+      h lxor (h lsr 29)
+  | Custom s -> Hashtbl.hash s
+
+module Table = Hashtbl.Make (struct
+  type t = key
+
+  let equal = equal_key
+  let hash = hash_key
+end)
+
 (* Process-wide mirrors of the per-instance counters below: each cache
    instance is owned by one domain (per-image ownership), but the
    consolidated telemetry view sums across all instances and domains,
@@ -28,7 +56,7 @@ let m_hits = Telemetry.Metrics.counter "cache.hits"
 let m_misses = Telemetry.Metrics.counter "cache.misses"
 
 type t = {
-  table : (key, Tensor.t) Hashtbl.t;
+  table : Tensor.t Table.t;
   mutable hits : int;
   mutable misses : int;
   mutable payload : int;  (* floats resident across all entries *)
@@ -36,7 +64,7 @@ type t = {
 
 type stats = { hits : int; misses : int; entries : int; bytes : int }
 
-let create () = { table = Hashtbl.create 64; hits = 0; misses = 0; payload = 0 }
+let create () = { table = Table.create 64; hits = 0; misses = 0; payload = 0 }
 
 let count_hit (t : t) =
   t.hits <- t.hits + 1;
@@ -45,21 +73,21 @@ let count_hit (t : t) =
 let store_miss (t : t) key s =
   t.misses <- t.misses + 1;
   Telemetry.Counter.incr m_misses;
-  Hashtbl.replace t.table key s;
+  Table.replace t.table key s;
   t.payload <- t.payload + Tensor.numel s
 
 let find_or_add t key ~compute =
-  match Hashtbl.find_opt t.table key with
-  | Some s ->
+  match Table.find t.table key with
+  | s ->
       count_hit t;
       s
-  | None ->
+  | exception Not_found ->
       let s = compute () in
       store_miss t key s;
       s
 
-let find t key = Hashtbl.find_opt t.table key
-let add t key s = if not (Hashtbl.mem t.table key) then store_miss t key s
+let find t key = Table.find t.table key
+let add t key s = if not (Table.mem t.table key) then store_miss t key s
 
 (* Payload floats are 8 bytes each; ~64 bytes/entry covers the boxed
    tensor and the hashtable bucket.  An estimate is enough:
@@ -70,8 +98,8 @@ let stats (t : t) =
   {
     hits = t.hits;
     misses = t.misses;
-    entries = Hashtbl.length t.table;
-    bytes = (t.payload * 8) + (Hashtbl.length t.table * entry_overhead);
+    entries = Table.length t.table;
+    bytes = (t.payload * 8) + (Table.length t.table * entry_overhead);
   }
 
 let zero_stats = { hits = 0; misses = 0; entries = 0; bytes = 0 }

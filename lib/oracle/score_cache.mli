@@ -51,6 +51,10 @@ type key =
           must prefix their encodings distinctly so key spaces cannot
           collide. *)
 
+val equal_key : key -> key -> bool
+(** Structural key equality, without polymorphic compare: the cache's
+    table and the {!Batcher}'s buffer both match keys with it. *)
+
 val key_kind : key -> string
 (** ["clean"], ["corner"] or ["custom"] — the label the telemetry layer
     files per-key-kind query counters under
@@ -79,10 +83,11 @@ val find_or_add : t -> key -> compute:(unit -> Tensor.t) -> Tensor.t
     [compute] is not called on a hit — lazy construction of the perturbed
     input belongs inside it. *)
 
-val find : t -> key -> Tensor.t option
-(** Silent probe: no statistics are touched.  The batcher pairs it with
-    {!count_hit} and {!add} because its lookups and fills are separated
-    by one batched forward pass over all missing slots. *)
+val find : t -> key -> Tensor.t
+(** Silent probe: no statistics are touched.  Raises [Not_found] when
+    [key] is not resident, so a hit allocates nothing.  The batcher
+    pairs it with {!count_hit} and {!add} because its lookups and fills
+    are separated by one batched forward pass over all missing slots. *)
 
 val count_hit : t -> unit
 (** Count one hit without a lookup: the batcher probes with {!find} and

@@ -29,6 +29,18 @@ module Clock = struct
       else clamp ()
     in
     clamp ()
+
+  external wall_us : unit -> (int[@untagged])
+    = "telemetry_wall_us_byte" "telemetry_wall_us"
+  [@@noalloc]
+
+  (* [now_us] in whole microseconds, read without boxing a float or
+     touching the high-water mark: the heartbeat stamp.  The epoch is
+     rounded up and one microsecond added so that the rounding of
+     [now_us]'s float arithmetic can never put a stamp after a later
+     [now_us] read: idle times computed from it are never short. *)
+  let epoch_us = Float.to_int (Float.ceil (epoch *. 1e6)) + 1
+  let now_int_us () = wall_us () - epoch_us
 end
 
 (* Lock-free float accumulator (OCaml [Atomic] has no fetch-and-add for

@@ -1,7 +1,8 @@
 (* Query-provenance journal: one JSONL record per *charged* oracle
-   query, written at the metering point (Oracle.meter) so the journal is
-   exactly the charge sequence — the quantity every optimization layer
-   (pool, cache, batcher, islands, f32 backend) must leave bit-identical.
+   query, written at the metering point (Oracle.charge and
+   Oracle.scores) so the journal is exactly the charge sequence — the
+   quantity every optimization layer (pool, cache, batcher, islands, f32
+   backend) must leave bit-identical.
 
    File format (one JSON object per line):
 

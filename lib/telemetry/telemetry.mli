@@ -30,6 +30,12 @@ module Clock : sig
   (** Microseconds since process start.  Monotonic by construction: the
       raw wall clock is clamped so consecutive reads never decrease,
       even across domains (a shared atomic high-water mark). *)
+
+  val now_int_us : unit -> int
+  (** Whole microseconds since process start on the same epoch as
+      {!now_us}, read from the raw wall clock (not clamped) as an
+      unboxed integer: no allocation and no shared write, for stamps
+      taken on every query ({!Watchdog.beat_queries}). *)
 end
 
 (** {1 Metric handles}
@@ -257,6 +263,13 @@ module Watchdog : sig
       given, the loop's current image index / iteration / queries
       spent (last-writer-wins across domains). *)
 
+  val beat_queries : t -> int -> unit
+  (** [beat_queries t q] is [beat ~queries:q t] without optional
+      arguments: the per-query form (the sketch, Sparse-RS and SuOPA
+      beat once per metered query).  With the flight recorder off it
+      allocates nothing: the last-beat time is stored as
+      {!Clock.now_int_us}, an immediate. *)
+
   type status = {
     name : string;
     active : int;  (** concurrent entries right now *)
@@ -423,9 +436,10 @@ module Journal : sig
   val record :
     key:string -> kind:string -> mode:string -> hit:bool -> ?chunk:int ->
     backend:string -> unit -> unit
-  (** Emit one charge record (no-op when disabled).  Called by
-      [Oracle.meter] — the single funnel every charged query passes
-      through.  [chunk] is the batcher slot position (-1 when the
+  (** Emit one charge record (no-op when disabled).  Called at the
+      oracle's metering point ([Oracle.charge] for keyed queries,
+      [Oracle.scores] for unkeyed ones), which every charged query
+      passes through.  [chunk] is the batcher slot position (-1 when the
       charge was not batched); site and image come from the
       domain-local context below. *)
 

@@ -5,7 +5,8 @@
    have stopped progressing.
 
    Observation-only by construction: a beat is a handful of atomic
-   stores plus one clock read — no RNG, no metering, no cache state.
+   stores plus one unboxed clock read — no RNG, no metering, no cache
+   state, and (with the flight recorder off) no allocation.
    Slots are shared across domains (parallel evaluation runs many
    attacks against one slot); [active] counts concurrent entries and
    the detail fields are last-writer-wins, which is exactly the "what
@@ -15,7 +16,9 @@ type t = {
   name : string;
   active : int Atomic.t;  (* concurrent entries (enter/leave balance) *)
   beats : int Atomic.t;  (* lifetime progress events *)
-  last_beat_us : float Atomic.t;  (* Clock.now_us of the latest beat *)
+  last_beat_us : int Atomic.t;
+      (* Clock.now_int_us of the latest beat or entry: an immediate, so
+         a per-query beat stores no boxed float *)
   image : int Atomic.t;  (* -1 = never reported *)
   iteration : int Atomic.t;
   queries : int Atomic.t;
@@ -35,7 +38,7 @@ let loop name =
             name;
             active = Atomic.make 0;
             beats = Atomic.make 0;
-            last_beat_us = Atomic.make 0.;
+            last_beat_us = Atomic.make 0;
             image = Atomic.make (-1);
             iteration = Atomic.make (-1);
             queries = Atomic.make (-1);
@@ -47,31 +50,42 @@ let loop name =
   Mutex.unlock registry_mutex;
   t
 
+let stamp t =
+  Atomic.set t.last_beat_us (Core.Clock.now_int_us ());
+  ignore (Atomic.fetch_and_add t.beats 1)
+
+(* Feed the flight recorder so a post-mortem ring dump carries the last
+   heartbeat's span context (which loop, which image/iteration, how many
+   queries).  Callers gate it on the ring being live, so the beat stays
+   a handful of atomic stores otherwise. *)
+let ring_record t ~image ~iteration ~queries =
+  Core.Ring.record
+    (Core.Trace.render_event ~name:"watchdog.beat" ~cat:"watchdog" ~ph:"i"
+       ~ts:(Core.Clock.now_us ()) ~scope:"t"
+       (List.filter_map Fun.id
+          [
+            Some ("loop", Core.Trace.Str t.name);
+            Option.map (fun i -> ("image", Core.Trace.Int i)) image;
+            Option.map (fun i -> ("iteration", Core.Trace.Int i)) iteration;
+            Option.map (fun q -> ("queries", Core.Trace.Int q)) queries;
+          ]))
+
 let beat ?image ?iteration ?queries t =
   (match image with Some i -> Atomic.set t.image i | None -> ());
   (match iteration with Some i -> Atomic.set t.iteration i | None -> ());
   (match queries with Some q -> Atomic.set t.queries q | None -> ());
-  Atomic.set t.last_beat_us (Core.Clock.now_us ());
-  ignore (Atomic.fetch_and_add t.beats 1);
-  (* Feed the flight recorder so a post-mortem ring dump carries the
-     last heartbeat's span context (which loop, which image/iteration,
-     how many queries).  Gated on the ring being live — the beat stays
-     a handful of atomic stores otherwise. *)
+  stamp t;
+  if Core.Ring.enabled () then ring_record t ~image ~iteration ~queries
+
+let beat_queries t queries =
+  Atomic.set t.queries queries;
+  stamp t;
   if Core.Ring.enabled () then
-    Core.Ring.record
-      (Core.Trace.render_event ~name:"watchdog.beat" ~cat:"watchdog" ~ph:"i"
-         ~ts:(Core.Clock.now_us ()) ~scope:"t"
-         (List.filter_map Fun.id
-            [
-              Some ("loop", Core.Trace.Str t.name);
-              Option.map (fun i -> ("image", Core.Trace.Int i)) image;
-              Option.map (fun i -> ("iteration", Core.Trace.Int i)) iteration;
-              Option.map (fun q -> ("queries", Core.Trace.Int q)) queries;
-            ]))
+    ring_record t ~image:None ~iteration:None ~queries:(Some queries)
 
 let enter t =
   ignore (Atomic.fetch_and_add t.active 1);
-  Atomic.set t.last_beat_us (Core.Clock.now_us ())
+  Atomic.set t.last_beat_us (Core.Clock.now_int_us ())
 
 let leave t = ignore (Atomic.fetch_and_add t.active (-1))
 
@@ -102,7 +116,9 @@ let snapshot ?now_us () =
            name = w.name;
            active = Atomic.get w.active;
            beats = Atomic.get w.beats;
-           idle_s = Float.max 0. ((now -. Atomic.get w.last_beat_us) /. 1e6);
+           idle_s =
+             Float.max 0.
+               ((now -. float_of_int (Atomic.get w.last_beat_us)) /. 1e6);
            image = opt_field (Atomic.get w.image);
            iteration = opt_field (Atomic.get w.iteration);
            queries = opt_field (Atomic.get w.queries);

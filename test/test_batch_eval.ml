@@ -231,6 +231,10 @@ let cand v =
     input = (fun () -> Tensor.create [| 2; 2 |] (float_of_int v /. 10.));
   }
 
+(* Pose a candidate record. *)
+let ask t ?(speculate = Batcher.no_speculation) (c : Batcher.candidate) =
+  Batcher.query t ~speculate ~input:c.input c.key
+
 let batcher_metering_and_speculation () =
   Batcher.reset_global_stats ();
   let calls = ref 0 in
@@ -240,20 +244,20 @@ let batcher_metering_and_speculation () =
   let speculate i = if i < 2 then Some plan.(i + 1) else None in
   (* First query builds a 3-candidate chunk: one batched forward pass,
      three scoring-function calls, ONE metered query. *)
-  let s1 = Batcher.query t ~speculate plan.(0) in
+  let s1 = ask t ~speculate plan.(0) in
   Alcotest.(check (float 0.)) "answer for candidate 1" 0.1
     (Tensor.get_flat s1 1);
   Alcotest.(check int) "forwards are speculative" 3 !calls;
   Alcotest.(check int) "one metered query" 1 (Oracle.queries oracle);
   (* Second query is served from the buffer: no new forward. *)
-  let s2 = Batcher.query t ~speculate plan.(1) in
+  let s2 = ask t ~speculate plan.(1) in
   Alcotest.(check (float 0.)) "answer for candidate 2" 0.2
     (Tensor.get_flat s2 1);
   Alcotest.(check int) "no new forward" 3 !calls;
   Alcotest.(check int) "two metered queries" 2 (Oracle.queries oracle);
   (* Changing course discards the rest of the buffer (candidate 3) and
      rebuilds from the new head. *)
-  let s9 = Batcher.query t (cand 9) in
+  let s9 = ask t (cand 9) in
   Alcotest.(check (float 0.)) "answer after mis-speculation" 0.9
     (Tensor.get_flat s9 1);
   Alcotest.(check int) "rebuild evaluates the new head" 4 !calls;
@@ -276,17 +280,21 @@ let batcher_cache_excludes_hits () =
   let t = Batcher.create ~cache ~width:4 oracle in
   let plan = [| cand 1; cand 2; cand 3 |] in
   let speculate i = if i < 2 then Some plan.(i + 1) else None in
-  ignore (Batcher.query t ~speculate plan.(0));
+  ignore (ask t ~speculate plan.(0));
   Alcotest.(check int) "cache hit left the forward pass" 2 !calls;
-  let s2 = Batcher.query t ~speculate plan.(1) in
+  let s2 = ask t ~speculate plan.(1) in
   Alcotest.(check (float 0.)) "cached answer served" 0.2
     (Tensor.get_flat s2 1);
   Alcotest.(check int) "no extra forward" 2 !calls;
   Alcotest.(check int) "hits are still metered" 2 (Oracle.queries oracle);
   (* Newly computed slots were stored for later reuse. *)
   Alcotest.(check bool) "misses were cached" true
-    (Score_cache.find cache (cand 1).Batcher.key <> None
-    && Score_cache.find cache (cand 3).Batcher.key <> None)
+    (List.for_all
+       (fun v ->
+         match Score_cache.find cache (cand v).Batcher.key with
+         | _ -> true
+         | exception Not_found -> false)
+       [ 1; 3 ])
 
 exception Injected
 
@@ -314,17 +322,17 @@ let batcher_failing_forward () =
   let plan = Array.init 8 (fun v -> cand (v + 1)) in
   let speculate p i = if p + 1 + i < 8 then Some plan.(p + 1 + i) else None in
   for p = 0 to 3 do
-    ignore (Batcher.query t ~speculate:(speculate p) plan.(p))
+    ignore (ask t ~speculate:(speculate p) plan.(p))
   done;
   Alcotest.(check int) "four slots served" 4 (Oracle.queries oracle);
   Alcotest.(check int) "four entries" 4 (Score_cache.stats cache).entries;
-  (match Batcher.query t ~speculate:(speculate 4) plan.(4) with
+  (match ask t ~speculate:(speculate 4) plan.(4) with
   | _ -> Alcotest.fail "the failing forward pass did not surface"
   | exception Injected -> ());
   Alcotest.(check int) "failed chunk charges nothing" 4 (Oracle.queries oracle);
   Alcotest.(check int) "failed chunk stores nothing" 4
     (Score_cache.stats cache).entries;
-  let s5 = Batcher.query t ~speculate:(speculate 4) plan.(4) in
+  let s5 = ask t ~speculate:(speculate 4) plan.(4) in
   Alcotest.(check int) "a fresh chunk was forwarded" 3 !chunks;
   Alcotest.(check (float 0.)) "answer for candidate 5" 0.5
     (Tensor.get_flat s5 1);
@@ -359,8 +367,8 @@ let batcher_width_one_never_speculates () =
     incr speculated;
     Some (cand 2)
   in
-  ignore (Batcher.query t ~speculate (cand 1));
-  ignore (Batcher.query t ~speculate (cand 2));
+  ignore (ask t ~speculate (cand 1));
+  ignore (ask t ~speculate (cand 2));
   Alcotest.(check int) "width 1 is the sequential path" 0 !speculated;
   Alcotest.(check int) "one forward per query" 2 !calls;
   Alcotest.(check bool) "width < 1 rejected" true
@@ -393,7 +401,7 @@ let batcher_cache_first_hit () =
     incr speculated;
     Some (cand 2)
   in
-  let s = Batcher.query t ~speculate (cand 1) in
+  let s = ask t ~speculate (cand 1) in
   Alcotest.(check (float 0.)) "cached answer" 1. (Tensor.get_flat s 1);
   Alcotest.(check int) "speculate never called" 0 !speculated;
   Alcotest.(check int) "nothing forwarded" 0 !calls;
@@ -414,8 +422,8 @@ let batcher_cache_first_meters () =
   let path = Filename.temp_file "oppsla_batch_journal" ".jsonl" in
   Telemetry.Journal.to_file path;
   Fun.protect ~finally:Telemetry.Journal.close (fun () ->
-      ignore (Batcher.query t (cand 1));
-      ignore (Batcher.query t (cand 2)));
+      ignore (ask t (cand 1));
+      ignore (ask t (cand 2)));
   let records = (Evalharness.Audit.load_strict path).records in
   Sys.remove path;
   Alcotest.(check int) "both answers metered" 2 (Oracle.queries oracle);
@@ -437,11 +445,11 @@ let batcher_cache_first_keeps_buffer () =
   let t = Batcher.create ~cache ~width:4 oracle in
   let plan = [| cand 1; cand 2; cand 3 |] in
   let speculate i = if i < 2 then Some plan.(i + 1) else None in
-  ignore (Batcher.query t ~speculate plan.(0));
+  ignore (ask t ~speculate plan.(0));
   Alcotest.(check int) "one chunk of three" 3 !calls;
-  let s5 = Batcher.query t ~speculate (cand 5) in
+  let s5 = ask t ~speculate (cand 5) in
   Alcotest.(check (float 0.)) "cache-first answer" 5. (Tensor.get_flat s5 1);
-  let s2 = Batcher.query t ~speculate plan.(1) in
+  let s2 = ask t ~speculate plan.(1) in
   Alcotest.(check (float 0.)) "buffered slot served" 0.2
     (Tensor.get_flat s2 1);
   Alcotest.(check int) "no new forward" 3 !calls;
@@ -649,7 +657,9 @@ let forwards_equal_cache_misses () =
           attack ~batch oracle image;
           let s = Score_cache.stats cache in
           let clean =
-            if Score_cache.find cache Score_cache.Clean <> None then 1 else 0
+            match Score_cache.find cache Score_cache.Clean with
+            | _ -> 1
+            | exception Not_found -> 0
           in
           Alcotest.(check int)
             (Printf.sprintf "%s width %d: rows forwarded = misses" name batch)

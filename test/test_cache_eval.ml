@@ -343,7 +343,7 @@ let batched_asker ~width oracle cache cands =
   fun p ->
     Batcher.query t
       ~speculate:(fun i -> if p + 1 + i < n then Some cands.(p + 1 + i) else None)
-      cands.(p)
+      ~input:cands.(p).Batcher.input cands.(p).Batcher.key
 
 let widths = [ 1; 16 ]
 

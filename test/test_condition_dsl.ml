@@ -169,6 +169,80 @@ let qcheck_roundtrip_with_consts =
       in
       C.equal_program p (Dsl.parse_program_exn (Dsl.print_program p)))
 
+(* Compiled holes against the spec.  Pixel values, thresholds and
+   scores are drawn from a small dyadic set (exact sums and differences,
+   so ties at the threshold are real ties) plus NaN and -0; a few
+   pixels are set to exact thresholds too, and centre distances are
+   half-integers, so every comparison meets its threshold somewhere. *)
+let specials = [| 0.; -0.; 0.25; 0.5; 0.75; 1.; 1.5; Float.nan |]
+
+let arbitrary_compile_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (d, seed, t, cls) ->
+      Printf.sprintf "%dx%d seed %d threshold %h true class %d" d d seed t cls)
+    (quad (oneofl [ 16; 24 ]) (int_bound 10_000)
+       (oneof [ oneofa specials; float_range (-1.) 2. ])
+       (int_bound 2))
+
+let all_funcs =
+  [
+    C.Max C.Orig; C.Min C.Orig; C.Avg C.Orig; C.Max C.Pert; C.Min C.Pert;
+    C.Avg C.Pert; C.Score_diff; C.Center;
+  ]
+
+let compiled_equals_eval (d, seed, threshold, true_class) =
+  let g = Prng.of_int seed in
+  let image = Tensor.rand_uniform g [| 3; d; d |] in
+  (* Half the channel values come from [specials]. *)
+  Array.iteri
+    (fun i _ ->
+      if Prng.int g 2 = 0 then
+        image.Tensor.data.(i) <- specials.(Prng.int g (Array.length specials)))
+    image.Tensor.data;
+  let vector () =
+    Tensor.of_array [| 3 |]
+      (Array.init 3 (fun _ -> specials.(Prng.int g (Array.length specials))))
+  in
+  let clean_scores = vector () in
+  let vectors = List.init 6 (fun _ -> vector ()) in
+  List.for_all
+    (fun func ->
+      List.for_all
+        (fun cmp ->
+          let c = C.Cmp { func; cmp; threshold } in
+          let compiled = C.compile c ~image ~true_class ~clean_scores in
+          List.for_all
+            (fun id ->
+              List.for_all
+                (fun scores ->
+                  let ctx =
+                    {
+                      C.d1 = d;
+                      d2 = d;
+                      image;
+                      true_class;
+                      clean_scores;
+                      pair = Pair.of_id ~d2:d id;
+                      perturbed_scores = scores;
+                    }
+                  in
+                  C.holds compiled ~id ~scores = C.eval c ctx)
+                vectors)
+            (List.init (8 * d * d) Fun.id))
+        [ C.Lt; C.Gt ])
+    all_funcs
+  && List.for_all
+       (fun b ->
+         C.holds (C.compile (C.Const b) ~image ~true_class ~clean_scores) ~id:0
+           ~scores:clean_scores
+         = b)
+       [ true; false ]
+
+let qcheck_compiled_equals_eval =
+  QCheck.Test.make ~name:"compiled holes equal eval" ~count:20
+    arbitrary_compile_case compiled_equals_eval
+
 let suite =
   [
     Alcotest.test_case "eval funcs" `Quick eval_funcs;
@@ -188,4 +262,5 @@ let suite =
       print_parse_roundtrip_example;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_with_consts;
+    QCheck_alcotest.to_alcotest qcheck_compiled_equals_eval;
   ]

@@ -200,29 +200,34 @@ let qcheck_naive_equivalence =
       let d2 = 2 in
       let all = List.init 32 (fun id -> Pair.of_id ~d2 id) in
       let a = PQ.init ~d1:2 ~d2 all and b = PQN.init ~d1:2 ~d2 all in
+      (* The indexed queue answers ids, -1 for none. *)
+      let same_id id p =
+        match p with None -> id = -1 | Some p -> id = Pair.id ~d2 p
+      in
       let ok = ref true in
       List.iter
         (fun op ->
           (match op with
-          | Pop ->
-              let x = PQ.pop a and y = PQN.pop b in
-              if x <> y then ok := false
+          | Pop -> if not (same_id (PQ.pop a) (PQN.pop b)) then ok := false
           | Push_back id ->
               let p = Pair.of_id ~d2 id in
-              if PQ.mem a p <> PQN.mem b p then ok := false
-              else if PQ.mem a p then begin
-                PQ.push_back a p;
+              if PQ.mem a id <> PQN.mem b p then ok := false
+              else if PQ.mem a id then begin
+                PQ.push_back a id;
                 PQN.push_back b p
               end
           | Remove id ->
               let p = Pair.of_id ~d2 id in
-              if PQ.mem a p then begin
-                PQ.remove a p;
+              if PQ.mem a id then begin
+                PQ.remove a id;
                 PQN.remove b p
               end
           | First li ->
               let loc = Location.of_index ~d2 li in
-              if PQ.first_with_location a loc <> PQN.first_with_location b loc
+              if
+                not
+                  (same_id (PQ.first_with_location a li)
+                     (PQN.first_with_location b loc))
               then ok := false);
           if PQ.to_list a <> PQN.to_list b then ok := false)
         ops;

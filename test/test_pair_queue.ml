@@ -8,18 +8,15 @@ module Rgb = Oppsla.Rgb
 
 let mk row col corner = Pair.make ~loc:(Location.make ~row ~col) ~corner
 
+(* Ids of pairs in a 2x2 image. *)
+let id row col corner = Pair.id ~d2:2 (mk row col corner)
+
 let init_and_order () =
   let order = [ mk 0 0 0; mk 1 1 3; mk 0 1 7 ] in
   let q = Pair_queue.init ~d1:2 ~d2:2 order in
   Alcotest.(check int) "length" 3 (Pair_queue.length q);
-  Alcotest.(check bool) "front" true
-    (match Pair_queue.pop q with
-    | Some p -> Pair.equal p (mk 0 0 0)
-    | None -> false);
-  Alcotest.(check bool) "second" true
-    (match Pair_queue.pop q with
-    | Some p -> Pair.equal p (mk 1 1 3)
-    | None -> false);
+  Alcotest.(check int) "front" (id 0 0 0) (Pair_queue.pop q);
+  Alcotest.(check int) "second" (id 1 1 3) (Pair_queue.pop q);
   Alcotest.(check int) "remaining" 1 (Pair_queue.length q)
 
 let init_rejects_duplicates () =
@@ -38,12 +35,12 @@ let init_rejects_out_of_bounds () =
 
 let pop_empty () =
   let q = Pair_queue.init ~d1:2 ~d2:2 [] in
-  Alcotest.(check bool) "None" true (Pair_queue.pop q = None);
+  Alcotest.(check int) "-1" (-1) (Pair_queue.pop q);
   Alcotest.(check bool) "is_empty" true (Pair_queue.is_empty q)
 
 let push_back_moves_to_tail () =
   let q = Pair_queue.init ~d1:2 ~d2:2 [ mk 0 0 0; mk 0 1 1; mk 1 0 2 ] in
-  Pair_queue.push_back q (mk 0 0 0);
+  Pair_queue.push_back q (id 0 0 0);
   let contents = Pair_queue.to_list q in
   Alcotest.(check bool) "moved to tail" true
     (Pair.equal (List.nth contents 2) (mk 0 0 0));
@@ -53,19 +50,19 @@ let push_back_absent_raises () =
   let q = Pair_queue.init ~d1:2 ~d2:2 [ mk 0 0 0 ] in
   Alcotest.(check bool) "raises" true
     (try
-       Pair_queue.push_back q (mk 1 1 1);
+       Pair_queue.push_back q (id 1 1 1);
        false
      with Invalid_argument _ -> true)
 
 let remove_and_mem () =
   let q = Pair_queue.init ~d1:2 ~d2:2 [ mk 0 0 0; mk 0 1 1 ] in
-  Alcotest.(check bool) "mem before" true (Pair_queue.mem q (mk 0 1 1));
-  Pair_queue.remove q (mk 0 1 1);
-  Alcotest.(check bool) "mem after" false (Pair_queue.mem q (mk 0 1 1));
+  Alcotest.(check bool) "mem before" true (Pair_queue.mem q (id 0 1 1));
+  Pair_queue.remove q (id 0 1 1);
+  Alcotest.(check bool) "mem after" false (Pair_queue.mem q (id 0 1 1));
   Alcotest.(check int) "length" 1 (Pair_queue.length q);
   Alcotest.(check bool) "double remove raises" true
     (try
-       Pair_queue.remove q (mk 0 1 1);
+       Pair_queue.remove q (id 0 1 1);
        false
      with Invalid_argument _ -> true)
 
@@ -73,19 +70,15 @@ let first_with_location_order () =
   let q =
     Pair_queue.init ~d1:2 ~d2:2 [ mk 0 0 5; mk 0 1 1; mk 0 0 2; mk 0 0 7 ]
   in
-  (* Front-most pair at (0,0) is corner 5. *)
-  Alcotest.(check bool) "corner 5 first" true
-    (match Pair_queue.first_with_location q (Location.make ~row:0 ~col:0) with
-    | Some p -> Pair.equal p (mk 0 0 5)
-    | None -> false);
+  (* Front-most pair at (0,0) (location index 0) is corner 5. *)
+  Alcotest.(check int) "corner 5 first" (id 0 0 5)
+    (Pair_queue.first_with_location q 0);
   (* After pushing it to the back, corner 2 becomes front-most. *)
-  Pair_queue.push_back q (mk 0 0 5);
-  Alcotest.(check bool) "corner 2 after reorder" true
-    (match Pair_queue.first_with_location q (Location.make ~row:0 ~col:0) with
-    | Some p -> Pair.equal p (mk 0 0 2)
-    | None -> false);
-  Alcotest.(check bool) "no member at (1,1)" true
-    (Pair_queue.first_with_location q (Location.make ~row:1 ~col:1) = None)
+  Pair_queue.push_back q (id 0 0 5);
+  Alcotest.(check int) "corner 2 after reorder" (id 0 0 2)
+    (Pair_queue.first_with_location q 0);
+  Alcotest.(check int) "no member at (1,1)" (-1)
+    (Pair_queue.first_with_location q 3)
 
 (* full_space structure *)
 
@@ -241,11 +234,18 @@ let arbitrary_full_space =
 
 module Naive = Oppsla.Pair_queue_naive
 
-let same_pair a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> Pair.equal a b
-  | _ -> false
+(* The indexed queue answers ids, -1 for none; the model answers
+   options. *)
+let same_id ~d2 id p =
+  match p with None -> id = -1 | Some p -> id = Pair.id ~d2 p
+
+(* The [n]-th id from the front, walking one link per step as the
+   sketch's speculation does. *)
+let walk_nth q n =
+  let rec go id k =
+    if id < 0 || k = 0 then id else go (Pair_queue.next q id) (k - 1)
+  in
+  go (Pair_queue.front q) n
 
 (* [q] and the list model [m] answer every op alike. *)
 let agrees_with_model ~d1 ~d2 q m ops =
@@ -258,29 +258,28 @@ let agrees_with_model ~d1 ~d2 q m ops =
     (fun op ->
       let same =
         match op with
-        | QPop -> same_pair (Pair_queue.pop q) (Naive.pop m)
+        | QPop -> same_id ~d2 (Pair_queue.pop q) (Naive.pop m)
         | QPush_back i -> (
             match member i with
             | Some p ->
-                Pair_queue.push_back q p;
+                Pair_queue.push_back q (Pair.id ~d2 p);
                 Naive.push_back m p;
                 true
-            | None -> not (Pair_queue.mem q (Pair.of_id ~d2 (i mod cap))))
+            | None -> not (Pair_queue.mem q (i mod cap)))
         | QRemove i -> (
             match member i with
             | Some p ->
-                Pair_queue.remove q p;
+                Pair_queue.remove q (Pair.id ~d2 p);
                 Naive.remove m p;
                 true
-            | None -> not (Pair_queue.mem q (Pair.of_id ~d2 (i mod cap))))
+            | None -> not (Pair_queue.mem q (i mod cap)))
         | QFirst_with_loc i ->
-            let loc = Location.of_index ~d2 (i mod (d1 * d2 + 3)) in
-            same_pair
-              (Pair_queue.first_with_location q loc)
-              (Naive.first_with_location m loc)
+            let li = i mod ((d1 * d2) + 3) in
+            same_id ~d2
+              (Pair_queue.first_with_location q li)
+              (Naive.first_with_location m (Location.of_index ~d2 li))
         | QFront_nth i ->
-            same_pair (Pair_queue.front_nth q i)
-              (List.nth_opt (Naive.to_list m) i)
+            same_id ~d2 (walk_nth q i) (List.nth_opt (Naive.to_list m) i)
       in
       same
       && Pair_queue.length q = Naive.length m
@@ -301,6 +300,37 @@ let full_space_matches_reference (d1, d2, pixels, seed, ops) =
 let qcheck_full_space_reference =
   QCheck.Test.make ~name:"full_space equals the Appendix-A reference"
     ~count:200 arbitrary_full_space full_space_matches_reference
+
+(* The sketch's [closest_loc], written as the paper states it: the
+   in-queue pairs with the same corner at the location's neighbours, in
+   [Location.neighbors] order. *)
+let closest_loc q ~d1 ~d2 id =
+  let p = Pair.of_id ~d2 id in
+  List.filter_map
+    (fun loc ->
+      let n = Pair.id ~d2 (Pair.make ~loc ~corner:p.Pair.corner) in
+      if Pair_queue.mem q n then Some n else None)
+    (Location.neighbors ~d1 ~d2 p.Pair.loc)
+
+(* After the ops have put the queue in a random state, the id-arithmetic
+   visit of every pair's neighbours lists exactly [closest_loc]. *)
+let neighbors_match_closest_loc (d1, d2, pixels, seed, ops) =
+  let image = image_of ~d1 ~d2 ~seed pixels in
+  let q = Pair_queue.full_space ~d1 ~d2 ~image in
+  ignore
+    (agrees_with_model ~d1 ~d2 q
+       (Naive.init ~d1 ~d2 (reference_order ~d1 ~d2 ~image))
+       ops);
+  List.for_all
+    (fun id ->
+      let visited = ref [] in
+      Pair_queue.iter_neighbors q id (fun n -> visited := n :: !visited);
+      List.rev !visited = closest_loc q ~d1 ~d2 id)
+    (List.init (Pair.count ~d1 ~d2) Fun.id)
+
+let qcheck_neighbors =
+  QCheck.Test.make ~name:"iter_neighbors equals closest_loc" ~count:200
+    arbitrary_full_space neighbors_match_closest_loc
 
 let full_space_rejects_shape () =
   let image = Tensor.zeros [| 3; 4; 5 |] in
@@ -392,7 +422,8 @@ let arbitrary_ops =
     ~print:(fun l -> String.concat "; " (List.map op_print l))
     QCheck.Gen.(list_size (int_range 1 60) op_gen)
 
-(* d1 = d2 = 2: ids 0..31; locations 0..3. *)
+(* d1 = d2 = 2: ids 0..31; locations 0..3.  The queue is driven by
+   ids, the list model by pairs. *)
 let model_agrees ops =
   let d2 = 2 in
   let all = List.init 32 (fun id -> Pair.of_id ~d2 id) in
@@ -407,20 +438,20 @@ let model_agrees ops =
       (match op with
       | Pop -> (
           let popped = Pair_queue.pop q in
-          match (!model, popped) with
-          | [], None -> ()
-          | m :: rest, Some p when Pair.equal m p -> model := rest
-          | _ -> ok := false)
+          match !model with
+          | [] -> if popped <> -1 then ok := false
+          | m :: rest ->
+              if popped = Pair.id ~d2 m then model := rest else ok := false)
       | Push_back id ->
           let p = Pair.of_id ~d2 id in
           if List.exists (Pair.equal p) !model then begin
-            Pair_queue.push_back q p;
+            Pair_queue.push_back q id;
             model := List.filter (fun x -> not (Pair.equal x p)) !model @ [ p ]
           end
       | Remove id ->
           let p = Pair.of_id ~d2 id in
           if List.exists (Pair.equal p) !model then begin
-            Pair_queue.remove q p;
+            Pair_queue.remove q id;
             model := List.filter (fun x -> not (Pair.equal x p)) !model
           end
       | First_with_loc li ->
@@ -428,14 +459,8 @@ let model_agrees ops =
           let expected =
             List.find_opt (fun (p : Pair.t) -> Location.equal p.loc loc) !model
           in
-          let got = Pair_queue.first_with_location q loc in
-          let same =
-            match (expected, got) with
-            | None, None -> true
-            | Some a, Some b -> Pair.equal a b
-            | _ -> false
-          in
-          if not same then ok := false);
+          if not (same_id ~d2 (Pair_queue.first_with_location q li) expected)
+          then ok := false);
       check_eq ())
     ops;
   !ok
@@ -464,6 +489,7 @@ let suite =
     Alcotest.test_case "by_center_distance equals comparison sort" `Quick
       by_center_distance_exact;
     QCheck_alcotest.to_alcotest qcheck_full_space_reference;
+    QCheck_alcotest.to_alcotest qcheck_neighbors;
     Alcotest.test_case "full_space rejects a mismatched image" `Quick
       full_space_rejects_shape;
     Alcotest.test_case "full_space allocation bound" `Quick

@@ -33,7 +33,10 @@ let qcheck_decision_metering =
           Oracle.set_mode o Oracle.Decision;
           let t = Batcher.create ~cache:(Score_cache.create ()) ~width o in
           let ask () =
-            ignore (Batcher.query t ~speculate:(fun _ -> Some cand) cand)
+            ignore
+              (Batcher.query t
+                 ~speculate:(fun _ -> Some cand)
+                 ~input:cand.Batcher.input cand.Batcher.key)
           in
           for _ = 1 to calls do
             ask ()

@@ -363,8 +363,93 @@ let slot_hygiene_after_failure () =
       check_snapshots (name ^ ", next attack") ~image !seen)
     [ (1, false); (1, true); (16, false); (16, true) ]
 
+(* Allocation pin for the warm query path.  A second attack on the same
+   cache finds every key resident, so each query is answered by the
+   batcher's cache path: no forward pass, no input, no chunk.  With no
+   journal, trace or flight recorder open, what it allocates per query
+   is the interpreter's own cost; a change that brings back a per-query
+   [Pair.t], option, list, context record, boxed float or closure
+   pushes it over the bound.  The program's holes cover every compiled
+   kind ([pert], [orig], [center], [score_diff]) and fire, so the
+   neighbour visit, the eager phase and the speculation cursor all
+   run. *)
+let warm_program =
+  C.program_of_array
+    [|
+      C.Cmp { func = C.Max C.Pert; cmp = C.Gt; threshold = 0.5 };
+      C.Cmp { func = C.Avg C.Orig; cmp = C.Lt; threshold = 0.3 };
+      C.Cmp { func = C.Center; cmp = C.Lt; threshold = 3. };
+      C.Cmp { func = C.Score_diff; cmp = C.Gt; threshold = 0. };
+    |]
+
+let warm_words_per_query ~d ~max_queries =
+  let image =
+    Tensor.rand_uniform (Prng.of_int 12) ~lo:0.2 ~hi:0.4 [| 3; d; d |]
+  in
+  let o = Helpers.mean_threshold_oracle () in
+  let cache = Score_cache.create () in
+  let attack () =
+    Sketch.attack ~cache ~max_queries o warm_program ~image ~true_class:0
+  in
+  ignore (attack ());
+  let misses = (Score_cache.stats cache).misses in
+  let before = Gc.minor_words () in
+  let r = attack () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every key was cached" misses
+    (Score_cache.stats cache).misses;
+  words /. float_of_int r.Sketch.queries
+
+(* Bounds, from measured values of 0.86 (the whole 16x16 space, 2048
+   queries) and 15.5 (a 64-query attack, the length of a synthesis
+   attack, so the per-attack set-up of about 1000 words is in it).  A
+   per-query allocation of two words (one option or boxed float) breaks
+   the first; the second leaves the set-up about 500 words of room. *)
+let warm_attack_allocation () =
+  Alcotest.(check bool) "no journal, trace or ring open" false
+    (Telemetry.Journal.enabled () || Telemetry.Trace.enabled ()
+   || Telemetry.Ring.enabled ());
+  let check name ~max_queries ~bound =
+    let w = warm_words_per_query ~d:16 ~max_queries in
+    if w > bound then
+      Alcotest.failf "%s: %.2f minor words per warm query, bound %.1f" name w
+        bound
+  in
+  check "whole space" ~max_queries:2048 ~bound:2.5;
+  check "64-query attack" ~max_queries:64 ~bound:24.
+
+(* The shared key tables name exactly the keys [cache_key] builds, so
+   caching and batching see the same keys as before they were shared;
+   the typed equality agrees with structural equality. *)
+let corner_keys_match () =
+  List.iter
+    (fun (d1, d2) ->
+      let keys = Sketch.corner_keys ~d1 ~d2 in
+      let name = Printf.sprintf "%dx%d" d1 d2 in
+      Alcotest.(check int) (name ^ ": one key per pair") (Pair.count ~d1 ~d2)
+        (Array.length keys);
+      Array.iteri
+        (fun id key ->
+          let built = Sketch.cache_key (Pair.of_id ~d2 id) in
+          if
+            not
+              (key = built
+              && Score_cache.equal_key key built)
+          then Alcotest.failf "%s: key %d differs from cache_key" name id)
+        keys;
+      Alcotest.(check bool) (name ^ ": one shared table") true
+        (keys == Sketch.corner_keys ~d1 ~d2))
+    [ (16, 16); (24, 24); (3, 5) ];
+  let k = Sketch.corner_keys ~d1:4 ~d2:4 in
+  Alcotest.(check bool) "distinct pairs, distinct keys" false
+    (Score_cache.equal_key k.(0) k.(1) || Score_cache.equal_key k.(0) k.(8));
+  Alcotest.(check bool) "kinds differ" false
+    (Score_cache.equal_key Score_cache.Clean (Score_cache.Custom "clean"))
+
 let suite =
   [
+    Alcotest.test_case "corner keys match cache_key" `Quick corner_keys_match;
+    Alcotest.test_case "warm attack allocation" `Quick warm_attack_allocation;
     Alcotest.test_case "perturb changes three values" `Quick
       perturb_changes_three_values;
     Alcotest.test_case "success_exists ground truth" `Quick

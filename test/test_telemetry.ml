@@ -505,6 +505,34 @@ let watchdog_snapshot_and_stall () =
   Alcotest.(check bool) "inactive loops never stall" false
     (List.mem name (stalled_names ~stall_after_s:0. ~now_us:(later +. 1e9)))
 
+(* The per-query beat stores an int stamp: with the flight recorder
+   off it allocates nothing, so it adds nothing to a warm query. *)
+let watchdog_beat_allocates_nothing () =
+  Alcotest.(check bool) "ring off" false (Telemetry.Ring.enabled ());
+  let name = fresh "wd_alloc" in
+  let wd = Telemetry.Watchdog.loop name in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words ignore in
+  let beats =
+    words (fun () ->
+        for q = 1 to 1000 do
+          Telemetry.Watchdog.beat_queries wd q
+        done)
+  in
+  Alcotest.(check (float 0.)) "1000 beats allocate nothing" empty beats;
+  let s =
+    List.find
+      (fun (s : Telemetry.Watchdog.status) -> s.Telemetry.Watchdog.name = name)
+      (Telemetry.Watchdog.snapshot ())
+  in
+  Alcotest.(check int) "every beat counted" 1000 s.Telemetry.Watchdog.beats;
+  Alcotest.(check (option int)) "last queries reported" (Some 1000)
+    s.Telemetry.Watchdog.queries
+
 let watchdog_with_loop_is_exception_safe () =
   let name = fresh "wd_exn" in
   let wd = Telemetry.Watchdog.loop name in
@@ -687,6 +715,8 @@ let suite =
       watchdog_snapshot_and_stall;
     Alcotest.test_case "watchdog with_loop is exception-safe" `Quick
       watchdog_with_loop_is_exception_safe;
+    Alcotest.test_case "watchdog beat allocates nothing" `Quick
+      watchdog_beat_allocates_nothing;
     Alcotest.test_case "sampler ticks and snapshots" `Quick
       sampler_ticks_and_snapshots;
     QCheck_alcotest.to_alcotest qcheck_histogram_conservation;
