@@ -115,10 +115,11 @@ let bench_overhead ~smoke =
     Array.mapi
       (fun i (image, true_class, target) ->
         Telemetry.Journal.with_image i @@ fun () ->
+        let oracle = Oracle.of_network net in
+        Oracle.set_cache oracle (Some (Score_cache.create ()));
         let r =
           Oppsla.Sketch.attack ~max_queries
-            ~goal:(Oppsla.Sketch.Targeted target)
-            ~cache:(Score_cache.create ()) ~batch:16 (Oracle.of_network net)
+            ~goal:(Oppsla.Sketch.Targeted target) ~batch:16 oracle
             Oppsla.Condition.const_false_program ~image ~true_class
         in
         (r.Oppsla.Sketch.queries, Option.is_some r.Oppsla.Sketch.adversarial))
@@ -921,14 +922,14 @@ let micro () =
               Oracle.of_fn ~name:"mean-threshold" ~num_classes:2 (fun x ->
                   let m = Tensor.mean x in
                   Tensor.of_array [| 2 |] [| 1. -. m; m |])
-            and cache = Score_cache.create ()
             and dark =
               Tensor.rand_uniform (Prng.of_int 13) ~lo:0.2 ~hi:0.4
                 [| 3; 16; 16 |]
             in
+            Oracle.set_cache oracle (Some (Score_cache.create ()));
             let attack () =
               ignore
-                (Oppsla.Sketch.attack ~cache oracle program ~image:dark
+                (Oppsla.Sketch.attack oracle program ~image:dark
                    ~true_class:0)
             in
             attack ();

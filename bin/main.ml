@@ -552,17 +552,9 @@ let attack_cmd =
                   Prng.named_stream (Prng.of_int seed)
                     (Printf.sprintf "attack-cli/%s" (Oppsla.Space.to_string space))
                 in
-                let m =
-                  Baselines.Sparse_rs.attack_space ~batch ~goal ~space g
-                    oracle ~image ~true_class
-                in
-                {
-                  Oppsla.Sketch.adversarial =
-                    Option.map
-                      (fun (pairs, candidate) -> (List.hd pairs, candidate))
-                      m.Baselines.Sparse_rs.adversarial;
-                  queries = m.Baselines.Sparse_rs.queries;
-                }
+                Baselines.Sparse_rs.to_result
+                  (Baselines.Sparse_rs.attack_space ~batch ~goal ~space g
+                     oracle ~image ~true_class)
           in
           (match r.Oppsla.Sketch.adversarial with
           | Some (pair, adversarial) ->

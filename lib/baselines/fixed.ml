@@ -1,5 +1,5 @@
 let program = Oppsla.Condition.const_false_program
 
-let attack ?max_queries ?goal ?cache ?batch oracle ~image ~true_class =
-  Oppsla.Sketch.attack ?max_queries ?goal ?cache ?batch oracle program ~image
+let attack ?max_queries ?goal ?batch oracle ~image ~true_class =
+  Oppsla.Sketch.attack ?max_queries ?goal ?batch oracle program ~image
     ~true_class

@@ -11,12 +11,11 @@ val program : Oppsla.Condition.program
 val attack :
   ?max_queries:int ->
   ?goal:Oppsla.Sketch.goal ->
-  ?cache:Score_cache.t ->
   ?batch:int ->
   Oracle.t ->
   image:Tensor.t ->
   true_class:int ->
   Oppsla.Sketch.result
-(** The sketch run with {!program}.  [cache] and [batch] are forwarded to
-    {!Oppsla.Sketch.attack} (defaulting to the oracle's attached cache
-    and {!Oppsla.Sketch.default_batch} respectively). *)
+(** The sketch run with {!program}.  [batch] is forwarded to
+    {!Oppsla.Sketch.attack} (default {!Oppsla.Sketch.default_batch}); the
+    cache is the oracle's attached one ({!Oracle.set_cache}). *)

@@ -44,8 +44,8 @@ type multi_result = {
 
 exception Done of multi_result
 
-(* Stall-watchdog heartbeat, one beat per metered query (observation
-   only — no RNG draw, no metering). *)
+(* Stall-watchdog heartbeat, beaten by the batcher on every metered
+   query (observation only — no RNG draw, no metering). *)
 let wd = Telemetry.Watchdog.loop "baseline.sparse_rs"
 
 (* One copy of the image with the k pixels written in order (a later
@@ -67,69 +67,66 @@ let search (type s) ~config ~batch ~goal ~(key : s -> Score_cache.key)
     ~(materialize : s -> Tensor.t) ~(pairs_of : s -> Oppsla.Pair.t list)
     ~(initial : Prng.t -> s) ~(propose : g:Prng.t -> spent:int -> s -> s) g
     oracle ~true_class =
-  let spent = ref 0 in
-  let batcher = Batcher.create ~width:batch oracle in
+  let batcher =
+    Batcher.create ~max_queries:config.max_queries ~watchdog:wd ~width:batch
+      oracle
+  in
   let candidate_of state =
     { Batcher.key = key state; input = (fun () -> materialize state) }
   in
-  let query ?(speculate = Batcher.no_speculation) state =
-    if !spent >= config.max_queries then
-      raise (Done { adversarial = None; queries = !spent });
-    let scores =
-      Oracle.observe oracle
-        (Batcher.query batcher ~speculate
-           ~input:(fun () -> materialize state)
-           (key state))
+  (* Query [state] with [base] the current state.  Speculation assumes
+     every pending proposal is rejected: [base] stays current, the PRNG
+     clone advances exactly as the real stream will on rejection, and
+     the [i]-th future proposal is generated at the query index the
+     sequential path would use.  An acceptance diverges the key stream
+     and the batcher rebuilds — never a correctness event. *)
+  let query base state =
+    let spec_g = ref None in
+    let speculate i =
+      let g' =
+        match !spec_g with
+        | Some g' -> g'
+        | None ->
+            let g' = Prng.copy g in
+            spec_g := Some g';
+            g'
+      in
+      Some
+        (candidate_of
+           (propose ~g:g' ~spent:(Batcher.spent batcher + 1 + i) base))
     in
-    incr spent;
-    Telemetry.Watchdog.beat_queries wd !spent;
+    let scores =
+      Batcher.query batcher ~speculate
+        ~input:(fun () -> materialize state)
+        (key state)
+    in
     if Oppsla.Sketch.goal_reached goal ~true_class (Tensor.argmax scores) then
       raise
         (Done
            {
              adversarial = Some (pairs_of state, materialize state);
-             queries = !spent;
+             queries = Batcher.spent batcher;
            });
     loss goal scores ~true_class
-  in
-  (* Speculate assuming every pending proposal is rejected: [base] stays
-     current, the PRNG clone advances exactly as the real stream will on
-     rejection, and the [i]-th future proposal is generated at the query
-     index the sequential path would use.  An acceptance diverges the
-     key stream and the batcher rebuilds — never a correctness event. *)
-  let query_speculating base state =
-    let spec_g = ref None in
-    let speculate i =
-      if i >= config.max_queries - !spent - 1 then None
-      else begin
-        let g' =
-          match !spec_g with
-          | Some g' -> g'
-          | None ->
-              let g' = Prng.copy g in
-              spec_g := Some g';
-              g'
-        in
-        Some (candidate_of (propose ~g:g' ~spent:(!spent + 1 + i) base))
-      end
-    in
-    query ~speculate state
   in
   Telemetry.Journal.with_default_site "baseline/sparse_rs" @@ fun () ->
   Telemetry.Watchdog.with_loop wd @@ fun () ->
   try
     let current = ref (initial g) in
-    let current_loss = ref (query_speculating !current !current) in
+    let current_loss = ref (query !current !current) in
     while true do
-      let proposal = propose ~g ~spent:!spent !current in
-      let l = query_speculating !current proposal in
+      let proposal = propose ~g ~spent:(Batcher.spent batcher) !current in
+      let l = query !current proposal in
       if l <= !current_loss then begin
         current := proposal;
         current_loss := l
       end
     done;
     assert false
-  with Done r -> r
+  with
+  | Done r -> r
+  | Batcher.Out_of_queries ->
+      { adversarial = None; queries = Batcher.spent batcher }
 
 let attack_multi ?config ?(batch = Oppsla.Sketch.default_batch)
     ?(goal = Oppsla.Sketch.Untargeted) ~k g oracle ~image ~true_class =
@@ -237,8 +234,9 @@ let attack_space ?config ?batch ?goal ~space g oracle ~image ~true_class =
   | Patch { h; w } ->
       attack_patch ?config ?batch ?goal ~h ~w g oracle ~image ~true_class
 
-let attack ?config ?batch ?goal g oracle ~image ~true_class =
-  let r = attack_multi ?config ?batch ?goal ~k:1 g oracle ~image ~true_class in
+(* The reported pair is the set's first element; the whole set is in
+   the adversarial image. *)
+let to_result (r : multi_result) =
   {
     Oppsla.Sketch.adversarial =
       Option.map
@@ -246,3 +244,7 @@ let attack ?config ?batch ?goal g oracle ~image ~true_class =
         r.adversarial;
     queries = r.queries;
   }
+
+let attack ?config ?batch ?goal g oracle ~image ~true_class =
+  to_result
+    (attack_multi ?config ?batch ?goal ~k:1 g oracle ~image ~true_class)

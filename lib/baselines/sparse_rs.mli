@@ -48,7 +48,8 @@ val attack :
 (** The one-pixel attack (k = 1), as evaluated in the paper.  [config]
     defaults to [default_config ~max_queries:(8 * d1 * d2)].  The clean
     margin is computed from an unmetered query (same convention as
-    {!Oppsla.Sketch.attack}).
+    {!Oppsla.Sketch.attack}).  The attack stops at [config.max_queries]
+    queries, a cap its {!Batcher} enforces.
 
     When the oracle carries an attached cache ({!Oracle.set_cache}),
     perturbation scores are memoized: k = 1 proposals share the sketch's
@@ -92,6 +93,12 @@ val attack_multi :
   multi_result
 (** [attack_multi ~k] perturbs exactly [k] distinct pixels.  Raises
     [Invalid_argument] if [k < 1] or [k > d1 * d2]. *)
+
+val to_result : multi_result -> Oppsla.Sketch.result
+(** The single-pair view of a set result, as the runner, the CLI and
+    {!attack} report it: the success flag and query count unchanged, and
+    the set's first pair as the reported pair (the whole set is in the
+    adversarial image). *)
 
 val attack_space :
   ?config:config ->

@@ -29,9 +29,11 @@ let cache_key ~row ~col cand =
        (Int64.bits_of_float cand.(3))
        (Int64.bits_of_float cand.(4)))
 
-exception Done of Oppsla.Sketch.result
+(* A generation (or the initial population) completed with a success. *)
+exception Done
 
-(* Stall-watchdog heartbeat, one beat per metered query. *)
+(* Stall-watchdog heartbeat, beaten by the batcher on every metered
+   query. *)
 let wd = Telemetry.Watchdog.loop "baseline.su_opa"
 
 let nearest_corner_pair ~row ~col cand =
@@ -49,8 +51,10 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
   in
   if config.population < 4 then
     invalid_arg "Su_opa.attack: population must be at least 4 for DE/rand/1";
-  let spent = ref 0 in
-  let batcher = Batcher.create ~width:batch oracle in
+  let batcher =
+    Batcher.create ~max_queries:config.max_queries ~watchdog:wd ~width:batch
+      oracle
+  in
   let candidate_of cand =
     let row, col = pixel_of image cand in
     {
@@ -63,22 +67,16 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
      batch completes — matching the published implementation, whose
      minimum query count is the population size. *)
   let found = ref None in
-  let finish () = raise (Done { adversarial = !found; queries = !spent }) in
-  let check_batch () = if !found <> None then finish () in
+  let check_batch () = if !found <> None then raise Done in
   (* Fitness = true-class score of the perturbed image (minimized);
      targeted goals minimize the negated target-class score instead.
-     Scores pass through the oracle's observation point, so under a
-     label-only oracle the fitness degenerates to the flip indicator and
-     DE selection stops discriminating — the honest decision-based
+     Scores are what the oracle's mode reveals, so under a label-only
+     oracle the fitness degenerates to the flip indicator and DE
+     selection stops discriminating — the honest decision-based
      degradation (success detection is argmax-based, hence unchanged). *)
-  let fitness ?(speculate = Batcher.no_speculation) cand =
-    if !spent >= config.max_queries then finish ();
+  let fitness ~speculate cand =
     let { Batcher.key; input } = candidate_of cand in
-    let scores =
-      Oracle.observe oracle (Batcher.query batcher ~speculate ~input key)
-    in
-    incr spent;
-    Telemetry.Watchdog.beat_queries wd !spent;
+    let scores = Batcher.query batcher ~speculate ~input key in
     if
       !found = None
       && Oppsla.Sketch.goal_reached goal ~true_class (Tensor.argmax scores)
@@ -90,11 +88,6 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
     match goal with
     | Oppsla.Sketch.Untargeted -> Tensor.get_flat scores true_class
     | Oppsla.Sketch.Targeted target -> -.Tensor.get_flat scores target
-  in
-  (* Cap speculation at the local query budget: the [i]-th future
-     candidate is only consumable while [spent + 1 + i < max_queries]. *)
-  let within_budget i k =
-    if i >= config.max_queries - !spent - 1 then None else k ()
   in
   let random_candidate () =
     [|
@@ -135,7 +128,7 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
   in
   Telemetry.Journal.with_default_site "baseline/su_opa" @@ fun () ->
   Telemetry.Watchdog.with_loop wd @@ fun () ->
-  try
+  (try
     (* The initial population is drawn before any query, so its fitness
        sweep is fully speculable: while evaluating member [i] the batcher
        may prepare members [i+1 ...] directly from the array. *)
@@ -144,10 +137,9 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
       Array.mapi
         (fun i cand ->
           let speculate j =
-            within_budget j (fun () ->
-                if i + 1 + j < config.population then
-                  Some (candidate_of pop.(i + 1 + j))
-                else None)
+            if i + 1 + j < config.population then
+              Some (candidate_of pop.(i + 1 + j))
+            else None
           in
           fitness ~speculate cand)
         pop
@@ -175,19 +167,18 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
            and the batcher rebuilds from true state. *)
         let spec_g = ref None in
         let speculate j =
-          within_budget j (fun () ->
-              if i + 1 + j < config.population then begin
-                let g' =
-                  match !spec_g with
-                  | Some g' -> g'
-                  | None ->
-                      let g' = Prng.copy g in
-                      spec_g := Some g';
-                      g'
-                in
-                Some (candidate_of (build_mutant (gen_mutant ~g:g' (i + 1 + j))))
-              end
-              else None)
+          if i + 1 + j < config.population then begin
+            let g' =
+              match !spec_g with
+              | Some g' -> g'
+              | None ->
+                  let g' = Prng.copy g in
+                  spec_g := Some g';
+                  g'
+            in
+            Some (candidate_of (build_mutant (gen_mutant ~g:g' (i + 1 + j))))
+          end
+          else None
         in
         let mf = fitness ~speculate mutant in
         if mf <= fit.(i) then begin
@@ -196,6 +187,6 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
         end
       done;
       check_batch ()
-    done;
-    assert false
-  with Done r -> r
+    done
+  with Done | Batcher.Out_of_queries -> ());
+  { Oppsla.Sketch.adversarial = !found; queries = Batcher.spent batcher }

@@ -12,9 +12,10 @@
     generation at a time) and success is declared only when a batch
     completes, as in the published implementation; the minimum query
     count therefore equals [population] (the paper notes SuOPA's minimum
-    of 400 queries: its population size).  The attack fails when
-    [max_queries] queries are spent; the oracle itself never refuses a
-    query. *)
+    of 400 queries: its population size).  The attack stops when
+    [max_queries] queries are spent, a cap its {!Batcher} enforces (the
+    oracle itself never refuses a query); it then reports a success
+    found in the unfinished generation. *)
 
 type config = {
   population : int;  (** default 400, as in the original attack *)

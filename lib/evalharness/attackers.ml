@@ -54,25 +54,16 @@ let sparse_rs =
 
 (* Multi-pixel and patch results are reported through the same
    single-pair result type the runner consumes (success flag + query
-   count); the reported pair is the set's first element, the full set
-   lives only in the baseline's own result type. *)
+   count). *)
 let sparse_rs_space space =
   {
     name = Printf.sprintf "Sparse-RS(%s)" (Oppsla.Space.to_string space);
     run =
       (fun g oracle ~goal ~max_queries ~batch ~image ~true_class ->
         let config = Baselines.Sparse_rs.default_config ~max_queries in
-        let r =
-          Baselines.Sparse_rs.attack_space ~config ~batch ~goal ~space g
-            oracle ~image ~true_class
-        in
-        {
-          Oppsla.Sketch.adversarial =
-            Option.map
-              (fun (pairs, candidate) -> (List.hd pairs, candidate))
-              r.Baselines.Sparse_rs.adversarial;
-          queries = r.Baselines.Sparse_rs.queries;
-        });
+        Baselines.Sparse_rs.to_result
+          (Baselines.Sparse_rs.attack_space ~config ~batch ~goal ~space g
+             oracle ~image ~true_class));
   }
 
 let su_opa ?(population = 400) () =

@@ -39,8 +39,8 @@ val sparse_rs_space : Oppsla.Space.t -> t
 (** Sparse-RS over an arbitrary perturbation space
     ({!Baselines.Sparse_rs.attack_space}).  Named
     ["Sparse-RS(<space>)"].  On success the reported pair is the first
-    element of the perturbed set (the runner only consumes the success
-    flag and query count). *)
+    element of the perturbed set ({!Baselines.Sparse_rs.to_result}; the
+    runner only consumes the success flag and query count). *)
 
 val su_opa : ?population:int -> unit -> t
 

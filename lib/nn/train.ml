@@ -4,7 +4,6 @@ type config = {
   epochs : int;
   batch_size : int;
   optimizer : Optimizer.t;
-  augment : Augment.policy;
 }
 
 let default_config () =
@@ -12,7 +11,6 @@ let default_config () =
     epochs = 8;
     batch_size = 16;
     optimizer = Optimizer.sgd ~momentum:0.9 ~weight_decay:1e-4 ~lr:0.05 ();
-    augment = Augment.none;
   }
 
 let lr_decay = 0.85
@@ -33,10 +31,6 @@ let fit ?config g net train =
       List.iter Param.zero_grad params;
       for j = !i to batch_end - 1 do
         let x, label = train.(order.(j)) in
-        let x =
-          if config.augment = Augment.none then x
-          else Augment.apply g config.augment x
-        in
         let logits = Network.forward_train net x in
         loss_sum := !loss_sum +. Tensor.cross_entropy logits label;
         if Tensor.argmax logits = label then incr correct;

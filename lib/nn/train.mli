@@ -6,12 +6,11 @@ type config = {
   epochs : int;
   batch_size : int;
   optimizer : Optimizer.t;
-  augment : Augment.policy;  (** per-sample training augmentation *)
 }
 
 val default_config : unit -> config
-(** 8 epochs, batch 16, SGD momentum 0.9 / lr 0.05 / weight decay 1e-4,
-    no augmentation.  A fresh optimizer per call: its state is mutable. *)
+(** 8 epochs, batch 16, SGD momentum 0.9 / lr 0.05 / weight decay
+    1e-4.  A fresh optimizer per call: its state is mutable. *)
 
 val fit :
   ?config:config -> Prng.t -> Network.t -> (Tensor.t * int) array -> report list

@@ -114,12 +114,17 @@ let attack_each ?pool ?caches attack samples =
 
 (* Inline, every image is attacked against the caller's oracle; over a
    pool each gets its own [Oracle.clone] so metering is race-free.  The
-   clone has no attached cache by construction: the image's own slot is
-   passed explicitly. *)
+   image's own cache slot is attached to that handle for the one attack
+   and detached afterwards, so the caller's oracle leaves as it came
+   ([check_oracle] rules out an attached cache on entry). *)
 let sketch_attack ?max_queries ?goal ?batch ?pool oracle program _i ~cache
     ~image ~true_class =
   let o = match pool with None -> oracle | Some _ -> Oracle.clone oracle in
-  Sketch.attack ?max_queries ?goal ?cache ?batch o program ~image ~true_class
+  Oracle.set_cache o cache;
+  Fun.protect
+    ~finally:(fun () -> Oracle.set_cache o None)
+    (fun () ->
+      Sketch.attack ?max_queries ?goal ?batch o program ~image ~true_class)
 
 let evaluate ?max_queries ?goal ?caches ?batch ?pool oracle program samples =
   check_oracle "Score.evaluate" oracle;

@@ -92,8 +92,9 @@ val evaluate :
     instead of one per query.  Metering stays above the cache, so the
     returned evaluation is bit-identical with and without [caches].  It
     is safe under a pool by ownership rather than locking: clones drop
-    any attached cache ({!Oracle.clone}), each image's slot is handed
-    explicitly to that image's attack, at any instant an image — hence
+    any attached cache ({!Oracle.clone}), each image's slot is attached
+    ({!Oracle.set_cache}) to the handle attacking that image for the one
+    attack and detached afterwards, at any instant an image — hence
     its cache — is held by exactly one domain, and the pool's map
     barrier orders hand-offs between evaluations.  Raises
     [Invalid_argument] if the store size differs from the sample count,

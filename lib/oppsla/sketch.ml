@@ -61,7 +61,6 @@ let slot_input a id =
   s.x
 
 exception Found of int
-exception Out_of_queries
 
 let cache_key (pair : Pair.t) =
   Score_cache.Corner
@@ -106,16 +105,15 @@ let h_queries_to_success =
 let h_queries_to_failure =
   Telemetry.Metrics.histogram "attack.queries_to_failure"
 
-(* Stall-watchdog heartbeat: every metered query beats, so a sketch
-   attack that stops beating has genuinely wedged (or the oracle has). *)
+(* Stall-watchdog heartbeat: the batcher beats it on every metered
+   query, so a sketch attack that stops beating has genuinely wedged (or
+   the oracle has). *)
 let wd_attack = Telemetry.Watchdog.loop "sketch.attack"
 
-let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
+let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
     ?on_query oracle program ~image ~true_class =
   let run () =
-  let cache =
-    match cache with Some _ as c -> c | None -> Oracle.cache oracle
-  in
+  let cache = Oracle.cache oracle in
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
   let limit =
     match max_queries with Some q -> q | None -> Pair.count ~d1 ~d2
@@ -134,8 +132,9 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
           Score_cache.find_or_add c Score_cache.Clean ~compute:(fun () ->
               Oracle.unmetered_scores oracle image))
   in
-  let spent = ref 0 in
-  let batcher = Batcher.create ?cache ~width:batch oracle in
+  let batcher =
+    Batcher.create ~max_queries:limit ~watchdog:wd_attack ~width:batch oracle
+  in
   let slots = arena ~n:batch image in
   let keys = corner_keys ~d1 ~d2 in
   (* The pair id [check] is posing: the one [input] closure of this
@@ -143,31 +142,22 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
   let pending = ref (-1) in
   let input () = slot_input slots !pending in
   (* Query pair [id], possibly served from the batcher's speculative
-     buffer.  Raises [Found] on success and [Out_of_queries] when the
-     [max_queries] cap is hit.  The perturbed tensor is only
-     materialized on a cache/buffer miss (or on success, for the
+     buffer.  Raises [Found] on success; the batcher raises
+     [Out_of_queries] at the [max_queries] cap.  The perturbed tensor is
+     only materialized on a cache/buffer miss (or on success, for the
      result); a query answered from the buffer or the cache allocates
-     nothing here. *)
+     nothing here.  The scores are what the oracle's mode reveals: the
+     argmax of a one-hot is the argmax of the raw vector, so success
+     detection is mode-independent, and [Score_diff] on one-hot
+     contexts becomes the label-flip indicator. *)
   let check ~speculate id =
-    if !spent >= limit then raise Out_of_queries;
     (* A query builds at most one chunk, consumed before it returns. *)
     rewind slots;
     pending := id;
-    (* [observe] is the threat-model boundary: the batcher resolves the
-       raw score vector (cache and keys are mode-blind), and everything
-       downstream of this point — conditions, [on_query], the success
-       test — only sees what the oracle's mode reveals.  The argmax of a
-       one-hot is the argmax of the raw vector, so success detection is
-       mode-independent; [Score_diff] on one-hot contexts becomes the
-       label-flip indicator. *)
-    let scores =
-      Oracle.observe oracle (Batcher.query batcher ~speculate ~input keys.(id))
-    in
-    incr spent;
-    Telemetry.Watchdog.beat_queries wd_attack !spent;
+    let scores = Batcher.query batcher ~speculate ~input keys.(id) in
     (match on_query with
     | None -> ()
-    | Some f -> f !spent (Pair.of_id ~d2 id) scores);
+    | Some f -> f (Batcher.spent batcher) (Pair.of_id ~d2 id) scores);
     if goal_reached goal ~true_class (Tensor.argmax scores) then
       raise (Found id);
     scores
@@ -186,24 +176,19 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
      the next candidates are exactly the queue's front entries.  Any
      condition that does fire mutates the queue or detours through the
      eager phase, which changes the next key and makes the batcher
-     discard its buffer — accounting stays exact either way.  Filling is
-     capped by the local query budget so the tail of an attack never
-     over-prepares.  The batcher asks for slots 0, 1, 2, ... in order,
-     so a cursor walks the queue one link per slot. *)
+     discard its buffer — accounting stays exact either way.  The
+     batcher asks for slots 0, 1, 2, ... in order (never past the
+     attack's cap), so a cursor walks the queue one link per slot. *)
   let cursor = ref (-1) in
   let speculate i =
-    if i >= limit - !spent - 1 then None
-    else begin
-      let id =
-        if i = 0 then Pair_queue.front queue
-        else Pair_queue.next queue !cursor
-      in
-      cursor := id;
-      if id < 0 then None
-      else
-        let input () = slot_input slots id in
-        Some { Batcher.key = keys.(id); input }
-    end
+    let id =
+      if i = 0 then Pair_queue.front queue else Pair_queue.next queue !cursor
+    in
+    cursor := id;
+    if id < 0 then None
+    else
+      let input () = slot_input slots id in
+      Some { Batcher.key = keys.(id); input }
   in
   (* Eager checking (lines 7-24): pairs pulled out of the queue and
      queried immediately, breadth-first through both closeness
@@ -257,7 +242,7 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
   try
     let rec main_loop () =
       let id = Pair_queue.pop queue in
-      if id < 0 then { adversarial = None; queries = !spent }
+      if id < 0 then { adversarial = None; queries = Batcher.spent batcher }
       else begin
         let scores = check ~speculate id in
         if Condition.holds b1 ~id ~scores then
@@ -278,8 +263,12 @@ let attack ?max_queries ?(goal = Untargeted) ?cache ?(batch = default_batch)
   with
   | Found id ->
       let pair = Pair.of_id ~d2 id in
-      { adversarial = Some (pair, perturb image pair); queries = !spent }
-  | Out_of_queries -> { adversarial = None; queries = !spent }
+      {
+        adversarial = Some (pair, perturb image pair);
+        queries = Batcher.spent batcher;
+      }
+  | Batcher.Out_of_queries ->
+      { adversarial = None; queries = Batcher.spent batcher }
   in
   Telemetry.Counter.incr m_attacks;
   let outcome = ref None in

@@ -66,7 +66,6 @@ val default_batch : int
 val attack :
   ?max_queries:int ->
   ?goal:goal ->
-  ?cache:Score_cache.t ->
   ?batch:int ->
   ?on_query:(int -> Pair.t -> Tensor.t -> unit) ->
   Oracle.t ->
@@ -76,16 +75,17 @@ val attack :
   result
 (** Run the sketch.  Stops with [adversarial = None] when the queue is
     exhausted or when [max_queries] attack queries have been spent — the
-    one query cap; the oracle only meters.  [max_queries] defaults to
-    the full space size [8 * d1 * d2] (the attack never needs more).
-    [goal] defaults to [Untargeted].
+    one query cap, enforced by the attack's {!Batcher}; the oracle only
+    meters.  [max_queries] defaults to the full space size
+    [8 * d1 * d2] (the attack never needs more).  [goal] defaults to
+    [Untargeted].
 
-    [cache] is this image's perturbation-score memo table (defaulting to
-    the oracle's attached cache, {!Oracle.cache}); queries are answered
-    through the {!Batcher}, so metering — the query counter and
-    [queries] in the result — is bit-identical with and without it, and
-    so are the score vectors every condition sees.  The
-    cache must belong to [image] (see {!Score_cache}).
+    The oracle's attached cache ({!Oracle.set_cache}), if any, is this
+    image's perturbation-score memo table and must belong to [image]
+    (see {!Score_cache}).  Every query is posed through the {!Batcher},
+    so metering — the query counter and [queries] in the result — is
+    bit-identical with and without it, and so are the score vectors
+    every condition sees.
 
     [batch] (default {!default_batch}) is the speculative chunk width:
     candidates are posed to the oracle in chunks via {!Batcher}, the

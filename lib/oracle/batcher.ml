@@ -1,4 +1,5 @@
-(* Speculative candidate batching over a metered oracle.
+(* Speculative candidate batching over a metered oracle: each attack's
+   one metered query step.
 
    Attackers are sequential decision processes: candidate [j+1] may
    depend on the answer to candidate [j].  Posing candidates one by one
@@ -20,7 +21,9 @@
    served candidate, in the exact order the attacker poses them.  Query
    counts, success flags and synthesizer traces are therefore
    bit-identical to the sequential path at every batch width —
-   mis-speculation costs wall-clock, never queries. *)
+   mis-speculation costs wall-clock, never queries.  The batcher also
+   owns the rest of the attack's query step: the cap, the spent count,
+   the heartbeat and the observation of every answer. *)
 
 type candidate = { key : Score_cache.key; input : unit -> Tensor.t }
 
@@ -38,8 +41,13 @@ type t = {
   oracle : Oracle.t;
   cache : Score_cache.t option;
   width : int;
+  max_queries : int;
+  watchdog : Telemetry.Watchdog.t;
+  mutable spent : int;
   mutable buf : slot list; (* head = next expected *)
 }
+
+exception Out_of_queries
 
 type stats = {
   queries : int;
@@ -105,12 +113,12 @@ let add_stats a b =
     discarded = a.discarded + b.discarded;
   }
 
-let create ?cache ~width oracle =
+let create ~max_queries ~watchdog ~width oracle =
   if width < 1 then invalid_arg "Batcher.create: width < 1";
-  let cache = match cache with Some _ as c -> c | None -> Oracle.cache oracle in
-  { oracle; cache; width; buf = [] }
+  let cache = Oracle.cache oracle in
+  { oracle; cache; width; max_queries; watchdog; spent = 0; buf = [] }
 
-let width t = t.width
+let spent t = t.spent
 
 let drop_buffer t =
   match t.buf with
@@ -229,9 +237,11 @@ let serve_cached t key =
       Score_cache.count_hit c;
       score
 
-(* A miss is charged once its chunk is resolved, so a failed forward
-   pass charges nothing. *)
-let query t ~speculate ~input key =
+(* Answer [key] from the buffer, the cache or a fresh chunk.  A miss is
+   charged once its chunk is resolved, so a failed forward pass charges
+   nothing.  No chunk reaches past the attack's cap: a slot there could
+   never be served. *)
+let resolve t ~speculate ~input key =
   match t.buf with
   | { skey; _ } :: _ when Score_cache.equal_key skey key ->
       bump g_buffer_hits 1;
@@ -241,10 +251,11 @@ let query t ~speculate ~input key =
       | score -> score
       | exception Not_found ->
           drop_buffer t;
+          let cap = min t.width (t.max_queries - t.spent) in
           let chunk = ref [ { key; input } ]
           and filled = ref 1
           and stop = ref false in
-          while (not !stop) && !filled < t.width do
+          while (not !stop) && !filled < cap do
             match speculate (!filled - 1) with
             | None -> stop := true
             | Some c ->
@@ -253,3 +264,15 @@ let query t ~speculate ~input key =
           done;
           prepare t (Array.of_list (List.rev !chunk));
           serve_head t key)
+
+(* The metered query step every attacker takes: refuse past the cap,
+   charge and answer, count, beat, and hand back only what the oracle's
+   mode reveals.  The cache and the buffer hold raw vectors (keys and
+   accounting are mode-blind); [Oracle.observe] is the identity in
+   score mode, so a warm query allocates nothing. *)
+let query t ~speculate ~input key =
+  if t.spent >= t.max_queries then raise Out_of_queries;
+  let score = resolve t ~speculate ~input key in
+  t.spent <- t.spent + 1;
+  Telemetry.Watchdog.beat_queries t.watchdog t.spent;
+  Oracle.observe t.oracle score

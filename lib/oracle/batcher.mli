@@ -1,7 +1,13 @@
-(** Speculative candidate batching with query-identical accounting.
+(** Speculative candidate batching with query-identical accounting: each
+    attack's one metered query step.
 
     A [Batcher.t] sits between a sequential attacker and a metered
-    {!Oracle.t}.  Each {!query} names the candidate the attacker is
+    {!Oracle.t}; every attacker (the sketch, Sparse-RS, SuOPA) poses
+    every query through one.  Besides batching, the batcher owns the
+    attack's query cap ([max_queries]), its spent count ({!spent}), the
+    watchdog beat and the threat-model observation ({!Oracle.observe})
+    of every answer, so an attacker keeps only its own goal test and
+    result.  Each {!query} names the candidate the attacker is
     posing NOW (by its {!Score_cache.key} identity) plus, optionally, a
     [speculate] callback enumerating the candidates it would pose next
     if nothing interesting happens.  The batcher resolves up to [width]
@@ -19,11 +25,11 @@
     {b The speculative-batching invariant.}  Forward passes are
     speculative and free of accounting; the query counter is charged
     only at consumption, one query per served candidate, in the exact
-    order posed.  If success or the attacker's [max_queries] cap lands at
-    candidate [j] of a chunk, results after [j] are discarded and
-    exactly [j+1] queries were charged — query counts, success flags and
-    synthesizer traces are bit-identical to the sequential path at every
-    batch width.  Mis-speculation costs wall-clock only.
+    order posed.  No chunk reaches past the attack's [max_queries] cap.
+    If success lands at candidate [j] of a chunk, results after [j] are
+    discarded and exactly [j+1] queries were charged — query counts,
+    success flags and synthesizer traces are bit-identical to the
+    sequential path at every batch width.  Mis-speculation costs wall-clock only.
     [test/test_batch_eval.ml] and
     [test/diff_runner.ml --batch 1|16] enforce this.
 
@@ -42,13 +48,21 @@ type candidate = {
 
 type t
 
-val create : ?cache:Score_cache.t -> width:int -> Oracle.t -> t
-(** [create ~width oracle]: a batcher posing chunks of up to [width]
-    candidates.  Uses [cache] (default: the oracle's attached cache, see
-    {!Oracle.set_cache}) to exclude already-known candidates from the
-    forward pass and to store newly computed ones.  Width 1 degenerates
-    to the sequential path ([speculate] is never called).  Raises
-    [Invalid_argument] if [width < 1]. *)
+exception Out_of_queries
+(** Raised by {!query} once [max_queries] queries have been served; the
+    refused query is neither charged nor forwarded. *)
+
+val create :
+  max_queries:int -> watchdog:Telemetry.Watchdog.t -> width:int -> Oracle.t -> t
+(** [create ~max_queries ~watchdog ~width oracle]: one attack's query
+    step, posing chunks of up to [width] candidates and serving at most
+    [max_queries] queries.  Each served query beats [watchdog] (the
+    attack's own heartbeat slot) with the spent count.  The oracle's
+    attached cache ({!Oracle.set_cache}), read once here, excludes
+    already-known candidates from the forward pass and stores newly
+    computed ones.  Width 1 degenerates to the sequential path
+    ([speculate] is never called).  Raises [Invalid_argument] if
+    [width < 1]. *)
 
 val query :
   t ->
@@ -57,7 +71,11 @@ val query :
   Score_cache.key ->
   Tensor.t
 (** [query t ~speculate ~input key]: one metered query for the candidate
-    [key], answered from the buffer or the cache when possible; [input]
+    [key], answered from the buffer or the cache when possible, and
+    returned through {!Oracle.observe} (a one-hot label vector under a
+    label-only oracle).  Raises {!Out_of_queries} before any charge when
+    [max_queries] queries have been served; otherwise the query counts
+    towards {!spent} and beats the watchdog slot.  [input]
     builds that candidate's input (see {!candidate}) and is called only
     on a miss.  The candidate arrives as a key plus a closure rather
     than a {!candidate} record so that an attacker can make its [input]
@@ -76,15 +94,16 @@ val query :
     full) returns the [i]-th candidate the attacker would pose after
     this one under the assumption that no answer changes its course,
     or [None] to stop filling; it must not mutate attacker state.  Pass
-    {!no_speculation} to pose the candidate alone.  Callers cap it at
-    their own [max_queries], since a slot past the cap is never served.
-    Meters exactly like {!Oracle.scores}: one counter increment per
-    query, in the order posed. *)
+    {!no_speculation} to pose the candidate alone.  The batcher caps
+    the chunk at [min width (max_queries - spent)], since a slot past
+    the cap is never served, so [speculate] is never asked for one.
+    Every query is one {!Oracle.charge}, in the order posed. *)
 
 val no_speculation : int -> candidate option
 (** Always [None]: the chunk is the queried candidate alone. *)
 
-val width : t -> int
+val spent : t -> int
+(** Queries served so far: the attack's query count. *)
 
 (** {1 Statistics}
 

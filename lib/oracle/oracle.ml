@@ -16,15 +16,13 @@ type t = {
 }
 
 (* Process-wide query metering: the total plus a per-key-kind split
-   (clean/corner/custom for keyed queries through the cache/batcher
-   layers, unkeyed for direct [scores] calls).  The split does not
-   change accounting — it is a registry mirror of the same counter
-   increments. *)
+   (clean/corner/custom, from the key every query is charged under).
+   The split does not change accounting — it is a registry mirror of
+   the same counter increments. *)
 let m_q_total = Telemetry.Metrics.counter "oracle.queries.total"
 let m_q_clean = Telemetry.Metrics.counter "oracle.queries.clean"
 let m_q_corner = Telemetry.Metrics.counter "oracle.queries.corner"
 let m_q_custom = Telemetry.Metrics.counter "oracle.queries.custom"
-let m_q_unkeyed = Telemetry.Metrics.counter "oracle.queries.unkeyed"
 let m_q_decision = Telemetry.Metrics.counter "oracle.queries.decision"
 let m_batch_forwards = Telemetry.Metrics.counter "oracle.batch_forwards"
 
@@ -102,31 +100,24 @@ let of_network ?(backend = Nn.Backend.Boxed) ?pool net =
     m_by = by_counter ~backend:(Nn.Backend.kind_name backend) Score;
   }
 
-(* The single funnel every charged query passes through: the counters
-   here, the journal record in its two callers below (consulted only
-   when the journal sink is open, so the disabled path costs one atomic
-   load). *)
-let count t kind =
+(* The single funnel every charged query passes through: the counters,
+   then the journal record (consulted only when the journal sink is
+   open, so the disabled path costs one atomic load).  [key]'s kind
+   picks the per-kind counter; with [hit] and [chunk] it is journal
+   provenance (the cache key, whether the score came from the cache,
+   the batcher slot position). *)
+let charge t key ~hit ~chunk =
   t.count <- t.count + 1;
   Telemetry.Counter.incr m_q_total;
-  Telemetry.Counter.incr kind;
+  Telemetry.Counter.incr (kind_counter key);
   Telemetry.Counter.incr t.m_by;
-  match t.qmode with
+  (match t.qmode with
   | Decision -> Telemetry.Counter.incr m_q_decision
-  | Score -> ()
-
-let journal t ~key ~kind ~hit ~chunk =
-  Telemetry.Journal.record ~key ~kind ~mode:(mode_label t.qmode) ~hit ~chunk
-    ~backend:t.backend_kind ()
-
-(* [key]'s kind picks the per-kind counter; with [hit] and [chunk] it is
-   journal provenance (the cache key, whether the score came from the
-   cache, the batcher slot position). *)
-let charge t key ~hit ~chunk =
-  count t (kind_counter key);
+  | Score -> ());
   if Telemetry.Journal.enabled () then
-    journal t ~key:(Score_cache.key_to_string key)
-      ~kind:(Score_cache.key_kind key) ~hit ~chunk
+    Telemetry.Journal.record ~key:(Score_cache.key_to_string key)
+      ~kind:(Score_cache.key_kind key) ~mode:(mode_label t.qmode) ~hit ~chunk
+      ~backend:t.backend_kind ()
 
 let validated t s =
   if Tensor.numel s <> t.classes then
@@ -134,12 +125,6 @@ let validated t s =
       (Printf.sprintf "Oracle(%s): scoring function returned %d scores, expected %d"
          t.oracle_name (Tensor.numel s) t.classes);
   s
-
-let scores t x =
-  count t m_q_unkeyed;
-  if Telemetry.Journal.enabled () then
-    journal t ~key:"unkeyed" ~kind:"unkeyed" ~hit:false ~chunk:(-1);
-  validated t (t.fn x)
 
 (* Unmetered batched forward pass: the speculative half of the batched
    query path.  Falls back to mapping [fn] when the scoring function has

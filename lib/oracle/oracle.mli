@@ -3,7 +3,8 @@
     The paper's setting is black-box with a query budget (online
     classification APIs meter queries).  Attack and synthesis code may
     only observe a classifier through this module: every metered query
-    ({!scores}, {!Batcher.query}) increments the query counter.  The
+    goes through {!Batcher.query}, the one metered query step, and
+    increments the query counter through {!charge}.  The
     oracle only meters; the one query cap is the attacker's own
     [max_queries] ({!Oppsla.Sketch.attack}, the baselines), and budget
     thresholds such as the paper's ≤100/≤500/≤10000 are read off each
@@ -63,11 +64,6 @@ val of_fn :
     functions must neither keep nor mutate them.  Copy an input to
     retain it. *)
 
-val scores : t -> Tensor.t -> Tensor.t
-(** One metered query: charges one query, then forwards [x].  The raw
-    score vector is returned whatever the {!mode}; attack code reads it
-    through {!observe}. *)
-
 val mode : t -> mode
 
 val set_mode : t -> mode -> unit
@@ -76,8 +72,9 @@ val set_mode : t -> mode -> unit
     bit-identical across modes by construction. *)
 
 val observe : t -> Tensor.t -> Tensor.t
-(** The observation point of the threat model: attacks pass every
-    resolved score vector through [observe] before acting on it.
+(** The observation point of the threat model: {!Batcher.query} passes
+    every resolved score vector through [observe] before the attack
+    acts on it.
     Identity in [Score] mode; in [Decision] mode the vector collapses to
     the one-hot of its argmax, so only the predicted label survives.  On
     one-hot vectors the sketch DSL's [Score_diff] condition evaluates to
@@ -88,14 +85,13 @@ val observe : t -> Tensor.t -> Tensor.t
     and accounting never depend on the mode. *)
 
 val charge : t -> Score_cache.key -> hit:bool -> chunk:int -> unit
-(** The metering half of {!scores} on its own, for a keyed query:
-    charge one query.  It never refuses a query; capping is the
-    attacker's job.  Exposed so caching layers can keep metering
+(** Charge one query for the candidate [key]: the one meter.  It never
+    refuses a query; the cap is the attack's [max_queries], enforced by
+    {!Batcher.query}.  Exposed so the batcher can keep metering
     {e above} the cache ({!Batcher} is its one caller); never call it
     without answering the query it charges for.  The key's
     {!Score_cache.key_kind} routes the telemetry per-kind counter
-    [oracle.queries.<kind>] ({!scores} counts under [unkeyed]); it never
-    affects accounting.  No optional arguments, so a charge with the
+    [oracle.queries.<kind>]; it never affects accounting.  No optional arguments, so a charge with the
     journal closed allocates nothing.
 
     The key, [hit] and [chunk] are also query-journal provenance — the
@@ -120,13 +116,13 @@ val queries : t -> int
 val set_cache : t -> Score_cache.t option -> unit
 (** Attach (or detach, with [None]) a per-image score cache.  The cache
     must belong to the one base image this handle is about to attack —
-    attaching it is how per-image cache slots are threaded through code
-    whose signatures only carry an oracle (e.g.
-    {!Evalharness.Attackers.t}). *)
+    attaching it is the one way an attack is given its cache
+    ({!Oppsla.Score} and {!Evalharness.Runner} attach each image's slot
+    to the handle that attacks it). *)
 
 val cache : t -> Score_cache.t option
-(** The attached cache, if any.  {!Oppsla.Sketch.attack} and the
-    baselines consult this when no explicit cache is passed. *)
+(** The attached cache, if any: the one place an attack's cache comes
+    from ({!Batcher.create} and the sketch's clean scores read it). *)
 
 val clone : t -> t
 (** A fresh metered handle onto the same scoring function: same name,

@@ -1,6 +1,6 @@
 (* Query-provenance journal: one JSONL record per *charged* oracle
-   query, written at the metering point (Oracle.charge and
-   Oracle.scores) so the journal is exactly the charge sequence — the
+   query, written at the one metering point (Oracle.charge) so the
+   journal is exactly the charge sequence — the
    quantity every optimization layer (pool, cache, batcher, islands, f32
    backend) must leave bit-identical.
 

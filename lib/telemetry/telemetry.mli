@@ -437,9 +437,8 @@ module Journal : sig
     key:string -> kind:string -> mode:string -> hit:bool -> ?chunk:int ->
     backend:string -> unit -> unit
   (** Emit one charge record (no-op when disabled).  Called at the
-      oracle's metering point ([Oracle.charge] for keyed queries,
-      [Oracle.scores] for unkeyed ones), which every charged query
-      passes through.  [chunk] is the batcher slot position (-1 when the
+      oracle's one metering point ([Oracle.charge], called by
+      [Batcher.query]), which every charged query passes through.  [chunk] is the batcher slot position (-1 when the
       charge was not batched); site and image come from the
       domain-local context below. *)
 

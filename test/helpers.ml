@@ -60,6 +60,21 @@ let constant_oracle ~num_classes ~winner () =
   Oracle.of_fn ~name:"constant" ~num_classes (fun _ ->
       Tensor.init [| num_classes |] (fun c -> if c = winner then 1. else 0.))
 
+(* The heartbeat slot of batchers made by tests; never entered. *)
+let test_watchdog = Telemetry.Watchdog.loop "test.batcher"
+
+(* An uncapped batcher over [oracle] and its attached cache. *)
+let batcher ~width oracle =
+  Batcher.create ~max_queries:max_int ~watchdog:test_watchdog ~width oracle
+
+(* One metered query for [x] through a fresh width-1 batcher, the step
+   every attack takes: one charge, answered through [Oracle.observe].
+   [key] names the input; it only matters when a cache is attached. *)
+let query ?(key = Score_cache.Custom "probe") oracle x =
+  Batcher.query (batcher ~width:1 oracle) ~speculate:Batcher.no_speculation
+    ~input:(fun () -> x)
+    key
+
 (* A uniform image of the given side and brightness. *)
 let flat_image ~size v = Tensor.create [| 3; size; size |] v
 

@@ -212,7 +212,7 @@ let qcheck_boxed_plan_matches_direct =
                   (fun i x ->
                     let direct = (Nn.Network.scores net x).Tensor.data in
                     direct = Array.sub out.Tensor.data (i * classes) classes
-                    && direct = (Oracle.scores oracle x).Tensor.data
+                    && direct = (Helpers.query oracle x).Tensor.data
                     && direct = rows.(i).Tensor.data)
                   xs))
         Nn.Zoo.names)
@@ -239,7 +239,7 @@ let batcher_metering_and_speculation () =
   Batcher.reset_global_stats ();
   let calls = ref 0 in
   let oracle = counting_oracle calls in
-  let t = Batcher.create ~width:4 oracle in
+  let t = Helpers.batcher ~width:4 oracle in
   let plan = [| cand 1; cand 2; cand 3 |] in
   let speculate i = if i < 2 then Some plan.(i + 1) else None in
   (* First query builds a 3-candidate chunk: one batched forward pass,
@@ -277,7 +277,8 @@ let batcher_cache_excludes_hits () =
   ignore
     (Score_cache.find_or_add cache (cand 2).Batcher.key ~compute:(fun () ->
          Tensor.of_array [| 2 |] [| 0.8; 0.2 |]));
-  let t = Batcher.create ~cache ~width:4 oracle in
+  Oracle.set_cache oracle (Some cache);
+  let t = Helpers.batcher ~width:4 oracle in
   let plan = [| cand 1; cand 2; cand 3 |] in
   let speculate i = if i < 2 then Some plan.(i + 1) else None in
   ignore (ask t ~speculate plan.(0));
@@ -318,7 +319,8 @@ let batcher_failing_forward () =
         Alcotest.fail "single-image path used")
   in
   let cache = Score_cache.create () in
-  let t = Batcher.create ~cache ~width:4 oracle in
+  Oracle.set_cache oracle (Some cache);
+  let t = Helpers.batcher ~width:4 oracle in
   let plan = Array.init 8 (fun v -> cand (v + 1)) in
   let speculate p i = if p + 1 + i < 8 then Some plan.(p + 1 + i) else None in
   for p = 0 to 3 do
@@ -362,7 +364,7 @@ let batcher_failing_forward () =
 let batcher_width_one_never_speculates () =
   let calls = ref 0 in
   let speculated = ref 0 in
-  let t = Batcher.create ~width:1 (counting_oracle calls) in
+  let t = Helpers.batcher ~width:1 (counting_oracle calls) in
   let speculate _ =
     incr speculated;
     Some (cand 2)
@@ -373,7 +375,7 @@ let batcher_width_one_never_speculates () =
   Alcotest.(check int) "one forward per query" 2 !calls;
   Alcotest.(check bool) "width < 1 rejected" true
     (try
-       ignore (Batcher.create ~width:0 (counting_oracle calls));
+       ignore (Helpers.batcher ~width:0 (counting_oracle calls));
        false
      with Invalid_argument _ -> true)
 
@@ -396,7 +398,8 @@ let batcher_cache_first_hit () =
   let calls = ref 0 and speculated = ref 0 in
   let oracle = counting_oracle calls in
   let cache = prefilled [ 1 ] in
-  let t = Batcher.create ~cache ~width:4 oracle in
+  Oracle.set_cache oracle (Some cache);
+  let t = Helpers.batcher ~width:4 oracle in
   let speculate _ =
     incr speculated;
     Some (cand 2)
@@ -418,7 +421,8 @@ let batcher_cache_first_meters () =
   let calls = ref 0 in
   let oracle = counting_oracle calls in
   let cache = prefilled [ 1; 2 ] in
-  let t = Batcher.create ~cache ~width:4 oracle in
+  Oracle.set_cache oracle (Some cache);
+  let t = Helpers.batcher ~width:4 oracle in
   let path = Filename.temp_file "oppsla_batch_journal" ".jsonl" in
   Telemetry.Journal.to_file path;
   Fun.protect ~finally:Telemetry.Journal.close (fun () ->
@@ -442,7 +446,8 @@ let batcher_cache_first_keeps_buffer () =
   let calls = ref 0 in
   let oracle = counting_oracle calls in
   let cache = prefilled [ 5 ] in
-  let t = Batcher.create ~cache ~width:4 oracle in
+  Oracle.set_cache oracle (Some cache);
+  let t = Helpers.batcher ~width:4 oracle in
   let plan = [| cand 1; cand 2; cand 3 |] in
   let speculate i = if i < 2 then Some plan.(i + 1) else None in
   ignore (ask t ~speculate plan.(0));
@@ -475,11 +480,41 @@ let check_result name (seq : Sketch.result) (b : Sketch.result) =
         x_seq.Tensor.data x_b.Tensor.data
   | _ -> Alcotest.fail (name ^ ": success flag diverged")
 
+(* A mean-threshold oracle whose batched forward checks that no chunk
+   passes the attack's cap [cap]: the queries charged before a chunk
+   plus the slots it prepared (the [batcher.prepared] delta since the
+   last chunk; without a cache every chunk forwards its head) stay
+   within [cap].  [clipped] counts the chunks the cap cut short of
+   [width]. *)
+let cap_checked ~name ~cap ~width ~clipped =
+  let base = Helpers.mean_threshold_oracle () in
+  let oracle = ref None in
+  let prepared = ref (Batcher.global_stats ()).Batcher.prepared in
+  let batch_fn xs =
+    let now = (Batcher.global_stats ()).Batcher.prepared in
+    let chunk = now - !prepared in
+    prepared := now;
+    let spent = Oracle.queries (Option.get !oracle) in
+    if spent + chunk > cap then
+      Alcotest.failf "%s: a %d-slot chunk after %d queries passes the cap %d"
+        name chunk spent cap;
+    if spent + chunk = cap && chunk < width then incr clipped;
+    Array.map (Oracle.unmetered_scores base) xs
+  in
+  let o =
+    Oracle.of_fn ~batch_fn ~name:"mean-threshold" ~num_classes:2
+      (Oracle.unmetered_scores base)
+  in
+  oracle := Some o;
+  o
+
 (* Sketch at widths 2/4/16 vs the sequential width 1: result AND the
    full per-query (index, pair, scores) trace, across random programs
-   and random caps (so cap points inside a chunk are exercised too). *)
+   and random caps, and no chunk passes the cap — including caps that
+   fall inside a chunk, which some trials must hit. *)
 let sketch_width_identity () =
   let gen_config = Helpers.gen_config ~size in
+  let clipped = ref 0 in
   for trial = 0 to 7 do
     let g = Prng.of_int (300 + trial) in
     let image =
@@ -489,11 +524,16 @@ let sketch_width_identity () =
     let max_queries = if Prng.bool g then None else Some (1 + Prng.int g 40) in
     let trace batch =
       let log = ref [] in
+      let cap =
+        Option.value max_queries ~default:(Oppsla.Pair.count ~d1:size ~d2:size)
+      in
       let r =
         Sketch.attack ?max_queries ~batch
           ~on_query:(fun i pair scores ->
             log := (i, pair, Array.copy scores.Tensor.data) :: !log)
-          (Helpers.mean_threshold_oracle ())
+          (cap_checked
+             ~name:(Printf.sprintf "sketch trial %d width %d" trial batch)
+             ~cap ~width:batch ~clipped)
           program ~image ~true_class:0
       in
       (r, List.rev !log)
@@ -515,7 +555,8 @@ let sketch_width_identity () =
               (name ^ ": score vector") s_seq s_b)
           seq_log b_log)
       [ 2; 4; 16 ]
-  done
+  done;
+  Alcotest.(check bool) "some cap falls inside a chunk" true (!clipped > 0)
 
 (* Sketch width identity on a real network oracle: the reference is
    width 1 through the single-image layer walk ([Network.scores]); the
@@ -538,9 +579,9 @@ let sketch_width_identity_on_network () =
   done;
   let run ~goal ~cache ~batch oracle =
     let log = ref [] in
-    let cache = if cache then Some (Score_cache.create ()) else None in
+    if cache then Oracle.set_cache oracle (Some (Score_cache.create ()));
     let r =
-      Sketch.attack ~goal ?cache ~batch ~max_queries:48
+      Sketch.attack ~goal ~batch ~max_queries:48
         ~on_query:(fun i pair scores ->
           log := (i, pair, Array.copy scores.Tensor.data) :: !log)
         oracle program ~image ~true_class
@@ -575,31 +616,52 @@ let sketch_width_identity_on_network () =
         ])
     [ ("untargeted", Sketch.Untargeted); ("targeted", Sketch.Targeted !least) ]
 
+(* Each baseline at width 16 vs width 1, and no chunk passes the
+   attack's cap.  No pixel flips the dark image, so there every attack
+   runs to its cap of 45, which falls inside a chunk. *)
 let baselines_width_identity () =
   let g = Prng.of_int 400 in
   let image =
     Tensor.rand_uniform (Prng.split g) ~lo:0.42 ~hi:0.58 [| 3; size; size |]
   in
-  let fixed batch =
-    Baselines.Fixed.attack ~batch
-      (Helpers.mean_threshold_oracle ())
-      ~image ~true_class:0
+  let clipped = ref 0 in
+  let compare ~label ~image ~fixed_cap ~su_opa_cap ~sparse_rs_cap =
+    let oracle name ~cap batch =
+      cap_checked
+        ~name:(Printf.sprintf "%s %s width %d" label name batch)
+        ~cap ~width:batch ~clipped
+    in
+    let fixed batch =
+      Baselines.Fixed.attack ~max_queries:fixed_cap ~batch
+        (oracle "fixed" ~cap:fixed_cap batch)
+        ~image ~true_class:0
+    in
+    check_result (label ^ " fixed") (fixed 1) (fixed 16);
+    let su_opa batch =
+      let config =
+        { Baselines.Su_opa.population = 6; f = 0.5; max_queries = su_opa_cap }
+      in
+      Baselines.Su_opa.attack ~config ~batch (Prng.of_int 13)
+        (oracle "su_opa" ~cap:su_opa_cap batch)
+        ~image ~true_class:0
+    in
+    check_result (label ^ " su_opa") (su_opa 1) (su_opa 16);
+    let sparse_rs batch =
+      let config =
+        { Baselines.Sparse_rs.max_queries = sparse_rs_cap; min_explore = 0.1 }
+      in
+      Baselines.Sparse_rs.attack ~config ~batch (Prng.of_int 5)
+        (oracle "sparse_rs" ~cap:sparse_rs_cap batch)
+        ~image ~true_class:0
+    in
+    check_result (label ^ " sparse_rs") (sparse_rs 1) (sparse_rs 16)
   in
-  check_result "fixed" (fixed 1) (fixed 16);
-  let su_opa batch =
-    let config = { Baselines.Su_opa.population = 6; f = 0.5; max_queries = 80 } in
-    Baselines.Su_opa.attack ~config ~batch (Prng.of_int 13)
-      (Helpers.mean_threshold_oracle ())
-      ~image ~true_class:0
-  in
-  check_result "su_opa" (su_opa 1) (su_opa 16);
-  let sparse_rs batch =
-    let config = { Baselines.Sparse_rs.max_queries = 96; min_explore = 0.1 } in
-    Baselines.Sparse_rs.attack ~config ~batch (Prng.of_int 5)
-      (Helpers.mean_threshold_oracle ())
-      ~image ~true_class:0
-  in
-  check_result "sparse_rs" (sparse_rs 1) (sparse_rs 16)
+  compare ~label:"mixed" ~image
+    ~fixed_cap:(Oppsla.Pair.count ~d1:size ~d2:size)
+    ~su_opa_cap:80 ~sparse_rs_cap:96;
+  compare ~label:"dark" ~image:(Helpers.flat_image ~size 0.2) ~fixed_cap:45
+    ~su_opa_cap:45 ~sparse_rs_cap:45;
+  Alcotest.(check bool) "some cap falls inside a chunk" true (!clipped > 0)
 
 (* Each forward pass is one cache miss: the rows the oracle's batched
    scoring function sees equal the cache's misses, less the [Clean]

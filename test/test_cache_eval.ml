@@ -53,8 +53,9 @@ let sketch_differential () =
     let max_queries = if Prng.bool g then None else Some (1 + Prng.int g 60) in
     let trace oracle cache =
       let log = ref [] in
+      Oracle.set_cache oracle cache;
       let r =
-        Sketch.attack ?max_queries ?cache
+        Sketch.attack ?max_queries
           ~on_query:(fun i pair scores ->
             log := (i, pair, Array.copy scores.Tensor.data) :: !log)
           oracle program ~image ~true_class
@@ -93,19 +94,18 @@ let sketch_warm_cache_differential () =
       Sketch.attack (Helpers.mean_threshold_oracle ()) program ~image
         ~true_class:0
     in
-    let on =
-      Sketch.attack ~cache
-        (Helpers.mean_threshold_oracle ())
-        program ~image ~true_class:0
-    in
+    let oracle = Helpers.mean_threshold_oracle () in
+    Oracle.set_cache oracle (Some cache);
+    let on = Sketch.attack oracle program ~image ~true_class:0 in
     check_result (Printf.sprintf "warm trial %d" trial) off on
   done;
   let s = Score_cache.stats cache in
   Alcotest.(check bool) "warm cache actually hit" true
     (s.Score_cache.hits > 0)
 
-(* The attached-cache route (Oracle.set_cache) is what Runner uses; it
-   must behave exactly like the explicit ?cache argument. *)
+(* The attached cache (Oracle.set_cache) is the one way an attack is
+   given its cache; a fresh one leaves the attack's observables as they
+   are without it. *)
 
 let attached_cache_differential () =
   let image = Helpers.flat_image ~size 0.46 in
@@ -130,11 +130,9 @@ let fixed_differential () =
       ~true_class:0
   in
   let cache = Score_cache.create () in
-  let on =
-    Baselines.Fixed.attack ~cache
-      (Helpers.mean_threshold_oracle ())
-      ~image ~true_class:0
-  in
+  let oracle = Helpers.mean_threshold_oracle () in
+  Oracle.set_cache oracle (Some cache);
+  let on = Baselines.Fixed.attack oracle ~image ~true_class:0 in
   check_result "fixed" off on;
   Alcotest.(check bool) "fixed populated the cache" true
     ((Score_cache.stats cache).Score_cache.entries > 0)
@@ -338,7 +336,8 @@ let network_mutation_chain () =
    future of the sequence, so a width-16 chunk resolves up to 16
    upcoming queries (repeats included) in one forward pass. *)
 let batched_asker ~width oracle cache cands =
-  let t = Batcher.create ~cache ~width oracle in
+  Oracle.set_cache oracle (Some cache);
+  let t = Helpers.batcher ~width oracle in
   let n = Array.length cands in
   fun p ->
     Batcher.query t
@@ -347,9 +346,9 @@ let batched_asker ~width oracle cache cands =
 
 let widths = [ 1; 16 ]
 
-(* Property test: Batcher.query vs a fresh uncached oracle, call for
-   call, over random pair sequences with repeats — same vectors, same
-   counter. *)
+(* Property test: Batcher.query vs a fresh uncached oracle queried one
+   candidate at a time through width-1 batchers, call for call, over
+   random pair sequences with repeats — same vectors, same counter. *)
 
 let qcheck_batcher_matches_uncached =
   QCheck.Test.make ~name:"Batcher.query = scores per call" ~count:60
@@ -388,7 +387,10 @@ let qcheck_batcher_matches_uncached =
           Array.iteri
             (fun p cand ->
               let on = ask p in
-              let off = Oracle.scores uncached (cand.Batcher.input ()) in
+              let off =
+                Helpers.query ~key:cand.Batcher.key uncached
+                  (cand.Batcher.input ())
+              in
               if on.Tensor.data <> off.Tensor.data then ok := false;
               if Oracle.queries cached <> Oracle.queries uncached then
                 ok := false)

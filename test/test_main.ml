@@ -26,10 +26,10 @@ let () =
       ("parallel_eval", Test_parallel_eval.suite);
       ("cache_eval", Test_cache_eval.suite);
       ("batch_eval", Test_batch_eval.suite);
+      ("metered_queries", Test_metered_queries.suite);
       ("stats", Test_stats.suite);
       ("report", Test_report.suite);
       ("image", Test_image.suite);
-      ("augment_metrics", Test_augment_metrics.suite);
       ("analysis", Test_analysis.suite);
       ("extensions", Test_extensions.suite);
       ("integration", Test_integration.suite);

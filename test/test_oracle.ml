@@ -5,14 +5,14 @@ let image = Helpers.flat_image ~size:4 0.6
 let counting () =
   let o = Helpers.mean_threshold_oracle () in
   Alcotest.(check int) "starts at 0" 0 (Oracle.queries o);
-  ignore (Oracle.scores o image);
-  ignore (Oracle.scores o image);
-  ignore (Oracle.scores o image);
+  ignore (Helpers.query o image);
+  ignore (Helpers.query o image);
+  ignore (Helpers.query o image);
   Alcotest.(check int) "three queries" 3 (Oracle.queries o)
 
 let classify_bright_dark () =
   let o = Helpers.mean_threshold_oracle () in
-  let classify x = Tensor.argmax (Oracle.scores o x) in
+  let classify x = Tensor.argmax (Helpers.query o x) in
   Alcotest.(check int) "bright is class 1" 1
     (classify (Helpers.flat_image ~size:4 0.9));
   Alcotest.(check int) "dark is class 0" 0
@@ -37,13 +37,13 @@ let of_fn_validates_classes () =
   in
   Alcotest.(check bool) "wrong vector length raises" true
     (try
-       ignore (Oracle.scores bad image);
+       ignore (Oracle.eval_batch bad [| image |]);
        false
      with Invalid_argument _ -> true)
 
 let clone_independent_and_cacheless () =
   let o = Helpers.mean_threshold_oracle () in
-  ignore (Oracle.scores o image);
+  ignore (Helpers.query o image);
   Oracle.set_cache o (Some (Score_cache.create ()));
   let c = Oracle.clone o in
   Alcotest.(check int) "clone counter starts at 0" 0 (Oracle.queries c);
@@ -56,13 +56,13 @@ let clone_independent_and_cacheless () =
   Alcotest.(check bool) "clone drops the cache" true (Oracle.cache c = None);
   Alcotest.(check bool) "parent keeps the cache" true
     (Oracle.cache o <> None);
-  ignore (Oracle.scores c image);
+  ignore (Helpers.query c image);
   Alcotest.(check int) "counters are independent" 1 (Oracle.queries o)
 
 let decision_mode_observe () =
   let o = Helpers.mean_threshold_oracle () in
   let bright = Helpers.flat_image ~size:4 0.9 in
-  let s = Oracle.scores o bright in
+  let s = Helpers.query o bright in
   Alcotest.(check bool) "score-mode observe is the identity" true
     (Oracle.observe o s == s);
   Oracle.set_mode o Oracle.Decision;
@@ -71,8 +71,8 @@ let decision_mode_observe () =
     (Tensor.get_flat h 1);
   Alcotest.(check (float 1e-9)) "loser collapses to 0" 0.0
     (Tensor.get_flat h 0);
-  (* A label-only decision is a metered query read through [observe]. *)
-  let decide x = Tensor.argmax (Oracle.observe o (Oracle.scores o x)) in
+  (* A label-only decision is a metered query, observed by the batcher. *)
+  let decide x = Tensor.argmax (Helpers.query o x) in
   Alcotest.(check int) "decision = argmax" 1 (decide bright);
   Alcotest.(check int) "each decision is metered" 2 (Oracle.queries o)
 
@@ -84,7 +84,7 @@ let clone_mode_contract () =
   let o = Helpers.mean_threshold_oracle () in
   Oracle.set_mode o Oracle.Decision;
   Oracle.set_cache o (Some (Score_cache.create ()));
-  ignore (Oracle.scores o image);
+  ignore (Helpers.query o image);
   let c = Oracle.clone o in
   Alcotest.(check bool) "clone preserves Decision mode" true
     (Oracle.mode c = Oracle.Decision);

@@ -13,7 +13,8 @@ module Condition = Oppsla.Condition
 
 (* (1) Decision-oracle metering charges exactly one query per call —
    cache hits included — through the cached query path at widths 1 and
-   16. *)
+   16, and [Batcher.query] itself answers with the one-hot label
+   vector. *)
 let qcheck_decision_metering =
   QCheck.Test.make
     ~name:"decision metering: one query per call, cache hits included"
@@ -27,21 +28,32 @@ let qcheck_decision_metering =
       let cand =
         { Batcher.key = Score_cache.Custom "pairs:3,7"; input = (fun () -> image) }
       in
+      let label =
+        Tensor.argmax
+          (Oracle.unmetered_scores (Helpers.mean_threshold_oracle ()) image)
+      in
+      let one_hot s =
+        Tensor.numel s = 2
+        && Tensor.get_flat s label = 1.0
+        && Tensor.get_flat s (1 - label) = 0.0
+      in
       List.for_all
         (fun width ->
           let o = Helpers.mean_threshold_oracle () in
           Oracle.set_mode o Oracle.Decision;
-          let t = Batcher.create ~cache:(Score_cache.create ()) ~width o in
+          Oracle.set_cache o (Some (Score_cache.create ()));
+          let t = Helpers.batcher ~width o in
           let ask () =
-            ignore
+            one_hot
               (Batcher.query t
                  ~speculate:(fun _ -> Some cand)
                  ~input:cand.Batcher.input cand.Batcher.key)
           in
+          let observed = ref true in
           for _ = 1 to calls do
-            ask ()
+            observed := ask () && !observed
           done;
-          Oracle.queries o = calls)
+          !observed && Oracle.queries o = calls)
         [ 1; 16 ])
 
 (* (2) k-pixel [pairs:] cache keys are a pure function of the set — any
@@ -110,10 +122,10 @@ let qcheck_label_flip_agrees_with_argmax =
       let size = 4 in
       let o = Helpers.mean_threshold_oracle () in
       let image = Tensor.rand_uniform g ~lo:0.3 ~hi:0.7 [| 3; size; size |] in
-      let clean_raw = Oracle.scores o image in
+      let clean_raw = Helpers.query o image in
       let true_class = Tensor.argmax clean_raw in
       let pair = Gen.random_pair { Gen.d1 = size; d2 = size } g in
-      let pert_raw = Oracle.scores o (Oppsla.Sketch.perturb image pair) in
+      let pert_raw = Helpers.query o (Oppsla.Sketch.perturb image pair) in
       Oracle.set_mode o Oracle.Decision;
       let ctx =
         {
@@ -200,9 +212,7 @@ let decision_beats_random c () =
       if q >= c.cap then q
       else
         let pair = Gen.random_pair config g in
-        let s =
-          Oracle.observe o (Oracle.scores o (Oppsla.Sketch.perturb image pair))
-        in
+        let s = Helpers.query o (Oppsla.Sketch.perturb image pair) in
         if Tensor.argmax s <> true_class then q + 1 else go (q + 1)
     in
     go 0

@@ -299,7 +299,7 @@ let slot_hygiene () =
       let name = Printf.sprintf "batch %d, cache %b" batch cached in
       let seen = ref [] in
       let o = recording_oracle seen in
-      let cache = if cached then Some (Score_cache.create ()) else None in
+      if cached then Oracle.set_cache o (Some (Score_cache.create ()));
       let consumed_exact = ref true in
       let on_query _ pair scores =
         let expected = checksum_scores (Sketch.perturb image pair) in
@@ -312,10 +312,10 @@ let slot_hygiene () =
          synthesis. *)
       if cached then
         ignore
-          (Sketch.attack ?cache ~batch ~max_queries:40 o hygiene_program ~image
+          (Sketch.attack ~batch ~max_queries:40 o hygiene_program ~image
              ~true_class:0);
       let r =
-        Sketch.attack ?cache ~batch ~on_query o hygiene_program ~image
+        Sketch.attack ~batch ~on_query o hygiene_program ~image
           ~true_class:0
       in
       Alcotest.(check int) (name ^ ": full enumeration") full_space
@@ -339,11 +339,11 @@ let slot_hygiene_after_failure () =
       let seen = ref [] in
       let fail ~call ~width = call >= 3 && (batch = 1 || width > 1) in
       let o = recording_oracle ~fail seen in
-      let cache = if cached then Some (Score_cache.create ()) else None in
+      if cached then Oracle.set_cache o (Some (Score_cache.create ()));
       let consumed = ref 0 in
       let on_query n _ _ = consumed := n in
       (match
-         Sketch.attack ?cache ~batch ~on_query o hygiene_program ~image
+         Sketch.attack ~batch ~on_query o hygiene_program ~image
            ~true_class:0
        with
       | _ -> Alcotest.failf "%s: the injected failure did not surface" name
@@ -354,7 +354,7 @@ let slot_hygiene_after_failure () =
       seen := [];
       let before = Oracle.queries o in
       let r =
-        Sketch.attack ?cache ~batch o hygiene_program ~image ~true_class:0
+        Sketch.attack ~batch o hygiene_program ~image ~true_class:0
       in
       Alcotest.(check int) (name ^ ": next attack complete") full_space
         r.Sketch.queries;
@@ -388,8 +388,9 @@ let warm_words_per_query ~d ~max_queries =
   in
   let o = Helpers.mean_threshold_oracle () in
   let cache = Score_cache.create () in
+  Oracle.set_cache o (Some cache);
   let attack () =
-    Sketch.attack ~cache ~max_queries o warm_program ~image ~true_class:0
+    Sketch.attack ~max_queries o warm_program ~image ~true_class:0
   in
   ignore (attack ());
   let misses = (Score_cache.stats cache).misses in

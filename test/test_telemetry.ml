@@ -470,38 +470,42 @@ let watchdog_snapshot_and_stall () =
   Alcotest.(check int) "inactive before enter" 0 s.Telemetry.Watchdog.active;
   Alcotest.(check int) "no beats yet" 0 s.Telemetry.Watchdog.beats;
   Alcotest.(check (option int)) "no image yet" None s.Telemetry.Watchdog.image;
-  Telemetry.Watchdog.enter wd;
-  Telemetry.Watchdog.beat ~image:7 ~queries:123 wd;
-  let beat_us = Telemetry.Clock.now_us () in
-  (* Pinning now_us makes idle arithmetic deterministic: 5 simulated
-     seconds after the beat the loop is stalled for any threshold < 5. *)
-  let later = beat_us +. 5e6 in
-  let s = find (Telemetry.Watchdog.snapshot ~now_us:later ()) in
-  Alcotest.(check int) "active after enter" 1 s.Telemetry.Watchdog.active;
-  Alcotest.(check int) "one beat" 1 s.Telemetry.Watchdog.beats;
-  Alcotest.(check (option int)) "image reported" (Some 7)
-    s.Telemetry.Watchdog.image;
-  Alcotest.(check (option int)) "queries reported" (Some 123)
-    s.Telemetry.Watchdog.queries;
-  Alcotest.(check (option int)) "iteration still unset" None
-    s.Telemetry.Watchdog.iteration;
-  Alcotest.(check bool) "idle accounts the simulated gap" true
-    (s.Telemetry.Watchdog.idle_s >= 5.0 && s.Telemetry.Watchdog.idle_s < 6.0);
   let stalled_names ~stall_after_s ~now_us =
     List.map
       (fun (s : Telemetry.Watchdog.status) -> s.Telemetry.Watchdog.name)
       (Telemetry.Watchdog.stalled ~now_us ~stall_after_s ())
   in
-  Alcotest.(check bool) "stalled past the threshold" true
-    (List.mem name (stalled_names ~stall_after_s:4. ~now_us:later));
-  Alcotest.(check bool) "not stalled within the threshold" false
-    (List.mem name (stalled_names ~stall_after_s:6. ~now_us:later));
-  Telemetry.Watchdog.beat wd;
-  Alcotest.(check bool) "a beat clears the stall" false
-    (List.mem name
-       (stalled_names ~stall_after_s:4.
-          ~now_us:(Telemetry.Clock.now_us () +. 1.)));
-  Telemetry.Watchdog.leave wd;
+  (* [with_loop] leaves the slot on any exit, so a failed assertion
+     inside cannot leave it active for the suites that run after. *)
+  let later =
+    Telemetry.Watchdog.with_loop wd @@ fun () ->
+    Telemetry.Watchdog.beat ~image:7 ~queries:123 wd;
+    let beat_us = Telemetry.Clock.now_us () in
+    (* Pinning now_us makes idle arithmetic deterministic: 5 simulated
+       seconds after the beat the loop is stalled for any threshold < 5. *)
+    let later = beat_us +. 5e6 in
+    let s = find (Telemetry.Watchdog.snapshot ~now_us:later ()) in
+    Alcotest.(check int) "active after enter" 1 s.Telemetry.Watchdog.active;
+    Alcotest.(check int) "one beat" 1 s.Telemetry.Watchdog.beats;
+    Alcotest.(check (option int)) "image reported" (Some 7)
+      s.Telemetry.Watchdog.image;
+    Alcotest.(check (option int)) "queries reported" (Some 123)
+      s.Telemetry.Watchdog.queries;
+    Alcotest.(check (option int)) "iteration still unset" None
+      s.Telemetry.Watchdog.iteration;
+    Alcotest.(check bool) "idle accounts the simulated gap" true
+      (s.Telemetry.Watchdog.idle_s >= 5.0 && s.Telemetry.Watchdog.idle_s < 6.0);
+    Alcotest.(check bool) "stalled past the threshold" true
+      (List.mem name (stalled_names ~stall_after_s:4. ~now_us:later));
+    Alcotest.(check bool) "not stalled within the threshold" false
+      (List.mem name (stalled_names ~stall_after_s:6. ~now_us:later));
+    Telemetry.Watchdog.beat wd;
+    Alcotest.(check bool) "a beat clears the stall" false
+      (List.mem name
+         (stalled_names ~stall_after_s:4.
+            ~now_us:(Telemetry.Clock.now_us () +. 1.)));
+    later
+  in
   Alcotest.(check bool) "inactive loops never stall" false
     (List.mem name (stalled_names ~stall_after_s:0. ~now_us:(later +. 1e9)))
 
