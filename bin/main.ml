@@ -60,7 +60,9 @@ let batch_arg =
     "Speculative candidate batch width: attacks pose up to this many \
      candidates per forward-pass chunk.  Results, query counts and \
      synthesis traces are bit-identical at every width (metering happens \
-     at consumption); 1 is the sequential path."
+     at consumption).  The default, 1, is the sequential path: one \
+     candidate per forward pass, which is as fast per image as a wider \
+     chunk and prepares no candidate the attack does not pose."
   in
   Arg.(
     value

@@ -49,7 +49,8 @@ exception Done of multi_result
 let wd = Telemetry.Watchdog.loop "baseline.sparse_rs"
 
 (* One copy of the image with the k pixels written in order (a later
-   pair at the same location wins, as folding [Sketch.perturb] would). *)
+   pair at the same location wins, as folding [Sketch.perturb] would):
+   the adversarial image a successful attack returns. *)
 let perturb_set image pairs =
   let x = Tensor.copy image in
   List.iter
@@ -59,27 +60,32 @@ let perturb_set image pairs =
     pairs;
   x
 
-(* The shared random-search engine: a state type with a cache key, a
-   materializer, an initial sample and a proposal kernel.  Both the
-   k-pixel and the patch instantiations run the same accept-iff-loss-
-   does-not-increase loop with the same speculative batching. *)
-let search (type s) ~config ~batch ~goal ~(key : s -> Score_cache.key)
-    ~(materialize : s -> Tensor.t) ~(pairs_of : s -> Oppsla.Pair.t list)
-    ~(initial : Prng.t -> s) ~(propose : g:Prng.t -> spent:int -> s -> s) g
-    oracle ~true_class =
+(* The shared random-search engine: a state type with a cache key, an
+   in-place builder ([write] a state's candidate into the next arena
+   slot), a fresh-copy builder for the adversarial image, an initial
+   sample and a proposal kernel.  Both the k-pixel and the patch
+   instantiations run the same accept-iff-loss-does-not-increase loop
+   with the same speculative batching. *)
+let search (type s) ~config ~batch ~goal ~image ~(key : s -> Score_cache.key)
+    ~(write : Oppsla.Arena.t -> s -> Tensor.t) ~(materialize : s -> Tensor.t)
+    ~(pairs_of : s -> Oppsla.Pair.t list) ~(initial : Prng.t -> s)
+    ~(propose : g:Prng.t -> spent:int -> s -> s) g oracle ~true_class =
   let batcher =
     Batcher.create ~max_queries:config.max_queries ~watchdog:wd ~width:batch
       oracle
   in
+  let slots = Oppsla.Arena.create ~width:batch image in
   let candidate_of state =
-    { Batcher.key = key state; input = (fun () -> materialize state) }
+    { Batcher.key = key state; input = (fun () -> write slots state) }
   in
   (* Query [state] with [base] the current state.  Speculation assumes
      every pending proposal is rejected: [base] stays current, the PRNG
      clone advances exactly as the real stream will on rejection, and
      the [i]-th future proposal is generated at the query index the
      sequential path would use.  An acceptance diverges the key stream
-     and the batcher rebuilds — never a correctness event. *)
+     and the batcher rebuilds — never a correctness event.  A query
+     builds at most one chunk, consumed before it returns, so the slots
+     restart at 0 for each. *)
   let query base state =
     let spec_g = ref None in
     let speculate i =
@@ -95,9 +101,10 @@ let search (type s) ~config ~batch ~goal ~(key : s -> Score_cache.key)
         (candidate_of
            (propose ~g:g' ~spent:(Batcher.spent batcher + 1 + i) base))
     in
+    Oppsla.Arena.rewind slots;
     let scores =
       Batcher.query batcher ~speculate
-        ~input:(fun () -> materialize state)
+        ~input:(fun () -> write slots state)
         (key state)
     in
     if Oppsla.Sketch.goal_reached goal ~true_class (Tensor.argmax scores) then
@@ -178,9 +185,9 @@ let attack_multi ?config ?(batch = Oppsla.Sketch.default_batch)
       selected;
     Array.to_list next
   in
-  search ~config ~batch ~goal
+  search ~config ~batch ~goal ~image
     ~key:(Oppsla.Space.set_key ~d2)
-    ~materialize:(perturb_set image)
+    ~write:Oppsla.Arena.pixels ~materialize:(perturb_set image)
     ~pairs_of:Fun.id
     ~initial:(fun g -> Oppsla.Gen.random_pixel_set gen g ~k)
     ~propose g oracle ~true_class
@@ -210,8 +217,10 @@ let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
       (anchor, if c >= corner then c + 1 else c)
     end
   in
-  search ~config ~batch ~goal
+  search ~config ~batch ~goal ~image
     ~key:(fun (anchor, corner) -> Oppsla.Space.patch_key ~anchor ~h ~w ~corner)
+    ~write:(fun slots (anchor, corner) ->
+      Oppsla.Arena.patch slots ~anchor ~h ~w ~corner)
     ~materialize:(fun (anchor, corner) ->
       Oppsla.Space.perturb_patch image ~anchor ~h ~w ~corner)
     ~pairs_of:(fun (anchor, corner) ->

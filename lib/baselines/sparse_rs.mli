@@ -64,7 +64,9 @@ val attack :
     rejected, and evaluated in one batched forward pass ({!Batcher}).
     The real PRNG stream only advances when a proposal is actually
     generated, so draws, query counts and outcomes are bit-identical at
-    every width. *)
+    every width.  Forwarded candidates are built in place in an
+    {!Oppsla.Arena} of [batch] slots, rewound before every query; the
+    adversarial image in the result is a fresh copy. *)
 
 (** {1 Few-pixel attacks}
 

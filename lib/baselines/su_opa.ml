@@ -13,10 +13,13 @@ let pixel_of image cand =
   let col = clamp 0 (d2 - 1) (int_of_float cand.(1)) in
   (row, col)
 
+let rgb cand = { Oppsla.Rgb.r = cand.(2); g = cand.(3); b = cand.(4) }
+
+(* A fresh copy of the image carrying the candidate's pixel: the
+   adversarial image a successful attack returns. *)
 let build image ~row ~col cand =
   let x' = Tensor.copy image in
-  Oppsla.Rgb.write_to_image x' ~row ~col
-    { Oppsla.Rgb.r = cand.(2); g = cand.(3); b = cand.(4) };
+  Oppsla.Rgb.write_to_image x' ~row ~col (rgb cand);
   x'
 
 (* Continuous colors don't fit the corner key space, so memoize under an
@@ -55,11 +58,15 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
     Batcher.create ~max_queries:config.max_queries ~watchdog:wd ~width:batch
       oracle
   in
+  (* Forwarded candidates are built in place; a query builds at most one
+     chunk, consumed before it returns, so the slots restart at 0 for
+     each. *)
+  let slots = Oppsla.Arena.create ~width:batch image in
   let candidate_of cand =
     let row, col = pixel_of image cand in
     {
       Batcher.key = cache_key ~row ~col cand;
-      input = (fun () -> build image ~row ~col cand);
+      input = (fun () -> Oppsla.Arena.pixel slots ~row ~col (rgb cand));
     }
   in
   (* Candidates are evaluated in batches (the whole initial population,
@@ -76,6 +83,7 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
      degradation (success detection is argmax-based, hence unchanged). *)
   let fitness ~speculate cand =
     let { Batcher.key; input } = candidate_of cand in
+    Oppsla.Arena.rewind slots;
     let scores = Batcher.query batcher ~speculate ~input key in
     if
       !found = None

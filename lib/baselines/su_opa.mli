@@ -54,4 +54,6 @@ val attack :
     fully batchable (the candidates exist before any query); generation
     mutants are speculated from a {!Prng.copy} clone assuming rejection,
     so the real draw stream — and every count and outcome — stays
-    bit-identical at every width. *)
+    bit-identical at every width.  Forwarded candidates are built in
+    place in an {!Oppsla.Arena} of [batch] slots, rewound before every
+    query; the adversarial image in the result is a fresh copy. *)

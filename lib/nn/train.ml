@@ -32,13 +32,10 @@ let fit ?config g net train =
       for j = !i to batch_end - 1 do
         let x, label = train.(order.(j)) in
         let logits = Network.forward_train net x in
-        loss_sum := !loss_sum +. Tensor.cross_entropy logits label;
+        let loss, grad = Tensor.cross_entropy_with_grad logits label in
+        loss_sum := !loss_sum +. loss;
         if Tensor.argmax logits = label then incr correct;
-        let dlogits =
-          Tensor.scale
-            (1. /. float_of_int batch_n)
-            (Tensor.cross_entropy_grad logits label)
-        in
+        let dlogits = Tensor.scale (1. /. float_of_int batch_n) grad in
         ignore (Network.backward net dlogits)
       done;
       Optimizer.step config.optimizer params;

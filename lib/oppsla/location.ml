@@ -35,7 +35,7 @@ let of_index ~d2 i = { row = i / d2; col = i mod d2 }
 (* Twice [center_distance], an integer in [0, max d1 d2): the sort key
    of the center order.  A stable counting sort over row-major indices
    on it is exactly the comparison sort by ([center_distance], index). *)
-let center_order ~d1 ~d2 =
+let build_center_order ~d1 ~d2 =
   let key row col =
     let a = abs ((2 * row) - (d1 - 1)) and b = abs ((2 * col) - (d2 - 1)) in
     if a > b then a else b
@@ -59,6 +59,19 @@ let center_order ~d1 ~d2 =
     done
   done;
   order
+
+let per_geometry build =
+  let tables = Hashtbl.create 4 and lock = Mutex.create () in
+  fun ~d1 ~d2 ->
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt tables (d1, d2) with
+        | Some t -> t
+        | None ->
+            let t = build ~d1 ~d2 in
+            Hashtbl.replace tables (d1, d2) t;
+            t)
+
+let center_order = per_geometry build_center_order
 
 let by_center_distance ~d1 ~d2 =
   Array.map (of_index ~d2) (center_order ~d1 ~d2)

@@ -23,9 +23,16 @@ val neighbors : d1:int -> d2:int -> t -> t list
 val all : d1:int -> d2:int -> t list
 (** All locations in row-major order. *)
 
+val per_geometry : (d1:int -> d2:int -> 'a) -> d1:int -> d2:int -> 'a
+(** [per_geometry build] memoizes [build] per image geometry: the first
+    call for a [(d1, d2)] builds the value, every later call returns that
+    same value.  Domain-safe (one lock per memo table); the value is
+    shared by every caller and domain, so it must never be mutated. *)
+
 val center_order : d1:int -> d2:int -> int array
 (** The row-major {!index} of every location, in {!by_center_distance}
-    order.  A counting sort: O(d1 * d2) integer work, no comparisons. *)
+    order.  A counting sort, built once per geometry ({!per_geometry}):
+    the array is shared, so do not mutate it. *)
 
 val by_center_distance : d1:int -> d2:int -> t array
 (** All locations sorted by {!center_distance} ascending (center of the

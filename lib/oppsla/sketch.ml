@@ -16,50 +16,6 @@ let perturb x (pair : Pair.t) =
     (Pair.rgb pair);
   x'
 
-(* In-place candidate slots: at most [n] copies of the attacked image,
-   made on first use.  [slot_input] takes the next slot round-robin,
-   restores the pixel its previous candidate wrote and writes the new
-   pair (named by its id), so a slot differs from the image in at most
-   one pixel and equals [perturb image pair] when handed out.  The
-   batcher materializes at most [n] inputs per chunk and the oracle
-   consumes them before the next chunk (it borrows its inputs), so no
-   live input is overwritten.  [rewind] restarts the cycle at slot 0
-   between chunks, so a chunk of [k] candidates touches only the first
-   [k] slots and the arena grows only to the widest chunk. *)
-type slot = { x : Tensor.t; mutable at : int (* location index *) }
-
-type arena = {
-  base : Tensor.t;
-  d2 : int;
-  slots : slot option array;
-  mutable next : int;
-}
-
-let arena ~n base =
-  { base; d2 = Tensor.dim base 2; slots = Array.make n None; next = 0 }
-
-let rewind a = a.next <- 0
-
-let slot_input a id =
-  let i = a.next in
-  a.next <- (if i + 1 = Array.length a.slots then 0 else i + 1);
-  let li = id / 8 in
-  let s =
-    match a.slots.(i) with
-    | Some s ->
-        let row = s.at / a.d2 and col = s.at mod a.d2 in
-        Rgb.write_to_image s.x ~row ~col (Rgb.of_image a.base ~row ~col);
-        s
-    | None ->
-        let s = { x = Tensor.copy a.base; at = li } in
-        a.slots.(i) <- Some s;
-        s
-  in
-  Rgb.write_to_image s.x ~row:(li / a.d2) ~col:(li mod a.d2)
-    Rgb.corners.(id mod 8);
-  s.at <- li;
-  s.x
-
 exception Found of int
 
 let cache_key (pair : Pair.t) =
@@ -73,24 +29,11 @@ let cache_key (pair : Pair.t) =
 (* One immutable key table per image geometry, shared by every attack
    (and domain) on that geometry, so a query names its key by a table
    read instead of building it. *)
-let key_tables : (int * int, Score_cache.key array) Hashtbl.t =
-  Hashtbl.create 4
+let corner_keys =
+  Location.per_geometry (fun ~d1 ~d2 ->
+      Array.init (Pair.count ~d1 ~d2) (fun id -> cache_key (Pair.of_id ~d2 id)))
 
-let key_tables_mutex = Mutex.create ()
-
-let corner_keys ~d1 ~d2 =
-  Mutex.protect key_tables_mutex (fun () ->
-      match Hashtbl.find_opt key_tables (d1, d2) with
-      | Some keys -> keys
-      | None ->
-          let keys =
-            Array.init (Pair.count ~d1 ~d2) (fun id ->
-                cache_key (Pair.of_id ~d2 id))
-          in
-          Hashtbl.replace key_tables (d1, d2) keys;
-          keys)
-
-let default_batch = 16
+let default_batch = 1
 
 (* Attack-level telemetry: outcome counters plus the
    queries-to-success/-failure distributions — the histogram form of the
@@ -135,12 +78,12 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
   let batcher =
     Batcher.create ~max_queries:limit ~watchdog:wd_attack ~width:batch oracle
   in
-  let slots = arena ~n:batch image in
+  let slots = Arena.create ~width:batch image in
   let keys = corner_keys ~d1 ~d2 in
   (* The pair id [check] is posing: the one [input] closure of this
      attack materializes it (on a miss only). *)
   let pending = ref (-1) in
-  let input () = slot_input slots !pending in
+  let input () = Arena.corner slots !pending in
   (* Query pair [id], possibly served from the batcher's speculative
      buffer.  Raises [Found] on success; the batcher raises
      [Out_of_queries] at the [max_queries] cap.  The perturbed tensor is
@@ -152,7 +95,7 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
      contexts becomes the label-flip indicator. *)
   let check ~speculate id =
     (* A query builds at most one chunk, consumed before it returns. *)
-    rewind slots;
+    Arena.rewind slots;
     pending := id;
     let scores = Batcher.query batcher ~speculate ~input keys.(id) in
     (match on_query with
@@ -187,7 +130,7 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
     cursor := id;
     if id < 0 then None
     else
-      let input () = slot_input slots id in
+      let input () = Arena.corner slots id in
       Some { Batcher.key = keys.(id); input }
   in
   (* Eager checking (lines 7-24): pairs pulled out of the queue and
@@ -303,14 +246,14 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
 
 let success_exists ?(goal = Untargeted) oracle ~image ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
-  (* One scratch copy, perturbed in place; each pair restores the pixel
-     the previous one wrote.  Ids ascend row-major by location, corners
-     0..7 within one. *)
-  let scratch = arena ~n:1 image in
+  (* One slot, perturbed in place; each pair restores the pixel the
+     previous one wrote.  Ids ascend row-major by location, corners 0..7
+     within one. *)
+  let scratch = Arena.create ~width:1 image in
   let rec any id =
     id < Pair.count ~d1 ~d2
     && (goal_reached goal ~true_class
-          (Oracle.unmetered_classify oracle (slot_input scratch id))
+          (Oracle.unmetered_classify oracle (Arena.corner scratch id))
        || any (id + 1))
   in
   any 0

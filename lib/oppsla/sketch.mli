@@ -61,7 +61,9 @@ val corner_keys : d1:int -> d2:int -> Score_cache.key array
     query's key by an array read.  Do not mutate it. *)
 
 val default_batch : int
-(** Default candidate batch width (16). *)
+(** Default candidate batch width: 1, one candidate per forward pass.
+    A forward pass costs about the same per image at any width, and a
+    wider chunk prepares candidates the attack may never pose. *)
 
 val attack :
   ?max_queries:int ->
@@ -93,10 +95,10 @@ val attack :
     Results — success, query counts, condition decisions, [on_query]
     order — are bit-identical at every width (see {!Batcher}); only
     wall-clock changes.  [batch:1] is the sequential path.  Forwarded
-    candidates are written in place into at most [batch] copies of
-    [image], made lazily per attack, each restored one pixel at a time
-    before reuse; the adversarial image in the result is a fresh
-    {!perturb} copy.
+    candidates are built in place in an {!Arena} of [batch] slots, each
+    restored one pixel at a time before reuse and rewound before every
+    query; the adversarial image in the result is a fresh {!perturb}
+    copy.
 
     [on_query] is an instrumentation hook called after every metered
     query with the 1-based query index, the candidate pair, and the
@@ -112,5 +114,5 @@ val attack :
 val success_exists :
   ?goal:goal -> Oracle.t -> image:Tensor.t -> true_class:int -> bool
 (** Ground truth via exhaustive unmetered scan: does any corner one-pixel
-    perturbation flip the classification?  For tests and dataset
-    diagnostics only. *)
+    perturbation flip the classification?  Every candidate is built in
+    one {!Arena} slot.  For tests and dataset diagnostics only. *)

@@ -35,7 +35,13 @@
 
     Candidate keys must uniquely identify the perturbed input within the
     attacked image, exactly as cache keys must ({!Score_cache.key}); the
-    same keys serve both purposes. *)
+    same keys serve both purposes.
+
+    The attackers' default width ([Oppsla.Sketch.default_batch]) is 1:
+    [speculate] is never called and every chunk is the posed candidate
+    alone, one forward pass per cache miss.  Inputs are borrowed: the
+    attackers build them in reused slots ([Oppsla.Arena]) and rewind
+    those before every query. *)
 
 type candidate = {
   key : Score_cache.key;  (** identity of the perturbed input *)

@@ -9,6 +9,10 @@ type t = {
   mutable count : int;
   mutable memo : Score_cache.t option;
   mutable qmode : mode;
+  (* Entry [c]: the one-hot vector of class [c], what [observe] answers
+     in [Decision] mode.  Built on the first switch to [Decision] and
+     shared, read-only, by the handle and its clones. *)
+  mutable one_hots : Tensor.t array;
   (* Cached handle on the dimensional series
      [oracle.queries.by{backend=...,mode=...}]: re-resolved on
      [set_mode] so the hot metering path stays one atomic incr. *)
@@ -49,6 +53,7 @@ let of_fn ?batch_fn ?(name = "fn") ~num_classes fn =
     count = 0;
     memo = None;
     qmode = Score;
+    one_hots = [||];
     m_by = by_counter ~backend:"fn" Score;
   }
 
@@ -97,6 +102,7 @@ let of_network ?(backend = Nn.Backend.Boxed) ?pool net =
     count = 0;
     memo = None;
     qmode = Score;
+    one_hots = [||];
     m_by = by_counter ~backend:(Nn.Backend.kind_name backend) Score;
   }
 
@@ -143,10 +149,11 @@ let mode t = t.qmode
 
 let set_mode t m =
   t.qmode <- m;
-  t.m_by <- by_counter ~backend:t.backend_kind m
-
-let one_hot ~classes label =
-  Tensor.init [| classes |] (fun j -> if j = label then 1.0 else 0.0)
+  t.m_by <- by_counter ~backend:t.backend_kind m;
+  if m = Decision && Array.length t.one_hots = 0 then
+    t.one_hots <-
+      Array.init t.classes (fun label ->
+          Tensor.init [| t.classes |] (fun j -> if j = label then 1.0 else 0.0))
 
 (* The observation point of the threat model.  Caches, the batcher and
    the metering layer all carry full score tensors internally — that
@@ -154,14 +161,16 @@ let one_hot ~classes label =
    attacks pass every resolved score vector through [observe] before
    acting on it.  In [Score] mode this is the identity; in [Decision]
    mode the vector collapses to the one-hot of its argmax, so the only
-   information that survives is the predicted label.  Downstream,
+   information that survives is the predicted label.  The one-hot is
+   one of the oracle's shared vectors, so neither mode allocates.
+   Downstream,
    score-based conditions degrade gracefully: on one-hot vectors
    [Score_diff] evaluates to exactly the label-flip indicator (1.0 when
    the prediction moved off the clean argmax, 0.0 otherwise). *)
 let observe t s =
   match t.qmode with
   | Score -> s
-  | Decision -> one_hot ~classes:t.classes (Tensor.argmax s)
+  | Decision -> t.one_hots.(Tensor.argmax s)
 
 let queries t = t.count
 
@@ -177,7 +186,8 @@ let cache t = t.memo
    worker clone answering score vectors while its parent is label-only
    would silently break the differential guarantees.  The copy is still
    independent — flipping the clone's mode later never touches the
-   parent. *)
+   parent.  The one-hot vectors are shared: they are never written
+   after they are built. *)
 let clone t = { t with count = 0; memo = None }
 
 let num_classes t = t.classes

@@ -82,7 +82,11 @@ val observe : t -> Tensor.t -> Tensor.t
     the clean argmax, 0.0 otherwise), which is how score-based
     conditions degrade gracefully to label-flip predicates.  Caches and
     the batcher store raw score tensors internally in both modes — keys
-    and accounting never depend on the mode. *)
+    and accounting never depend on the mode.
+
+    A [Decision]-mode answer is one of [num_classes] one-hot vectors the
+    oracle builds once and shares with its clones, so an observation
+    allocates nothing: treat it as read-only, as every score vector. *)
 
 val charge : t -> Score_cache.key -> hit:bool -> chunk:int -> unit
 (** Charge one query for the candidate [key]: the one meter.  It never

@@ -698,8 +698,9 @@ let channel_norm_batch ~gamma ~beta ~eps x =
 (* Softmax and losses *)
 
 (* Row-wise softmax over an [n; classes] matrix: max, exp-shift, sum,
-   scale by 1/z, each row on its own.  The one softmax loop: the plans'
-   scores, [Network.scores] and the loss gradient all run it. *)
+   scale by 1/z, each row on its own.  The one softmax loop of the
+   plans' scores and [Network.scores]; the training loss writes out the
+   same expressions below. *)
 let softmax_rows l =
   check_rank "softmax_rows" l 2;
   let n = l.shape.(0) and classes = l.shape.(1) in
@@ -729,24 +730,38 @@ let softmax t =
   let n = numel t in
   reshape (softmax_rows (reshape t [| 1; n |])) [| n |]
 
-let log_softmax t =
-  check_rank "log_softmax" t 1;
-  let m = max_val t in
-  let z = Array.fold_left (fun acc v -> acc +. exp (v -. m)) 0. t.data in
-  let logz = m +. log z in
-  map (fun v -> v -. logz) t
-
-let cross_entropy logits label =
-  if label < 0 || label >= numel logits then
+(* The loss [m + log z - l.(label)] and its gradient [softmax - onehot
+   label] from one pass of [softmax_rows]' expressions, which this
+   keeps [m] and [z] of.  Written out rather than shared: a shared row
+   kernel returning the log-sum-exp is not inlined across the loop, and
+   its boxed result would cost the plans' scores two words per row. *)
+let cross_entropy_with_grad logits label =
+  check_rank "cross_entropy" logits 1;
+  let n = numel logits in
+  if label < 0 || label >= n then
     invalid_arg "Tensor.cross_entropy: label out of range";
-  -.(log_softmax logits).data.(label)
+  let ld = logits.data in
+  let m = ref ld.(0) in
+  for j = 1 to n - 1 do
+    if ld.(j) > !m then m := ld.(j)
+  done;
+  let grad = zeros [| n |] in
+  let gd = grad.data in
+  let z = ref 0. in
+  for j = 0 to n - 1 do
+    let e = exp (ld.(j) -. !m) in
+    gd.(j) <- e;
+    z := !z +. e
+  done;
+  let inv = 1. /. !z in
+  for j = 0 to n - 1 do
+    gd.(j) <- inv *. gd.(j)
+  done;
+  gd.(label) <- gd.(label) -. 1.;
+  (-.(ld.(label) -. (!m +. log !z)), grad)
 
-let cross_entropy_grad logits label =
-  if label < 0 || label >= numel logits then
-    invalid_arg "Tensor.cross_entropy_grad: label out of range";
-  let p = softmax logits in
-  p.data.(label) <- p.data.(label) -. 1.;
-  p
+let cross_entropy logits label = fst (cross_entropy_with_grad logits label)
+let cross_entropy_grad logits label = snd (cross_entropy_with_grad logits label)
 
 (* Misc *)
 

@@ -206,6 +206,11 @@ val cross_entropy_grad : t -> int -> t
 (** Gradient of {!cross_entropy} with respect to the logits
     ([softmax logits - onehot label]). *)
 
+val cross_entropy_with_grad : t -> int -> float * t
+(** [(cross_entropy logits label, cross_entropy_grad logits label)] from
+    one softmax pass over a rank-1 [logits], bit-identical to the two
+    calls. *)
+
 (** {1 Misc} *)
 
 val concat_channels_batch : t list -> t

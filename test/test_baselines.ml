@@ -202,6 +202,171 @@ let random_search_end_to_end () =
   (* Both images succeed in one query under any program here. *)
   Alcotest.(check (float 1e-9)) "avg" 1. out.Baselines.Random_search.best_avg_queries
 
+(* {1 Candidate slots}
+
+   Sparse-RS and SuOPA build every input they forward in reused arena
+   slots.  A recording oracle snapshots each input it is handed.  Each
+   snapshot must equal the fresh candidate its changed pixels decode to,
+   so a pixel an earlier candidate left behind fails the check; the
+   answer the cache files under that candidate's key must be the
+   snapshot's own; and the inputs of one forward pass must be distinct
+   tensors.  The image is dark, so no attack succeeds and each runs to
+   its cap through many reused slots, with speculation and rebuilt
+   chunks at width 16. *)
+
+let slot_d = 8
+
+let slot_image () =
+  Tensor.rand_uniform (Prng.of_int 21) ~lo:0.2 ~hi:0.4 [| 3; slot_d; slot_d |]
+
+(* The mean-threshold answer plus a tiny position-weighted checksum of
+   the input, so two different inputs get different answers. *)
+let checksum_scores x =
+  let m = Tensor.mean x and acc = ref 0. in
+  for i = 0 to Tensor.numel x - 1 do
+    acc := !acc +. (Tensor.get_flat x i /. (float_of_int i +. 1.37))
+  done;
+  Tensor.of_array [| 3 |] [| 1. -. m; m; 1e-6 *. !acc |]
+
+let recording_oracle seen =
+  let batch_fn xs =
+    Array.iteri
+      (fun i x ->
+        for j = 0 to i - 1 do
+          if xs.(j) == x then Alcotest.fail "one slot twice in a forward pass"
+        done;
+        seen := Tensor.copy x :: !seen)
+      xs;
+    Array.map checksum_scores xs
+  in
+  Oracle.of_fn ~batch_fn ~name:"recording" ~num_classes:3 checksum_scores
+
+(* The pixels where [x] differs from [image], row-major. *)
+let changed ~image x =
+  List.filter
+    (fun (row, col) ->
+      List.exists
+        (fun c -> Tensor.get x [| c; row; col |] <> Tensor.get image [| c; row; col |])
+        [ 0; 1; 2 ])
+    (List.concat
+       (List.init slot_d (fun row -> List.init slot_d (fun col -> (row, col)))))
+
+let corner_at x (row, col) =
+  match Oppsla.Rgb.corner_index (Oppsla.Rgb.of_image x ~row ~col) with
+  | Some corner -> corner
+  | None -> Alcotest.fail "a forwarded pixel holds no corner colour"
+
+(* Each decoder names the fresh candidate a snapshot should be and, when
+   the candidate's cache key is public, that key. *)
+let decode_pixels ~k ~image x =
+  let cells = changed ~image x in
+  if List.length cells <> k then
+    Alcotest.failf "%d pixels changed, expected %d" (List.length cells) k;
+  let pairs =
+    List.map
+      (fun (row, col) ->
+        Oppsla.Pair.make
+          ~loc:(Oppsla.Location.make ~row ~col)
+          ~corner:(corner_at x (row, col)))
+      cells
+  in
+  ( List.fold_left Sketch.perturb image pairs,
+    Some (Oppsla.Space.set_key ~d2:slot_d pairs) )
+
+let decode_patch ~h ~w ~image x =
+  match changed ~image x with
+  | [] -> Alcotest.fail "no pixel changed"
+  | ((row, col) as first) :: _ ->
+      let anchor = Oppsla.Location.make ~row ~col
+      and corner = corner_at x first in
+      ( Oppsla.Space.perturb_patch image ~anchor ~h ~w ~corner,
+        Some (Oppsla.Space.patch_key ~anchor ~h ~w ~corner) )
+
+let decode_su_opa ~image x =
+  match changed ~image x with
+  | [ (row, col) ] ->
+      let fresh = Tensor.copy image in
+      Oppsla.Rgb.write_to_image fresh ~row ~col (Oppsla.Rgb.of_image x ~row ~col);
+      (fresh, None)
+  | cells -> Alcotest.failf "%d pixels changed, expected 1" (List.length cells)
+
+let baseline_slot_hygiene () =
+  let max_queries = 150 in
+  let sparse_rs space ~batch g o ~image =
+    ignore
+      (Baselines.Sparse_rs.attack_space
+         ~config:(Baselines.Sparse_rs.default_config ~max_queries)
+         ~batch ~space g o ~image ~true_class:0)
+  in
+  let su_opa ~batch g o ~image =
+    let config =
+      { (Baselines.Su_opa.default_config ~max_queries) with population = 12 }
+    in
+    ignore (Baselines.Su_opa.attack ~config ~batch g o ~image ~true_class:0)
+  in
+  let attackers =
+    [
+      ("sparse-rs k=1", sparse_rs (Oppsla.Space.Kpixel 1), decode_pixels ~k:1);
+      ("sparse-rs k=3", sparse_rs (Oppsla.Space.Kpixel 3), decode_pixels ~k:3);
+      ( "sparse-rs patch 2x2",
+        sparse_rs (Oppsla.Space.Patch { h = 2; w = 2 }),
+        decode_patch ~h:2 ~w:2 );
+      ("su-opa", su_opa, decode_su_opa);
+    ]
+  in
+  let image = slot_image () in
+  List.iter
+    (fun (name, attack, decode) ->
+      List.iter
+        (fun batch ->
+          let name = Printf.sprintf "%s, batch %d" name batch in
+          let seen = ref [] in
+          let o = recording_oracle seen in
+          let cache = Score_cache.create () in
+          Oracle.set_cache o (Some cache);
+          attack ~batch (Prng.of_int 3) o ~image;
+          Alcotest.(check int) (name ^ ": ran to its cap") max_queries
+            (Oracle.queries o);
+          if !seen = [] then Alcotest.failf "%s: nothing was forwarded" name;
+          List.iter
+            (fun x ->
+              let fresh, key = decode ~image x in
+              if x.Tensor.data <> fresh.Tensor.data then
+                Alcotest.failf "%s: a forwarded input differs from its fresh copy"
+                  name;
+              Option.iter
+                (fun key ->
+                  if
+                    (Score_cache.find cache key).Tensor.data
+                    <> (checksum_scores x).Tensor.data
+                  then Alcotest.failf "%s: an answer is filed under another key" name)
+                key)
+            !seen)
+        [ 1; 16 ])
+    attackers
+
+(* A cold attack (nothing cached, every query forwarded) builds its
+   inputs in one slot: one image copy on the major heap for the whole
+   attack, not one per query. *)
+let sparse_rs_cold_attack_one_copy () =
+  let image =
+    Tensor.rand_uniform (Prng.of_int 22) ~lo:0.2 ~hi:0.4 [| 3; 16; 16 |]
+  in
+  let copy_words = float_of_int (Tensor.numel image + 1) in
+  let o = oracle () in
+  let config = Baselines.Sparse_rs.default_config ~max_queries:256 in
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  let r =
+    Baselines.Sparse_rs.attack ~config (Prng.of_int 8) o ~image ~true_class:0
+  in
+  let _, _, after = Gc.counters () in
+  Alcotest.(check int) "every query posed" 256 r.Sketch.queries;
+  let words = after -. before in
+  if words >= 2. *. copy_words then
+    Alcotest.failf "%.0f major words, more than two %.0f-word image copies"
+      words copy_words
+
 let suite =
   [
     Alcotest.test_case "fixed program is const false" `Quick
@@ -212,6 +377,10 @@ let suite =
     Alcotest.test_case "sparse-rs respects budget" `Quick
       sparse_rs_respects_budget;
     Alcotest.test_case "sparse-rs deterministic" `Quick sparse_rs_deterministic;
+    Alcotest.test_case "sparse-rs cold attack: one image copy" `Quick
+      sparse_rs_cold_attack_one_copy;
+    Alcotest.test_case "baselines forward fresh candidates from slots" `Quick
+      baseline_slot_hygiene;
     Alcotest.test_case "sparse-rs default cap" `Quick
       sparse_rs_never_exceeds_default;
     Alcotest.test_case "su-opa population validated" `Quick

@@ -287,7 +287,7 @@ let synthesizer_differential () =
    exactly — a query charged on the hit path, or a hit counted twice,
    moves one of the counts. *)
 
-let network_mutation_chain () =
+let network_mutation_chain ~batch ~hits ~misses () =
   let g = Prng.of_int 11 in
   let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes:4 in
   (* Random images labelled with the network's own prediction, so every
@@ -308,14 +308,20 @@ let network_mutation_chain () =
      so its meter holds every query charged. *)
   let evaluate caches program =
     let oracle = Oracle.of_network net in
-    let e = Score.evaluate ~max_queries:64 ?caches oracle program samples in
+    let e =
+      Score.evaluate ~max_queries:64 ?caches ~batch oracle program samples
+    in
     (e, Oracle.queries oracle)
   in
   let store = Score_cache.store (Array.length samples) in
+  let chunks = Telemetry.Metrics.counter "oracle.batch_forwards" in
+  let cached_chunks = ref 0 in
   List.iteri
     (fun i program ->
       let off, off_metered = evaluate None program in
+      let before = Telemetry.Counter.get chunks in
       let on, on_metered = evaluate (Some store) program in
+      cached_chunks := !cached_chunks + Telemetry.Counter.get chunks - before;
       let name = Printf.sprintf "program %d" i in
       Alcotest.(check int) (name ^ ": total queries") off.Score.total_queries
         on.Score.total_queries;
@@ -328,8 +334,13 @@ let network_mutation_chain () =
         (off.Score.per_image = on.Score.per_image))
     programs;
   let s = Score_cache.store_stats store in
-  Alcotest.(check int) "store hits" 542 s.Score_cache.hits;
-  Alcotest.(check int) "store misses" 283 s.Score_cache.misses
+  Alcotest.(check int) "store hits" hits s.Score_cache.hits;
+  Alcotest.(check int) "store misses" misses s.Score_cache.misses;
+  (* Each image's clean vector is the one miss computed outside a
+     chunk; every other miss at width 1 is a one-image chunk. *)
+  if batch = 1 then
+    Alcotest.(check int) "one forward pass per miss" misses
+      (!cached_chunks + Array.length samples)
 
 (* The cached query path under test: [cands] posed in order through a
    cached batcher of the given width whose speculation is the true
@@ -544,8 +555,15 @@ let suite =
       sparse_rs_differential;
     Alcotest.test_case "synthesizer differential (seq + pools 1/4)" `Quick
       synthesizer_differential;
+    (* At width 16 the pins measure speculation: slots prepared ahead
+       of their query count as misses and later hits.  At width 1 every
+       miss is one forward pass. *)
     Alcotest.test_case "network mutation chain: cache off = on, exact hits"
-      `Quick network_mutation_chain;
+      `Quick
+      (network_mutation_chain ~batch:16 ~hits:542 ~misses:283);
+    Alcotest.test_case
+      "network mutation chain at width 1: cache off = on, exact hits" `Quick
+      (network_mutation_chain ~batch:1 ~hits:502 ~misses:278);
     QCheck_alcotest.to_alcotest qcheck_batcher_matches_uncached;
     Alcotest.test_case "budget charged on hits" `Quick budget_charged_on_hits;
     Alcotest.test_case "clone drops cache" `Quick clone_drops_cache;

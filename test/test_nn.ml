@@ -260,7 +260,8 @@ let training_deterministic () =
    seed.  The expected digests of its parameters' float bits come from a
    build whose [Layer.forward] ran its own direct loops, so they are an
    independent record; any change to the training arithmetic (forward,
-   backward, softmax, optimizer) fails here. *)
+   backward, softmax, optimizer) fails here.  The reported per-epoch
+   [train_loss] bits are pinned beside them. *)
 let param_digest net =
   let b = Buffer.create 4096 in
   List.iter
@@ -273,7 +274,7 @@ let param_digest net =
 
 let training_golden () =
   List.iter
-    (fun (arch, expected) ->
+    (fun (arch, expected, losses) ->
       let g = Prng.of_int 2024 in
       let make = Option.get (Nn.Zoo.by_name arch) in
       let net = make (Prng.split g) ~image_size:8 ~num_classes:3 in
@@ -283,14 +284,29 @@ let training_golden () =
       let config =
         { (Nn.Train.default_config ()) with epochs = 2; batch_size = 4 }
       in
-      ignore (Nn.Train.fit ~config g net train);
-      Alcotest.(check string) arch expected (param_digest net))
+      let reports = Nn.Train.fit ~config g net train in
+      Alcotest.(check string) arch expected (param_digest net);
+      Alcotest.(check (list string)) (arch ^ ": train_loss bits") losses
+        (List.map
+           (fun (r : Nn.Train.report) ->
+             Printf.sprintf "%Lx" (Int64.bits_of_float r.train_loss))
+           reports))
     [
-      ("vgg_tiny", "35287fe059d9eabc52acfc75600d9401");
-      ("resnet_tiny", "9ec8eaf71d54b608d93fc5ae7597915e");
-      ("googlenet_tiny", "7db521f231c914dbe50ec04de0665b4f");
-      ("densenet_tiny", "c79739d013d3750a697b21ea57200276");
-      ("resnet50_tiny", "570edd1b552803636f45869227edaab9");
+      ( "vgg_tiny",
+        "35287fe059d9eabc52acfc75600d9401",
+        [ "3ff87b14111a5285"; "3ff2107c7cb3c1be" ] );
+      ( "resnet_tiny",
+        "9ec8eaf71d54b608d93fc5ae7597915e",
+        [ "4008736192871100"; "400024cd1a1156c3" ] );
+      ( "googlenet_tiny",
+        "7db521f231c914dbe50ec04de0665b4f",
+        [ "3ff47844453faff9"; "3ff29dd94d4d56fa" ] );
+      ( "densenet_tiny",
+        "c79739d013d3750a697b21ea57200276",
+        [ "400030b0c10656bb"; "3ffb5eca0809ea2d" ] );
+      ( "resnet50_tiny",
+        "570edd1b552803636f45869227edaab9",
+        [ "3ffc98e6315996cf"; "3ffdf32cf788bcc8" ] );
     ]
 
 let sgd_momentum_moves_params () =

@@ -166,7 +166,9 @@ let by_center_distance_exact () =
     for d2 = 1 to 20 do
       let got = Location.by_center_distance ~d1 ~d2
       and want = reference_center ~d1 ~d2 in
-      if got <> want then Alcotest.failf "center order differs at %dx%d" d1 d2
+      if got <> want then Alcotest.failf "center order differs at %dx%d" d1 d2;
+      if Location.center_order ~d1 ~d2 != Location.center_order ~d1 ~d2 then
+        Alcotest.failf "center order rebuilt at %dx%d" d1 d2
     done
   done
 

@@ -371,8 +371,9 @@ let slot_hygiene_after_failure () =
    [Pair.t], option, list, context record, boxed float or closure
    pushes it over the bound.  The program's holes cover every compiled
    kind ([pert], [orig], [center], [score_diff]) and fire, so the
-   neighbour visit, the eager phase and the speculation cursor all
-   run. *)
+   neighbour visit and the eager phase both run.  Under a label-only
+   oracle every answer is observed as a one-hot vector, which must not
+   be built per query either. *)
 let warm_program =
   C.program_of_array
     [|
@@ -382,11 +383,12 @@ let warm_program =
       C.Cmp { func = C.Score_diff; cmp = C.Gt; threshold = 0. };
     |]
 
-let warm_words_per_query ~d ~max_queries =
+let warm_words_per_query ~mode ~d ~max_queries =
   let image =
     Tensor.rand_uniform (Prng.of_int 12) ~lo:0.2 ~hi:0.4 [| 3; d; d |]
   in
   let o = Helpers.mean_threshold_oracle () in
+  Oracle.set_mode o mode;
   let cache = Score_cache.create () in
   Oracle.set_cache o (Some cache);
   let attack () =
@@ -401,23 +403,29 @@ let warm_words_per_query ~d ~max_queries =
     (Score_cache.stats cache).misses;
   words /. float_of_int r.Sketch.queries
 
-(* Bounds, from measured values of 0.86 (the whole 16x16 space, 2048
-   queries) and 15.5 (a 64-query attack, the length of a synthesis
-   attack, so the per-attack set-up of about 1000 words is in it).  A
-   per-query allocation of two words (one option or boxed float) breaks
-   the first; the second leaves the set-up about 500 words of room. *)
+(* Bounds, from measured values of 0.72 and 0.35 (the whole 16x16
+   space, 2048 queries, score and label-only) and 11.1 in both modes (a
+   64-query attack, the length of a synthesis attack, so the per-attack
+   set-up of about 700 words is in it).  A per-query allocation of two
+   words (one option or boxed float) breaks the first; the second
+   leaves the set-up about 300 words of room, less than a centre-order
+   table (about 560 words) rebuilt per attack. *)
 let warm_attack_allocation () =
   Alcotest.(check bool) "no journal, trace or ring open" false
     (Telemetry.Journal.enabled () || Telemetry.Trace.enabled ()
    || Telemetry.Ring.enabled ());
-  let check name ~max_queries ~bound =
-    let w = warm_words_per_query ~d:16 ~max_queries in
+  let check name ~mode ~max_queries ~bound =
+    let w = warm_words_per_query ~mode ~d:16 ~max_queries in
     if w > bound then
       Alcotest.failf "%s: %.2f minor words per warm query, bound %.1f" name w
         bound
   in
-  check "whole space" ~max_queries:2048 ~bound:2.5;
-  check "64-query attack" ~max_queries:64 ~bound:24.
+  check "whole space" ~mode:Oracle.Score ~max_queries:2048 ~bound:2.5;
+  check "64-query attack" ~mode:Oracle.Score ~max_queries:64 ~bound:16.;
+  check "whole space, label-only" ~mode:Oracle.Decision ~max_queries:2048
+    ~bound:2.5;
+  check "64-query attack, label-only" ~mode:Oracle.Decision ~max_queries:64
+    ~bound:16.
 
 (* The shared key tables name exactly the keys [cache_key] builds, so
    caching and batching see the same keys as before they were shared;
