@@ -8,7 +8,6 @@
 type t = Tensor.t
 
 let name = "boxed"
-let exact = true
 let fuse = false
 let stats = Tensor_sig.Stats.make name
 let of_tensor t = t
@@ -27,9 +26,8 @@ type conv_memo = unit
 let conv_memo () = ()
 let recomputed_cols () = 0
 
-let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
+let conv2d_batch ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
     ?max_pool x =
-  ignore pool;
   ignore memo;
   let t0 = Unix.gettimeofday () in
   let y = Tensor.conv2d_gemm_batch ~stride ~pad x ~weight ~bias:(Some bias) in

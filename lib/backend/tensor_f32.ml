@@ -19,20 +19,14 @@
    conversion runs once per element instead of once per use and the
    inner loop is pure float64 ALU work.  A conv gathers its input
    straight into the GEMM's per-domain float64 B panel through a
-   per-geometry index table.
-   The row range is a first-class parameter so row panels can be
-   dispatched as work items on an idle domain pool
-   ([Domain_pool.Pool.try_map]; inline fallback when the pool is absent,
-   busy or width 1).  Per-element accumulation order is identical on
-   every path, so pooled and inline results are bit-identical to each
-   other. *)
+   per-geometry index table.  A forward runs on the domain that asked
+   for it: the parallelism is across images, one level up. *)
 
 type ba = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = { shape : int array; data : ba }
 
 let name = "f32"
-let exact = false
 let fuse = true
 let stats = Tensor_sig.Stats.make name
 
@@ -90,25 +84,22 @@ let add a b =
   out
 
 (* GEMM: [od](ooff + i*n + j) += Σ_p ad(i*k + p) * b64(p*n + j) for
-   rows i in [i0, i1).  A float32 weight operand, a float64 [(k, n)]
+   rows i in [0, m).  A float32 weight operand, a float64 [(k, n)]
    row-major B panel, float64 accumulation in sixteen register-resident
    refs, ascending-p order per output element — the same per-element
-   order whatever the row panelling or column blocking, so pooled and
-   inline runs agree bitwise.
+   order whatever the column blocking.
 
    The inner loop runs pure float64 with the k-loop unrolled by four,
    because on x86 the float32→float64 convert shares ports with the
    multiply/add units — left inline it caps the kernel well below the
    scalar FP peak.  So both operands arrive widened: the caller builds
    B in float64 (a conv gathers its input straight into the panel, see
-   [gather_into]; [matmul] widens its operand), and the active rows of
-   [ad] are packed once per call into per-domain float64 scratch.  The
-   conversion is exact, so neither changes a bit of the result.  Pool
-   workers read the caller's B panel and never write it. *)
+   [gather_into]; [matmul] widens its operand), and the rows of [ad]
+   are packed once per call into per-domain float64 scratch.  The
+   conversion is exact, so neither changes a bit of the result. *)
 
 (* The B panel of this domain's current GEMM: [(k, n)] float64,
-   row-major.  A conv gathers into it, [matmul] widens into it, and pool
-   workers only read it while the caller waits in [gemm_dispatch]. *)
+   row-major.  A conv gathers into it and [matmul] widens into it. *)
 let panel_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
@@ -120,28 +111,27 @@ let f64_scratch key len =
 let arow_scratch : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (b64 : float array)
+let gemm_rows ?(ooff = 0) ~m ~k ~n (ad : ba) (b64 : float array)
     (od : ba) =
   (* Column blocking: a [k * jb] slice of the panel targets ~1.5 MB so
      it stays L2-resident while every row block passes over it.
      Multiple of 4 so only the final block leaves a column remainder. *)
   let jb = max 16 (196608 / max 1 k land lnot 3) in
-  let rows = i1 - i0 in
-  if rows <= 0 then ()
+  if m <= 0 then ()
   else begin
-    let a64 = f64_scratch arow_scratch (rows * k) in
-    for i = 0 to (rows * k) - 1 do
-      Array.unsafe_set a64 i (Bigarray.Array1.unsafe_get ad ((i0 * k) + i))
+    let a64 = f64_scratch arow_scratch (m * k) in
+    for i = 0 to (m * k) - 1 do
+      Array.unsafe_set a64 i (Bigarray.Array1.unsafe_get ad i)
     done;
     let k4 = k / 4 * 4 in
     let jlo = ref 0 in
     while !jlo < n do
       let jhi = min n (!jlo + jb) in
-      let i = ref i0 in
-      while !i + 4 <= i1 do
+      let i = ref 0 in
+      while !i + 4 <= m do
         let r0 = !i in
-        let a0 = (r0 - i0) * k and a1 = (r0 - i0 + 1) * k
-        and a2 = (r0 - i0 + 2) * k and a3 = (r0 - i0 + 3) * k in
+        let a0 = r0 * k and a1 = (r0 + 1) * k
+        and a2 = (r0 + 2) * k and a3 = (r0 + 3) * k in
         let o0 = ooff + (r0 * n)
         and o1 = ooff + ((r0 + 1) * n)
         and o2 = ooff + ((r0 + 2) * n)
@@ -307,8 +297,8 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (b64 : float array)
         done;
         i := r0 + 4
       done;
-      for r = !i to i1 - 1 do
-        let aoff = (r - i0) * k and orow = ooff + (r * n) in
+      for r = !i to m - 1 do
+        let aoff = r * k and orow = ooff + (r * n) in
         for j = !jlo to jhi - 1 do
           let acc = ref (Bigarray.Array1.unsafe_get od (orow + j)) in
           for p = 0 to k - 1 do
@@ -324,34 +314,6 @@ let gemm_rows ?(ooff = 0) ~i0 ~i1 ~k ~n (ad : ba) (b64 : float array)
     done
   end
 
-(* Dispatch a GEMM's row panels onto an idle pool; inline otherwise.
-   Work items write disjoint output row ranges, and per-element
-   accumulation order does not depend on the panelling, so both paths
-   produce bit-identical output. *)
-let gemm_dispatch ?pool ~ooff ~m ~k ~n (ad : ba) (b64 : float array)
-    (od : ba) =
-  let inline () = gemm_rows ~ooff ~i0:0 ~i1:m ~k ~n ad b64 od in
-  match pool with
-  | Some p when Domain_pool.Pool.size p > 1 && m >= 8 ->
-      let width = Domain_pool.Pool.size p in
-      (* ~2 panels per participant, rows a multiple of 4 so only the
-         last panel leaves a row remainder for the tile loop. *)
-      let rows =
-        max 4 ((((m + (2 * width) - 1) / (2 * width)) + 3) land lnot 3)
-      in
-      let npanels = (m + rows - 1) / rows in
-      let panels =
-        Array.init npanels (fun i -> (i * rows, min m ((i + 1) * rows)))
-      in
-      (match
-         Domain_pool.Pool.try_map p
-           (fun (i0, i1) -> gemm_rows ~ooff ~i0 ~i1 ~k ~n ad b64 od)
-           panels
-       with
-      | Some _ -> ()
-      | None -> inline ())
-  | _ -> inline ()
-
 (* Matmul on f32 tensors — the qcheck reference surface for the GEMM
    kernel ([a : (m, k)], [b : (k, n)]). *)
 let matmul a b =
@@ -366,7 +328,7 @@ let matmul a b =
   done;
   let out = create [| m; n |] in
   Bigarray.Array1.fill out.data 0.;
-  gemm_rows ~i0:0 ~i1:m ~k ~n a.data b64 out.data;
+  gemm_rows ~m ~k ~n a.data b64 out.data;
   out
 
 (* {1 Gather: a conv's input straight into the float64 B panel}
@@ -671,19 +633,20 @@ let[@inline] seed_bias (bd : ba) oc =
    A recomputed column is bit-identical to the GEMM's: the GEMM computes
    every output element as the f32 rounding of [seed_bias] plus the
    products of the weight row and the im2col column, accumulated in
-   float64 in ascending-p order (whatever the tiling, blocking or pool
-   panelling), and the recompute runs exactly that sum over the same
-   column, padding zeros included.  An untouched column reads only
-   input values that are bitwise equal to the reference's, so the
-   reference's stored value is already the GEMM's.
+   float64 in ascending-p order (whatever the tiling or blocking), and
+   the recompute runs exactly that sum over the same column, padding
+   zeros included.  An untouched column reads only input values that
+   are bitwise equal to the reference's, so the reference's stored
+   value is already the GEMM's.
 
-   A plan is shared by pool workers, so the state is per domain, under
-   one module-wide [Domain.DLS] key (OCaml never frees a DLS key, and
-   the harness compiles a plan per attacked image).  Each domain holds
-   one state; a call with other operands (another plan) replaces it, so
-   that call's first image runs in full.  No production path
-   interleaves plans on one domain: a domain runs one attack to
-   completion, and oracle clones share their plan. *)
+   A plan is shared by the domains of a per-image pool, so the state is
+   per domain, under one module-wide [Domain.DLS] key (OCaml never
+   frees a DLS key, and the harness compiles a plan per attacked
+   image).  Each domain holds one state; a call with other operands
+   (another plan) replaces it, so that call's first image runs in
+   full.  No production path interleaves plans on one domain: a domain
+   runs one attack to completion, and oracle clones share their
+   plan. *)
 
 type memo_state = {
   m_weight : ba;  (* the operands the reference was computed with *)
@@ -816,7 +779,7 @@ let recompute_cols st ~n ~stride ~pad ~kh ~kw ~ow ~out_c ~cols (bd : ba)
     done
   done
 
-let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
+let conv2d_batch ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
     ?max_pool x =
   if Array.length x.shape <> 4 || Array.length weight.shape <> 4 then
     invalid_arg "Tensor_f32.conv2d_batch: expected NCHW input and OIHW weight";
@@ -876,7 +839,7 @@ let conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
             Bigarray.Array1.unsafe_set od i b
           done
         done;
-        gemm_dispatch ?pool ~ooff:obase ~m:out_c ~k:kk ~n:cols wd b64 od;
+        gemm_rows ~ooff:obase ~m:out_c ~k:kk ~n:cols wd b64 od;
         incr full;
         (match st with
         | Some st ->

@@ -7,10 +7,9 @@
     float64 copy of its weights, an incremental conv under a
     {!conv_memo} (an image that differs from its domain's reference in a
     few pixels recomputes only the output columns they reach,
-    bit-identical to the full conv), and opportunistic row-panel
-    dispatch on a domain pool.  Not bit-identical to the boxed reference
-    ([exact = false]); differentials use the tolerance policy
-    instead. *)
+    bit-identical to the full conv).  Not bit-identical to the boxed
+    reference; differentials use the tolerance policy
+    ([Nn.Backend.score_tol]) instead. *)
 
 include Tensor_sig.S
 

@@ -23,11 +23,6 @@ module type S = sig
   val name : string
   (** Short backend id, also the metric-name segment ("boxed", "f32"). *)
 
-  val exact : bool
-  (** True when the backend's kernels are bit-identical to the boxed
-      reference path; false relaxes the differential contract to the
-      tolerance policy (argmax/success/query identity + |Δ| ≤ tol). *)
-
   val fuse : bool
   (** True when the plan compiler may fuse conv→norm→relu→max-pool into
       the [conv2d_batch] call.  Backends where fusion is off still
@@ -58,7 +53,6 @@ module type S = sig
       an incremental path).  For trace span args. *)
 
   val conv2d_batch :
-    ?pool:Domain_pool.Pool.t ->
     ?memo:conv_memo ->
     stride:int ->
     pad:int ->
@@ -75,12 +69,9 @@ module type S = sig
       conv→channel-norm→relu epilogue; the result must equal the unfused
       composition [relu (channel_norm_batch (conv ...))] exactly (the
       fusion saves passes and intermediates, never changes rounding).
-      [?pool] lets the backend dispatch GEMM row panels as work items on
-      an idle domain pool ({!Domain_pool.Pool.try_map}); backends fall
-      back to the single-domain kernel when the pool is absent, busy or
-      width 1.  [?memo] lets the backend reuse the previous image's
-      output where the input is unchanged; the result must be
-      bit-identical to the call without it.  [?max_pool:(size, stride)]
+      [?memo] lets the backend reuse the previous image's output where
+      the input is unchanged; the result must be bit-identical to the
+      call without it.  [?max_pool:(size, stride)]
       appends a max-pool to the epilogue; the result must equal
       [max_pool2d_batch ~stride ~size] of the unpooled result exactly.
       The plan compiler asks for it only after a fused relu (DESIGN.md

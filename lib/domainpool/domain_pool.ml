@@ -46,9 +46,8 @@ module Pool = struct
     mutable jobs_served : int;
     mutable busy : float;
     in_flight : bool Atomic.t;
-        (* true while a parallel job is published; the opportunistic
-           [try_map] entry point bails out (instead of deadlocking or
-           clobbering [current]) when the pool is already busy. *)
+        (* true while a parallel job is published; a second [map] fails
+           loudly instead of deadlocking or clobbering [current]. *)
   }
 
   let rec worker_loop t last_gen =
@@ -141,11 +140,40 @@ module Pool = struct
     Telemetry.Histogram.observe h_job_seconds dt;
     Telemetry.Histogram.observe h_job_tasks (float_of_int n)
 
-  (* The parallel job body, shared by [map] (which treats a busy pool as
-     a caller bug) and [try_map] (which declines).  The caller has
-     already claimed [t.in_flight]. *)
-  let run_parallel t f xs n =
-    begin
+  let map t f xs =
+    if t.stop then invalid_arg "Domain_pool.Pool.map: pool is shut down";
+    Telemetry.Trace.span "pool.map" ~cat:"pool"
+      ~args:(fun () ->
+        [
+          ("tasks", Telemetry.Trace.Int (Array.length xs));
+          ("domains", Telemetry.Trace.Int t.total);
+        ])
+    @@ fun () ->
+    let n = Array.length xs in
+    if n = 0 then [||]
+    else if t.total = 1 || n = 1 then begin
+      let t0 = Unix.gettimeofday () in
+      Telemetry.Gauge.set g_job_inflight (float_of_int n);
+      (* Inline fast path: an exception from [f] is re-raised with its
+         backtrace once the job is finished, and a raise on item [i]
+         abandons items after [i] just like the parallel path does.  No
+         [in_flight] claim: the inline path is trivially re-entrant. *)
+      match Array.map f xs with
+      | r ->
+          finish_job t t0 n;
+          r
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          finish_job t t0 n;
+          Printexc.raise_with_backtrace e bt
+    end
+    else if not (Atomic.compare_and_set t.in_flight false true) then
+      invalid_arg
+        "Domain_pool.Pool.map: pool is already running a job (map is not \
+         re-entrant)"
+    else
+      Fun.protect ~finally:(fun () -> Atomic.set t.in_flight false)
+      @@ fun () ->
       let t0 = Unix.gettimeofday () in
       Telemetry.Gauge.set g_job_inflight (float_of_int n);
       let results = Array.make n None in
@@ -215,60 +243,5 @@ module Pool = struct
                      case we re-raised above. *)
                   assert false)
             results
-    end
-
-  let map t f xs =
-    if t.stop then invalid_arg "Domain_pool.Pool.map: pool is shut down";
-    Telemetry.Trace.span "pool.map" ~cat:"pool"
-      ~args:(fun () ->
-        [
-          ("tasks", Telemetry.Trace.Int (Array.length xs));
-          ("domains", Telemetry.Trace.Int t.total);
-        ])
-    @@ fun () ->
-    let n = Array.length xs in
-    if n = 0 then [||]
-    else if t.total = 1 || n = 1 then begin
-      let t0 = Unix.gettimeofday () in
-      Telemetry.Gauge.set g_job_inflight (float_of_int n);
-      (* Inline fast path: exceptions from [f] propagate directly, and a
-         raise on item [i] abandons items after [i] just like the
-         parallel path does.  No [in_flight] claim: the inline path is
-         trivially re-entrant. *)
-      let r = Array.map f xs in
-      finish_job t t0 n;
-      r
-    end
-    else if not (Atomic.compare_and_set t.in_flight false true) then
-      invalid_arg
-        "Domain_pool.Pool.map: pool is already running a job (map is not \
-         re-entrant; use try_map for opportunistic work)"
-    else
-      Fun.protect
-        ~finally:(fun () -> Atomic.set t.in_flight false)
-        (fun () -> run_parallel t f xs n)
-
-  let try_map t f xs =
-    let n = Array.length xs in
-    if t.stop || t.total = 1 || n < 2 then None
-    else if not (Atomic.compare_and_set t.in_flight false true) then None
-    else
-      Fun.protect
-        ~finally:(fun () -> Atomic.set t.in_flight false)
-        (fun () ->
-          Telemetry.Trace.span "pool.try_map" ~cat:"pool"
-            ~args:(fun () ->
-              [
-                ("tasks", Telemetry.Trace.Int n);
-                ("domains", Telemetry.Trace.Int t.total);
-              ])
-            (fun () -> Some (run_parallel t f xs n)))
 end
 
-let map ?domains f xs =
-  let domains =
-    match domains with Some d -> d | None -> domain_count ()
-  in
-  let n = Array.length xs in
-  if domains <= 1 || n < 2 then Array.map f xs
-  else Pool.with_pool ~domains:(min domains n) (fun p -> Pool.map p f xs)

@@ -1,14 +1,12 @@
 (** Reusable parallel execution over OCaml 5 domains.
 
-    Two entry points share one scheduler:
-
-    - {!Pool}: a {e persistent} pool of worker domains with explicit
-      [create] / [shutdown].  Spawning a domain costs far more than an
-      oracle query, so hot paths (Metropolis-Hastings evaluation, the
-      experiment runners) create one pool per run and push every batch
-      through it.
-    - {!map}: the one-shot convenience wrapper (pool per call) kept for
-      cold paths and tests.
+    One entry point: {!Pool.map} on a {e persistent} pool of worker
+    domains with explicit [create] / [shutdown] (or {!Pool.with_pool}).
+    Spawning a domain costs far more than an oracle query, so every
+    caller (per-image attack loops, Metropolis-Hastings evaluation, the
+    experiment runners) creates one pool per run and pushes every batch
+    of images through it.  This is the system's only level of
+    parallelism: a forward pass runs on the domain that asked for it.
 
     Scheduling is chunked self-scheduling over an atomic cursor: every
     participant — the caller domain included — repeatedly steals the next
@@ -16,11 +14,13 @@
     balances automatically.  Results always land at their input index;
     parallelism never reorders outputs.
 
-    Exception contract (both entry points): if [f] raises, the {e first}
-    exception raised (in claim order) is re-raised in the caller with its
-    original backtrace, after every in-flight item has drained.  Items
-    after the failure are abandoned, never silently reported as results:
-    a map either returns a fully materialized array or raises. *)
+    Exception contract: if [f] raises, the {e first} exception raised
+    (in claim order) is re-raised in the caller with its original
+    backtrace, after every in-flight item has drained.  Items after the
+    failure are abandoned, never silently reported as results: a map
+    either returns a fully materialized array or raises.  Either way the
+    job is counted in {!Pool.stats} and the [pool.job_inflight] gauge
+    is back at 0 when [map] exits. *)
 
 val domain_count : unit -> int
 (** [Domain.recommended_domain_count], capped at 8. *)
@@ -57,16 +57,6 @@ module Pool : sig
       flight (re-entering [map] from a mapped function would deadlock;
       that misuse now fails loudly instead). *)
 
-  val try_map : t -> ('a -> 'b) -> 'a array -> 'b array option
-  (** Opportunistic {!map}: claims the pool atomically and runs the job
-      if — and only if — no parallel job is currently in flight.
-      Returns [None] (and does nothing) when the pool is busy, shut
-      down, poolless ([size t = 1]) or the input has fewer than 2
-      elements; callers are expected to fall back to an inline loop.
-      This is the entry point for nested data parallelism (e.g. the f32
-      GEMM's row panels): inner work items ride an idle pool but never
-      block on one that is already mapping above them. *)
-
   val stats : t -> stats
   (** Cumulative instrumentation since [create]. *)
 
@@ -79,9 +69,3 @@ module Pool : sig
       whether [f] returns or raises. *)
 end
 
-val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** One-shot parallel map: a transient {!Pool} per call.  With
-    [domains <= 1] (or on arrays of fewer than 2 elements) runs
-    sequentially in the caller.  The mapped function must be thread-safe:
-    in practice that means it must build its own query-metered oracle
-    (e.g. [Oracle.clone]) rather than share one mutable counter. *)

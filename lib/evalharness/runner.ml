@@ -28,7 +28,8 @@ let run ?domains ?pool ?caches ?(batch = Oppsla.Sketch.default_batch)
   match pool with
   | Some _ -> attack_each pool
   | None ->
-      (* A transient pool, on the same terms as [Domain_pool.map]. *)
+      (* A transient pool, no wider than the sample count; one domain or
+         one sample runs inline. *)
       let domains =
         Option.value domains ~default:(Domain_pool.domain_count ())
       and n = Array.length samples in

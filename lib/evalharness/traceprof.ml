@@ -323,10 +323,10 @@ type critical = {
   steps : critical_step list;  (* us-descending; sums to root_us *)
 }
 
-(* The fan-out spans: their wall-clock is spent on worker tracks, so
-   the decomposition jumps to the busiest worker inside the span's
-   interval instead of charging the caller's idle wait. *)
-let is_fanout name = name = "pool.map" || name = "pool.try_map"
+(* The fan-out span: its wall-clock is spent on worker tracks, so the
+   decomposition jumps to the busiest worker inside the span's interval
+   instead of charging the caller's idle wait. *)
+let is_fanout name = name = "pool.map"
 
 let critical_path (a : analysis) =
   (* Root: the longest top-level span anywhere. *)

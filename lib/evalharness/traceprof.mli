@@ -89,10 +89,10 @@ type critical = {
 
 val critical_path : analysis -> critical option
 (** Decompose the longest top-level span's wall-clock into named
-    steps: children recurse, [pool.map]/[pool.try_map] intervals jump
-    to the busiest worker track inside the interval (the uncovered
-    remainder — fan-out overhead plus worker idle — stays charged to
-    the fan-out span), and each span's uncovered time is its own.
+    steps: children recurse, a [pool.map] interval jumps to the busiest
+    worker track inside it (the uncovered remainder — fan-out overhead
+    plus worker idle — stays charged to the [pool.map] span), and each
+    span's uncovered time is its own.
     [None] when the trace has no complete spans. *)
 
 (** {1 Rendering} *)

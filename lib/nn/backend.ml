@@ -48,9 +48,6 @@ module Make (B : Tensor_sig.S) = struct
 
   type plan = { net_name : string; steps : step list }
 
-  let backend_name = B.name
-  let exact = B.exact
-
   let rec steps_of_layer l =
     match Layer.view l with
     | Layer.V_seq layers -> List.concat_map steps_of_layer layers
@@ -137,15 +134,14 @@ module Make (B : Tensor_sig.S) = struct
     in
     { net_name = net.Network.name; steps }
 
-  let rec run ?pool steps x =
-    List.fold_left (fun acc s -> run_step ?pool s acc) x steps
+  let rec run steps x = List.fold_left (fun acc s -> run_step s acc) x steps
 
   (* One span per conv, dense, relu, norm and pool step: the per-layer
      breakdown the trace viewer groups the hot path by.  The disabled
      path is one branch; the args (shapes, a fused max-pool's window,
      and the input conv's incrementally recomputed columns) are built
      lazily, after the step ran. *)
-  and run_step ?pool s x =
+  and run_step s x =
     match s with
     | Conv { stride; pad; weight; bias; norm; relu; max_pool; memo } ->
         Telemetry.Trace.span "backend.conv" ~cat:"tensor"
@@ -176,7 +172,7 @@ module Make (B : Tensor_sig.S) = struct
                 ]
             | None -> [])
           (fun () ->
-            B.conv2d_batch ?pool ?memo ~stride ~pad ~weight ~bias ?norm ~relu
+            B.conv2d_batch ?memo ~stride ~pad ~weight ~bias ?norm ~relu
               ?max_pool x)
     | Dense { weight; bias } ->
         Telemetry.Trace.span "backend.dense" ~cat:"tensor"
@@ -210,31 +206,27 @@ module Make (B : Tensor_sig.S) = struct
           (fun () -> B.channel_norm_batch ~gamma ~beta ~eps:Layer.norm_eps x)
     | Residual { body; projection } ->
         let skip =
-          match projection with None -> x | Some p -> run ?pool p x
+          match projection with None -> x | Some p -> run p x
         in
-        B.add (run ?pool body x) skip
+        B.add (run body x) skip
     | Inception branches ->
-        B.concat_channels_batch (List.map (fun b -> run ?pool b x) branches)
+        B.concat_channels_batch (List.map (fun b -> run b x) branches)
     | Dense_block convs ->
         List.fold_left
-          (fun feat conv ->
-            B.concat_channels_batch [ feat; run ?pool conv feat ])
+          (fun feat conv -> B.concat_channels_batch [ feat; run conv feat ])
           x convs
 
-  let forward ?pool plan x =
+  let forward plan x =
     Telemetry.Trace.span "backend.forward_batch" ~cat:"tensor"
       ~args:(fun () ->
         [
           ("backend", Telemetry.Trace.Str B.name);
           ("net", Telemetry.Trace.Str plan.net_name);
         ])
-      (fun () -> run ?pool plan.steps x)
+      (fun () -> run plan.steps x)
 
-  let logits_batch ?pool plan xs =
-    B.to_tensor (forward ?pool plan (B.of_tensor xs))
-
-  let scores_batch ?pool plan xs =
-    let logits = forward ?pool plan (B.of_tensor xs) in
+  let scores_batch plan xs =
+    let logits = forward plan (B.of_tensor xs) in
     B.to_tensor
       (Telemetry.Trace.span "backend.softmax" ~cat:"tensor" (fun () ->
            B.softmax_rows logits))

@@ -29,7 +29,7 @@
 
 val score_tol : float
 (** Per-score absolute tolerance (1e-4) for cross-backend differentials
-    on softmax outputs of non-[exact] backends. *)
+    between the f32 engine and the boxed reference. *)
 
 (** Backend selection token, threaded from the CLI ([--backend
     boxed|f32]) through Workbench and Oracle. *)
@@ -42,22 +42,15 @@ val all_kinds : kind list
 module Make (B : Tensor_sig.S) : sig
   type plan
 
-  val backend_name : string
-  val exact : bool
-  (** Mirrors [B.name] / [B.exact]. *)
-
   val compile : Network.t -> plan
   (** Translate the network's current parameters into backend storage.
       The plan snapshots weights: recompile after any parameter
       update. *)
 
-  val logits_batch : ?pool:Domain_pool.Pool.t -> plan -> Tensor.t -> Tensor.t
-  (** NCHW batch in, [[|n; classes|]] logits out.  [?pool] lets the
-      backend dispatch GEMM row panels onto an idle domain pool (safe to
-      pass a pool that is mid-[map]: the backend falls back inline). *)
-
-  val scores_batch : ?pool:Domain_pool.Pool.t -> plan -> Tensor.t -> Tensor.t
-  (** Softmax of each {!logits_batch} row. *)
+  val scores_batch : plan -> Tensor.t -> Tensor.t
+  (** NCHW batch in, [[|n; classes|]] softmax scores out: one forward
+      over the whole batch on the calling domain, then a softmax per
+      row. *)
 end
 
 module Boxed_engine : module type of Make (Tensor_boxed)

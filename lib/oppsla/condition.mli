@@ -88,7 +88,6 @@ val equal : t -> t -> bool
 val equal_program : program -> program -> bool
 
 val pp : Format.formatter -> t -> unit
-val pp_program : Format.formatter -> program -> unit
 val to_string : t -> string
 val program_to_string : program -> string
 (** Renders in the concrete syntax parsed by {!Dsl.parse_program}. *)

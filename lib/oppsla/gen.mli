@@ -17,9 +17,6 @@ type config = { d1 : int; d2 : int }
 val config_for_image : Tensor.t -> config
 (** Read [d1]/[d2] off a CHW image tensor. *)
 
-val random_func : Prng.t -> Condition.func
-val random_threshold : config -> Prng.t -> Condition.func -> float
-val random_condition : config -> Prng.t -> Condition.t
 val random_program : config -> Prng.t -> Condition.program
 
 (** {1 Perturbation-space samplers}
@@ -27,8 +24,6 @@ val random_program : config -> Prng.t -> Condition.program
     Canonical uniform samplers over the {!Space} candidate sets, with a
     fixed draw order (location row-then-col, then corner) so every
     consumer of a named PRNG stream advances it identically. *)
-
-val random_loc : config -> Prng.t -> Location.t
 
 val random_loc_excluding :
   config -> Prng.t -> excluded:Location.t list -> Location.t

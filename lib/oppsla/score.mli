@@ -27,11 +27,6 @@ val no_success_penalty : float
     happens once the training set contains at least one attackable image,
     because success is program-independent). *)
 
-val of_results : Sketch.result array -> evaluation
-(** Merge per-image attack results (in input order) into an evaluation.
-    Every evaluator merges through it, inline or pooled, so all of them
-    aggregate with the identical integer sums and float division. *)
-
 val attack_each :
   ?pool:Domain_pool.Pool.t ->
   ?caches:Score_cache.store ->

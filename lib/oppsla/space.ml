@@ -23,15 +23,6 @@ let of_string s =
       | _ -> None)
   | _ -> None
 
-let of_string_exn s =
-  match of_string s with
-  | Some t -> t
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Space.of_string_exn: %S (expected pixel | kpixel[:K] | patch[:HxW])"
-           s)
-
 let pixels = function
   | Pixel -> 1
   | Kpixel k -> k

@@ -31,9 +31,6 @@ val of_string : string -> t option
 (** Inverse of {!to_string}.  Bare ["kpixel"] defaults to [k = 2]; bare
     ["patch"] to [2x2]. *)
 
-val of_string_exn : string -> t
-(** {!of_string}, raising [Invalid_argument] on parse failure. *)
-
 val pixels : t -> int
 (** Number of pixels a candidate perturbs: [1], [k], or [h * w]. *)
 

@@ -57,7 +57,7 @@ let of_fn ?batch_fn ?(name = "fn") ~num_classes fn =
     m_by = by_counter ~backend:"fn" Score;
   }
 
-let of_network ?(backend = Nn.Backend.Boxed) ?pool net =
+let of_network ?(backend = Nn.Backend.Boxed) net =
   (* Every forward pass runs a plan compiled once here: [Boxed] over the
      float64 kernels (bit-identical to [Nn.Network.scores]), [F32] over
      float32 Bigarrays.  Query accounting is backend-independent by
@@ -66,10 +66,10 @@ let of_network ?(backend = Nn.Backend.Boxed) ?pool net =
     match backend with
     | Nn.Backend.Boxed ->
         let plan = Nn.Backend.Boxed_engine.compile net in
-        fun batch -> Nn.Backend.Boxed_engine.scores_batch ?pool plan batch
+        fun batch -> Nn.Backend.Boxed_engine.scores_batch plan batch
     | Nn.Backend.F32 ->
         let plan = Nn.Backend.F32_engine.compile net in
-        fun batch -> Nn.Backend.F32_engine.scores_batch ?pool plan batch
+        fun batch -> Nn.Backend.F32_engine.scores_batch plan batch
   in
   let fn_batch xs =
     let n = Array.length xs in

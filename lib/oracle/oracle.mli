@@ -30,11 +30,7 @@ type mode = Score | Decision
     query, but only the predicted label is observable.  The
     mode changes what {!observe} reveals, never what a query costs. *)
 
-val of_network :
-  ?backend:Nn.Backend.kind ->
-  ?pool:Domain_pool.Pool.t ->
-  Nn.Network.t ->
-  t
+val of_network : ?backend:Nn.Backend.kind -> Nn.Network.t -> t
 (** Network-backed oracle.  The network is compiled once into a
     {!Nn.Backend} plan and every forward pass runs it: batched queries
     ({!eval_batch}, {!Batcher}) as one forward over
@@ -44,9 +40,7 @@ val of_network :
     {!Nn.Network.scores} (the same float64 kernels); [F32] is the
     float32 Bigarray plan ({!Nn.Backend.F32_engine}) — identical
     argmax/success/query behaviour within {!Nn.Backend.score_tol} per
-    score.  [?pool] (f32
-    only) lets the GEMM dispatch row panels onto an idle domain pool;
-    query accounting is independent of both knobs. *)
+    score.  Query accounting is independent of the backend. *)
 
 val of_fn :
   ?batch_fn:(Tensor.t array -> Tensor.t array) ->

@@ -20,8 +20,6 @@ let next_int64 g =
   g.state <- Int64.add g.state golden_gamma;
   mix64 g.state
 
-let bits64 = next_int64
-
 let split g =
   let seed = next_int64 g in
   (* A second mix decorrelates the child stream from the parent outputs. *)

@@ -45,9 +45,6 @@ val restore : string -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits64 : t -> int64
-(** Alias of {!next_int64}. *)
-
 val int : t -> int -> int
 (** [int g n] is uniform in [\[0, n)].  Raises [Invalid_argument] if
     [n <= 0].  Uses rejection sampling, so it is exactly uniform. *)
@@ -80,11 +77,8 @@ val choice_list : t -> 'a list -> 'a
 (** [choice_list g l] picks a uniform element.  Raises [Invalid_argument] on
     an empty list. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
-
 val shuffle : t -> 'a array -> 'a array
-(** Pure variant of {!shuffle_in_place}: the input array is not modified. *)
+(** Fisher-Yates shuffle of a copy: the input array is not modified. *)
 
 val sample_without_replacement : t -> int -> 'a array -> 'a array
 (** [sample_without_replacement g k a] draws [k] distinct elements.  Raises

@@ -280,12 +280,12 @@ let rows_match warm cold =
 
 (* One stream round on a shared warm plan: score a clean image, then a
    mixed batch.  Returns each call's rows with its scores. *)
-let warm_round ?pool plan g ~size ~len =
+let warm_round plan g ~size ~len =
   let clean = Tensor.rand_uniform (Prng.split g) [| 3; size; size |] in
   let other = Tensor.rand_uniform (Prng.split g) [| 3; size; size |] in
   let rows = mixed_batch g ~len [| clean; clean; other |] in
   List.map
-    (fun xs -> (xs, F32_plan.scores_batch ?pool plan (pack xs)))
+    (fun xs -> (xs, F32_plan.scores_batch plan (pack xs)))
     [ [ clean ]; rows ]
 
 (* Every row of every call against its cold single-image score. *)
@@ -313,9 +313,8 @@ let qcheck_incremental_zoo =
 
 (* Four streams of sixteen rounds share one plan through a pool: at
    width 2 they run concurrently on two domains, each holding its own
-   reference image; the scoring calls also get the pool for GEMM row
-   panels.  The cold scores are computed after the pool, so the streams
-   spend their time on the shared plan. *)
+   reference image.  The cold scores are computed after the pool, so the
+   streams spend their time on the shared plan. *)
 let qcheck_incremental_pool width =
   QCheck.Test.make
     ~name:
@@ -333,7 +332,7 @@ let qcheck_incremental_pool width =
               (fun k ->
                 let g = Prng.of_int ((seed * 4) + k) in
                 List.concat_map
-                  (fun _ -> warm_round ~pool plan g ~size ~len)
+                  (fun _ -> warm_round plan g ~size ~len)
                   (List.init 16 Fun.id))
               (Array.init 4 Fun.id))
       in
@@ -421,6 +420,40 @@ let incremental_flops () =
     (cost (pixel 15 15));
   Alcotest.(check int) "unrelated image: full input conv" cold
     (cost (Tensor.rand_uniform (Prng.of_int 8) [| 3; 16; 16 |]))
+
+(* Minor words per warm f32 [scores_batch] call on vgg_tiny 16x16: one
+   clean forward, then width-1 batches of one-pixel candidates of that
+   image, the forward an attack query runs.  The batches are packed
+   before the count, so it holds the plan's own allocation only (shape
+   descriptors, span closures, the boxed result).  Measured at 466
+   words; one more optional argument and closure per conv call adds
+   about 5, which the bound does not leave room for. *)
+let warm_forward_words () =
+  Alcotest.(check bool) "no journal, trace or ring open" false
+    (Telemetry.Journal.enabled () || Telemetry.Trace.enabled ()
+   || Telemetry.Ring.enabled ());
+  let net = Nn.Zoo.vgg_tiny (Prng.of_int 5) ~image_size:16 ~num_classes:10 in
+  let plan = F32_plan.compile net in
+  let clean = Tensor.rand_uniform (Prng.of_int 6) [| 3; 16; 16 |] in
+  let candidates =
+    Array.init 16 (fun i ->
+        let y = Tensor.copy clean in
+        for c = 0 to 2 do
+          Tensor.set y [| c; i * 5 mod 16; i * 11 mod 16 |]
+            (float_of_int ((i lsr c) land 1))
+        done;
+        pack [ y ])
+  in
+  ignore (F32_plan.scores_batch plan (pack [ clean ]));
+  Array.iter (fun x -> ignore (F32_plan.scores_batch plan x)) candidates;
+  let calls = 64 in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    ignore (F32_plan.scores_batch plan candidates.(i mod 16))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  if words > 470. then
+    Alcotest.failf "%.1f minor words per warm forward, bound 470" words
 
 (* {1 Serialize golden: one weight file, every engine} *)
 
@@ -539,14 +572,11 @@ let naive_conv ~stride ~pad weight bias x =
   let seed = Tensor.map (fun b -> if b <> 0. then b else 0.) bias in
   Helpers.naive_conv ~finish:round32 ~stride ~pad weight (Some seed) x
 
-(* Output channels reach 12 so that a width-2 pool really splits the
-   GEMM into row panels ([gemm_dispatch] panels only from 8 rows). *)
-let qcheck_conv_naive width =
+(* Output channels reach 12, so the GEMM runs both its 4-row tiles
+   and a remainder of up to three rows. *)
+let qcheck_conv_naive =
   QCheck.Test.make
-    ~name:
-      (Printf.sprintf
-         "f32 pool %d: conv2d_batch = naive ascending-p f64 loop, bitwise"
-         width)
+    ~name:"f32 pool 1: conv2d_batch = naive ascending-p f64 loop, bitwise"
     ~count:40
     QCheck.(
       quad (int_range 0 99999)
@@ -571,16 +601,11 @@ let qcheck_conv_naive width =
           (Tensor.rand_uniform (Prng.split g) ~lo:(-1.) ~hi:1.
              [| batch; in_c; h; w |])
       in
-      let conv ?pool () =
+      let got =
         Tensor_f32.to_tensor
-          (Tensor_f32.conv2d_batch ?pool ~stride ~pad
+          (Tensor_f32.conv2d_batch ~stride ~pad
              ~weight:(Tensor_f32.of_tensor weight)
              ~bias:(Tensor_f32.of_tensor bias) (Tensor_f32.of_tensor x))
-      in
-      let got =
-        if width = 1 then conv ()
-        else
-          Domain_pool.Pool.with_pool ~domains:width (fun pool -> conv ~pool ())
       in
       same_bits got (naive_conv ~stride ~pad weight bias x))
 
@@ -637,7 +662,7 @@ module Panel_f32 = struct
       done
     done
 
-  let conv2d_batch ?pool:_ ?memo:_ ~stride ~pad ~weight ~bias ?norm
+  let conv2d_batch ?memo:_ ~stride ~pad ~weight ~bias ?norm
       ?(relu = false) ?max_pool x =
     let xt = to_tensor x and wt = to_tensor weight and bt = to_tensor bias in
     let n = Tensor.dim xt 0 and in_c = Tensor.dim xt 1
@@ -685,40 +710,36 @@ end
 module Panel_plan = Nn.Backend.Make (Panel_f32)
 
 (* All five zoo nets, one warm plan each, a clean image then mixed
-   batches (so the input conv also runs incrementally), at pool width
-   1 and 2. *)
-let qcheck_zoo_panel width =
+   batches (so the input conv also runs incrementally). *)
+let qcheck_zoo_panel =
   QCheck.Test.make
-    ~name:
-      (Printf.sprintf
-         "f32 pool %d: zoo plans = float32 im2col panel path, bitwise" width)
+    ~name:"f32 pool 1: zoo plans = float32 im2col panel path, bitwise"
     ~count:4
     QCheck.(pair (int_range 0 99999) (int_range 0 2))
     (fun (seed, size_i) ->
       let size = [| 8; 12; 16 |].(size_i) in
-      Domain_pool.Pool.with_pool ~domains:width (fun pool ->
+      List.for_all
+        (fun arch ->
+          let net = zoo_net ~arch ~size (seed + arch) in
+          let plan = F32_plan.compile net
+          and reference = Panel_plan.compile net in
+          let g = Prng.of_int (seed + 1) in
+          let image () =
+            Tensor.rand_uniform (Prng.split g) [| 3; size; size |]
+          in
+          let clean = image () in
+          let other = image () in
           List.for_all
-            (fun arch ->
-              let net = zoo_net ~arch ~size (seed + arch) in
-              let plan = F32_plan.compile net
-              and reference = Panel_plan.compile net in
-              let g = Prng.of_int (seed + 1) in
-              let image () =
-                Tensor.rand_uniform (Prng.split g) [| 3; size; size |]
-              in
-              let clean = image () in
-              let other = image () in
-              List.for_all
-                (fun xs ->
-                  let batch = pack xs in
-                  same_bits
-                    (F32_plan.scores_batch ~pool plan batch)
-                    (Panel_plan.scores_batch reference batch))
-                ([ clean ]
-                :: List.init 4 (fun _ ->
-                       mixed_batch g ~len:(1 + Prng.int g 8)
-                         [| clean; clean; other |])))
-            (List.init (List.length Nn.Zoo.names) Fun.id)))
+            (fun xs ->
+              let batch = pack xs in
+              same_bits
+                (F32_plan.scores_batch plan batch)
+                (Panel_plan.scores_batch reference batch))
+            ([ clean ]
+            :: List.init 4 (fun _ ->
+                   mixed_batch g ~len:(1 + Prng.int g 8)
+                     [| clean; clean; other |])))
+        (List.init (List.length Nn.Zoo.names) Fun.id))
 
 (* {1 Fused relu on NaN and signed zeros} *)
 
@@ -789,15 +810,13 @@ let sprinkle g x =
    -0.0), with and without the relu (the kernel then pools unfused), on
    inputs seeded with NaN, signed zeros and infinities.  With [memo] a
    clean image and then mixed batches of its candidates run through the
-   incremental conv.  Output channels reach 12 so a width-2 pool splits
-   the GEMM into row panels. *)
-let qcheck_pool_fusion width =
+   incremental conv.  Output channels reach 12, so the GEMM runs both
+   its 4-row tiles and a remainder. *)
+let qcheck_pool_fusion =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf
-         "f32 pool %d: conv2d_batch ~max_pool = max_pool2d_batch of the \
-          epilogue, bitwise"
-         width)
+      "f32 pool 1: conv2d_batch ~max_pool = max_pool2d_batch of the \
+       epilogue, bitwise"
     ~count:40
     QCheck.(
       quad (int_range 0 99999) (int_range 0 3)
@@ -825,10 +844,10 @@ let qcheck_pool_fusion width =
               1e-5 )
         else None
       in
-      let check ?pool ~memo xs =
+      let check ~memo xs =
         let x = f32 (pack xs) in
         let fused =
-          Tensor_f32.conv2d_batch ?pool ?memo ~stride:1 ~pad:1 ~weight ~bias
+          Tensor_f32.conv2d_batch ?memo ~stride:1 ~pad:1 ~weight ~bias
             ?norm ~relu ~max_pool:(size, stride) x
         in
         let y = Tensor_f32.conv2d_batch ~stride:1 ~pad:1 ~weight ~bias x in
@@ -842,22 +861,18 @@ let qcheck_pool_fusion width =
         same_bits (Tensor_f32.to_tensor fused)
           (Tensor_f32.to_tensor (Tensor_f32.max_pool2d_batch ~stride ~size y))
       in
-      let run ?pool () =
-        let clean =
-          sprinkle g
-            (Tensor.rand_uniform (Prng.split g) ~lo:(-1.) ~hi:1.
-               [| in_c; side; side |])
-        in
-        let memo = if memo then Some (Tensor_f32.conv_memo ()) else None in
-        List.for_all
-          (fun xs -> check ?pool ~memo xs)
-          ([ clean ]
-          :: List.init 3 (fun _ ->
-                 List.map (sprinkle g)
-                   (mixed_batch g ~len:(1 + Prng.int g 4) [| clean |])))
+      let clean =
+        sprinkle g
+          (Tensor.rand_uniform (Prng.split g) ~lo:(-1.) ~hi:1.
+             [| in_c; side; side |])
       in
-      if width = 1 then run ()
-      else Domain_pool.Pool.with_pool ~domains:width (fun pool -> run ~pool ()))
+      let memo = if memo then Some (Tensor_f32.conv_memo ()) else None in
+      List.for_all
+        (fun xs -> check ~memo xs)
+        ([ clean ]
+        :: List.init 3 (fun _ ->
+               List.map (sprinkle g)
+                 (mixed_batch g ~len:(1 + Prng.int g 4) [| clean |]))))
 
 (* {1 Plan shape: where the max-pools went} *)
 
@@ -1093,14 +1108,13 @@ let suite =
     QCheck_alcotest.to_alcotest (qcheck_incremental_pool 2);
     Alcotest.test_case "f32 input-conv FLOP ledger on vgg_tiny" `Quick
       incremental_flops;
-    QCheck_alcotest.to_alcotest (qcheck_conv_naive 1);
-    QCheck_alcotest.to_alcotest (qcheck_conv_naive 2);
-    QCheck_alcotest.to_alcotest (qcheck_zoo_panel 1);
-    QCheck_alcotest.to_alcotest (qcheck_zoo_panel 2);
+    Alcotest.test_case "f32 warm forward minor words on vgg_tiny" `Quick
+      warm_forward_words;
+    QCheck_alcotest.to_alcotest qcheck_conv_naive;
+    QCheck_alcotest.to_alcotest qcheck_zoo_panel;
     Alcotest.test_case "fused relu maps NaN and -0.0 to +0.0" `Quick
       fusion_nan_zeros;
-    QCheck_alcotest.to_alcotest (qcheck_pool_fusion 1);
-    QCheck_alcotest.to_alcotest (qcheck_pool_fusion 2);
+    QCheck_alcotest.to_alcotest qcheck_pool_fusion;
     Alcotest.test_case "f32 plans fuse max-pool, no backend.pool span"
       `Quick plan_shape;
     QCheck_alcotest.to_alcotest qcheck_dense_naive;

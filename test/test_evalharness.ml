@@ -6,29 +6,33 @@ module Report = Evalharness.Report
 module Attackers = Evalharness.Attackers
 module Regress = Evalharness.Regress
 
-(* Parallel *)
+(* Parallel: [Pool.map] on a fresh pool of each width *)
+
+let pool_map ~domains f xs =
+  Domain_pool.Pool.with_pool ~domains (fun pool ->
+      Domain_pool.Pool.map pool f xs)
 
 let parallel_matches_sequential () =
   let xs = Array.init 37 Fun.id in
   let f x = (x * x) + 1 in
   Alcotest.(check (array int)) "same results" (Array.map f xs)
-    (Domain_pool.map ~domains:4 f xs)
+    (pool_map ~domains:4 f xs)
 
 let parallel_sequential_fallback () =
   let xs = Array.init 5 Fun.id in
   Alcotest.(check (array int)) "domains=1" (Array.map succ xs)
-    (Domain_pool.map ~domains:1 succ xs)
+    (pool_map ~domains:1 succ xs)
 
 let parallel_empty () =
   Alcotest.(check (array int))
     "empty" [||]
-    (Domain_pool.map ~domains:4 succ [||])
+    (pool_map ~domains:4 succ [||])
 
 let parallel_propagates_exceptions () =
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (Domain_pool.map ~domains:2
+         (pool_map ~domains:2
             (fun x -> if x = 3 then failwith "boom" else x)
             (Array.init 8 Fun.id));
        false
@@ -45,7 +49,7 @@ let parallel_order_preserved () =
     done;
     (x, !acc)
   in
-  let results = Domain_pool.map ~domains:3 f xs in
+  let results = pool_map ~domains:3 f xs in
   Array.iteri
     (fun i (x, _) -> Alcotest.(check int) "index" i x)
     results

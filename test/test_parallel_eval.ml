@@ -255,17 +255,19 @@ let pool_stats_accounting () =
       Alcotest.(check bool) "busy time recorded" true
         (s.Domain_pool.Pool.busy_seconds >= 0.))
 
-(* The one-shot Domain_pool.map: the exception contract that used to
-   be maskable (a worker-domain exception surfaced as Fun.Finally_raised
-   via Domain.join, or items silently missing) is now explicit. *)
+(* A map on a fresh pool of each width: the exception contract that
+   used to be maskable (a worker-domain exception surfaced as
+   Fun.Finally_raised via Domain.join, or items silently missing) is
+   explicit, inline and parallel. *)
 
 let legacy_map_preserves_original_exception () =
   List.iter
     (fun domains ->
       match
-        Domain_pool.map ~domains
-          (fun x -> if x >= 6 then failwith "original" else x)
-          (Array.init 8 Fun.id)
+        Domain_pool.Pool.with_pool ~domains (fun pool ->
+            Domain_pool.Pool.map pool
+              (fun x -> if x >= 6 then failwith "original" else x)
+              (Array.init 8 Fun.id))
       with
       | _ -> Alcotest.fail "expected Failure"
       | exception Failure msg ->
@@ -273,6 +275,32 @@ let legacy_map_preserves_original_exception () =
             (Printf.sprintf "unwrapped at domains=%d" domains)
             "original" msg)
     [ 1; 2; 4; 8 ]
+
+(* A map that raises on item 2 of 3 still finishes its job, inline
+   (width 1) and parallel (width 2): the in-flight gauge is back at 0,
+   so a post-mortem registry dump does not report a job that is no
+   longer running, and [jobs] counts the failed job. *)
+let failed_map_finishes_job () =
+  let inflight = Telemetry.Metrics.gauge "pool.job_inflight" in
+  List.iter
+    (fun domains ->
+      Domain_pool.Pool.with_pool ~domains (fun pool ->
+          let jobs () = (Domain_pool.Pool.stats pool).Domain_pool.Pool.jobs in
+          let before = jobs () in
+          (match
+             Domain_pool.Pool.map pool
+               (fun x -> if x = 2 then failwith "boom" else x)
+               [| 1; 2; 3 |]
+           with
+          | _ -> Alcotest.fail "expected Failure"
+          | exception Failure _ -> ());
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "gauge at 0, width %d" domains)
+            0. (Telemetry.Gauge.get inflight);
+          Alcotest.(check int)
+            (Printf.sprintf "one more job, width %d" domains)
+            (before + 1) (jobs ())))
+    [ 1; 2 ]
 
 let suite =
   [
@@ -294,4 +322,6 @@ let suite =
     Alcotest.test_case "pool stats accounting" `Quick pool_stats_accounting;
     Alcotest.test_case "legacy map preserves original exception" `Quick
       legacy_map_preserves_original_exception;
+    Alcotest.test_case "failed map finishes its job" `Quick
+      failed_map_finishes_job;
   ]
