@@ -815,6 +815,13 @@ let micro () =
              (Tensor_f32.conv2d_batch ~stride:1 ~pad:1 ~weight ~bias ?norm
                 ~relu:true ?max_pool x)))
   in
+  (* An [m x k] by [k x n] product on fixed random operands: [prepare]
+     runs once, when the row is built, and returns the timed call. *)
+  let gemm_case name ~m ~k ~n prepare =
+    let a = Tensor.randn (Prng.of_int 11) ~sigma:0.2 [| m; k |]
+    and b = Tensor.rand_uniform (Prng.of_int 12) [| k; n |] in
+    Test.make ~name (Staged.stage (prepare a b))
+  in
   (* vgg_tiny's dense head at 16x16: 256 inputs, 10 classes, one image. *)
   let dense_case =
     let f32 t = Tensor_f32.of_tensor t in
@@ -878,10 +885,22 @@ let micro () =
             fun () ->
               ignore
                 (Tensor.conv2d_gemm_batch ~pad:1 batch ~weight:w ~bias:None)));
+      (* The GEMM kernel alone, at vgg_tiny's second and third conv
+         shapes: 16 output channels over an 8x3x3-row panel of 8x8
+         columns (float64, the boxed plan's and training's kernel) and
+         over a 16x3x3-row panel of 4x4 columns (float32 weights and
+         output, the f32 plan's).  Each call also allocates its output,
+         and the f32 row widens its B operand into the float64 panel. *)
+      gemm_case "gemm/f64-16x72x64" ~m:16 ~k:72 ~n:64 (fun a b () ->
+          ignore (Tensor.matmul a b));
+      gemm_case "gemm/f32-16x144x16" ~m:16 ~k:144 ~n:16 (fun a b ->
+          let a = Tensor_f32.of_tensor a and b = Tensor_f32.of_tensor b in
+          fun () -> ignore (Tensor_f32.matmul a b));
       (* The incremental input conv's cost bound: vgg_tiny's 3->8 input
          conv with fused norm/relu, in full and after the memo holds the
-         clean image, for a one-pixel candidate (9 columns) and a
-         candidate at the bound (7 spaced pixels, 63 of 256 columns).
+         clean image, for a one-pixel candidate (9 columns) and the
+         widest spaced candidate under the bound of an eighth (3 spaced
+         pixels, 27 of 256 columns).
          The -full-memo row alternates two unrelated images under the
          memo: each runs in full and becomes the new reference, so it
          times what the memo adds to the full path. *)
@@ -892,7 +911,7 @@ let micro () =
           Tensor.rand_uniform (Prng.split g) [| 3; 16; 16 |];
         ];
       input_conv_case "conv/f32-input-1px" ~memo:true [ input_candidate 1 ];
-      input_conv_case "conv/f32-input-63cols" ~memo:true [ input_candidate 7 ];
+      input_conv_case "conv/f32-input-27cols" ~memo:true [ input_candidate 3 ];
       (* vgg_tiny's second conv (8->16 channels at 8x8, fused norm and
          relu) and third (16->16 at 4x4, fused relu): the gather+GEMM
          layers every forward runs in full. *)

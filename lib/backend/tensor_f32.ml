@@ -13,11 +13,10 @@
    (argmax/success/query identity, per-logit |Δ| ≤ tol) rather than
    bit-equality.
 
-   The GEMM keeps the boxed kernel's proven shape — 4x4 register
-   tiling, ascending-k accumulation, L2 column blocking — but runs on
-   float64 operands and unrolls the k-loop by four, so the widening
-   conversion runs once per element instead of once per use and the
-   inner loop is pure float64 ALU work.  A conv gathers its input
+   The GEMM is the boxed backend's C kernel (lib/tensor/gemm_stubs.c),
+   entered with float32 weights and a float32 output: 4x8 register
+   tiles vectorised across the output columns, ascending-k float64
+   accumulation, one rounding at the store.  A conv gathers its input
    straight into the GEMM's per-domain float64 B panel through a
    per-geometry index table.  A forward runs on the domain that asked
    for it: the parallelism is across images, one level up. *)
@@ -84,19 +83,32 @@ let add a b =
   out
 
 (* GEMM: [od](ooff + i*n + j) += Σ_p ad(i*k + p) * b64(p*n + j) for
-   rows i in [0, m).  A float32 weight operand, a float64 [(k, n)]
-   row-major B panel, float64 accumulation in sixteen register-resident
-   refs, ascending-p order per output element — the same per-element
-   order whatever the column blocking.
+   rows i in [0, m): float32 weights, a float64 [(k, n)] row-major B
+   panel, float64 accumulation seeded from [od] in ascending-p order,
+   one rounding to float32 at the store.  The kernel is the boxed
+   backend's, in C (lib/tensor/gemm_stubs.c): it reads the float32
+   weights directly (widening is exact), so the one widening pass left
+   is the caller's B panel — a conv gathers its input straight into it
+   (see [gather_into]) and [matmul] widens its operand. *)
+external gemm_f32 :
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  ba ->
+  float array ->
+  ba ->
+  unit = "tensor_gemm_f32_byte" "tensor_gemm_f32"
+[@@noalloc]
 
-   The inner loop runs pure float64 with the k-loop unrolled by four,
-   because on x86 the float32→float64 convert shares ports with the
-   multiply/add units — left inline it caps the kernel well below the
-   scalar FP peak.  So both operands arrive widened: the caller builds
-   B in float64 (a conv gathers its input straight into the panel, see
-   [gather_into]; [matmul] widens its operand), and the rows of [ad]
-   are packed once per call into per-domain float64 scratch.  The
-   conversion is exact, so neither changes a bit of the result. *)
+let gemm_rows ?(ooff = 0) ~m ~k ~n (ad : ba) (b64 : float array) (od : ba) =
+  if
+    m < 0 || k < 0 || n < 0 || ooff < 0
+    || m * k > Bigarray.Array1.dim ad
+    || k * n > Array.length b64
+    || ooff + (m * n) > Bigarray.Array1.dim od
+  then invalid_arg "Tensor_f32.gemm_rows: operands out of bounds";
+  gemm_f32 ooff m k n ad b64 od
 
 (* The B panel of this domain's current GEMM: [(k, n)] float64,
    row-major.  A conv gathers into it and [matmul] widens into it. *)
@@ -107,212 +119,6 @@ let f64_scratch key len =
   let r = Domain.DLS.get key in
   if Array.length !r < len then r := Array.make len 0.;
   !r
-
-let arow_scratch : float array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let gemm_rows ?(ooff = 0) ~m ~k ~n (ad : ba) (b64 : float array)
-    (od : ba) =
-  (* Column blocking: a [k * jb] slice of the panel targets ~1.5 MB so
-     it stays L2-resident while every row block passes over it.
-     Multiple of 4 so only the final block leaves a column remainder. *)
-  let jb = max 16 (196608 / max 1 k land lnot 3) in
-  if m <= 0 then ()
-  else begin
-    let a64 = f64_scratch arow_scratch (m * k) in
-    for i = 0 to (m * k) - 1 do
-      Array.unsafe_set a64 i (Bigarray.Array1.unsafe_get ad i)
-    done;
-    let k4 = k / 4 * 4 in
-    let jlo = ref 0 in
-    while !jlo < n do
-      let jhi = min n (!jlo + jb) in
-      let i = ref 0 in
-      while !i + 4 <= m do
-        let r0 = !i in
-        let a0 = r0 * k and a1 = (r0 + 1) * k
-        and a2 = (r0 + 2) * k and a3 = (r0 + 3) * k in
-        let o0 = ooff + (r0 * n)
-        and o1 = ooff + ((r0 + 1) * n)
-        and o2 = ooff + ((r0 + 2) * n)
-        and o3 = ooff + ((r0 + 3) * n) in
-        let j = ref !jlo in
-        while !j + 4 <= jhi do
-          let j0 = !j in
-          let c00 = ref (Bigarray.Array1.unsafe_get od (o0 + j0))
-          and c01 = ref (Bigarray.Array1.unsafe_get od (o0 + j0 + 1))
-          and c02 = ref (Bigarray.Array1.unsafe_get od (o0 + j0 + 2))
-          and c03 = ref (Bigarray.Array1.unsafe_get od (o0 + j0 + 3))
-          and c10 = ref (Bigarray.Array1.unsafe_get od (o1 + j0))
-          and c11 = ref (Bigarray.Array1.unsafe_get od (o1 + j0 + 1))
-          and c12 = ref (Bigarray.Array1.unsafe_get od (o1 + j0 + 2))
-          and c13 = ref (Bigarray.Array1.unsafe_get od (o1 + j0 + 3))
-          and c20 = ref (Bigarray.Array1.unsafe_get od (o2 + j0))
-          and c21 = ref (Bigarray.Array1.unsafe_get od (o2 + j0 + 1))
-          and c22 = ref (Bigarray.Array1.unsafe_get od (o2 + j0 + 2))
-          and c23 = ref (Bigarray.Array1.unsafe_get od (o2 + j0 + 3))
-          and c30 = ref (Bigarray.Array1.unsafe_get od (o3 + j0))
-          and c31 = ref (Bigarray.Array1.unsafe_get od (o3 + j0 + 1))
-          and c32 = ref (Bigarray.Array1.unsafe_get od (o3 + j0 + 2))
-          and c33 = ref (Bigarray.Array1.unsafe_get od (o3 + j0 + 3)) in
-          let p = ref 0 in
-          while !p < k4 do
-            let pp = !p in
-            let v0 = Array.unsafe_get a64 (a0 + pp)
-            and v1 = Array.unsafe_get a64 (a1 + pp)
-            and v2 = Array.unsafe_get a64 (a2 + pp)
-            and v3 = Array.unsafe_get a64 (a3 + pp)
-            and boff = (pp * n) + j0 in
-            let b0 = Array.unsafe_get b64 boff
-            and b1 = Array.unsafe_get b64 (boff + 1)
-            and b2 = Array.unsafe_get b64 (boff + 2)
-            and b3 = Array.unsafe_get b64 (boff + 3) in
-            let w0 = Array.unsafe_get a64 (a0 + pp + 1)
-            and w1 = Array.unsafe_get a64 (a1 + pp + 1)
-            and w2 = Array.unsafe_get a64 (a2 + pp + 1)
-            and w3 = Array.unsafe_get a64 (a3 + pp + 1)
-            and coff = boff + n in
-            let d0 = Array.unsafe_get b64 coff
-            and d1 = Array.unsafe_get b64 (coff + 1)
-            and d2 = Array.unsafe_get b64 (coff + 2)
-            and d3 = Array.unsafe_get b64 (coff + 3) in
-            c00 := !c00 +. (v0 *. b0) +. (w0 *. d0);
-            c01 := !c01 +. (v0 *. b1) +. (w0 *. d1);
-            c02 := !c02 +. (v0 *. b2) +. (w0 *. d2);
-            c03 := !c03 +. (v0 *. b3) +. (w0 *. d3);
-            c10 := !c10 +. (v1 *. b0) +. (w1 *. d0);
-            c11 := !c11 +. (v1 *. b1) +. (w1 *. d1);
-            c12 := !c12 +. (v1 *. b2) +. (w1 *. d2);
-            c13 := !c13 +. (v1 *. b3) +. (w1 *. d3);
-            c20 := !c20 +. (v2 *. b0) +. (w2 *. d0);
-            c21 := !c21 +. (v2 *. b1) +. (w2 *. d1);
-            c22 := !c22 +. (v2 *. b2) +. (w2 *. d2);
-            c23 := !c23 +. (v2 *. b3) +. (w2 *. d3);
-            c30 := !c30 +. (v3 *. b0) +. (w3 *. d0);
-            c31 := !c31 +. (v3 *. b1) +. (w3 *. d1);
-            c32 := !c32 +. (v3 *. b2) +. (w3 *. d2);
-            c33 := !c33 +. (v3 *. b3) +. (w3 *. d3);
-            let pq = pp + 2 in
-            let v0 = Array.unsafe_get a64 (a0 + pq)
-            and v1 = Array.unsafe_get a64 (a1 + pq)
-            and v2 = Array.unsafe_get a64 (a2 + pq)
-            and v3 = Array.unsafe_get a64 (a3 + pq)
-            and boff = (pq * n) + j0 in
-            let b0 = Array.unsafe_get b64 boff
-            and b1 = Array.unsafe_get b64 (boff + 1)
-            and b2 = Array.unsafe_get b64 (boff + 2)
-            and b3 = Array.unsafe_get b64 (boff + 3) in
-            let w0 = Array.unsafe_get a64 (a0 + pq + 1)
-            and w1 = Array.unsafe_get a64 (a1 + pq + 1)
-            and w2 = Array.unsafe_get a64 (a2 + pq + 1)
-            and w3 = Array.unsafe_get a64 (a3 + pq + 1)
-            and coff = boff + n in
-            let d0 = Array.unsafe_get b64 coff
-            and d1 = Array.unsafe_get b64 (coff + 1)
-            and d2 = Array.unsafe_get b64 (coff + 2)
-            and d3 = Array.unsafe_get b64 (coff + 3) in
-            c00 := !c00 +. (v0 *. b0) +. (w0 *. d0);
-            c01 := !c01 +. (v0 *. b1) +. (w0 *. d1);
-            c02 := !c02 +. (v0 *. b2) +. (w0 *. d2);
-            c03 := !c03 +. (v0 *. b3) +. (w0 *. d3);
-            c10 := !c10 +. (v1 *. b0) +. (w1 *. d0);
-            c11 := !c11 +. (v1 *. b1) +. (w1 *. d1);
-            c12 := !c12 +. (v1 *. b2) +. (w1 *. d2);
-            c13 := !c13 +. (v1 *. b3) +. (w1 *. d3);
-            c20 := !c20 +. (v2 *. b0) +. (w2 *. d0);
-            c21 := !c21 +. (v2 *. b1) +. (w2 *. d1);
-            c22 := !c22 +. (v2 *. b2) +. (w2 *. d2);
-            c23 := !c23 +. (v2 *. b3) +. (w2 *. d3);
-            c30 := !c30 +. (v3 *. b0) +. (w3 *. d0);
-            c31 := !c31 +. (v3 *. b1) +. (w3 *. d1);
-            c32 := !c32 +. (v3 *. b2) +. (w3 *. d2);
-            c33 := !c33 +. (v3 *. b3) +. (w3 *. d3);
-            p := pp + 4
-          done;
-          while !p < k do
-            let pp = !p in
-            let v0 = Array.unsafe_get a64 (a0 + pp)
-            and v1 = Array.unsafe_get a64 (a1 + pp)
-            and v2 = Array.unsafe_get a64 (a2 + pp)
-            and v3 = Array.unsafe_get a64 (a3 + pp)
-            and boff = (pp * n) + j0 in
-            let b0 = Array.unsafe_get b64 boff
-            and b1 = Array.unsafe_get b64 (boff + 1)
-            and b2 = Array.unsafe_get b64 (boff + 2)
-            and b3 = Array.unsafe_get b64 (boff + 3) in
-            c00 := !c00 +. (v0 *. b0);
-            c01 := !c01 +. (v0 *. b1);
-            c02 := !c02 +. (v0 *. b2);
-            c03 := !c03 +. (v0 *. b3);
-            c10 := !c10 +. (v1 *. b0);
-            c11 := !c11 +. (v1 *. b1);
-            c12 := !c12 +. (v1 *. b2);
-            c13 := !c13 +. (v1 *. b3);
-            c20 := !c20 +. (v2 *. b0);
-            c21 := !c21 +. (v2 *. b1);
-            c22 := !c22 +. (v2 *. b2);
-            c23 := !c23 +. (v2 *. b3);
-            c30 := !c30 +. (v3 *. b0);
-            c31 := !c31 +. (v3 *. b1);
-            c32 := !c32 +. (v3 *. b2);
-            c33 := !c33 +. (v3 *. b3);
-            p := pp + 1
-          done;
-          Bigarray.Array1.unsafe_set od (o0 + j0) !c00;
-          Bigarray.Array1.unsafe_set od (o0 + j0 + 1) !c01;
-          Bigarray.Array1.unsafe_set od (o0 + j0 + 2) !c02;
-          Bigarray.Array1.unsafe_set od (o0 + j0 + 3) !c03;
-          Bigarray.Array1.unsafe_set od (o1 + j0) !c10;
-          Bigarray.Array1.unsafe_set od (o1 + j0 + 1) !c11;
-          Bigarray.Array1.unsafe_set od (o1 + j0 + 2) !c12;
-          Bigarray.Array1.unsafe_set od (o1 + j0 + 3) !c13;
-          Bigarray.Array1.unsafe_set od (o2 + j0) !c20;
-          Bigarray.Array1.unsafe_set od (o2 + j0 + 1) !c21;
-          Bigarray.Array1.unsafe_set od (o2 + j0 + 2) !c22;
-          Bigarray.Array1.unsafe_set od (o2 + j0 + 3) !c23;
-          Bigarray.Array1.unsafe_set od (o3 + j0) !c30;
-          Bigarray.Array1.unsafe_set od (o3 + j0 + 1) !c31;
-          Bigarray.Array1.unsafe_set od (o3 + j0 + 2) !c32;
-          Bigarray.Array1.unsafe_set od (o3 + j0 + 3) !c33;
-          j := j0 + 4
-        done;
-        while !j < jhi do
-          let j0 = !j in
-          let c0 = ref (Bigarray.Array1.unsafe_get od (o0 + j0))
-          and c1 = ref (Bigarray.Array1.unsafe_get od (o1 + j0))
-          and c2 = ref (Bigarray.Array1.unsafe_get od (o2 + j0))
-          and c3 = ref (Bigarray.Array1.unsafe_get od (o3 + j0)) in
-          for p = 0 to k - 1 do
-            let bv = Array.unsafe_get b64 ((p * n) + j0) in
-            c0 := !c0 +. (Array.unsafe_get a64 (a0 + p) *. bv);
-            c1 := !c1 +. (Array.unsafe_get a64 (a1 + p) *. bv);
-            c2 := !c2 +. (Array.unsafe_get a64 (a2 + p) *. bv);
-            c3 := !c3 +. (Array.unsafe_get a64 (a3 + p) *. bv)
-          done;
-          Bigarray.Array1.unsafe_set od (o0 + j0) !c0;
-          Bigarray.Array1.unsafe_set od (o1 + j0) !c1;
-          Bigarray.Array1.unsafe_set od (o2 + j0) !c2;
-          Bigarray.Array1.unsafe_set od (o3 + j0) !c3;
-          incr j
-        done;
-        i := r0 + 4
-      done;
-      for r = !i to m - 1 do
-        let aoff = r * k and orow = ooff + (r * n) in
-        for j = !jlo to jhi - 1 do
-          let acc = ref (Bigarray.Array1.unsafe_get od (orow + j)) in
-          for p = 0 to k - 1 do
-            acc :=
-              !acc
-              +. (Array.unsafe_get a64 (aoff + p)
-                 *. Array.unsafe_get b64 ((p * n) + j))
-          done;
-          Bigarray.Array1.unsafe_set od (orow + j) !acc
-        done
-      done;
-      jlo := jhi
-    done
-  end
 
 (* Matmul on f32 tensors — the qcheck reference surface for the GEMM
    kernel ([a : (m, k)], [b : (k, n)]). *)
@@ -626,7 +432,7 @@ let[@inline] seed_bias (bd : ba) oc =
    the clean image's.  A memo keeps, per domain, the input and the raw
    conv output (before the fused epilogue) of the last image whose conv
    ran in full.  An image whose bitwise differences from that reference
-   touch at most [oh*ow/4] output columns copies the reference's raw
+   touch at most [oh*ow/8] output columns copies the reference's raw
    output and recomputes only those columns; any other image runs the
    gather+GEMM and becomes the new reference.
 
@@ -810,10 +616,10 @@ let conv2d_batch ?memo ~stride ~pad ~weight ~bias ?norm ?(relu = false)
         memo_state ~weight ~bias ~stride ~pad ~in_c ~h ~w ~out_c ~kk ~cols)
       memo
   in
-  (* The incremental cost bound: past a quarter of the columns the
-     scalar recompute stops beating the register-tiled GEMM by a safe
-     margin (DESIGN.md section 5 has the measurement). *)
-  let limit = cols / 4 in
+  (* The incremental cost bound: past an eighth of the columns the
+     scalar recompute stops beating the vectorised GEMM by a safe margin
+     (DESIGN.md section 5 has the measurement). *)
+  let limit = cols / 8 in
   let full = ref 0 and recomputed = ref 0 in
   for img = 0 to n - 1 do
     let xoff = img * image and obase = img * ostride in

@@ -1,10 +1,11 @@
 (** Float32 [Bigarray] backend: flat unboxed storage + shape descriptor,
-    blocked register-tiled GEMM (float64 accumulation, float32 rounding
-    only at the store), each conv's input gathered straight into a
-    reused per-domain float64 GEMM panel through a per-geometry index
-    table, fused conv→norm→relu→max-pool epilogues that read per-domain
-    float64 copies of each plane, a dense layer over a per-domain
-    float64 copy of its weights, an incremental conv under a
+    the boxed backend's C GEMM kernel on float32 weights (read directly,
+    float64 accumulation, float32 rounding only at the store), each
+    conv's input gathered straight into a reused per-domain float64
+    GEMM panel through a per-geometry index table, fused
+    conv→norm→relu→max-pool epilogues that read per-domain float64
+    copies of each plane, a dense layer over a per-domain float64 copy
+    of its weights, an incremental conv under a
     {!conv_memo} (an image that differs from its domain's reference in a
     few pixels recomputes only the output columns they reach,
     bit-identical to the full conv).  Not bit-identical to the boxed

@@ -7,8 +7,8 @@
    on one image, so a compiled boxed plan is bit-identical to
    [Network.scores]) and [Tensor_f32] (flat [Bigarray] float32
    storage with an explicit shape descriptor — the Manticore
-   flat-data-plus-shape idiom — a blocked register-tiled GEMM, and fused
-   conv→norm→relu→max-pool).
+   flat-data-plus-shape idiom — the boxed backend's C GEMM kernel on
+   float32 weights, and fused conv→norm→relu→max-pool).
 
    Weights enter a plan as ordinary float64 [Tensor.t]s and are
    converted once at compile time via [of_tensor]; activations cross the

@@ -71,6 +71,10 @@ let of_network ?(backend = Nn.Backend.Boxed) net =
         let plan = Nn.Backend.F32_engine.compile net in
         fun batch -> Nn.Backend.F32_engine.scores_batch plan batch
   in
+  (* One image runs as a one-image view of itself and its score row
+     comes back as a view of the output ([Tensor.reshape] shares the
+     data), so a single query copies no image; only a wider batch is
+     packed into one NCHW tensor and split into rows. *)
   let fn_batch xs =
     let n = Array.length xs in
     if n = 0 then [||]
@@ -78,19 +82,26 @@ let of_network ?(backend = Nn.Backend.Boxed) net =
       let s = Tensor.shape xs.(0) in
       if Array.length s <> 3 then
         invalid_arg "Oracle.of_network: batch entries must be CHW images";
-      let image = s.(0) * s.(1) * s.(2) in
-      let batch = Tensor.zeros [| n; s.(0); s.(1); s.(2) |] in
-      Array.iteri
-        (fun i x ->
-          if Tensor.shape x <> s then
-            invalid_arg "Oracle.of_network: mixed shapes in one batch";
-          Array.blit x.Tensor.data 0 batch.Tensor.data (i * image) image)
-        xs;
-      let out = scores_nchw batch in
-      let classes = Tensor.dim out 1 in
-      Array.init n (fun i ->
-          Tensor.init [| classes |] (fun j ->
-              Tensor.get_flat out ((i * classes) + j)))
+      let nchw = [| n; s.(0); s.(1); s.(2) |] in
+      if n = 1 then begin
+        let out = scores_nchw (Tensor.reshape xs.(0) nchw) in
+        [| Tensor.reshape out [| Tensor.dim out 1 |] |]
+      end
+      else begin
+        let image = s.(0) * s.(1) * s.(2) in
+        let batch = Tensor.zeros nchw in
+        Array.iteri
+          (fun i x ->
+            if Tensor.shape x <> s then
+              invalid_arg "Oracle.of_network: mixed shapes in one batch";
+            Array.blit x.Tensor.data 0 batch.Tensor.data (i * image) image)
+          xs;
+        let out = scores_nchw batch in
+        let classes = Tensor.dim out 1 in
+        Array.init n (fun i ->
+            Tensor.init [| classes |] (fun j ->
+                Tensor.get_flat out ((i * classes) + j)))
+      end
     end
   in
   {

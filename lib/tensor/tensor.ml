@@ -178,138 +178,32 @@ let check_rank name t r =
       (Printf.sprintf "Tensor.%s: expected rank %d, got %s" name r
          (shape_to_string t.shape))
 
-(* Accumulating GEMM kernel: [od] (pre-initialized by the caller, e.g.
-   with zeros or a broadcast bias) gains [a * b].  Shapes must already be
-   validated; every index below is in bounds by construction, so the
-   kernel runs on [Array.unsafe_get]/[unsafe_set].  4x4 register tiling:
-   sixteen accumulators live across the whole [p] loop (the local float
-   refs do not escape, so ocamlopt unboxes them), so each output element
-   is read and written exactly once instead of once per [p].  Each output
-   element is accumulated in ascending-[p] order regardless of [m], [n]
-   or the tiling, which keeps results independent of how callers batch
-   their columns — the invariant the batched inference engine relies
-   on. *)
+(* The GEMM kernel, in C (gemm_stubs.c): [od] (pre-initialized by the
+   caller, e.g. with zeros or a broadcast bias) gains [a * b].  Each
+   output element accumulates in ascending-[p] order whatever [m], [n]
+   or the tiling, so results do not depend on how callers batch their
+   columns — the invariant the batched inference engine relies on.  The
+   kernel reads and writes without bounds checks, so the checks happen
+   here. *)
+external gemm_f64 :
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  float array ->
+  float array ->
+  float array ->
+  unit = "tensor_gemm_f64_byte" "tensor_gemm_f64"
+[@@noalloc]
+
 let gemm_acc ?(ooff = 0) ~m ~k ~n ad bd od =
-  (* Column blocking: sweep [jb] columns at a time so the [k * jb] panel
-     of [bd] stays resident in cache while every row block passes over
-     it — without it, each of the [m/4] row blocks re-streams the whole
-     [k * n] matrix from memory (megabytes for batched im2col).  The
-     block width targets a ~256 KB panel, is a multiple of 4 so only the
-     final block can leave a column remainder, and never shrinks below
-     16 columns. *)
-  let jb = max 16 (32768 / max 1 k land lnot 3) in
-  let jlo = ref 0 in
-  while !jlo < n do
-    let jhi = min n (!jlo + jb) in
-  let i = ref 0 in
-  while !i + 4 <= m do
-    let i0 = !i in
-    let a0 = i0 * k and a1 = (i0 + 1) * k
-    and a2 = (i0 + 2) * k and a3 = (i0 + 3) * k in
-    let o0 = ooff + (i0 * n)
-    and o1 = ooff + ((i0 + 1) * n)
-    and o2 = ooff + ((i0 + 2) * n)
-    and o3 = ooff + ((i0 + 3) * n) in
-    let j = ref !jlo in
-    while !j + 4 <= jhi do
-      let j0 = !j in
-      let c00 = ref (Array.unsafe_get od (o0 + j0))
-      and c01 = ref (Array.unsafe_get od (o0 + j0 + 1))
-      and c02 = ref (Array.unsafe_get od (o0 + j0 + 2))
-      and c03 = ref (Array.unsafe_get od (o0 + j0 + 3))
-      and c10 = ref (Array.unsafe_get od (o1 + j0))
-      and c11 = ref (Array.unsafe_get od (o1 + j0 + 1))
-      and c12 = ref (Array.unsafe_get od (o1 + j0 + 2))
-      and c13 = ref (Array.unsafe_get od (o1 + j0 + 3))
-      and c20 = ref (Array.unsafe_get od (o2 + j0))
-      and c21 = ref (Array.unsafe_get od (o2 + j0 + 1))
-      and c22 = ref (Array.unsafe_get od (o2 + j0 + 2))
-      and c23 = ref (Array.unsafe_get od (o2 + j0 + 3))
-      and c30 = ref (Array.unsafe_get od (o3 + j0))
-      and c31 = ref (Array.unsafe_get od (o3 + j0 + 1))
-      and c32 = ref (Array.unsafe_get od (o3 + j0 + 2))
-      and c33 = ref (Array.unsafe_get od (o3 + j0 + 3)) in
-      for p = 0 to k - 1 do
-        let v0 = Array.unsafe_get ad (a0 + p)
-        and v1 = Array.unsafe_get ad (a1 + p)
-        and v2 = Array.unsafe_get ad (a2 + p)
-        and v3 = Array.unsafe_get ad (a3 + p)
-        and boff = (p * n) + j0 in
-        let b0 = Array.unsafe_get bd boff
-        and b1 = Array.unsafe_get bd (boff + 1)
-        and b2 = Array.unsafe_get bd (boff + 2)
-        and b3 = Array.unsafe_get bd (boff + 3) in
-        c00 := !c00 +. (v0 *. b0);
-        c01 := !c01 +. (v0 *. b1);
-        c02 := !c02 +. (v0 *. b2);
-        c03 := !c03 +. (v0 *. b3);
-        c10 := !c10 +. (v1 *. b0);
-        c11 := !c11 +. (v1 *. b1);
-        c12 := !c12 +. (v1 *. b2);
-        c13 := !c13 +. (v1 *. b3);
-        c20 := !c20 +. (v2 *. b0);
-        c21 := !c21 +. (v2 *. b1);
-        c22 := !c22 +. (v2 *. b2);
-        c23 := !c23 +. (v2 *. b3);
-        c30 := !c30 +. (v3 *. b0);
-        c31 := !c31 +. (v3 *. b1);
-        c32 := !c32 +. (v3 *. b2);
-        c33 := !c33 +. (v3 *. b3)
-      done;
-      Array.unsafe_set od (o0 + j0) !c00;
-      Array.unsafe_set od (o0 + j0 + 1) !c01;
-      Array.unsafe_set od (o0 + j0 + 2) !c02;
-      Array.unsafe_set od (o0 + j0 + 3) !c03;
-      Array.unsafe_set od (o1 + j0) !c10;
-      Array.unsafe_set od (o1 + j0 + 1) !c11;
-      Array.unsafe_set od (o1 + j0 + 2) !c12;
-      Array.unsafe_set od (o1 + j0 + 3) !c13;
-      Array.unsafe_set od (o2 + j0) !c20;
-      Array.unsafe_set od (o2 + j0 + 1) !c21;
-      Array.unsafe_set od (o2 + j0 + 2) !c22;
-      Array.unsafe_set od (o2 + j0 + 3) !c23;
-      Array.unsafe_set od (o3 + j0) !c30;
-      Array.unsafe_set od (o3 + j0 + 1) !c31;
-      Array.unsafe_set od (o3 + j0 + 2) !c32;
-      Array.unsafe_set od (o3 + j0 + 3) !c33;
-      j := j0 + 4
-    done;
-    while !j < jhi do
-      let j0 = !j in
-      let c0 = ref (Array.unsafe_get od (o0 + j0))
-      and c1 = ref (Array.unsafe_get od (o1 + j0))
-      and c2 = ref (Array.unsafe_get od (o2 + j0))
-      and c3 = ref (Array.unsafe_get od (o3 + j0)) in
-      for p = 0 to k - 1 do
-        let bv = Array.unsafe_get bd ((p * n) + j0) in
-        c0 := !c0 +. (Array.unsafe_get ad (a0 + p) *. bv);
-        c1 := !c1 +. (Array.unsafe_get ad (a1 + p) *. bv);
-        c2 := !c2 +. (Array.unsafe_get ad (a2 + p) *. bv);
-        c3 := !c3 +. (Array.unsafe_get ad (a3 + p) *. bv)
-      done;
-      Array.unsafe_set od (o0 + j0) !c0;
-      Array.unsafe_set od (o1 + j0) !c1;
-      Array.unsafe_set od (o2 + j0) !c2;
-      Array.unsafe_set od (o3 + j0) !c3;
-      incr j
-    done;
-    i := i0 + 4
-  done;
-  for i = !i to m - 1 do
-    let aoff = i * k and orow = ooff + (i * n) in
-    for j = !jlo to jhi - 1 do
-      let acc = ref (Array.unsafe_get od (orow + j)) in
-      for p = 0 to k - 1 do
-        acc :=
-          !acc
-          +. (Array.unsafe_get ad (aoff + p)
-             *. Array.unsafe_get bd ((p * n) + j))
-      done;
-      Array.unsafe_set od (orow + j) !acc
-    done
-  done;
-    jlo := jhi
-  done
+  if
+    m < 0 || k < 0 || n < 0 || ooff < 0
+    || m * k > Array.length ad
+    || k * n > Array.length bd
+    || ooff + (m * n) > Array.length od
+  then invalid_arg "Tensor.gemm_acc: operands out of bounds";
+  gemm_f64 ooff m k n ad bd od
 
 let matmul a b =
   check_rank "matmul" a 2;

@@ -4,9 +4,11 @@
     scoring the zoo networks use: one float64 kernel per forward op,
     shared by [Layer.forward] (on a batch of one) and the boxed plan,
     plus the backward passes.  Tensors are immutable in shape but carry
-    a mutable flat [float array] payload (OCaml unboxes float arrays, so
-    this is as fast as it gets without C stubs).  Layout is row-major;
-    images are stored CHW. *)
+    a mutable flat [float array] payload (OCaml unboxes float arrays).
+    Everything is OCaml except the GEMM kernel under {!matmul} and
+    {!conv2d_gemm_batch}: one C stub, vectorised across output columns,
+    that the f32 backend shares.  Layout is row-major; images are stored
+    CHW. *)
 
 type t = private { shape : int array; data : float array }
 (** [shape] is the dimension list; [data] has [numel] elements laid out
@@ -104,10 +106,13 @@ val sq_norm : t -> float
 
 val matmul : t -> t -> t
 (** [matmul a b] for [a : (m, k)] and [b : (k, n)] is [(m, n)], on the
-    register-tiled GEMM kernel {!conv2d_gemm_batch} runs.  Every output
-    element is accumulated in ascending-[k] order independent of the
-    operand widths, so results do not depend on how callers batch their
-    columns. *)
+    GEMM kernel {!conv2d_gemm_batch} runs: C, register-tiled over 4 rows
+    by 8 columns with two-lane float64 vectors across the columns,
+    built without floating-point contraction.  Every output element is
+    accumulated in ascending-[k] order, each multiply and add rounded as
+    OCaml's [*.] and [+.] round them, independent of the operand
+    widths, so results equal a plain loop's bit for bit and do not
+    depend on how callers batch their columns. *)
 
 val matmul_nt : t -> t -> t
 (** [matmul_nt a b] for [a : (m, k)] and [b : (n, k)] is [a bᵀ : (m, n)],

@@ -1,9 +1,9 @@
 (* Property and golden tests for the pluggable tensor backends.
 
    The f32 kernels are checked four ways: the blocked GEMM against a
-   naive float64 reference on the same float32-rounded operands (the
-   kernel accumulates in float64 and rounds once at the store, so a
-   tight tolerance holds at any size); the gathered im2col panel against
+   naive float64 reference on the same float32-rounded operands, bit
+   for bit (the kernel accumulates in float64 in ascending order and
+   rounds once at the store); the gathered im2col panel against
    the patch layout computed by direct indexing (padding positions must
    read back as explicit zeros); the full conv against a plain
    ascending-p float64 loop and, inside whole zoo plans, against the
@@ -46,6 +46,10 @@ let argmax_row t ~row ~classes =
 
 (* {1 GEMM vs naive float64 reference} *)
 
+(* The kernel accumulates each element in float64 in ascending-p order
+   from the +0.0 [matmul] seeds, on the float32 operands widened, and
+   rounds once at the store: that is exactly one [round32] of the plain
+   loop's sum, at any size and any tile remainder. *)
 let qcheck_gemm_matches_naive =
   QCheck.Test.make ~name:"f32 blocked GEMM = naive f64 on rounded operands"
     ~count:60
@@ -68,7 +72,7 @@ let qcheck_gemm_matches_naive =
                  *. round32 (Tensor.get_flat b ((p * n) + j))
           done;
           let got = Tensor_f32.get_flat c ((i * n) + j) in
-          if Float.abs (got -. !acc) > 1e-5 *. (1. +. Float.abs !acc) then
+          if Int64.bits_of_float got <> Int64.bits_of_float (round32 !acc) then
             ok := false
         done
       done;

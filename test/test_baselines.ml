@@ -367,6 +367,38 @@ let sparse_rs_cold_attack_one_copy () =
     Alcotest.failf "%.0f major words, more than two %.0f-word image copies"
       words copy_words
 
+(* The same pin against a network oracle, the attack as the eval
+   harness runs it: targeted at the clean image's least likely class of
+   an f32 vgg_tiny, so every one of its 256 queries is forwarded and
+   the attack fails.  A single-image forward runs the plan on a view of
+   the slot and returns a view of the score row, so no query copies the
+   image; the warm-up forward first fills the plan's per-domain scratch
+   (the GEMM panels and the dense layer's float64 weights). *)
+let sparse_rs_cold_network_attack_one_copy () =
+  let net = Nn.Zoo.vgg_tiny (Prng.of_int 5) ~image_size:16 ~num_classes:10 in
+  let image =
+    Tensor.rand_uniform (Prng.of_int 22) ~lo:0.2 ~hi:0.4 [| 3; 16; 16 |]
+  in
+  let copy_words = float_of_int (Tensor.numel image + 1) in
+  let o = Oracle.of_network ~backend:Nn.Backend.F32 net in
+  let clean = Oracle.unmetered_scores o image in
+  let true_class = Tensor.argmax clean in
+  let target = Tensor.argmax (Tensor.scale (-1.) clean) in
+  let config = Baselines.Sparse_rs.default_config ~max_queries:256 in
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  let r =
+    Baselines.Sparse_rs.attack ~config ~goal:(Sketch.Targeted target)
+      (Prng.of_int 8) o ~image ~true_class
+  in
+  let _, _, after = Gc.counters () in
+  Alcotest.(check int) "every query posed" 256 r.Sketch.queries;
+  Alcotest.(check bool) "attack failed" true (r.Sketch.adversarial = None);
+  let words = after -. before in
+  if words >= 2. *. copy_words then
+    Alcotest.failf "%.0f major words, more than two %.0f-word image copies"
+      words copy_words
+
 let suite =
   [
     Alcotest.test_case "fixed program is const false" `Quick
@@ -397,4 +429,6 @@ let suite =
     Alcotest.test_case "random search validates" `Quick random_search_validates;
     Alcotest.test_case "random search end to end" `Quick
       random_search_end_to_end;
+    Alcotest.test_case "sparse-rs cold network attack: one image copy" `Quick
+      sparse_rs_cold_network_attack_one_copy;
   ]

@@ -65,10 +65,62 @@ let matmul_matches_naive () =
         (Printf.sprintf "matmul %dx%dx%d = naive" m k n)
         naive.Tensor.data
         (Tensor.matmul a b).Tensor.data)
-    (* Sizes straddling the 4x4 register tile and the column blocking:
+    (* Sizes straddling the 4x8 register tile and the column blocking:
        remainders in every dimension, plus a k large enough to force
        multiple j-blocks. *)
     [ (1, 1, 1); (3, 5, 7); (4, 4, 4); (6, 9, 5); (17, 33, 19); (2, 700, 70) ]
+
+(* The same exactness as bits, over every row remainder of the 4-row
+   tile (m mod 4), every column remainder of the 8-column tile and its
+   2-column and 1-column tails (n mod 8), and k = 1.  Bits, because
+   [float 0.] equates -0.0 with +0.0. *)
+let qcheck_matmul_bitwise =
+  QCheck.Test.make ~name:"matmul = ascending-p f64 loop, bitwise" ~count:80
+    QCheck.(
+      quad (int_range 0 99999) (int_range 1 13) (int_range 1 21)
+        (int_range 1 19))
+    (fun (seed, m, k, n) ->
+      let g = Prng.of_int seed in
+      let a = Tensor.randn g [| m; k |] in
+      let b = Tensor.randn (Prng.split g) [| k; n |] in
+      let c = Tensor.matmul a b in
+      let ok = ref (Tensor.shape c = [| m; n |]) in
+      for i = 0 to m - 1 do
+        for j = 0 to n - 1 do
+          let acc = ref 0. in
+          for p = 0 to k - 1 do
+            acc :=
+              !acc
+              +. (Tensor.get_flat a ((i * k) + p)
+                 *. Tensor.get_flat b ((p * n) + j))
+          done;
+          if
+            Int64.bits_of_float (Tensor.get_flat c ((i * n) + j))
+            <> Int64.bits_of_float !acc
+          then ok := false
+        done
+      done;
+      !ok)
+
+(* A contraction canary: 1 * -1 + (1 + e) * (1 - e) with e = 2^-30.
+   Rounded product by product, as OCaml's [+.] and [*.] do, the second
+   product is 1 - 2^-60, which rounds to 1, so the sum is +0.0; a fused
+   multiply-add keeps the product exact and gives -2^-60.  Every row of
+   [a] is [1; 1 + e] and every column of [b] is [-1; 1 - e], and the
+   5 x 11 result reaches the 4-row tile and the 1-row remainder, each
+   with the 8-column tile, the 2-column tile and the last odd column,
+   so a kernel build that contracts on any of its paths fails here. *)
+let matmul_no_contraction () =
+  let e = Float.ldexp 1. (-30) in
+  let a = Tensor.init [| 5; 2 |] (fun i -> if i mod 2 = 0 then 1. else 1. +. e) in
+  let b = Tensor.init [| 2; 11 |] (fun i -> if i < 11 then -1. else 1. -. e) in
+  let c = Tensor.matmul a b in
+  for i = 0 to Tensor.numel c - 1 do
+    Alcotest.(check int64)
+      (Printf.sprintf "element %d is +0.0" i)
+      (Int64.bits_of_float 0.)
+      (Int64.bits_of_float (Tensor.get_flat c i))
+  done
 
 (* Row [i] of [matmul_nt a b] is the direct matvec [b a_i] of
    [Helpers.naive_dense], exactly. *)
@@ -765,4 +817,7 @@ let suite =
       `Quick batcher_cache_first_meters;
     Alcotest.test_case "batcher: one forward pass per cache miss" `Quick
       forwards_equal_cache_misses;
+    QCheck_alcotest.to_alcotest qcheck_matmul_bitwise;
+    Alcotest.test_case "matmul rounds every multiply and add" `Quick
+      matmul_no_contraction;
   ]
