@@ -25,7 +25,7 @@ let timed name f =
 
    The paper's cost model is queries per image, so every observer must
    stay off the query-accounting path and its cost must be measured.
-   One workload — batched Sketch+False attacks on vgg_tiny, each image
+   One workload — Sketch+False attacks on vgg_tiny, each image
    labeled with the net's own prediction and attacked toward its least
    likely class, so every attack streams queries to the cap — runs bare
    and under each observer: the trace sink, the 20 Hz sampler with
@@ -119,7 +119,7 @@ let bench_overhead ~smoke =
         Oracle.set_cache oracle (Some (Score_cache.create ()));
         let r =
           Oppsla.Sketch.attack ~max_queries
-            ~goal:(Oppsla.Sketch.Targeted target) ~batch:16 oracle
+            ~goal:(Oppsla.Sketch.Targeted target) oracle
             Oppsla.Condition.const_false_program ~image ~true_class
         in
         (r.Oppsla.Sketch.queries, Option.is_some r.Oppsla.Sketch.adversarial))
@@ -145,7 +145,7 @@ let bench_overhead ~smoke =
     let m_queries = Telemetry.Metrics.counter "oracle.queries.total" in
     let metered = ref 0 in
     let spans =
-      [ "sketch.attack"; "batcher.prepare"; "backend.forward_batch" ]
+      [ "sketch.attack"; "batcher.forward"; "backend.forward_batch" ]
     in
     {
       name = "trace";
@@ -393,7 +393,7 @@ let bench_overhead ~smoke =
         Printf.fprintf oc
           "{\n\
           \  \"workload\": \"Sketch+False on vgg_tiny, %d %dx%d images, cap \
-           %d, batch 16, cache on\",\n\
+           %d, cache on\",\n\
           \  \"nproc\": %d,\n\
           \  \"reps\": %d,\n\
           \  \"total_queries\": %d,\n\
@@ -524,10 +524,6 @@ let bench_synth ~smoke =
          is the regime early stopping is built for. *)
       beta = 0.5;
       max_queries_per_image = Some cap;
-      (* batch = 1 so wall-clock tracks metered queries: speculative
-         batching prepares tensors whose cost depends on speculation
-         accuracy, which differs between the two arms. *)
-      batch = 1;
       early_stop;
     }
   in

@@ -11,11 +11,9 @@ val program : Oppsla.Condition.program
 val attack :
   ?max_queries:int ->
   ?goal:Oppsla.Sketch.goal ->
-  ?batch:int ->
   Oracle.t ->
   image:Tensor.t ->
   true_class:int ->
   Oppsla.Sketch.result
-(** The sketch run with {!program}.  [batch] is forwarded to
-    {!Oppsla.Sketch.attack} (default {!Oppsla.Sketch.default_batch}); the
-    cache is the oracle's attached one ({!Oracle.set_cache}). *)
+(** The sketch run with {!program}; the cache is the oracle's attached
+    one ({!Oracle.set_cache}). *)

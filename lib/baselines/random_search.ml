@@ -4,8 +4,8 @@ type outcome = {
   synth_queries : int;
 }
 
-let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?batch ?pool
-    g oracle ~training =
+let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?pool g oracle
+    ~training =
   if Array.length training = 0 then
     invalid_arg "Random_search.synthesize: empty training set";
   if samples <= 0 then invalid_arg "Random_search.synthesize: samples <= 0";
@@ -21,8 +21,8 @@ let synthesize ?(samples = 210) ?max_queries_per_image ?caches ?batch ?pool
   for i = 1 to samples do
     let program = Oppsla.Gen.random_program gen_config g in
     let e =
-      Oppsla.Score.evaluate ?max_queries:max_queries_per_image ?caches ?batch
-        ?pool oracle program training
+      Oppsla.Score.evaluate ?max_queries:max_queries_per_image ?caches ?pool
+        oracle program training
     in
     spent := !spent + e.Oppsla.Score.total_queries;
     Telemetry.Watchdog.beat ~iteration:i ~queries:!spent wd;

@@ -17,7 +17,6 @@ val synthesize :
   ?samples:int ->
   ?max_queries_per_image:int ->
   ?caches:Score_cache.store ->
-  ?batch:int ->
   ?pool:Domain_pool.Pool.t ->
   Prng.t ->
   Oracle.t ->
@@ -25,7 +24,6 @@ val synthesize :
   outcome
 (** Each sampled program is scored by {!Oppsla.Score.evaluate}, which
     receives [max_queries_per_image] (as [max_queries]), [caches] (one
-    slot per training image, shared across all sampled programs),
-    [batch] (default {!Oppsla.Sketch.default_batch}) and [pool] (the
-    per-image attacks fan out over it).  Outcomes are bit-identical with
-    and without a cache or a pool, and at every batch width. *)
+    slot per training image, shared across all sampled programs) and
+    [pool] (the per-image attacks fan out over it).  Outcomes are
+    bit-identical with and without a cache or a pool. *)

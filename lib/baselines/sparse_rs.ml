@@ -61,51 +61,21 @@ let perturb_set image pairs =
   x
 
 (* The shared random-search engine: a state type with a cache key, an
-   in-place builder ([write] a state's candidate into the next arena
-   slot), a fresh-copy builder for the adversarial image, an initial
-   sample and a proposal kernel.  Both the k-pixel and the patch
-   instantiations run the same accept-iff-loss-does-not-increase loop
-   with the same speculative batching. *)
-let search (type s) ~config ~batch ~goal ~image ~(key : s -> Score_cache.key)
+   in-place builder ([write] a state's candidate into the arena slot), a
+   fresh-copy builder for the adversarial image, an initial sample and a
+   proposal kernel.  Both the k-pixel and the patch instantiations run
+   the same accept-iff-loss-does-not-increase loop. *)
+let search (type s) ~config ~goal ~image ~(key : s -> Score_cache.key)
     ~(write : Oppsla.Arena.t -> s -> Tensor.t) ~(materialize : s -> Tensor.t)
     ~(pairs_of : s -> Oppsla.Pair.t list) ~(initial : Prng.t -> s)
-    ~(propose : g:Prng.t -> spent:int -> s -> s) g oracle ~true_class =
+    ~(propose : spent:int -> s -> s) g oracle ~true_class =
   let batcher =
-    Batcher.create ~max_queries:config.max_queries ~watchdog:wd ~width:batch
-      oracle
+    Batcher.create ~max_queries:config.max_queries ~watchdog:wd oracle
   in
-  let slots = Oppsla.Arena.create ~width:batch image in
-  let candidate_of state =
-    { Batcher.key = key state; input = (fun () -> write slots state) }
-  in
-  (* Query [state] with [base] the current state.  Speculation assumes
-     every pending proposal is rejected: [base] stays current, the PRNG
-     clone advances exactly as the real stream will on rejection, and
-     the [i]-th future proposal is generated at the query index the
-     sequential path would use.  An acceptance diverges the key stream
-     and the batcher rebuilds — never a correctness event.  A query
-     builds at most one chunk, consumed before it returns, so the slots
-     restart at 0 for each. *)
-  let query base state =
-    let spec_g = ref None in
-    let speculate i =
-      let g' =
-        match !spec_g with
-        | Some g' -> g'
-        | None ->
-            let g' = Prng.copy g in
-            spec_g := Some g';
-            g'
-      in
-      Some
-        (candidate_of
-           (propose ~g:g' ~spent:(Batcher.spent batcher + 1 + i) base))
-    in
-    Oppsla.Arena.rewind slots;
+  let slot = Oppsla.Arena.create image in
+  let query state =
     let scores =
-      Batcher.query batcher ~speculate
-        ~input:(fun () -> write slots state)
-        (key state)
+      Batcher.query batcher ~input:(fun () -> write slot state) (key state)
     in
     if Oppsla.Sketch.goal_reached goal ~true_class (Tensor.argmax scores) then
       raise
@@ -120,10 +90,10 @@ let search (type s) ~config ~batch ~goal ~image ~(key : s -> Score_cache.key)
   Telemetry.Watchdog.with_loop wd @@ fun () ->
   try
     let current = ref (initial g) in
-    let current_loss = ref (query !current !current) in
+    let current_loss = ref (query !current) in
     while true do
-      let proposal = propose ~g ~spent:(Batcher.spent batcher) !current in
-      let l = query !current proposal in
+      let proposal = propose ~spent:(Batcher.spent batcher) !current in
+      let l = query proposal in
       if l <= !current_loss then begin
         current := proposal;
         current_loss := l
@@ -135,8 +105,8 @@ let search (type s) ~config ~batch ~goal ~image ~(key : s -> Score_cache.key)
   | Batcher.Out_of_queries ->
       { adversarial = None; queries = Batcher.spent batcher }
 
-let attack_multi ?config ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) ~k g oracle ~image ~true_class =
+let attack_multi ?config ?(goal = Oppsla.Sketch.Untargeted) ~k g oracle ~image
+    ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
   if k < 1 || k > d1 * d2 then
     invalid_arg
@@ -148,15 +118,9 @@ let attack_multi ?config ?(batch = Oppsla.Sketch.default_batch)
     | Some c -> c
     | None -> default_config ~max_queries:(Oppsla.Pair.count ~d1 ~d2)
   in
-  (* Proposal generation is a pure function of an explicit PRNG and an
-     explicit query index, so the batcher can speculate future proposals
-     from a {!Prng.copy} clone without advancing the real stream: the
-     real state only moves when a proposal is actually generated, which
-     keeps the draw sequence — hence everything downstream — bit-identical
-     to the sequential path at every batch width. *)
   (* Resample [count] of the pixels: each selected slot gets either a
      fresh location (exploration) or only a fresh color. *)
-  let propose ~g ~spent current =
+  let propose ~spent current =
     let explore = explore_probability config spent in
     let count = max 1 (int_of_float (Float.round (explore *. float_of_int k))) in
     let selected = Prng.sample_without_replacement g count (Array.init k Fun.id) in
@@ -185,15 +149,15 @@ let attack_multi ?config ?(batch = Oppsla.Sketch.default_batch)
       selected;
     Array.to_list next
   in
-  search ~config ~batch ~goal ~image
+  search ~config ~goal ~image
     ~key:(Oppsla.Space.set_key ~d2)
     ~write:Oppsla.Arena.pixels ~materialize:(perturb_set image)
     ~pairs_of:Fun.id
     ~initial:(fun g -> Oppsla.Gen.random_pixel_set gen g ~k)
     ~propose g oracle ~true_class
 
-let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) ~h ~w g oracle ~image ~true_class =
+let attack_patch ?config ?(goal = Oppsla.Sketch.Untargeted) ~h ~w g oracle
+    ~image ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
   if h < 1 || w < 1 || h > d1 || w > d2 then
     invalid_arg
@@ -209,7 +173,7 @@ let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
   (* Patch state is (anchor, fill corner).  Exploration re-anchors the
      patch globally; exploitation keeps the anchor and resamples only
      the corner (skipping the current one, as in the pixel kernel). *)
-  let propose ~g ~spent (anchor, corner) =
+  let propose ~spent (anchor, corner) =
     let explore = explore_probability config spent in
     if Prng.uniform g < explore then Oppsla.Gen.random_patch gen g ~h ~w
     else begin
@@ -217,10 +181,10 @@ let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
       (anchor, if c >= corner then c + 1 else c)
     end
   in
-  search ~config ~batch ~goal ~image
+  search ~config ~goal ~image
     ~key:(fun (anchor, corner) -> Oppsla.Space.patch_key ~anchor ~h ~w ~corner)
-    ~write:(fun slots (anchor, corner) ->
-      Oppsla.Arena.patch slots ~anchor ~h ~w ~corner)
+    ~write:(fun slot (anchor, corner) ->
+      Oppsla.Arena.patch slot ~anchor ~h ~w ~corner)
     ~materialize:(fun (anchor, corner) ->
       Oppsla.Space.perturb_patch image ~anchor ~h ~w ~corner)
     ~pairs_of:(fun (anchor, corner) ->
@@ -230,7 +194,7 @@ let attack_patch ?config ?(batch = Oppsla.Sketch.default_batch)
     ~initial:(fun g -> Oppsla.Gen.random_patch gen g ~h ~w)
     ~propose g oracle ~true_class
 
-let attack_space ?config ?batch ?goal ~space g oracle ~image ~true_class =
+let attack_space ?config ?goal ~space g oracle ~image ~true_class =
   (* One dimensional series per search space — cardinality is bounded by
      the space grammar (pixel, kpixel:k, patch:hxw actually used). *)
   Telemetry.Counter.incr
@@ -238,10 +202,10 @@ let attack_space ?config ?batch ?goal ~space g oracle ~image ~true_class =
        ~labels:[ ("space", Oppsla.Space.to_string space) ]
        "baseline.sparse_rs.attacks");
   match (space : Oppsla.Space.t) with
-  | Pixel -> attack_multi ?config ?batch ?goal ~k:1 g oracle ~image ~true_class
-  | Kpixel k -> attack_multi ?config ?batch ?goal ~k g oracle ~image ~true_class
+  | Pixel -> attack_multi ?config ?goal ~k:1 g oracle ~image ~true_class
+  | Kpixel k -> attack_multi ?config ?goal ~k g oracle ~image ~true_class
   | Patch { h; w } ->
-      attack_patch ?config ?batch ?goal ~h ~w g oracle ~image ~true_class
+      attack_patch ?config ?goal ~h ~w g oracle ~image ~true_class
 
 (* The reported pair is the set's first element; the whole set is in
    the adversarial image. *)
@@ -254,6 +218,5 @@ let to_result (r : multi_result) =
     queries = r.queries;
   }
 
-let attack ?config ?batch ?goal g oracle ~image ~true_class =
-  to_result
-    (attack_multi ?config ?batch ?goal ~k:1 g oracle ~image ~true_class)
+let attack ?config ?goal g oracle ~image ~true_class =
+  to_result (attack_multi ?config ?goal ~k:1 g oracle ~image ~true_class)

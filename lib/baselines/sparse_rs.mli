@@ -38,7 +38,6 @@ val default_config : max_queries:int -> config
 
 val attack :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   Prng.t ->
   Oracle.t ->
@@ -58,15 +57,9 @@ val attack :
     list.  Metering stays above the cache — queries and outcomes are
     bit-identical either way.
 
-    [batch] (default {!Oppsla.Sketch.default_batch}) is the speculative
-    chunk width: future proposals are pre-generated from a {!Prng.copy}
-    clone of the PRNG under the assumption that pending proposals are
-    rejected, and evaluated in one batched forward pass ({!Batcher}).
-    The real PRNG stream only advances when a proposal is actually
-    generated, so draws, query counts and outcomes are bit-identical at
-    every width.  Forwarded candidates are built in place in an
-    {!Oppsla.Arena} of [batch] slots, rewound before every query; the
-    adversarial image in the result is a fresh copy. *)
+    Forwarded candidates are built in place in the attack's one
+    {!Oppsla.Arena} slot; the adversarial image in the result is a fresh
+    copy. *)
 
 (** {1 Few-pixel attacks}
 
@@ -85,7 +78,6 @@ type multi_result = {
 
 val attack_multi :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   k:int ->
   Prng.t ->
@@ -104,7 +96,6 @@ val to_result : multi_result -> Oppsla.Sketch.result
 
 val attack_space :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   space:Oppsla.Space.t ->
   Prng.t ->

@@ -44,8 +44,8 @@ let nearest_corner_pair ~row ~col cand =
   let corner = (bit cand.(2) * 4) + (bit cand.(3) * 2) + bit cand.(4) in
   Oppsla.Pair.make ~loc:(Oppsla.Location.make ~row ~col) ~corner
 
-let attack ?config ?(batch = Oppsla.Sketch.default_batch)
-    ?(goal = Oppsla.Sketch.Untargeted) g oracle ~image ~true_class =
+let attack ?config ?(goal = Oppsla.Sketch.Untargeted) g oracle ~image
+    ~true_class =
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
   let config =
     match config with
@@ -55,20 +55,10 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
   if config.population < 4 then
     invalid_arg "Su_opa.attack: population must be at least 4 for DE/rand/1";
   let batcher =
-    Batcher.create ~max_queries:config.max_queries ~watchdog:wd ~width:batch
-      oracle
+    Batcher.create ~max_queries:config.max_queries ~watchdog:wd oracle
   in
-  (* Forwarded candidates are built in place; a query builds at most one
-     chunk, consumed before it returns, so the slots restart at 0 for
-     each. *)
-  let slots = Oppsla.Arena.create ~width:batch image in
-  let candidate_of cand =
-    let row, col = pixel_of image cand in
-    {
-      Batcher.key = cache_key ~row ~col cand;
-      input = (fun () -> Oppsla.Arena.pixel slots ~row ~col (rgb cand));
-    }
-  in
+  (* Forwarded candidates are built in place in the attack's one slot. *)
+  let slot = Oppsla.Arena.create image in
   (* Candidates are evaluated in batches (the whole initial population,
      then one generation at a time), and success is only declared after a
      batch completes — matching the published implementation, whose
@@ -81,18 +71,19 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
      oracle the fitness degenerates to the flip indicator and DE
      selection stops discriminating — the honest decision-based
      degradation (success detection is argmax-based, hence unchanged). *)
-  let fitness ~speculate cand =
-    let { Batcher.key; input } = candidate_of cand in
-    Oppsla.Arena.rewind slots;
-    let scores = Batcher.query batcher ~speculate ~input key in
+  let fitness cand =
+    let row, col = pixel_of image cand in
+    let scores =
+      Batcher.query batcher
+        ~input:(fun () -> Oppsla.Arena.pixel slot ~row ~col (rgb cand))
+        (cache_key ~row ~col cand)
+    in
     if
       !found = None
       && Oppsla.Sketch.goal_reached goal ~true_class (Tensor.argmax scores)
-    then begin
-      let row, col = pixel_of image cand in
+    then
       found :=
-        Some (nearest_corner_pair ~row ~col cand, build image ~row ~col cand)
-    end;
+        Some (nearest_corner_pair ~row ~col cand, build image ~row ~col cand);
     match goal with
     | Oppsla.Sketch.Untargeted -> Tensor.get_flat scores true_class
     | Oppsla.Sketch.Targeted target -> -.Tensor.get_flat scores target
@@ -106,10 +97,9 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
       clamp 0. 1. (Prng.normal g ~mu:0.5 ~sigma:0.3 ());
     |]
   in
-  (* DE/rand/1 mutation for slot [i], drawing from an explicit PRNG so
-     speculation can run it on a {!Prng.copy} clone without advancing the
-     real stream. *)
-  let gen_mutant ~g i =
+  (* DE/rand/1 mutation for slot [i]: three distinct members, none of
+     them [i]. *)
+  let gen_mutant i =
     let pick () =
       let rec draw () =
         let j = Prng.int g config.population in
@@ -137,21 +127,8 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
   Telemetry.Journal.with_default_site "baseline/su_opa" @@ fun () ->
   Telemetry.Watchdog.with_loop wd @@ fun () ->
   (try
-    (* The initial population is drawn before any query, so its fitness
-       sweep is fully speculable: while evaluating member [i] the batcher
-       may prepare members [i+1 ...] directly from the array. *)
     let pop = Array.init config.population (fun _ -> random_candidate ()) in
-    let fit =
-      Array.mapi
-        (fun i cand ->
-          let speculate j =
-            if i + 1 + j < config.population then
-              Some (candidate_of pop.(i + 1 + j))
-            else None
-          in
-          fitness ~speculate cand)
-        pop
-    in
+    let fit = Array.map fitness pop in
     check_batch ();
     let build_mutant (r1, r2, r3) =
       let mutant =
@@ -167,28 +144,8 @@ let attack ?config ?(batch = Oppsla.Sketch.default_batch)
     in
     while true do
       for i = 0 to config.population - 1 do
-        let mutant = build_mutant (gen_mutant ~g i) in
-        (* Speculate the rest of the generation assuming every pending
-           mutant is rejected (population unchanged): draws come from a
-           PRNG clone, so the real stream only advances when the real
-           mutant is generated.  An acceptance diverges the key stream
-           and the batcher rebuilds from true state. *)
-        let spec_g = ref None in
-        let speculate j =
-          if i + 1 + j < config.population then begin
-            let g' =
-              match !spec_g with
-              | Some g' -> g'
-              | None ->
-                  let g' = Prng.copy g in
-                  spec_g := Some g';
-                  g'
-            in
-            Some (candidate_of (build_mutant (gen_mutant ~g:g' (i + 1 + j))))
-          end
-          else None
-        in
-        let mf = fitness ~speculate mutant in
+        let mutant = build_mutant (gen_mutant i) in
+        let mf = fitness mutant in
         if mf <= fit.(i) then begin
           pop.(i) <- mutant;
           fit.(i) <- mf

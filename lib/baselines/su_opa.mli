@@ -27,7 +27,6 @@ val default_config : max_queries:int -> config
 
 val attack :
   ?config:config ->
-  ?batch:int ->
   ?goal:Oppsla.Sketch.goal ->
   Prng.t ->
   Oracle.t ->
@@ -49,11 +48,6 @@ val attack :
     above the cache so queries and the outcome are bit-identical either
     way.
 
-    [batch] (default {!Oppsla.Sketch.default_batch}) is the speculative
-    chunk width ({!Batcher}).  The initial population's fitness sweep is
-    fully batchable (the candidates exist before any query); generation
-    mutants are speculated from a {!Prng.copy} clone assuming rejection,
-    so the real draw stream — and every count and outcome — stays
-    bit-identical at every width.  Forwarded candidates are built in
-    place in an {!Oppsla.Arena} of [batch] slots, rewound before every
-    query; the adversarial image in the result is a fresh copy. *)
+    Forwarded candidates are built in place in the attack's one
+    {!Oppsla.Arena} slot; the adversarial image in the result is a fresh
+    copy. *)

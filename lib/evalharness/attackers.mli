@@ -2,10 +2,11 @@
 
     An attacker takes a fresh per-image RNG and oracle and produces a
     {!Oppsla.Sketch.result}.  Deterministic attacks (the sketch family)
-    ignore the RNG.  [batch] is the speculative candidate chunk width
-    every attack forwards to its {!Batcher}; results are bit-identical at
-    every width (only wall-clock changes), so it is an engine knob, not
-    an experiment parameter.  [goal] is the attack goal every attack
+    ignore the RNG.  [batch] is the candidate width: every attack poses
+    one candidate per query, so [run] accepts only
+    {!Oppsla.Sketch.default_batch} and raises [Invalid_argument]
+    otherwise; the label stays for the repository benchmark, which
+    passes it.  [goal] is the attack goal every attack
     threads through to its success predicate
     ({!Oppsla.Sketch.goal_reached}); untargeted unless the experiment
     says otherwise. *)

@@ -8,7 +8,7 @@
 
     Provenance metadata — [seq], [site], [hit], [chunk], [backend] —
     is deliberately excluded from the identity: those fields
-    legitimately differ across cache/batch/backend configurations and
+    legitimately differ across cache/backend configurations and
     domain interleavings, while the charge sequence itself must not.
     Comparison is grouped per image (sorted by [seq] within a group)
     because each image's queries are issued sequentially by the one

@@ -11,12 +11,6 @@ type scale = {
           auto.  Parallelism never changes results: per-image oracles and
           image-order merging keep query counts bit-identical (see
           {!Oppsla.Score.evaluate}). *)
-  batch : int;
-      (** speculative candidate chunk width for every attack (synthesis
-          and attack phases alike; overrides [synth.batch]).  Like
-          [domains] this never changes results — the
-          {!Batcher} meters at consumption — it only batches forward
-          passes.  Default {!Oppsla.Sketch.default_batch}. *)
   budgets : int list;  (** reporting budgets for Figure 3 *)
   max_queries_cifar : int;  (** attack allowance, CIFAR regime *)
   max_queries_imagenet : int;  (** attack allowance, ImageNet regime *)

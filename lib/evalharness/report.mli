@@ -36,12 +36,11 @@ val render_beta_sweep : Experiments.beta_sweep -> string
 val render_telemetry :
   ?pool:Domain_pool.Pool.stats ->
   ?cache:Score_cache.stats ->
-  ?batch:Batcher.stats ->
   unit ->
   string
 (** One consolidated "Telemetry" section stacking whichever sub-tables
     were passed plus registry-derived summaries, always in pool → cache
-    → batch → backend → attack quantiles → watchdog → sampler order so reports
+    → backend → attack quantiles → watchdog → sampler order so reports
     diff cleanly across runs.  The backend table ("Tensor backends")
     has one row per backend that ran a GEMM this process: nominal GEMM
     MFLOP/s, im2col panel fills, fused conv epilogues executed and

@@ -3,6 +3,7 @@ type record = { true_class : int; success : bool; queries : int }
 let run ?domains ?pool ?caches ?(batch = Oppsla.Sketch.default_batch)
     ?(goal = Oppsla.Sketch.Untargeted) ~seed ~max_queries
     (attacker : Attackers.t) ~oracle_factory samples =
+  Oppsla.Sketch.require_default_batch "Runner.run" batch;
   let attack i ~cache ~image ~true_class =
     let g =
       Prng.named_stream (Prng.of_int seed)

@@ -53,10 +53,10 @@ val run :
     attackers hit scores the earlier ones already computed.  Raises
     [Invalid_argument] on a store/sample size mismatch.
 
-    [batch] (default {!Oppsla.Sketch.default_batch}) is the speculative
-    candidate chunk width handed to every attack; records are
-    bit-identical at every width, so like [caches] and the pool it only
-    moves wall-clock. *)
+    [batch] accepts only {!Oppsla.Sketch.default_batch} (its default)
+    and raises [Invalid_argument] otherwise: every attack poses one
+    candidate per query.  It stays for the repository benchmark, which
+    passes it. *)
 
 val success_rate_at : record array -> int -> float
 (** Fraction of images whose attack succeeded within the given budget. *)

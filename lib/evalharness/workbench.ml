@@ -193,7 +193,6 @@ type synth_params = {
   beta : float;
   synth_max_queries_per_image : int;
   domains : int option;
-  batch : int;
 }
 
 let default_synth_params =
@@ -202,7 +201,6 @@ let default_synth_params =
     beta = 0.02;
     synth_max_queries_per_image = 1024;
     domains = None;
-    batch = Oppsla.Sketch.default_batch;
   }
 
 (* Workbench log lines render floats through [Telemetry.Fmt], the same
@@ -218,24 +216,6 @@ let log_cache_stats config label store =
        (Telemetry.Fmt.percent hit_rate)
        s.Score_cache.entries
        (Telemetry.Fmt.mb s.Score_cache.bytes))
-
-(* The batcher's counters are global, so callers bracket the run:
-   [Batcher.reset_global_stats] before, [log_batch_stats] after. *)
-let log_batch_stats config label (s : Batcher.stats) =
-  if s.Batcher.queries > 0 then begin
-    let specs = s.Batcher.buffer_hits + s.Batcher.discarded in
-    let hit_rate =
-      if specs = 0 then 0.
-      else float_of_int s.Batcher.buffer_hits /. float_of_int specs
-    in
-    config.log
-      (Printf.sprintf
-         "[workbench] %s batch: %d queries in %d chunks (%d prepared, %d \
-          buffer hits, %d discarded, %s speculation accuracy)"
-         label s.Batcher.queries s.Batcher.batches s.Batcher.prepared
-         s.Batcher.buffer_hits s.Batcher.discarded
-         (Telemetry.Fmt.percent hit_rate))
-  end
 
 (* Program caches: one line per class, in the DSL concrete syntax. *)
 
@@ -330,7 +310,6 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
                 rounds = params.iters;
                 max_queries_per_image =
                   Some params.synth_max_queries_per_image;
-                batch = params.batch;
               }
             in
             (* One island is Algorithm 2's single MH chain.  Every
@@ -341,7 +320,6 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
                proposals of this class's run) removes the repeated forward
                passes without touching that accounting. *)
             let caches = Score_cache.store (Array.length training) in
-            Batcher.reset_global_stats ();
             let out =
               Oppsla.Islands.synthesize ~config:synth_config ~pool ~caches g
                 (oracle_factory c ()) ~training
@@ -351,10 +329,6 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
               (Printf.sprintf "synth %s/%s class %d" c.spec.name c.arch
                  class_id)
               caches;
-            log_batch_stats config
-              (Printf.sprintf "synth %s/%s class %d" c.spec.name c.arch
-                 class_id)
-              (Batcher.global_stats ());
             (* No attackable training image within the cap means every
                candidate scored the same penalty and the MH chain is a
                random walk: its final program carries no signal, so fall
@@ -383,7 +357,7 @@ let synthesize_programs ?(params = default_synth_params) ?pool config c =
           end))
 
 let sketch_random_programs ?(samples = 210) ?(max_queries_per_image = 1024)
-    ?batch ?pool config c =
+    ?pool config c =
   let file =
     Printf.sprintf "%s_%s_s%d_random_k%d_q%d_n%d.programs" c.spec.name c.arch
       config.seed samples max_queries_per_image config.synth_per_class
@@ -406,7 +380,7 @@ let sketch_random_programs ?(samples = 210) ?(max_queries_per_image = 1024)
             let caches = Score_cache.store (Array.length training) in
             let out =
               Baselines.Random_search.synthesize ~samples
-                ~max_queries_per_image ~caches ?batch ~pool g
+                ~max_queries_per_image ~caches ~pool g
                 (oracle_factory c ()) ~training
             in
             log_cache_stats config

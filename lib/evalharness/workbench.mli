@@ -69,28 +69,16 @@ type synth_params = {
   beta : float;
   synth_max_queries_per_image : int;
   domains : int option;
-  batch : int;
-      (** speculative candidate chunk width of every synthesis attack
-          (default {!Oppsla.Sketch.default_batch}); bit-identical traces
-          at every width *)
 }
 
 val default_synth_params : synth_params
-(** 40 iterations, beta 0.02, 1024-query cap per synthesis attack,
-    batch {!Oppsla.Sketch.default_batch}. *)
+(** 40 iterations, beta 0.02, 1024-query cap per synthesis attack. *)
 
 val log_cache_stats : config -> string -> Score_cache.store -> unit
 (** [log_cache_stats config label store] writes one line of the store's
     aggregated counters to [config.log]: hits, misses, hit rate, resident
     entries and their estimated footprint in MB.  Used after each synthesis
     run and attack sweep. *)
-
-val log_batch_stats : config -> string -> Batcher.stats -> unit
-(** One-line speculative-batching summary (chunks, buffer hits,
-    mis-speculations) to [config.log]; silent when no queries were posed.
-    The batcher's counters are global, so callers bracket the measured
-    region with {!Batcher.reset_global_stats} and
-    {!Batcher.global_stats}. *)
 
 val synthesize_programs :
   ?params:synth_params ->
@@ -110,7 +98,6 @@ val synthesize_programs :
 val sketch_random_programs :
   ?samples:int ->
   ?max_queries_per_image:int ->
-  ?batch:int ->
   ?pool:Domain_pool.Pool.t ->
   config ->
   classifier ->

@@ -1,10 +1,8 @@
-(* In-place candidate slots over one base image.  A slot is a copy of
-   the base, made on its first use; it records the locations it last
+(* The in-place candidate slot over one base image.  The slot is a copy
+   of the base, made on its first use; it records the locations it last
    wrote, and [take] writes the base's pixels back at exactly those
    locations before handing the slot out again, so a slot built from a
-   candidate equals the fresh copy of that candidate.  Slots are taken
-   round-robin; [rewind] restarts the cycle at slot 0, so between
-   rewinds [width] candidates hold distinct slots. *)
+   candidate equals the fresh copy of that candidate. *)
 
 type slot = {
   x : Tensor.t;
@@ -17,30 +15,17 @@ type t = {
   d1 : int;
   d2 : int;
   plane : int;
-  slots : slot option array;
-  mutable next : int;
+  mutable slot : slot option;
 }
 
-let create ~width base =
-  if width < 1 then invalid_arg "Arena.create: width < 1";
+let create base =
   let s = Tensor.shape base in
   if Array.length s <> 3 || s.(0) <> 3 then
     invalid_arg "Arena.create: not a CHW image with 3 channels";
-  {
-    base;
-    d1 = s.(1);
-    d2 = s.(2);
-    plane = s.(1) * s.(2);
-    slots = Array.make width None;
-    next = 0;
-  }
-
-let rewind a = a.next <- 0
+  { base; d1 = s.(1); d2 = s.(2); plane = s.(1) * s.(2); slot = None }
 
 let take a =
-  let i = a.next in
-  a.next <- (if i + 1 = Array.length a.slots then 0 else i + 1);
-  match a.slots.(i) with
+  match a.slot with
   | Some s ->
       let src = a.base.Tensor.data and dst = s.x.Tensor.data in
       let p = a.plane in
@@ -54,7 +39,7 @@ let take a =
       s
   | None ->
       let s = { x = Tensor.copy a.base; written = Array.make 1 0; n = 0 } in
-      a.slots.(i) <- Some s;
+      a.slot <- Some s;
       s
 
 (* Write pixel [c] of [s] at location index [li] and record it.  The

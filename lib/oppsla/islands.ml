@@ -523,6 +523,7 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
     invalid_arg "Islands.synthesize: islands must be positive";
   if config.checkpoint_every <= 0 then
     invalid_arg "Islands.synthesize: checkpoint_every must be positive";
+  Sketch.require_default_batch "Islands.synthesize" config.batch;
   let n = Array.length training in
   let gen_config = Gen.config_for_image (fst training.(0)) in
   let root_id = Prng.save (Prng.named_stream g "islands/root-id") in
@@ -562,7 +563,7 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
   in
   let evaluate_full program =
     Score.evaluate ?max_queries:config.max_queries_per_image ~goal:config.goal
-      ?caches ~batch:config.batch ?pool oracle program training
+      ?caches ?pool oracle program training
   in
   let fresh_island k =
     {
@@ -638,7 +639,7 @@ let synthesize ?(config = default_config) ?pool ?caches ?(resume = false) g
           let order = Prng.permutation st.es n in
           match
             Score.evaluate_pac ?max_queries:config.max_queries_per_image
-              ~goal:config.goal ?caches ~batch:config.batch ?pool ~pac
+              ~goal:config.goal ?caches ?pool ~pac
               ~threshold:st.current_avg ~order oracle proposal training
           with
           | Score.Complete e ->

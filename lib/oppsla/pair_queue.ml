@@ -173,8 +173,6 @@ let iter_neighbors q id f =
       done
   done
 
-let front q = q.head
-let next q id = q.next.(id)
 let length q = q.size
 let is_empty q = q.size = 0
 

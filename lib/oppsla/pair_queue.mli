@@ -65,14 +65,6 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
     is tested just before each call, so [f] may push back or remove the
     pair it is given. *)
 
-val front : t -> int
-(** The front pair's id without removing it ([-1] when empty). *)
-
-val next : t -> int -> int
-(** [next q id]: the id behind member [id], or [-1] at the back.  With
-    {!front} it walks the queue one link per step, as the sketch's
-    speculation does; [id] must be a member. *)
-
 val length : t -> int
 val is_empty : t -> bool
 

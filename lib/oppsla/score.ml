@@ -117,24 +117,25 @@ let attack_each ?pool ?caches attack samples =
    image's own cache slot is attached to that handle for the one attack
    and detached afterwards, so the caller's oracle leaves as it came
    ([check_oracle] rules out an attached cache on entry). *)
-let sketch_attack ?max_queries ?goal ?batch ?pool oracle program _i ~cache
-    ~image ~true_class =
+let sketch_attack ?max_queries ?goal ?pool oracle program _i ~cache ~image
+    ~true_class =
   let o = match pool with None -> oracle | Some _ -> Oracle.clone oracle in
   Oracle.set_cache o cache;
   Fun.protect
     ~finally:(fun () -> Oracle.set_cache o None)
     (fun () ->
-      Sketch.attack ?max_queries ?goal ?batch o program ~image ~true_class)
+      Sketch.attack ?max_queries ?goal o program ~image ~true_class)
 
-let evaluate ?max_queries ?goal ?caches ?batch ?pool oracle program samples =
+let evaluate ?max_queries ?goal ?caches ?pool oracle program samples =
   check_oracle "Score.evaluate" oracle;
   of_results
     (attack_each ?pool ?caches
-       (sketch_attack ?max_queries ?goal ?batch ?pool oracle program)
+       (sketch_attack ?max_queries ?goal ?pool oracle program)
        samples)
 
 let evaluate_parallel ?max_queries ?goal ?caches ?batch ~pool =
-  evaluate ?max_queries ?goal ?caches ?batch ~pool
+  Option.iter (Sketch.require_default_batch "Score.evaluate_parallel") batch;
+  evaluate ?max_queries ?goal ?caches ~pool
 
 (* PAC early stopping: evaluate a candidate on a
    permuted prefix of the training set and abandon it as soon as a lower
@@ -167,8 +168,8 @@ type pruned_stats = {
 
 type staged = Complete of evaluation | Pruned of pruned_stats
 
-let evaluate_pac ?max_queries ?goal ?caches ?batch ?pool ~pac ~threshold ~order
-    oracle program samples =
+let evaluate_pac ?max_queries ?goal ?caches ?pool ~pac ~threshold ~order oracle
+    program samples =
   check_oracle "Score.evaluate_pac" oracle;
   let n = Array.length samples in
   if Array.length order <> n then
@@ -226,7 +227,7 @@ let evaluate_pac ?max_queries ?goal ?caches ?batch ?pool ~pac ~threshold ~order
   in
   match
     staged ?pool ?caches ~order ~stage:pac.stage ~check
-      (sketch_attack ?max_queries ?goal ?batch ?pool oracle program)
+      (sketch_attack ?max_queries ?goal ?pool oracle program)
       samples
   with
   | Ok results -> Complete (of_results results)

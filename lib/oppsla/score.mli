@@ -60,7 +60,6 @@ val evaluate :
   ?max_queries:int ->
   ?goal:Sketch.goal ->
   ?caches:Score_cache.store ->
-  ?batch:int ->
   ?pool:Domain_pool.Pool.t ->
   Oracle.t ->
   Condition.program ->
@@ -94,11 +93,7 @@ val evaluate :
     barrier orders hand-offs between evaluations.  Raises
     [Invalid_argument] if the store size differs from the sample count,
     or if [oracle] carries an {e attached} per-image cache (which cannot
-    be correct for a multi-image batch).
-
-    [batch] (default {!Sketch.default_batch}) is the speculative chunk
-    width forwarded to every per-image {!Sketch.attack}; the evaluation
-    is bit-identical at every width (see {!Batcher}). *)
+    be correct for a multi-image batch). *)
 
 val evaluate_parallel :
   ?max_queries:int ->
@@ -112,7 +107,9 @@ val evaluate_parallel :
   evaluation
 (** [evaluate ~pool], under its old name.  Deprecated: kept only for the
     repository benchmark, which still calls it; the next change to that
-    benchmark moves it to [evaluate ~pool] and deletes this alias. *)
+    benchmark moves it to [evaluate ~pool] and deletes this alias.
+    [batch] is accepted only at {!Sketch.default_batch}
+    ({!Sketch.require_default_batch}). *)
 
 (** {2 PAC early stopping}
 
@@ -156,7 +153,6 @@ val evaluate_pac :
   ?max_queries:int ->
   ?goal:Sketch.goal ->
   ?caches:Score_cache.store ->
-  ?batch:int ->
   ?pool:Domain_pool.Pool.t ->
   pac:pac ->
   threshold:float ->

@@ -35,6 +35,14 @@ let corner_keys =
 
 let default_batch = 1
 
+let require_default_batch fn b =
+  if b <> default_batch then
+    invalid_arg
+      (Printf.sprintf
+         "%s: batch width %d; every attack poses one candidate per query \
+          (width %d)"
+         fn b default_batch)
+
 (* Attack-level telemetry: outcome counters plus the
    queries-to-success/-failure distributions — the histogram form of the
    paper's objective (average queries per successful attack).  All
@@ -53,8 +61,8 @@ let h_queries_to_failure =
    the oracle has). *)
 let wd_attack = Telemetry.Watchdog.loop "sketch.attack"
 
-let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
-    ?on_query oracle program ~image ~true_class =
+let attack ?max_queries ?(goal = Untargeted) ?on_query oracle program ~image
+    ~true_class =
   let run () =
   let cache = Oracle.cache oracle in
   let d1 = Tensor.dim image 1 and d2 = Tensor.dim image 2 in
@@ -75,29 +83,24 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
           Score_cache.find_or_add c Score_cache.Clean ~compute:(fun () ->
               Oracle.unmetered_scores oracle image))
   in
-  let batcher =
-    Batcher.create ~max_queries:limit ~watchdog:wd_attack ~width:batch oracle
-  in
-  let slots = Arena.create ~width:batch image in
+  let batcher = Batcher.create ~max_queries:limit ~watchdog:wd_attack oracle in
+  let slot = Arena.create image in
   let keys = corner_keys ~d1 ~d2 in
   (* The pair id [check] is posing: the one [input] closure of this
      attack materializes it (on a miss only). *)
   let pending = ref (-1) in
-  let input () = Arena.corner slots !pending in
-  (* Query pair [id], possibly served from the batcher's speculative
-     buffer.  Raises [Found] on success; the batcher raises
+  let input () = Arena.corner slot !pending in
+  (* Query pair [id].  Raises [Found] on success; the batcher raises
      [Out_of_queries] at the [max_queries] cap.  The perturbed tensor is
-     only materialized on a cache/buffer miss (or on success, for the
-     result); a query answered from the buffer or the cache allocates
-     nothing here.  The scores are what the oracle's mode reveals: the
-     argmax of a one-hot is the argmax of the raw vector, so success
-     detection is mode-independent, and [Score_diff] on one-hot
-     contexts becomes the label-flip indicator. *)
-  let check ~speculate id =
-    (* A query builds at most one chunk, consumed before it returns. *)
-    Arena.rewind slots;
+     only materialized on a cache miss (or on success, for the result);
+     a query answered from the cache allocates nothing here.  The scores
+     are what the oracle's mode reveals: the argmax of a one-hot is the
+     argmax of the raw vector, so success detection is mode-independent,
+     and [Score_diff] on one-hot contexts becomes the label-flip
+     indicator. *)
+  let check id =
     pending := id;
-    let scores = Batcher.query batcher ~speculate ~input keys.(id) in
+    let scores = Batcher.query batcher ~input keys.(id) in
     (match on_query with
     | None -> ()
     | Some f -> f (Batcher.spent batcher) (Pair.of_id ~d2 id) scores);
@@ -113,25 +116,6 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
   let b1, b2, b3, b4 =
     let b1, b2, b3, b4 = Condition.conditions program in
     (compile b1, compile b2, compile b3, compile b4)
-  in
-  (* Speculation for the main loop: if no condition fires on this pair
-     (the common case — and the only case for the Sketch+False baseline),
-     the next candidates are exactly the queue's front entries.  Any
-     condition that does fire mutates the queue or detours through the
-     eager phase, which changes the next key and makes the batcher
-     discard its buffer — accounting stays exact either way.  The
-     batcher asks for slots 0, 1, 2, ... in order (never past the
-     attack's cap), so a cursor walks the queue one link per slot. *)
-  let cursor = ref (-1) in
-  let speculate i =
-    let id =
-      if i = 0 then Pair_queue.front queue else Pair_queue.next queue !cursor
-    in
-    cursor := id;
-    if id < 0 then None
-    else
-      let input () = Arena.corner slots id in
-      Some { Batcher.key = keys.(id); input }
   in
   (* Eager checking (lines 7-24): pairs pulled out of the queue and
      queried immediately, breadth-first through both closeness
@@ -156,7 +140,7 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
   in
   let eager_check id =
     Pair_queue.remove queue id;
-    eager_push id (check ~speculate:Batcher.no_speculation id)
+    eager_push id (check id)
   in
   let eager_phase seed seed_scores =
     eager_len := 0;
@@ -187,7 +171,7 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
       let id = Pair_queue.pop queue in
       if id < 0 then { adversarial = None; queries = Batcher.spent batcher }
       else begin
-        let scores = check ~speculate id in
+        let scores = check id in
         if Condition.holds b1 ~id ~scores then
           Pair_queue.iter_neighbors queue id push_back;
         if Condition.holds b2 ~id ~scores then begin
@@ -224,7 +208,6 @@ let attack ?max_queries ?(goal = Untargeted) ?(batch = default_batch)
             ("queries", Telemetry.Trace.Int r.queries);
             ("success", Telemetry.Trace.Bool (r.adversarial <> None));
             ("true_class", Telemetry.Trace.Int true_class);
-            ("batch", Telemetry.Trace.Int batch);
           ])
     (fun () ->
       (* Journal charge site: "sketch" unless an outer tag (synth, an
@@ -249,7 +232,7 @@ let success_exists ?(goal = Untargeted) oracle ~image ~true_class =
   (* One slot, perturbed in place; each pair restores the pixel the
      previous one wrote.  Ids ascend row-major by location, corners 0..7
      within one. *)
-  let scratch = Arena.create ~width:1 image in
+  let scratch = Arena.create image in
   let rec any id =
     id < Pair.count ~d1 ~d2
     && (goal_reached goal ~true_class

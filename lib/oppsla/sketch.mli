@@ -61,14 +61,19 @@ val corner_keys : d1:int -> d2:int -> Score_cache.key array
     query's key by an array read.  Do not mutate it. *)
 
 val default_batch : int
-(** Default candidate batch width: 1, one candidate per forward pass.
-    A forward pass costs about the same per image at any width, and a
-    wider chunk prepares candidates the attack may never pose. *)
+(** The candidate width: 1.  Every attack poses one candidate per query
+    and forwards it alone on a cache miss.  The width-typed names that
+    still carry it ([Evalharness.Runner.run ?batch], [Score.evaluate_parallel
+    ?batch], [Evalharness.Attackers.t]'s [~batch], [Islands.config.batch])
+    accept only this value, through {!require_default_batch}. *)
+
+val require_default_batch : string -> int -> unit
+(** [require_default_batch fn b] returns when [b] is {!default_batch}
+    and otherwise raises [Invalid_argument] naming [fn]. *)
 
 val attack :
   ?max_queries:int ->
   ?goal:goal ->
-  ?batch:int ->
   ?on_query:(int -> Pair.t -> Tensor.t -> unit) ->
   Oracle.t ->
   Condition.program ->
@@ -87,18 +92,9 @@ val attack :
     (see {!Score_cache}).  Every query is posed through the {!Batcher},
     so metering — the query counter and [queries] in the result — is
     bit-identical with and without it, and so are the score vectors
-    every condition sees.
-
-    [batch] (default {!default_batch}) is the speculative chunk width:
-    candidates are posed to the oracle in chunks via {!Batcher}, the
-    main loop speculating that the queue's front entries come next.
-    Results — success, query counts, condition decisions, [on_query]
-    order — are bit-identical at every width (see {!Batcher}); only
-    wall-clock changes.  [batch:1] is the sequential path.  Forwarded
-    candidates are built in place in an {!Arena} of [batch] slots, each
-    restored one pixel at a time before reuse and rewound before every
-    query; the adversarial image in the result is a fresh {!perturb}
-    copy.
+    every condition sees.  A forwarded candidate is built in place in
+    the attack's one {!Arena} slot; the adversarial image in the result
+    is a fresh {!perturb} copy.
 
     [on_query] is an instrumentation hook called after every metered
     query with the 1-based query index, the candidate pair, and the
@@ -108,11 +104,10 @@ val attack :
 
     The interpreter runs on pair ids ({!Pair_queue}'s id operations,
     {!Condition.compile}d holes, {!corner_keys}), so a query answered
-    from the batcher's buffer or the cache allocates nothing in the
-    sketch itself. *)
+    from the cache allocates nothing in the sketch itself. *)
 
 val success_exists :
   ?goal:goal -> Oracle.t -> image:Tensor.t -> true_class:int -> bool
 (** Ground truth via exhaustive unmetered scan: does any corner one-pixel
     perturbation flip the classification?  Every candidate is built in
-    one {!Arena} slot.  For tests and dataset diagnostics only. *)
+    the one {!Arena} slot.  For tests and dataset diagnostics only. *)

@@ -6,9 +6,9 @@
     literature: {!Kpixel} perturbs [k] distinct pixels (each with its
     own corner color) and {!Patch} fills an anchored [h x w] rectangle
     with one corner color.  A space only widens {e what} a candidate
-    perturbation is — metering, caching and batching are space-blind, so
-    query accounting stays bit-identical across domain widths, cache
-    on/off and batch widths for every space.
+    perturbation is — metering and caching are space-blind, so query
+    accounting stays bit-identical across domain widths and cache on/off
+    for every space.
 
     {b Cache-key discipline.}  Every space keys perturbations in a
     namespace that cannot collide with the others: singleton pixel sets

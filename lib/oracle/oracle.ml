@@ -2,7 +2,9 @@ type mode = Score | Decision
 
 type t = {
   fn : Tensor.t -> Tensor.t;
-  fn_batch : (Tensor.t array -> Tensor.t array) option;
+  (* The batcher's forward pass of one candidate: [fn], or a one-input
+     call of [of_fn]'s [batch_fn]. *)
+  forward_fn : Tensor.t -> Tensor.t;
   oracle_name : string;
   classes : int;
   backend_kind : string;  (* "boxed" / "f32" / "fn" — journal provenance *)
@@ -28,7 +30,6 @@ let m_q_clean = Telemetry.Metrics.counter "oracle.queries.clean"
 let m_q_corner = Telemetry.Metrics.counter "oracle.queries.corner"
 let m_q_custom = Telemetry.Metrics.counter "oracle.queries.custom"
 let m_q_decision = Telemetry.Metrics.counter "oracle.queries.decision"
-let m_batch_forwards = Telemetry.Metrics.counter "oracle.batch_forwards"
 
 let kind_counter : Score_cache.key -> _ = function
   | Clean -> m_q_clean
@@ -42,11 +43,22 @@ let by_counter ~backend qmode =
     ~labels:[ ("backend", backend); ("mode", mode_label qmode) ]
     "oracle.queries.by"
 
+(* [batch_fn] is only ever given one input, so it must answer one
+   vector. *)
+let one_of_batch batch_fn x =
+  match batch_fn [| x |] with
+  | [| s |] -> s
+  | r ->
+      invalid_arg
+        (Printf.sprintf
+           "Oracle.of_fn: batch_fn answered %d vectors for one input"
+           (Array.length r))
+
 let of_fn ?batch_fn ?(name = "fn") ~num_classes fn =
   if num_classes <= 0 then invalid_arg "Oracle.of_fn: num_classes <= 0";
   {
     fn;
-    fn_batch = batch_fn;
+    forward_fn = Option.fold ~none:fn ~some:one_of_batch batch_fn;
     oracle_name = name;
     classes = num_classes;
     backend_kind = "fn";
@@ -71,42 +83,19 @@ let of_network ?(backend = Nn.Backend.Boxed) net =
         let plan = Nn.Backend.F32_engine.compile net in
         fun batch -> Nn.Backend.F32_engine.scores_batch plan batch
   in
-  (* One image runs as a one-image view of itself and its score row
-     comes back as a view of the output ([Tensor.reshape] shares the
-     data), so a single query copies no image; only a wider batch is
-     packed into one NCHW tensor and split into rows. *)
-  let fn_batch xs =
-    let n = Array.length xs in
-    if n = 0 then [||]
-    else begin
-      let s = Tensor.shape xs.(0) in
-      if Array.length s <> 3 then
-        invalid_arg "Oracle.of_network: batch entries must be CHW images";
-      let nchw = [| n; s.(0); s.(1); s.(2) |] in
-      if n = 1 then begin
-        let out = scores_nchw (Tensor.reshape xs.(0) nchw) in
-        [| Tensor.reshape out [| Tensor.dim out 1 |] |]
-      end
-      else begin
-        let image = s.(0) * s.(1) * s.(2) in
-        let batch = Tensor.zeros nchw in
-        Array.iteri
-          (fun i x ->
-            if Tensor.shape x <> s then
-              invalid_arg "Oracle.of_network: mixed shapes in one batch";
-            Array.blit x.Tensor.data 0 batch.Tensor.data (i * image) image)
-          xs;
-        let out = scores_nchw batch in
-        let classes = Tensor.dim out 1 in
-        Array.init n (fun i ->
-            Tensor.init [| classes |] (fun j ->
-                Tensor.get_flat out ((i * classes) + j)))
-      end
-    end
+  (* An image runs as a one-image view of itself and its score row comes
+     back as a view of the output ([Tensor.reshape] shares the data), so
+     a query copies no image. *)
+  let fn x =
+    let s = Tensor.shape x in
+    if Array.length s <> 3 then
+      invalid_arg "Oracle.of_network: inputs must be CHW images";
+    let out = scores_nchw (Tensor.reshape x [| 1; s.(0); s.(1); s.(2) |]) in
+    Tensor.reshape out [| Tensor.dim out 1 |]
   in
   {
-    fn = (fun x -> (fn_batch [| x |]).(0));
-    fn_batch = Some fn_batch;
+    fn;
+    forward_fn = fn;
     oracle_name = net.Nn.Network.name;
     classes = net.Nn.Network.num_classes;
     backend_kind = Nn.Backend.kind_name backend;
@@ -122,7 +111,7 @@ let of_network ?(backend = Nn.Backend.Boxed) net =
    open, so the disabled path costs one atomic load).  [key]'s kind
    picks the per-kind counter; with [hit] and [chunk] it is journal
    provenance (the cache key, whether the score came from the cache,
-   the batcher slot position). *)
+   and the batcher's [chunk]: 0 when forwarded, -1 when cached). *)
 let charge t key ~hit ~chunk =
   t.count <- t.count + 1;
   Telemetry.Counter.incr m_q_total;
@@ -143,18 +132,8 @@ let validated t s =
          t.oracle_name (Tensor.numel s) t.classes);
   s
 
-(* Unmetered batched forward pass: the speculative half of the batched
-   query path.  Falls back to mapping [fn] when the scoring function has
-   no batched form (toy oracles), which keeps the accounting semantics
-   testable independently of the GEMM engine. *)
-let eval_batch t xs =
-  Telemetry.Counter.incr m_batch_forwards;
-  Telemetry.Trace.span "oracle.eval_batch" ~cat:"oracle"
-    ~args:(fun () -> [ ("n", Telemetry.Trace.Int (Array.length xs)) ])
-    (fun () ->
-      match t.fn_batch with
-      | Some fb -> Array.map (validated t) (fb xs)
-      | None -> Array.map (fun x -> validated t (t.fn x)) xs)
+(* Unmetered forward pass of one candidate: the batcher's miss path. *)
+let forward t x = validated t (t.forward_fn x)
 
 let mode t = t.qmode
 

@@ -32,37 +32,38 @@ type mode = Score | Decision
 
 val of_network : ?backend:Nn.Backend.kind -> Nn.Network.t -> t
 (** Network-backed oracle.  The network is compiled once into a
-    {!Nn.Backend} plan and every forward pass runs it: batched queries
-    ({!eval_batch}, {!Batcher}) as one forward over
-    the whole chunk, single queries as a batch of one.  [?backend]
-    (default [Boxed]) selects the tensor engine: [Boxed] is
-    {!Nn.Backend.Boxed_engine}, bit-identical to the single-image
-    {!Nn.Network.scores} (the same float64 kernels); [F32] is the
-    float32 Bigarray plan ({!Nn.Backend.F32_engine}) — identical
-    argmax/success/query behaviour within {!Nn.Backend.score_tol} per
-    score.  Query accounting is independent of the backend. *)
+    {!Nn.Backend} plan and every forward pass runs it on a one-image
+    view of the candidate.  [?backend] (default [Boxed]) selects the
+    tensor engine: [Boxed] is {!Nn.Backend.Boxed_engine}, bit-identical
+    to the single-image {!Nn.Network.scores} (the same float64 kernels);
+    [F32] is the float32 Bigarray plan ({!Nn.Backend.F32_engine}) —
+    identical argmax/success/query behaviour within
+    {!Nn.Backend.score_tol} per score.  Query accounting is independent
+    of the backend. *)
 
 val of_fn :
   ?batch_fn:(Tensor.t array -> Tensor.t array) ->
   ?name:string -> num_classes:int ->
   (Tensor.t -> Tensor.t) -> t
 (** Wrap an arbitrary scoring function (tests, toy classifiers).  The
-    function must return a score vector of length [num_classes].
-    Without [batch_fn], batched queries fall back to mapping the
-    single-image function — accounting semantics are identical either
-    way, only wall-clock differs.
+    function must return a score vector of length [num_classes].  With
+    [batch_fn], the batcher's forward passes ({!forward}) call it on a
+    one-element array instead of calling the single-image function; it
+    must answer one vector ([Invalid_argument] otherwise).  Unmetered
+    calls always use the single-image function.  Accounting is
+    identical either way.
 
     The tensors passed to [fn] and [batch_fn] are borrowed: the caller
     may reuse their storage for the next candidate as soon as the call
-    returns (the sketch perturbs a few image slots in place), so the
-    functions must neither keep nor mutate them.  Copy an input to
-    retain it. *)
+    returns (the attackers perturb a few pixels of one slot in place),
+    so the functions must neither keep nor mutate them.  Copy an input
+    to retain it. *)
 
 val mode : t -> mode
 
 val set_mode : t -> mode -> unit
 (** Switch the query threat model.  Affects only {!observe}; metering,
-    caching and batching are mode-blind, so query accounting is
+    caching and forwarding are mode-blind, so query accounting is
     bit-identical across modes by construction. *)
 
 val observe : t -> Tensor.t -> Tensor.t
@@ -74,8 +75,8 @@ val observe : t -> Tensor.t -> Tensor.t
     one-hot vectors the sketch DSL's [Score_diff] condition evaluates to
     exactly the label-flip indicator (1.0 when the prediction moved off
     the clean argmax, 0.0 otherwise), which is how score-based
-    conditions degrade gracefully to label-flip predicates.  Caches and
-    the batcher store raw score tensors internally in both modes — keys
+    conditions degrade gracefully to label-flip predicates.  Caches
+    store raw score tensors internally in both modes — keys
     and accounting never depend on the mode.
 
     A [Decision]-mode answer is one of [num_classes] one-hot vectors the
@@ -94,18 +95,17 @@ val charge : t -> Score_cache.key -> hit:bool -> chunk:int -> unit
 
     The key, [hit] and [chunk] are also query-journal provenance — the
     cache key behind the charge, whether the cache already held the
-    answer, and the batcher slot position ([-1] outside any chunk).
+    answer, and [0] for a forwarded answer or [-1] for a cached one.
     They are only consulted when the journal sink is open and never
     affect accounting: a journaled run charges the same queries at the
     same indices as a bare one (the [journal] bench asserts this). *)
 
-val eval_batch : t -> Tensor.t array -> Tensor.t array
-(** Unmetered batched forward pass — the {e speculative} half of the
-    batched query path.  Deliberately not a query: its caller
-    ({!Batcher}) must meter each slot at consumption time, in submission
-    order, so speculation can never perturb query accounting.  Never
-    call it from attack code directly.  The inputs are borrowed for the
-    duration of the call (see {!of_fn}). *)
+val forward : t -> Tensor.t -> Tensor.t
+(** Unmetered forward pass of one candidate: the miss path of
+    {!Batcher.query}, its one caller, which charges the query once the
+    answer is in hand.  Never call it from attack code directly.  The
+    input is borrowed for the duration of the call (see {!of_fn});
+    raises [Invalid_argument] if the answer has the wrong length. *)
 
 val queries : t -> int
 (** Queries posed since creation.  A fresh count is a fresh oracle or a

@@ -53,7 +53,7 @@ type key =
 
 val equal_key : key -> key -> bool
 (** Structural key equality, without polymorphic compare: the cache's
-    table and the {!Batcher}'s buffer both match keys with it. *)
+    table matches keys with it. *)
 
 val key_kind : key -> string
 (** ["clean"], ["corner"] or ["custom"] — the label the telemetry layer
@@ -86,8 +86,9 @@ val find_or_add : t -> key -> compute:(unit -> Tensor.t) -> Tensor.t
 val find : t -> key -> Tensor.t
 (** Silent probe: no statistics are touched.  Raises [Not_found] when
     [key] is not resident, so a hit allocates nothing.  The batcher
-    pairs it with {!count_hit} and {!add} because its lookups and fills
-    are separated by one batched forward pass over all missing slots. *)
+    pairs it with {!count_hit} and {!add} because it meters a query
+    between the lookup and the count, and forwards a miss between the
+    lookup and the fill. *)
 
 val count_hit : t -> unit
 (** Count one hit without a lookup: the batcher probes with {!find} and

@@ -416,6 +416,7 @@ module Trace = struct
   let sink_path : string option ref = ref None
   let sink_mutex = Mutex.create ()
   let pid = Unix.getpid ()
+  let pid_field = Printf.sprintf ", \"pid\": %d, \"tid\": " pid
 
   let enabled () = Atomic.get active
 
@@ -454,23 +455,47 @@ module Trace = struct
             output_string oc "{}]\n";
             close_out oc)
 
-  let render_arg = function
-    | Int i -> string_of_int i
-    | Float f -> Metrics.json_float f
-    | Bool b -> if b then "true" else "false"
-    | Str s -> Printf.sprintf "\"%s\"" (Metrics.json_escape s)
+  (* [%.3f] of a microsecond timestamp or duration, rounded to the
+     nanosecond, without [Printf]: its float conversion cost most of an
+     event's rendering, and a traced forward pass renders one event per
+     layer. *)
+  let rec add_digits b n =
+    if n >= 10 then add_digits b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
 
-  let render_args = function
-    | [] -> ""
-    | args ->
-        let fields =
-          List.map
-            (fun (k, v) ->
-              Printf.sprintf "\"%s\": %s" (Metrics.json_escape k)
-                (render_arg v))
-            args
-        in
-        Printf.sprintf ", \"args\": {%s}" (String.concat ", " fields)
+  (* [string_of_int] without its C format call. *)
+  let add_int b n =
+    if n >= 0 then add_digits b n
+    else if n > min_int then begin
+      Buffer.add_char b '-';
+      add_digits b (-n)
+    end
+    else Buffer.add_string b (string_of_int n)
+
+  let add_fixed3 b x =
+    if Float.is_finite x && Float.abs x < 1e12 then begin
+      let m = Float.to_int (Float.round (x *. 1000.)) in
+      if m < 0 then Buffer.add_char b '-';
+      let m = abs m in
+      add_digits b (m / 1000);
+      Buffer.add_char b '.';
+      let frac = m mod 1000 in
+      if frac < 100 then Buffer.add_char b '0';
+      if frac < 10 then Buffer.add_char b '0';
+      add_digits b frac
+    end
+    else Buffer.add_string b (Printf.sprintf "%.3f" x)
+
+  let add_quoted b s =
+    Buffer.add_char b '"';
+    Buffer.add_string b (Metrics.json_escape s);
+    Buffer.add_char b '"'
+
+  let add_arg b = function
+    | Int i -> add_int b i
+    | Float f -> Buffer.add_string b (Metrics.json_float f)
+    | Bool v -> Buffer.add_string b (if v then "true" else "false")
+    | Str s -> add_quoted b s
 
   (* One event rendered as a complete JSON object (no trailing comma):
      the sink appends [",\n"], the flight-recorder ring stores the line
@@ -479,24 +504,45 @@ module Trace = struct
      pauses from its observer systhread but must land them on the track
      of the domain that actually paused. *)
   let render_event ~name ~cat ~ph ~ts ?dur ?scope ?tid args =
-    let dur =
-      match dur with
-      | None -> ""
-      | Some d -> Printf.sprintf ", \"dur\": %.3f" d
-    in
-    let scope =
-      match scope with
-      | None -> ""
-      | Some s -> Printf.sprintf ", \"s\": \"%s\"" s
-    in
     let tid =
       match tid with Some t -> t | None -> (Domain.self () :> int)
     in
-    Printf.sprintf
-      "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": \
-       %.3f%s, \"pid\": %d, \"tid\": %d%s%s}"
-      (Metrics.json_escape name) (Metrics.json_escape cat) ph ts dur pid
-      tid scope (render_args args)
+    let b = Buffer.create 160 in
+    Buffer.add_string b "{\"name\": ";
+    add_quoted b name;
+    Buffer.add_string b ", \"cat\": ";
+    add_quoted b cat;
+    Buffer.add_string b ", \"ph\": \"";
+    Buffer.add_string b ph;
+    Buffer.add_string b "\", \"ts\": ";
+    add_fixed3 b ts;
+    Option.iter
+      (fun d ->
+        Buffer.add_string b ", \"dur\": ";
+        add_fixed3 b d)
+      dur;
+    Buffer.add_string b pid_field;
+    add_int b tid;
+    Option.iter
+      (fun s ->
+        Buffer.add_string b ", \"s\": \"";
+        Buffer.add_string b s;
+        Buffer.add_char b '"')
+      scope;
+    (match args with
+    | [] -> ()
+    | _ ->
+        Buffer.add_string b ", \"args\": {";
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_string b ", ";
+            add_quoted b k;
+            Buffer.add_string b ": ";
+            add_arg b v)
+          args;
+        Buffer.add_char b '}');
+    Buffer.add_char b '}';
+    Buffer.contents b
 
   let emit ~name ~cat ~ph ~ts ?dur ?scope ?tid args =
     let line = render_event ~name ~cat ~ph ~ts ?dur ?scope ?tid args in

@@ -10,7 +10,7 @@
                "run_id": "..."}
      record   {"seq": 17, "site": "sketch", "image": 3,
                "key": "corner:1,2,0", "kind": "corner", "mode": "score",
-               "hit": false, "chunk": 2, "backend": "boxed",
+               "hit": false, "chunk": 0, "backend": "boxed",
                "fnv": "<16 hex digits>"}
      footer   {"journal_end": true, "records": 123}
 
@@ -23,7 +23,7 @@
 
    Charge identity vs provenance: [seq], [site], [hit], [chunk] and
    [backend] are provenance metadata — they legitimately differ across
-   cache/batch/backend configurations and across domain interleavings.
+   cache/backend configurations and across domain interleavings.
    The comparable identity of a charge is (image, in-image order, key,
    kind, mode); the offline auditor (Evalharness.Audit) compares exactly
    that, per image, because each image's queries are issued sequentially

@@ -438,9 +438,10 @@ module Journal : sig
     backend:string -> unit -> unit
   (** Emit one charge record (no-op when disabled).  Called at the
       oracle's one metering point ([Oracle.charge], called by
-      [Batcher.query]), which every charged query passes through.  [chunk] is the batcher slot position (-1 when the
-      charge was not batched); site and image come from the
-      domain-local context below. *)
+      [Batcher.query]), which every charged query passes through.
+      [chunk] is 0 when the batcher forwarded the candidate and -1 when
+      the cache answered it (the default); site and image come from
+      the domain-local context below. *)
 
   val with_site : string -> (unit -> 'a) -> 'a
   (** Tag charges issued by [f] (on this domain) with a charge site. *)

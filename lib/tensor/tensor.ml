@@ -654,8 +654,6 @@ let cross_entropy_with_grad logits label =
   gd.(label) <- gd.(label) -. 1.;
   (-.(ld.(label) -. (!m +. log !z)), grad)
 
-let cross_entropy logits label = fst (cross_entropy_with_grad logits label)
-let cross_entropy_grad logits label = snd (cross_entropy_with_grad logits label)
 
 (* Misc *)
 

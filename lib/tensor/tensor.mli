@@ -203,18 +203,12 @@ val softmax_rows : t -> t
 val softmax : t -> t
 (** {!softmax_rows} over a rank-1 tensor viewed as one row. *)
 
-val cross_entropy : t -> int -> float
-(** [cross_entropy logits label] is the negative log-likelihood of [label]
-    under [softmax logits]. *)
-
-val cross_entropy_grad : t -> int -> t
-(** Gradient of {!cross_entropy} with respect to the logits
-    ([softmax logits - onehot label]). *)
-
 val cross_entropy_with_grad : t -> int -> float * t
-(** [(cross_entropy logits label, cross_entropy_grad logits label)] from
-    one softmax pass over a rank-1 [logits], bit-identical to the two
-    calls. *)
+(** [cross_entropy_with_grad logits label] is [(loss, grad)] from one
+    softmax pass over a rank-1 [logits]: [loss] is the negative
+    log-likelihood of [label] under [softmax logits], and [grad] its
+    gradient with respect to the logits ([softmax logits - onehot
+    label]).  Raises [Invalid_argument] if [label] is out of range. *)
 
 (** {1 Misc} *)
 

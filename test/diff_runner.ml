@@ -1,7 +1,8 @@
 (* Standalone differential checker, wired into the `runtest` alias under
    OCAMLRUNPARAM=b at every combination of --domains 1/4, --cache on/off,
-   --batch 1/16, --trace on/off and --observe on/off, plus an
-   --islands 4 sub-grid (see test/dune).
+   --trace on/off and --observe on/off, plus an --islands 4 sub-grid
+   (see test/dune).  Every attack poses one candidate per query, so
+   there is no candidate-width axis.
 
    --trace on opens a real Chrome-trace sink for the whole run and
    computes every reference under [Telemetry.Trace.without], so each
@@ -13,15 +14,15 @@
    --oracle score|decision and --space pixel|kpixel[:K]|patch[:HxW]
    select a single attack-level scenario cell, differenced through the
    full Runner/cache/batcher stack — the reference is always the
-   1-domain, uncached, batch-1 run of the same attacker on the same
-   corpus, and per-image (queries, success) records must be
-   bit-identical under this invocation's --domains/--cache/--batch
-   settings (with a warm-store rerun when the cache is on).
+   1-domain, uncached run of the same attacker on the same corpus, and
+   per-image (queries, success) records must be bit-identical under
+   this invocation's --domains/--cache settings (with a warm-store
+   rerun when the cache is on).
    --sample-grid N instead samples ~N cells across the full
    {score, decision} x {pixel, kpixel, patch} x {1, 4 domains} x
-   {cache off, on} x {batch 1, 16} cross-product, stratified so every
-   oracle x space combination is hit; the (domains, cache, batch)
-   coordinates are drawn deterministically from the named PRNG stream
+   {cache off, on} cross-product, stratified so every oracle x space
+   combination is hit; the (domains, cache) coordinates are drawn
+   deterministically from the named PRNG stream
    "diff/scenario-grid", so the sampled grid is reproducible yet stays
    inside the wall-clock budget.  Sample-grid runs also difference
    Score.evaluate and the island model under a decision-mode oracle.
@@ -31,8 +32,7 @@
    plan bit-identical to the layer engine; f32 within
    [Nn.Backend.score_tol] per logit with argmax identity) and attack
    records through the full Runner stack against the boxed sequential
-   reference, at this invocation's --domains/--cache/--batch
-   coordinates.
+   reference, at this invocation's --domains/--cache coordinates.
 
    --profile on runs the profiler differential instead: the same
    Sparse-RS corpus bare and then with the Runtime_events profiler
@@ -54,15 +54,12 @@
    over the same pool, return bit-identical query accounting to the
    sequential Score.evaluate, and
    that the synthesis trace (a --islands K run; K = 1 is Algorithm 2's
-   single chain) is independent of pool, cache and batch width.
+   single chain) is independent of pool and cache.
    With --cache on, the uncached sequential evaluation stays the
    reference and the cached sequential (cold and warm store) and cached
    parallel evaluations are checked against it — the memo layer must be
-   invisible to query accounting.  The reference always runs at batch
-   width 1 (the sequential path); --batch sets the speculative chunk
-   width of every checked run, so a width-16 run is differenced against
-   the width-1 ground truth.  Exits non-zero (with a backtrace, courtesy
-   of OCAMLRUNPARAM=b) on the first divergence. *)
+   invisible to query accounting.  Exits non-zero (with a backtrace,
+   courtesy of OCAMLRUNPARAM=b) on the first divergence. *)
 
 module Runner = Evalharness.Runner
 module Attackers = Evalharness.Attackers
@@ -128,12 +125,12 @@ let mode_name = function
   | Oracle.Decision -> "decision"
 
 (* One scenario cell: Sparse-RS over [space], observing through
-   [oracle_mode], with the cell's (domains, cache, batch) coordinates
-   differenced against the 1-domain uncached batch-1 reference.  With
+   [oracle_mode], with the cell's (domains, cache) coordinates
+   differenced against the 1-domain uncached reference.  With
    the cache on, the warm store is rerun and must reproduce the same
    records — the memo layer stays invisible to query accounting in both
    oracle modes. *)
-let scenario_check ~domains ~cache ~batch ~oracle_mode ~space =
+let scenario_check ~domains ~cache ~oracle_mode ~space =
   let samples = scenario_samples () in
   let attacker =
     let base = Attackers.sparse_rs_space space in
@@ -148,12 +145,12 @@ let scenario_check ~domains ~cache ~batch ~oracle_mode ~space =
   in
   let ctx kind =
     Printf.sprintf
-      "scenario %s/%s (domains %d, cache %b, batch %d, %s)"
-      (mode_name oracle_mode) (Space.to_string space) domains cache batch kind
+      "scenario %s/%s (domains %d, cache %b, %s)"
+      (mode_name oracle_mode) (Space.to_string space) domains cache kind
   in
   let reference =
     strip
-      (Runner.run ~domains:1 ~batch:1 ~seed:5 ~max_queries attacker
+      (Runner.run ~domains:1 ~seed:5 ~max_queries attacker
          ~oracle_factory samples)
   in
   let caches =
@@ -161,7 +158,7 @@ let scenario_check ~domains ~cache ~batch ~oracle_mode ~space =
   in
   let checked =
     strip
-      (Runner.run ~domains ?caches ~batch ~seed:5 ~max_queries attacker
+      (Runner.run ~domains ?caches ~seed:5 ~max_queries attacker
          ~oracle_factory samples)
   in
   if reference <> checked then
@@ -170,7 +167,7 @@ let scenario_check ~domains ~cache ~batch ~oracle_mode ~space =
   | Some _ ->
       let warm =
         strip
-          (Runner.run ~domains ?caches ~batch ~seed:5 ~max_queries attacker
+          (Runner.run ~domains ?caches ~seed:5 ~max_queries attacker
              ~oracle_factory samples)
       in
       if reference <> warm then
@@ -184,28 +181,26 @@ let scenario_check ~domains ~cache ~batch ~oracle_mode ~space =
 (* Decision-mode evaluation differential: Score.evaluate with a
    label-only oracle must stay bit-identical across cache and pool, just
    like the score-mode trials in the main grid. *)
-let decision_evaluate_check ~pool ~batch =
+let decision_evaluate_check ~pool =
   let gen_config = { Oppsla.Gen.d1 = size; d2 = size } in
   for trial = 0 to 3 do
     let g = Prng.of_int (8191 + trial) in
     let samples = training_set (Prng.split g) (1 + Prng.int g 8) in
     let program = Oppsla.Gen.random_program gen_config g in
     let ctx kind = Printf.sprintf "decision evaluate trial %d (%s)" trial kind in
-    let reference = Score.evaluate ~batch:1 (decision_oracle ()) program samples in
+    let reference = Score.evaluate (decision_oracle ()) program samples in
     let caches = Some (Score_cache.store (Array.length samples)) in
-    let cold = Score.evaluate ?caches ~batch (decision_oracle ()) program samples in
+    let cold = Score.evaluate ?caches (decision_oracle ()) program samples in
     check_identical (ctx "cached sequential, cold") reference cold;
-    let warm = Score.evaluate ?caches ~batch (decision_oracle ()) program samples in
+    let warm = Score.evaluate ?caches (decision_oracle ()) program samples in
     check_identical (ctx "cached sequential, warm") reference warm;
-    let par =
-      Score.evaluate ~batch ~pool (decision_oracle ()) program samples
-    in
+    let par = Score.evaluate ~pool (decision_oracle ()) program samples in
     check_identical (ctx "parallel") reference par
   done
 
 (* Decision-mode island differential: the archipelago trace must be
-   pool/batch-invariant under a label-only oracle too. *)
-let decision_islands_check ~pool ~batch =
+   pool-invariant under a label-only oracle too. *)
+let decision_islands_check ~pool =
   let training = training_set (Prng.of_int 23) 5 in
   let icfg =
     {
@@ -221,8 +216,8 @@ let decision_islands_check ~pool ~batch =
       ?pool:(if use_pool then Some pool else None)
       (Prng.of_int 23) (decision_oracle ()) ~training
   in
-  let ref_out = run ~use_pool:false { icfg with Oppsla.Islands.batch = 1 } in
-  let par_out = run ~use_pool:true { icfg with Oppsla.Islands.batch } in
+  let ref_out = run ~use_pool:false icfg in
+  let par_out = run ~use_pool:true icfg in
   if ref_out.Oppsla.Islands.synth_queries <> par_out.Oppsla.Islands.synth_queries
   then
     fail "decision islands: query spend diverged (%d <> %d)"
@@ -251,8 +246,8 @@ let decision_islands_check ~pool ~batch =
    layer-walking engine, while the f32 engine must agree on every
    argmax and keep each logit within [Nn.Backend.score_tol].  The
    attack-record arm then runs the same Sparse-RS corpus through a
-   Runner on the checked backend at this cell's (domains, cache, batch)
-   coordinates against the boxed batch-1 sequential reference:
+   Runner on the checked backend at this cell's (domains, cache)
+   coordinates against the boxed sequential reference:
    per-image (queries, success) records must be bit-identical, because
    metering sits above the scoring engine and both backends agree on
    every decision the attack observes. *)
@@ -272,7 +267,7 @@ let backend_net () =
       Nn.Layer.dense g ~in_dim:(width * size * size) ~out_dim:classes ();
     ]
 
-let backend_check ~domains ~cache ~batch ~backend =
+let backend_check ~domains ~cache ~backend =
   let net = backend_net () in
   let samples =
     let g = Prng.of_int 515 in
@@ -341,7 +336,7 @@ let backend_check ~domains ~cache ~batch ~backend =
   in
   let reference =
     strip
-      (Runner.run ~domains:1 ~batch:1 ~seed:9 ~max_queries attacker
+      (Runner.run ~domains:1 ~seed:9 ~max_queries attacker
          ~oracle_factory:(fun () -> Oracle.of_network net)
          samples)
   in
@@ -350,36 +345,35 @@ let backend_check ~domains ~cache ~batch ~backend =
   in
   let checked =
     strip
-      (Runner.run ~domains ?caches ~batch ~seed:9 ~max_queries attacker
+      (Runner.run ~domains ?caches ~seed:9 ~max_queries attacker
          ~oracle_factory:(fun () -> Oracle.of_network ~backend net)
          samples)
   in
   if reference <> checked then
     fail
-      "backend %s (domains %d, cache %b, batch %d): per-image (queries, \
-       success) diverged from the boxed sequential reference"
-      bname domains cache batch;
+      "backend %s (domains %d, cache %b): per-image (queries, success) \
+       diverged from the boxed sequential reference"
+      bname domains cache;
   (match caches with
   | Some _ ->
       let warm =
         strip
-          (Runner.run ~domains ?caches ~batch ~seed:9 ~max_queries attacker
+          (Runner.run ~domains ?caches ~seed:9 ~max_queries attacker
              ~oracle_factory:(fun () -> Oracle.of_network ~backend net)
              samples)
       in
       if reference <> warm then
         fail
-          "backend %s (domains %d, cache %b, batch %d): warm-store records \
-           diverged"
-          bname domains cache batch
+          "backend %s (domains %d, cache %b): warm-store records diverged"
+          bname domains cache
   | None -> ());
   if Array.for_all (fun (q, _) -> q = 0) reference then
     fail "backend %s: no queries were spent" bname
 
 (* Journal differential: the query-provenance journal must prove the
    metering invariant offline.  The cell runs the same Sparse-RS corpus
-   twice — the 1-domain uncached batch-1 boxed reference, then this
-   invocation's (domains, cache, batch, backend) coordinates — each arm
+   twice — the 1-domain uncached boxed reference, then this
+   invocation's (domains, cache, backend) coordinates — each arm
    writing its own journal, and the offline auditor must find the
    per-image charge sequences bit-identical.  This is the same
    invariant the live differentials check, proved from the journal
@@ -387,7 +381,7 @@ let backend_check ~domains ~cache ~batch ~backend =
    processes, run in-process here.  With [keep], the two journals are
    left at PREFIX.ref.jsonl / PREFIX.chk.jsonl so a dune cell can chain
    the real tools/audit.exe binary over them. *)
-let journal_check ~domains ~cache ~batch ~backend ~keep =
+let journal_check ~domains ~cache ~backend ~keep =
   let net = backend_net () in
   let samples =
     let g = Prng.of_int 515 in
@@ -412,7 +406,7 @@ let journal_check ~domains ~cache ~batch ~backend ~keep =
   in
   journaled ref_path ~run_id:"diff-ref" (fun () ->
       ignore
-        (Runner.run ~domains:1 ~batch:1 ~seed:9 ~max_queries attacker
+        (Runner.run ~domains:1 ~seed:9 ~max_queries attacker
            ~oracle_factory:(fun () -> Oracle.of_network net)
            samples));
   let caches =
@@ -420,7 +414,7 @@ let journal_check ~domains ~cache ~batch ~backend ~keep =
   in
   journaled chk_path ~run_id:"diff-chk" (fun () ->
       ignore
-        (Runner.run ~domains ?caches ~batch ~seed:9 ~max_queries attacker
+        (Runner.run ~domains ?caches ~seed:9 ~max_queries attacker
            ~oracle_factory:(fun () -> Oracle.of_network ~backend net)
            samples));
   let load p =
@@ -437,8 +431,8 @@ let journal_check ~domains ~cache ~batch ~backend ~keep =
     prerr_string (Evalharness.Audit.render ~left:ref_path ~right:chk_path c);
     fail
       "diff_runner: journal charge sequences diverged (domains %d, cache %b, \
-       batch %d, backend %s)"
-      domains cache batch bname
+       backend %s)"
+      domains cache bname
   end;
   if keep = None then begin
     Sys.remove ref_path;
@@ -446,22 +440,22 @@ let journal_check ~domains ~cache ~batch ~backend ~keep =
   end;
   Printf.printf
     "diff_runner: journal charge sequences bit-identical offline (domains \
-     %d, cache %s, batch %d, backend %s, %d vs %d records)%s\n"
+     %d, cache %s, backend %s, %d vs %d records)%s\n"
     domains
     (if cache then "on" else "off")
-    batch bname c.Evalharness.Audit.left_total c.Evalharness.Audit.right_total
+    bname c.Evalharness.Audit.left_total c.Evalharness.Audit.right_total
     (match keep with
     | Some p -> Printf.sprintf " — kept %s.{ref,chk}.jsonl" p
     | None -> "")
 
 (* Profiler differential: the Runtime_events profiler must be
    observation-only.  The same Sparse-RS corpus runs twice at this
-   invocation's (domains, cache, batch) coordinates — bare, then with
+   invocation's (domains, cache) coordinates — bare, then with
    the profiler's cursor and observer systhread live — and the
    per-image (queries, success) records must be bit-identical.  The
    profiled arm must also really have observed the run: at least one
    consumer poll must have drained the ring. *)
-let profile_check ~domains ~cache ~batch =
+let profile_check ~domains ~cache =
   if Telemetry.Profiler.running () then
     fail "diff_runner: profiler already attached before the profile cell";
   let net = backend_net () in
@@ -479,7 +473,7 @@ let profile_check ~domains ~cache ~batch =
     in
     Array.map
       (fun r -> (r.Runner.queries, r.Runner.success))
-      (Runner.run ~domains ?caches ~batch ~seed:9 ~max_queries attacker
+      (Runner.run ~domains ?caches ~seed:9 ~max_queries attacker
          ~oracle_factory:(fun () -> Oracle.of_network net)
          samples)
   in
@@ -495,19 +489,18 @@ let profile_check ~domains ~cache ~batch =
   if reference <> profiled then
     fail
       "diff_runner: per-image (queries, success) diverged with the profiler \
-       attached (domains %d, cache %b, batch %d — the profiler must be \
+       attached (domains %d, cache %b — the profiler must be \
        observation-only)"
-      domains cache batch;
+      domains cache;
   if polls () <= polls_before then
     fail "diff_runner: the profiled arm never polled the event ring";
   if Array.for_all (fun (q, _) -> q = 0) reference then
     fail "diff_runner: profile cell spent no queries (tested nothing)";
   Printf.printf
     "diff_runner: profiler observation-only, records bit-identical (domains \
-     %d, cache %s, batch %d, %d ring polls)\n"
+     %d, cache %s, %d ring polls)\n"
     domains
     (if cache then "on" else "off")
-    batch
     (polls () - polls_before)
 
 (* Stall injection: --stall-selftest forks this executable with
@@ -642,7 +635,7 @@ let stall_selftest () =
 
 (* Stratified sample of the scenario cross-product: every oracle x space
    combination gets [n / 6] cells (at least one), with the (domains,
-   cache, batch) coordinates drawn from a named PRNG stream so the
+   cache) coordinates drawn from a named PRNG stream so the
    sampled grid is deterministic across runs and machines. *)
 let scenario_grid ~pool n =
   let combos =
@@ -663,19 +656,17 @@ let scenario_grid ~pool n =
       for _ = 1 to per_combo do
         let domains = if Prng.bool g then 1 else 4 in
         let cache = Prng.bool g in
-        let batch = if Prng.bool g then 1 else 16 in
-        scenario_check ~domains ~cache ~batch ~oracle_mode ~space;
+        scenario_check ~domains ~cache ~oracle_mode ~space;
         incr cells;
         Printf.printf
           "diff_runner: scenario cell %s/%s bit-identical (domains %d, \
-           cache %s, batch %d)\n"
+           cache %s)\n"
           (mode_name oracle_mode) (Space.to_string space) domains
           (if cache then "on" else "off")
-          batch
       done)
     combos;
-  decision_evaluate_check ~pool ~batch:16;
-  decision_islands_check ~pool ~batch:16;
+  decision_evaluate_check ~pool;
+  decision_islands_check ~pool;
   Printf.printf
     "diff_runner: %d sampled scenario cells + decision-mode evaluation \
      and island differentials bit-identical\n"
@@ -690,93 +681,89 @@ let () =
   let jkeep = ref None in
   let prof = ref false in
   let stall = ref `None in
-  let rec parse domains cache batch trace observe islands = function
+  let rec parse domains cache trace observe islands = function
     | "--domains" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some d when d >= 1 -> parse d cache batch trace observe islands rest
+        | Some d when d >= 1 -> parse d cache trace observe islands rest
         | _ -> fail "diff_runner: bad --domains %s" n)
     | "--cache" :: v :: rest -> (
         match v with
-        | "on" -> parse domains true batch trace observe islands rest
-        | "off" -> parse domains false batch trace observe islands rest
+        | "on" -> parse domains true trace observe islands rest
+        | "off" -> parse domains false trace observe islands rest
         | _ -> fail "diff_runner: bad --cache %s (expected on|off)" v)
-    | "--batch" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some b when b >= 1 -> parse domains cache b trace observe islands rest
-        | _ -> fail "diff_runner: bad --batch %s" n)
     | "--trace" :: v :: rest -> (
         match v with
-        | "on" -> parse domains cache batch true observe islands rest
-        | "off" -> parse domains cache batch false observe islands rest
+        | "on" -> parse domains cache true observe islands rest
+        | "off" -> parse domains cache false observe islands rest
         | _ -> fail "diff_runner: bad --trace %s (expected on|off)" v)
     | "--observe" :: v :: rest -> (
         match v with
-        | "on" -> parse domains cache batch trace true islands rest
-        | "off" -> parse domains cache batch trace false islands rest
+        | "on" -> parse domains cache trace true islands rest
+        | "off" -> parse domains cache trace false islands rest
         | _ -> fail "diff_runner: bad --observe %s (expected on|off)" v)
     | "--islands" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some k when k >= 1 -> parse domains cache batch trace observe k rest
+        | Some k when k >= 1 -> parse domains cache trace observe k rest
         | _ -> fail "diff_runner: bad --islands %s" n)
     | "--oracle" :: v :: rest -> (
         match v with
         | "score" ->
             omode := Oracle.Score;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | "decision" ->
             omode := Oracle.Decision;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | _ -> fail "diff_runner: bad --oracle %s (expected score|decision)" v)
     | "--space" :: v :: rest -> (
         match Space.of_string v with
         | Some s ->
             space := s;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | None -> fail "diff_runner: bad --space %s" v)
     | "--backend" :: v :: rest -> (
         match Nn.Backend.kind_of_string v with
         | Some k ->
             bknd := Some k;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | None -> fail "diff_runner: bad --backend %s (expected boxed|f32)" v)
     | "--journal" :: v :: rest -> (
         match v with
         | "on" ->
             jrnl := true;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | "off" ->
             jrnl := false;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | _ -> fail "diff_runner: bad --journal %s (expected on|off)" v)
     | "--journal-keep" :: p :: rest ->
         jkeep := Some p;
-        parse domains cache batch trace observe islands rest
+        parse domains cache trace observe islands rest
     | "--profile" :: v :: rest -> (
         match v with
         | "on" ->
             prof := true;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | "off" ->
             prof := false;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | _ -> fail "diff_runner: bad --profile %s (expected on|off)" v)
     | "--stall-selftest" :: rest ->
         stall := `Selftest;
-        parse domains cache batch trace observe islands rest
+        parse domains cache trace observe islands rest
     | "--stall-inject" :: rest ->
         stall := `Inject;
-        parse domains cache batch trace observe islands rest
+        parse domains cache trace observe islands rest
     | "--sample-grid" :: n :: rest -> (
         match int_of_string_opt n with
         | Some k when k >= 1 ->
             grid := k;
-            parse domains cache batch trace observe islands rest
+            parse domains cache trace observe islands rest
         | _ -> fail "diff_runner: bad --sample-grid %s" n)
-    | [] -> (domains, cache, batch, trace, observe, islands)
+    | [] -> (domains, cache, trace, observe, islands)
     | a :: _ -> fail "diff_runner: unknown argument %s" a
   in
-  let domains, cache, batch, trace, observe, islands =
-    parse 4 false Oppsla.Sketch.default_batch false false 1
+  let domains, cache, trace, observe, islands =
+    parse 4 false false false 1
       (List.tl (Array.to_list Sys.argv))
   in
   (match !stall with
@@ -786,13 +773,13 @@ let () =
       exit 0
   | `None -> ());
   if !jrnl then begin
-    journal_check ~domains ~cache ~batch
+    journal_check ~domains ~cache
       ~backend:(Option.value !bknd ~default:Nn.Backend.Boxed)
       ~keep:!jkeep;
     exit 0
   end;
   if !prof then begin
-    profile_check ~domains ~cache ~batch;
+    profile_check ~domains ~cache;
     exit 0
   end;
   let scenario_mode =
@@ -834,30 +821,27 @@ let () =
       match !bknd with
       | Some backend ->
           (* Backend mode: one cross-backend cell at this invocation's
-             --domains/--cache/--batch coordinates. *)
-          backend_check ~domains ~cache ~batch ~backend;
+             --domains/--cache coordinates. *)
+          backend_check ~domains ~cache ~backend;
           Printf.printf
             "diff_runner: backend %s records bit-identical, scores within \
-             tolerance (domains %d, cache %s, batch %d)\n"
+             tolerance (domains %d, cache %s)\n"
             (Nn.Backend.kind_name backend)
             domains
             (if cache then "on" else "off")
-            batch
       | None ->
       if scenario_mode then
         (* Scenario mode: --sample-grid runs the stratified cross-product
            sample; --oracle/--space alone run one cell at this
-           invocation's --domains/--cache/--batch coordinates. *)
+           invocation's --domains/--cache coordinates. *)
         if !grid > 0 then scenario_grid ~pool !grid
         else begin
-          scenario_check ~domains ~cache ~batch ~oracle_mode:!omode
-            ~space:!space;
+          scenario_check ~domains ~cache ~oracle_mode:!omode ~space:!space;
           Printf.printf
             "diff_runner: scenario %s/%s bit-identical (domains %d, cache \
-             %s, batch %d)\n"
+             %s)\n"
             (mode_name !omode) (Space.to_string !space) domains
             (if cache then "on" else "off")
-            batch
         end
       else begin
       (* One pass of the grid: the evaluation and synthesis
@@ -873,33 +857,33 @@ let () =
             if Prng.bool g then None else Some (1 + Prng.int g 80)
           in
           let ctx kind =
-            Printf.sprintf "trial %d (domains %d, cache %b, batch %d, %s)"
-              trial domains cache batch kind
+            Printf.sprintf "trial %d (domains %d, cache %b, %s)" trial domains
+              cache kind
           in
-          (* The reference is always the uncached sequential path at batch
-             width 1: every other configuration must reproduce it. *)
+          (* The reference is always the uncached sequential path: every
+             other configuration must reproduce it. *)
           let reference =
             untraced (fun () ->
-                Score.evaluate ?max_queries ~batch:1 (mean_threshold_oracle ())
-                  program samples)
+                Score.evaluate ?max_queries (mean_threshold_oracle ()) program
+                  samples)
           in
           (match store_for samples with
           | Some _ as caches ->
               (* Cold store, then the same store warm (every lookup hits),
                  then a parallel run on a fresh store. *)
               let cold =
-                Score.evaluate ?max_queries ?caches ~batch
-                  (mean_threshold_oracle ()) program samples
+                Score.evaluate ?max_queries ?caches (mean_threshold_oracle ())
+                  program samples
               in
               check_identical (ctx "cached sequential, cold") reference cold;
               let warm =
-                Score.evaluate ?max_queries ?caches ~batch
-                  (mean_threshold_oracle ()) program samples
+                Score.evaluate ?max_queries ?caches (mean_threshold_oracle ())
+                  program samples
               in
               check_identical (ctx "cached sequential, warm") reference warm
           | None -> ());
           let par =
-            Score.evaluate ?max_queries ~batch ?caches:(store_for samples) ~pool
+            Score.evaluate ?max_queries ?caches:(store_for samples) ~pool
               (mean_threshold_oracle ()) program samples
           in
           check_identical (ctx "parallel") reference par;
@@ -916,8 +900,8 @@ let () =
             }
           in
           match
-            Score.evaluate_pac ?max_queries ~batch ?caches:(store_for samples)
-              ~pool ~pac ~threshold:infinity ~order (mean_threshold_oracle ())
+            Score.evaluate_pac ?max_queries ?caches:(store_for samples) ~pool
+              ~pac ~threshold:infinity ~order (mean_threshold_oracle ())
               program samples
           with
           | Score.Complete staged ->
@@ -927,12 +911,12 @@ let () =
         done;
         (* Synthesis differential: the island trace (at --islands 1, the
            single MH chain of Algorithm 2) must be invariant under the
-           same axes.  The reference is the sequential batch-1 run (no
-           pool, no cache); the checked runs apply this grid point's pool,
-           cache and batch settings, plus a pool-less cached run when the
-           cache is on.  Early stopping stays off here — its determinism
-           has its own suite in test_islands.ml — so every proposal is
-           scored exactly on both arms. *)
+           same axes.  The reference is the sequential run (no pool, no
+           cache); the checked runs apply this grid point's pool and cache
+           settings, plus a pool-less cached run when the cache is on.
+           Early stopping stays off here — its determinism has its own
+           suite in test_islands.ml — so every proposal is scored exactly
+           on both arms. *)
         let training = training_set (Prng.of_int 23) 5 in
         let icfg =
           {
@@ -947,9 +931,7 @@ let () =
           Oppsla.Islands.synthesize ~config:cfg ?pool ?caches (Prng.of_int 23)
             (mean_threshold_oracle ()) ~training
         in
-        let ref_out =
-          untraced (fun () -> run { icfg with Oppsla.Islands.batch = 1 })
-        in
+        let ref_out = untraced (fun () -> run icfg) in
         let check_islands arm (out : Oppsla.Islands.outcome) =
           let spent (o : Oppsla.Islands.outcome) = o.Oppsla.Islands.synth_queries in
           if spent ref_out <> spent out then
@@ -983,7 +965,6 @@ let () =
                   x.Oppsla.Islands.round x.Oppsla.Islands.island)
             ref_out.Oppsla.Islands.trace out.Oppsla.Islands.trace
         in
-        let icfg = { icfg with Oppsla.Islands.batch } in
         check_islands "parallel" (run ~pool ?caches:(store_for training) icfg);
         if cache then
           check_islands "cached sequential"
@@ -1048,11 +1029,10 @@ let () =
           Telemetry.Sampler.stop sampler);
       Printf.printf
         "diff_runner: sequential and %d-domain evaluation bit-identical \
-         with cache %s at batch width %d, trace %s, observe %s, islands \
-         %d (12 evaluation trials + synthesis trace)\n"
+         with cache %s, trace %s, observe %s, islands %d (12 evaluation \
+         trials + synthesis trace)\n"
         domains
         (if cache then "on" else "off")
-        batch
         (if trace then "on" else "off")
         (if observe then "on" else "off")
         islands

@@ -15,7 +15,7 @@
    produce the same argmax through the layer engine, the boxed plan and
    the f32 plan, and the two plans must agree on a batch of one-pixel
    candidates.  Above the kernels, Sketch attacks must charge the same
-   queries and succeed alike on either plan at batch widths 1 and 16. *)
+   queries and succeed alike on either plan. *)
 
 (* Round to the nearest float32, as [of_tensor] does on the f32 path. *)
 let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
@@ -968,11 +968,11 @@ let qcheck_dense_naive =
       && same_bits (dense fw2) (naive w2)
       && same_bits (dense fw1) (naive w1))
 
-(* {1 Attack records: boxed = f32 at batch widths 1 and 16} *)
+(* {1 Attack records: boxed = f32} *)
 
 (* Query metering sits above the backend, so a Sketch+False attack's
    per-image (queries, success) record must not depend on the plan that
-   scored its queries nor on the batch width.  The net has two
+   scored its queries.  The net has two
    max-pools, one after a conv;norm;relu and one after a conv;relu, so
    the f32 plan fuses both kinds of epilogue and both pools.  The
    targeted attacks aim at the least likely class.  At the 48-query cap
@@ -1018,22 +1018,21 @@ let attack_records_across_backends () =
         done;
         (image, Nn.Network.classify net image, !target))
   in
-  let attack ~backend ~batch ~max_queries ~goal (image, true_class) =
+  let attack ~backend ~max_queries ~goal (image, true_class) =
     let r =
-      Oppsla.Sketch.attack ~max_queries ~goal ~batch
-        (Oracle.of_network ~backend net)
+      Oppsla.Sketch.attack ~max_queries ~goal (Oracle.of_network ~backend net)
         Oppsla.Condition.const_false_program ~image ~true_class
     in
     (r.Oppsla.Sketch.queries, r.Oppsla.Sketch.adversarial <> None)
   in
-  let sweep ~backend ~batch ~targeted =
+  let sweep ~backend ~targeted =
     List.map
       (fun (image, true_class, target) ->
         let goal =
           if targeted then Oppsla.Sketch.Targeted target
           else Oppsla.Sketch.Untargeted
         in
-        attack ~backend ~batch ~max_queries ~goal (image, true_class))
+        attack ~backend ~max_queries ~goal (image, true_class))
       samples
   in
   (* Two images the boxed net can flip with one corner pixel, drawn
@@ -1062,9 +1061,9 @@ let attack_records_across_backends () =
           Alcotest.fail "no flipping pair next to the boundary";
         (image, true_class))
   in
-  let full_sweep ~backend ~batch =
+  let full_sweep ~backend =
     List.map
-      (attack ~backend ~batch ~max_queries:(8 * size * size)
+      (attack ~backend ~max_queries:(8 * size * size)
          ~goal:Oppsla.Sketch.Untargeted)
       flippable
   in
@@ -1073,16 +1072,13 @@ let attack_records_across_backends () =
       (Telemetry.Metrics.counter "backend.f32.fusion_hits")
   in
   let hits = fusion_hits () in
-  (* Every sweep must match its boxed batch-1 run; returns that run. *)
+  (* Every f32 sweep must match its boxed run; returns that run. *)
   let check_sweep label run =
-    let reference = run ~backend:Nn.Backend.Boxed ~batch:1 in
-    List.iter
-      (fun (backend, batch) ->
-        Alcotest.(check (list (pair int bool)))
-          (Printf.sprintf "%s b%d = boxed b1 (%s)"
-             (Nn.Backend.kind_name backend) batch label)
-          reference (run ~backend ~batch))
-      [ (Nn.Backend.Boxed, 16); (Nn.Backend.F32, 1); (Nn.Backend.F32, 16) ];
+    let reference = run ~backend:Nn.Backend.Boxed in
+    Alcotest.(check (list (pair int bool)))
+      (Printf.sprintf "f32 = boxed (%s)" label)
+      reference
+      (run ~backend:Nn.Backend.F32);
     reference
   in
   List.iter
@@ -1122,6 +1118,6 @@ let suite =
     Alcotest.test_case "f32 plans fuse max-pool, no backend.pool span"
       `Quick plan_shape;
     QCheck_alcotest.to_alcotest qcheck_dense_naive;
-    Alcotest.test_case "attack records: boxed b1 = boxed/f32 b1/b16" `Quick
+    Alcotest.test_case "attack records: boxed = f32" `Quick
       attack_records_across_backends;
   ]

@@ -6,12 +6,11 @@
    Helpers.naive_conv bit-for-bit, and row [i] of the compiled boxed
    plan equals the single-image Network.scores of image [i]
    element-for-element, for every zoo architecture (the same float64
-   kernels on both sides, so that check covers the plan compiler).  Second, speculative
-   candidate batching is invisible to accounting: forward passes are
-   unmetered, queries are charged one at a time at consumption, and every
-   attack observable — query counts, success flags, adversarial pairs,
-   per-query traces — is bit-identical at every batch width, and a
-   forward pass that raises charges nothing. *)
+   kernels on both sides, so that check covers the plan compiler).
+   Second, the batcher's one-candidate query step meters exactly: every
+   query is charged once, in the order posed, whether the cache answers
+   it or it is forwarded; a cache hit forwards nothing; and a forward
+   pass that raises charges nothing. *)
 
 module Sketch = Oppsla.Sketch
 module C = Oppsla.Condition
@@ -235,9 +234,9 @@ let conv_gemm_agrees () =
    inference engine, is bit-identical to the single-image layer walk
    over the same float64 kernels, which checks the plan compiler.  For
    every zoo architecture and batch widths 1-5, row [i] of
-   Boxed_engine.scores_batch equals Network.scores of image [i]; a
-   boxed network oracle's single-image scores (a batch of one through
-   the same plan) equal its batched row. *)
+   Boxed_engine.scores_batch equals Network.scores of image [i], and so
+   does a metered query of image [i] on a boxed network oracle (a batch
+   of one through the same plan). *)
 let qcheck_boxed_plan_matches_direct =
   QCheck.Test.make ~name:"Boxed plan rows = Network.scores (zoo)" ~count:8
     QCheck.(pair (int_range 0 9999) (int_range 1 5))
@@ -257,19 +256,17 @@ let qcheck_boxed_plan_matches_direct =
           let plan = Nn.Backend.Boxed_engine.compile net in
           let out = Nn.Backend.Boxed_engine.scores_batch plan batch in
           let oracle = Oracle.of_network ~backend:Nn.Backend.Boxed net in
-          let rows = Oracle.eval_batch oracle xs in
           Tensor.shape out = [| n; classes |]
           && Array.for_all Fun.id
                (Array.mapi
                   (fun i x ->
                     let direct = (Nn.Network.scores net x).Tensor.data in
                     direct = Array.sub out.Tensor.data (i * classes) classes
-                    && direct = (Helpers.query oracle x).Tensor.data
-                    && direct = rows.(i).Tensor.data)
+                    && direct = (Helpers.query oracle x).Tensor.data)
                   xs))
         Nn.Zoo.names)
 
-(* {1 Batcher mechanics} *)
+(* {1 The one-candidate query step} *)
 
 let counting_oracle calls =
   Oracle.of_fn ~name:"counting" ~num_classes:2 (fun x ->
@@ -277,93 +274,76 @@ let counting_oracle calls =
       let m = Tensor.mean x in
       Tensor.of_array [| 2 |] [| 1. -. m; m |])
 
-let cand v =
-  {
-    Batcher.key = Score_cache.Custom (string_of_int v);
-    input = (fun () -> Tensor.create [| 2; 2 |] (float_of_int v /. 10.));
-  }
+(* Candidate [v]: its key, and an input whose mean is [v / 10]. *)
+let key v = Score_cache.Custom (string_of_int v)
+let input v () = Tensor.create [| 2; 2 |] (float_of_int v /. 10.)
+let ask t v = Batcher.query t ~input:(input v) (key v)
 
-(* Pose a candidate record. *)
-let ask t ?(speculate = Batcher.no_speculation) (c : Batcher.candidate) =
-  Batcher.query t ~speculate ~input:c.input c.key
-
-let batcher_metering_and_speculation () =
+(* Without a cache every query is one forward pass of its own
+   candidate, charged once it is answered. *)
+let batcher_metering () =
   Batcher.reset_global_stats ();
   let calls = ref 0 in
   let oracle = counting_oracle calls in
-  let t = Helpers.batcher ~width:4 oracle in
-  let plan = [| cand 1; cand 2; cand 3 |] in
-  let speculate i = if i < 2 then Some plan.(i + 1) else None in
-  (* First query builds a 3-candidate chunk: one batched forward pass,
-     three scoring-function calls, ONE metered query. *)
-  let s1 = ask t ~speculate plan.(0) in
-  Alcotest.(check (float 0.)) "answer for candidate 1" 0.1
-    (Tensor.get_flat s1 1);
-  Alcotest.(check int) "forwards are speculative" 3 !calls;
-  Alcotest.(check int) "one metered query" 1 (Oracle.queries oracle);
-  (* Second query is served from the buffer: no new forward. *)
-  let s2 = ask t ~speculate plan.(1) in
-  Alcotest.(check (float 0.)) "answer for candidate 2" 0.2
-    (Tensor.get_flat s2 1);
-  Alcotest.(check int) "no new forward" 3 !calls;
-  Alcotest.(check int) "two metered queries" 2 (Oracle.queries oracle);
-  (* Changing course discards the rest of the buffer (candidate 3) and
-     rebuilds from the new head. *)
-  let s9 = ask t (cand 9) in
-  Alcotest.(check (float 0.)) "answer after mis-speculation" 0.9
-    (Tensor.get_flat s9 1);
-  Alcotest.(check int) "rebuild evaluates the new head" 4 !calls;
-  Alcotest.(check int) "three metered queries" 3 (Oracle.queries oracle);
+  let t = Helpers.batcher oracle in
+  List.iteri
+    (fun i v ->
+      let s = ask t v in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "answer for candidate %d" v)
+        (float_of_int v /. 10.) (Tensor.get_flat s 1);
+      Alcotest.(check int) "one forward per query" (i + 1) !calls;
+      Alcotest.(check int) "one metered query each" (i + 1)
+        (Oracle.queries oracle);
+      Alcotest.(check int) "spent" (i + 1) (Batcher.spent t))
+    [ 1; 2; 1 ];
   let s = Batcher.global_stats () in
   Alcotest.(check int) "stats: queries" 3 s.Batcher.queries;
-  Alcotest.(check int) "stats: chunks" 2 s.Batcher.batches;
-  Alcotest.(check int) "stats: prepared" 4 s.Batcher.prepared;
-  Alcotest.(check int) "stats: buffer hits" 1 s.Batcher.buffer_hits;
-  Alcotest.(check int) "stats: discarded" 1 s.Batcher.discarded
+  Alcotest.(check int) "stats: forward passes" 3 s.Batcher.batches;
+  Alcotest.(check int) "stats: prepared = forward passes" 3 s.Batcher.prepared;
+  Alcotest.(check int) "stats: no buffer hits" 0 s.Batcher.buffer_hits;
+  Alcotest.(check int) "stats: nothing discarded" 0 s.Batcher.discarded
 
 let batcher_cache_excludes_hits () =
   let calls = ref 0 in
   let oracle = counting_oracle calls in
   let cache = Score_cache.create () in
-  (* Pre-resolve candidate 2: the forward pass must skip it. *)
-  ignore
-    (Score_cache.find_or_add cache (cand 2).Batcher.key ~compute:(fun () ->
-         Tensor.of_array [| 2 |] [| 0.8; 0.2 |]));
+  (* Pre-resolve candidate 2: its query must not reach the forward
+     pass. *)
+  Score_cache.add cache (key 2) (Tensor.of_array [| 2 |] [| 0.8; 0.2 |]);
   Oracle.set_cache oracle (Some cache);
-  let t = Helpers.batcher ~width:4 oracle in
-  let plan = [| cand 1; cand 2; cand 3 |] in
-  let speculate i = if i < 2 then Some plan.(i + 1) else None in
-  ignore (ask t ~speculate plan.(0));
-  Alcotest.(check int) "cache hit left the forward pass" 2 !calls;
-  let s2 = ask t ~speculate plan.(1) in
+  let t = Helpers.batcher oracle in
+  ignore (ask t 1);
+  Alcotest.(check int) "a miss is forwarded" 1 !calls;
+  let s2 = ask t 2 in
   Alcotest.(check (float 0.)) "cached answer served" 0.2
     (Tensor.get_flat s2 1);
-  Alcotest.(check int) "no extra forward" 2 !calls;
-  Alcotest.(check int) "hits are still metered" 2 (Oracle.queries oracle);
-  (* Newly computed slots were stored for later reuse. *)
+  Alcotest.(check int) "the hit left the forward pass" 1 !calls;
+  ignore (ask t 3);
+  Alcotest.(check int) "the next miss is forwarded" 2 !calls;
+  Alcotest.(check int) "hits are still metered" 3 (Oracle.queries oracle);
   Alcotest.(check bool) "misses were cached" true
     (List.for_all
        (fun v ->
-         match Score_cache.find cache (cand v).Batcher.key with
+         match Score_cache.find cache (key v) with
          | _ -> true
          | exception Not_found -> false)
        [ 1; 3 ])
 
 exception Injected
 
-(* A forward pass that raises charges nothing.  Batcher half: a width-4
-   cached batcher serves a full chunk, then the next chunk's forward
-   pass raises — the exception reaches the caller, the meter stays at
-   the four slots served and the cache gains nothing from the failed
-   chunk; the same query posed again builds a fresh chunk and is
-   charged as query 5.  Attack half: an [on_query] hook raising at
-   query 5 of a width-16 sketch leaves exactly five queries charged
-   against one forwarded chunk. *)
+(* A forward pass that raises charges nothing.  Batcher half: a cached
+   batcher serves one candidate, then the next candidate's forward pass
+   raises — the exception reaches the caller, the meter stays at one
+   query and the cache gains nothing; the same query posed again is
+   forwarded afresh and charged as query 2.  Attack half: an [on_query]
+   hook raising at query 5 of a sketch leaves exactly five queries
+   charged against five forward passes. *)
 let batcher_failing_forward () =
-  let chunks = ref 0 in
+  let forwards = ref 0 in
   let batch_fn xs =
-    incr chunks;
-    if !chunks = 2 then raise Injected;
+    incr forwards;
+    if !forwards = 2 then raise Injected;
     Array.map (fun x -> Tensor.of_array [| 2 |] [| 0.5; Tensor.mean x |]) xs
   in
   let oracle =
@@ -372,32 +352,30 @@ let batcher_failing_forward () =
   in
   let cache = Score_cache.create () in
   Oracle.set_cache oracle (Some cache);
-  let t = Helpers.batcher ~width:4 oracle in
-  let plan = Array.init 8 (fun v -> cand (v + 1)) in
-  let speculate p i = if p + 1 + i < 8 then Some plan.(p + 1 + i) else None in
-  for p = 0 to 3 do
-    ignore (ask t ~speculate:(speculate p) plan.(p))
-  done;
-  Alcotest.(check int) "four slots served" 4 (Oracle.queries oracle);
-  Alcotest.(check int) "four entries" 4 (Score_cache.stats cache).entries;
-  (match ask t ~speculate:(speculate 4) plan.(4) with
+  let t = Helpers.batcher oracle in
+  ignore (ask t 1);
+  Alcotest.(check int) "one query served" 1 (Oracle.queries oracle);
+  Alcotest.(check int) "one entry" 1 (Score_cache.stats cache).entries;
+  (match ask t 2 with
   | _ -> Alcotest.fail "the failing forward pass did not surface"
   | exception Injected -> ());
-  Alcotest.(check int) "failed chunk charges nothing" 4 (Oracle.queries oracle);
-  Alcotest.(check int) "failed chunk stores nothing" 4
+  Alcotest.(check int) "failed forward charges nothing" 1
+    (Oracle.queries oracle);
+  Alcotest.(check int) "failed forward stores nothing" 1
     (Score_cache.stats cache).entries;
-  let s5 = ask t ~speculate:(speculate 4) plan.(4) in
-  Alcotest.(check int) "a fresh chunk was forwarded" 3 !chunks;
-  Alcotest.(check (float 0.)) "answer for candidate 5" 0.5
-    (Tensor.get_flat s5 1);
-  Alcotest.(check int) "charged as query 5" 5 (Oracle.queries oracle);
-  let chunks = ref 0 in
+  Alcotest.(check int) "failed forward spends nothing" 1 (Batcher.spent t);
+  let s2 = ask t 2 in
+  Alcotest.(check int) "forwarded afresh" 3 !forwards;
+  Alcotest.(check (float 0.)) "answer for candidate 2" 0.2
+    (Tensor.get_flat s2 1);
+  Alcotest.(check int) "charged as query 2" 2 (Oracle.queries oracle);
+  let forwards = ref 0 in
   let mean_scores x =
     let m = Tensor.mean x in
     Tensor.of_array [| 2 |] [| 1. -. m; m |]
   in
   let batch_fn xs =
-    incr chunks;
+    incr forwards;
     Array.map mean_scores xs
   in
   let oracle =
@@ -405,118 +383,76 @@ let batcher_failing_forward () =
   in
   let on_query n _ _ = if n = 5 then raise Injected in
   (match
-     Sketch.attack ~batch:16 ~on_query oracle C.const_false_program
+     Sketch.attack ~on_query oracle C.const_false_program
        ~image:(Helpers.flat_image ~size 0.30) ~true_class:0
    with
   | _ -> Alcotest.fail "the raising hook did not surface"
   | exception Injected -> ());
   Alcotest.(check int) "attack charged five queries" 5 (Oracle.queries oracle);
-  Alcotest.(check int) "one chunk forwarded" 1 !chunks
-
-let batcher_width_one_never_speculates () =
-  let calls = ref 0 in
-  let speculated = ref 0 in
-  let t = Helpers.batcher ~width:1 (counting_oracle calls) in
-  let speculate _ =
-    incr speculated;
-    Some (cand 2)
-  in
-  ignore (ask t ~speculate (cand 1));
-  ignore (ask t ~speculate (cand 2));
-  Alcotest.(check int) "width 1 is the sequential path" 0 !speculated;
-  Alcotest.(check int) "one forward per query" 2 !calls;
-  Alcotest.(check bool) "width < 1 rejected" true
-    (try
-       ignore (Helpers.batcher ~width:0 (counting_oracle calls));
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check int) "five forward passes" 5 !forwards
 
 (* {1 Cache-first queries}
 
    A candidate the cache already holds is answered from the cache: no
-   speculation, no chunk, no forward pass, and the buffer is kept. *)
+   input is built and nothing is forwarded. *)
 
 let prefilled keys =
   let cache = Score_cache.create () in
   List.iter
     (fun v ->
-      Score_cache.add cache (cand v).Batcher.key
+      Score_cache.add cache (key v)
         (Tensor.of_array [| 2 |] [| 0.5; float_of_int v |]))
     keys;
   cache
 
 let batcher_cache_first_hit () =
   Batcher.reset_global_stats ();
-  let calls = ref 0 and speculated = ref 0 in
+  let calls = ref 0 in
   let oracle = counting_oracle calls in
   let cache = prefilled [ 1 ] in
   Oracle.set_cache oracle (Some cache);
-  let t = Helpers.batcher ~width:4 oracle in
-  let speculate _ =
-    incr speculated;
-    Some (cand 2)
+  let t = Helpers.batcher oracle in
+  let s =
+    Batcher.query t
+      ~input:(fun () -> Alcotest.fail "input built for a cached candidate")
+      (key 1)
   in
-  let s = ask t ~speculate (cand 1) in
   Alcotest.(check (float 0.)) "cached answer" 1. (Tensor.get_flat s 1);
-  Alcotest.(check int) "speculate never called" 0 !speculated;
   Alcotest.(check int) "nothing forwarded" 0 !calls;
   Alcotest.(check int) "one metered query" 1 (Oracle.queries oracle);
   Alcotest.(check int) "one hit counted" 1 (Score_cache.stats cache).hits;
   let st = Batcher.global_stats () in
-  Alcotest.(check int) "no chunk" 0 st.Batcher.batches;
+  Alcotest.(check int) "no forward pass" 0 st.Batcher.batches;
   Alcotest.(check int) "nothing prepared" 0 st.Batcher.prepared;
   Alcotest.(check int) "query counted" 1 st.Batcher.queries
 
 (* Each cache-first answer is metered and counted as one hit, and its
-   charge is journaled as a hit outside any chunk. *)
+   charge is journaled as a cached one ([chunk = -1]); a forwarded
+   answer is journaled with [chunk = 0]. *)
 let batcher_cache_first_meters () =
   let calls = ref 0 in
   let oracle = counting_oracle calls in
   let cache = prefilled [ 1; 2 ] in
   Oracle.set_cache oracle (Some cache);
-  let t = Helpers.batcher ~width:4 oracle in
+  let t = Helpers.batcher oracle in
   let path = Filename.temp_file "oppsla_batch_journal" ".jsonl" in
   Telemetry.Journal.to_file path;
   Fun.protect ~finally:Telemetry.Journal.close (fun () ->
-      ignore (ask t (cand 1));
-      ignore (ask t (cand 2)));
+      ignore (ask t 1);
+      ignore (ask t 2);
+      ignore (ask t 3));
   let records = (Evalharness.Audit.load_strict path).records in
   Sys.remove path;
-  Alcotest.(check int) "both answers metered" 2 (Oracle.queries oracle);
-  Alcotest.(check int) "both answers counted as hits" 2
+  Alcotest.(check int) "all answers metered" 3 (Oracle.queries oracle);
+  Alcotest.(check int) "both cached answers counted as hits" 2
     (Score_cache.stats cache).hits;
-  Alcotest.(check int) "nothing forwarded" 0 !calls;
-  Alcotest.(check int) "two charges journaled" 2 (List.length records);
-  List.iter
-    (fun (r : Evalharness.Audit.record) ->
-      Alcotest.(check bool) "journaled as a hit" true r.hit;
-      Alcotest.(check int) "outside any chunk" (-1) r.chunk)
-    records
+  Alcotest.(check int) "only the miss forwarded" 1 !calls;
+  Alcotest.(check (list (pair bool int)))
+    "journal (hit, chunk) per charge"
+    [ (true, -1); (true, -1); (false, 0) ]
+    (List.map (fun (r : Evalharness.Audit.record) -> (r.hit, r.chunk)) records)
 
-let batcher_cache_first_keeps_buffer () =
-  Batcher.reset_global_stats ();
-  let calls = ref 0 in
-  let oracle = counting_oracle calls in
-  let cache = prefilled [ 5 ] in
-  Oracle.set_cache oracle (Some cache);
-  let t = Helpers.batcher ~width:4 oracle in
-  let plan = [| cand 1; cand 2; cand 3 |] in
-  let speculate i = if i < 2 then Some plan.(i + 1) else None in
-  ignore (ask t ~speculate plan.(0));
-  Alcotest.(check int) "one chunk of three" 3 !calls;
-  let s5 = ask t ~speculate (cand 5) in
-  Alcotest.(check (float 0.)) "cache-first answer" 5. (Tensor.get_flat s5 1);
-  let s2 = ask t ~speculate plan.(1) in
-  Alcotest.(check (float 0.)) "buffered slot served" 0.2
-    (Tensor.get_flat s2 1);
-  Alcotest.(check int) "no new forward" 3 !calls;
-  Alcotest.(check int) "three metered queries" 3 (Oracle.queries oracle);
-  let st = Batcher.global_stats () in
-  Alcotest.(check int) "one chunk" 1 st.Batcher.batches;
-  Alcotest.(check int) "one buffer hit" 1 st.Batcher.buffer_hits;
-  Alcotest.(check int) "nothing discarded" 0 st.Batcher.discarded
-
-(* {1 Attack-level width identity} *)
+(* {1 Attacks on a network oracle} *)
 
 let check_result name (seq : Sketch.result) (b : Sketch.result) =
   Alcotest.(check int) (name ^ ": queries") seq.Sketch.queries b.Sketch.queries;
@@ -532,92 +468,13 @@ let check_result name (seq : Sketch.result) (b : Sketch.result) =
         x_seq.Tensor.data x_b.Tensor.data
   | _ -> Alcotest.fail (name ^ ": success flag diverged")
 
-(* A mean-threshold oracle whose batched forward checks that no chunk
-   passes the attack's cap [cap]: the queries charged before a chunk
-   plus the slots it prepared (the [batcher.prepared] delta since the
-   last chunk; without a cache every chunk forwards its head) stay
-   within [cap].  [clipped] counts the chunks the cap cut short of
-   [width]. *)
-let cap_checked ~name ~cap ~width ~clipped =
-  let base = Helpers.mean_threshold_oracle () in
-  let oracle = ref None in
-  let prepared = ref (Batcher.global_stats ()).Batcher.prepared in
-  let batch_fn xs =
-    let now = (Batcher.global_stats ()).Batcher.prepared in
-    let chunk = now - !prepared in
-    prepared := now;
-    let spent = Oracle.queries (Option.get !oracle) in
-    if spent + chunk > cap then
-      Alcotest.failf "%s: a %d-slot chunk after %d queries passes the cap %d"
-        name chunk spent cap;
-    if spent + chunk = cap && chunk < width then incr clipped;
-    Array.map (Oracle.unmetered_scores base) xs
-  in
-  let o =
-    Oracle.of_fn ~batch_fn ~name:"mean-threshold" ~num_classes:2
-      (Oracle.unmetered_scores base)
-  in
-  oracle := Some o;
-  o
-
-(* Sketch at widths 2/4/16 vs the sequential width 1: result AND the
-   full per-query (index, pair, scores) trace, across random programs
-   and random caps, and no chunk passes the cap — including caps that
-   fall inside a chunk, which some trials must hit. *)
-let sketch_width_identity () =
-  let gen_config = Helpers.gen_config ~size in
-  let clipped = ref 0 in
-  for trial = 0 to 7 do
-    let g = Prng.of_int (300 + trial) in
-    let image =
-      Tensor.rand_uniform (Prng.split g) ~lo:0.35 ~hi:0.65 [| 3; size; size |]
-    in
-    let program = Oppsla.Gen.random_program gen_config g in
-    let max_queries = if Prng.bool g then None else Some (1 + Prng.int g 40) in
-    let trace batch =
-      let log = ref [] in
-      let cap =
-        Option.value max_queries ~default:(Oppsla.Pair.count ~d1:size ~d2:size)
-      in
-      let r =
-        Sketch.attack ?max_queries ~batch
-          ~on_query:(fun i pair scores ->
-            log := (i, pair, Array.copy scores.Tensor.data) :: !log)
-          (cap_checked
-             ~name:(Printf.sprintf "sketch trial %d width %d" trial batch)
-             ~cap ~width:batch ~clipped)
-          program ~image ~true_class:0
-      in
-      (r, List.rev !log)
-    in
-    let seq, seq_log = trace 1 in
-    List.iter
-      (fun batch ->
-        let b, b_log = trace batch in
-        let name = Printf.sprintf "sketch trial %d width %d" trial batch in
-        check_result name seq b;
-        Alcotest.(check int) (name ^ ": trace length")
-          (List.length seq_log) (List.length b_log);
-        List.iter2
-          (fun (i_seq, p_seq, s_seq) (i_b, p_b, s_b) ->
-            Alcotest.(check int) (name ^ ": query index") i_seq i_b;
-            Alcotest.(check bool) (name ^ ": queried pair") true
-              (Oppsla.Pair.equal p_seq p_b);
-            Alcotest.(check (array (float 0.)))
-              (name ^ ": score vector") s_seq s_b)
-          seq_log b_log)
-      [ 2; 4; 16 ]
-  done;
-  Alcotest.(check bool) "some cap falls inside a chunk" true (!clipped > 0)
-
-(* Sketch width identity on a real network oracle: the reference is
-   width 1 through the single-image layer walk ([Network.scores]); the
-   compiled plan must match it at widths 1/4/16, with the score cache
-   off and on, for an untargeted goal and for a targeted one.  The
-   target is the least likely class: a one-pixel flip to it almost never
-   exists, so that attack streams queries to the cap through every
-   chunk. *)
-let sketch_width_identity_on_network () =
+(* The compiled plan against the single-image layer walk
+   ([Network.scores]) on whole attacks: the result and the full query
+   trace must match with the score cache off and on, for an untargeted
+   goal and for a targeted one.  The target is the least likely class:
+   a one-pixel flip to it almost never exists, so that attack streams
+   queries to the cap. *)
+let sketch_plan_on_network () =
   let g = Prng.of_int 77 in
   let num_classes = 3 in
   let net = Nn.Zoo.vgg_tiny (Prng.split g) ~image_size:8 ~num_classes in
@@ -629,11 +486,11 @@ let sketch_width_identity_on_network () =
   for c = 1 to num_classes - 1 do
     if Tensor.get_flat scores c < Tensor.get_flat scores !least then least := c
   done;
-  let run ~goal ~cache ~batch oracle =
+  let run ~goal ~cache oracle =
     let log = ref [] in
     if cache then Oracle.set_cache oracle (Some (Score_cache.create ()));
     let r =
-      Sketch.attack ~goal ~batch ~max_queries:48
+      Sketch.attack ~goal ~max_queries:48
         ~on_query:(fun i pair scores ->
           log := (i, pair, Array.copy scores.Tensor.data) :: !log)
         oracle program ~image ~true_class
@@ -643,17 +500,13 @@ let sketch_width_identity_on_network () =
   List.iter
     (fun (goal_name, goal) ->
       let reference, reference_log, reference_metered =
-        run ~goal ~cache:false ~batch:1
+        run ~goal ~cache:false
           (Oracle.of_fn ~num_classes (Nn.Network.scores net))
       in
       List.iter
-        (fun (cache, batch) ->
-          let r, log, metered =
-            run ~goal ~cache ~batch (Oracle.of_network net)
-          in
-          let name =
-            Printf.sprintf "network %s width %d cache %b" goal_name batch cache
-          in
+        (fun cache ->
+          let r, log, metered = run ~goal ~cache (Oracle.of_network net) in
+          let name = Printf.sprintf "network %s cache %b" goal_name cache in
           check_result name reference r;
           Alcotest.(check int) (name ^ ": metered queries") reference_metered
             metered;
@@ -663,64 +516,15 @@ let sketch_width_identity_on_network () =
                (fun (i, p, s) (i', p', s') ->
                  i = i' && Oppsla.Pair.equal p p' && s = s')
                reference_log log))
-        [
-          (false, 1); (false, 4); (false, 16); (true, 1); (true, 4); (true, 16);
-        ])
+        [ false; true ])
     [ ("untargeted", Sketch.Untargeted); ("targeted", Sketch.Targeted !least) ]
 
-(* Each baseline at width 16 vs width 1, and no chunk passes the
-   attack's cap.  No pixel flips the dark image, so there every attack
-   runs to its cap of 45, which falls inside a chunk. *)
-let baselines_width_identity () =
-  let g = Prng.of_int 400 in
-  let image =
-    Tensor.rand_uniform (Prng.split g) ~lo:0.42 ~hi:0.58 [| 3; size; size |]
-  in
-  let clipped = ref 0 in
-  let compare ~label ~image ~fixed_cap ~su_opa_cap ~sparse_rs_cap =
-    let oracle name ~cap batch =
-      cap_checked
-        ~name:(Printf.sprintf "%s %s width %d" label name batch)
-        ~cap ~width:batch ~clipped
-    in
-    let fixed batch =
-      Baselines.Fixed.attack ~max_queries:fixed_cap ~batch
-        (oracle "fixed" ~cap:fixed_cap batch)
-        ~image ~true_class:0
-    in
-    check_result (label ^ " fixed") (fixed 1) (fixed 16);
-    let su_opa batch =
-      let config =
-        { Baselines.Su_opa.population = 6; f = 0.5; max_queries = su_opa_cap }
-      in
-      Baselines.Su_opa.attack ~config ~batch (Prng.of_int 13)
-        (oracle "su_opa" ~cap:su_opa_cap batch)
-        ~image ~true_class:0
-    in
-    check_result (label ^ " su_opa") (su_opa 1) (su_opa 16);
-    let sparse_rs batch =
-      let config =
-        { Baselines.Sparse_rs.max_queries = sparse_rs_cap; min_explore = 0.1 }
-      in
-      Baselines.Sparse_rs.attack ~config ~batch (Prng.of_int 5)
-        (oracle "sparse_rs" ~cap:sparse_rs_cap batch)
-        ~image ~true_class:0
-    in
-    check_result (label ^ " sparse_rs") (sparse_rs 1) (sparse_rs 16)
-  in
-  compare ~label:"mixed" ~image
-    ~fixed_cap:(Oppsla.Pair.count ~d1:size ~d2:size)
-    ~su_opa_cap:80 ~sparse_rs_cap:96;
-  compare ~label:"dark" ~image:(Helpers.flat_image ~size 0.2) ~fixed_cap:45
-    ~su_opa_cap:45 ~sparse_rs_cap:45;
-  Alcotest.(check bool) "some cap falls inside a chunk" true (!clipped > 0)
-
-(* Each forward pass is one cache miss: the rows the oracle's batched
+(* Each forward pass is one cache miss: the inputs the oracle's batched
    scoring function sees equal the cache's misses, less the [Clean]
    entry (the sketch reads the clean scores through the single-image
-   function).  Sparse-RS speculates the same proposal more than once in
-   one chunk; such a key must be forwarded once.  The oracle never
-   flips, so every attack runs to its cap. *)
+   function).  Sparse-RS proposes the same candidate more than once;
+   a repeat is a cache hit and must not be forwarded again.  The oracle
+   never flips, so every attack runs to its cap. *)
 let forwards_equal_cache_misses () =
   let size = 8 in
   let rows = ref 0 in
@@ -735,51 +539,46 @@ let forwards_equal_cache_misses () =
   let attackers =
     [
       ( "sketch",
-        fun ~batch oracle image ->
+        fun oracle image ->
           ignore
-            (Sketch.attack ~max_queries:256 ~batch oracle C.const_false_program
+            (Sketch.attack ~max_queries:256 oracle C.const_false_program
                ~image ~true_class:0) );
       ( "sparse_rs",
-        fun ~batch oracle image ->
+        fun oracle image ->
           let config =
             { Baselines.Sparse_rs.max_queries = 256; min_explore = 0.1 }
           in
           ignore
-            (Baselines.Sparse_rs.attack ~config ~batch (Prng.of_int 3) oracle
-               ~image ~true_class:0) );
+            (Baselines.Sparse_rs.attack ~config (Prng.of_int 3) oracle ~image
+               ~true_class:0) );
       ( "su_opa",
-        fun ~batch oracle image ->
+        fun oracle image ->
           let config =
             { Baselines.Su_opa.population = 10; f = 0.5; max_queries = 256 }
           in
           ignore
-            (Baselines.Su_opa.attack ~config ~batch (Prng.of_int 4) oracle
-               ~image ~true_class:0) );
+            (Baselines.Su_opa.attack ~config (Prng.of_int 4) oracle ~image
+               ~true_class:0) );
     ]
   in
   List.iter
     (fun (name, attack) ->
-      List.iter
-        (fun batch ->
-          let image =
-            Tensor.rand_uniform (Prng.of_int batch) [| 3; size; size |]
-          in
-          let oracle = never_flips () in
-          let cache = Score_cache.create () in
-          Oracle.set_cache oracle (Some cache);
-          rows := 0;
-          attack ~batch oracle image;
-          let s = Score_cache.stats cache in
-          let clean =
-            match Score_cache.find cache Score_cache.Clean with
-            | _ -> 1
-            | exception Not_found -> 0
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "%s width %d: rows forwarded = misses" name batch)
-            (s.Score_cache.misses - clean)
-            !rows)
-        [ 1; 16 ])
+      let image = Tensor.rand_uniform (Prng.of_int 1) [| 3; size; size |] in
+      let oracle = never_flips () in
+      let cache = Score_cache.create () in
+      Oracle.set_cache oracle (Some cache);
+      rows := 0;
+      attack oracle image;
+      let s = Score_cache.stats cache in
+      let clean =
+        match Score_cache.find cache Score_cache.Clean with
+        | _ -> 1
+        | exception Not_found -> 0
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: rows forwarded = misses" name)
+        (s.Score_cache.misses - clean)
+        !rows)
     attackers
 
 let suite =
@@ -795,24 +594,16 @@ let suite =
     Alcotest.test_case "conv2d_gemm_batch = direct conv2d (exact)" `Quick
       conv_gemm_agrees;
     QCheck_alcotest.to_alcotest qcheck_boxed_plan_matches_direct;
-    Alcotest.test_case "batcher: metering, speculation, mis-speculation"
-      `Quick batcher_metering_and_speculation;
+    Alcotest.test_case "batcher: metering, one forward pass per query"
+      `Quick batcher_metering;
     Alcotest.test_case "batcher: cache hits leave the forward pass" `Quick
       batcher_cache_excludes_hits;
     Alcotest.test_case "batcher: a failing forward pass charges nothing"
       `Quick batcher_failing_forward;
-    Alcotest.test_case "batcher: width 1 degenerates to sequential" `Quick
-      batcher_width_one_never_speculates;
-    Alcotest.test_case "sketch: widths 2/4/16 = width 1 (results + traces)"
-      `Quick sketch_width_identity;
-    Alcotest.test_case "sketch: width identity on a conv-net oracle" `Quick
-      sketch_width_identity_on_network;
-    Alcotest.test_case "baselines: width 16 = width 1" `Quick
-      baselines_width_identity;
-    Alcotest.test_case "batcher: cache-first hit skips speculation" `Quick
+    Alcotest.test_case "sketch: compiled plan = layer walk on a conv net"
+      `Quick sketch_plan_on_network;
+    Alcotest.test_case "batcher: cache-first hit builds no input" `Quick
       batcher_cache_first_hit;
-    Alcotest.test_case "batcher: cache-first keeps the buffer" `Quick
-      batcher_cache_first_keeps_buffer;
     Alcotest.test_case "batcher: cache-first meters before counting the hit"
       `Quick batcher_cache_first_meters;
     Alcotest.test_case "batcher: one forward pass per cache miss" `Quick

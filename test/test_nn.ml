@@ -106,11 +106,15 @@ let network_gradient_numeric () =
   in
   let x = Tensor.rand_uniform rng [| 2; 4; 4 |] in
   let label = 1 in
-  let loss () = Tensor.cross_entropy (Nn.Network.logits net x) label in
+  let loss () =
+    fst (Tensor.cross_entropy_with_grad (Nn.Network.logits net x) label)
+  in
   let params = Nn.Network.params net in
   List.iter Nn.Param.zero_grad params;
   let logits = Nn.Network.forward_train net x in
-  ignore (Nn.Network.backward net (Tensor.cross_entropy_grad logits label));
+  ignore
+    (Nn.Network.backward net
+       (snd (Tensor.cross_entropy_with_grad logits label)));
   let eps = 1e-5 in
   List.iter
     (fun (p : Nn.Param.t) ->
@@ -159,11 +163,15 @@ let composite_gradient_numeric () =
   in
   let x = Tensor.rand_uniform rng [| 2; 4; 4 |] in
   let label = 0 in
-  let loss () = Tensor.cross_entropy (Nn.Network.logits net x) label in
+  let loss () =
+    fst (Tensor.cross_entropy_with_grad (Nn.Network.logits net x) label)
+  in
   let params = Nn.Network.params net in
   List.iter Nn.Param.zero_grad params;
   let logits = Nn.Network.forward_train net x in
-  ignore (Nn.Network.backward net (Tensor.cross_entropy_grad logits label));
+  ignore
+    (Nn.Network.backward net
+       (snd (Tensor.cross_entropy_with_grad logits label)));
   let eps = 1e-5 in
   List.iter
     (fun (p : Nn.Param.t) ->

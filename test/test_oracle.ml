@@ -37,7 +37,18 @@ let of_fn_validates_classes () =
   in
   Alcotest.(check bool) "wrong vector length raises" true
     (try
-       ignore (Oracle.eval_batch bad [| image |]);
+       ignore (Oracle.forward bad image);
+       false
+     with Invalid_argument _ -> true);
+  let two =
+    Oracle.of_fn ~num_classes:2
+      ~batch_fn:(fun xs ->
+        Array.map (fun _ -> Tensor.zeros [| 2 |]) (Array.append xs xs))
+      (fun _ -> Tensor.zeros [| 2 |])
+  in
+  Alcotest.(check bool) "batch_fn answering two vectors for one raises" true
+    (try
+       ignore (Oracle.forward two image);
        false
      with Invalid_argument _ -> true)
 

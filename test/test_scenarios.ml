@@ -12,9 +12,8 @@ module Gen = Oppsla.Gen
 module Condition = Oppsla.Condition
 
 (* (1) Decision-oracle metering charges exactly one query per call —
-   cache hits included — through the cached query path at widths 1 and
-   16, and [Batcher.query] itself answers with the one-hot label
-   vector. *)
+   cache hits included — through the cached query path, and
+   [Batcher.query] itself answers with the one-hot label vector. *)
 let qcheck_decision_metering =
   QCheck.Test.make
     ~name:"decision metering: one query per call, cache hits included"
@@ -23,11 +22,8 @@ let qcheck_decision_metering =
       let calls = 1 + Prng.int g 16 in
       let image = Tensor.rand_uniform g ~lo:0.2 ~hi:0.8 [| 3; 4; 4 |] in
       (* The same key every time: every call after the first is a cache
-         hit (or a repeat inside one chunk), and each must still cost one
-         query. *)
-      let cand =
-        { Batcher.key = Score_cache.Custom "pairs:3,7"; input = (fun () -> image) }
-      in
+         hit, and each must still cost one query. *)
+      let key = Score_cache.Custom "pairs:3,7" in
       let label =
         Tensor.argmax
           (Oracle.unmetered_scores (Helpers.mean_threshold_oracle ()) image)
@@ -37,24 +33,16 @@ let qcheck_decision_metering =
         && Tensor.get_flat s label = 1.0
         && Tensor.get_flat s (1 - label) = 0.0
       in
-      List.for_all
-        (fun width ->
-          let o = Helpers.mean_threshold_oracle () in
-          Oracle.set_mode o Oracle.Decision;
-          Oracle.set_cache o (Some (Score_cache.create ()));
-          let t = Helpers.batcher ~width o in
-          let ask () =
-            one_hot
-              (Batcher.query t
-                 ~speculate:(fun _ -> Some cand)
-                 ~input:cand.Batcher.input cand.Batcher.key)
-          in
-          let observed = ref true in
-          for _ = 1 to calls do
-            observed := ask () && !observed
-          done;
-          !observed && Oracle.queries o = calls)
-        [ 1; 16 ])
+      let o = Helpers.mean_threshold_oracle () in
+      Oracle.set_mode o Oracle.Decision;
+      Oracle.set_cache o (Some (Score_cache.create ()));
+      let t = Helpers.batcher o in
+      let observed = ref true in
+      for _ = 1 to calls do
+        observed :=
+          one_hot (Batcher.query t ~input:(fun () -> image) key) && !observed
+      done;
+      !observed && Oracle.queries o = calls)
 
 (* (2) k-pixel [pairs:] cache keys are a pure function of the set — any
    permutation of the same pixel set produces the identical key. *)
@@ -156,9 +144,8 @@ let qcheck_label_flip_agrees_with_argmax =
    the current pixel's corner without repeating it (7 candidates, one a
    winner) where the uniform baseline redraws from all 8 — so over a
    large corpus it must spend fewer queries.  Each attack runs on its
-   own named PRNG stream, so every total is pinned exactly, and each
-   space x oracle-mode sweep is run at batch widths 1 and 16 with
-   per-image (queries, success) records required equal. *)
+   own named PRNG stream, so every total is pinned exactly, including
+   each space x oracle-mode sweep's. *)
 type corpus = {
   size : int;
   sweep_images : int;
@@ -249,7 +236,7 @@ let decision_beats_random c () =
   List.iter2
     (fun (space, (mode, mode_name)) expected ->
       let cell = Printf.sprintf "%s/%s" (Space.to_string space) mode_name in
-      let run batch =
+      let r1 =
         Array.init c.sweep_images (fun i ->
             let o = Helpers.mean_threshold_oracle () in
             Oracle.set_mode o mode;
@@ -257,13 +244,10 @@ let decision_beats_random c () =
             let r =
               Sparse_rs.attack_space
                 ~config:(Sparse_rs.default_config ~max_queries:c.cap)
-                ~batch ~space g o ~image ~true_class
+                ~space g o ~image ~true_class
             in
             (r.Sparse_rs.queries, r.Sparse_rs.adversarial <> None))
       in
-      let r1 = run 1 in
-      Alcotest.(check (array (pair int bool)))
-        (cell ^ ": batch 16 = batch 1") r1 (run 16);
       Alcotest.(check int) (cell ^ ": total queries") expected
         (Array.fold_left (fun a (q, _) -> a + q) 0 r1);
       Alcotest.(check int) (cell ^ ": flipped") c.sweep_images

@@ -216,8 +216,8 @@ let qcheck_needle_found_by_all_programs =
 
 (* {1 Slot hygiene}
 
-   [attack] forwards candidates from in-place slots that are reused
-   across chunks.  A recording [batch_fn] snapshots every input it is
+   [attack] forwards every candidate from one in-place slot, reused
+   across queries.  A recording [batch_fn] snapshots every input it is
    handed; each snapshot must differ from the image in exactly one pixel
    and equal [perturb image pair] for the pair that pixel decodes to.
    The scores carry a position-weighted checksum of the input, so every
@@ -233,14 +233,14 @@ let checksum_scores x =
 
 exception Injected
 
-(* The first forward pass for which [fail ~call ~width] holds raises
+(* The first forward pass for which [fail ~call] holds raises
    [Injected]; later ones succeed. *)
-let recording_oracle ?(fail = fun ~call:_ ~width:_ -> false) seen =
+let recording_oracle ?(fail = fun ~call:_ -> false) seen =
   let calls = ref 0 and failed = ref false in
   let batch_fn xs =
     incr calls;
     Array.iter (fun x -> seen := Tensor.copy x :: !seen) xs;
-    if (not !failed) && fail ~call:!calls ~width:(Array.length xs) then begin
+    if (not !failed) && fail ~call:!calls then begin
       failed := true;
       raise Injected
     end;
@@ -284,7 +284,8 @@ let check_snapshots name ~image seen =
 
 (* A hopeless image with distinct non-corner pixels: every attack walks
    the whole space, and B1 (push back) plus B4 (eager check) fire on
-   every failed pair, so chunks are discarded and slots reused often. *)
+   every failed pair, so the queue is edited and the slot reused
+   often. *)
 let hygiene_image () =
   Tensor.rand_uniform (Prng.of_int 11) ~lo:0.2 ~hi:0.4 [| 3; size; size |]
 
@@ -295,8 +296,8 @@ let hygiene_program =
 let slot_hygiene () =
   let image = hygiene_image () in
   List.iter
-    (fun (batch, cached) ->
-      let name = Printf.sprintf "batch %d, cache %b" batch cached in
+    (fun cached ->
+      let name = Printf.sprintf "cache %b" cached in
       let seen = ref [] in
       let o = recording_oracle seen in
       if cached then Oracle.set_cache o (Some (Score_cache.create ()));
@@ -308,16 +309,13 @@ let slot_hygiene () =
       in
       (* With the cache on, a capped first attack leaves a prefix of the
          space cached, so the full attack mixes cache-first answers with
-         forwarded chunks — the pattern of re-running programs during
+         forwarded ones — the pattern of re-running programs during
          synthesis. *)
       if cached then
         ignore
-          (Sketch.attack ~batch ~max_queries:40 o hygiene_program ~image
+          (Sketch.attack ~max_queries:40 o hygiene_program ~image
              ~true_class:0);
-      let r =
-        Sketch.attack ~batch ~on_query o hygiene_program ~image
-          ~true_class:0
-      in
+      let r = Sketch.attack ~on_query o hygiene_program ~image ~true_class:0 in
       Alcotest.(check int) (name ^ ": full enumeration") full_space
         r.Sketch.queries;
       Alcotest.(check bool) (name ^ ": answers match their keys") true
@@ -325,27 +323,23 @@ let slot_hygiene () =
       Alcotest.(check bool) (name ^ ": inputs were forwarded") true
         (!seen <> []);
       check_snapshots name ~image !seen)
-    [ (1, false); (1, true); (16, false); (16, true) ]
+    [ false; true ]
 
-(* A [batch_fn] that raises once, in the middle of the attack and (at
-   batch 16) on a chunk of several candidates, leaves the meter at the
-   queries consumed so far, and the next attack on the same oracle (and
-   cache) still forwards exact inputs. *)
+(* A [batch_fn] that raises once, in the middle of the attack, leaves
+   the meter at the queries consumed so far, and the next attack on the
+   same oracle (and cache) still forwards exact inputs. *)
 let slot_hygiene_after_failure () =
   let image = hygiene_image () in
   List.iter
-    (fun (batch, cached) ->
-      let name = Printf.sprintf "batch %d, cache %b" batch cached in
+    (fun cached ->
+      let name = Printf.sprintf "cache %b" cached in
       let seen = ref [] in
-      let fail ~call ~width = call >= 3 && (batch = 1 || width > 1) in
+      let fail ~call = call >= 3 in
       let o = recording_oracle ~fail seen in
       if cached then Oracle.set_cache o (Some (Score_cache.create ()));
       let consumed = ref 0 in
       let on_query n _ _ = consumed := n in
-      (match
-         Sketch.attack ~batch ~on_query o hygiene_program ~image
-           ~true_class:0
-       with
+      (match Sketch.attack ~on_query o hygiene_program ~image ~true_class:0 with
       | _ -> Alcotest.failf "%s: the injected failure did not surface" name
       | exception Injected -> ());
       Alcotest.(check int) (name ^ ": meter = queries consumed") !consumed
@@ -353,19 +347,17 @@ let slot_hygiene_after_failure () =
       check_snapshots name ~image !seen;
       seen := [];
       let before = Oracle.queries o in
-      let r =
-        Sketch.attack ~batch o hygiene_program ~image ~true_class:0
-      in
+      let r = Sketch.attack o hygiene_program ~image ~true_class:0 in
       Alcotest.(check int) (name ^ ": next attack complete") full_space
         r.Sketch.queries;
       Alcotest.(check int) (name ^ ": next attack metered") full_space
         (Oracle.queries o - before);
       check_snapshots (name ^ ", next attack") ~image !seen)
-    [ (1, false); (1, true); (16, false); (16, true) ]
+    [ false; true ]
 
 (* Allocation pin for the warm query path.  A second attack on the same
    cache finds every key resident, so each query is answered by the
-   batcher's cache path: no forward pass, no input, no chunk.  With no
+   batcher's cache path: no forward pass and no input.  With no
    journal, trace or flight recorder open, what it allocates per query
    is the interpreter's own cost; a change that brings back a per-query
    [Pair.t], option, list, context record, boxed float or closure

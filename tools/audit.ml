@@ -12,7 +12,7 @@
 
    The comparison is the offline form of the metering invariant: two
    runs of the same attack under different optimization configurations
-   (domains, cache, batch width, backend) must produce per-image
+   (domains, cache, backend) must produce per-image
    charge sequences that match record for record. *)
 
 let usage () =
