@@ -163,8 +163,8 @@ let journal_arg =
   let doc =
     "Write a query-provenance journal (JSONL, one checksummed record \
      per charged oracle query: run id, charge site, image index, cache \
-     key, oracle mode, cache hit, batcher chunk (0 forwarded, -1 \
-     cached), backend) to $(docv).  \
+     key, oracle mode, cache hit, backend; format version 2) to \
+     $(docv).  \
      Audit offline with tools/audit.exe — two journals of the same \
      attack under different --domains/--backend settings must carry \
      bit-identical per-image charge sequences.  \

@@ -13,7 +13,6 @@ type record = {
   kind : string;
   mode : string;
   hit : bool;
-  chunk : int;
   backend : string;
 }
 
@@ -89,7 +88,6 @@ let parse_record line =
     kind = str_field line obj "kind";
     mode = str_field line obj "mode";
     hit = bool_field line obj "hit";
-    chunk = int_field line obj "chunk";
     backend = str_field line obj "backend";
   }
 
@@ -132,7 +130,7 @@ let load path =
       | Some (Regress.Str "oppsla-query-journal") -> ()
       | _ -> invalid "%s: not a query journal (bad header)" path);
       let version = int_field header_line header "version" in
-      if version <> 1 then invalid "%s: unsupported version %d" path version;
+      if version <> 2 then invalid "%s: unsupported version %d" path version;
       let run_id = str_field header_line header "run_id" in
       let records = ref [] and footer_count = ref None in
       List.iteri

@@ -6,7 +6,7 @@
     image, the ordered sequence of charge identities
     [(key, kind, mode)] must match record for record.
 
-    Provenance metadata — [seq], [site], [hit], [chunk], [backend] —
+    Provenance metadata — [seq], [site], [hit], [backend] —
     is deliberately excluded from the identity: those fields
     legitimately differ across cache/backend configurations and
     domain interleavings, while the charge sequence itself must not.
@@ -22,7 +22,6 @@ type record = {
   kind : string;
   mode : string;
   hit : bool;
-  chunk : int;
   backend : string;
 }
 

@@ -147,30 +147,32 @@ module Make (B : Tensor_sig.S) = struct
         Telemetry.Trace.span "backend.conv" ~cat:"tensor"
           ~args:(fun () ->
             let w = B.shape weight in
-            [
-              ("n", Telemetry.Trace.Int (B.shape x).(0));
-              ("in_c", Telemetry.Trace.Int w.(1));
-              ("out_c", Telemetry.Trace.Int w.(0));
-              ("k", Telemetry.Trace.Int w.(2));
-              ("stride", Telemetry.Trace.Int stride);
-              ("pad", Telemetry.Trace.Int pad);
-            ]
-            @ (match max_pool with
-              | Some (size, pstride) ->
+            let tail =
+              match memo with
+              | Some m ->
                   [
-                    ( "max_pool",
-                      Telemetry.Trace.Str
-                        (Printf.sprintf "%dx%d/%d" size size pstride) );
+                    ( "recomputed_cols",
+                      Telemetry.Trace.Int (B.recomputed_cols m) );
                   ]
-              | None -> [])
-            @
-            match memo with
-            | Some m ->
-                [
-                  ( "recomputed_cols",
-                    Telemetry.Trace.Int (B.recomputed_cols m) );
-                ]
-            | None -> [])
+              | None -> []
+            in
+            let tail =
+              match max_pool with
+              | Some (size, pstride) ->
+                  let size = string_of_int size in
+                  ( "max_pool",
+                    Telemetry.Trace.Str
+                      (size ^ "x" ^ size ^ "/" ^ string_of_int pstride) )
+                  :: tail
+              | None -> tail
+            in
+            ("n", Telemetry.Trace.Int (B.shape x).(0))
+            :: ("in_c", Telemetry.Trace.Int w.(1))
+            :: ("out_c", Telemetry.Trace.Int w.(0))
+            :: ("k", Telemetry.Trace.Int w.(2))
+            :: ("stride", Telemetry.Trace.Int stride)
+            :: ("pad", Telemetry.Trace.Int pad)
+            :: tail)
           (fun () ->
             B.conv2d_batch ?memo ~stride ~pad ~weight ~bias ?norm ~relu
               ?max_pool x)

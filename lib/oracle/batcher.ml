@@ -14,44 +14,33 @@ type t = {
 exception Out_of_queries
 
 type stats = {
-  queries : int;
   batches : int;
   prepared : int;
   buffer_hits : int;
   discarded : int;
 }
 
-(* Global counters, aggregated across every batcher (and every domain —
-   attacks under the pool run concurrently, hence atomics).  They live
-   in the process-wide telemetry registry, so `--metrics FILE` reads the
-   same numbers [global_stats] returns. *)
-let g_queries = Telemetry.Metrics.counter "batcher.queries"
+(* Global forward-pass counter, aggregated across every batcher (and
+   every domain — attacks under the pool run concurrently, hence an
+   atomic).  It lives in the process-wide telemetry registry, so
+   `--metrics FILE` reads the same number [global_stats] returns. *)
 let g_forwards = Telemetry.Metrics.counter "batcher.forwards"
 
 let global_stats () =
   let forwards = Telemetry.Counter.get g_forwards in
   {
-    queries = Telemetry.Counter.get g_queries;
     batches = forwards;
     prepared = forwards;
     buffer_hits = 0;
     discarded = 0;
   }
 
-let reset_global_stats () =
-  Telemetry.Counter.reset g_queries;
-  Telemetry.Counter.reset g_forwards
+let reset_global_stats () = Telemetry.Counter.reset g_forwards
 
 let create ~max_queries ~watchdog oracle =
   { oracle; cache = Oracle.cache oracle; max_queries; watchdog; spent = 0 }
 
 let spent t = t.spent
-
-(* Charge one served query.  [hit] and [chunk] ride along as journal
-   provenance: a cache answer is [chunk = -1], a forwarded one [0]. *)
-let charge t key ~hit ~chunk =
-  Oracle.charge t.oracle key ~hit ~chunk;
-  Telemetry.Counter.incr g_queries
 
 (* A miss: one forward pass of the posed candidate, stored under its key
    and then charged, so a forward that raises charges nothing. *)
@@ -62,7 +51,7 @@ let forward t ~input key =
         Oracle.forward t.oracle (input ()))
   in
   Option.iter (fun c -> Score_cache.add c key score) t.cache;
-  charge t key ~hit:false ~chunk:0;
+  Oracle.charge t.oracle key ~hit:false;
   score
 
 (* Cache-first: the probe is uncounted, and the hit is counted after
@@ -73,7 +62,7 @@ let resolve t ~input key =
   | Some c -> (
       match Score_cache.find c key with
       | score ->
-          charge t key ~hit:true ~chunk:(-1);
+          Oracle.charge t.oracle key ~hit:true;
           Score_cache.count_hit c;
           score
       | exception Not_found -> forward t ~input key)

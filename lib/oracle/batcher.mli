@@ -50,10 +50,9 @@ val query : t -> input:(unit -> Tensor.t) -> Score_cache.key -> Tensor.t
 
     This is the one cached query path, and every query is metered before
     the cache answers it: a cache answer meters before counting the hit
-    (journaled with [hit = true] and [chunk = -1]); a miss is forwarded,
-    stored and then metered (journaled with [hit = false] and
-    [chunk = 0]), so a forward pass that raises charges nothing and
-    stores nothing in the cache. *)
+    (journaled with [hit = true]); a miss is forwarded, stored and then
+    metered (journaled with [hit = false]), so a forward pass that
+    raises charges nothing and stores nothing in the cache. *)
 
 val spent : t -> int
 (** Queries served so far: the attack's query count. *)
@@ -64,10 +63,10 @@ val spent : t -> int
     domains).  The record keeps the fields of the speculative engine it
     replaced, for the repository benchmark that still reads them: every
     forward pass is one candidate, so [batches] = [prepared] = forward
-    passes, and [buffer_hits] = [discarded] = 0. *)
+    passes, and [buffer_hits] = [discarded] = 0.  Metered queries are
+    counted by the oracle ({!Oracle.queries}, [oracle.queries.total]). *)
 
 type stats = {
-  queries : int;  (** metered queries served *)
   batches : int;  (** forward passes (one per cache miss) *)
   prepared : int;  (** candidates forwarded: equal to [batches] *)
   buffer_hits : int;  (** always 0 *)

@@ -29,7 +29,6 @@ let m_q_total = Telemetry.Metrics.counter "oracle.queries.total"
 let m_q_clean = Telemetry.Metrics.counter "oracle.queries.clean"
 let m_q_corner = Telemetry.Metrics.counter "oracle.queries.corner"
 let m_q_custom = Telemetry.Metrics.counter "oracle.queries.custom"
-let m_q_decision = Telemetry.Metrics.counter "oracle.queries.decision"
 
 let kind_counter : Score_cache.key -> _ = function
   | Clean -> m_q_clean
@@ -109,21 +108,17 @@ let of_network ?(backend = Nn.Backend.Boxed) net =
 (* The single funnel every charged query passes through: the counters,
    then the journal record (consulted only when the journal sink is
    open, so the disabled path costs one atomic load).  [key]'s kind
-   picks the per-kind counter; with [hit] and [chunk] it is journal
-   provenance (the cache key, whether the score came from the cache,
-   and the batcher's [chunk]: 0 when forwarded, -1 when cached). *)
-let charge t key ~hit ~chunk =
+   picks the per-kind counter; with [hit] it is journal provenance (the
+   cache key, and whether the score came from the cache). *)
+let charge t key ~hit =
   t.count <- t.count + 1;
   Telemetry.Counter.incr m_q_total;
   Telemetry.Counter.incr (kind_counter key);
   Telemetry.Counter.incr t.m_by;
-  (match t.qmode with
-  | Decision -> Telemetry.Counter.incr m_q_decision
-  | Score -> ());
   if Telemetry.Journal.enabled () then
     Telemetry.Journal.record ~key:(Score_cache.key_to_string key)
-      ~kind:(Score_cache.key_kind key) ~mode:(mode_label t.qmode) ~hit ~chunk
-      ~backend:t.backend_kind ()
+      ~kind:(Score_cache.key_kind key) ~mode:(mode_label t.qmode) ~hit
+      ~backend:t.backend_kind
 
 let validated t s =
   if Tensor.numel s <> t.classes then

@@ -83,19 +83,18 @@ val observe : t -> Tensor.t -> Tensor.t
     oracle builds once and shares with its clones, so an observation
     allocates nothing: treat it as read-only, as every score vector. *)
 
-val charge : t -> Score_cache.key -> hit:bool -> chunk:int -> unit
+val charge : t -> Score_cache.key -> hit:bool -> unit
 (** Charge one query for the candidate [key]: the one meter.  It never
     refuses a query; the cap is the attack's [max_queries], enforced by
     {!Batcher.query}.  Exposed so the batcher can keep metering
     {e above} the cache ({!Batcher} is its one caller); never call it
     without answering the query it charges for.  The key's
     {!Score_cache.key_kind} routes the telemetry per-kind counter
-    [oracle.queries.<kind>]; it never affects accounting.  No optional arguments, so a charge with the
-    journal closed allocates nothing.
+    [oracle.queries.<kind>]; it never affects accounting.  No optional
+    arguments, so a charge with the journal closed allocates nothing.
 
-    The key, [hit] and [chunk] are also query-journal provenance — the
-    cache key behind the charge, whether the cache already held the
-    answer, and [0] for a forwarded answer or [-1] for a cached one.
+    The key and [hit] are also query-journal provenance — the cache key
+    behind the charge, and whether the cache already held the answer.
     They are only consulted when the journal sink is open and never
     affect accounting: a journaled run charges the same queries at the
     same indices as a bare one (the [journal] bench asserts this). *)

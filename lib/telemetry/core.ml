@@ -356,56 +356,6 @@ module Metrics = struct
           registry)
 end
 
-(* Flight recorder: a bounded in-memory ring of the last N rendered
-   span/instant event lines.  Writers claim a slot with one
-   fetch-and-add and store the line; a torn read (two writers lapping
-   the ring between claim and store) can at worst surface a stale line,
-   never corrupt memory — acceptable for a post-mortem artifact.  The
-   ring is fed by [Trace] (every emitted event) and [Watchdog.beat]
-   (heartbeat context), and dumped by the post-mortem bundle on stall
-   or crash. *)
-module Ring = struct
-  let slots : string array ref = ref [||]
-  let cursor = Atomic.make 0
-  let active = Atomic.make false
-
-  let enabled () = Atomic.get active
-
-  let configure n =
-    if n <= 0 then invalid_arg "Telemetry.Ring.configure: size must be positive";
-    slots := Array.make n "";
-    Atomic.set cursor 0;
-    Atomic.set active true
-
-  let stop () = Atomic.set active false
-
-  let record line =
-    if Atomic.get active then begin
-      let s = !slots in
-      let n = Array.length s in
-      if n > 0 then s.(Atomic.fetch_and_add cursor 1 mod n) <- line
-    end
-
-  (* Oldest-to-newest snapshot of the resident lines.  Racy against
-     concurrent writers by design: a line may be missed or duplicated
-     across the wrap boundary, but every returned string is a complete
-     event line. *)
-  let dump () =
-    let s = !slots in
-    let n = Array.length s in
-    if n = 0 then []
-    else begin
-      let c = Atomic.get cursor in
-      let first = max 0 (c - n) in
-      let out = ref [] in
-      for i = c - 1 downto first do
-        let line = s.(i mod n) in
-        if line <> "" then out := line :: !out
-      done;
-      !out
-    end
-end
-
 module Trace = struct
   type arg = Int of int | Float of float | Bool of bool | Str of string
 
@@ -497,12 +447,11 @@ module Trace = struct
     | Bool v -> Buffer.add_string b (if v then "true" else "false")
     | Str s -> add_quoted b s
 
-  (* One event rendered as a complete JSON object (no trailing comma):
-     the sink appends [",\n"], the flight-recorder ring stores the line
-     as-is. *)
-  (* [?tid] overrides the track id: the runtime-events profiler emits GC
-     pauses from its observer systhread but must land them on the track
-     of the domain that actually paused. *)
+  (* One event rendered as a complete JSON object (no trailing comma;
+     the sink appends [",\n"]).  [?tid] overrides the track id: the
+     runtime-events profiler emits GC pauses from its observer systhread
+     but must land them on the track of the domain that actually
+     paused. *)
   let render_event ~name ~cat ~ph ~ts ?dur ?scope ?tid args =
     let tid =
       match tid with Some t -> t | None -> (Domain.self () :> int)
@@ -546,7 +495,6 @@ module Trace = struct
 
   let emit ~name ~cat ~ph ~ts ?dur ?scope ?tid args =
     let line = render_event ~name ~cat ~ph ~ts ?dur ?scope ?tid args in
-    Ring.record line;
     Mutex.protect sink_mutex (fun () ->
         match !sink with
         | None -> ()
@@ -562,7 +510,7 @@ module Trace = struct
         match !sink with None -> () | Some oc -> Stdlib.flush oc)
 
   let span ?(cat = "oppsla") ?args name f =
-    if not (Atomic.get active || Ring.enabled ()) then f ()
+    if not (Atomic.get active) then f ()
     else begin
       let t0 = Clock.now_us () in
       let finish () =
@@ -581,7 +529,7 @@ module Trace = struct
     end
 
   let instant ?(cat = "oppsla") ?args name =
-    if Atomic.get active || Ring.enabled () then
+    if Atomic.get active then
       let args = match args with None -> [] | Some a -> a () in
       emit ~name ~cat ~ph:"i" ~ts:(Clock.now_us ()) ~scope:"t" args
 

@@ -6,11 +6,11 @@
 
    File format (one JSON object per line):
 
-     header   {"journal": "oppsla-query-journal", "version": 1,
+     header   {"journal": "oppsla-query-journal", "version": 2,
                "run_id": "..."}
      record   {"seq": 17, "site": "sketch", "image": 3,
                "key": "corner:1,2,0", "kind": "corner", "mode": "score",
-               "hit": false, "chunk": 0, "backend": "boxed",
+               "hit": false, "backend": "boxed",
                "fnv": "<16 hex digits>"}
      footer   {"journal_end": true, "records": 123}
 
@@ -21,8 +21,11 @@
    leaves a diagnosable [.tmp] instead of a half-file posing as a
    complete journal.
 
-   Charge identity vs provenance: [seq], [site], [hit], [chunk] and
-   [backend] are provenance metadata — they legitimately differ across
+   Version 1 records carried a ["chunk"] field as well; the auditor
+   refuses version 1 rather than misread it.
+
+   Charge identity vs provenance: [seq], [site], [hit] and [backend]
+   are provenance metadata — they legitimately differ across
    cache/backend configurations and across domain interleavings.
    The comparable identity of a charge is (image, in-image order, key,
    kind, mode); the offline auditor (Evalharness.Audit) compares exactly
@@ -108,7 +111,7 @@ let with_image i f =
 (* Buffer-built (Printf interprets its format string on every call,
    which is measurable at one record per charged query); the checksum
    runs over the buffered body before the fnv field is appended. *)
-let render_record ~seq ~site ~image ~key ~kind ~mode ~hit ~chunk ~backend =
+let render_record ~seq ~site ~image ~key ~kind ~mode ~hit ~backend =
   let esc = Core.Metrics.json_escape in
   let b = Buffer.create 192 in
   Buffer.add_string b "{\"seq\": ";
@@ -125,8 +128,6 @@ let render_record ~seq ~site ~image ~key ~kind ~mode ~hit ~chunk ~backend =
   Buffer.add_string b (esc mode);
   Buffer.add_string b "\", \"hit\": ";
   Buffer.add_string b (if hit then "true" else "false");
-  Buffer.add_string b ", \"chunk\": ";
-  Buffer.add_string b (string_of_int chunk);
   Buffer.add_string b ", \"backend\": \"";
   Buffer.add_string b (esc backend);
   Buffer.add_char b '\"';
@@ -140,7 +141,7 @@ let render_record ~seq ~site ~image ~key ~kind ~mode ~hit ~chunk ~backend =
 (* ----- global sink ----- *)
 
 let format_name = "oppsla-query-journal"
-let format_version = 1
+let format_version = 2
 
 let active = Atomic.make false
 let seq = Atomic.make 0
@@ -222,12 +223,12 @@ let current_path () =
       | Some _, Some path -> Some (tmp_path path)
       | _ -> None)
 
-let record ~key ~kind ~mode ~hit ?(chunk = -1) ~backend () =
+let record ~key ~kind ~mode ~hit ~backend =
   if Atomic.get active then begin
     let n = Atomic.fetch_and_add seq 1 in
     let line =
       render_record ~seq:n ~site:(site ()) ~image:(image ()) ~key ~kind ~mode
-        ~hit ~chunk ~backend
+        ~hit ~backend
     in
     Mutex.protect sink_mutex (fun () ->
         match !sink with

@@ -68,14 +68,9 @@ let install_crash_handler () =
       Printf.eprintf "Fatal error: exception %s\n%s%!" (Printexc.to_string exn)
         (Printexc.raw_backtrace_to_string bt))
 
-(* Flight-recorder depth: enough to hold the spans and heartbeats of
-   the last few attack iterations without measurable footprint. *)
-let ring_size = 512
-
 let start config =
   Journal.set_run_id
     (match config.run_id with Some id -> id | None -> generate_run_id ());
-  Core.Ring.configure ring_size;
   install_crash_handler ();
   (match config.journal with Some f -> Journal.to_file f | None -> ());
   (match config.trace with Some f -> Core.Trace.to_file f | None -> ());
@@ -102,7 +97,6 @@ let stop t =
   (match t.profiler with Some p -> Profiler.stop p | None -> ());
   Core.Trace.close ();
   Journal.close ();
-  Core.Ring.stop ();
   match t.config.metrics with
   | Some f -> Core.Metrics.write_json f
   | None -> ()

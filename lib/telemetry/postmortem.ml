@@ -3,11 +3,10 @@
    self-contained diagnostic directory before exiting:
 
      _artifacts/postmortem-<runid>/
-       info.json          run id, reason, uptime, stalled loops,
-                          journal path, registered checkpoint
-       ring.jsonl         the flight-recorder ring (last N span/instant
-                          events, including watchdog heartbeats and,
-                          under the profiler, GC pause events)
+       info.json          run id, reason, journal path, registered
+                          checkpoint, and every watchdog slot: its
+                          active count, idle time, beats and last
+                          image/iteration/queries
        registry.json      full metrics registry snapshot
        journal_tail.jsonl the last few query-provenance records
        gc.json            Gc.quick_stat at death + the profiler's
@@ -16,10 +15,10 @@
        trace_tail.jsonl   the last lines of the live trace file, when
                           tracing was on
 
-   Everything read here is observation-only state (the ring, the
-   registry, the journal's in-memory tail, the watchdog slots), so a
-   dump can run from any context — the sampler thread, an exception
-   handler — without perturbing or deadlocking the attack stack. *)
+   Everything read here is observation-only state (the registry, the
+   journal's in-memory tail, the watchdog slots), so a dump can run
+   from any context — the sampler thread, an exception handler —
+   without perturbing or deadlocking the attack stack. *)
 
 let checkpoint_ref = ref None
 let checkpoint_mutex = Mutex.create ()
@@ -58,14 +57,18 @@ let info_json ~reason =
     | None -> "null"
     | Some s -> Printf.sprintf "\"%s\"" (esc s)
   in
-  let stalled =
+  (* Every slot, entered or not: an uncaught exception has already left
+     its loop through [Watchdog.with_loop] by the time the bundle is
+     written, so the crashed loop shows [active: 0] with its last
+     image, iteration and query count. *)
+  let loops =
     Watchdog.snapshot ()
-    |> List.filter (fun (s : Watchdog.status) -> s.Watchdog.active > 0)
     |> List.map (fun (s : Watchdog.status) ->
            Printf.sprintf
-             "{\"loop\": \"%s\", \"idle_s\": %s, \"beats\": %d, \
-              \"image\": %d, \"iteration\": %d, \"queries\": %d}"
-             (esc s.Watchdog.name)
+             "{\"loop\": \"%s\", \"active\": %d, \"idle_s\": %s, \
+              \"beats\": %d, \"image\": %d, \"iteration\": %d, \
+              \"queries\": %d}"
+             (esc s.Watchdog.name) s.Watchdog.active
              (Core.Metrics.json_float s.Watchdog.idle_s)
              s.Watchdog.beats
              (Option.value s.Watchdog.image ~default:(-1))
@@ -74,13 +77,13 @@ let info_json ~reason =
   in
   Printf.sprintf
     "{\n  \"run_id\": \"%s\",\n  \"reason\": \"%s\",\n  \"ts_us\": %s,\n\
-    \  \"journal\": %s,\n  \"checkpoint\": %s,\n  \"active_loops\": [%s]\n}\n"
+    \  \"journal\": %s,\n  \"checkpoint\": %s,\n  \"loops\": [%s]\n}\n"
     (esc (Journal.run_id ()))
     (esc reason)
     (Core.Metrics.json_float (Core.Clock.now_us ()))
     (opt (Journal.current_path ()))
     (opt (checkpoint ()))
-    (String.concat ", " stalled)
+    (String.concat ", " loops)
 
 let gc_json () =
   let g = Gc.quick_stat () in
@@ -157,9 +160,6 @@ let dump ?(dir = "_artifacts") ~reason () =
       in
       mkdir_p bundle;
       write_file (Filename.concat bundle "info.json") (info_json ~reason);
-      write_file
-        (Filename.concat bundle "ring.jsonl")
-        (String.concat "\n" (Core.Ring.dump ()) ^ "\n");
       write_file
         (Filename.concat bundle "registry.json")
         (Core.Metrics.dump_json ());

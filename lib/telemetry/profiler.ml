@@ -1,10 +1,11 @@
 (* Live runtime profiler: subscribes to the OCaml 5 [Runtime_events]
    ring from a dedicated systhread and folds GC activity into the
    observability stack — labeled pause histograms and promotion
-   counters in the metrics registry, Chrome-trace events in the trace
-   stream (so pauses line up under application spans in Perfetto), and
-   the flight-recorder ring (so a post-mortem shows whether a stall
-   was a GC death-spiral).
+   counters in the metrics registry, and Chrome-trace events in an
+   open trace stream (so pauses line up under application spans in
+   Perfetto).  A post-mortem's gc.json reads the pause histograms, so
+   it shows whether a stall was a GC death-spiral with or without a
+   trace.
 
    The observer is a systhread of the spawning domain, never a domain
    of its own: OCaml 5 minor collections are stop-the-world across
@@ -146,8 +147,7 @@ let make_callbacks () =
             if dur_ns >= 0. then begin
               Core.Histogram.observe (pause_hist ~ring ~kind) (dur_ns /. 1e9);
               match !offset_us with
-              | Some off
-                when Core.Trace.enabled () || Core.Ring.enabled () ->
+              | Some off when Core.Trace.enabled () ->
                   Core.Trace.emit ~name:("gc." ^ kind) ~cat:"gc" ~ph:"X"
                     ~ts:(off +. (Int64.to_float t0 /. 1e3))
                     ~dur:(dur_ns /. 1e3) ~tid:ring
@@ -166,7 +166,7 @@ let make_callbacks () =
   let lifecycle ring ts kind _data =
     let instant name =
       match !offset_us with
-      | Some off when Core.Trace.enabled () || Core.Ring.enabled () ->
+      | Some off when Core.Trace.enabled () ->
           Core.Trace.emit ~name ~cat:"gc" ~ph:"i"
             ~ts:
               (off

@@ -142,8 +142,9 @@ let sample_locked t =
       (String.concat ", " (List.map (fun s -> s.Watchdog.name) fresh));
     (* Flush the live sinks and drop the post-mortem bundle BEFORE
        exiting: the stall path must never leave a truncated trace or
-       journal behind, and the bundle (ring, registry, journal tail,
-       checkpoint info) is the only evidence a wedged run gets. *)
+       journal behind, and the bundle (watchdog slots, registry,
+       journal tail, checkpoint info) is the only evidence a wedged run
+       gets. *)
     Core.Trace.flush ();
     Journal.flush ();
     (match Postmortem.dump ~reason:"stall" () with

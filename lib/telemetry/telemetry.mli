@@ -188,31 +188,6 @@ module Trace : sig
       this. *)
 end
 
-(** {1 Flight recorder}
-
-    A bounded in-memory ring of the last N rendered span/instant event
-    lines (including watchdog heartbeats), enabled by the {!Obs}
-    bracket and dumped into the post-mortem bundle on stall or crash.
-    Lock-free: a write is one fetch-and-add plus an array store. *)
-
-module Ring : sig
-  val enabled : unit -> bool
-
-  val configure : int -> unit
-  (** Allocate an [n]-slot ring and start recording.  Raises
-      [Invalid_argument] when [n <= 0]. *)
-
-  val stop : unit -> unit
-
-  val record : string -> unit
-  (** Store one pre-rendered event line (no-op when disabled). *)
-
-  val dump : unit -> string list
-  (** Resident lines, oldest first.  Racy against concurrent writers
-      by design (a post-mortem artifact): a line may be missed across
-      the wrap boundary, but every returned line is complete. *)
-end
-
 (** {1 Shared numeric formatting}
 
     One formatter for every surface that renders telemetry — [Report]'s
@@ -266,9 +241,9 @@ module Watchdog : sig
   val beat_queries : t -> int -> unit
   (** [beat_queries t q] is [beat ~queries:q t] without optional
       arguments: the per-query form (the sketch, Sparse-RS and SuOPA
-      beat once per metered query).  With the flight recorder off it
-      allocates nothing: the last-beat time is stored as
-      {!Clock.now_int_us}, an immediate. *)
+      beat once per metered query).  It allocates nothing, whatever is
+      observed: the last-beat time is stored as {!Clock.now_int_us}, an
+      immediate. *)
 
   type status = {
     name : string;
@@ -301,12 +276,13 @@ end
     folded into the registry as labeled families —
     [gc.pause_seconds{domain,gc}] histograms,
     [gc.minor_{promoted,allocated}_words{domain}] counters,
-    [gc.domain_{spawns,terminations}.total] — and, when tracing or the
-    flight-recorder ring is on, emitted as Chrome-trace complete
-    events on the paused domain's track (clock-calibrated against
-    {!Clock.now_us} via a user event written before each poll), so GC
-    pauses line up under application spans in Perfetto and post-mortem
-    bundles show whether a stall was GC.  Observation-only: query
+    [gc.domain_{spawns,terminations}.total] — and, when a trace is
+    open, emitted as Chrome-trace complete events on the paused
+    domain's track (clock-calibrated against {!Clock.now_us} via a user
+    event written before each poll), so GC pauses line up under
+    application spans in Perfetto.  A post-mortem bundle's [gc.json]
+    reads the pause families through {!summary}, so it shows whether a
+    stall was GC with or without a trace.  Observation-only: query
     counts and success flags are bit-identical with the profiler on
     ([test/diff_runner.ml --profile on] and [bench profile] both
     enforce this). *)
@@ -434,14 +410,14 @@ module Journal : sig
       sink is open, [None] otherwise. *)
 
   val record :
-    key:string -> kind:string -> mode:string -> hit:bool -> ?chunk:int ->
-    backend:string -> unit -> unit
+    key:string -> kind:string -> mode:string -> hit:bool ->
+    backend:string -> unit
   (** Emit one charge record (no-op when disabled).  Called at the
       oracle's one metering point ([Oracle.charge], called by
       [Batcher.query]), which every charged query passes through.
-      [chunk] is 0 when the batcher forwarded the candidate and -1 when
-      the cache answered it (the default); site and image come from
-      the domain-local context below. *)
+      [hit] is true when the cache answered the query and false when
+      the batcher forwarded it; site and image come from the
+      domain-local context below. *)
 
   val with_site : string -> (unit -> 'a) -> 'a
   (** Tag charges issued by [f] (on this domain) with a charge site. *)
@@ -467,7 +443,7 @@ module Journal : sig
 
   val render_record :
     seq:int -> site:string -> image:int -> key:string -> kind:string ->
-    mode:string -> hit:bool -> chunk:int -> backend:string -> string
+    mode:string -> hit:bool -> backend:string -> string
   (** Render one record line exactly as the sink writes it (checksummed;
       exposed for the round-trip property tests and the auditor). *)
 
@@ -481,10 +457,13 @@ end
 module Postmortem : sig
   val dump : ?dir:string -> reason:string -> unit -> string option
   (** Write the post-mortem bundle
-      ([<dir>/postmortem-<runid>/]: [info.json], [ring.jsonl],
-      [registry.json], [journal_tail.jsonl]) and return its directory.
-      At most one bundle per process (the first fatal event wins —
-      [None] thereafter); never raises.  [dir] defaults to
+      ([<dir>/postmortem-<runid>/]: [info.json], [registry.json],
+      [journal_tail.jsonl], [gc.json], [trace_tail.jsonl]) and return
+      its directory.  [info.json] lists every {!Watchdog} slot with its
+      [active] count, idle time, beats and last image, iteration and
+      queries, so a loop an exception has already left still says what
+      it was doing.  At most one bundle per process (the first fatal
+      event wins — [None] thereafter); never raises.  [dir] defaults to
       ["_artifacts"]. *)
 
   val note_checkpoint : string -> unit
@@ -515,16 +494,18 @@ module Obs : sig
   type t
 
   val start : config -> t
-  (** Set the run id, enable the flight-recorder ring, install the
-      crash handler (post-mortem bundle on uncaught exception), open
-      the journal and trace sinks, start the sampler (when a snapshot
-      file or stall timeout asks for one; [stall_timeout_s] makes
-      stalls abort the process with exit 3 after dumping the bundle),
-      and the runtime profiler ([profile]). *)
+  (** Set the run id, install the crash handler (post-mortem bundle on
+      uncaught exception), open the journal and trace sinks, start the
+      sampler (when a snapshot file or stall timeout asks for one;
+      [stall_timeout_s] makes stalls abort the process with exit 3
+      after dumping the bundle), and the runtime profiler ([profile]).
+      Nothing here renders per span or per query: without a trace
+      sink a span still costs one atomic load, and a heartbeat stays a
+      few atomic stores. *)
 
   val stop : t -> unit
   (** Stop sampler then profiler, close the trace and journal (atomic
-      finalize), stop the ring, write [--metrics]. *)
+      finalize), write [--metrics]. *)
 
   val with_observability : config -> (unit -> 'a) -> 'a
   (** [start]/[stop] bracket, exception-safe; a no-op (beyond calling

@@ -6,7 +6,10 @@
 
    Observation-only by construction: a beat is a handful of atomic
    stores plus one unboxed clock read — no RNG, no metering, no cache
-   state, and (with the flight recorder off) no allocation.
+   state and no allocation.  The slots are also the post-mortem
+   bundle's record of what each loop was last doing: [info.json] lists
+   every slot, so a loop that an exception has already left still
+   names its last image, iteration and query count.
    Slots are shared across domains (parallel evaluation runs many
    attacks against one slot); [active] counts concurrent entries and
    the detail fields are last-writer-wins, which is exactly the "what
@@ -54,34 +57,15 @@ let stamp t =
   Atomic.set t.last_beat_us (Core.Clock.now_int_us ());
   ignore (Atomic.fetch_and_add t.beats 1)
 
-(* Feed the flight recorder so a post-mortem ring dump carries the last
-   heartbeat's span context (which loop, which image/iteration, how many
-   queries).  Callers gate it on the ring being live, so the beat stays
-   a handful of atomic stores otherwise. *)
-let ring_record t ~image ~iteration ~queries =
-  Core.Ring.record
-    (Core.Trace.render_event ~name:"watchdog.beat" ~cat:"watchdog" ~ph:"i"
-       ~ts:(Core.Clock.now_us ()) ~scope:"t"
-       (List.filter_map Fun.id
-          [
-            Some ("loop", Core.Trace.Str t.name);
-            Option.map (fun i -> ("image", Core.Trace.Int i)) image;
-            Option.map (fun i -> ("iteration", Core.Trace.Int i)) iteration;
-            Option.map (fun q -> ("queries", Core.Trace.Int q)) queries;
-          ]))
-
 let beat ?image ?iteration ?queries t =
   (match image with Some i -> Atomic.set t.image i | None -> ());
   (match iteration with Some i -> Atomic.set t.iteration i | None -> ());
   (match queries with Some q -> Atomic.set t.queries q | None -> ());
-  stamp t;
-  if Core.Ring.enabled () then ring_record t ~image ~iteration ~queries
+  stamp t
 
 let beat_queries t queries =
   Atomic.set t.queries queries;
-  stamp t;
-  if Core.Ring.enabled () then
-    ring_record t ~image:None ~iteration:None ~queries:(Some queries)
+  stamp t
 
 let enter t =
   ignore (Atomic.fetch_and_add t.active 1);

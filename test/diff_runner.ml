@@ -507,8 +507,8 @@ let profile_check ~domains ~cache =
    --stall-inject, which arms a fatal (exit 3) stall watchdog with a
    short timeout, journals a charge, beats once and wedges.  The parent
    asserts the child exited 3 and left a complete post-mortem bundle:
-   info.json naming the stall and the wedged loop, a flight-recorder
-   ring dump containing the last heartbeat's span context, a registry
+   info.json naming the stall and the wedged loop with its last
+   heartbeat's context (image, iteration, queries), a registry
    snapshot, and a journal tail whose records still parse and checksum. *)
 
 let inject_run_id = "stall-selftest"
@@ -528,7 +528,7 @@ let stall_inject () =
   Telemetry.Journal.with_site "stall/inject" (fun () ->
       Telemetry.Journal.with_image 7 (fun () ->
           Telemetry.Journal.record ~key:"corner:1,2,3" ~kind:"corner"
-            ~mode:"score" ~hit:false ~backend:"boxed" ()));
+            ~mode:"score" ~hit:false ~backend:"boxed"));
   let wd = Telemetry.Watchdog.loop inject_loop in
   Telemetry.Watchdog.with_loop wd (fun () ->
       Telemetry.Watchdog.beat ~image:7 ~iteration:1 ~queries:1 wd;
@@ -572,17 +572,29 @@ let stall_selftest () =
     fail "diff_runner: info.json does not name the wedged loop: %s" info;
   if not (contains_sub ~sub:"stall_inject_journal.jsonl" info) then
     fail "diff_runner: info.json does not point at the journal: %s" info;
-  let ring = read "ring.jsonl" in
-  if not (contains_sub ~sub:"watchdog.beat" ring) then
-    fail "diff_runner: ring dump has no heartbeat events";
-  if
-    not
-      (contains_sub ~sub:(Printf.sprintf {|"loop": "%s"|} inject_loop) ring
-      && contains_sub ~sub:{|"image": 7|} ring)
-  then
-    fail
-      "diff_runner: ring dump is missing the last heartbeat's span context \
-       (loop + image)";
+  let module R = Evalharness.Regress in
+  let field name = function
+    | R.Obj fields -> List.assoc_opt name fields
+    | _ -> None
+  in
+  let wedged =
+    match field "loops" (R.parse_json info) with
+    | Some (R.List loops) ->
+        List.find_opt (fun l -> field "loop" l = Some (R.Str inject_loop)) loops
+    | _ -> None
+  in
+  List.iter
+    (fun (k, v) ->
+      match Option.bind wedged (field k) with
+      | Some (R.Num x) when x = v -> ()
+      | _ ->
+          fail
+            "diff_runner: info.json is missing the wedged loop's %s = %g \
+             (its last heartbeat's context): %s"
+            k v info)
+    [ ("active", 1.); ("image", 7.); ("iteration", 1.); ("queries", 1.) ];
+  if Sys.file_exists (Filename.concat bundle "ring.jsonl") then
+    fail "diff_runner: post-mortem bundle still writes ring.jsonl";
   let registry = read "registry.json" in
   if String.length registry = 0 then
     fail "diff_runner: registry.json snapshot is empty";
@@ -619,7 +631,6 @@ let stall_selftest () =
     (fun f -> if Sys.file_exists f then Sys.remove f)
     [
       Filename.concat bundle "info.json";
-      Filename.concat bundle "ring.jsonl";
       Filename.concat bundle "registry.json";
       Filename.concat bundle "journal_tail.jsonl";
       Filename.concat bundle "gc.json";
@@ -630,8 +641,8 @@ let stall_selftest () =
   (try Unix.rmdir "_artifacts" with Unix.Unix_error _ -> ());
   print_endline
     "diff_runner: stall injection exited 3 with a complete post-mortem \
-     bundle (ring heartbeat context + parsing journal tail + registry + \
-     info + gc snapshot + empty trace tail)"
+     bundle (info with the loop's heartbeat context + parsing journal \
+     tail + registry + gc snapshot + empty trace tail)"
 
 (* Stratified sample of the scenario cross-product: every oracle x space
    combination gets [n / 6] cells (at least one), with the (domains,

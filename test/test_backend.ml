@@ -433,9 +433,8 @@ let incremental_flops () =
    words; one more optional argument and closure per conv call adds
    about 5, which the bound does not leave room for. *)
 let warm_forward_words () =
-  Alcotest.(check bool) "no journal, trace or ring open" false
-    (Telemetry.Journal.enabled () || Telemetry.Trace.enabled ()
-   || Telemetry.Ring.enabled ());
+  Alcotest.(check bool) "no journal or trace open" false
+    (Telemetry.Journal.enabled () || Telemetry.Trace.enabled ());
   let net = Nn.Zoo.vgg_tiny (Prng.of_int 5) ~image_size:16 ~num_classes:10 in
   let plan = F32_plan.compile net in
   let clean = Tensor.rand_uniform (Prng.of_int 6) [| 3; 16; 16 |] in

@@ -298,7 +298,7 @@ let batcher_metering () =
       Alcotest.(check int) "spent" (i + 1) (Batcher.spent t))
     [ 1; 2; 1 ];
   let s = Batcher.global_stats () in
-  Alcotest.(check int) "stats: queries" 3 s.Batcher.queries;
+  Alcotest.(check int) "stats: queries" 3 (Oracle.queries oracle);
   Alcotest.(check int) "stats: forward passes" 3 s.Batcher.batches;
   Alcotest.(check int) "stats: prepared = forward passes" 3 s.Batcher.prepared;
   Alcotest.(check int) "stats: no buffer hits" 0 s.Batcher.buffer_hits;
@@ -424,11 +424,11 @@ let batcher_cache_first_hit () =
   let st = Batcher.global_stats () in
   Alcotest.(check int) "no forward pass" 0 st.Batcher.batches;
   Alcotest.(check int) "nothing prepared" 0 st.Batcher.prepared;
-  Alcotest.(check int) "query counted" 1 st.Batcher.queries
+  Alcotest.(check int) "query counted" 1 (Oracle.queries oracle)
 
 (* Each cache-first answer is metered and counted as one hit, and its
-   charge is journaled as a cached one ([chunk = -1]); a forwarded
-   answer is journaled with [chunk = 0]. *)
+   charge is journaled as a cached one ([hit = true]); a forwarded
+   answer is journaled with [hit = false]. *)
 let batcher_cache_first_meters () =
   let calls = ref 0 in
   let oracle = counting_oracle calls in
@@ -447,10 +447,9 @@ let batcher_cache_first_meters () =
   Alcotest.(check int) "both cached answers counted as hits" 2
     (Score_cache.stats cache).hits;
   Alcotest.(check int) "only the miss forwarded" 1 !calls;
-  Alcotest.(check (list (pair bool int)))
-    "journal (hit, chunk) per charge"
-    [ (true, -1); (true, -1); (false, 0) ]
-    (List.map (fun (r : Evalharness.Audit.record) -> (r.hit, r.chunk)) records)
+  Alcotest.(check (list bool))
+    "journal hit per charge" [ true; true; false ]
+    (List.map (fun (r : Evalharness.Audit.record) -> r.hit) records)
 
 (* {1 Attacks on a network oracle} *)
 

@@ -58,22 +58,19 @@ let gen_record =
     gen_field >>= fun backend ->
     int_range 0 100_000 >>= fun seq ->
     int_range (-1) 5_000 >>= fun image ->
-    int_range (-1) 64 >>= fun chunk ->
     bool >>= fun hit ->
     return
-      { A.seq; site; image; key; kind; mode; hit; chunk; backend })
+      { A.seq; site; image; key; kind; mode; hit; backend })
 
 let print_record (r : A.record) =
   Printf.sprintf
-    "{seq=%d; site=%S; image=%d; key=%S; kind=%S; mode=%S; hit=%b; chunk=%d; \
+    "{seq=%d; site=%S; image=%d; key=%S; kind=%S; mode=%S; hit=%b; \
      backend=%S}"
-    r.A.seq r.A.site r.A.image r.A.key r.A.kind r.A.mode r.A.hit r.A.chunk
-    r.A.backend
+    r.A.seq r.A.site r.A.image r.A.key r.A.kind r.A.mode r.A.hit r.A.backend
 
 let render (r : A.record) =
   J.render_record ~seq:r.A.seq ~site:r.A.site ~image:r.A.image ~key:r.A.key
-    ~kind:r.A.kind ~mode:r.A.mode ~hit:r.A.hit ~chunk:r.A.chunk
-    ~backend:r.A.backend
+    ~kind:r.A.kind ~mode:r.A.mode ~hit:r.A.hit ~backend:r.A.backend
 
 let qcheck_round_trip =
   QCheck.Test.make ~name:"parse_record (render_record r) = r" ~count:300
@@ -134,7 +131,7 @@ let with_temp_journal records f =
         (fun (site, image, key, kind, mode, hit, backend) ->
           J.with_site site (fun () ->
               J.with_image image (fun () ->
-                  J.record ~key ~kind ~mode ~hit ~backend ())))
+                  J.record ~key ~kind ~mode ~hit ~backend)))
         records);
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
@@ -151,7 +148,7 @@ let file_round_trip () =
   with_temp_journal sample_records (fun path ->
       let j = A.load_strict path in
       Alcotest.(check string) "run id" "test-journal" j.A.run_id;
-      Alcotest.(check int) "version" 1 j.A.version;
+      Alcotest.(check int) "version" 2 j.A.version;
       Alcotest.(check bool) "complete" true j.A.complete;
       Alcotest.(check int) "record count" (List.length sample_records)
         (List.length j.A.records);
@@ -188,6 +185,21 @@ let truncated_footer () =
       match A.load_strict path with
       | _ -> Alcotest.fail "load_strict accepted a footerless journal"
       | exception A.Invalid _ -> ())
+
+(* Version 2 dropped version 1's ["chunk"] field, so a version-1 file
+   is refused by its header rather than misread. *)
+let version_1_refused () =
+  with_temp_journal sample_records (fun path ->
+      let s = read_file path in
+      let nl = String.index s '\n' in
+      write_file path
+        ({|{"journal": "oppsla-query-journal", "version": 1, "run_id": "v1"}|}
+        ^ String.sub s nl (String.length s - nl));
+      match A.load path with
+      | _ -> Alcotest.fail "auditor accepted a version-1 journal"
+      | exception A.Invalid msg ->
+          Alcotest.(check bool) "error names the version" true
+            (contains_sub ~sub:"unsupported version 1" msg))
 
 let tampered_file_rejected () =
   with_temp_journal sample_records (fun path ->
@@ -297,7 +309,7 @@ let journal_of records =
   {
     A.path = "<mem>";
     run_id = "t";
-    version = 1;
+    version = 2;
     records;
     complete = true;
   }
@@ -311,7 +323,6 @@ let rec_ ~seq ~image ~key ?(hit = false) ?(backend = "boxed") () =
     kind = "pixel";
     mode = "score";
     hit;
-    chunk = -1;
     backend;
   }
 
@@ -364,6 +375,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_tamper_detected;
     Alcotest.test_case "file round-trip" `Quick file_round_trip;
     Alcotest.test_case "truncated footer" `Quick truncated_footer;
+    Alcotest.test_case "version 1 refused" `Quick version_1_refused;
     Alcotest.test_case "tampered file rejected" `Quick tampered_file_rejected;
     Alcotest.test_case "charge-site context" `Quick site_context;
     Alcotest.test_case "pooled runner keeps the caller's site" `Quick

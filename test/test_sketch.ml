@@ -358,8 +358,8 @@ let slot_hygiene_after_failure () =
 (* Allocation pin for the warm query path.  A second attack on the same
    cache finds every key resident, so each query is answered by the
    batcher's cache path: no forward pass and no input.  With no
-   journal, trace or flight recorder open, what it allocates per query
-   is the interpreter's own cost; a change that brings back a per-query
+   journal or trace open, what it allocates per query is the
+   interpreter's own cost; a change that brings back a per-query
    [Pair.t], option, list, context record, boxed float or closure
    pushes it over the bound.  The program's holes cover every compiled
    kind ([pert], [orig], [center], [score_diff]) and fire, so the
@@ -403,9 +403,8 @@ let warm_words_per_query ~mode ~d ~max_queries =
    leaves the set-up about 300 words of room, less than a centre-order
    table (about 560 words) rebuilt per attack. *)
 let warm_attack_allocation () =
-  Alcotest.(check bool) "no journal, trace or ring open" false
-    (Telemetry.Journal.enabled () || Telemetry.Trace.enabled ()
-   || Telemetry.Ring.enabled ());
+  Alcotest.(check bool) "no journal or trace open" false
+    (Telemetry.Journal.enabled () || Telemetry.Trace.enabled ());
   let check name ~mode ~max_queries ~bound =
     let w = warm_words_per_query ~mode ~d:16 ~max_queries in
     if w > bound then
@@ -418,6 +417,34 @@ let warm_attack_allocation () =
     ~bound:2.5;
   check "64-query attack, label-only" ~mode:Oracle.Decision ~max_queries:64
     ~bound:16.
+
+(* The same whole-space bound inside an observed run that opens no
+   trace or journal ([--metrics FILE] alone): the observability bracket
+   must render nothing per span or per heartbeat, so a warm query costs
+   what it costs in a bare run. *)
+let warm_attack_allocation_observed () =
+  let tmp = Filename.temp_file "oppsla_warm_metrics" ".json" in
+  let obs =
+    Telemetry.Obs.start { Telemetry.Obs.default with metrics = Some tmp }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Obs.stop obs;
+      Printexc.set_uncaught_exception_handler
+        Printexc.default_uncaught_exception_handler;
+      Sys.remove tmp)
+    (fun () ->
+      List.iter
+        (fun (name, mode) ->
+          let w = warm_words_per_query ~mode ~d:16 ~max_queries:2048 in
+          if w > 2.5 then
+            Alcotest.failf
+              "%s under --metrics: %.2f minor words per warm query, bound 2.5"
+              name w)
+        [
+          ("whole space", Oracle.Score);
+          ("whole space, label-only", Oracle.Decision);
+        ])
 
 (* The shared key tables name exactly the keys [cache_key] builds, so
    caching and batching see the same keys as before they were shared;
@@ -451,6 +478,8 @@ let suite =
   [
     Alcotest.test_case "corner keys match cache_key" `Quick corner_keys_match;
     Alcotest.test_case "warm attack allocation" `Quick warm_attack_allocation;
+    Alcotest.test_case "warm attack allocation under --metrics" `Quick
+      warm_attack_allocation_observed;
     Alcotest.test_case "perturb changes three values" `Quick
       perturb_changes_three_values;
     Alcotest.test_case "success_exists ground truth" `Quick

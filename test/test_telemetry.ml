@@ -509,10 +509,9 @@ let watchdog_snapshot_and_stall () =
   Alcotest.(check bool) "inactive loops never stall" false
     (List.mem name (stalled_names ~stall_after_s:0. ~now_us:(later +. 1e9)))
 
-(* The per-query beat stores an int stamp: with the flight recorder
-   off it allocates nothing, so it adds nothing to a warm query. *)
+(* The per-query beat stores an int stamp: it allocates nothing, so it
+   adds nothing to a warm query. *)
 let watchdog_beat_allocates_nothing () =
-  Alcotest.(check bool) "ring off" false (Telemetry.Ring.enabled ());
   let name = fresh "wd_alloc" in
   let wd = Telemetry.Watchdog.loop name in
   let words f =
@@ -549,6 +548,60 @@ let watchdog_with_loop_is_exception_safe () =
   in
   Alcotest.(check int) "leave ran despite the raise" 0
     status.Telemetry.Watchdog.active
+
+(* A crash leaves its loop through [with_loop] before the bundle is
+   written, so the bundle's [info.json] must list slots that are no
+   longer entered: the crashed loop appears with [active: 0] and the
+   image, iteration and query count of its last beat. *)
+let crash_bundle_names_left_loop () =
+  let name = fresh "wd_crash" in
+  let wd = Telemetry.Watchdog.loop name in
+  (try
+     Telemetry.Watchdog.with_loop wd (fun () ->
+         Telemetry.Watchdog.beat ~image:4 ~iteration:9 ~queries:37 wd;
+         failwith "crash")
+   with Failure _ -> ());
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "oppsla_test_postmortem_%d" (Unix.getpid ()))
+  in
+  let bundle =
+    Fun.protect ~finally:Telemetry.Postmortem.reset (fun () ->
+        match Telemetry.Postmortem.dump ~dir ~reason:"uncaught: crash" () with
+        | Some b -> b
+        | None -> Alcotest.fail "no bundle written")
+  in
+  let files = Sys.readdir bundle in
+  let info =
+    In_channel.with_open_bin (Filename.concat bundle "info.json")
+      In_channel.input_all
+  in
+  Array.iter (fun f -> Sys.remove (Filename.concat bundle f)) files;
+  Unix.rmdir bundle;
+  Unix.rmdir dir;
+  Alcotest.(check bool) "no ring.jsonl" false (Array.mem "ring.jsonl" files);
+  let module R = Evalharness.Regress in
+  let field name = function
+    | R.Obj fields -> List.assoc_opt name fields
+    | _ -> None
+  in
+  let loop =
+    match field "loops" (R.parse_json info) with
+    | Some (R.List loops) -> (
+        match
+          List.find_opt (fun l -> field "loop" l = Some (R.Str name)) loops
+        with
+        | Some l -> l
+        | None -> Alcotest.failf "info.json does not name %s: %s" name info)
+    | _ -> Alcotest.failf "info.json has no loops list: %s" info
+  in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option (float 0.)))
+        k (Some v)
+        (match field k loop with Some (R.Num x) -> Some x | _ -> None))
+    [ ("active", 0.); ("image", 4.); ("iteration", 9.); ("queries", 37.) ]
 
 (* {1 Sampler} *)
 
@@ -719,6 +772,8 @@ let suite =
       watchdog_snapshot_and_stall;
     Alcotest.test_case "watchdog with_loop is exception-safe" `Quick
       watchdog_with_loop_is_exception_safe;
+    Alcotest.test_case "crash bundle names the loop it left" `Quick
+      crash_bundle_names_left_loop;
     Alcotest.test_case "watchdog beat allocates nothing" `Quick
       watchdog_beat_allocates_nothing;
     Alcotest.test_case "sampler ticks and snapshots" `Quick

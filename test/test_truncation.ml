@@ -26,7 +26,7 @@ let journal_bytes n =
                 J.record
                   ~key:(Printf.sprintf "corner:%d,%d,%d" (i mod 4) (i / 4) (i mod 8))
                   ~kind:"corner" ~mode:"score" ~hit:(i mod 2 = 0)
-                  ~backend:"boxed" ()))
+                  ~backend:"boxed"))
       done);
   let s = Helpers.read_file path in
   Sys.remove path;

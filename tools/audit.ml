@@ -54,7 +54,7 @@ let write_journal path records =
       Telemetry.Journal.with_site site @@ fun () ->
       Telemetry.Journal.with_image image @@ fun () ->
       Telemetry.Journal.record ~key ~kind ~mode:"score" ~hit:false
-        ~backend:"boxed" ())
+        ~backend:"boxed")
     records;
   Telemetry.Journal.close ()
 
